@@ -1,9 +1,10 @@
 """Command-line pipeline: each subcommand reads and writes the documented
 file formats, so stages can be rerun and resumed independently.
 
-A JSON config file supplies defaults; command-line flags override it. Every
-JSON artifact embeds the effective configuration and seed; CSV artifacts get
-a .meta.json sidecar with the same provenance.
+Every flag is declared once, in COMMANDS. A flag given on the command line
+wins over the --config entry of the same (long) name, which wins over the
+flag's default. Every JSON artifact embeds the effective configuration and
+seed; CSV artifacts get a .meta.json sidecar with the same provenance.
 """
 
 from __future__ import annotations
@@ -14,79 +15,98 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import crossing, diffparse, embed, engineered, evaluate, explain, featureio, filtering, learn, synth
+from . import diffparse, embed, engineered, evaluate, explain, featureio, filtering, learn, synth
 from .defaults import DEFAULT_EMBEDDER
-from .errors import PatchPredError
+from .errors import EvalError, ExplainError, FeatureError, PatchPredError, TrainError
+
+
+class Flag(NamedTuple):
+    """One subcommand flag. `output` marks a path that goes under the output
+    directory when relative; `required` means flag or config must supply it."""
+
+    name: str
+    type: Callable = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    output: bool = False
+    help: str | None = None
+    metavar: str | None = None
 
 
 def _load_config(path):
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise PatchPredError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise PatchPredError("config file must hold a JSON object")
     return cfg
 
 
-def _pick(args, cfg, key, default=None):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return cfg.get(key, default)
+# The JSON types a config entry may have for each flag type; true/false is
+# only a bool, although Python counts it as an int.
+_CONFIG_TYPES = {str: str, int: int, float: (int, float), bool: bool}
 
 
-def _need(args, cfg, key):
-    value = _pick(args, cfg, key)
-    if value is None:
-        raise PatchPredError(f"missing required --{key} (flag or config file entry)")
-    return value
-
-
-# Output-path arguments are resolved against PATCHPRED_OUTDIR (or the config
-# "outdir") when given as relative paths.
-_OUTPUT_ATTRS = ("out", "report", "out_verdicts", "out_predictions", "global_out",
-                 "interaction_out", "plot_data", "registry_out")
-
-
-def _resolve_outputs(args, cfg) -> None:
+def resolve(args, cfg) -> None:
+    """Set each flag of the subcommand to the flag's value if given, else its
+    config entry, else its default; then place relative output paths under
+    $PATCHPRED_OUTDIR (or the config's "outdir")."""
     base = os.environ.get("PATCHPRED_OUTDIR") or cfg.get("outdir")
-    if not base:
+    for flag in COMMANDS[args.command][2]:
+        dest = flag.name.replace("-", "_")
+        value = getattr(args, dest)
+        if value is None and cfg.get(flag.name) is not None:
+            value = cfg[flag.name]
+            if isinstance(value, bool) != (flag.type is bool) or not isinstance(value, _CONFIG_TYPES[flag.type]):
+                raise PatchPredError(f"config entry {flag.name!r} must be a {flag.type.__name__}, got {value!r}")
+        if value is None:
+            value = flag.default
+        if value is None and flag.required:
+            raise PatchPredError(f"missing required --{flag.name} (flag or config file entry)")
+        if value is not None and flag.choices and value not in flag.choices:
+            raise PatchPredError(f"--{flag.name} must be one of {'|'.join(flag.choices)}, got {value!r}")
+        if value is not None and flag.output and base and not Path(value).is_absolute():
+            value = str(Path(base) / value)
+        setattr(args, dest, value)
+
+
+def _write(path, content, args=None, keys=()) -> None:
+    """Write one artifact, creating its directory. `content` is a JSON object,
+    a string, a list of CSV rows, or a function that writes the file itself.
+
+    With `args`, the provenance (the command and the values of `keys`) is
+    embedded in a JSON object, or written to a .meta.json sidecar otherwise.
+    """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    provenance = None
+    if args is not None:
+        provenance = {"command": args.command, "config": {k: getattr(args, k) for k in keys}}
+    if isinstance(content, dict):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"provenance": provenance, **content} if provenance else content, fh,
+                      sort_keys=True, indent=1)
+            fh.write("\n")
         return
-    for attr in _OUTPUT_ATTRS:
-        value = getattr(args, attr, None)
-        if value is not None and not Path(value).is_absolute():
-            setattr(args, attr, str(Path(base) / value))
-
-
-def _provenance(command: str, effective: dict) -> dict:
-    return {"command": command, "config": effective}
-
-
-def _prep(path):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_json(path, payload) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def _write_meta(csv_path, provenance) -> None:
-    _write_json(str(csv_path) + ".meta.json", {"provenance": provenance})
-
-
-def _load_corpus(path, allow_unlabeled=False):
-    cor, report = corpus_mod.ingest(path, allow_unlabeled=allow_unlabeled)
-    return cor, report
+    if callable(content):
+        content(path)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                csv.writer(fh, lineterminator="\n").writerows(content)
+    if provenance:
+        _write(str(path) + ".meta.json", {"provenance": provenance})
 
 
 def _embedder_config(args, cfg) -> embed.EmbedderConfig:
@@ -95,7 +115,7 @@ def _embedder_config(args, cfg) -> embed.EmbedderConfig:
     for flag, key in (("dim", "n"), ("epochs", "epochs"), ("negative", "negative_samples"),
                       ("lr", "learning_rate"), ("min_count", "min_token_count"),
                       ("embedder_seed", "seed")):
-        value = getattr(args, flag, None)
+        value = getattr(args, flag)
         if value is not None:
             section[key] = value
     return embed.EmbedderConfig(**section)
@@ -104,9 +124,14 @@ def _embedder_config(args, cfg) -> embed.EmbedderConfig:
 def _hyper_overrides(args, cfg, kind: str):
     table = cfg.get("hyperparameters", {})
     overrides = dict(table.get(kind, {}))
-    inline = getattr(args, "hyper", None)
-    if inline:
-        overrides.update(json.loads(inline))
+    if args.hyper:
+        try:
+            inline = json.loads(args.hyper)
+        except (TypeError, ValueError) as exc:
+            raise TrainError(f"--hyper is not valid JSON: {exc}") from exc
+        if not isinstance(inline, dict):
+            raise TrainError("--hyper must be a JSON object")
+        overrides.update(inline)
     return overrides or None
 
 
@@ -117,93 +142,66 @@ def _fragments_by_patch(cor):
     return frags
 
 
-def _label_int(label: corpus_mod.Label):
-    if label is corpus_mod.Label.CORRECT:
-        return 1
-    if label is corpus_mod.Label.INCORRECT:
-        return 0
-    return None
+def _scored(args):
+    """(patch_id, bug_id, score, label, zero-norm flag) per embedding, in file order."""
+    cor, _ = corpus_mod.ingest(args.corpus)
+    pairs = embed.import_embeddings(args.embeddings)
+    matched = featureio.align(pairs, cor.records, ("embeddings", "corpus"), complete=False)
+    return [(pid, rec.bug_id, score, rec.label, flag)
+            for (pid, score, flag), (_pair, rec) in zip(filtering.score_corpus(pairs), matched)]
 
 
-def _learned_rows(cor, pairs):
-    by_id = cor.by_patch_id()
-    rows = []
-    for pair in pairs:
-        rec = by_id.get(pair.patch_id)
-        if rec is None:
-            raise PatchPredError(f"embedding for unknown patch {pair.patch_id!r}")
-        rows.append(learn.FeatureRow(pair.patch_id, rec.bug_id,
-                                     crossing.cross(pair).values, _label_int(rec.label)))
-    missing = sorted(set(by_id) - {p.patch_id for p in pairs})
-    if missing:
-        raise PatchPredError(f"corpus patch {missing[0]!r} has no embedding (of {len(missing)} missing)")
-    return rows, crossing.feature_names(pairs[0].n)
-
-
-def _engineered_rows(cor):
-    rows = []
-    for rec in cor.records:
-        vec = engineered.extract_all(rec)
-        rows.append(learn.FeatureRow(rec.patch_id, rec.bug_id, vec.values, _label_int(rec.label)))
-    return rows, engineered.feature_names()
-
-
-def _scored_with_labels(cor, pairs):
-    by_id = cor.by_patch_id()
-    scored = []
-    for patch_id, score, flag in filtering.score_corpus(pairs):
-        rec = by_id.get(patch_id)
-        if rec is None:
-            raise PatchPredError(f"embedding for unknown patch {patch_id!r}")
-        scored.append((patch_id, rec.bug_id, score, rec.label, flag))
-    return scored
+def _write_report(args, report, keys, title) -> None:
+    """Write a cross-validation report and its optional predictions CSV."""
+    predictions = report.pop("predictions")
+    _write(args.out, report, args, keys)
+    if args.out_predictions:
+        _write(args.out_predictions, lambda path: evaluate.write_predictions(path, predictions), args, keys)
+    macro = report["macro"]
+    print(f"{title} k={args.k} seed={args.seed}: "
+          f"acc {macro['accuracy']:.3f}, F1 {macro['f1']:.3f}, AUC {macro['auc']:.3f} -> {args.out}")
 
 
 # --- subcommand implementations ----------------------------------------------
 
 def cmd_ingest(args, cfg):
-    cor, report = _load_corpus(_need(args, cfg, "input"), allow_unlabeled=bool(args.allow_unlabeled))
-    corpus_mod.persist(cor, _prep(args.out))
-    summary = {
-        "provenance": _provenance("ingest", {"input": _need(args, cfg, "input"), "out": args.out}),
-        "report": report.to_json_dict(),
-    }
+    cor, report = corpus_mod.ingest(args.input, allow_unlabeled=bool(args.allow_unlabeled))
+    _write(args.out, lambda path: corpus_mod.persist(cor, path))
     if args.report:
-        _write_json(args.report, summary)
+        _write(args.report, {"report": report.to_json_dict()}, args, ("input", "out"))
     print(f"ingested {report.ingested} records "
           f"({report.duplicates_dropped} duplicates dropped, {len(report.rejected)} rejected) -> {args.out}")
     return 0
 
 
 def cmd_gen_synthetic(args, cfg):
-    seed = _pick(args, cfg, "seed", 0)
-    cor = synth.generate_corpus(args.bugs, args.patches_per_bug, args.signal, seed)
-    corpus_mod.persist(cor, _prep(args.out))
-    print(f"generated {len(cor)} patches over {args.bugs} bugs (signal={args.signal}, seed={seed}) -> {args.out}")
+    cor = synth.generate_corpus(args.bugs, args.patches_per_bug, args.signal, args.seed)
+    _write(args.out, lambda path: corpus_mod.persist(cor, path))
+    print(f"generated {len(cor)} patches over {args.bugs} bugs "
+          f"(signal={args.signal}, seed={args.seed}) -> {args.out}")
     return 0
 
 
 def cmd_fragments(args, cfg):
-    cor, _ = _load_corpus(_need(args, cfg, "corpus"), allow_unlabeled=True)
-    with open(_prep(args.out), "w", encoding="utf-8") as fh:
-        for rec in cor.records:
-            frag = diffparse.fragments_for_diff(rec.diff_text)
-            fh.write(json.dumps({"patch_id": rec.patch_id, "buggy_text": frag.buggy_text,
+    cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
+    lines = []
+    for rec in cor.records:
+        frag = diffparse.fragments_for_diff(rec.diff_text)
+        lines.append(json.dumps({"patch_id": rec.patch_id, "buggy_text": frag.buggy_text,
                                  "patched_text": frag.patched_text}, sort_keys=True) + "\n")
+    _write(args.out, "".join(lines))
     print(f"wrote fragments for {len(cor)} patches -> {args.out}")
     return 0
 
 
 def cmd_train_embedder(args, cfg):
-    cor, _ = _load_corpus(_need(args, cfg, "corpus"), allow_unlabeled=True)
-    frags = _fragments_by_patch(cor)
+    cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
     documents = []
-    for frag in frags.values():
+    for frag in _fragments_by_patch(cor).values():
         documents.append(list(frag.buggy_tokens))
         documents.append(list(frag.patched_tokens))
-    config = _embedder_config(args, cfg)
-    model = embed.train_embedder(documents, config)
-    embed.save_model(model, _prep(args.out))
+    model = embed.train_embedder(documents, _embedder_config(args, cfg))
+    _write(args.out, lambda path: embed.save_model(model, path))
     rep = model.training_report
     print(f"trained embedder on {rep['documents']} fragments "
           f"(vocab {rep['vocabulary_size']}, loss {rep['initial_loss']:.4f} -> {rep['final_loss']:.4f}) -> {args.out}")
@@ -211,257 +209,177 @@ def cmd_train_embedder(args, cfg):
 
 
 def cmd_embed(args, cfg):
-    cor, _ = _load_corpus(_need(args, cfg, "corpus"), allow_unlabeled=True)
-    model = embed.load_model(_need(args, cfg, "model"))
+    cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
+    model = embed.load_model(args.model)
     pairs, flagged = embed.embed_corpus(model, _fragments_by_patch(cor))
-    embed.export_embeddings(pairs, _prep(args.out))
+    _write(args.out, lambda path: embed.export_embeddings(pairs, path))
     note = f", {len(flagged)} flagged all-OOV" if flagged else ""
     print(f"embedded {len(pairs)} patches (n={model.config.n}{note}) -> {args.out}")
     return 0
 
 
 def cmd_import_embeddings(args, cfg):
-    pairs = embed.import_embeddings(_need(args, cfg, "embeddings"))
+    pairs = embed.import_embeddings(args.embeddings)
     if args.out:
-        embed.export_embeddings(pairs, _prep(args.out))
+        _write(args.out, lambda path: embed.export_embeddings(pairs, path))
     print(f"validated {len(pairs)} embedding pairs (n={pairs[0].n})")
     return 0
 
 
 def cmd_features(args, cfg):
-    cor, _ = _load_corpus(_need(args, cfg, "corpus"), allow_unlabeled=True)
-    feature_set = _pick(args, cfg, "set", "learned")
-    effective = {"corpus": _pick(args, cfg, "corpus"), "set": feature_set, "out": args.out}
-    if feature_set in ("learned", "concat"):
-        pairs = embed.import_embeddings(_need(args, cfg, "embeddings"))
-        learned_rows, learned_names = _learned_rows(cor, pairs)
-        effective["embeddings"] = _pick(args, cfg, "embeddings")
-    if feature_set in ("engineered", "concat"):
-        engineered_rows, engineered_names = _engineered_rows(cor)
-    if feature_set == "learned":
-        rows, names = learned_rows, learned_names
-    elif feature_set == "engineered":
-        rows, names = engineered_rows, engineered_names
-    else:
-        by_id = {r.patch_id: r for r in engineered_rows}
-        rows = [
-            learn.FeatureRow(r.patch_id, r.bug_id,
-                             np.concatenate([r.features, by_id[r.patch_id].features]), r.label)
-            for r in learned_rows
-        ]
-        names = learned_names + engineered_names
-    featureio.write_features(_prep(args.out), rows, names)
-    _write_meta(args.out, _provenance("features", effective))
-    if args.registry_out and feature_set in ("engineered", "concat"):
-        _write_json(args.registry_out, {"version": engineered.REGISTRY_VERSION,
-                                        "features": engineered.registry()})
-    print(f"wrote {len(rows)} x {len(names)} {feature_set} feature matrix -> {args.out}")
+    cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
+    keys = ("corpus", "set", "out")
+    pairs = None
+    if args.set != "engineered":
+        if args.embeddings is None:
+            raise PatchPredError(f"missing required --embeddings for --set {args.set} (flag or config file entry)")
+        pairs = embed.import_embeddings(args.embeddings)
+        keys += ("embeddings",)
+    names, rows = featureio.corpus_features(cor, args.set, pairs)
+    _write(args.out, lambda path: featureio.write_features(path, rows, names), args, keys)
+    if args.registry_out and args.set != "learned":
+        _write(args.registry_out, {"version": engineered.REGISTRY_VERSION, "features": engineered.registry()})
+    print(f"wrote {len(rows)} x {len(names)} {args.set} feature matrix -> {args.out}")
     return 0
 
 
 def cmd_stats(args, cfg):
-    cor, _ = _load_corpus(_need(args, cfg, "corpus"))
-    pairs = embed.import_embeddings(_need(args, cfg, "embeddings"))
-    which = _pick(args, cfg, "label-filter", "correct")
-    scored = _scored_with_labels(cor, pairs)
-    if which == "correct":
-        scores = [s for _pid, _bug, s, label, _f in scored if label is corpus_mod.Label.CORRECT]
-    elif which == "incorrect":
-        scores = [s for _pid, _bug, s, label, _f in scored if label is corpus_mod.Label.INCORRECT]
-    else:
-        scores = [s for _pid, _bug, s, _label, _f in scored]
+    scored = _scored(args)
+    scores = [s for _pid, _bug, s, label, _f in scored if args.label_filter in ("all", label.value)]
     sim = filtering.stats(scores)
-    payload = {
-        "provenance": _provenance("stats", {"corpus": _pick(args, cfg, "corpus"),
-                                            "embeddings": _pick(args, cfg, "embeddings"),
-                                            "label_filter": which}),
+    _write(args.out, {
         "n_scores": len(scores),
         "flagged_zero_norm": sorted(pid for pid, _b, _s, _l, flag in scored if flag),
         "stats": sim.to_json_dict(),
-    }
-    _write_json(args.out, payload)
-    print(f"stats over {len(scores)} {which} scores: q1={sim.q1:.4f} mean={sim.mean:.4f} -> {args.out}")
+    }, args, ("corpus", "embeddings", "label_filter"))
+    print(f"stats over {len(scores)} {args.label_filter} scores: q1={sim.q1:.4f} mean={sim.mean:.4f} -> {args.out}")
     return 0
 
 
 def cmd_filter(args, cfg):
-    cor, _ = _load_corpus(_need(args, cfg, "corpus"))
-    pairs = embed.import_embeddings(_need(args, cfg, "embeddings"))
-    policy_name = _pick(args, cfg, "policy", "q1")
+    scored = _scored(args)
     sim = None
     if args.stats:
         with open(args.stats, "r", encoding="utf-8") as fh:
-            st = json.load(fh)["stats"]
-        sim = filtering.SimilarityStats(**st)
-    policy = filtering.resolve_policy(policy_name, sim, _pick(args, cfg, "value"))
-    scored = [(pid, score, label) for pid, _bug, score, label, _f in _scored_with_labels(cor, pairs)]
-    report = filtering.filter_by_threshold(scored, policy)
-    payload = {
-        "provenance": _provenance("filter", {"corpus": _pick(args, cfg, "corpus"),
-                                             "embeddings": _pick(args, cfg, "embeddings"),
-                                             "policy": policy_name, "stats": args.stats}),
-        "stats": sim.to_json_dict() if sim else None,
-        "result": report.to_json_dict(),
-    }
-    _write_json(args.out, payload)
+            try:
+                sim = filtering.SimilarityStats(**json.load(fh)["stats"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise EvalError(f"{args.stats} is not a stats report: {exc!r}") from exc
+    policy = filtering.resolve_policy(args.policy, sim, args.value)
+    report = filtering.filter_by_threshold([(pid, score, label) for pid, _b, score, label, _f in scored], policy)
+    keys = ("corpus", "embeddings", "policy", "stats")
+    _write(args.out, {"stats": sim.to_json_dict() if sim else None, "result": report.to_json_dict()}, args, keys)
     if args.out_verdicts:
-        with open(_prep(args.out_verdicts), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["patch_id", "predicted_correct"])
-            for pid, predicted in report.verdicts:
-                writer.writerow([pid, int(predicted)])
-        _write_meta(args.out_verdicts, payload["provenance"])
+        _write(args.out_verdicts, [["patch_id", "predicted_correct"]]
+               + [[pid, int(predicted)] for pid, predicted in report.verdicts], args, keys)
     print(f"threshold {policy.value:.4f} ({policy.statistic.value}): "
           f"+Recall {report.plus_recall:.1%}, -Recall {report.minus_recall:.1%} -> {args.out}")
     return 0
 
 
 def cmd_top1(args, cfg):
-    cor, _ = _load_corpus(_need(args, cfg, "corpus"))
-    pairs = embed.import_embeddings(_need(args, cfg, "embeddings"))
-    scored = [(pid, bug, score, label) for pid, bug, score, label, _f in _scored_with_labels(cor, pairs)]
-    report = filtering.top1_per_bug(scored)
-    payload = {
-        "provenance": _provenance("top1", {"corpus": _pick(args, cfg, "corpus"),
-                                           "embeddings": _pick(args, cfg, "embeddings")}),
+    report = filtering.top1_per_bug([(pid, bug, score, label) for pid, bug, score, label, _f in _scored(args)])
+    _write(args.out, {
         "n_bugs": report.n_bugs,
         "bugs_with_correct_pick": report.bugs_with_correct_pick,
         "fraction_correct": report.fraction_correct,
         "selected": report.selected,
-    }
-    _write_json(args.out, payload)
+    }, args, ("corpus", "embeddings"))
     print(f"top-1 pick correct for {report.bugs_with_correct_pick}/{report.n_bugs} bugs -> {args.out}")
     return 0
 
 
 def cmd_train(args, cfg):
-    names, rows = featureio.read_features(_need(args, cfg, "features"))
-    kind = learn.canonical_kind(_pick(args, cfg, "learner", "gbt"))
-    seed = _pick(args, cfg, "seed", 0)
-    model = learn.train(kind, rows, _hyper_overrides(args, cfg, kind), seed)
-    model.save(_prep(args.out))
-    print(f"trained {kind} on {len(rows)} rows x {len(names)} features (seed {seed}) -> {args.out}")
+    names, rows = featureio.read_features(args.features)
+    kind = learn.canonical_kind(args.learner)
+    model = learn.train(kind, rows, _hyper_overrides(args, cfg, kind), args.seed)
+    _write(args.out, model.save)
+    print(f"trained {kind} on {len(rows)} rows x {len(names)} features (seed {args.seed}) -> {args.out}")
     return 0
 
 
 def cmd_crossval(args, cfg):
-    feature_csv = _need(args, cfg, "features")
-    names, rows = featureio.read_features(feature_csv)
-    kind = learn.canonical_kind(_pick(args, cfg, "learner", "gbt"))
-    seed = _pick(args, cfg, "seed", 0)
-    k = _pick(args, cfg, "k", 10)
-    threshold = _pick(args, cfg, "threshold", 0.5)
+    _names, rows = featureio.read_features(args.features)
+    args.learner = learn.canonical_kind(args.learner)
     unlabeled = [r.patch_id for r in rows if r.label is None]
     if unlabeled:
         raise PatchPredError(f"cross-validation requires labeled rows; patch {unlabeled[0]!r} is unlabeled")
     joint = [evaluate.JointRow(r.patch_id, r.bug_id, int(r.label), learned=r.features) for r in rows]
-    trainer = evaluate.SingleSetTrainer("learned", kind, _hyper_overrides(args, cfg, kind))
-    report = evaluate.crossval(joint, trainer, k=k, seed=seed, threshold=threshold)
+    trainer = evaluate.SingleSetTrainer("learned", args.learner, _hyper_overrides(args, cfg, args.learner))
+    report = evaluate.crossval(joint, trainer, k=args.k, seed=args.seed, threshold=args.threshold)
     report["config"]["trainer"]["feature_set"] = "file"  # features come pre-built from the CSV
-    report["provenance"] = _provenance("crossval", {"features": feature_csv, "learner": kind,
-                                                    "k": k, "seed": seed, "threshold": threshold})
-    predictions = report.pop("predictions")
-    _write_json(args.out, report)
-    if args.out_predictions:
-        evaluate.write_predictions(_prep(args.out_predictions), predictions)
-        _write_meta(args.out_predictions, report["provenance"])
-    macro = report["macro"]
-    print(f"crossval {kind} k={k} seed={seed}: "
-          f"acc {macro['accuracy']:.3f}, F1 {macro['f1']:.3f}, AUC {macro['auc']:.3f} -> {args.out}")
+    _write_report(args, report, ("features", "learner", "k", "seed", "threshold"), f"crossval {args.learner}")
     return 0
 
 
 def cmd_combine(args, cfg):
-    strategy = _pick(args, cfg, "strategy", "concat")
-    kind = learn.canonical_kind(_pick(args, cfg, "learner", "gbt"))
-    seed = _pick(args, cfg, "seed", 0)
-    k = _pick(args, cfg, "k", 10)
-    threshold = _pick(args, cfg, "threshold", 0.5)
-    _lnames, _enames, joint = featureio.join_feature_sets(
-        _need(args, cfg, "learned-features"), _need(args, cfg, "engineered-features"))
-    if strategy == "ensemble":
-        trainer = evaluate.EnsembleTrainer(kind, _hyper_overrides(args, cfg, kind),
-                                           _hyper_overrides(args, cfg, kind))
-    elif strategy == "concat":
-        trainer = evaluate.SingleSetTrainer("concat", kind, _hyper_overrides(args, cfg, kind))
-    elif strategy == "fusion":
+    args.learner = kind = learn.canonical_kind(args.learner)
+    _lnames, _enames, joint = featureio.join_feature_sets(args.learned_features, args.engineered_features)
+    if args.strategy == "fusion":
         trainer = evaluate.FusionTrainer(_hyper_overrides(args, cfg, "DeepFusion"))
+    elif args.strategy == "ensemble":
+        hyper = _hyper_overrides(args, cfg, kind)
+        trainer = evaluate.EnsembleTrainer(kind, hyper, hyper)
     else:
-        raise PatchPredError(f"unknown strategy {strategy!r}; choose ensemble|concat|fusion")
-    report = evaluate.crossval(joint, trainer, k=k, seed=seed, threshold=threshold)
-    report["provenance"] = _provenance("combine", {
-        "strategy": strategy, "learner": kind, "k": k, "seed": seed, "threshold": threshold,
-        "learned_features": _pick(args, cfg, "learned-features"),
-        "engineered_features": _pick(args, cfg, "engineered-features"),
-    })
-    predictions = report.pop("predictions")
-    _write_json(args.out, report)
-    if args.out_predictions:
-        evaluate.write_predictions(_prep(args.out_predictions), predictions)
-        _write_meta(args.out_predictions, report["provenance"])
-    macro = report["macro"]
-    print(f"combine {strategy} k={k} seed={seed}: "
-          f"acc {macro['accuracy']:.3f}, F1 {macro['f1']:.3f}, AUC {macro['auc']:.3f} -> {args.out}")
+        trainer = evaluate.SingleSetTrainer("concat", kind, _hyper_overrides(args, cfg, kind))
+    report = evaluate.crossval(joint, trainer, k=args.k, seed=args.seed, threshold=args.threshold)
+    _write_report(args, report, ("strategy", "learner", "k", "seed", "threshold",
+                                 "learned_features", "engineered_features"), f"combine {args.strategy}")
     return 0
 
 
 def cmd_explain(args, cfg):
-    model = learn.load(_need(args, cfg, "model"))
-    names, rows = featureio.read_features(_need(args, cfg, "features"))
+    model = learn.load(args.model)
+    names, rows = featureio.read_features(args.features)
+    if args.interaction:
+        pair = args.interaction.split(",")
+        if len(pair) != 2:
+            raise ExplainError(f"--interaction takes two feature names A,B, got {args.interaction!r}")
+        for name in pair:
+            if name not in names:
+                raise FeatureError(f"--interaction names {name!r}, which is not a column of {args.features}")
+    brows = rows
     if args.background:
-        _bnames, brows = featureio.read_features(args.background)
-    else:
-        brows = rows
+        bnames, brows = featureio.read_features(args.background)
+        if bnames != names:
+            raise FeatureError(f"background {args.background} has other feature columns than {args.features}")
     background = np.array([r.features for r in brows])
-    cap = _pick(args, cfg, "background-cap", 512)
-    seed = _pick(args, cfg, "seed", 0)
-    if len(background) > cap:
-        idx = np.sort(np.random.default_rng(seed).choice(len(background), size=cap, replace=False))
+    if len(background) > args.background_cap:
+        idx = np.sort(np.random.default_rng(args.seed).choice(len(background), size=args.background_cap,
+                                                              replace=False))
         background = background[idx]
     targets = [r for r in rows if args.patch_id is None or r.patch_id == args.patch_id]
     if not targets:
         raise PatchPredError(f"patch {args.patch_id!r} not found in the feature file")
-    provenance = _provenance("explain", {
-        "model": _pick(args, cfg, "model"), "features": _pick(args, cfg, "features"),
-        "background": args.background, "background_cap": cap, "seed": seed,
-        "patch_id": args.patch_id,
-    })
+    keys = ("model", "features", "background", "background_cap", "seed", "patch_id")
     explanations = [explain.explain_instance(model, r.features, background, r.patch_id)
                     for r in targets]
     space = explanations[0].space
     if args.out:
-        with open(_prep(args.out), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["patch_id", "feature_name", "contribution"])
-            for exp in explanations:
-                for name, value in zip(names, exp.contributions):
-                    writer.writerow([exp.patch_id, name, repr(float(value))])
-        _write_meta(args.out, provenance)
+        _write(args.out, [["patch_id", "feature_name", "contribution"]]
+               + [[exp.patch_id, name, repr(float(value))]
+                  for exp in explanations for name, value in zip(names, exp.contributions)], args, keys)
     if args.global_out:
         gi = explain.global_importance(model, np.array([r.features for r in targets]), names, background)
-        _write_json(args.global_out, {
-            "provenance": provenance, "space": gi.space,
+        _write(args.global_out, {
+            "space": gi.space,
             "ranking": [{"feature": n, "mean_abs_contribution": v} for n, v in gi.ranking],
-        })
+        }, args, keys)
     if args.interaction:
-        a_name, b_name = args.interaction.split(",")
-        ia, ib = names.index(a_name), names.index(b_name)
+        ia, ib = names.index(pair[0]), names.index(pair[1])
         values = [{"patch_id": exp.patch_id,
                    "value": explain.interaction_pairs(model, t.features, ia, ib, background)}
                   for exp, t in zip(explanations, targets)]
-        _write_json(args.interaction_out or "interactions.json",
-                    {"provenance": provenance, "pair": [a_name, b_name], "space": space,
-                     "values": values})
+        _write(args.interaction_out, {"pair": pair, "space": space, "values": values}, args, keys)
     if args.plot_data:
-        payload = {
-            "provenance": provenance, "space": space,
+        _write(args.plot_data, {
+            "space": space,
             "features": names,
             "points": [{"patch_id": exp.patch_id,
                         "values": [float(v) for v in t.features],
                         "contributions": [float(c) for c in exp.contributions]}
                        for exp, t in zip(explanations, targets)],
-        }
-        _write_json(args.plot_data, payload)
+        }, args, keys)
     print(f"explained {len(explanations)} predictions in {space} space"
           + (f" -> {args.out}" if args.out else ""))
     return 0
@@ -470,9 +388,8 @@ def cmd_explain(args, cfg):
 def cmd_compare(args, cfg):
     preds_a = evaluate.read_predictions(args.a)
     preds_b = evaluate.read_predictions(args.b)
-    report = evaluate.compare_predictions(preds_a, preds_b, _pick(args, cfg, "threshold", 0.5))
-    payload = {"provenance": _provenance("compare", {"a": args.a, "b": args.b}), "overlap": report}
-    _write_json(args.out, payload)
+    report = evaluate.compare_predictions(preds_a, preds_b, args.threshold)
+    _write(args.out, {"overlap": report}, args, ("a", "b"))
     cp = report["correct_patches"]
     print(f"correct patches: both {cp['both']}, only-a {cp['only_a']}, only-b {cp['only_b']}, "
           f"neither {cp['neither']} -> {args.out}")
@@ -481,6 +398,104 @@ def cmd_compare(args, cfg):
 
 # --- argument wiring ----------------------------------------------------------
 
+OUT = Flag("out", required=True, output=True)
+CORPUS = Flag("corpus", required=True)
+EMBEDDINGS = Flag("embeddings", required=True)
+FEATURES = Flag("features", required=True)
+LEARNER = Flag("learner", default="gbt")
+SEED = Flag("seed", int, 0)
+K = Flag("k", int, 10)
+THRESHOLD = Flag("threshold", float, 0.5)
+HYPER = Flag("hyper", help="inline JSON hyperparameter overrides")
+
+# subcommand -> (implementation, help, flags in --help order)
+COMMANDS = {
+    "ingest": (cmd_ingest, "validate and deduplicate a JSONL corpus", [
+        Flag("input", required=True, help="input corpus JSONL"),
+        OUT,
+        Flag("report", output=True, help="write the ingest report JSON here"),
+        Flag("allow-unlabeled", bool, False),
+    ]),
+    "gen-synthetic": (cmd_gen_synthetic, "generate a labeled synthetic corpus", [
+        Flag("bugs", int, 40),
+        Flag("patches-per-bug", int, 5),
+        Flag("signal", default="learned", choices=synth.SIGNALS),
+        SEED,
+        OUT,
+    ]),
+    "fragments": (cmd_fragments, "extract flattened buggy/patched fragments", [CORPUS, OUT]),
+    "train-embedder": (cmd_train_embedder, "train the paragraph-vector embedder", [
+        CORPUS,
+        OUT,
+        Flag("dim", int),
+        Flag("epochs", int),
+        Flag("negative", int),
+        Flag("lr", float),
+        Flag("min-count", int),
+        Flag("embedder-seed", int),
+    ]),
+    "embed": (cmd_embed, "embed corpus fragments with a trained model", [
+        CORPUS, Flag("model", required=True), OUT,
+    ]),
+    "import-embeddings": (cmd_import_embeddings, "validate externally computed vectors", [
+        EMBEDDINGS,
+        Flag("out", output=True, help="optionally rewrite the validated file"),
+    ]),
+    "features": (cmd_features, "build a feature matrix CSV", [
+        CORPUS,
+        Flag("embeddings"),
+        Flag("set", default="learned", choices=("learned", "engineered", "concat")),
+        OUT,
+        Flag("registry-out", output=True, help="write the engineered-feature registry JSON here"),
+    ]),
+    "stats": (cmd_stats, "similarity-score distribution statistics", [
+        CORPUS,
+        EMBEDDINGS,
+        Flag("label-filter", default="correct", choices=("correct", "incorrect", "all")),
+        OUT,
+    ]),
+    "filter": (cmd_filter, "filter patches by a similarity threshold", [
+        CORPUS,
+        EMBEDDINGS,
+        Flag("stats", help="stats JSON from a training corpus"),
+        Flag("policy", default="q1", choices=("q1", "mean", "median", "fixed")),
+        Flag("value", float, help="threshold for --policy fixed"),
+        OUT,
+        Flag("out-verdicts", output=True, help="per-patch verdict CSV"),
+    ]),
+    "top1": (cmd_top1, "keep each bug's top-scoring patch as correct", [CORPUS, EMBEDDINGS, OUT]),
+    "train": (cmd_train, "train one classifier on a feature CSV", [FEATURES, LEARNER, SEED, HYPER, OUT]),
+    "crossval": (cmd_crossval, "bug-disjoint k-group cross-validation", [
+        FEATURES, LEARNER, K, SEED, THRESHOLD, HYPER, OUT,
+        Flag("out-predictions", output=True, help="out-of-fold prediction CSV"),
+    ]),
+    "combine": (cmd_combine, "evaluate a learned+engineered combination strategy", [
+        Flag("strategy", default="concat", choices=("ensemble", "concat", "fusion")),
+        LEARNER,
+        Flag("learned-features", required=True),
+        Flag("engineered-features", required=True),
+        K, SEED, THRESHOLD, HYPER, OUT,
+        Flag("out-predictions", output=True),
+    ]),
+    "explain": (cmd_explain, "Shapley attributions for a trained model", [
+        Flag("model", required=True),
+        FEATURES,
+        Flag("background", help="background feature CSV (default: --features)"),
+        Flag("background-cap", int, 512),
+        SEED,
+        Flag("patch-id", help="explain a single patch"),
+        Flag("out", output=True, help="per-instance contribution CSV"),
+        Flag("global-out", output=True, help="ranked global importance JSON"),
+        Flag("interaction", metavar="A,B", help="feature pair for interaction values"),
+        Flag("interaction-out", default="interactions.json", output=True),
+        Flag("plot-data", output=True, help="per-instance value/contribution JSON for plotting"),
+    ]),
+    "compare": (cmd_compare, "overlap counts between two prediction CSVs", [
+        Flag("a", required=True), Flag("b", required=True), THRESHOLD, OUT,
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patchpred",
@@ -488,147 +503,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file with defaults for any flag")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate and deduplicate a JSONL corpus")
-    p.add_argument("--input", help="input corpus JSONL")
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", help="write the ingest report JSON here")
-    p.add_argument("--allow-unlabeled", action="store_true")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("gen-synthetic", help="generate a labeled synthetic corpus")
-    p.add_argument("--bugs", type=int, default=40)
-    p.add_argument("--patches-per-bug", type=int, default=5)
-    p.add_argument("--signal", choices=synth.SIGNALS, default="learned")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_synthetic)
-
-    p = sub.add_parser("fragments", help="extract flattened buggy/patched fragments")
-    p.add_argument("--corpus")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fragments)
-
-    p = sub.add_parser("train-embedder", help="train the paragraph-vector embedder")
-    p.add_argument("--corpus")
-    p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--negative", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--min-count", type=int)
-    p.add_argument("--embedder-seed", type=int)
-    p.set_defaults(func=cmd_train_embedder)
-
-    p = sub.add_parser("embed", help="embed corpus fragments with a trained model")
-    p.add_argument("--corpus")
-    p.add_argument("--model")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("import-embeddings", help="validate externally computed vectors")
-    p.add_argument("--embeddings")
-    p.add_argument("--out", help="optionally rewrite the validated file")
-    p.set_defaults(func=cmd_import_embeddings)
-
-    p = sub.add_parser("features", help="build a feature matrix CSV")
-    p.add_argument("--corpus")
-    p.add_argument("--embeddings")
-    p.add_argument("--set", choices=("learned", "engineered", "concat"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--registry-out", help="write the engineered-feature registry JSON here")
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("stats", help="similarity-score distribution statistics")
-    p.add_argument("--corpus")
-    p.add_argument("--embeddings")
-    p.add_argument("--label-filter", choices=("correct", "incorrect", "all"))
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("filter", help="filter patches by a similarity threshold")
-    p.add_argument("--corpus")
-    p.add_argument("--embeddings")
-    p.add_argument("--stats", help="stats JSON from a training corpus")
-    p.add_argument("--policy", choices=("q1", "mean", "median", "fixed"))
-    p.add_argument("--value", type=float, help="threshold for --policy fixed")
-    p.add_argument("--out", required=True)
-    p.add_argument("--out-verdicts", help="per-patch verdict CSV")
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("top1", help="keep each bug's top-scoring patch as correct")
-    p.add_argument("--corpus")
-    p.add_argument("--embeddings")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_top1)
-
-    p = sub.add_parser("train", help="train one classifier on a feature CSV")
-    p.add_argument("--features")
-    p.add_argument("--learner")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hyper", help="inline JSON hyperparameter overrides")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("crossval", help="bug-disjoint k-group cross-validation")
-    p.add_argument("--features")
-    p.add_argument("--learner")
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--hyper", help="inline JSON hyperparameter overrides")
-    p.add_argument("--out", required=True)
-    p.add_argument("--out-predictions", help="out-of-fold prediction CSV")
-    p.set_defaults(func=cmd_crossval)
-
-    p = sub.add_parser("combine", help="evaluate a learned+engineered combination strategy")
-    p.add_argument("--strategy", choices=("ensemble", "concat", "fusion"))
-    p.add_argument("--learner")
-    p.add_argument("--learned-features")
-    p.add_argument("--engineered-features")
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--hyper", help="inline JSON hyperparameter overrides")
-    p.add_argument("--out", required=True)
-    p.add_argument("--out-predictions")
-    p.set_defaults(func=cmd_combine)
-
-    p = sub.add_parser("explain", help="Shapley attributions for a trained model")
-    p.add_argument("--model")
-    p.add_argument("--features")
-    p.add_argument("--background", help="background feature CSV (default: --features)")
-    p.add_argument("--background-cap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--patch-id", help="explain a single patch")
-    p.add_argument("--out", help="per-instance contribution CSV")
-    p.add_argument("--global-out", help="ranked global importance JSON")
-    p.add_argument("--interaction", metavar="A,B", help="feature pair for interaction values")
-    p.add_argument("--interaction-out")
-    p.add_argument("--plot-data", help="per-instance value/contribution JSON for plotting")
-    p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("compare", help="overlap counts between two prediction CSVs")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
-
+    for command, (_func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            # Every parsed default is None, so resolve() can tell an absent flag from a given one.
+            if flag.type is bool:
+                p.add_argument(f"--{flag.name}", action="store_true", default=None, help=flag.help)
+            else:
+                p.add_argument(f"--{flag.name}", type=flag.type, choices=flag.choices,
+                               help=flag.help, metavar=flag.metavar)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        _resolve_outputs(args, cfg)
-        return args.func(args, cfg)
+        resolve(args, cfg)
+        return COMMANDS[args.command][0](args, cfg)
     except PatchPredError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
 

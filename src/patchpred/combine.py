@@ -9,7 +9,6 @@ sigmoid output; a purely additive head cannot model cross-set interactions.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -17,8 +16,6 @@ import numpy as np
 from .defaults import resolved_config
 from .errors import TrainError
 from .learn import AdamOptimizer, TrainedModel, _sample_weights, _sigmoid, _standardizer
-
-FUSION_FORMAT_VERSION = 1
 
 
 def average_probability(p_learned: float, p_engineered: float) -> float:
@@ -130,37 +127,6 @@ class DeepFusionModel:
 
     def predict_proba(self, xl, xe) -> float:
         return float(self.predict_proba_batch(np.asarray(xl)[None, :], np.asarray(xe)[None, :])[0])
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FUSION_FORMAT_VERSION,
-            "kind": self.kind,
-            "learned_count": self.learned_count,
-            "engineered_count": self.engineered_count,
-            "seed": self.seed,
-            "config": self.config,
-            "params": {
-                "layers": [q.tolist() for q in self.params],
-                "mean_l": self.mean_l.tolist(), "std_l": self.std_l.tolist(),
-                "mean_e": self.mean_e.tolist(), "std_e": self.std_e.tolist(),
-            },
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "DeepFusionModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("kind") != cls.kind:
-            raise TrainError(f"{path}: not a deep-fusion model file")
-        p = doc["params"]
-        return cls(int(doc["learned_count"]), int(doc["engineered_count"]), doc["config"],
-                   int(doc["seed"]), [np.array(q, dtype=float) for q in p["layers"]],
-                   np.array(p["mean_l"]), np.array(p["std_l"]),
-                   np.array(p["mean_e"]), np.array(p["std_e"]))
 
 
 def deep_fusion_train(learned_X, engineered_X, labels, config: dict | None = None,

@@ -1,5 +1,7 @@
 """Committed default hyperparameters, echoed verbatim into every report."""
 
+from .errors import TrainError
+
 DEFAULT_HYPERPARAMETERS = {
     "LogisticRegression": {
         "learning_rate": 0.1,
@@ -66,6 +68,6 @@ def resolved_config(kind: str, overrides: dict | None) -> dict:
     base = dict(DEFAULT_HYPERPARAMETERS[kind])
     for key, value in (overrides or {}).items():
         if key not in base:
-            raise KeyError(f"unknown {kind} hyperparameter {key!r}; known: {sorted(base)}")
+            raise TrainError(f"unknown {kind} hyperparameter {key!r}; known: {sorted(base)}")
         base[key] = value
     return base

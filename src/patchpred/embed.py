@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import EmbeddingError
 
+MODEL_FORMAT_VERSION = 1
+
 
 @dataclass(frozen=True)
 class EmbeddingPair:
@@ -218,7 +220,7 @@ def infer_vector(model: ParagraphVectorModel, tokens) -> tuple[np.ndarray, bool]
 
 def save_model(model: ParagraphVectorModel, path) -> None:
     doc = {
-        "format_version": 1,
+        "format_version": MODEL_FORMAT_VERSION,
         "kind": "ParagraphVectorModel",
         "vocabulary": model.vocabulary,
         "word_matrix": model.word_matrix.tolist(),
@@ -231,10 +233,15 @@ def save_model(model: ParagraphVectorModel, path) -> None:
 
 
 def load_model(path) -> ParagraphVectorModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "ParagraphVectorModel":
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise EmbeddingError(f"{path}: not a valid paragraph-vector model file: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("kind") != "ParagraphVectorModel":
         raise EmbeddingError(f"{path} is not a paragraph-vector model file")
+    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+        raise EmbeddingError(f"{path}: unsupported model format version {doc.get('format_version')!r}")
     return ParagraphVectorModel(
         vocabulary={str(k): int(v) for k, v in doc["vocabulary"].items()},
         word_matrix=np.array(doc["word_matrix"], dtype=float),

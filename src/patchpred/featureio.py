@@ -1,5 +1,6 @@
-"""Feature-matrix interchange: CSV with patch_id, bug_id, label columns
-followed by one column per named feature."""
+"""Feature matrices: assembly from a corpus, alignment by patch_id, and
+interchange as CSV with patch_id, bug_id, label columns followed by one
+column per named feature."""
 
 from __future__ import annotations
 
@@ -8,11 +9,14 @@ import math
 
 import numpy as np
 
+from . import combine, crossing, engineered
+from .corpus import Label
 from .errors import FeatureError
 from .evaluate import JointRow
 from .learn import FeatureRow
 
 ID_COLUMNS = ("patch_id", "bug_id", "label")
+_LABELS = {Label.CORRECT: 1, Label.INCORRECT: 0}
 
 
 def write_features(path, rows, names) -> None:
@@ -58,6 +62,58 @@ def read_features(path) -> tuple[list[str], list[FeatureRow]]:
     return names, rows
 
 
+def align(rows, others, sides=("learned features", "engineered features"), complete=True) -> list:
+    """Pair each item of `rows` with the item of `others` that has its patch_id.
+
+    The pairs follow the order of `rows`. Every row needs a partner and no
+    patch_id may repeat in `rows`; with `complete`, every item of `others`
+    needs a partner too. `sides` names the two inputs in error messages.
+    """
+    by_id = {o.patch_id: o for o in others}
+    pairs, seen = [], set()
+    for row in rows:
+        if row.patch_id in seen:
+            raise FeatureError(f"patch {row.patch_id!r} appears twice in the {sides[0]}")
+        seen.add(row.patch_id)
+        other = by_id.get(row.patch_id)
+        if other is None:
+            raise FeatureError(f"patch {row.patch_id!r} is in the {sides[0]} but not in the {sides[1]}")
+        pairs.append((row, other))
+    missing = sorted(set(by_id) - seen)
+    if complete and missing:
+        raise FeatureError(f"patch {missing[0]!r} is in the {sides[1]} but not in the {sides[0]} "
+                           f"(of {len(missing)} missing)")
+    return pairs
+
+
+def corpus_features(cor, feature_set, pairs=None) -> tuple[list[str], list[FeatureRow]]:
+    """Feature names and rows for a corpus: `learned` (crossed embedding pairs),
+    `engineered`, or `concat` (both, learned first).
+
+    Learned and concat rows follow `pairs`, which must cover the corpus
+    exactly; engineered rows follow the corpus. Unlabeled patches get label None.
+    """
+    if feature_set == "engineered":
+        return engineered.feature_names(), [
+            FeatureRow(rec.patch_id, rec.bug_id, engineered.extract_all(rec).values, _LABELS.get(rec.label))
+            for rec in cor.records
+        ]
+    if feature_set not in ("learned", "concat"):
+        raise FeatureError(f"unknown feature set {feature_set!r}; choose learned|engineered|concat")
+    if not pairs:
+        raise FeatureError(f"{feature_set} features need embedding pairs")
+    rows = []
+    for pair, rec in align(pairs, cor.records, ("embeddings", "corpus")):
+        values = crossing.cross(pair).values
+        if feature_set == "concat":
+            values = combine.naive_concat(values, engineered.extract_all(rec).values)
+        rows.append(FeatureRow(pair.patch_id, rec.bug_id, values, _LABELS.get(rec.label)))
+    names = crossing.feature_names(pairs[0].n)
+    if feature_set == "concat":
+        names = combine.concat_names(names, engineered.feature_names())
+    return names, rows
+
+
 def join_feature_sets(learned_csv, engineered_csv) -> tuple[list[str], list[str], list[JointRow]]:
     """Align a learned and an engineered feature CSV by patch_id.
 
@@ -65,34 +121,12 @@ def join_feature_sets(learned_csv, engineered_csv) -> tuple[list[str], list[str]
     """
     learned_names, learned_rows = read_features(learned_csv)
     engineered_names, engineered_rows = read_features(engineered_csv)
-    by_id = {r.patch_id: r for r in engineered_rows}
     joint = []
-    for row in learned_rows:
-        other = by_id.pop(row.patch_id, None)
-        if other is None:
-            raise FeatureError(f"patch {row.patch_id!r} has learned features but no engineered features")
+    for row, other in align(learned_rows, engineered_rows):
         if other.bug_id != row.bug_id or other.label != row.label:
             raise FeatureError(f"patch {row.patch_id!r}: bug_id/label disagree between feature files")
         if row.label is None or (isinstance(row.label, float) and math.isnan(row.label)):
             raise FeatureError(f"patch {row.patch_id!r} is unlabeled")
         joint.append(JointRow(row.patch_id, row.bug_id, int(row.label),
                               learned=row.features, engineered=other.features))
-    if by_id:
-        missing = sorted(by_id)[0]
-        raise FeatureError(f"patch {missing!r} has engineered features but no learned features")
     return learned_names, engineered_names, joint
-
-
-def rows_to_joint(rows, feature_set: str) -> list[JointRow]:
-    """Lift single-set FeatureRows into JointRows for the evaluators."""
-    out = []
-    for r in rows:
-        if r.label is None:
-            raise FeatureError(f"patch {r.patch_id!r} is unlabeled")
-        if feature_set == "learned":
-            out.append(JointRow(r.patch_id, r.bug_id, int(r.label), learned=r.features))
-        elif feature_set == "engineered":
-            out.append(JointRow(r.patch_id, r.bug_id, int(r.label), engineered=r.features))
-        else:
-            raise FeatureError(f"unknown feature set {feature_set!r}")
-    return out

@@ -1,8 +1,12 @@
+import argparse
 import json
 
+import numpy as np
 import pytest
 
-from patchpred import cli
+from patchpred import cli, featureio
+from patchpred.errors import FeatureError
+from patchpred.learn import FeatureRow
 
 
 def run(*argv):
@@ -194,3 +198,160 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "error[" in err
     with pytest.raises(SystemExit):
         run("not-a-command")
+
+
+@pytest.fixture(scope="module")
+def tree_model(pipeline):
+    path = pipeline["root"] / "dt.json"
+    assert run("train", "--features", str(pipeline["learned"]), "--learner", "dt",
+               "--seed", "1", "--out", str(path)) == 0
+    return path
+
+
+def _first_patch_id(csv_path):
+    return csv_path.read_text().splitlines()[1].split(",")[0]
+
+
+def test_config_supplies_gen_synthetic_flags(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bugs": 3, "patches-per-bug": 2, "signal": "xor"}))
+    out = tmp_path / "c.jsonl"
+    assert run("--config", str(config), "gen-synthetic", "--seed", "1", "--out", str(out)) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 6
+    assert len({r["bug_id"] for r in records}) == 3
+    assert "signal=xor" in capsys.readouterr().out
+
+
+def test_flag_beats_config_beats_default():
+    args = cli.build_parser().parse_args(["crossval", "--k", "3", "--out", "r.json"])
+    cli.resolve(args, {"k": 7, "seed": 9, "features": "f.csv"})
+    assert (args.k, args.seed, args.threshold, args.features) == (3, 9, 0.5, "f.csv")
+
+
+# Every subcommand's option strings (in --help order) and choices.
+EXPECTED_OPTIONS = {
+    "ingest": [("--input", None), ("--out", None), ("--report", None), ("--allow-unlabeled", None)],
+    "gen-synthetic": [("--bugs", None), ("--patches-per-bug", None),
+                      ("--signal", ("learned", "engineered", "xor", "none")), ("--seed", None),
+                      ("--out", None)],
+    "fragments": [("--corpus", None), ("--out", None)],
+    "train-embedder": [("--corpus", None), ("--out", None), ("--dim", None), ("--epochs", None),
+                       ("--negative", None), ("--lr", None), ("--min-count", None),
+                       ("--embedder-seed", None)],
+    "embed": [("--corpus", None), ("--model", None), ("--out", None)],
+    "import-embeddings": [("--embeddings", None), ("--out", None)],
+    "features": [("--corpus", None), ("--embeddings", None),
+                 ("--set", ("learned", "engineered", "concat")), ("--out", None),
+                 ("--registry-out", None)],
+    "stats": [("--corpus", None), ("--embeddings", None),
+              ("--label-filter", ("correct", "incorrect", "all")), ("--out", None)],
+    "filter": [("--corpus", None), ("--embeddings", None), ("--stats", None),
+               ("--policy", ("q1", "mean", "median", "fixed")), ("--value", None), ("--out", None),
+               ("--out-verdicts", None)],
+    "top1": [("--corpus", None), ("--embeddings", None), ("--out", None)],
+    "train": [("--features", None), ("--learner", None), ("--seed", None), ("--hyper", None),
+              ("--out", None)],
+    "crossval": [("--features", None), ("--learner", None), ("--k", None), ("--seed", None),
+                 ("--threshold", None), ("--hyper", None), ("--out", None),
+                 ("--out-predictions", None)],
+    "combine": [("--strategy", ("ensemble", "concat", "fusion")), ("--learner", None),
+                ("--learned-features", None), ("--engineered-features", None), ("--k", None),
+                ("--seed", None), ("--threshold", None), ("--hyper", None), ("--out", None),
+                ("--out-predictions", None)],
+    "explain": [("--model", None), ("--features", None), ("--background", None),
+                ("--background-cap", None), ("--seed", None), ("--patch-id", None), ("--out", None),
+                ("--global-out", None), ("--interaction", None), ("--interaction-out", None),
+                ("--plot-data", None)],
+    "compare": [("--a", None), ("--b", None), ("--threshold", None), ("--out", None)],
+}
+
+
+def test_subcommand_options_and_choices():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: [(a.option_strings[-1], tuple(a.choices) if a.choices else None)
+               for a in sub._actions if a.option_strings and a.dest != "help"]
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == EXPECTED_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train", "--features", "LEARNED", "--hyper", '{"roundz": 3}', "--out", "TMP/m.json"],
+                 id="unknown-hyperparameter"),
+    pytest.param(["train", "--features", "LEARNED", "--hyper", "{rounds: 3}", "--out", "TMP/m.json"],
+                 id="malformed-hyper"),
+    pytest.param(["--config", "TMP/bad.json", "train", "--features", "LEARNED", "--out", "TMP/m.json"],
+                 id="malformed-config"),
+    pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--interaction", "B-0"],
+                 id="interaction-one-name"),
+    pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--interaction", "B-0,nope"],
+                 id="interaction-unknown-name"),
+    pytest.param(["train", "--features", "LEARNED", "--learner", "nb", "--out", "TMP"],
+                 id="out-is-a-directory"),
+    pytest.param(["--config", "TMP/wrong_type.json", "train", "--features", "LEARNED", "--out", "TMP/m.json"],
+                 id="config-value-of-wrong-type"),
+    pytest.param(["--config", "TMP/no_choice.json", "gen-synthetic", "--out", "TMP/c.jsonl"],
+                 id="config-value-outside-choices"),
+    pytest.param(["--config", "TMP/bool_count.json", "gen-synthetic", "--out", "TMP/c.jsonl"],
+                 id="config-bool-for-a-count"),
+    pytest.param(["filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--stats", "TMP/wrong_type.json",
+                  "--out", "TMP/f.json"], id="stats-file-without-stats"),
+])
+def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text('{"k": 3,')
+    (tmp_path / "wrong_type.json").write_text('{"seed": "3"}')
+    (tmp_path / "no_choice.json").write_text('{"signal": "loud"}')
+    (tmp_path / "bool_count.json").write_text('{"bugs": true}')
+    fill = {"LEARNED": pipeline["learned"], "MODEL": tree_model, "CORPUS": pipeline["corpus"],
+            "EMBEDDINGS": pipeline["embeddings"], "TMP": tmp_path}
+    for key, value in fill.items():
+        argv = [a.replace(key, str(value)) for a in argv]
+    assert run(*argv) == 1
+    assert "error[" in capsys.readouterr().err
+
+
+def test_interaction_default_goes_under_outdir(pipeline, tree_model, tmp_path, monkeypatch):
+    monkeypatch.setenv("PATCHPRED_OUTDIR", str(tmp_path / "outdir"))
+    monkeypatch.chdir(tmp_path)
+    assert run("explain", "--model", str(tree_model), "--features", str(pipeline["learned"]),
+               "--patch-id", _first_patch_id(pipeline["learned"]), "--interaction", "B-0,B-1") == 0
+    assert (tmp_path / "outdir" / "interactions.json").exists()
+    assert not (tmp_path / "interactions.json").exists()
+
+
+def test_explain_refuses_background_with_other_columns(pipeline, tree_model, tmp_path, capsys):
+    names, rows = featureio.read_features(pipeline["learned"])
+    order = [1, 0] + list(range(2, len(names)))
+    background = tmp_path / "background.csv"
+    featureio.write_features(background, [FeatureRow(r.patch_id, r.bug_id, r.features[order], r.label)
+                                          for r in rows], [names[i] for i in order])
+    assert run("explain", "--model", str(tree_model), "--features", str(pipeline["learned"]),
+               "--background", str(background), "--out", str(tmp_path / "x.csv")) == 1
+    assert "error[features]" in capsys.readouterr().err
+
+
+def test_concat_features_join_learned_and_engineered_by_patch_id(pipeline, tmp_path):
+    out = tmp_path / "concat.csv"
+    assert run("features", "--corpus", str(pipeline["corpus"]), "--embeddings", str(pipeline["embeddings"]),
+               "--set", "concat", "--out", str(out)) == 0
+    names, rows = featureio.read_features(out)
+    learned_names, learned = featureio.read_features(pipeline["learned"])
+    engineered_names, engineered = featureio.read_features(pipeline["engineered"])
+    assert names == learned_names + engineered_names
+    assert [r.patch_id for r in rows] == [r.patch_id for r in learned]
+    by_id = {r.patch_id: r for r in engineered}
+    for row, left in zip(rows, learned):
+        assert np.array_equal(row.features, np.concatenate([left.features, by_id[row.patch_id].features]))
+
+
+def test_align_needs_every_patch_once(pipeline):
+    _names, rows = featureio.read_features(pipeline["learned"])
+    with pytest.raises(FeatureError, match="in the engineered features but not in the learned features"):
+        featureio.align(rows[1:], rows)
+    assert [a.patch_id for a, _b in featureio.align(rows[1:], rows, complete=False)] == \
+        [r.patch_id for r in rows[1:]]
+    with pytest.raises(FeatureError, match="appears twice"):
+        featureio.align(rows + rows[:1], rows)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from patchpred import combine, learn
-from patchpred.combine import (DeepFusionModel, average_probability, deep_fusion_train,
+from patchpred.combine import (average_probability, deep_fusion_train,
                                fusion_loss_and_grad, init_fusion_params, naive_concat)
 from patchpred.errors import TrainError
 from patchpred.evaluate import FusionTrainer, SingleSetTrainer, crossval
@@ -118,17 +118,6 @@ def test_fusion_gradient_matches_finite_differences_small_towers():
 def test_fusion_misaligned_inputs_error():
     with pytest.raises(TrainError, match="misaligned"):
         deep_fusion_train(np.zeros((4, 2)), np.zeros((3, 2)), np.array([0, 1, 0, 1]))
-
-
-def test_fusion_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    Xl, Xe = rng.normal(size=(24, 4)), rng.normal(size=(24, 2))
-    y = (Xl[:, 0] > 0).astype(float)
-    model = deep_fusion_train(Xl, Xe, y, {"epochs": 30}, seed=0)
-    path = tmp_path / "fusion.json"
-    model.save(path)
-    loaded = DeepFusionModel.load(path)
-    assert np.array_equal(model.predict_proba_batch(Xl, Xe), loaded.predict_proba_batch(Xl, Xe))
 
 
 def test_xor_of_sets_needs_combination(xor_rows):

@@ -158,6 +158,24 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(v1, v2)
 
 
+def test_load_model_rejects_unknown_format_version(tmp_path):
+    docs, _ = _cluster_docs(20)
+    path = tmp_path / "model.json"
+    embed.save_model(embed.train_embedder(docs, EmbedderConfig(n=8, epochs=2, seed=1)), path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 99
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EmbeddingError, match="format version 99"):
+        embed.load_model(path)
+
+
+def test_load_model_rejects_malformed_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "ParagraphVectorModel",')
+    with pytest.raises(EmbeddingError, match="not a valid"):
+        embed.load_model(path)
+
+
 def test_import_embeddings_happy_path(tmp_path):
     path = tmp_path / "e.jsonl"
     path.write_text(
