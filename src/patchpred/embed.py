@@ -82,7 +82,7 @@ def _sigmoid(x):
     bounded over long training runs (the word2vec MAX_EXP convention).
     """
     x = np.asarray(x, dtype=float)
-    out = 1.0 / (1.0 + np.exp(-np.clip(x, -8.0, 8.0)))
+    out = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -8.0), 8.0)))
     out[x > 8.0] = 1.0
     out[x < -8.0] = 0.0
     return out
@@ -107,27 +107,35 @@ def _noise_cumulative(freq: np.ndarray) -> np.ndarray:
     return np.cumsum(weights / weights.sum())
 
 
-def _doc_step(doc_vec, word_matrix, pos_idx, neg_idx, lr, freeze_words=False):
+def _learning_rate(config: EmbedderConfig, epoch: int) -> float:
+    # Linear decay to 10% of the initial rate by the final epoch.
+    frac = epoch / max(config.epochs - 1, 1)
+    return config.learning_rate * (1.0 - 0.9 * frac)
+
+
+def _doc_step(doc_vec, word_matrix, pos_idx, neg_idx, lr):
     """One negative-sampling step over every token of a document.
 
     Gradients are computed against the current parameters and applied once,
     which keeps the update deterministic and vectorizable.
     Returns the summed pair loss.
     """
-    pos_vecs = word_matrix[pos_idx]  # (T, n)
-    neg_flat = neg_idx.reshape(-1)
-    neg_vecs = word_matrix[neg_flat]  # (T*k, n)
-    pos_scores = pos_vecs @ doc_vec
-    neg_scores = neg_vecs @ doc_vec
-    pos_sig = _sigmoid(pos_scores)
-    neg_sig = _sigmoid(neg_scores)
+    n, n_pos = len(doc_vec), len(pos_idx)
+    rows = np.concatenate((pos_idx, neg_idx.reshape(-1)))  # T positives, then T*k negatives
+    vecs = word_matrix[rows]
+    pos_vecs, neg_vecs = vecs[:n_pos], vecs[n_pos:]
+    coef = _sigmoid(np.concatenate((pos_vecs @ doc_vec, neg_vecs @ doc_vec)))
     # loss = -log sigma(pos) - sum log sigma(-neg)
-    loss = float(-np.sum(np.log(np.clip(pos_sig, 1e-12, None)))
-                 - np.sum(np.log(np.clip(1.0 - neg_sig, 1e-12, None))))
-    grad_doc = (pos_sig - 1.0) @ pos_vecs + neg_sig @ neg_vecs
-    if not freeze_words:
-        np.add.at(word_matrix, pos_idx, -lr * np.outer(pos_sig - 1.0, doc_vec))
-        np.add.at(word_matrix, neg_flat, -lr * np.outer(neg_sig, doc_vec))
+    loss = float(-np.sum(np.log(np.maximum(coef[:n_pos], 1e-12)))
+                 - np.sum(np.log(np.maximum(1.0 - coef[n_pos:], 1e-12))))
+    coef[:n_pos] -= 1.0
+    grad_doc = coef[:n_pos] @ pos_vecs + coef[n_pos:] @ neg_vecs
+    # One scatter-add over the flat matrix (1-D ufunc.at has a fast path).
+    # Repeated indices are applied in order, so each element gets its
+    # positive updates, then its negative ones, in token order.
+    update = np.outer(coef, doc_vec)
+    update *= -lr
+    np.add.at(word_matrix.reshape(-1), (rows[:, None] * n + np.arange(n)).ravel(), update.ravel())
     doc_vec -= lr * grad_doc
     return loss
 
@@ -159,19 +167,21 @@ def train_embedder(documents, config: EmbedderConfig | None = None) -> Paragraph
     word_matrix = np.zeros((len(vocab), config.n), dtype=float)
 
     k = config.negative_samples
+    n_tokens = sum(len(pos_idx) for pos_idx in indexed)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        # Linear decay to 10% of the initial rate by the final epoch.
-        frac = epoch / max(config.epochs - 1, 1)
-        lr = config.learning_rate * (1.0 - 0.9 * frac)
-        total, pairs = 0.0, 0
+        lr = _learning_rate(config, epoch)
+        # One draw per epoch, sliced per document in order: the same stream
+        # as a (len(doc), k) draw per document.
+        negatives = _sample_negatives(rng, noise_cdf, (n_tokens, k))
+        total, start = 0.0, 0
         for d, pos_idx in enumerate(indexed):
             if len(pos_idx) == 0:
                 continue
-            neg_idx = _sample_negatives(rng, noise_cdf, (len(pos_idx), k))
-            total += _doc_step(doc_vectors[d], word_matrix, pos_idx, neg_idx, lr)
-            pairs += len(pos_idx)
-        avg = total / max(pairs, 1)
+            stop = start + len(pos_idx)
+            total += _doc_step(doc_vectors[d], word_matrix, pos_idx, negatives[start:stop], lr)
+            start = stop
+        avg = total / max(n_tokens, 1)
         if not math.isfinite(avg):
             raise EmbeddingError(f"non-finite training loss at epoch {epoch}; lower the learning rate")
         epoch_losses.append(avg)
@@ -207,12 +217,16 @@ def infer_vector(model: ParagraphVectorModel, tokens) -> tuple[np.ndarray, bool]
     rng = np.random.default_rng(config.seed)
     vec = rng.uniform(-0.5 / config.n, 0.5 / config.n, size=config.n)
     noise_cdf = _noise_cumulative(model.token_counts)
-    k = config.negative_samples
-    for epoch in range(config.epochs):
-        frac = epoch / max(config.epochs - 1, 1)
-        lr = config.learning_rate * (1.0 - 0.9 * frac)
-        neg_idx = _sample_negatives(rng, noise_cdf, (len(pos_idx), k))
-        _doc_step(vec, model.word_matrix, pos_idx, neg_idx, lr, freeze_words=True)
+    n_pos = len(pos_idx)
+    # The word matrix is frozen: gather the token rows once, and draw every
+    # epoch's negatives at once (the same stream as one draw per epoch).
+    pos_vecs = model.word_matrix[pos_idx]
+    negatives = _sample_negatives(rng, noise_cdf, (config.epochs, n_pos * config.negative_samples))
+    for epoch, neg_idx in enumerate(negatives):
+        neg_vecs = model.word_matrix[neg_idx]
+        coef = _sigmoid(np.concatenate((pos_vecs @ vec, neg_vecs @ vec)))
+        coef[:n_pos] -= 1.0
+        vec -= _learning_rate(config, epoch) * (coef[:n_pos] @ pos_vecs + coef[n_pos:] @ neg_vecs)
     if not np.all(np.isfinite(vec)):
         raise EmbeddingError("non-finite inferred vector; lower the learning rate")
     return vec, False
@@ -242,13 +256,30 @@ def load_model(path) -> ParagraphVectorModel:
         raise EmbeddingError(f"{path} is not a paragraph-vector model file")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise EmbeddingError(f"{path}: unsupported model format version {doc.get('format_version')!r}")
-    return ParagraphVectorModel(
-        vocabulary={str(k): int(v) for k, v in doc["vocabulary"].items()},
-        word_matrix=np.array(doc["word_matrix"], dtype=float),
-        token_counts=np.array(doc["token_counts"], dtype=float),
-        config=EmbedderConfig(**doc["config"]),
-        training_report=doc.get("training_report", {}),
-    )
+    try:
+        model = ParagraphVectorModel(
+            vocabulary={str(k): int(v) for k, v in doc["vocabulary"].items()},
+            word_matrix=np.array(doc["word_matrix"], dtype=float),
+            token_counts=np.array(doc["token_counts"], dtype=float),
+            config=EmbedderConfig(**doc["config"]),
+            training_report=doc.get("training_report", {}),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise EmbeddingError(f"{path}: malformed paragraph-vector model: {exc!r}") from exc
+    size, n = len(model.vocabulary), model.config.n
+    if sorted(model.vocabulary.values()) != list(range(size)):
+        problem = f"vocabulary ids are not exactly 0..{size - 1}"
+    elif model.word_matrix.shape != (size, n):
+        problem = f"word_matrix is {model.word_matrix.shape}, expected ({size}, {n})"
+    elif model.token_counts.shape != (size,):
+        problem = f"token_counts has shape {model.token_counts.shape}, expected ({size},)"
+    elif not np.all(np.isfinite(model.word_matrix)):
+        problem = "word_matrix has non-finite values"
+    elif not (np.all(np.isfinite(model.token_counts)) and np.all(model.token_counts > 0)):
+        problem = "token_counts must be positive and finite"
+    else:
+        return model
+    raise EmbeddingError(f"{path}: inconsistent paragraph-vector model: {problem}")
 
 
 def import_embeddings(path) -> list[EmbeddingPair]:

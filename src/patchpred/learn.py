@@ -152,7 +152,13 @@ def _best_split(X, targets, weights, idx, features, criterion, min_leaf):
             sse_r = (cwt2[-1] - cwt2[valid]) - sr * sr / wr
             score = (sse_l + sse_r) / w_total
         j = int(np.argmin(score))
-        cand = (float(score[j]), f, float((sv[valid[j]] + sv[valid[j] + 1]) / 2.0))
+        lo, hi = sv[valid[j]], sv[valid[j] + 1]
+        # The midpoint of adjacent floats can round up to hi, which would send
+        # every row left; fall back to lo then, as sklearn does. Summing halves
+        # gives the same midpoint as halving the sum (barring subnormals)
+        # without overflowing.
+        thr = lo / 2.0 + hi / 2.0
+        cand = (float(score[j]), f, float(thr if thr < hi else lo))
         if best is None or cand[0] < best[0] - 1e-15:
             best = cand
     return best

@@ -218,3 +218,155 @@ def test_export_import_round_trip(tmp_path):
     back = embed.import_embeddings(path)
     assert np.array_equal(back[0].buggy_vec, pairs[0].buggy_vec)
     assert np.array_equal(back[0].patched_vec, pairs[0].patched_vec)
+
+
+# --- byte identity against the straightforward loops -------------------------
+# A frozen copy of the embedder's original per-document training step and
+# per-epoch inference loop: two row-wise scatter-adds and one negative draw
+# per document per epoch. The optimized loops must reproduce it bit for bit.
+
+def _ref_sigmoid(x):
+    out = 1.0 / (1.0 + np.exp(-np.clip(x, -8.0, 8.0)))
+    out[x > 8.0] = 1.0
+    out[x < -8.0] = 0.0
+    return out
+
+
+def _ref_doc_step(doc_vec, word_matrix, pos_idx, neg_idx, lr, freeze_words=False):
+    pos_vecs = word_matrix[pos_idx]
+    neg_flat = neg_idx.reshape(-1)
+    neg_vecs = word_matrix[neg_flat]
+    pos_sig = _ref_sigmoid(pos_vecs @ doc_vec)
+    neg_sig = _ref_sigmoid(neg_vecs @ doc_vec)
+    loss = float(-np.sum(np.log(np.clip(pos_sig, 1e-12, None)))
+                 - np.sum(np.log(np.clip(1.0 - neg_sig, 1e-12, None))))
+    grad_doc = (pos_sig - 1.0) @ pos_vecs + neg_sig @ neg_vecs
+    if not freeze_words:
+        np.add.at(word_matrix, pos_idx, -lr * np.outer(pos_sig - 1.0, doc_vec))
+        np.add.at(word_matrix, neg_flat, -lr * np.outer(neg_sig, doc_vec))
+    doc_vec -= lr * grad_doc
+    return loss
+
+
+def _ref_lr(config, epoch):
+    frac = epoch / max(config.epochs - 1, 1)
+    return config.learning_rate * (1.0 - 0.9 * frac)
+
+
+def _ref_negatives(rng, noise_cdf, shape):
+    return np.searchsorted(noise_cdf, rng.random(shape)).astype(np.intp)
+
+
+def _ref_train(documents, config):
+    vocab, freq = embed._build_vocab(documents, config.min_token_count)
+    noise_cdf = embed._noise_cumulative(freq)
+    indexed = [np.array([vocab[t] for t in doc if t in vocab], dtype=np.intp) for doc in documents]
+    rng = np.random.default_rng(config.seed)
+    doc_vectors = rng.uniform(-0.5 / config.n, 0.5 / config.n, size=(len(documents), config.n))
+    word_matrix = np.zeros((len(vocab), config.n), dtype=float)
+    losses = []
+    for epoch in range(config.epochs):
+        total, pairs = 0.0, 0
+        for d, pos_idx in enumerate(indexed):
+            if len(pos_idx) == 0:
+                continue
+            neg_idx = _ref_negatives(rng, noise_cdf, (len(pos_idx), config.negative_samples))
+            total += _ref_doc_step(doc_vectors[d], word_matrix, pos_idx, neg_idx, _ref_lr(config, epoch))
+            pairs += len(pos_idx)
+        losses.append(total / max(pairs, 1))
+    report = {"initial_loss": losses[0], "final_loss": losses[-1], "epochs": config.epochs,
+              "vocabulary_size": len(vocab), "documents": len(documents)}
+    return word_matrix, doc_vectors, report
+
+
+def _ref_infer(model, tokens):
+    config = model.config
+    pos_idx = np.array([model.vocabulary[t] for t in tokens if t in model.vocabulary], dtype=np.intp)
+    rng = np.random.default_rng(config.seed)
+    vec = rng.uniform(-0.5 / config.n, 0.5 / config.n, size=config.n)
+    noise_cdf = embed._noise_cumulative(model.token_counts)
+    for epoch in range(config.epochs):
+        neg_idx = _ref_negatives(rng, noise_cdf, (len(pos_idx), config.negative_samples))
+        _ref_doc_step(vec, model.word_matrix, pos_idx, neg_idx, _ref_lr(config, epoch), freeze_words=True)
+    return vec
+
+
+def _identity_corpus():
+    docs, _ = _cluster_docs(24, seed=7)
+    docs.append(["alpha0"] * 9 + ["beta1"] * 4)  # repeated tokens
+    docs.append(["rare-a", "rare-b"])  # emptied when min_token_count >= 2
+    return docs
+
+
+@pytest.mark.parametrize("negative_samples", [0, 1, 5])
+@pytest.mark.parametrize("epochs", [1, 7])
+@pytest.mark.parametrize("min_token_count", [1, 2])
+def test_embedder_matches_reference_loops_bit_for_bit(negative_samples, epochs, min_token_count):
+    docs = _identity_corpus()
+    config = EmbedderConfig(n=12, epochs=epochs, negative_samples=negative_samples,
+                            min_token_count=min_token_count, seed=3)
+    model = embed.train_embedder(docs, config)
+    word_matrix, doc_vectors, report = _ref_train(docs, config)
+    assert np.array_equal(model.word_matrix, word_matrix)
+    assert np.array_equal(model.doc_vectors, doc_vectors)
+    assert model.training_report == report
+    probes = docs[:3] + [docs[-2], ["alpha3", "never-seen", "beta5", "alpha3", "also-new"]]
+    for tokens in probes:
+        vec, flag = embed.infer_vector(model, tokens)
+        assert not flag
+        assert np.array_equal(vec, _ref_infer(model, tokens))
+
+
+# --- load-time validation ------------------------------------------------------
+
+def _saved_model_doc(tmp_path):
+    docs, _ = _cluster_docs(20)
+    path = tmp_path / "model.json"
+    embed.save_model(embed.train_embedder(docs, EmbedderConfig(n=64, epochs=2, seed=1)), path)
+    return path, json.loads(path.read_text())
+
+
+def _cut_columns(doc):
+    doc["word_matrix"] = [row[:32] for row in doc["word_matrix"]]
+
+
+def _cut_rows(doc):
+    doc["word_matrix"] = doc["word_matrix"][:10]
+
+
+def _cut_counts(doc):
+    doc["token_counts"] = doc["token_counts"][:10]
+
+
+def _zero_count(doc):
+    doc["token_counts"][0] = 0.0
+
+
+def _shift_ids(doc):
+    doc["vocabulary"] = {tok: i + 1 for tok, i in doc["vocabulary"].items()}
+
+
+def _infinite_weight(doc):
+    doc["word_matrix"][2][5] = 1e400  # json writes Infinity
+
+
+def _unknown_config_key(doc):
+    doc["config"]["window"] = 5
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_cut_columns, r"word_matrix is \(24, 32\), expected \(24, 64\)"),
+    (_cut_rows, r"word_matrix is \(10, 64\), expected \(24, 64\)"),
+    (_cut_counts, r"token_counts has shape \(10,\), expected \(24,\)"),
+    (_zero_count, "token_counts must be positive"),
+    (_shift_ids, "vocabulary ids are not exactly 0..23"),
+    (_infinite_weight, "non-finite"),
+    (_unknown_config_key, "malformed"),
+])
+def test_load_model_rejects_inconsistent_files(tmp_path, corrupt, message):
+    path, doc = _saved_model_doc(tmp_path)
+    assert len(doc["vocabulary"]) == 24
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EmbeddingError, match=message):
+        embed.load_model(path)

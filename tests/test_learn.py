@@ -71,6 +71,22 @@ def test_single_leaf_tree_outputs_class_frequency():
     assert model.predict_proba(np.array([9.0, 9.0])) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("kind", ("dt", "rf", "gbt"))
+@pytest.mark.parametrize("lo, hi", [(0.3, np.nextafter(0.3, 1.0)), (1e308, 1.7e308)])
+def test_trees_split_adjacent_floats(kind, lo, hi):
+    # (a + b) / 2 rounds up to b for adjacent floats; a threshold of b would
+    # send every row left and leave an empty right child. For huge values the
+    # sum overflows.
+    X = np.array([[lo]] * 6 + [[hi]] * 6)
+    y = np.array([0] * 6 + [1] * 6)
+    model = learn.train(kind, rows_from(X, y), {"n_trees": 10} if kind == "rf" else {}, seed=0)
+    trees = [model.tree] if kind == "dt" else model.trees
+    assert all(np.all(np.isfinite(t.value)) for t in trees)
+    assert all(lo <= t.threshold[0] < hi for t in trees if t.feature[0] == 0)
+    p = model.predict_proba_batch(X)
+    assert p[:6].max() < 0.5 < p[6:].min()
+
+
 def test_forest_averages_member_probabilities():
     leaf = lambda v: Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[v])
     forest = RandomForestModel(2, {"n_trees": 2}, 0, trees=[leaf(0.2), leaf(0.6)])
