@@ -352,15 +352,15 @@ def cmd_explain(args, cfg):
     if not targets:
         raise PatchPredError(f"patch {args.patch_id!r} not found in the feature file")
     keys = ("model", "features", "background", "background_cap", "seed", "patch_id")
-    explanations = [explain.explain_instance(model, r.features, background, r.patch_id)
-                    for r in targets]
+    explanations = explain.explain_rows(model, np.array([r.features for r in targets]), background,
+                                        [r.patch_id for r in targets])
     space = explanations[0].space
     if args.out:
         _write(args.out, [["patch_id", "feature_name", "contribution"]]
                + [[exp.patch_id, name, repr(float(value))]
                   for exp in explanations for name, value in zip(names, exp.contributions)], args, keys)
     if args.global_out:
-        gi = explain.global_importance(model, np.array([r.features for r in targets]), names, background)
+        gi = explain.rank_importance(explanations, names)
         _write(args.global_out, {
             "space": gi.space,
             "ranking": [{"feature": n, "mean_abs_contribution": v} for n, v in gi.ranking],

@@ -1,5 +1,8 @@
 """Committed default hyperparameters, echoed verbatim into every report."""
 
+import math
+from numbers import Integral, Real
+
 from .errors import TrainError
 
 DEFAULT_HYPERPARAMETERS = {
@@ -64,10 +67,35 @@ DEFAULT_EMBEDDER = {
 }
 
 
+def _int_at_least(low):
+    return lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= low
+
+
+def _number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# Hyperparameter -> (test, what a valid value is). max_depth 0 is allowed:
+# it grows a single leaf.
+HYPERPARAMETER_CHECKS = {
+    "n_trees": (_int_at_least(1), "an integer >= 1"),
+    "rounds": (_int_at_least(1), "an integer >= 1"),
+    "max_depth": (_int_at_least(0), "an integer >= 0"),
+    "min_leaf": (_int_at_least(1), "an integer >= 1"),
+    "max_features": (lambda v: v is None or v == "sqrt" or _int_at_least(1)(v),
+                     '"sqrt", null or an integer >= 1'),
+    "learning_rate": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "l2": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+}
+
+
 def resolved_config(kind: str, overrides: dict | None) -> dict:
     base = dict(DEFAULT_HYPERPARAMETERS[kind])
     for key, value in (overrides or {}).items():
         if key not in base:
             raise TrainError(f"unknown {kind} hyperparameter {key!r}; known: {sorted(base)}")
+        valid, what = HYPERPARAMETER_CHECKS.get(key, (None, None))
+        if valid is not None and not valid(value):
+            raise TrainError(f"{kind} hyperparameter {key!r} must be {what}, got {value!r}")
         base[key] = value
     return base

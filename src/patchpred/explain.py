@@ -190,20 +190,32 @@ def _model_output(model, x) -> float:
     return model.predict_proba(x)
 
 
-def tree_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
-    """Exact Shapley attributions for a tree-ensemble prediction."""
+def _covered_parts(model, background):
+    """(trees, scales, covers, base value, space): each tree's background
+    covers, computed once for any number of rows to explain."""
     trees, scales, const, space = _ensemble_parts(model)
-    x = np.asarray(x, dtype=float)
     background = np.asarray(background, dtype=float)
     if background.ndim != 2 or len(background) == 0:
         raise ExplainError("background must be a nonempty 2-D feature matrix")
-    phi = np.zeros(model.feature_count)
+    covers = [_cover_counts(tree, background) for tree in trees]
     base = const
-    for tree, scale in zip(trees, scales):
-        covers = _cover_counts(tree, background)
-        phi += scale * _tree_phi(tree, covers, x, model.feature_count)
-        base += scale * _tree_expectation(tree, covers)
-    return ShapExplanation(patch_id, float(base), phi, _model_output(model, x), space)
+    for tree, scale, cover in zip(trees, scales, covers):
+        base += scale * _tree_expectation(tree, cover)
+    return trees, scales, covers, float(base), space
+
+
+def _tree_shap_row(model, parts, x, patch_id: str) -> ShapExplanation:
+    trees, scales, covers, base, space = parts
+    x = np.asarray(x, dtype=float)
+    phi = np.zeros(model.feature_count)
+    for tree, scale, cover in zip(trees, scales, covers):
+        phi += scale * _tree_phi(tree, cover, x, model.feature_count)
+    return ShapExplanation(patch_id, base, phi, _model_output(model, x), space)
+
+
+def tree_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
+    """Exact Shapley attributions for a tree-ensemble prediction."""
+    return _tree_shap_row(model, _covered_parts(model, background), x, patch_id)
 
 
 def linear_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
@@ -228,19 +240,32 @@ def explain_instance(model, x, background, patch_id: str = "") -> ShapExplanatio
     return tree_shap(model, x, background, patch_id)
 
 
-def global_importance(model, X, names, background) -> GlobalImportance:
-    """Mean absolute contribution per feature over a dataset, ranked."""
+def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
+    """explain_instance for every row of X; a tree's covers are computed once."""
     X = np.asarray(X, dtype=float)
+    patch_ids = [""] * len(X) if patch_ids is None else list(patch_ids)
+    if isinstance(model, LogisticRegressionModel):
+        return [linear_shap(model, x, background, pid) for x, pid in zip(X, patch_ids)]
+    parts = _covered_parts(model, background)
+    return [_tree_shap_row(model, parts, x, pid) for x, pid in zip(X, patch_ids)]
+
+
+def rank_importance(explanations, names) -> GlobalImportance:
+    """Mean absolute contribution per feature over explanations, ranked."""
     names = list(names)
-    total = np.zeros(X.shape[1])
+    total = np.zeros(len(names))
     space = "margin"
-    for row in X:
-        exp = explain_instance(model, row, background)
+    for exp in explanations:
         total += np.abs(exp.contributions)
         space = exp.space
-    mean_abs = total / len(X)
+    mean_abs = total / len(explanations)
     order = sorted(range(len(names)), key=lambda i: (-mean_abs[i], names[i]))
     return GlobalImportance([(names[i], float(mean_abs[i])) for i in order], space)
+
+
+def global_importance(model, X, names, background) -> GlobalImportance:
+    """Mean absolute contribution per feature over a dataset, ranked."""
+    return rank_importance(explain_rows(model, X, background), names)
 
 
 def interaction_pairs(model, x, feature_a: int, feature_b: int, background) -> float:
@@ -252,11 +277,12 @@ def interaction_pairs(model, x, feature_a: int, feature_b: int, background) -> f
     x = np.asarray(x, dtype=float)
     background = np.asarray(background, dtype=float)
 
+    all_covers = [_cover_counts(tree, background) for tree in trees]
+
     def one_direction(i, j):
         # phi_i under the game with j forced present minus j marginalized.
         total = 0.0
-        for tree, scale in zip(trees, scales):
-            covers = _cover_counts(tree, background)
+        for tree, scale, covers in zip(trees, scales, all_covers):
             on = _tree_phi(tree, covers, x, model.feature_count, cond_feature=j, cond_mode="on")
             off = _tree_phi(tree, covers, x, model.feature_count, cond_feature=j, cond_mode="off")
             total += scale * (on[i] - off[i])

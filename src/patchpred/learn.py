@@ -7,6 +7,7 @@ JSON that round-trips to an identical predictor.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -112,94 +113,248 @@ class Tree:
                    value=[float(v) for v in d["value"]])
 
 
-def _best_split(X, targets, weights, idx, features, criterion, min_leaf):
-    """Scan candidate thresholds on each feature; return (score, feat, thr).
+class _Scratch:
+    """Per-fit buffers for split search, filled with out= at every node.
 
-    Gini uses weighted class sums; mse uses weighted squared error. Ties keep
-    the first (lowest feature index, then lowest threshold).
+    Made for one X and one set of sample weights (trees grown on bootstrap
+    samples of them may share it when they subsample features).
+    Split search works on (columns x rows) arrays: row c holds one column's
+    values at the node in ascending order and the prefix sums along them.
+    Allocating those at every node costs a page fault per page, so they are
+    allocated once, for the largest node (the root), and a node uses the
+    leading part. With `presort`, the scratch also keeps every non-constant
+    column's rows in ascending value order, ties in row order (one stable
+    argsort per column, made once and reused by every tree grown on the same
+    X), and two more buffers that children's sorted lists are partitioned
+    into. A node's lists are a contiguous (columns, rows) block of one of
+    them, located by `where` = (buffer, offset, columns). `flat` shares its
+    memory with `cwt`: it holds indices only until a node's prefix sums are
+    taken.
     """
+
+    def __init__(self, X, weights, cols: int, mse: bool, presort: bool):
+        n, p = X.shape
+        size = cols * n
+        # Unit weights need no prefix sum of weights (see _cut_scores).
+        self.unit_weights = bool(np.all(weights == 1.0))
+        self.cw = None if self.unit_weights else np.empty(size)
+        self.cwt = np.empty(size)
+        self.cwtt = np.empty(size) if mse else None
+        self.change = np.empty(size, dtype=bool)
+        if presort:
+            self.n = n
+            self.XT = np.ascontiguousarray(X.T).ravel()
+            self.flat = self.cwt.view(np.intp)
+            self.values = np.empty(size)
+            self.side = np.empty(n, dtype=bool)
+            self.goes_left = np.empty(size, dtype=bool)
+            self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
+            order = np.argsort(self.XT.reshape(p, n)[self.root], axis=1, kind="stable").ravel()
+            self.lists = (order, np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
+
+    def sorted_lists(self, where, m):
+        """The node's (rows, values), each (columns, m) in ascending value order."""
+        level, off, cols = where
+        k = len(cols)
+        rows = self.lists[level][off: off + k * m].reshape(k, m)
+        flat = np.add(rows, (cols * self.n)[:, None], out=self.flat[: k * m].reshape(k, m))
+        values = np.take(self.XT, flat, out=self.values[: k * m].reshape(k, m), mode="clip")
+        return rows, values
+
+    def partition(self, where, idx, mask, m_left, needed):
+        """Stable partition of the node's sorted lists by `mask` (per row of
+        `idx`, m_left of them true) into the children that `needed` says are
+        searched. Children
+        go to the other buffer within the parent's range, which no pending
+        node shares. Returns where the children's lists are.
+        """
+        level, off, cols = where
+        src = self.lists[level][off: off + len(cols) * len(idx)]
+        self.side[idx] = mask
+        goes_left = np.take(self.side, src, out=self.goes_left[: len(src)], mode="clip")
+        child = 2 if level == 1 else 1
+        split = off + len(cols) * m_left
+        if needed[0]:
+            np.compress(goes_left, src, out=self.lists[child][off: split])
+        if needed[1]:
+            np.compress(np.logical_not(goes_left, out=goes_left), src,
+                        out=self.lists[child][split: off + len(src)])
+        return (child, off, cols), (child, split, cols)
+
+
+def _sort_node(X, idx, feats):
+    """The node's (rows, values) for columns `feats`, each (k, m) and in
+    ascending value order, by one 2-D stable argsort."""
+    unsorted = X.take(feats[:, None] + idx * X.shape[1])
+    return idx[np.argsort(unsorted, axis=1, kind="stable")], np.sort(unsorted, axis=1)
+
+
+def _prefix_sums(per_row, rows, buf):
+    k, m = rows.shape
+    out = np.take(per_row, rows, out=buf[: k * m].reshape(k, m), mode="clip")
+    return np.cumsum(out, axis=1, out=out).ravel()
+
+
+# Cuts scored at a time: bounds the temporaries of scoring a node whose
+# columns are continuous, where nearly every position is a valid cut.
+_CUTS_PER_CHUNK = 4096
+
+
+def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion, min_leaf,
+                scratch):
+    """Exact greedy split search over all columns of a node at once.
+
+    `rows` is (k, m): row c holds the node's rows in ascending order of
+    column features[c], ties in row order, and `values` holds those values
+    sorted (only their order matters). `wt` is weights * targets per row and
+    `wtt` is wt * targets (mse only); `weights` is None when all are 1.
+    Prefix sums along each row give every cut's left weight and target
+    sums, in the same order as a per-node sort would add them; only cuts at
+    a value change that leave min_leaf rows on each side are scored. Gini
+    uses weighted class sums; mse uses weighted squared error. Ties keep the
+    first (lowest feature index, then lowest threshold). Returns (score,
+    feature, threshold), or None.
+    """
+    k, m = values.shape
+    lo_cut, hi_cut = min_leaf - 1, m - min_leaf
+    width = hi_cut - lo_cut
+    change = np.less(values[:, lo_cut:hi_cut], values[:, lo_cut + 1:hi_cut + 1],
+                     out=scratch.change[: k * width].reshape(k, width))
+    pos = np.flatnonzero(change)
+    if len(pos) == 0:
+        return None
+    sums = (None if weights is None else _prefix_sums(weights, rows, scratch.cw),
+            _prefix_sums(wt, rows, scratch.cwt),
+            _prefix_sums(wtt, rows, scratch.cwtt) if criterion == "mse" else None)
+    col = pos // width
+    # Where each column's cuts start in pos, then the end.
+    bounds = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1]))).tolist() + [len(pos)]
     best = None
-    t = targets[idx]
-    w = weights[idx]
-    w_total = w.sum()
-    for f in features:
-        col = X[idx, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        st = t[order]
-        sw = w[order]
-        # Candidate split after position i requires a value change there.
-        cuts = np.nonzero(sv[:-1] < sv[1:])[0]
-        if len(cuts) == 0:
-            continue
-        counts = np.arange(1, len(sv))
-        valid = cuts[(counts[cuts] >= min_leaf) & (len(sv) - counts[cuts] >= min_leaf)]
-        if len(valid) == 0:
-            continue
-        cw = np.cumsum(sw)
-        cwt = np.cumsum(sw * st)
-        wl = cw[valid]
-        wr = w_total - wl
-        sl = cwt[valid]
-        sr = cwt[-1] - sl
-        if criterion == "gini":
-            pl = sl / wl
-            pr = sr / wr
-            score = (wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr)) / w_total
-        else:  # weighted mse via sum of squares decomposition
-            cwt2 = np.cumsum(sw * st * st)
-            sse_l = cwt2[valid] - sl * sl / wl
-            sse_r = (cwt2[-1] - cwt2[valid]) - sr * sr / wr
-            score = (sse_l + sse_r) / w_total
-        j = int(np.argmin(score))
-        lo, hi = sv[valid[j]], sv[valid[j] + 1]
-        # The midpoint of adjacent floats can round up to hi, which would send
-        # every row left; fall back to lo then, as sklearn does. Summing halves
-        # gives the same midpoint as halving the sum (barring subnormals)
-        # without overflowing.
-        thr = lo / 2.0 + hi / 2.0
-        cand = (float(score[j]), f, float(thr if thr < hi else lo))
-        if best is None or cand[0] < best[0] - 1e-15:
-            best = cand
-    return best
+    first = 0
+    while first < len(bounds) - 1:
+        # Whole columns, from `first` up to _CUTS_PER_CHUNK cuts further.
+        stop = max(first + 1, bisect.bisect_left(bounds, bounds[first] + _CUTS_PER_CHUNK,
+                                                 first, len(bounds) - 1))
+        a, b = bounds[first], bounds[stop]
+        c = col[a:b]
+        cut = pos[a:b] - c * width + lo_cut
+        score = _cut_scores(c * m, cut, m, sums, w_total, criterion)
+        segments = [x - a for x in bounds[first:stop + 1]]
+        minima = np.minimum.reduceat(score, segments[:-1]).tolist()
+        # The first minimum within a column; the first column whose minimum
+        # beats the best so far by more than 1e-15.
+        for s, v in enumerate(minima):
+            if best is None or v < best[0] - 1e-15:
+                j = segments[s] + int(np.argmin(score[segments[s]:segments[s + 1]]))
+                best = (v, c[j], cut[j])
+        first = stop
+    best_score, c, cut = best
+    f = features[c]
+    lo, hi = X[rows[c, cut], f], X[rows[c, cut + 1], f]
+    # The midpoint of adjacent floats can round up to hi, which would send
+    # every row left; fall back to lo then, as sklearn does. Summing halves
+    # gives the same midpoint as halving the sum (barring subnormals)
+    # without overflowing.
+    thr = lo / 2.0 + hi / 2.0
+    return best_score, f, float(thr if thr < hi else lo)
+
+
+def _cut_scores(row_start, cut, m, sums, w_total, criterion):
+    """Scores of the cuts after position `cut` of the rows starting at
+    `row_start` in the flat prefix sums (cw, cwt, cwtt); cw None means unit
+    weights, whose prefix sum is exact."""
+    cw, cwt, cwtt = sums
+    at = row_start + cut
+    last = row_start + (m - 1)
+    wl = (cut + 1.0) if cw is None else cw[at]
+    wr = w_total - wl
+    sl = cwt[at]
+    sr = cwt[last] - sl
+    if criterion == "gini":
+        pl = sl / wl
+        pr = sr / wr
+        return (wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr)) / w_total
+    # weighted mse via sum of squares decomposition
+    sl2 = cwtt[at]
+    sse_l = sl2 - sl * sl / wl
+    sse_r = (cwtt[last] - sl2) - sr * sr / wr
+    return (sse_l + sse_r) / w_total
 
 
 def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
-              criterion="gini", max_features=None, rng=None) -> Tree:
-    n_features = X.shape[1]
-    tree = Tree([], [], [], [], [])
+              criterion="gini", max_features=None, rng=None, *,
+              scratch: _Scratch | None = None, leaf_values=None) -> Tree:
+    """Grow one CART tree depth-first; nodes are numbered in preorder.
 
-    def new_node():
+    Without feature subsampling every column is searched from sorted lists
+    kept by stable partitions (the scratch's presort); with it, each node
+    sorts only its sampled columns. A `scratch` made for this X may be
+    passed to reuse it across trees. `leaf_values`, if given, receives each
+    row's leaf value.
+    """
+    X = np.ascontiguousarray(X)
+    n, n_features = X.shape
+    sample = max_features is not None and max_features < n_features
+    if scratch is None:
+        scratch = _Scratch(X, weights, max_features if sample else n_features,
+                           criterion == "mse", presort=not sample)
+    wt = weights * targets
+    wtt = wt * targets if criterion == "mse" else None
+    search_weights = None if scratch.unit_weights else weights
+    tree = Tree([], [], [], [], [])
+    # (rows in ascending order, depth, parent, is_left, where the sorted lists are)
+    stack = [(np.arange(n), 0, -1, True, (0, 0, scratch.root) if not sample else None)]
+    while stack:
+        idx, depth, parent, is_left, where = stack.pop()
+        node = len(tree.feature)
+        value = float(leaf_value_fn(idx))
         tree.feature.append(-1)
         tree.threshold.append(0.0)
         tree.left.append(-1)
         tree.right.append(-1)
-        tree.value.append(0.0)
-        return len(tree.feature) - 1
-
-    def build(idx, depth):
-        node = new_node()
-        tree.value[node] = float(leaf_value_fn(idx))
+        tree.value.append(value)
+        if parent >= 0:
+            (tree.left if is_left else tree.right)[parent] = node
         t = targets[idx]
-        if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(t == t[0]):
-            return node
-        if max_features is not None and max_features < n_features:
-            feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
-        else:
-            feats = np.arange(n_features)
-        split = _best_split(X, targets, weights, idx, feats, criterion, min_leaf)
+        split = None
+        if not (depth >= max_depth or len(idx) < 2 * min_leaf or np.all(t == t[0])):
+            if sample:
+                feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
+                rows, values = _sort_node(X, idx, feats)
+            else:
+                feats = where[2]
+                rows, values = scratch.sorted_lists(where, len(idx))
+            split = _best_split(X, values, rows, search_weights, wt, wtt, weights[idx].sum(),
+                                feats, criterion, min_leaf, scratch)
         if split is None:
-            return node
+            if leaf_values is not None:
+                leaf_values[idx] = value
+            continue
         _score, f, thr = split
         mask = X[idx, f] <= thr
         tree.feature[node] = int(f)
         tree.threshold[node] = thr
-        tree.left[node] = build(idx[mask], depth + 1)
-        tree.right[node] = build(idx[~mask], depth + 1)
-        return node
-
-    build(np.arange(X.shape[0]), 0)
+        left, right = idx[mask], idx[~mask]
+        where_l = where_r = None
+        needed = [depth + 1 < max_depth and len(c) >= 2 * min_leaf for c in (left, right)]
+        if not sample and any(needed):
+            where_l, where_r = scratch.partition(where, idx, mask, len(left), needed)
+        stack.append((right, depth + 1, node, False, where_r))
+        stack.append((left, depth + 1, node, True, where_l))
     return tree
+
+
+def _tree_report(trees) -> dict:
+    """Tree count, total node count and the deepest node's depth."""
+    deepest = 0
+    for tree in trees:
+        depth = [0] * len(tree.feature)
+        for node, f in enumerate(tree.feature):
+            if f >= 0:
+                depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+        deepest = max(deepest, max(depth))
+    return {"trees": len(trees), "nodes": sum(len(t.feature) for t in trees),
+            "max_depth_reached": deepest}
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +538,9 @@ class DecisionTreeModel(TrainedModel):
 
         tree = grow_tree(X, y, sw, leaf_value, config["max_depth"], config["min_leaf"],
                          criterion="gini")
-        return cls(X.shape[1], config, seed, tree)
+        model = cls(X.shape[1], config, seed, tree)
+        model.training_report = _tree_report([tree])
+        return model
 
     def predict_proba_batch(self, X) -> np.ndarray:
         return self.tree.predict(np.asarray(X, dtype=float))
@@ -416,6 +573,9 @@ class RandomForestModel(TrainedModel):
             max_features = p
         else:
             max_features = int(config["max_features"])
+        # Subsampled trees all use scratch of the same size; unsampled ones
+        # presort their own bootstrap sample.
+        scratch = _Scratch(X, sw, max_features, False, presort=False) if max_features < p else None
         trees = []
         for t in range(config["n_trees"]):
             rng = np.random.default_rng([seed, t])  # per-tree derived seed
@@ -428,8 +588,10 @@ class RandomForestModel(TrainedModel):
 
             trees.append(grow_tree(Xb, yb, wb, leaf_value, config["max_depth"],
                                    config["min_leaf"], criterion="gini",
-                                   max_features=max_features, rng=rng))
-        return cls(p, config, seed, trees)
+                                   max_features=max_features, rng=rng, scratch=scratch))
+        model = cls(p, config, seed, trees)
+        model.training_report = _tree_report(trees)
+        return model
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -468,6 +630,10 @@ class GradientBoostedTreesModel(TrainedModel):
         l2 = config["l2"]
         trees: list[Tree] = []
         losses: list[float] = []
+        # One presort serves every round; each row's leaf value updates its
+        # margin, which is what tree.predict(X) would return for it.
+        scratch = _Scratch(X, sw, X.shape[1], True, presort=True)
+        leaf_values = np.empty(len(y))
         for _round in range(config["rounds"]):
             p = _sigmoid(margin)
             residual = y - p
@@ -479,16 +645,17 @@ class GradientBoostedTreesModel(TrainedModel):
                 return num / den
 
             tree = grow_tree(X, residual, sw, leaf_value, config["max_depth"],
-                             config["min_leaf"], criterion="mse")
+                             config["min_leaf"], criterion="mse", scratch=scratch,
+                             leaf_values=leaf_values)
             trees.append(tree)
-            margin = margin + lr * tree.predict(X)
+            margin = margin + lr * leaf_values
             p_new = np.clip(_sigmoid(margin), 1e-12, 1 - 1e-12)
             loss = float(-(sw * (y * np.log(p_new) + (1 - y) * np.log(1 - p_new))).sum() / total)
             if not math.isfinite(loss):
                 raise TrainError("non-finite boosting loss; lower the learning rate")
             losses.append(loss)
         model = cls(X.shape[1], config, seed, base, trees)
-        model.training_report = {"round_losses": losses}
+        model.training_report = {"round_losses": losses, **_tree_report(trees)}
         return model
 
     def margin_batch(self, X) -> np.ndarray:

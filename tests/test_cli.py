@@ -355,3 +355,30 @@ def test_align_needs_every_patch_once(pipeline):
         [r.patch_id for r in rows[1:]]
     with pytest.raises(FeatureError, match="appears twice"):
         featureio.align(rows + rows[:1], rows)
+
+
+@pytest.mark.parametrize("command, learner, hyper", [
+    ("train", "rf", {"max_features": "log2"}),
+    ("train", "rf", {"max_features": 0}),
+    ("train", "rf", {"max_features": 2.5}),
+    ("train", "rf", {"n_trees": 0}),
+    ("crossval", "rf", {"n_trees": 0}),
+    ("train", "rf", {"max_depth": "3"}),
+    ("train", "dt", {"max_depth": -1}),
+    ("train", "dt", {"min_leaf": 0}),
+    ("train", "gbt", {"min_leaf": True}),
+    ("train", "gbt", {"rounds": 0}),
+    ("train", "gbt", {"learning_rate": 0}),
+    ("train", "gbt", {"learning_rate": "0.1"}),
+    ("train", "gbt", {"l2": -1.0}),
+    ("train", "lr", {"l2": float("nan")}),
+])
+def test_invalid_tree_hyperparameters_get_learn_error(pipeline, tmp_path, capsys, command, learner, hyper):
+    out = tmp_path / "out.json"
+    argv = [command, "--features", str(pipeline["learned"]), "--learner", learner,
+            "--hyper", json.dumps(hyper), "--out", str(out)]
+    assert run(*argv + (["--k", "3"] if command == "crossval" else [])) == 1
+    err = capsys.readouterr().err
+    key = next(iter(hyper))
+    assert err.startswith("error[learn]: ") and repr(key) in err and "Traceback" not in err
+    assert not out.exists()

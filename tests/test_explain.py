@@ -196,3 +196,25 @@ def test_depth_two_tree_has_nonzero_interaction():
     slow = brute_force_interaction(model, x, 0, 1, background)
     assert fast == pytest.approx(slow, abs=1e-12)
     assert abs(fast) > 1e-6
+
+
+@pytest.mark.parametrize("kind", ["dt", "rf", "gbt", "lr"])
+def test_explain_rows_matches_explain_instance_with_covers_once(kind, monkeypatch):
+    rng = np.random.default_rng(4)
+    if kind == "lr":
+        X = rng.normal(size=(30, 3))
+        model = learn.train("lr", fit_rows(X, (X[:, 0] > 0).astype(int)), seed=0)
+    else:
+        model, X = random_tree_model(rng, 3, kind)
+    one_by_one = [explain.explain_instance(model, x, X, f"p{i}") for i, x in enumerate(X)]
+    calls = []
+    real_cover_counts = explain._cover_counts
+    monkeypatch.setattr(explain, "_cover_counts", lambda tree, bg: calls.append(1) or real_cover_counts(tree, bg))
+    batch = explain.explain_rows(model, X, X, [f"p{i}" for i in range(len(X))])
+    assert len(calls) == (0 if kind == "lr" else len(explain._ensemble_parts(model)[0]))
+    for a, b in zip(one_by_one, batch):
+        assert (a.patch_id, a.base_value, a.model_output, a.space) == (b.patch_id, b.base_value,
+                                                                      b.model_output, b.space)
+        assert np.array_equal(a.contributions, b.contributions)
+    names = ["a", "b", "c"]
+    assert explain.rank_importance(batch, names) == global_importance(model, X, names, X)

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchpred import learn
 from patchpred.errors import TrainError
@@ -218,3 +220,266 @@ def test_balanced_class_weight_changes_imbalanced_fit():
     weighted = learn.train("lr", rows_from(X, y), {"class_weight": "balanced"}, seed=0)
     probe = np.ones((1, 2)) * 0.8
     assert weighted.predict_proba_batch(probe)[0] > plain.predict_proba_batch(probe)[0]
+
+
+# --- exact split search against a frozen per-node-sort reference ---------------
+# _reference_best_split and _reference_grow_tree are the per-node argsort
+# version of split search that the presorted search replaced, kept verbatim;
+# _reference_trees repeats the DT/RF/GBT fits around them. The new search
+# must grow the same trees bit for bit.
+
+def _reference_best_split(X, targets, weights, idx, features, criterion, min_leaf):
+    best = None
+    t = targets[idx]
+    w = weights[idx]
+    w_total = w.sum()
+    for f in features:
+        col = X[idx, f]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        st = t[order]
+        sw = w[order]
+        cuts = np.nonzero(sv[:-1] < sv[1:])[0]
+        if len(cuts) == 0:
+            continue
+        counts = np.arange(1, len(sv))
+        valid = cuts[(counts[cuts] >= min_leaf) & (len(sv) - counts[cuts] >= min_leaf)]
+        if len(valid) == 0:
+            continue
+        cw = np.cumsum(sw)
+        cwt = np.cumsum(sw * st)
+        wl = cw[valid]
+        wr = w_total - wl
+        sl = cwt[valid]
+        sr = cwt[-1] - sl
+        if criterion == "gini":
+            pl = sl / wl
+            pr = sr / wr
+            score = (wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr)) / w_total
+        else:
+            cwt2 = np.cumsum(sw * st * st)
+            sse_l = cwt2[valid] - sl * sl / wl
+            sse_r = (cwt2[-1] - cwt2[valid]) - sr * sr / wr
+            score = (sse_l + sse_r) / w_total
+        j = int(np.argmin(score))
+        lo, hi = sv[valid[j]], sv[valid[j] + 1]
+        thr = lo / 2.0 + hi / 2.0
+        cand = (float(score[j]), f, float(thr if thr < hi else lo))
+        if best is None or cand[0] < best[0] - 1e-15:
+            best = cand
+    return best
+
+
+def _reference_grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
+                         criterion="gini", max_features=None, rng=None) -> Tree:
+    n_features = X.shape[1]
+    tree = Tree([], [], [], [], [])
+
+    def new_node():
+        tree.feature.append(-1)
+        tree.threshold.append(0.0)
+        tree.left.append(-1)
+        tree.right.append(-1)
+        tree.value.append(0.0)
+        return len(tree.feature) - 1
+
+    def build(idx, depth):
+        node = new_node()
+        tree.value[node] = float(leaf_value_fn(idx))
+        t = targets[idx]
+        if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(t == t[0]):
+            return node
+        if max_features is not None and max_features < n_features:
+            feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
+        else:
+            feats = np.arange(n_features)
+        split = _reference_best_split(X, targets, weights, idx, feats, criterion, min_leaf)
+        if split is None:
+            return node
+        _score, f, thr = split
+        mask = X[idx, f] <= thr
+        tree.feature[node] = int(f)
+        tree.threshold[node] = thr
+        tree.left[node] = build(idx[mask], depth + 1)
+        tree.right[node] = build(idx[~mask], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return tree
+
+
+def _reference_trees(kind, X, y, config, seed):
+    sw = learn._sample_weights(y, config["class_weight"])
+    if kind == "dt":
+        def leaf_value(idx):
+            w = sw[idx]
+            return float((w * y[idx]).sum() / w.sum())
+        return [_reference_grow_tree(X, y, sw, leaf_value, config["max_depth"], config["min_leaf"])]
+    if kind == "rf":
+        n, p = X.shape
+        max_features = p if config["max_features"] is None else (
+            max(1, int(np.sqrt(p))) if config["max_features"] == "sqrt" else int(config["max_features"]))
+        trees = []
+        for t in range(config["n_trees"]):
+            rng = np.random.default_rng([seed, t])
+            boot = rng.integers(0, n, size=n)
+            Xb, yb, wb = X[boot], y[boot], sw[boot]
+
+            def leaf_value(idx, yb=yb, wb=wb):
+                w = wb[idx]
+                return float((w * yb[idx]).sum() / w.sum())
+
+            trees.append(_reference_grow_tree(Xb, yb, wb, leaf_value, config["max_depth"],
+                                              config["min_leaf"], max_features=max_features, rng=rng))
+        return trees
+    total = sw.sum()
+    p_bar = float(np.clip((sw * y).sum() / total, 1e-6, 1 - 1e-6))
+    margin = np.full(len(y), np.log(p_bar / (1 - p_bar)))
+    trees = []
+    for _round in range(config["rounds"]):
+        p = learn._sigmoid(margin)
+        residual = y - p
+        hessian = p * (1 - p)
+
+        def leaf_value(idx, residual=residual, hessian=hessian):
+            num = float((sw[idx] * residual[idx]).sum())
+            den = float((sw[idx] * hessian[idx]).sum()) + config["l2"]
+            return num / den
+
+        tree = _reference_grow_tree(X, residual, sw, leaf_value, config["max_depth"],
+                                    config["min_leaf"], criterion="mse")
+        trees.append(tree)
+        margin = margin + config["learning_rate"] * tree.predict(X)
+    return trees
+
+
+def _assert_same_trees(kind, X, y, overrides, seed):
+    config = learn.resolved_config(learn.canonical_kind(kind), overrides)
+    model = learn._MODEL_CLASSES[learn.canonical_kind(kind)].fit(X, y, config, seed)
+    trees = [model.tree] if kind == "dt" else model.trees
+    expected = _reference_trees(kind, X, y, config, seed)
+    # json.dumps tells -0.0 from 0.0, which == does not.
+    assert json.dumps([t.to_dict() for t in trees]) == json.dumps([t.to_dict() for t in expected])
+    assert model.training_report["trees"] == len(expected)
+    assert model.training_report["nodes"] == sum(len(t.feature) for t in expected)
+    if kind == "gbt":
+        margin = model.margin_batch(X)
+        reference = learn.GradientBoostedTreesModel(X.shape[1], config, seed, model.base_margin, expected)
+        assert np.array_equal(margin, reference.margin_batch(X))
+
+
+@st.composite
+def _tree_problem(draw):
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(["ties", "continuous", "constant", "mirror"]),
+                          min_size=p, max_size=p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for k in kinds:
+        if k == "mirror" and columns:
+            # The same cuts in reverse order: scores that differ in the last
+            # bits, where the 1e-15 tie rule decides.
+            columns.append(-columns[0])
+        elif k == "constant":
+            columns.append(np.full(n, 1.5))
+        elif k == "continuous":
+            columns.append(rng.normal(size=n))
+        else:
+            columns.append(rng.integers(0, 3, size=n).astype(float))
+    X = np.column_stack(columns)
+    y = (rng.random(n) < 0.5).astype(float)
+    y[0], y[1] = 0.0, 1.0  # both classes, as learn.train requires
+    return X, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_tree_problem(), criterion=st.sampled_from(["gini", "mse"]),
+       min_leaf=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 3, 4096]))
+def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed, chunk):
+    # The chosen split's score must be the same float, which holds only if
+    # the prefix sums add tied rows in the same (stable) order. Small chunks
+    # carry the best cut across chunk boundaries.
+    X, y = problem
+    n, p = X.shape
+    rng = np.random.default_rng(seed)
+    targets = y - rng.random(n) if criterion == "mse" else y
+    weights = rng.choice([0.5, 1.0, 3.0], size=n)
+    wt = weights * targets
+    scratch = learn._Scratch(X, weights, p, True, presort=True)
+    subset = np.flatnonzero(rng.random(n) < 0.7)
+    nodes = [(np.arange(n), *scratch.sorted_lists((0, 0, scratch.root), n), scratch.root),
+             (subset, *learn._sort_node(X, subset, np.arange(p)), np.arange(p))]
+    default_chunk, learn._CUTS_PER_CHUNK = learn._CUTS_PER_CHUNK, chunk
+    try:
+        for idx, rows, values, features in nodes:
+            if len(idx) < 2 * min_leaf:
+                continue
+            got = learn._best_split(X, values, rows, None if scratch.unit_weights else weights, wt,
+                                    wt * targets, weights[idx].sum(), features, criterion,
+                                    min_leaf, scratch)
+            assert got == _reference_best_split(X, targets, weights, idx, np.arange(p), criterion,
+                                                min_leaf)
+    finally:
+        learn._CUTS_PER_CHUNK = default_chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_tree_problem(), kind=st.sampled_from(["dt", "rf", "gbt"]),
+       class_weight=st.sampled_from([None, "balanced"]), min_leaf=st.sampled_from([1, 2, 5]),
+       max_depth=st.integers(1, 6), max_features=st.integers(1, 7), seed=st.integers(0, 3))
+def test_trees_match_per_node_sort_reference(problem, kind, class_weight, min_leaf, max_depth,
+                                             max_features, seed):
+    X, y = problem
+    overrides = {"class_weight": class_weight, "min_leaf": min_leaf, "max_depth": max_depth}
+    if kind == "rf":
+        overrides.update(n_trees=3, max_features=max_features)
+    if kind == "gbt":
+        overrides["rounds"] = 4
+    _assert_same_trees(kind, X, y, overrides, seed)
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("gbt", {"rounds": 20}),
+    ("gbt", {"rounds": 5, "class_weight": "balanced", "max_depth": 5, "min_leaf": 2}),
+    ("rf", {"n_trees": 4}),
+    ("rf", {"n_trees": 2, "max_features": None, "max_depth": 6}),
+    ("dt", {"min_leaf": 5}),
+])
+def test_trees_match_reference_at_paper_shape(kind, overrides):
+    # 400 x 60 like the concat features: hashed token counts with many ties,
+    # continuous cross terms and constant engineered flags.
+    rng = np.random.default_rng(11)
+    counts = rng.poisson(1.0, size=(400, 30)).astype(float)
+    cross = rng.normal(size=(400, 20))
+    flags = np.zeros((400, 10))
+    flags[:, 0] = rng.integers(0, 2, size=400)
+    X = np.hstack([counts, cross, flags])
+    y = ((counts[:, 0] > 0) ^ (cross[:, 0] > 0)).astype(float)
+    _assert_same_trees(kind, X, y, overrides, seed=3)
+
+
+def test_grow_tree_leaves_no_reference_cycles(blob_data):
+    X, y = blob_data[0], blob_data[1].astype(float)
+    sw = np.ones_like(y)
+    gc.collect()
+    gc.disable()
+    try:
+        learn.grow_tree(X, y, sw, lambda idx: float(y[idx].mean()), 6, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ("dt", "rf", "gbt"))
+def test_tree_statistics_in_training_report(blob_data, kind):
+    X, y = blob_data
+    model = learn.train(kind, rows_from(X, y), {"n_trees": 5} if kind == "rf" else {}, seed=0)
+    trees = [model.tree] if kind == "dt" else model.trees
+    report = model.training_report
+    assert report["trees"] == len(trees)
+    assert report["nodes"] == sum(len(t.feature) for t in trees)
+    assert 1 <= report["max_depth_reached"] <= model.config["max_depth"]
+    assert ("round_losses" in report) == (kind == "gbt")
+    assert "training_report" not in model.to_dict()
