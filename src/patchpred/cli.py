@@ -22,7 +22,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import diffparse, embed, engineered, evaluate, explain, featureio, filtering, learn, synth
 from .defaults import DEFAULT_EMBEDDER
-from .errors import EvalError, ExplainError, FeatureError, PatchPredError, TrainError
+from .errors import EmbeddingError, EvalError, ExplainError, FeatureError, PatchPredError, TrainError
 
 
 class Flag(NamedTuple):
@@ -110,8 +110,13 @@ def _write(path, content, args=None, keys=()) -> None:
 
 
 def _embedder_config(args, cfg) -> embed.EmbedderConfig:
-    section = dict(DEFAULT_EMBEDDER)
-    section.update(cfg.get("embedder", {}))
+    given = cfg.get("embedder", {})
+    if not isinstance(given, dict):
+        raise EmbeddingError(f'config "embedder" must be a JSON object, got {given!r}')
+    unknown = sorted(set(given) - set(DEFAULT_EMBEDDER))
+    if unknown:
+        raise EmbeddingError(f"unknown embedder setting(s) {unknown}; known: {sorted(DEFAULT_EMBEDDER)}")
+    section = {**DEFAULT_EMBEDDER, **given}
     for flag, key in (("dim", "n"), ("epochs", "epochs"), ("negative", "negative_samples"),
                       ("lr", "learning_rate"), ("min_count", "min_token_count"),
                       ("embedder_seed", "seed")):
@@ -195,12 +200,13 @@ def cmd_fragments(args, cfg):
 
 
 def cmd_train_embedder(args, cfg):
+    config = _embedder_config(args, cfg)
     cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
     documents = []
     for frag in _fragments_by_patch(cor).values():
         documents.append(list(frag.buggy_tokens))
         documents.append(list(frag.patched_tokens))
-    model = embed.train_embedder(documents, _embedder_config(args, cfg))
+    model = embed.train_embedder(documents, config)
     _write(args.out, lambda path: embed.save_model(model, path))
     rep = model.training_report
     print(f"trained embedder on {rep['documents']} fragments "

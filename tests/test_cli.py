@@ -299,12 +299,18 @@ def test_subcommand_options_and_choices():
                  id="config-bool-for-a-count"),
     pytest.param(["filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--stats", "TMP/wrong_type.json",
                   "--out", "TMP/f.json"], id="stats-file-without-stats"),
+    pytest.param(["--config", "TMP/unknown_embedder.json", "train-embedder", "--corpus", "CORPUS",
+                  "--out", "TMP/e.json"], id="config-unknown-embedder-setting"),
+    pytest.param(["--config", "TMP/embedder_not_object.json", "train-embedder", "--corpus", "CORPUS",
+                  "--out", "TMP/e.json"], id="config-embedder-not-an-object"),
 ])
 def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"k": 3,')
     (tmp_path / "wrong_type.json").write_text('{"seed": "3"}')
     (tmp_path / "no_choice.json").write_text('{"signal": "loud"}')
     (tmp_path / "bool_count.json").write_text('{"bugs": true}')
+    (tmp_path / "unknown_embedder.json").write_text('{"embedder": {"window": 5}}')
+    (tmp_path / "embedder_not_object.json").write_text('{"embedder": 5}')
     fill = {"LEARNED": pipeline["learned"], "MODEL": tree_model, "CORPUS": pipeline["corpus"],
             "EMBEDDINGS": pipeline["embeddings"], "TMP": tmp_path}
     for key, value in fill.items():

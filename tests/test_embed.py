@@ -1,11 +1,14 @@
+import dataclasses
+import functools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from patchpred import embed
+from patchpred import cli, corpus, diffparse, embed, synth
 from patchpred.embed import EmbedderConfig
 from patchpred.errors import EmbeddingError
 
@@ -315,6 +318,146 @@ def test_embedder_matches_reference_loops_bit_for_bit(negative_samples, epochs, 
         vec, flag = embed.infer_vector(model, tokens)
         assert not flag
         assert np.array_equal(vec, _ref_infer(model, tokens))
+
+
+# --- inference from the draw cache, stacked by length -------------------------
+
+_PROBE_TOKENS = [f"w{i}" for i in range(40)] + ["never-seen", "also-new"]
+
+
+@functools.lru_cache(maxsize=None)
+def _random_model(negative_samples):
+    """A model with random weights at the default n, large enough that
+    scores saturate past |8| both ways. It is shared across examples, so
+    they also run against a draw cache that earlier ones grew."""
+    rng = np.random.default_rng(negative_samples)
+    vocab = {tok: i for i, tok in enumerate(_PROBE_TOKENS[:40])}
+    return embed.ParagraphVectorModel(
+        vocabulary=vocab, word_matrix=rng.normal(0.0, 2.0, size=(len(vocab), 64)),
+        token_counts=rng.integers(1, 50, size=len(vocab)).astype(float),
+        config=EmbedderConfig(n=64, epochs=9, negative_samples=negative_samples, seed=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(negative_samples=st.sampled_from([0, 1, 5]),
+       token_lists=st.lists(st.lists(st.sampled_from(_PROBE_TOKENS), max_size=30), max_size=12),
+       stack_bytes=st.sampled_from([1, 3 * 8 * 30 * 70, 1 << 17]),
+       data=st.data())
+def test_stacked_inference_matches_single_and_reference(negative_samples, token_lists, stack_bytes, data):
+    model = _random_model(negative_samples)
+    order = data.draw(st.permutations(range(len(token_lists))))
+    with mock.patch.object(embed, "_STACK_BYTES", stack_bytes):
+        vectors, oov = embed._infer_vectors(model, token_lists)
+        shuffled, shuffled_oov = embed._infer_vectors(model, [token_lists[i] for i in order])
+    assert vectors.shape == (len(token_lists), 64)
+    for position, i in enumerate(order):
+        assert np.array_equal(shuffled[position], vectors[i])
+        assert shuffled_oov[position] == oov[i]
+    for tokens, vec, flag in zip(token_lists, vectors, oov):
+        alone, alone_flag = embed.infer_vector(model, tokens)
+        assert flag == alone_flag == (not any(t in model.vocabulary for t in tokens))
+        assert np.array_equal(vec, alone)
+        if flag:
+            assert not vec.any()
+        else:
+            assert np.array_equal(vec, _ref_infer(model, tokens))
+
+
+def test_embed_corpus_matches_infer_vector_in_input_order():
+    records = synth.generate_corpus(4, 3, "learned", seed=4).records
+    frags = {rec.patch_id: diffparse.fragments_for_diff(rec.diff_text) for rec in records}
+    docs = [list(tokens) for frag in frags.values() for tokens in (frag.buggy_tokens, frag.patched_tokens)]
+    model = embed.train_embedder(docs, EmbedderConfig(n=8, epochs=5, seed=3))
+    frags["oov"] = dataclasses.replace(next(iter(frags.values())), buggy_tokens=("never-seen",))
+    pairs, flagged = embed.embed_corpus(model, frags)
+    assert [p.patch_id for p in pairs] == list(frags)
+    assert flagged == ["oov"]
+    assert not pairs[-1].buggy_vec.any()
+    for p in pairs:
+        for vec, tokens in ((p.buggy_vec, frags[p.patch_id].buggy_tokens),
+                            (p.patched_vec, frags[p.patch_id].patched_tokens)):
+            assert np.array_equal(vec, embed.infer_vector(model, tokens)[0])
+
+
+def test_draw_cache_holds_the_longest_fragment_and_survives_reload(tmp_path):
+    docs, _ = _cluster_docs(20)
+    config = EmbedderConfig(n=8, epochs=6, negative_samples=3, seed=2)
+    model = embed.train_embedder(docs, config)
+    assert model.draws is None
+    long_doc, short_doc = docs[0] + docs[1], docs[2][:3]
+    long_vec, _ = embed.infer_vector(model, long_doc)
+    assert model.draws.length == len(long_doc)
+    assert model.draws.negatives.shape == (config.epochs * config.negative_samples * len(long_doc),)
+    cache = model.draws.negatives
+    short_vec, _ = embed.infer_vector(model, short_doc)
+    assert model.draws.negatives is cache
+    assert np.array_equal(short_vec, _ref_infer(model, short_doc))
+    assert np.array_equal(long_vec, _ref_infer(model, long_doc))
+
+    path = tmp_path / "model.json"
+    embed.save_model(model, path)
+    assert "draws" not in json.loads(path.read_text())
+    loaded = embed.load_model(path)
+    assert loaded.draws is None
+    assert np.array_equal(embed.infer_vector(loaded, short_doc)[0], short_vec)
+    assert np.array_equal(embed.infer_vector(loaded, long_doc)[0], long_vec)
+
+    # A replaced config (here a new seed) rebuilds the cache.
+    model.config = dataclasses.replace(config, seed=9)
+    reseeded, _ = embed.infer_vector(model, short_doc)
+    assert model.draws.config is model.config and model.draws.length == len(short_doc)
+    assert np.array_equal(reseeded, _ref_infer(model, short_doc))
+    assert not np.array_equal(reseeded, short_vec)
+
+
+def test_non_finite_inferred_vector_raises_from_both_paths():
+    docs, _ = _cluster_docs(20)
+    model = embed.train_embedder(docs, EmbedderConfig(n=8, epochs=10, seed=3))
+    model.word_matrix = model.word_matrix * 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EmbeddingError, match="non-finite"):
+            embed.infer_vector(model, docs[0])
+        with pytest.raises(EmbeddingError, match="non-finite"):
+            embed._infer_vectors(model, [docs[0], docs[1], docs[2]])
+
+
+# --- embedder settings ---------------------------------------------------------
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("n", 1, "--dim"),
+    ("n", True, None),
+    ("epochs", 0, "--epochs"),
+    ("epochs", -1, "--epochs"),
+    ("epochs", 2.5, None),
+    ("negative_samples", -1, "--negative"),
+    ("min_token_count", 0, "--min-count"),
+    ("seed", -3, "--embedder-seed"),
+    ("seed", 1.5, None),
+    ("learning_rate", 0.0, "--lr"),
+    ("learning_rate", math.inf, "--lr"),
+    ("learning_rate", "x", None),
+])
+def test_invalid_embedder_settings_are_rejected(tmp_path, capsys, key, value, flag):
+    message = f"embedder {key} must be"
+    with pytest.raises(EmbeddingError, match=message):
+        EmbedderConfig(**{key: value})
+
+    corpus_path, out = tmp_path / "corpus.jsonl", tmp_path / "embedder.json"
+    corpus.persist(synth.generate_corpus(4, 2, "learned", seed=1), corpus_path)
+    if flag is None:
+        (tmp_path / "config.json").write_text(json.dumps({"embedder": {key: value}}))
+        argv = ["--config", str(tmp_path / "config.json"), "train-embedder"]
+    else:
+        argv = ["train-embedder", flag, str(value)]
+    assert cli.main(argv + ["--corpus", str(corpus_path), "--out", str(out)]) == 1
+    assert f"error[embed]: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+    path, doc = _saved_model_doc(tmp_path)
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EmbeddingError, match=f"model.json: {message}"):
+        embed.load_model(path)
 
 
 # --- load-time validation ------------------------------------------------------
