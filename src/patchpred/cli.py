@@ -128,7 +128,12 @@ def _embedder_config(args, cfg) -> embed.EmbedderConfig:
 
 def _hyper_overrides(args, cfg, kind: str):
     table = cfg.get("hyperparameters", {})
-    overrides = dict(table.get(kind, {}))
+    if not isinstance(table, dict):
+        raise TrainError(f'config "hyperparameters" must be a JSON object, got {table!r}')
+    overrides = table.get(kind, {})
+    if not isinstance(overrides, dict):
+        raise TrainError(f'config "hyperparameters" entry {kind!r} must be a JSON object, got {overrides!r}')
+    overrides = dict(overrides)
     if args.hyper:
         try:
             inline = json.loads(args.hyper)
@@ -370,6 +375,7 @@ def cmd_explain(args, cfg):
         _write(args.global_out, {
             "space": gi.space,
             "ranking": [{"feature": n, "mean_abs_contribution": v} for n, v in gi.ranking],
+            "blocks": explain.block_totals(gi),
         }, args, keys)
     if args.interaction:
         ia, ib = names.index(pair[0]), names.index(pair[1])

@@ -7,6 +7,7 @@ explanation reports can refer to them stably.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,3 +36,8 @@ def crossed_dim(n: int) -> int:
 
 def feature_names(n: int) -> list[str]:
     return [f"B-{i}" for i in range(crossed_dim(n))]
+
+
+def is_feature_name(name: str) -> bool:
+    """Whether `name` is one that feature_names gives, for some n."""
+    return re.fullmatch(r"B-(0|[1-9][0-9]*)", name) is not None

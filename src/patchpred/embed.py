@@ -24,6 +24,11 @@ MODEL_FORMAT_VERSION = 1
 # per fragment but raised the walkthrough's peak RSS by about 0.2 MB.
 _STACK_BYTES = 1 << 17
 
+# Longest fragment, in in-vocabulary tokens, whose draws the model caches:
+# 4 MB of negative ids at the default epochs and k. A longer fragment draws
+# its own, as uncached inference did.
+_DRAWS_MAX_TOKENS = 1024
+
 # Setting -> (test, what a valid value is). The inference draw cache sizes
 # itself as epochs * negative_samples * tokens, so these hold for every
 # config, however it was built.
@@ -260,10 +265,12 @@ def train_embedder(documents, config: EmbedderConfig | None = None) -> Paragraph
 
 
 def _draws(model: ParagraphVectorModel, length: int) -> _Draws:
-    """The model's draw cache, made to cover fragments of `length` tokens.
+    """Draws covering fragments of `length` tokens: the model's draw cache,
+    made to cover them if `length` is at most _DRAWS_MAX_TOKENS.
 
-    It is rebuilt when it covers fewer, or when the model's config or token
-    counts were replaced since it was built.
+    The cache is rebuilt when it covers fewer, or when the model's config or
+    token counts were replaced since it was built. Draws for a longer
+    fragment are made for the call and leave the cache as it is.
     """
     draws = model.draws
     if (draws is None or draws.length < length or draws.config is not model.config
@@ -273,7 +280,9 @@ def _draws(model: ParagraphVectorModel, length: int) -> _Draws:
         initial = rng.uniform(-0.5 / config.n, 0.5 / config.n, size=config.n)
         negatives = _sample_negatives(rng, _noise_cumulative(model.token_counts),
                                       config.epochs * config.negative_samples * length)
-        draws = model.draws = _Draws(config, model.token_counts, length, initial, negatives)
+        draws = _Draws(config, model.token_counts, length, initial, negatives)
+        if length <= _DRAWS_MAX_TOKENS:
+            model.draws = draws
     return draws
 
 
@@ -327,8 +336,9 @@ def _infer_vectors(model: ParagraphVectorModel, token_lists) -> tuple[np.ndarray
     for i, pos_idx in enumerate(ids):
         if len(pos_idx):
             by_length.setdefault(len(pos_idx), []).append(i)
-    if by_length:
-        _draws(model, max(by_length))  # grow the cache once, to the longest
+    cached = [length for length in by_length if length <= _DRAWS_MAX_TOKENS]
+    if cached:
+        _draws(model, max(cached))  # grow the cache once, to the longest it holds
     for length, members in by_length.items():
         per_stack = max(1, _STACK_BYTES // (8 * length * (config.n + config.negative_samples + 1)))
         for start in range(0, len(members), per_stack):

@@ -1,21 +1,25 @@
 """Shapley-value attribution for trained models.
 
-Tree ensembles get the exact polynomial-time path recursion, with feature
-subsets marginalized by node cover counts computed from a background
-dataset. Logistic regression gets the closed-form linear attribution. A
-brute-force subset-enumeration oracle over the same value function backs the
-tests. Boosted trees are attributed in margin (log-odds) space; forests and
-single trees in probability space.
+Tree ensembles get exact TreeSHAP, with feature subsets marginalized by
+node cover counts computed from a background dataset, evaluated over a
+table of root-to-leaf paths for many rows at once. Logistic regression gets
+the closed-form linear attribution. The per-node path recursion (which
+interactions use) and a brute-force subset-enumeration oracle over the same
+value function back the tests. Boosted trees are attributed in margin
+(log-odds) space; forests and single trees in probability space.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
+from . import crossing
 from .errors import ExplainError
 from .learn import (DecisionTreeModel, GradientBoostedTreesModel,
                     LogisticRegressionModel, RandomForestModel, Tree)
@@ -184,48 +188,218 @@ def _tree_phi(tree: Tree, covers: np.ndarray, x: np.ndarray, n_features: int,
     return phi
 
 
-def _model_output(model, x) -> float:
-    if isinstance(model, GradientBoostedTreesModel):
-        return float(model.margin_batch(np.asarray(x, dtype=float)[None, :])[0])
-    return model.predict_proba(x)
+# --- path table ----------------------------------------------------------------
+# A leaf's contribution to the value function, for the subset S of features
+# that follow x, is value * prod_{j in S} one_j * prod_{j not in S} zero_j over
+# the distinct features j split on its root-to-leaf path. A feature split
+# more than once on a path becomes one interval (lo, hi]: its one fraction is
+# lo < x[j] <= hi, its zero fraction the product of its cover ratios. For a
+# path of D distinct features, the Shapley value of feature i in that game is
+#   value * (one_i - zero_i) * sum_{S without i} |S|! (D-1-|S|)! / D! * prod_S one * prod_rest zero
+#   = value * (one_i - zero_i) * integral_0^1 prod_{j != i} (zero_j (1-t) + one_j t) dt,
+# as |S|! (D-1-|S|)! / D! is the Beta integral of t^|S| (1-t)^(D-1-|S|). The
+# integrand is a polynomial of degree D-1, so Gauss-Legendre quadrature on
+# ceil(D/2) nodes gives it exactly (Yu et al., Linear TreeShap, 2022; the
+# path table follows Mitchell et al., GPUTreeShap, 2022). Paths are grouped
+# by D and evaluated for a block of rows at once.
+
+# Bytes of one (rows, D, paths) array of a row block; evaluating a block
+# holds three such arrays.
+_BLOCK_BYTES = 1 << 18
 
 
-def _covered_parts(model, background):
-    """(trees, scales, covers, base value, space): each tree's background
-    covers, computed once for any number of rows to explain."""
+@dataclass
+class _PathGroup:
+    """Every root-to-leaf path with D distinct split features, P of them.
+
+    Row x follows path p on its j-th feature iff
+    lo[j, p] < x[feature[j, p]] <= hi[j, p].
+    """
+
+    feature: np.ndarray  # (D, P) feature indices
+    lo: np.ndarray  # (D, P)
+    hi: np.ndarray  # (D, P)
+    zero: np.ndarray  # (D, P) zero fractions
+    value: np.ndarray  # (P,) leaf value times the tree's scale
+    nodes: np.ndarray  # (ceil(D/2),) Gauss-Legendre nodes on [0, 1]
+    weights: np.ndarray  # their weights, summing to 1
+
+
+@dataclass
+class _PathTable:
+    groups: list[_PathGroup]
+    base: float
+    space: str
+
+
+@dataclass
+class _TableCache:
+    """tree_shap's last table and what it was built from (not persisted)."""
+
+    trees: list[Tree]  # compared by identity
+    scales: list[float]
+    const: float
+    background: bytes  # SHA-256 of the background's shape and values
+    table: _PathTable
+
+
+def _checked_inputs(model, x, background, ndim: int = 1):
+    """(x, background) as float arrays, or ExplainError. x is one row
+    (ndim 1) or rows (ndim 2), background a matrix with at least one row;
+    each has one entry per model feature on its last axis, and every value
+    is finite."""
+    m = model.feature_count
+    checked = []
+    for name, a, want in (("x" if ndim == 1 else "X", x, ndim), ("background", background, 2)):
+        try:
+            a = np.asarray(a, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ExplainError(f"{name} is not a numeric array: {exc}") from exc
+        if a.ndim != want or a.shape[-1] != m:
+            what = "a vector of" if want == 1 else "a matrix with columns for"
+            raise ExplainError(f"{name} must be {what} the model's {m} features, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ExplainError(f"{name} has non-finite values")
+        checked.append(a)
+    if len(checked[1]) == 0:
+        raise ExplainError("background must have at least one row")
+    return checked
+
+
+def _tree_paths(tree: Tree, covers: np.ndarray):
+    """(elements, leaf value) for each root-to-leaf path. elements maps each
+    feature split on the path, in order of its first split, to
+    (lo, hi, zero fraction)."""
+    stack = [(0, {})]
+    while stack:
+        node, elements = stack.pop()
+        f = tree.feature[node]
+        if f < 0:
+            yield elements, tree.value[node]
+            continue
+        lo, hi, zero = elements.get(f, (-math.inf, math.inf, 1.0))
+        threshold, cover = tree.threshold[node], covers[node]
+        for child, bounds in ((tree.right[node], (max(lo, threshold), hi)),
+                              (tree.left[node], (lo, min(hi, threshold)))):
+            branch = dict(elements)
+            branch[f] = bounds + (zero * covers[child] / cover,)
+            stack.append((child, branch))
+
+
+def _path_table(model, background: np.ndarray) -> _PathTable:
+    """The path table of a tree model over a checked background: each tree's
+    covers are computed once. Paths become arrays tree by tree, which keeps
+    the Python objects of only one tree's paths alive at a time."""
     trees, scales, const, space = _ensemble_parts(model)
-    background = np.asarray(background, dtype=float)
-    if background.ndim != 2 or len(background) == 0:
-        raise ExplainError("background must be a nonempty 2-D feature matrix")
-    covers = [_cover_counts(tree, background) for tree in trees]
+    by_depth: dict[int, list] = {}  # D -> per tree (features, (lo, hi, zero), values)
     base = const
-    for tree, scale, cover in zip(trees, scales, covers):
-        base += scale * _tree_expectation(tree, cover)
-    return trees, scales, covers, float(base), space
+    for tree, scale in zip(trees, scales):
+        covers = _cover_counts(tree, background)
+        base += scale * _tree_expectation(tree, covers)
+        paths: dict[int, list] = {}
+        for elements, value in _tree_paths(tree, covers):
+            if elements:  # a lone leaf attributes nothing
+                paths.setdefault(len(elements), []).append((elements, scale * value))
+        for depth, group in paths.items():
+            by_depth.setdefault(depth, []).append((
+                np.array([list(e) for e, _v in group], dtype=np.intp).T,
+                np.array([list(e.values()) for e, _v in group]).transpose(2, 1, 0),
+                np.array([v for _e, v in group])))
+    groups = []
+    for depth in sorted(by_depth):
+        feature, bounds, value = (np.ascontiguousarray(np.concatenate(arrays, axis=-1))
+                                  for arrays in zip(*by_depth.pop(depth)))
+        nodes, weights = np.polynomial.legendre.leggauss((depth + 1) // 2)
+        groups.append(_PathGroup(feature, *bounds, value, (nodes + 1.0) / 2.0, weights / 2.0))
+    return _PathTable(groups, float(base), space)
 
 
-def _tree_shap_row(model, parts, x, patch_id: str) -> ShapExplanation:
-    trees, scales, covers, base, space = parts
-    x = np.asarray(x, dtype=float)
-    phi = np.zeros(model.feature_count)
-    for tree, scale, cover in zip(trees, scales, covers):
-        phi += scale * _tree_phi(tree, cover, x, model.feature_count)
-    return ShapExplanation(patch_id, base, phi, _model_output(model, x), space)
+def _cached_table(model, background: np.ndarray) -> _PathTable:
+    """The model's path table for this background, rebuilt unless the last
+    one was built from the same tree objects, scales and background values.
+    A digest stands in for the background: a copy would keep it alive
+    twice."""
+    trees, scales, const, _space = _ensemble_parts(model)
+    digest = hashlib.sha256(repr(background.shape).encode())
+    digest.update(np.ascontiguousarray(background).data)
+    cache = model.explain_cache
+    if (cache is None or len(cache.trees) != len(trees)
+            or not all(map(operator.is_, cache.trees, trees))
+            or cache.scales != scales or cache.const != const
+            or cache.background != digest.digest()):
+        cache = _TableCache(trees, scales, const, digest.digest(), _path_table(model, background))
+        model.explain_cache = cache
+    return cache.table
+
+
+def _add_group_phi(group: _PathGroup, X: np.ndarray, phi: np.ndarray) -> None:
+    """Add one group's attributions for rows X (R, n_features) to phi.
+
+    Every step is elementwise, and np.bincount adds a row's contributions
+    in (feature position, path) order, so a row's result does not depend on
+    the other rows of the block. A matrix product would break that.
+    """
+    rows, depth = len(X), group.feature.shape[0]
+    one = X[:, group.feature]  # (R, D, P)
+    np.logical_and(one > group.lo, one <= group.hi, out=one, casting="unsafe")
+    integral = np.zeros_like(one)
+    factor = np.empty_like(one)
+    for t, weight in zip(group.nodes, group.weights):
+        np.multiply(one, t, out=factor)
+        factor += group.zero * (1.0 - t)  # zero_j (1-t) + one_j t > 0
+        product = factor[:, 0] * weight
+        for j in range(1, depth):
+            product *= factor[:, j]
+        integral += np.divide(product[:, None], factor, out=factor)
+    one -= group.zero
+    integral *= one
+    integral *= group.value
+    feature = group.feature.ravel()
+    for phi_row, contributions in zip(phi, integral.reshape(rows, -1)):
+        phi_row += np.bincount(feature, contributions, len(phi_row))
+
+
+def _model_outputs(model, X) -> list[float]:
+    """Each row's explained output, computed from that row alone: the margin
+    for boosted trees, with margin_batch's arithmetic and without its
+    per-tree array overhead on single rows, else the probability."""
+    if not isinstance(model, GradientBoostedTreesModel):
+        return [model.predict_proba(x) for x in X]
+    lr = model.config["learning_rate"]
+    outputs = []
+    for x in X:
+        margin = model.base_margin
+        for tree in model.trees:
+            margin += lr * tree.predict_one(x)
+        outputs.append(margin)
+    return outputs
+
+
+def _explain_table(model, table: _PathTable, X: np.ndarray, patch_ids) -> list[ShapExplanation]:
+    phi = np.zeros(X.shape)
+    for group in table.groups:
+        step = max(1, _BLOCK_BYTES // (8 * group.feature.size))
+        for start in range(0, len(X), step):
+            _add_group_phi(group, X[start:start + step], phi[start:start + step])
+    return [ShapExplanation(pid, table.base, contributions, output, table.space)
+            for pid, contributions, output in zip(patch_ids, phi, _model_outputs(model, X))]
 
 
 def tree_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
-    """Exact Shapley attributions for a tree-ensemble prediction."""
-    return _tree_shap_row(model, _covered_parts(model, background), x, patch_id)
+    """Exact Shapley attributions for a tree-ensemble prediction.
+
+    The model keeps the path table of its last call, so repeated calls with
+    the same background skip the covers and the table.
+    """
+    x, background = _checked_inputs(model, x, background)
+    return _explain_table(model, _cached_table(model, background), x[None, :], [patch_id])[0]
 
 
 def linear_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
     """Closed-form attribution for logistic regression, in margin space."""
     if not isinstance(model, LogisticRegressionModel):
         raise ExplainError("linear_shap requires a LogisticRegression model")
-    background = np.asarray(background, dtype=float)
-    if background.ndim != 2 or len(background) == 0:
-        raise ExplainError("background must be a nonempty 2-D feature matrix")
-    x = np.asarray(x, dtype=float)
+    x, background = _checked_inputs(model, x, background)
     bg_mean = background.mean(axis=0)
     effective_w = model.weights / model.std
     contributions = effective_w * (x - bg_mean)
@@ -241,13 +415,13 @@ def explain_instance(model, x, background, patch_id: str = "") -> ShapExplanatio
 
 
 def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
-    """explain_instance for every row of X; a tree's covers are computed once."""
-    X = np.asarray(X, dtype=float)
+    """explain_instance for every row of X, bit for bit; a tree's covers are
+    computed once per call."""
+    X, background = _checked_inputs(model, X, background, ndim=2)
     patch_ids = [""] * len(X) if patch_ids is None else list(patch_ids)
     if isinstance(model, LogisticRegressionModel):
         return [linear_shap(model, x, background, pid) for x, pid in zip(X, patch_ids)]
-    parts = _covered_parts(model, background)
-    return [_tree_shap_row(model, parts, x, pid) for x, pid in zip(X, patch_ids)]
+    return _explain_table(model, _path_table(model, background), X, patch_ids)
 
 
 def rank_importance(explanations, names) -> GlobalImportance:
@@ -263,6 +437,19 @@ def rank_importance(explanations, names) -> GlobalImportance:
     return GlobalImportance([(names[i], float(mean_abs[i])) for i in order], space)
 
 
+def block_totals(importance: GlobalImportance) -> dict:
+    """For the learned block (the crossed embedding columns, named as
+    crossing.feature_names names them) and the engineered block (every other
+    column): the summed mean |contribution| and its share of the total over
+    all columns, 0.0 when that total is 0."""
+    sums = {"learned": 0.0, "engineered": 0.0}
+    for name, value in importance.ranking:
+        sums["learned" if crossing.is_feature_name(name) else "engineered"] += value
+    total = sums["learned"] + sums["engineered"]
+    return {block: {"sum_mean_abs_contribution": value, "share": value / total if total else 0.0}
+            for block, value in sums.items()}
+
+
 def global_importance(model, X, names, background) -> GlobalImportance:
     """Mean absolute contribution per feature over a dataset, ranked."""
     return rank_importance(explain_rows(model, X, background), names)
@@ -274,9 +461,7 @@ def interaction_pairs(model, x, feature_a: int, feature_b: int, background) -> f
     if feature_a == feature_b:
         raise ExplainError("interaction requires two distinct features")
     trees, scales, _const, _space = _ensemble_parts(model)
-    x = np.asarray(x, dtype=float)
-    background = np.asarray(background, dtype=float)
-
+    x, background = _checked_inputs(model, x, background)
     all_covers = [_cover_counts(tree, background) for tree in trees]
 
     def one_direction(i, j):
@@ -335,7 +520,7 @@ def brute_force_shap(model, x, background) -> ShapExplanation:
                 s = frozenset(subset)
                 phi[i] += weight * (v(s | {i}) - v(s))
     base = v(frozenset())
-    return ShapExplanation("", float(base), phi, _model_output(model, x),
+    return ShapExplanation("", float(base), phi, _model_outputs(model, x[None, :])[0],
                            "margin" if isinstance(model, GradientBoostedTreesModel) else "probability")
 
 

@@ -303,6 +303,10 @@ def test_subcommand_options_and_choices():
                   "--out", "TMP/e.json"], id="config-unknown-embedder-setting"),
     pytest.param(["--config", "TMP/embedder_not_object.json", "train-embedder", "--corpus", "CORPUS",
                   "--out", "TMP/e.json"], id="config-embedder-not-an-object"),
+    pytest.param(["--config", "TMP/hyper_not_object.json", "train", "--features", "LEARNED",
+                  "--out", "TMP/m.json"], id="config-hyperparameters-not-an-object"),
+    pytest.param(["--config", "TMP/hyper_entry_not_object.json", "train", "--features", "LEARNED",
+                  "--out", "TMP/m.json"], id="config-hyperparameters-entry-not-an-object"),
 ])
 def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"k": 3,')
@@ -311,6 +315,8 @@ def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, 
     (tmp_path / "bool_count.json").write_text('{"bugs": true}')
     (tmp_path / "unknown_embedder.json").write_text('{"embedder": {"window": 5}}')
     (tmp_path / "embedder_not_object.json").write_text('{"embedder": 5}')
+    (tmp_path / "hyper_not_object.json").write_text('{"hyperparameters": 5}')
+    (tmp_path / "hyper_entry_not_object.json").write_text('{"hyperparameters": {"GradientBoostedTrees": 3}}')
     fill = {"LEARNED": pipeline["learned"], "MODEL": tree_model, "CORPUS": pipeline["corpus"],
             "EMBEDDINGS": pipeline["embeddings"], "TMP": tmp_path}
     for key, value in fill.items():
@@ -351,6 +357,27 @@ def test_concat_features_join_learned_and_engineered_by_patch_id(pipeline, tmp_p
     by_id = {r.patch_id: r for r in engineered}
     for row, left in zip(rows, learned):
         assert np.array_equal(row.features, np.concatenate([left.features, by_id[row.patch_id].features]))
+
+
+def test_global_out_totals_the_learned_and_engineered_blocks(pipeline, tmp_path):
+    concat = tmp_path / "concat.csv"
+    assert run("features", "--corpus", str(pipeline["corpus"]), "--embeddings", str(pipeline["embeddings"]),
+               "--set", "concat", "--out", str(concat)) == 0
+    model, importance = tmp_path / "model.json", tmp_path / "importance.json"
+    assert run("train", "--features", str(concat), "--learner", "gbt", "--hyper", '{"rounds": 20}',
+               "--out", str(model)) == 0
+    assert run("explain", "--model", str(model), "--features", str(concat), "--global-out", str(importance)) == 0
+    report = json.loads(importance.read_text())
+    learned_names = set(featureio.read_features(pipeline["learned"])[0])
+    sums = {"learned": 0.0, "engineered": 0.0}
+    for entry in report["ranking"]:
+        sums["learned" if entry["feature"] in learned_names else "engineered"] += entry["mean_abs_contribution"]
+    assert sums["learned"] > 0 and sums["engineered"] > 0
+    blocks = report["blocks"]
+    assert set(blocks) == {"learned", "engineered"}
+    for block, total in sums.items():
+        assert blocks[block]["sum_mean_abs_contribution"] == pytest.approx(total, rel=1e-12)
+        assert blocks[block]["share"] == pytest.approx(total / sum(sums.values()), rel=1e-12)
 
 
 def test_align_needs_every_patch_once(pipeline):

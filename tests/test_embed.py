@@ -513,3 +513,22 @@ def test_load_model_rejects_inconsistent_files(tmp_path, corrupt, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(EmbeddingError, match=message):
         embed.load_model(path)
+
+
+def test_draw_cache_keeps_no_fragment_longer_than_its_cap():
+    docs, _ = _cluster_docs(20)
+    model = embed.train_embedder(docs, EmbedderConfig(n=8, epochs=3, negative_samples=2, seed=4))
+    vocab = list(model.vocabulary)
+    long_doc = [vocab[i % len(vocab)] for i in range(embed._DRAWS_MAX_TOKENS + 7)]
+    long_vec, _ = embed.infer_vector(model, long_doc)
+    assert model.draws is None
+    assert np.array_equal(long_vec, _ref_infer(model, long_doc))
+    embed.infer_vector(model, docs[1])
+    cache = model.draws
+    assert np.array_equal(embed.infer_vector(model, long_doc)[0], long_vec)
+    assert model.draws is cache and cache.length == len(docs[1])
+    token_lists = [long_doc, docs[0] + docs[2], docs[1], long_doc[:-6], long_doc[:-7]]
+    vectors, _ = embed._infer_vectors(model, token_lists)
+    assert model.draws.length == embed._DRAWS_MAX_TOKENS
+    for vec, tokens in zip(vectors, token_lists):
+        assert np.array_equal(vec, _ref_infer(model, tokens))

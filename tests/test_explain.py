@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchpred import explain, learn
 from patchpred.errors import ExplainError
@@ -218,3 +219,166 @@ def test_explain_rows_matches_explain_instance_with_covers_once(kind, monkeypatc
         assert np.array_equal(a.contributions, b.contributions)
     names = ["a", "b", "c"]
     assert explain.rank_importance(batch, names) == global_importance(model, X, names, X)
+
+
+# --- the path table against the recursion and the brute-force oracle ---------
+
+def recursion_phi(model, x, background):
+    """Attributions summed tree by tree from the per-node recursion."""
+    trees, scales, _const, _space = explain._ensemble_parts(model)
+    phi = np.zeros(model.feature_count)
+    for tree, scale in zip(trees, scales):
+        phi += scale * explain._tree_phi(tree, explain._cover_counts(tree, background), x,
+                                         model.feature_count)
+    return phi
+
+
+@st.composite
+def tree_models(draw):
+    """A fitted DT, RF or GBT of depth up to 6 on a few features, with the
+    rows to explain. Values come from a small grid, so rows tie with each
+    other, and few features under deep trees split again on a path; the
+    explained rows include one that sits on split thresholds."""
+    n_features = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(6, 40))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, draw(st.sampled_from([3, 6, 50])), size=(n_rows, n_features)) / 2.0
+    y = rng.integers(0, 2, size=n_rows)
+    y[:2] = [0, 1]
+    kind = draw(st.sampled_from(["dt", "rf", "gbt"]))
+    depth = draw(st.integers(1, 6))
+    config = {"max_depth": depth, "min_leaf": 1}
+    if kind == "rf":
+        config.update(n_trees=draw(st.integers(1, 4)), max_features=None)
+    if kind == "gbt":
+        config.update(rounds=draw(st.integers(1, 6)))
+    model = learn.train(kind, fit_rows(X, y), config, seed=seed)
+    trees = explain._ensemble_parts(model)[0]
+    on_thresholds = X[0].copy()
+    for tree in trees:
+        for f, t in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                on_thresholds[f] = t
+    return model, X, np.vstack([X[:3], on_thresholds])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tree_models())
+def test_path_table_matches_recursion_and_brute_force(case):
+    model, X, rows = case
+    for exp, x in zip(explain.explain_rows(model, rows, X), rows):
+        assert np.max(np.abs(exp.contributions - recursion_phi(model, x, X))) <= 1e-12
+        slow = brute_force_shap(model, x, X)
+        assert np.max(np.abs(exp.contributions - slow.contributions)) <= 1e-12
+        assert abs(exp.base_value - slow.base_value) <= 1e-12
+        assert exp.additivity_gap() <= 1e-12
+        if isinstance(model, learn.GradientBoostedTreesModel):
+            assert exp.model_output == model.margin_batch(x[None, :])[0]
+        else:
+            assert exp.model_output == model.predict_proba(x)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 4096, explain._BLOCK_BYTES])
+@pytest.mark.parametrize("kind", ["rf", "gbt"])
+def test_explain_rows_on_a_shuffled_subset_equals_the_full_batch(kind, block_bytes, monkeypatch):
+    rng = np.random.default_rng(11)
+    model, X = random_tree_model(rng, 6, kind)
+    full = explain.explain_rows(model, X, X)
+    order = rng.permutation(len(X))[: len(X) // 2]
+    monkeypatch.setattr(explain, "_BLOCK_BYTES", block_bytes)
+    subset = explain.explain_rows(model, X[order], X)
+    for exp, i in zip(subset, order):
+        assert np.array_equal(exp.contributions, full[i].contributions)
+        assert exp.model_output == full[i].model_output
+
+
+def count_cover_calls(monkeypatch):
+    calls = []
+    real_cover_counts = explain._cover_counts
+    monkeypatch.setattr(explain, "_cover_counts", lambda tree, bg: calls.append(1) or real_cover_counts(tree, bg))
+    return calls
+
+
+def test_tree_shap_reuses_its_table_only_for_the_same_background_values(monkeypatch):
+    rng = np.random.default_rng(12)
+    model, X = random_tree_model(rng, 4, "rf")
+    n_trees = len(model.trees)
+    calls = count_cover_calls(monkeypatch)
+    first = tree_shap(model, X[0], X)
+    assert len(calls) == n_trees
+    assert np.array_equal(tree_shap(model, X[0], X.copy()).contributions, first.contributions)
+    assert len(calls) == n_trees
+    edited = X.copy()
+    edited[3, 1] += 0.25
+    again = tree_shap(model, X[0], edited)
+    assert len(calls) == 2 * n_trees
+    fresh = explain.explain_rows(model, X[:1], edited)[0]
+    assert np.array_equal(again.contributions, fresh.contributions)
+    assert again.base_value == fresh.base_value
+    model.trees[0] = learn.Tree(**{k: list(v) for k, v in vars(model.trees[0]).items()})
+    tree_shap(model, X[0], edited)
+    assert len(calls) == 4 * n_trees
+
+
+def test_uncovered_background_raises_after_a_cached_success():
+    model = DecisionTreeModel(1, {}, 0, tree=stump(0, 0.0, 0.1, 0.9))
+    background = np.array([[-1.0], [1.0]])
+    assert tree_shap(model, np.array([1.0]), background).additivity_gap() <= 1e-12
+    with pytest.raises(ExplainError, match="uncovered"):
+        tree_shap(model, np.array([1.0]), np.full((5, 1), -1.0))
+    with pytest.raises(ExplainError, match="uncovered"):
+        tree_shap(model, np.array([1.0]), np.full((5, 1), -1.0))
+
+
+def test_two_models_never_share_a_table():
+    background = np.random.default_rng(13).normal(size=(30, 2))
+    a = DecisionTreeModel(2, {}, 0, tree=stump(0, 0.0, 0.1, 0.9))
+    b = DecisionTreeModel(2, {}, 0, tree=stump(1, 0.0, 0.3, 0.6))
+    x = np.array([0.5, -0.5])
+    exp_a, exp_b = tree_shap(a, x, background), tree_shap(b, x, background)
+    assert a.explain_cache is not b.explain_cache
+    assert exp_a.contributions[1] == 0.0 and exp_b.contributions[0] == 0.0
+    assert np.array_equal(tree_shap(a, x, background).contributions, exp_a.contributions)
+    assert np.array_equal(exp_b.contributions, explain.explain_rows(b, x[None, :], background)[0].contributions)
+
+
+BAD_INPUTS = ["long-x", "short-x", "2-D-x", "wide-background", "narrow-background", "1-D-background",
+              "empty-background", "nan-x", "inf-background"]
+
+
+def bad_input(what, X):
+    """(x, background) with one defect, from a training matrix X that covers
+    every node of the model."""
+    x, background = X[0].copy(), X.copy()
+    if what == "nan-x":
+        x[1] = np.nan
+    if what == "inf-background":
+        background[4, 0] = np.inf
+    return {"long-x": (np.append(x, 0.0), background), "short-x": (x[:-1], background),
+            "2-D-x": (x[None, :], background), "wide-background": (x, np.hstack([background, background])),
+            "narrow-background": (x, background[:, :-1]), "1-D-background": (x, background[0]),
+            "empty-background": (x, background[:0])}.get(what, (x, background))
+
+
+@pytest.mark.parametrize("what", BAD_INPUTS)
+@pytest.mark.parametrize("kind", ["dt", "rf", "gbt", "lr"])
+def test_bad_explain_inputs_raise_explain_error(kind, what):
+    rng = np.random.default_rng(15)
+    if kind == "lr":
+        X = rng.normal(size=(30, 3))
+        model = learn.train("lr", fit_rows(X, (X[:, 0] > 0).astype(int)), seed=0)
+    else:
+        model, X = random_tree_model(rng, 3, kind)
+    assert explain.explain_instance(model, *bad_input("none", X)).additivity_gap() <= 1e-9
+    x, background = bad_input(what, X)
+    rows = x[None, :] if x.ndim == 1 else x[:, :, None]
+    names = [f"f{i}" for i in range(x.shape[-1])]
+    calls = [lambda: explain.explain_instance(model, x, background),
+             lambda: explain.explain_rows(model, rows, background),
+             lambda: global_importance(model, rows, names, background)]
+    if kind != "lr":
+        calls.append(lambda: interaction_pairs(model, x, 0, 1, background))
+    for call in calls:
+        with pytest.raises(ExplainError, match="x |X |background "):
+            call()
