@@ -105,12 +105,30 @@ class Tree:
                 "left": self.left, "right": self.right, "value": self.value}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(feature=[int(v) for v in d["feature"]],
-                   threshold=[float(v) for v in d["threshold"]],
-                   left=[int(v) for v in d["left"]],
-                   right=[int(v) for v in d["right"]],
-                   value=[float(v) for v in d["value"]])
+    def from_dict(cls, d: dict, feature_count: int) -> "Tree":
+        """The saved tree; ValueError unless its arrays are lists of one
+        length, every split's feature is below feature_count and its
+        children come after it and exist, and thresholds and values are
+        finite numbers."""
+        arrays = [d[key] for key in ("feature", "threshold", "left", "right", "value")]
+        if not all(isinstance(a, list) for a in arrays) or len({len(a) for a in arrays}) != 1 \
+                or not arrays[0]:
+            raise ValueError("tree arrays must be non-empty lists of one length")
+        feature, threshold, left, right, value = arrays
+        if not all(type(v) is int for v in feature + left + right):
+            raise ValueError("tree features and children must be integers")
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in threshold + value):
+            raise ValueError("tree thresholds and values must be finite numbers")
+        n = len(feature)
+        for node, f in enumerate(feature):
+            if not -1 <= f < feature_count:
+                raise ValueError(f"tree node {node} splits on feature {f}; "
+                                 f"the model has {feature_count}")
+            if f >= 0 and not (node < left[node] < n and node < right[node] < n):
+                raise ValueError(f"tree node {node} has children {left[node]} and "
+                                 f"{right[node]}; they must lie in ({node}, {n})")
+        return cls(feature=feature, threshold=[float(v) for v in threshold], left=left,
+                   right=right, value=[float(v) for v in value])
 
 
 class _Scratch:
@@ -129,7 +147,8 @@ class _Scratch:
     into. A node's lists are a contiguous (columns, rows) block of one of
     them, located by `where` = (buffer, offset, columns). `flat` shares its
     memory with `cwt`: it holds indices only until a node's prefix sums are
-    taken.
+    taken. Every tree grown on the presort searches the same root, so the
+    root's cut chunks are made once and kept in `root_plan`.
     """
 
     def __init__(self, X, weights, cols: int, mse: bool, presort: bool):
@@ -138,8 +157,11 @@ class _Scratch:
         # Unit weights need no prefix sum of weights (see _cut_scores).
         self.unit_weights = bool(np.all(weights == 1.0))
         self.cw = None if self.unit_weights else np.empty(size)
-        self.cwt = np.empty(size)
-        self.cwtt = np.empty(size) if mse else None
+        # Prefix sums of weights * targets; for mse, of wt and wt * targets
+        # at once as the real and imaginary parts of complex numbers, whose
+        # adds are two float adds: the same bits in one pass, from `pairs`.
+        self.cwt = np.empty(size, dtype=complex if mse else float)
+        self.pairs = np.empty(n, dtype=complex) if mse else None
         self.change = np.empty(size, dtype=bool)
         if presort:
             self.n = n
@@ -149,17 +171,48 @@ class _Scratch:
             self.side = np.empty(n, dtype=bool)
             self.goes_left = np.empty(size, dtype=bool)
             self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
-            order = np.argsort(self.XT.reshape(p, n)[self.root], axis=1, kind="stable").ravel()
-            self.lists = (order, np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
+            # Row numbers as int32 where they fit: half the memory and
+            # traffic of intp.
+            row_type = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+            order = np.argsort(self.XT.reshape(p, n)[self.root], axis=1, kind="stable")
+            self.lists = (order.astype(row_type).ravel(), np.empty(size, dtype=row_type),
+                          np.empty(size, dtype=row_type))
+            self.root_plan = None  # ((min_leaf, chunk size), the root's cut chunks)
+
+    def node_rows(self, where, m):
+        """The node's rows, (columns, m), each in ascending value order."""
+        level, off, cols = where
+        return self.lists[level][off: off + len(cols) * m].reshape(len(cols), m)
 
     def sorted_lists(self, where, m):
         """The node's (rows, values), each (columns, m) in ascending value order."""
-        level, off, cols = where
+        cols = where[2]
         k = len(cols)
-        rows = self.lists[level][off: off + k * m].reshape(k, m)
+        rows = self.node_rows(where, m)
         flat = np.add(rows, (cols * self.n)[:, None], out=self.flat[: k * m].reshape(k, m))
         values = np.take(self.XT, flat, out=self.values[: k * m].reshape(k, m), mode="clip")
         return rows, values
+
+    def root_chunks(self, min_leaf):
+        """The root's cut chunks (see _cut_chunks), made by the first root
+        search and kept: later trees differ only in the prefix sums. The
+        positions are int32 when they fit, so the plan costs 8 bytes per
+        cut; empty when the root has no valid cut."""
+        key = (min_leaf, _CUTS_PER_CHUNK)
+        if self.root_plan is None or self.root_plan[0] != key:
+            self.root_plan = None  # freed before the new plan is made
+            values = self.sorted_lists((0, 0, self.root), self.n)[1]
+            cuts = _cut_positions(values, min_leaf, self)
+            chunks = []
+            if cuts is not None:
+                col, cut, bounds = cuts
+                position = np.int32 if values.size <= np.iinfo(np.int32).max else np.intp
+                at, last = np.empty(len(col), dtype=position), np.empty(len(col), dtype=position)
+                for a, b, segments in _chunk_bounds(bounds):
+                    _flat_positions(col[a:b], cut[a:b], self.n, at[a:b], last[a:b])
+                    chunks.append((at[a:b], last[a:b], segments))
+            self.root_plan = (key, chunks)
+        return self.root_plan[1]
 
     def partition(self, where, idx, mask, m_left, needed):
         """Stable partition of the node's sorted lists by `mask` (per row of
@@ -174,11 +227,12 @@ class _Scratch:
         goes_left = np.take(self.side, src, out=self.goes_left[: len(src)], mode="clip")
         child = 2 if level == 1 else 1
         split = off + len(cols) * m_left
+        # Boolean indexing keeps the order and, unlike np.compress, makes no
+        # index array of the selected positions.
         if needed[0]:
-            np.compress(goes_left, src, out=self.lists[child][off: split])
+            self.lists[child][off: split] = src[goes_left]
         if needed[1]:
-            np.compress(np.logical_not(goes_left, out=goes_left), src,
-                        out=self.lists[child][split: off + len(src)])
+            self.lists[child][split: off + len(src)] = src[np.logical_not(goes_left, out=goes_left)]
         return (child, off, cols), (child, split, cols)
 
 
@@ -200,8 +254,61 @@ def _prefix_sums(per_row, rows, buf):
 _CUTS_PER_CHUNK = 4096
 
 
+def _cut_positions(values, min_leaf, scratch):
+    """The node's valid cuts: those at a value change of a column's sorted
+    `values` (k, m) that leave min_leaf rows on each side. None when there
+    is none, else (col, cut, bounds): each cut's column and the position of
+    its last left row in that column, and where each column's cuts start,
+    then the end."""
+    k, m = values.shape
+    lo_cut, hi_cut = min_leaf - 1, m - min_leaf
+    width = hi_cut - lo_cut
+    change = np.less(values[:, lo_cut:hi_cut], values[:, lo_cut + 1:hi_cut + 1],
+                     out=scratch.change[: k * width].reshape(k, width))
+    col, cut = np.divmod(np.flatnonzero(change), width)
+    if len(col) == 0:
+        return None
+    cut += lo_cut
+    bounds = [0] + (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist() + [len(col)]
+    return col, cut, bounds
+
+
+def _chunk_bounds(bounds):
+    """Chunks of whole columns, up to _CUTS_PER_CHUNK cuts each (a longer
+    column is a chunk of its own): (a, b, segments) for the cuts a:b, with
+    where each column starts in the chunk, then its end."""
+    first = 0
+    while first < len(bounds) - 1:
+        stop = max(first + 1, bisect.bisect_left(bounds, bounds[first] + _CUTS_PER_CHUNK,
+                                                 first, len(bounds) - 1))
+        a, b = bounds[first], bounds[stop]
+        yield a, b, [x - a for x in bounds[first:stop + 1]]
+        first = stop
+
+
+def _flat_positions(col, cut, m, at=None, last=None):
+    """Where cuts and their columns' last rows are in the flat (k, m) prefix sums."""
+    start = col * m
+    return np.add(start, cut, out=at), np.add(start, m - 1, out=last)
+
+
+def _cut_chunks(values, min_leaf, scratch):
+    """The node's valid cuts (see _cut_positions) in chunks (see
+    _chunk_bounds): None, or an iterable of (at, last, segments) with the
+    flat positions of each cut and of its column's last row."""
+    cuts = _cut_positions(values, min_leaf, scratch)
+    if cuts is None:
+        return None
+    col, cut, bounds = cuts
+    m = values.shape[1]
+    if len(col) <= _CUTS_PER_CHUNK:  # the usual case, without a generator
+        return [(*_flat_positions(col, cut, m), bounds)]
+    return ((*_flat_positions(col[a:b], cut[a:b], m), segments)
+            for a, b, segments in _chunk_bounds(bounds))
+
+
 def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion, min_leaf,
-                scratch):
+                scratch, chunks=None):
     """Exact greedy split search over all columns of a node at once.
 
     `rows` is (k, m): row c holds the node's rows in ascending order of
@@ -212,43 +319,34 @@ def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion,
     sums, in the same order as a per-node sort would add them; only cuts at
     a value change that leave min_leaf rows on each side are scored. Gini
     uses weighted class sums; mse uses weighted squared error. Ties keep the
-    first (lowest feature index, then lowest threshold). Returns (score,
-    feature, threshold), or None.
+    first (lowest feature index, then lowest threshold). `chunks`, if given,
+    are the node's cut chunks made earlier (see _Scratch.root_chunks), and
+    `values` is not read. Returns (score, feature, threshold), or None.
     """
-    k, m = values.shape
-    lo_cut, hi_cut = min_leaf - 1, m - min_leaf
-    width = hi_cut - lo_cut
-    change = np.less(values[:, lo_cut:hi_cut], values[:, lo_cut + 1:hi_cut + 1],
-                     out=scratch.change[: k * width].reshape(k, width))
-    pos = np.flatnonzero(change)
-    if len(pos) == 0:
+    k, m = rows.shape
+    if chunks is None:
+        chunks = _cut_chunks(values, min_leaf, scratch)
+    if not chunks:
         return None
+    if criterion == "mse":
+        per_row, buf = scratch.pairs, scratch.cwt
+        per_row.real, per_row.imag = wt, wtt
+    else:
+        per_row, buf = wt, scratch.cwt.view(float)
     sums = (None if weights is None else _prefix_sums(weights, rows, scratch.cw),
-            _prefix_sums(wt, rows, scratch.cwt),
-            _prefix_sums(wtt, rows, scratch.cwtt) if criterion == "mse" else None)
-    col = pos // width
-    # Where each column's cuts start in pos, then the end.
-    bounds = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1]))).tolist() + [len(pos)]
+            _prefix_sums(per_row, rows, buf))
     best = None
-    first = 0
-    while first < len(bounds) - 1:
-        # Whole columns, from `first` up to _CUTS_PER_CHUNK cuts further.
-        stop = max(first + 1, bisect.bisect_left(bounds, bounds[first] + _CUTS_PER_CHUNK,
-                                                 first, len(bounds) - 1))
-        a, b = bounds[first], bounds[stop]
-        c = col[a:b]
-        cut = pos[a:b] - c * width + lo_cut
-        score = _cut_scores(c * m, cut, m, sums, w_total, criterion)
-        segments = [x - a for x in bounds[first:stop + 1]]
+    for at, last, segments in chunks:
+        score = _cut_scores(at, last, m, sums, w_total, criterion)
         minima = np.minimum.reduceat(score, segments[:-1]).tolist()
         # The first minimum within a column; the first column whose minimum
         # beats the best so far by more than 1e-15.
         for s, v in enumerate(minima):
             if best is None or v < best[0] - 1e-15:
                 j = segments[s] + int(np.argmin(score[segments[s]:segments[s + 1]]))
-                best = (v, c[j], cut[j])
-        first = stop
-    best_score, c, cut = best
+                best = (v, int(at[j]))
+    best_score, at = best
+    c, cut = divmod(at, m)
     f = features[c]
     lo, hi = X[rows[c, cut], f], X[rows[c, cut + 1], f]
     # The midpoint of adjacent floats can round up to hi, which would send
@@ -259,26 +357,45 @@ def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion,
     return best_score, f, float(thr if thr < hi else lo)
 
 
-def _cut_scores(row_start, cut, m, sums, w_total, criterion):
-    """Scores of the cuts after position `cut` of the rows starting at
-    `row_start` in the flat prefix sums (cw, cwt, cwtt); cw None means unit
-    weights, whose prefix sum is exact."""
-    cw, cwt, cwtt = sums
-    at = row_start + cut
-    last = row_start + (m - 1)
-    wl = (cut + 1.0) if cw is None else cw[at]
+def _cut_scores(at, last, m, sums, w_total, criterion):
+    """Scores of the cuts at flat positions `at` of the prefix sums (cw,
+    cs) of rows of length m, whose columns end at `last`. cs sums wt, or
+    for mse wt and wtt as real and imaginary parts. cw None means unit
+    weights, whose prefix sum is a cut's left row count, at - last + m."""
+    cw, cs = sums
+    if cw is None:
+        wl = np.subtract(at, last, dtype=float)
+        wl += m
+    else:
+        wl = cw.take(at)
     wr = w_total - wl
-    sl = cwt[at]
-    sr = cwt[last] - sl
+    # In place, one rounding per step in the order of
+    # (wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr)) / w_total for gini and
+    # ((sl2 - sl * sl / wl) + (sr2 - sr * sr / wr)) / w_total for mse, where
+    # the right sums (sr, sr2) are a column's totals less the left ones.
+    left = cs.take(at)
+    right = cs.take(last)
+    right -= left
     if criterion == "gini":
-        pl = sl / wl
-        pr = sr / wr
-        return (wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr)) / w_total
-    # weighted mse via sum of squares decomposition
-    sl2 = cwtt[at]
-    sse_l = sl2 - sl * sl / wl
-    sse_r = (cwtt[last] - sl2) - sr * sr / wr
-    return (sse_l + sse_r) / w_total
+        pl = left / wl
+        pr = right / wr
+        score = wl * 2
+        score *= pl
+        score *= 1 - pl
+        part = wr * 2
+        part *= pr
+        part *= 1 - pr
+    else:  # weighted mse via sum of squares decomposition
+        sl, sr = left.real, right.real
+        score = sl * sl
+        score /= wl
+        np.subtract(left.imag, score, out=score)
+        part = sr * sr
+        part /= wr
+        np.subtract(right.imag, part, out=part)
+    score += part
+    score /= w_total
+    return score
 
 
 def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
@@ -289,8 +406,8 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
     Without feature subsampling every column is searched from sorted lists
     kept by stable partitions (the scratch's presort); with it, each node
     sorts only its sampled columns. A `scratch` made for this X may be
-    passed to reuse it across trees. `leaf_values`, if given, receives each
-    row's leaf value.
+    passed to reuse it across trees; their root searches then share one
+    cut plan. `leaf_values`, if given, receives each row's leaf value.
     """
     X = np.ascontiguousarray(X)
     n, n_features = X.shape
@@ -301,11 +418,21 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
     wt = weights * targets
     wtt = wt * targets if criterion == "mse" else None
     search_weights = None if scratch.unit_weights else weights
+
+    def searched(idx, depth):
+        # Otherwise the node is a leaf, as it is when no valid cut exists.
+        if depth >= max_depth or len(idx) < 2 * min_leaf:
+            return False
+        t = targets[idx]
+        return not np.all(t == t[0])
+
     tree = Tree([], [], [], [], [])
-    # (rows in ascending order, depth, parent, is_left, where the sorted lists are)
-    stack = [(np.arange(n), 0, -1, True, (0, 0, scratch.root) if not sample else None)]
+    # (rows in ascending order, depth, parent, is_left, whether it is
+    # searched, where the sorted lists are)
+    root = np.arange(n)
+    stack = [(root, 0, -1, True, searched(root, 0), None if sample else (0, 0, scratch.root))]
     while stack:
-        idx, depth, parent, is_left, where = stack.pop()
+        idx, depth, parent, is_left, search, where = stack.pop()
         node = len(tree.feature)
         value = float(leaf_value_fn(idx))
         tree.feature.append(-1)
@@ -315,17 +442,20 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
         tree.value.append(value)
         if parent >= 0:
             (tree.left if is_left else tree.right)[parent] = node
-        t = targets[idx]
         split = None
-        if not (depth >= max_depth or len(idx) < 2 * min_leaf or np.all(t == t[0])):
+        if search:
+            chunks = values = None
             if sample:
                 feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
                 rows, values = _sort_node(X, idx, feats)
+            elif parent < 0:
+                feats, rows = where[2], scratch.node_rows(where, n)
+                chunks = scratch.root_chunks(min_leaf)
             else:
                 feats = where[2]
                 rows, values = scratch.sorted_lists(where, len(idx))
             split = _best_split(X, values, rows, search_weights, wt, wtt, weights[idx].sum(),
-                                feats, criterion, min_leaf, scratch)
+                                feats, criterion, min_leaf, scratch, chunks)
         if split is None:
             if leaf_values is not None:
                 leaf_values[idx] = value
@@ -336,11 +466,11 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
         tree.threshold[node] = thr
         left, right = idx[mask], idx[~mask]
         where_l = where_r = None
-        needed = [depth + 1 < max_depth and len(c) >= 2 * min_leaf for c in (left, right)]
+        needed = [searched(left, depth + 1), searched(right, depth + 1)]
         if not sample and any(needed):
             where_l, where_r = scratch.partition(where, idx, mask, len(left), needed)
-        stack.append((right, depth + 1, node, False, where_r))
-        stack.append((left, depth + 1, node, True, where_l))
+        stack.append((right, depth + 1, node, False, needed[1], where_r))
+        stack.append((left, depth + 1, node, True, needed[0], where_l))
     return tree
 
 
@@ -468,8 +598,10 @@ class LogisticRegressionModel(TrainedModel):
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        return cls(feature_count, config, seed, params["weights"], params["bias"],
-                   params["mean"], params["std"])
+        vector = (feature_count,)
+        return cls(feature_count, config, seed, _array(params["weights"], vector, "weights"),
+                   _number(params["bias"], "bias"), _array(params["mean"], vector, "mean"),
+                   _array(params["std"], vector, "std"))
 
 
 class NaiveBayesModel(TrainedModel):
@@ -518,8 +650,9 @@ class NaiveBayesModel(TrainedModel):
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        return cls(feature_count, config, seed, params["priors"],
-                   np.array(params["means"]), np.array(params["variances"]))
+        return cls(feature_count, config, seed, _array(params["priors"], (2,), "priors"),
+                   _array(params["means"], (2, feature_count), "means"),
+                   _array(params["variances"], (2, feature_count), "variances"))
 
 
 class DecisionTreeModel(TrainedModel):
@@ -551,7 +684,7 @@ class DecisionTreeModel(TrainedModel):
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        return cls(feature_count, config, seed, Tree.from_dict(params["tree"]))
+        return cls(feature_count, config, seed, Tree.from_dict(params["tree"], feature_count))
 
 
 class RandomForestModel(TrainedModel):
@@ -595,15 +728,23 @@ class RandomForestModel(TrainedModel):
         return model
 
     def predict_proba_batch(self, X) -> np.ndarray:
+        # Summed in tree order, so a row gets the same bits alone as in any
+        # batch (np.mean over one row's trees would sum pairwise).
         X = np.asarray(X, dtype=float)
-        return np.mean([tree.predict(X) for tree in self.trees], axis=0)
+        total = self.trees[0].predict(X)
+        for tree in self.trees[1:]:
+            total += tree.predict(X)
+        return total / len(self.trees)
 
     def _params_dict(self) -> dict:
         return {"trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        return cls(feature_count, config, seed, [Tree.from_dict(d) for d in params["trees"]])
+        trees = [Tree.from_dict(d, feature_count) for d in params["trees"]]
+        if not trees:
+            raise ValueError("a forest needs at least one tree")
+        return cls(feature_count, config, seed, trees)
 
 
 class GradientBoostedTreesModel(TrainedModel):
@@ -674,8 +815,8 @@ class GradientBoostedTreesModel(TrainedModel):
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        return cls(feature_count, config, seed, params["base_margin"],
-                   [Tree.from_dict(d) for d in params["trees"]])
+        return cls(feature_count, config, seed, _number(params["base_margin"], "base_margin"),
+                   [Tree.from_dict(d, feature_count) for d in params["trees"]])
 
 
 # --- feed-forward network ---------------------------------------------------
@@ -767,7 +908,16 @@ class FeedForwardNetModel(TrainedModel):
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
         layers = [np.array(q, dtype=float) for q in params["layers"]]
-        return cls(feature_count, config, seed, layers, params["mean"], params["std"])
+        # Weight matrix i maps sizes[i] inputs to the sizes[i + 1] of bias i.
+        sizes = [feature_count] + [b.shape[0] if b.ndim == 1 else -1 for b in layers[1::2]]
+        if not layers or len(layers) % 2 or sizes[-1] != 1 \
+                or any(W.shape != (a, b) for W, a, b in zip(layers[::2], sizes, sizes[1:])) \
+                or not all(np.all(np.isfinite(q)) for q in layers):
+            raise ValueError("layers must be finite weight matrices and bias vectors that "
+                             "chain from the features to one output")
+        vector = (feature_count,)
+        return cls(feature_count, config, seed, layers, _array(params["mean"], vector, "mean"),
+                   _array(params["std"], vector, "std"))
 
 
 class AdamOptimizer:
@@ -788,6 +938,20 @@ class AdamOptimizer:
             m_hat = self.m[i] / (1 - self.beta1**self.t)
             v_hat = self.v[i] / (1 - self.beta2**self.t)
             q -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _array(values, shape, what) -> np.ndarray:
+    """A saved array of finite numbers; ValueError unless it has `shape`."""
+    a = np.array(values, dtype=float)
+    if a.shape != shape or not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite numbers of shape {shape}")
+    return a
+
+
+def _number(value, what) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
+    return float(value)
 
 
 _MODEL_CLASSES = {
@@ -829,7 +993,17 @@ def load(path) -> TrainedModel:
     kind = doc["kind"]
     if kind not in _MODEL_CLASSES:
         raise TrainError(f"{path}: unknown model kind {kind!r}")
-    model = _MODEL_CLASSES[kind]._from_params(
-        int(doc["feature_count"]), doc["config"], int(doc["seed"]), doc["params"]
-    )
-    return model
+    try:
+        feature_count, seed = doc["feature_count"], doc["seed"]
+        config, params = doc["config"], doc["params"]
+        if type(feature_count) is not int or feature_count < 1:
+            raise ValueError(f"feature_count must be a positive integer, not {feature_count!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, not {seed!r}")
+        if not isinstance(config, dict) or not isinstance(params, dict):
+            raise ValueError("config and params must be objects")
+        return _MODEL_CLASSES[kind]._from_params(feature_count, config, seed, params)
+    except KeyError as exc:
+        raise TrainError(f"{path}: not a valid {kind} model: no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise TrainError(f"{path}: not a valid {kind} model: {exc}") from exc

@@ -307,6 +307,12 @@ def test_subcommand_options_and_choices():
                   "--out", "TMP/m.json"], id="config-hyperparameters-not-an-object"),
     pytest.param(["--config", "TMP/hyper_entry_not_object.json", "train", "--features", "LEARNED",
                   "--out", "TMP/m.json"], id="config-hyperparameters-entry-not-an-object"),
+    pytest.param(["explain", "--model", "TMP/model_no_params.json", "--features", "LEARNED",
+                  "--out", "TMP/x.csv"], id="model-without-params"),
+    pytest.param(["explain", "--model", "TMP/model_child_99.json", "--features", "LEARNED",
+                  "--out", "TMP/x.csv"], id="model-child-out-of-range"),
+    pytest.param(["explain", "--model", "TMP/model_wide_feature.json", "--features", "LEARNED",
+                  "--out", "TMP/x.csv"], id="model-feature-out-of-range"),
 ])
 def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"k": 3,')
@@ -317,12 +323,38 @@ def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, 
     (tmp_path / "embedder_not_object.json").write_text('{"embedder": 5}')
     (tmp_path / "hyper_not_object.json").write_text('{"hyperparameters": 5}')
     (tmp_path / "hyper_entry_not_object.json").write_text('{"hyperparameters": {"GradientBoostedTrees": 3}}')
+    _write_broken_models(tree_model, tmp_path)
     fill = {"LEARNED": pipeline["learned"], "MODEL": tree_model, "CORPUS": pipeline["corpus"],
             "EMBEDDINGS": pipeline["embeddings"], "TMP": tmp_path}
     for key, value in fill.items():
         argv = [a.replace(key, str(value)) for a in argv]
     assert run(*argv) == 1
     assert "error[" in capsys.readouterr().err
+
+
+def _write_broken_models(tree_model, tmp_path):
+    """The saved decision tree without params, with a child index past its
+    end and with a split on a column past feature_count."""
+    doc = json.loads(tree_model.read_text())
+    tree = doc["params"]["tree"]
+    split = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    edits = {"model_no_params": {**doc, "params": {}},
+             "model_child_99": {**doc, "params": {"tree": {**tree, "left": [
+                 99 if i == split else v for i, v in enumerate(tree["left"])]}}},
+             "model_wide_feature": {**doc, "params": {"tree": {**tree, "feature": [
+                 doc["feature_count"] if i == split else v for i, v in enumerate(tree["feature"])]}}}}
+    for name, edited in edits.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(edited))
+
+
+@pytest.mark.parametrize("name", ["model_no_params", "model_child_99", "model_wide_feature"])
+def test_broken_model_file_is_a_learn_error_naming_it(name, pipeline, tree_model, tmp_path, capsys):
+    _write_broken_models(tree_model, tmp_path)
+    path = tmp_path / f"{name}.json"
+    assert run("explain", "--model", str(path), "--features", str(pipeline["learned"]),
+               "--out", str(tmp_path / "x.csv")) == 1
+    err = capsys.readouterr().err
+    assert "error[learn]" in err and str(path) in err
 
 
 def test_interaction_default_goes_under_outdir(pipeline, tree_model, tmp_path, monkeypatch):

@@ -483,3 +483,154 @@ def test_tree_statistics_in_training_report(blob_data, kind):
     assert 1 <= report["max_depth_reached"] <= model.config["max_depth"]
     assert ("round_losses" in report) == (kind == "gbt")
     assert "training_report" not in model.to_dict()
+
+
+# --- the root's cut plan, pure children and partitions -------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_tree_problem(), rounds=st.integers(1, 30), chunk=st.sampled_from([1, 3, 4096]),
+       class_weight=st.sampled_from([None, "balanced"]), min_leaf=st.sampled_from([1, 2, 5]),
+       max_depth=st.integers(1, 4))
+def test_gbt_rounds_sharing_a_root_plan_match_reference(problem, rounds, chunk, class_weight,
+                                                        min_leaf, max_depth):
+    # Every round after the first scores the root from the plan the first
+    # one made; small chunks split that plan across chunk boundaries.
+    X, y = problem
+    default_chunk, learn._CUTS_PER_CHUNK = learn._CUTS_PER_CHUNK, chunk
+    try:
+        _assert_same_trees("gbt", X, y, {"rounds": rounds, "class_weight": class_weight,
+                                         "min_leaf": min_leaf, "max_depth": max_depth}, 0)
+    finally:
+        learn._CUTS_PER_CHUNK = default_chunk
+
+
+def test_gbt_finds_the_root_cuts_once_per_fit(monkeypatch):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(60, 4))
+    y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(float)
+    calls = []
+    cut_positions = learn._cut_positions
+    monkeypatch.setattr(learn, "_cut_positions",
+                        lambda *a: calls.append(a[0].shape) or cut_positions(*a))
+    # Stumps: the root is the only node searched in each of the 12 rounds.
+    _assert_same_trees("gbt", X, y, {"rounds": 12, "max_depth": 1}, 0)
+    assert calls == [(4, 60)]
+
+
+def test_shared_scratch_plans_the_root_per_min_leaf():
+    # One outlying target: with min_leaf 1 the best root cut isolates its
+    # row, which min_leaf 8 forbids.
+    rng = np.random.default_rng(9)
+    X = np.column_stack([rng.normal(size=50), rng.integers(0, 6, size=50), rng.normal(size=50)])
+    y = rng.random(50)
+    y[np.argmax(X[:, 0])] = 100.0
+    w = np.ones(50)
+    leaf = lambda idx: float(y[idx].mean())
+    scratch = learn._Scratch(X, w, 3, True, presort=True)
+    for min_leaf in (1, 8, 1):
+        tree = learn.grow_tree(X, y, w, leaf, 3, min_leaf, criterion="mse", scratch=scratch)
+        expected = _reference_grow_tree(X, y, w, leaf, 3, min_leaf, criterion="mse")
+        assert json.dumps(tree.to_dict()) == json.dumps(expected.to_dict())
+
+
+@pytest.mark.parametrize("kind", ("dt", "gbt"))
+def test_pure_children_are_never_partitioned(monkeypatch, kind):
+    # y is the sign of column 0, so the root split leaves both children
+    # pure (in every boosting round): they become leaves unsearched.
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(80, 3))
+    y = (X[:, 0] > 0).astype(float)
+
+    def partition(*args):
+        raise AssertionError("a pure child was partitioned")
+
+    monkeypatch.setattr(learn._Scratch, "partition", partition)
+    overrides = {"rounds": 10} if kind == "gbt" else {}
+    config = learn.resolved_config(learn.canonical_kind(kind), overrides)
+    model = learn._MODEL_CLASSES[learn.canonical_kind(kind)].fit(X, y, config, 0)
+    trees = [model.tree] if kind == "dt" else model.trees
+    assert all(t.feature == [0, -1, -1] for t in trees)
+    monkeypatch.undo()
+    _assert_same_trees(kind, X, y, overrides, 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_partitioned_lists_hold_each_childs_rows_in_value_order(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 60))
+    X = np.column_stack([rng.integers(0, 4, size=n), rng.normal(size=n), np.full(n, 2.0),
+                         rng.integers(0, 2, size=n)]).astype(float)
+    scratch = learn._Scratch(X, np.ones(n), X.shape[1], False, presort=True)
+    pending = [(np.arange(n), (0, 0, scratch.root))]
+    # Three generations, so children are partitioned from every buffer.
+    for _generation in range(3):
+        grown = []
+        for idx, where in pending:
+            if len(idx) < 2:
+                continue
+            mask = rng.random(len(idx)) < 0.5
+            mask[:2] = [True, False]
+            children = scratch.partition(where, idx, mask, int(mask.sum()), [True, True])
+            grown += zip((idx[mask], idx[~mask]), children)
+        for rows, where in grown:
+            lists = scratch.node_rows(where, len(rows))
+            for c, f in enumerate(scratch.root):
+                expected = rows[np.argsort(X[rows, f], kind="stable")]
+                assert np.array_equal(lists[c], expected)
+        pending = grown
+
+
+def test_forest_sums_trees_in_order_for_rows_alone_and_in_batches():
+    # Paper-shaped: hashed counts with ties, continuous cross terms, flags.
+    rng = np.random.default_rng(11)
+    counts = rng.poisson(1.0, size=(500, 30)).astype(float)
+    X = np.hstack([counts, rng.normal(size=(500, 20)), rng.integers(0, 2, size=(500, 10))])
+    y = ((counts[:, 0] > 0) ^ (X[:, 30] > 0)).astype(float)
+    model = learn.train("rf", rows_from(X[:400], y[:400]), seed=1)
+    holdout = X[400:]
+    batch = model.predict_proba_batch(holdout)
+    # Frozen reference: np.mean over (trees, rows) adds the trees one after
+    # another; over one row's (trees, 1) it would sum pairwise.
+    assert np.array_equal(batch, np.mean([t.predict(holdout) for t in model.trees], axis=0))
+    assert all(model.predict_proba(x) == p for x, p in zip(holdout, batch))
+
+
+def _saved_model_doc(tmp_path, kind):
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    y = (X[:, 0] > 0).astype(float)
+    path = tmp_path / f"{kind}.json"
+    learn.train(kind, rows_from(X, y), {"n_trees": 3} if kind == "rf" else {}, seed=0).save(path)
+    return json.loads(path.read_text())
+
+
+def _set(tree_field, value):
+    """Sets one field of the first split node of the model's first tree."""
+    def edit(doc):
+        tree = doc["params"]["tree"] if "tree" in doc["params"] else doc["params"]["trees"][0]
+        tree[tree_field][next(i for i, f in enumerate(tree["feature"]) if f >= 0)] = value
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("gbt", lambda d: d.update(params={}), "no 'base_margin' entry"),
+    ("gbt", lambda d: d["params"].update(trees=5), "not iterable"),
+    ("rf", lambda d: d.update(feature_count="x"), "feature_count must be a positive integer"),
+    ("dt", _set("feature", 3), "splits on feature 3; the model has 3"),
+    ("dt", _set("left", 99), "children 99"),
+    ("dt", _set("right", 0), "must lie in"),
+    ("dt", _set("left", 0), "must lie in"),
+    ("rf", lambda d: d["params"]["trees"][0]["value"].pop(), "one length"),
+    ("gbt", _set("threshold", "0.5"), "finite numbers"),
+    ("rf", lambda d: d["params"].update(trees=[]), "at least one tree"),
+    ("lr", lambda d: d["params"]["weights"].pop(), "weights must be finite numbers of shape (3,)"),
+    ("nb", lambda d: d["params"].update(means=[[0.0], [1.0]]), "means must be"),
+    ("dnn", lambda d: d["params"]["layers"].pop(), "chain from the features"),
+])
+def test_load_checks_model_structure(tmp_path, kind, edit, message):
+    doc = _saved_model_doc(tmp_path, kind)
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TrainError, match="edited.json") as info:
+        learn.load(path)
+    assert message in str(info.value)
