@@ -145,10 +145,11 @@ class _Scratch:
     argsort per column, made once and reused by every tree grown on the same
     X), and two more buffers that children's sorted lists are partitioned
     into. A node's lists are a contiguous (columns, rows) block of one of
-    them, located by `where` = (buffer, offset, columns). `flat` shares its
-    memory with `cwt`: it holds indices only until a node's prefix sums are
-    taken. Every tree grown on the presort searches the same root, so the
-    root's cut chunks are made once and kept in `root_plan`.
+    them, located by `where` = (buffer, offset, columns). For mse, `cwt`
+    is complex (see _pair). `flat` and, for mse, `values` share their
+    memory with `cwt`: they hold a node's indices and values only until its
+    prefix sums are taken. Every tree grown on the presort searches the same
+    root, so the root's cut chunks are made once and kept in `root_plan`.
     """
 
     def __init__(self, X, weights, cols: int, mse: bool, presort: bool):
@@ -157,26 +158,19 @@ class _Scratch:
         # Unit weights need no prefix sum of weights (see _cut_scores).
         self.unit_weights = bool(np.all(weights == 1.0))
         self.cw = None if self.unit_weights else np.empty(size)
-        # Prefix sums of weights * targets; for mse, of wt and wt * targets
-        # at once as the real and imaginary parts of complex numbers, whose
-        # adds are two float adds: the same bits in one pass, from `pairs`.
         self.cwt = np.empty(size, dtype=complex if mse else float)
-        self.pairs = np.empty(n, dtype=complex) if mse else None
         self.change = np.empty(size, dtype=bool)
         if presort:
             self.n = n
             self.XT = np.ascontiguousarray(X.T).ravel()
-            self.flat = self.cwt.view(np.intp)
-            self.values = np.empty(size)
+            cells = self.cwt.view(np.intp)
+            self.flat = cells[:size]
+            self.values = cells[size:].view(float) if mse else np.empty(size)
             self.side = np.empty(n, dtype=bool)
             self.goes_left = np.empty(size, dtype=bool)
             self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
-            # Row numbers as int32 where they fit: half the memory and
-            # traffic of intp.
-            row_type = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-            order = np.argsort(self.XT.reshape(p, n)[self.root], axis=1, kind="stable")
-            self.lists = (order.astype(row_type).ravel(), np.empty(size, dtype=row_type),
-                          np.empty(size, dtype=row_type))
+            order = np.argsort(self.XT.reshape(p, n)[self.root], axis=1, kind="stable").ravel()
+            self.lists = (order, np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
             self.root_plan = None  # ((min_leaf, chunk size), the root's cut chunks)
 
     def node_rows(self, where, m):
@@ -202,16 +196,8 @@ class _Scratch:
         if self.root_plan is None or self.root_plan[0] != key:
             self.root_plan = None  # freed before the new plan is made
             values = self.sorted_lists((0, 0, self.root), self.n)[1]
-            cuts = _cut_positions(values, min_leaf, self)
-            chunks = []
-            if cuts is not None:
-                col, cut, bounds = cuts
-                position = np.int32 if values.size <= np.iinfo(np.int32).max else np.intp
-                at, last = np.empty(len(col), dtype=position), np.empty(len(col), dtype=position)
-                for a, b, segments in _chunk_bounds(bounds):
-                    _flat_positions(col[a:b], cut[a:b], self.n, at[a:b], last[a:b])
-                    chunks.append((at[a:b], last[a:b], segments))
-            self.root_plan = (key, chunks)
+            position = np.int32 if values.size <= np.iinfo(np.int32).max else np.intp
+            self.root_plan = (key, _cut_chunks(values, min_leaf, self, position))
         return self.root_plan[1]
 
     def partition(self, where, idx, mask, m_left, needed):
@@ -286,25 +272,28 @@ def _chunk_bounds(bounds):
         first = stop
 
 
-def _flat_positions(col, cut, m, at=None, last=None):
-    """Where cuts and their columns' last rows are in the flat (k, m) prefix sums."""
-    start = col * m
-    return np.add(start, cut, out=at), np.add(start, m - 1, out=last)
-
-
-def _cut_chunks(values, min_leaf, scratch):
+def _cut_chunks(values, min_leaf, scratch, position=np.intp):
     """The node's valid cuts (see _cut_positions) in chunks (see
-    _chunk_bounds): None, or an iterable of (at, last, segments) with the
-    flat positions of each cut and of its column's last row."""
+    _chunk_bounds): a list of (at, last, segments) with the flat positions,
+    of dtype `position`, of each cut and of its column's last row in the
+    (k, m) prefix sums; empty when there is no valid cut."""
     cuts = _cut_positions(values, min_leaf, scratch)
     if cuts is None:
-        return None
+        return []
     col, cut, bounds = cuts
     m = values.shape[1]
-    if len(col) <= _CUTS_PER_CHUNK:  # the usual case, without a generator
-        return [(*_flat_positions(col, cut, m), bounds)]
-    return ((*_flat_positions(col[a:b], cut[a:b], m), segments)
-            for a, b, segments in _chunk_bounds(bounds))
+    at = np.multiply(col, m, dtype=position)
+    last = at + (m - 1)
+    at += cut
+    return [(at[a:b], last[a:b], segments) for a, b, segments in _chunk_bounds(bounds)]
+
+
+def _pair(re, im):
+    """re and im as the parts of one complex array, whose prefix sum adds
+    each part on its own: both sums in one pass, with the same bits."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
 def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion, min_leaf,
@@ -314,7 +303,8 @@ def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion,
     `rows` is (k, m): row c holds the node's rows in ascending order of
     column features[c], ties in row order, and `values` holds those values
     sorted (only their order matters). `wt` is weights * targets per row and
-    `wtt` is wt * targets (mse only); `weights` is None when all are 1.
+    `wtt` is wt * targets (mse only); for mse, `wt` may instead hold both,
+    paired by _pair, with `wtt` None. `weights` is None when all are 1.
     Prefix sums along each row give every cut's left weight and target
     sums, in the same order as a per-node sort would add them; only cuts at
     a value change that leave min_leaf rows on each side are scored. Gini
@@ -328,13 +318,10 @@ def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion,
         chunks = _cut_chunks(values, min_leaf, scratch)
     if not chunks:
         return None
-    if criterion == "mse":
-        per_row, buf = scratch.pairs, scratch.cwt
-        per_row.real, per_row.imag = wt, wtt
-    else:
-        per_row, buf = wt, scratch.cwt.view(float)
+    if criterion == "mse" and wtt is not None:
+        wt = _pair(wt, wtt)
     sums = (None if weights is None else _prefix_sums(weights, rows, scratch.cw),
-            _prefix_sums(per_row, rows, buf))
+            _prefix_sums(wt, rows, scratch.cwt.view(wt.dtype)))
     best = None
     for at, last, segments in chunks:
         score = _cut_scores(at, last, m, sums, w_total, criterion)
@@ -359,43 +346,23 @@ def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion,
 
 def _cut_scores(at, last, m, sums, w_total, criterion):
     """Scores of the cuts at flat positions `at` of the prefix sums (cw,
-    cs) of rows of length m, whose columns end at `last`. cs sums wt, or
-    for mse wt and wtt as real and imaginary parts. cw None means unit
-    weights, whose prefix sum is a cut's left row count, at - last + m."""
-    cw, cs = sums
-    if cw is None:
-        wl = np.subtract(at, last, dtype=float)
-        wl += m
-    else:
-        wl = cw.take(at)
+    cwt) of rows of length m, whose columns end at `last`; for mse, cwt
+    holds the sums of wt and wtt as complex numbers. cw None means unit
+    weights, whose prefix sum is a cut's left row count."""
+    cw, cwt = sums
+    wl = (at - last) + (m + 0.0) if cw is None else cw[at]
     wr = w_total - wl
-    # In place, one rounding per step in the order of
-    # (wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr)) / w_total for gini and
-    # ((sl2 - sl * sl / wl) + (sr2 - sr * sr / wr)) / w_total for mse, where
-    # the right sums (sr, sr2) are a column's totals less the left ones.
-    left = cs.take(at)
-    right = cs.take(last)
-    right -= left
+    sl = cwt[at]
+    sr = cwt[last] - sl
     if criterion == "gini":
-        pl = left / wl
-        pr = right / wr
-        score = wl * 2
-        score *= pl
-        score *= 1 - pl
-        part = wr * 2
-        part *= pr
-        part *= 1 - pr
-    else:  # weighted mse via sum of squares decomposition
-        sl, sr = left.real, right.real
-        score = sl * sl
-        score /= wl
-        np.subtract(left.imag, score, out=score)
-        part = sr * sr
-        part /= wr
-        np.subtract(right.imag, part, out=part)
-    score += part
-    score /= w_total
-    return score
+        pl = sl / wl
+        pr = sr / wr
+        return (wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr)) / w_total
+    # weighted mse via sum of squares decomposition
+    sl, sl2, sr, sr2 = sl.real, sl.imag, sr.real, sr.imag
+    sse_l = sl2 - sl * sl / wl
+    sse_r = sr2 - sr * sr / wr
+    return (sse_l + sse_r) / w_total
 
 
 def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
@@ -415,8 +382,9 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
     if scratch is None:
         scratch = _Scratch(X, weights, max_features if sample else n_features,
                            criterion == "mse", presort=not sample)
-    wt = weights * targets
-    wtt = wt * targets if criterion == "mse" else None
+    wt, wtt = weights * targets, None
+    if criterion == "mse":
+        wt = _pair(wt, wt * targets)
     search_weights = None if scratch.unit_weights else weights
 
     def searched(idx, depth):
@@ -1002,8 +970,13 @@ def load(path) -> TrainedModel:
             raise ValueError(f"seed must be an integer, not {seed!r}")
         if not isinstance(config, dict) or not isinstance(params, dict):
             raise ValueError("config and params must be objects")
+        # A saved config holds every hyperparameter, each a valid value.
+        missing = sorted(set(resolved_config(kind, None)) - set(config))
+        if missing:
+            raise ValueError(f"config lacks {', '.join(missing)}")
+        resolved_config(kind, config)
         return _MODEL_CLASSES[kind]._from_params(feature_count, config, seed, params)
     except KeyError as exc:
         raise TrainError(f"{path}: not a valid {kind} model: no {exc} entry") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, TrainError) as exc:
         raise TrainError(f"{path}: not a valid {kind} model: {exc}") from exc

@@ -615,6 +615,8 @@ def _set(tree_field, value):
     ("gbt", lambda d: d.update(params={}), "no 'base_margin' entry"),
     ("gbt", lambda d: d["params"].update(trees=5), "not iterable"),
     ("rf", lambda d: d.update(feature_count="x"), "feature_count must be a positive integer"),
+    ("gbt", lambda d: d.update(config={}), "config lacks class_weight, l2, learning_rate"),
+    ("gbt", lambda d: d["config"].update(learning_rate="0.1"), "'learning_rate' must be a number"),
     ("dt", _set("feature", 3), "splits on feature 3; the model has 3"),
     ("dt", _set("left", 99), "children 99"),
     ("dt", _set("right", 0), "must lie in"),
