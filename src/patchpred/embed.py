@@ -9,7 +9,6 @@ tokens above noise-sampled tokens against a shared output word matrix.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -173,38 +172,80 @@ def _learning_rate(config: EmbedderConfig, epoch: int) -> float:
     return config.learning_rate * (1.0 - 0.9 * frac)
 
 
-def _doc_step(doc_vec, word_matrix, pos_idx, neg_idx, lr):
-    """One negative-sampling step over every token of a document.
-
-    Gradients are computed against the current parameters and applied once,
-    which keeps the update deterministic and vectorizable.
-    Returns the summed pair loss.
-    """
-    n, n_pos = len(doc_vec), len(pos_idx)
-    rows = np.concatenate((pos_idx, neg_idx.reshape(-1)))  # T positives, then T*k negatives
-    vecs = word_matrix[rows]
-    pos_vecs, neg_vecs = vecs[:n_pos], vecs[n_pos:]
-    coef = np.empty(len(rows))
-    np.matmul(pos_vecs, doc_vec, out=coef[:n_pos])
-    np.matmul(neg_vecs, doc_vec, out=coef[n_pos:])
-    _sigmoid_inplace(coef)
-    # loss = -log sigma(pos) - sum log sigma(-neg)
-    loss = float(-np.log(np.maximum(coef[:n_pos], 1e-12)).sum()
-                 - np.log(np.maximum(1.0 - coef[n_pos:], 1e-12)).sum())
-    coef[:n_pos] -= 1.0
-    grad_doc = coef[:n_pos] @ pos_vecs + coef[n_pos:] @ neg_vecs
-    # One scatter-add over the flat matrix (1-D ufunc.at has a fast path).
-    # Repeated indices are applied in order, so each element gets its
-    # positive updates, then its negative ones, in token order.
-    update = np.multiply(coef[:, None], doc_vec)
-    update *= -lr
-    np.add.at(word_matrix.reshape(-1), (rows[:, None] * n + np.arange(n)).ravel(), update.ravel())
-    doc_vec -= lr * grad_doc
-    return loss
-
-
 def _sample_negatives(rng, noise_cdf, shape):
     return np.searchsorted(noise_cdf, rng.random(shape))
+
+
+class _Epochs:
+    """The training epochs' fixed layout, built once per training run.
+
+    Every non-empty document owns one slice of `rows`: its T positive
+    token ids, then its T*k negative ids, in document order. Positives are
+    written once; each epoch writes its negative draw into the other slots.
+    `coef`, `above` and `below` hold the scores and saturation masks of a
+    whole epoch in the same layout.
+
+    The word-matrix update is one scatter-add per document over a flat view
+    of the matrix. With n even the view is complex128, one element per pair
+    of floats: complex addition adds the real and imaginary parts on their
+    own, so every float gets the same adds, in the same order, as over a
+    float view. `positions[rows]` gives the flat view's elements of `rows`.
+    """
+
+    def __init__(self, word_matrix, indexed, k: int):
+        self.word_matrix = word_matrix
+        self.spans, size = [], 0  # (document, start, first negative, stop)
+        for d, pos_idx in enumerate(indexed):
+            if len(pos_idx):
+                stop = size + len(pos_idx) * (1 + k)
+                self.spans.append((d, size, size + len(pos_idx), stop))
+                size = stop
+        self.n_tokens = size // (1 + k)
+        self.rows = np.empty(size, dtype=np.intp)
+        self.negative = np.ones(size, dtype=bool)
+        for d, start, split, _ in self.spans:
+            self.rows[start:split] = indexed[d]
+            self.negative[start:split] = False
+        self.coef = np.empty(size)
+        self.above, self.below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        vocab_size, n = word_matrix.shape
+        self.dtype, width = (np.complex128, n // 2) if n % 2 == 0 else (np.float64, n)
+        self.flat = word_matrix.reshape(-1).view(self.dtype)
+        self.positions = np.arange(vocab_size * width).reshape(vocab_size, width)
+
+    def run(self, doc_vectors, negatives, lr: float, with_loss: bool) -> float:
+        """One epoch, document by document, with `negatives` (T_total, k) as
+        its draw. Returns the summed pair loss if `with_loss`, else 0.0.
+
+        Each document's gradients are computed against the current
+        parameters and applied once; repeated rows of its scatter-add are
+        applied in order, so each element gets its positive updates, then
+        its negative ones, in token order.
+        """
+        rows, coef, word_matrix = self.rows, self.coef, self.word_matrix
+        rows[self.negative] = negatives.reshape(-1)
+        total = 0.0
+        for d, start, split, stop in self.spans:
+            doc_vec, doc_rows, doc_coef = doc_vectors[d], rows[start:stop], coef[start:stop]
+            n_pos = split - start
+            vecs = word_matrix[doc_rows]
+            pos_vecs, neg_vecs = vecs[:n_pos], vecs[n_pos:]
+            pos_coef, neg_coef = doc_coef[:n_pos], doc_coef[n_pos:]
+            np.matmul(pos_vecs, doc_vec, out=pos_coef)
+            np.matmul(neg_vecs, doc_vec, out=neg_coef)
+            _sigmoid_inplace(doc_coef, self.above[start:stop], self.below[start:stop])
+            if with_loss:
+                # loss = -log sigma(pos) - sum log sigma(-neg)
+                total += float(-np.log(np.maximum(pos_coef, 1e-12)).sum()
+                               - np.log(np.maximum(1.0 - neg_coef, 1e-12)).sum())
+            pos_coef -= 1.0
+            grad_doc = pos_coef @ pos_vecs + neg_coef @ neg_vecs
+            update = np.multiply(doc_coef[:, None], doc_vec)
+            update *= -lr
+            np.add.at(self.flat, self.positions[doc_rows].reshape(-1),
+                      update.view(self.dtype).reshape(-1))
+            doc_vec -= lr * grad_doc
+        return total
 
 
 def train_embedder(documents, config: EmbedderConfig | None = None) -> ParagraphVectorModel:
@@ -227,25 +268,26 @@ def train_embedder(documents, config: EmbedderConfig | None = None) -> Paragraph
     doc_vectors = rng.uniform(-0.5 / config.n, 0.5 / config.n, size=(len(documents), config.n))
     word_matrix = np.zeros((len(vocab), config.n), dtype=float)
 
-    k = config.negative_samples
-    n_tokens = sum(len(pos_idx) for pos_idx in indexed)
+    plan = _Epochs(word_matrix, indexed, config.negative_samples)
+    last = config.epochs - 1
     epoch_losses: list[float] = []
-    for epoch in range(config.epochs):
-        lr = _learning_rate(config, epoch)
-        # One draw per epoch, sliced per document in order: the same stream
-        # as a (len(doc), k) draw per document.
-        negatives = _sample_negatives(rng, noise_cdf, (n_tokens, k))
-        total, start = 0.0, 0
-        for d, pos_idx in enumerate(indexed):
-            if len(pos_idx) == 0:
-                continue
-            stop = start + len(pos_idx)
-            total += _doc_step(doc_vectors[d], word_matrix, pos_idx, negatives[start:stop], lr)
-            start = stop
-        avg = total / max(n_tokens, 1)
-        if not math.isfinite(avg):
-            raise EmbeddingError(f"non-finite training loss at epoch {epoch}; lower the learning rate")
-        epoch_losses.append(avg)
+    # Divergence overflows the products; the checks below catch it instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            # One draw per epoch, sliced per document in order: the same
+            # stream as a (len(doc), k) draw per document.
+            negatives = _sample_negatives(rng, noise_cdf, (plan.n_tokens, config.negative_samples))
+            # The report keeps the first and last epochs' loss; the others skip it.
+            with_loss = epoch in (0, last)
+            total = plan.run(doc_vectors, negatives, _learning_rate(config, epoch), with_loss)
+            # Scores are clipped to [0, 1] by the sigmoid, so an epoch's loss
+            # is non-finite exactly when one of its scores is NaN.
+            if np.isnan(plan.coef).any():
+                raise EmbeddingError(f"non-finite training loss at epoch {epoch}; lower the learning rate")
+            if with_loss:
+                epoch_losses.append(total / max(plan.n_tokens, 1))
+    if not (np.isfinite(word_matrix).all() and np.isfinite(doc_vectors).all()):
+        raise EmbeddingError(f"non-finite word or document vectors after epoch {last}; lower the learning rate")
 
     report = {
         "initial_loss": epoch_losses[0],
@@ -339,12 +381,14 @@ def _infer_vectors(model: ParagraphVectorModel, token_lists) -> tuple[np.ndarray
     cached = [length for length in by_length if length <= _DRAWS_MAX_TOKENS]
     if cached:
         _draws(model, max(cached))  # grow the cache once, to the longest it holds
-    for length, members in by_length.items():
-        per_stack = max(1, _STACK_BYTES // (8 * length * (config.n + config.negative_samples + 1)))
-        for start in range(0, len(members), per_stack):
-            stack = members[start:start + per_stack]
-            rows = ids[stack[0]] if len(stack) == 1 else np.stack([ids[i] for i in stack])
-            vectors[stack] = _infer(model, rows)
+    # A diverging vector overflows the products; the check below catches it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for length, members in by_length.items():
+            per_stack = max(1, _STACK_BYTES // (8 * length * (config.n + config.negative_samples + 1)))
+            for start in range(0, len(members), per_stack):
+                stack = members[start:start + per_stack]
+                rows = ids[stack[0]] if len(stack) == 1 else np.stack([ids[i] for i in stack])
+                vectors[stack] = _infer(model, rows)
     if not np.all(np.isfinite(vectors)):
         raise EmbeddingError("non-finite inferred vector; lower the learning rate")
     return vectors, [len(pos_idx) == 0 for pos_idx in ids]

@@ -313,6 +313,8 @@ def test_subcommand_options_and_choices():
                   "--out", "TMP/x.csv"], id="model-child-out-of-range"),
     pytest.param(["explain", "--model", "TMP/model_wide_feature.json", "--features", "LEARNED",
                   "--out", "TMP/x.csv"], id="model-feature-out-of-range"),
+    pytest.param(["train-embedder", "--corpus", "CORPUS", "--lr", "1e10", "--epochs", "20", "--out", "TMP/e.json"],
+                 id="embedder-diverges"),
 ])
 def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"k": 3,')
@@ -329,7 +331,10 @@ def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, 
     for key, value in fill.items():
         argv = [a.replace(key, str(value)) for a in argv]
     assert run(*argv) == 1
-    assert "error[" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error[" in err
+    if "--lr" in argv:  # a diverging embedder, not a RuntimeWarning
+        assert "error[embed]" in err
 
 
 def _write_broken_models(tree_model, tmp_path):

@@ -277,6 +277,8 @@ def _ref_train(documents, config):
             total += _ref_doc_step(doc_vectors[d], word_matrix, pos_idx, neg_idx, _ref_lr(config, epoch))
             pairs += len(pos_idx)
         losses.append(total / max(pairs, 1))
+        if not math.isfinite(losses[-1]):
+            raise EmbeddingError(f"non-finite training loss at epoch {epoch}; lower the learning rate")
     report = {"initial_loss": losses[0], "final_loss": losses[-1], "epochs": config.epochs,
               "vocabulary_size": len(vocab), "documents": len(documents)}
     return word_matrix, doc_vectors, report
@@ -301,12 +303,17 @@ def _identity_corpus():
     return docs
 
 
-@pytest.mark.parametrize("negative_samples", [0, 1, 5])
-@pytest.mark.parametrize("epochs", [1, 7])
-@pytest.mark.parametrize("min_token_count", [1, 2])
-def test_embedder_matches_reference_loops_bit_for_bit(negative_samples, epochs, min_token_count):
+# n=7 is odd, so training scatters single floats instead of pairs; n=64 is
+# the default. The n=12 cases keep the ids they had before n was a parameter.
+_IDENTITY_CASES = [pytest.param(k, epochs, min_count, n, id="-".join(
+                       map(str, (min_count, epochs, k) if n == 12 else (n, min_count, epochs, k))))
+                   for n in (12, 7, 64) for min_count in (1, 2) for epochs in (1, 7) for k in (0, 1, 5)]
+
+
+@pytest.mark.parametrize("negative_samples, epochs, min_token_count, n", _IDENTITY_CASES)
+def test_embedder_matches_reference_loops_bit_for_bit(negative_samples, epochs, min_token_count, n):
     docs = _identity_corpus()
-    config = EmbedderConfig(n=12, epochs=epochs, negative_samples=negative_samples,
+    config = EmbedderConfig(n=n, epochs=epochs, negative_samples=negative_samples,
                             min_token_count=min_token_count, seed=3)
     model = embed.train_embedder(docs, config)
     word_matrix, doc_vectors, report = _ref_train(docs, config)
@@ -318,6 +325,33 @@ def test_embedder_matches_reference_loops_bit_for_bit(negative_samples, epochs, 
         vec, flag = embed.infer_vector(model, tokens)
         assert not flag
         assert np.array_equal(vec, _ref_infer(model, tokens))
+
+
+@pytest.mark.parametrize("learning_rate", [1e10, 1e20])
+def test_divergence_is_caught_at_the_reference_epoch(learning_rate):
+    # Training computes the loss only in the reported epochs; the middle
+    # ones must still stop at the first epoch whose loss is non-finite.
+    docs = _identity_corpus()
+    config = EmbedderConfig(n=12, epochs=12, learning_rate=learning_rate, seed=3)
+    with pytest.raises(EmbeddingError, match="non-finite training loss") as ours:
+        embed.train_embedder(docs, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EmbeddingError) as reference:
+            _ref_train(docs, config)
+    assert str(ours.value) == str(reference.value)
+    epoch = int(str(ours.value).split("epoch ")[1].split(";")[0])
+    assert 0 < epoch < config.epochs - 1
+
+
+def test_training_never_returns_non_finite_vectors():
+    # A last epoch that blows the weights up while every score stays finite
+    # would give a model that load_model rejects.
+    docs = _identity_corpus()
+    config = EmbedderConfig(n=12, epochs=3, seed=3)
+    real = embed._learning_rate
+    with mock.patch.object(embed, "_learning_rate", lambda c, e: 1e200 if e == c.epochs - 1 else real(c, e)):
+        with pytest.raises(EmbeddingError, match="non-finite word or document vectors after epoch 2"):
+            embed.train_embedder(docs, config)
 
 
 # --- inference from the draw cache, stacked by length -------------------------
@@ -414,11 +448,11 @@ def test_non_finite_inferred_vector_raises_from_both_paths():
     docs, _ = _cluster_docs(20)
     model = embed.train_embedder(docs, EmbedderConfig(n=8, epochs=10, seed=3))
     model.word_matrix = model.word_matrix * 1e300
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(EmbeddingError, match="non-finite"):
-            embed.infer_vector(model, docs[0])
-        with pytest.raises(EmbeddingError, match="non-finite"):
-            embed._infer_vectors(model, [docs[0], docs[1], docs[2]])
+    # An error, not a RuntimeWarning (warnings are errors in this suite).
+    with pytest.raises(EmbeddingError, match="non-finite"):
+        embed.infer_vector(model, docs[0])
+    with pytest.raises(EmbeddingError, match="non-finite"):
+        embed._infer_vectors(model, [docs[0], docs[1], docs[2]])
 
 
 # --- embedder settings ---------------------------------------------------------
