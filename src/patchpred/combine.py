@@ -1,10 +1,11 @@
 """Combining the learned (crossed) and engineered feature sets.
 
-Three strategies: averaging two classifiers' probabilities, concatenating
-the feature vectors before training a single classifier, and a two-tower
-fusion network. The fusion net keeps one hidden layer per tower, then mixes
-the concatenated tower outputs through a joint hidden layer before the
-sigmoid output; a purely additive head cannot model cross-set interactions.
+Three strategies: averaging two classifiers' probabilities
+(evaluate.EnsembleTrainer), concatenating the feature vectors before
+training a single classifier, and a two-tower fusion network. The fusion
+net keeps one hidden layer per tower, then mixes the concatenated tower
+outputs through a joint hidden layer before the sigmoid output; a purely
+additive head cannot model cross-set interactions.
 """
 
 from __future__ import annotations
@@ -15,18 +16,7 @@ import numpy as np
 
 from .defaults import resolved_config
 from .errors import TrainError
-from .learn import AdamOptimizer, TrainedModel, _sample_weights, _sigmoid, _standardizer
-
-
-def average_probability(p_learned: float, p_engineered: float) -> float:
-    return 0.5 * (float(p_learned) + float(p_engineered))
-
-
-def ensemble_average(model_learned: TrainedModel, model_engineered: TrainedModel,
-                     learned_x, engineered_x) -> float:
-    """Mean of the two member probabilities for one patch."""
-    return average_probability(model_learned.predict_proba(learned_x),
-                               model_engineered.predict_proba(engineered_x))
+from .learn import AdamOptimizer, _sample_weights, _sigmoid, _standardizer
 
 
 def naive_concat(learned_values, engineered_values) -> np.ndarray:

@@ -174,8 +174,8 @@ class EnsembleTrainer:
         model_e = learn.train(self.kind, _feature_rows(rows, "engineered"), self.config_engineered, seed)
 
         def predict(test_rows):
-            Xl = np.array([_require(r, "learned") for r in test_rows])
-            Xe = np.array([_require(r, "engineered") for r in test_rows])
+            Xl = np.array([model_l._check(_require(r, "learned")) for r in test_rows])
+            Xe = np.array([model_e._check(_require(r, "engineered")) for r in test_rows])
             return 0.5 * (model_l.predict_proba_batch(Xl) + model_e.predict_proba_batch(Xe))
 
         predict.members = (model_l, model_e)

@@ -1,12 +1,13 @@
 """Shapley-value attribution for trained models.
 
 Tree ensembles get exact TreeSHAP, with feature subsets marginalized by
-node cover counts computed from a background dataset, evaluated over a
-table of root-to-leaf paths for many rows at once. Logistic regression gets
-the closed-form linear attribution. The per-node path recursion (which
-interactions use) and a brute-force subset-enumeration oracle over the same
-value function back the tests. Boosted trees are attributed in margin
-(log-odds) space; forests and single trees in probability space.
+node cover counts computed from a background dataset. Attributions and
+pairwise interactions both come from one table of root-to-leaf paths,
+evaluated for many rows at once. Logistic regression gets the closed-form
+linear attribution. Boosted trees are attributed in margin (log-odds)
+space; forests and single trees in probability space. The tests check the
+table against the per-node TreeSHAP recursion and brute-force subset
+enumeration, kept in tests/shap_reference.py.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -90,104 +90,6 @@ def _tree_expectation(tree: Tree, covers: np.ndarray) -> float:
     return total / covers[0]
 
 
-# --- exact path recursion ----------------------------------------------------
-# Path entries are [feature, zero_fraction, one_fraction, weight]. The weight
-# vector encodes, per subset size, the combined probability of reaching the
-# current node with that many path features "on".
-
-def _extend(path, pz, po, pf):
-    path = [e.copy() for e in path]
-    path.append([pf, pz, po, 1.0 if not path else 0.0])
-    length = len(path)
-    for i in range(length - 2, -1, -1):
-        path[i + 1][3] += po * path[i][3] * (i + 1) / length
-        path[i][3] = pz * path[i][3] * (length - 1 - i) / length
-    return path
-
-
-def _unwound_sum(path, i):
-    depth = len(path) - 1
-    one, zero = path[i][2], path[i][1]
-    next_one = path[depth][3]
-    total = 0.0
-    for j in range(depth - 1, -1, -1):
-        if one != 0.0:
-            tmp = next_one * (depth + 1) / ((j + 1) * one)
-            total += tmp
-            next_one = path[j][3] - tmp * zero * (depth - j) / (depth + 1)
-        else:
-            total += path[j][3] * (depth + 1) / (zero * (depth - j))
-    return total
-
-
-def _unwind(path, i):
-    depth = len(path) - 1
-    one, zero = path[i][2], path[i][1]
-    path = [e.copy() for e in path]
-    next_one = path[depth][3]
-    for j in range(depth - 1, -1, -1):
-        if one != 0.0:
-            tmp = path[j][3]
-            path[j][3] = next_one * (depth + 1) / ((j + 1) * one)
-            next_one = tmp - path[j][3] * zero * (depth - j) / (depth + 1)
-        else:
-            path[j][3] = path[j][3] * (depth + 1) / (zero * (depth - j))
-    for j in range(i, depth):
-        path[j][0], path[j][1], path[j][2] = path[j + 1][0], path[j + 1][1], path[j + 1][2]
-    path.pop()
-    return path
-
-
-def _tree_phi(tree: Tree, covers: np.ndarray, x: np.ndarray, n_features: int,
-              cond_feature: int | None = None, cond_mode: str = "on") -> np.ndarray:
-    """Per-feature attributions for one tree.
-
-    With cond_feature set, computes the game conditioned on that feature
-    being always present ("on") or always marginalized ("off"); the
-    conditioned feature never joins the path, so the remaining features play
-    over a reduced player set.
-    """
-    phi = np.zeros(n_features)
-
-    def recurse(node, path, mult):
-        f = tree.feature[node]
-        if f < 0:
-            value = tree.value[node]
-            for i in range(1, len(path)):
-                w = _unwound_sum(path, i)
-                phi[path[i][0]] += mult * w * (path[i][2] - path[i][1]) * value
-            return
-        left, right = tree.left[node], tree.right[node]
-        if f == cond_feature:
-            if cond_mode == "on":
-                hot = left if x[f] <= tree.threshold[node] else right
-                recurse(hot, path, mult)
-            else:
-                for child in (left, right):
-                    recurse(child, path, mult * covers[child] / covers[node])
-            return
-        hot = left if x[f] <= tree.threshold[node] else right
-        cold = right if hot == left else left
-        iz = io = 1.0
-        k = None
-        for idx in range(1, len(path)):
-            if path[idx][0] == f:
-                k = idx
-                break
-        if k is not None:
-            iz, io = path[k][1], path[k][2]
-            path = _unwind(path, k)
-        pz_hot = iz * covers[hot] / covers[node]
-        if pz_hot != 0.0 or io != 0.0:
-            recurse(hot, _extend(path, pz_hot, io, f), mult)
-        pz_cold = iz * covers[cold] / covers[node]
-        if pz_cold != 0.0:
-            recurse(cold, _extend(path, pz_cold, 0.0, f), mult)
-
-    recurse(0, _extend([], 1.0, 1.0, -1), 1.0)
-    return phi
-
-
 # --- path table ----------------------------------------------------------------
 # A leaf's contribution to the value function, for the subset S of features
 # that follow x, is value * prod_{j in S} one_j * prod_{j not in S} zero_j over
@@ -234,7 +136,8 @@ class _PathTable:
 
 @dataclass
 class _TableCache:
-    """tree_shap's last table and what it was built from (not persisted)."""
+    """The last single-row path table (tree_shap, interaction_pairs) and what
+    it was built from (not persisted)."""
 
     trees: list[Tree]  # compared by identity
     scales: list[float]
@@ -456,89 +359,33 @@ def global_importance(model, X, names, background) -> GlobalImportance:
 
 
 def interaction_pairs(model, x, feature_a: int, feature_b: int, background) -> float:
-    """Shapley interaction value for one feature pair, symmetric by
-    construction (both conditioning orders are averaged)."""
+    """SHAP interaction value of two features for row x (half their Shapley
+    interaction index), from the same cached path table as tree_shap.
+
+    A path that does not split on both features adds nothing. One that
+    does adds value * (one_a - zero_a) * (one_b - zero_b) *
+    integral_0^1 prod_{k != a, b} (zero_k (1-t) + one_k t) dt, a polynomial
+    of degree D-2 that its group's quadrature integrates exactly. Every step
+    treats the two features alike, so swapping them gives the same bits.
+    """
+    m = model.feature_count
+    for i in (feature_a, feature_b):
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < m:
+            raise ExplainError(f"interaction features must be integer indices in [0, {m}), got {i!r}")
     if feature_a == feature_b:
         raise ExplainError("interaction requires two distinct features")
-    trees, scales, _const, _space = _ensemble_parts(model)
     x, background = _checked_inputs(model, x, background)
-    all_covers = [_cover_counts(tree, background) for tree in trees]
-
-    def one_direction(i, j):
-        # phi_i under the game with j forced present minus j marginalized.
-        total = 0.0
-        for tree, scale, covers in zip(trees, scales, all_covers):
-            on = _tree_phi(tree, covers, x, model.feature_count, cond_feature=j, cond_mode="on")
-            off = _tree_phi(tree, covers, x, model.feature_count, cond_feature=j, cond_mode="off")
-            total += scale * (on[i] - off[i])
-        return total / 2.0
-
-    return (one_direction(feature_a, feature_b) + one_direction(feature_b, feature_a)) / 2.0
-
-
-# --- brute-force oracles (test references) -----------------------------------
-
-def _cond_exp(tree: Tree, covers: np.ndarray, x, subset: frozenset, node: int = 0) -> float:
-    f = tree.feature[node]
-    if f < 0:
-        return tree.value[node]
-    left, right = tree.left[node], tree.right[node]
-    if f in subset:
-        child = left if x[f] <= tree.threshold[node] else right
-        return _cond_exp(tree, covers, x, subset, child)
-    return (covers[left] * _cond_exp(tree, covers, x, subset, left)
-            + covers[right] * _cond_exp(tree, covers, x, subset, right)) / covers[node]
-
-
-def _value_function(model, x, background):
-    trees, scales, const, _space = _ensemble_parts(model)
-    covers = [_cover_counts(t, np.asarray(background, dtype=float)) for t in trees]
-    cache: dict[frozenset, float] = {}
-
-    def v(subset: frozenset) -> float:
-        if subset not in cache:
-            cache[subset] = const + sum(
-                s * _cond_exp(t, c, x, subset) for t, c, s in zip(trees, covers, scales)
-            )
-        return cache[subset]
-
-    return v
-
-
-def brute_force_shap(model, x, background) -> ShapExplanation:
-    """Shapley values by full subset enumeration; exponential, tests only."""
-    m = model.feature_count
-    x = np.asarray(x, dtype=float)
-    v = _value_function(model, x, background)
-    phi = np.zeros(m)
-    features = list(range(m))
-    for i in features:
-        others = [f for f in features if f != i]
-        for size in range(m):
-            weight = math.factorial(size) * math.factorial(m - size - 1) / math.factorial(m)
-            for subset in combinations(others, size):
-                s = frozenset(subset)
-                phi[i] += weight * (v(s | {i}) - v(s))
-    base = v(frozenset())
-    return ShapExplanation("", float(base), phi, _model_outputs(model, x[None, :])[0],
-                           "margin" if isinstance(model, GradientBoostedTreesModel) else "probability")
-
-
-def brute_force_interaction(model, x, feature_a: int, feature_b: int, background) -> float:
-    """Shapley interaction index by subset enumeration; tests only."""
-    m = model.feature_count
-    if m < 2:
-        raise ExplainError("interaction needs at least two features")
-    x = np.asarray(x, dtype=float)
-    v = _value_function(model, x, background)
-    others = [f for f in range(m) if f not in (feature_a, feature_b)]
     total = 0.0
-    for size in range(len(others) + 1):
-        weight = (math.factorial(size) * math.factorial(m - size - 2)
-                  / (2.0 * math.factorial(m - 1)))
-        for subset in combinations(others, size):
-            s = frozenset(subset)
-            delta = (v(s | {feature_a, feature_b}) - v(s | {feature_a})
-                     - v(s | {feature_b}) + v(s))
-            total += weight * delta
-    return total
+    for group in _cached_table(model, background).groups:
+        pair = (group.feature == feature_a) | (group.feature == feature_b)
+        both = np.count_nonzero(pair, axis=0) == 2
+        if not both.any():
+            continue
+        pair, zero = pair[:, both], group.zero[:, both]
+        one = x[group.feature[:, both]]
+        one = ((one > group.lo[:, both]) & (one <= group.hi[:, both])).astype(float)
+        integral = np.zeros(zero.shape[1])
+        for t, weight in zip(group.nodes, group.weights):
+            integral += weight * np.prod(np.where(pair, one - zero, one * t + zero * (1.0 - t)), axis=0)
+        total += float(np.sum(group.value[both] * integral))
+    return total / 2.0

@@ -467,7 +467,7 @@ class TrainedModel:
         self.config = config
         self.seed = seed
         self.training_report: dict = {}
-        self.explain_cache = None  # explain.tree_shap's last path table; not persisted
+        self.explain_cache = None  # explain's last single-row path table; not persisted
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

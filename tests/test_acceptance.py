@@ -15,16 +15,17 @@ import numpy as np
 import pytest
 
 import patchpred
-from patchpred import combine, crossing, filtering, learn, synth
+from patchpred import crossing, filtering, learn, synth
 from patchpred.corpus import Label
 from patchpred.embed import EmbeddingPair
-from patchpred.evaluate import (FusionTrainer, JointRow, SingleSetTrainer, auc,
+from patchpred.evaluate import (EnsembleTrainer, FusionTrainer, JointRow, SingleSetTrainer, auc,
                                 confusion_metrics, crossval)
-from patchpred.explain import brute_force_shap, tree_shap
+from patchpred.explain import tree_shap
 from patchpred.learn import (FeatureRow, init_net_params, logistic_loss_and_grad,
                              net_loss_and_grad)
 
 from conftest import build_joint_rows
+from shap_reference import brute_force_shap
 
 
 def report(criterion, started, message):
@@ -155,19 +156,17 @@ def test_c07_combination_beats_single_sets_on_xor(xor_rows):
 
 def test_c08_ensemble_average_is_exact_mean(blob_data):
     t0 = time.time()
-    rng = np.random.default_rng(88)
-    for _ in range(1000):
-        p1, p2 = rng.uniform(), rng.uniform()
-        assert combine.average_probability(p1, p2) == (p1 + p2) / 2.0
     X, y = blob_data
-    rows = [FeatureRow(f"p{i}", f"b{i}", X[i], int(y[i])) for i in range(len(y))]
-    m1 = learn.train("lr", rows, seed=0)
-    m2 = learn.train("nb", rows, seed=0)
-    for x in X[::11]:
-        expected = (m1.predict_proba(x) + m2.predict_proba(x)) / 2.0
-        assert combine.ensemble_average(m1, m2, x, x) == expected
+    rows = [JointRow(f"p{i}", f"b{i}", int(y[i]), learned=X[i, :1], engineered=X[i, 1:])
+            for i in range(len(y))]
+    predict = EnsembleTrainer("lr").fit(rows, seed=0)
+    m1, m2 = predict.members
+    Z = np.random.default_rng(88).normal(scale=3.0, size=(1000, 2))
+    patches = rows + [JointRow(f"q{i}", "q", 0, learned=z[:1], engineered=z[1:]) for i, z in enumerate(Z)]
+    for row, p in zip(patches, predict(patches)):
+        assert p == (m1.predict_proba(row.learned) + m2.predict_proba(row.engineered)) / 2.0
     assert time.time() - t0 < 1.0
-    report(8, t0, "averaged probability equals the exact member mean on 1000 random pairs")
+    report(8, t0, "ensemble probability equals the exact member mean on 1120 patches")
 
 
 def test_c09_treeshap_exactness(separable_rows):

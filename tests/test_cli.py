@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from patchpred import cli, featureio
+from patchpred import cli, explain, featureio, learn
 from patchpred.errors import FeatureError
 from patchpred.learn import FeatureRow
 
@@ -369,6 +369,26 @@ def test_interaction_default_goes_under_outdir(pipeline, tree_model, tmp_path, m
                "--patch-id", _first_patch_id(pipeline["learned"]), "--interaction", "B-0,B-1") == 0
     assert (tmp_path / "outdir" / "interactions.json").exists()
     assert not (tmp_path / "interactions.json").exists()
+
+
+def test_interactions_json_holds_interaction_pairs_of_every_row(pipeline, tmp_path):
+    model_path = tmp_path / "rf.json"
+    assert run("train", "--features", str(pipeline["learned"]), "--learner", "rf", "--seed", "1",
+               "--out", str(model_path)) == 0
+    model = learn.load(model_path)
+    names, rows = featureio.read_features(pipeline["learned"])
+    split = sorted({int(f) for tree in model.trees for f in tree.feature if f >= 0})
+    a, b = split[0], split[1]
+    out = tmp_path / "interactions.json"
+    assert run("explain", "--model", str(model_path), "--features", str(pipeline["learned"]),
+               "--interaction", f"{names[a]},{names[b]}", "--interaction-out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["pair"] == [names[a], names[b]] and doc["space"] == "probability"
+    background = np.array([r.features for r in rows])
+    expected = [{"patch_id": r.patch_id, "value": explain.interaction_pairs(model, r.features, a, b, background)}
+                for r in rows]
+    assert doc["values"] == expected
+    assert any(v["value"] != 0.0 for v in expected)
 
 
 def test_explain_refuses_background_with_other_columns(pipeline, tree_model, tmp_path, capsys):

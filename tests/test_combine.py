@@ -1,52 +1,58 @@
 import numpy as np
 import pytest
 
-from patchpred import combine, learn
-from patchpred.combine import (average_probability, deep_fusion_train,
-                               fusion_loss_and_grad, init_fusion_params, naive_concat)
+from patchpred import combine
+from patchpred.combine import deep_fusion_train, fusion_loss_and_grad, init_fusion_params, naive_concat
 from patchpred.errors import TrainError
-from patchpred.evaluate import FusionTrainer, SingleSetTrainer, crossval
-from patchpred.learn import FeatureRow
+from patchpred.evaluate import EnsembleTrainer, FusionTrainer, JointRow, SingleSetTrainer, crossval
+from patchpred.learn import Tree
 
 
-def test_average_probability_examples():
-    assert average_probability(0.9, 0.5) == pytest.approx(0.7)
-    assert average_probability(0.8, 0.8) == pytest.approx(0.8)
-    assert average_probability(0.6, 0.3) == pytest.approx(0.45)
-    assert average_probability(0.6, 0.3) < 0.5  # predicted incorrect at the 0.5 cut
+def ensemble_predictor(kind, X, y):
+    """EnsembleTrainer's predictor with column 0 of X as the learned set and
+    the other columns as the engineered set, with the rows it scores."""
+    rows = [JointRow(f"p{i}", f"b{i}", int(y[i]), learned=X[i, :1], engineered=X[i, 1:])
+            for i in range(len(y))]
+    return EnsembleTrainer(kind).fit(rows, seed=0), rows
+
+
+def test_average_probability_examples(blob_data):
+    predict, rows = ensemble_predictor("dt", *blob_data)
+    learned, engineered = predict.members
+    for p_learned, p_engineered, mean in ((0.9, 0.5, 0.7), (0.8, 0.8, 0.8), (0.6, 0.3, 0.45)):
+        learned.tree = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[p_learned])
+        engineered.tree = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[p_engineered])
+        assert predict(rows[:3]) == pytest.approx([mean] * 3)
+    assert predict(rows[:1])[0] < 0.5  # predicted incorrect at the 0.5 cut
 
 
 def test_ensemble_average_uses_both_models(blob_data):
     X, y = blob_data
-    rows = [FeatureRow(f"p{i}", f"b{i}", X[i], int(y[i])) for i in range(len(y))]
-    m1 = learn.train("lr", rows, seed=0)
-    m2 = learn.train("nb", rows, seed=0)
-    x = X[0]
-    expected = 0.5 * (m1.predict_proba(x) + m2.predict_proba(x))
-    assert combine.ensemble_average(m1, m2, x, x) == pytest.approx(expected)
-    # symmetry
-    assert combine.ensemble_average(m1, m2, x, x) == pytest.approx(
-        combine.ensemble_average(m2, m1, x, x))
+    predict, rows = ensemble_predictor("lr", X, y)
+    learned, engineered = predict.members
+    expected = [0.5 * (learned.predict_proba(x[:1]) + engineered.predict_proba(x[1:])) for x in X]
+    assert predict(rows) == pytest.approx(expected)
+    assert not np.allclose(learned.predict_proba_batch(X[:, :1]), engineered.predict_proba_batch(X[:, 1:]))
+    # symmetry: swapping the two feature sets swaps the members, not the mean
+    swapped, swapped_rows = ensemble_predictor("lr", X[:, ::-1], y)
+    assert np.array_equal(swapped(swapped_rows), predict(rows))
 
 
 def test_ensemble_average_within_member_bounds(blob_data):
     X, y = blob_data
-    rows = [FeatureRow(f"p{i}", f"b{i}", X[i], int(y[i])) for i in range(len(y))]
-    m1 = learn.train("lr", rows, seed=0)
-    m2 = learn.train("dt", rows, seed=0)
-    for x in X[::13]:
-        p1, p2 = m1.predict_proba(x), m2.predict_proba(x)
-        avg = combine.ensemble_average(m1, m2, x, x)
+    predict, rows = ensemble_predictor("dt", X, y)
+    learned, engineered = predict.members
+    for x, avg in zip(X[::13], predict(rows[::13])):
+        p1, p2 = learned.predict_proba(x[:1]), engineered.predict_proba(x[1:])
         assert min(p1, p2) <= avg <= max(p1, p2)
 
 
 def test_ensemble_rejects_wrong_feature_length(blob_data):
-    X, y = blob_data
-    rows = [FeatureRow(f"p{i}", f"b{i}", X[i], int(y[i])) for i in range(len(y))]
-    m1 = learn.train("lr", rows, seed=0)
-    m2 = learn.train("nb", rows, seed=0)
+    predict, rows = ensemble_predictor("lr", *blob_data)
     with pytest.raises(TrainError):
-        combine.ensemble_average(m1, m2, np.zeros(3), np.zeros(2))
+        predict([JointRow("q", "b", 0, learned=np.zeros(3), engineered=np.zeros(1))])
+    with pytest.raises(TrainError):
+        predict([JointRow("q", "b", 0, learned=np.zeros(1), engineered=np.zeros(2))])
 
 
 def test_naive_concat_length_and_order():

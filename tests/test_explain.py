@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from patchpred import explain, learn
 from patchpred.errors import ExplainError
-from patchpred.explain import (brute_force_interaction, brute_force_shap, global_importance,
-                               interaction_pairs, linear_shap, tree_shap)
+from patchpred.explain import global_importance, interaction_pairs, linear_shap, tree_shap
 from patchpred.learn import (DecisionTreeModel, FeatureRow, LogisticRegressionModel,
                              RandomForestModel, Tree)
+
+from shap_reference import brute_force_interaction, brute_force_shap, tree_phi
 
 
 def leaf_tree(value):
@@ -228,8 +229,7 @@ def recursion_phi(model, x, background):
     trees, scales, _const, _space = explain._ensemble_parts(model)
     phi = np.zeros(model.feature_count)
     for tree, scale in zip(trees, scales):
-        phi += scale * explain._tree_phi(tree, explain._cover_counts(tree, background), x,
-                                         model.feature_count)
+        phi += scale * tree_phi(tree, explain._cover_counts(tree, background), x, model.feature_count)
     return phi
 
 
@@ -277,6 +277,11 @@ def test_path_table_matches_recursion_and_brute_force(case):
             assert exp.model_output == model.margin_batch(x[None, :])[0]
         else:
             assert exp.model_output == model.predict_proba(x)
+        for a in range(model.feature_count):
+            for b in range(a + 1, model.feature_count):
+                value = interaction_pairs(model, x, a, b, X)
+                assert abs(value - brute_force_interaction(model, x, a, b, X)) <= 1e-12
+                assert interaction_pairs(model, x, b, a, X) == value
 
 
 @pytest.mark.parametrize("block_bytes", [1, 4096, explain._BLOCK_BYTES])
@@ -319,6 +324,27 @@ def test_tree_shap_reuses_its_table_only_for_the_same_background_values(monkeypa
     model.trees[0] = learn.Tree(**{k: list(v) for k, v in vars(model.trees[0]).items()})
     tree_shap(model, X[0], edited)
     assert len(calls) == 4 * n_trees
+
+
+def test_interactions_for_many_rows_compute_covers_once_per_tree(monkeypatch):
+    rng = np.random.default_rng(14)
+    model, X = random_tree_model(rng, 4, "rf")
+    calls = count_cover_calls(monkeypatch)
+    values = [interaction_pairs(model, x, 0, 3, X) for x in X[:5]]
+    assert len(calls) == len(model.trees)
+    reference = [brute_force_interaction(model, x, 0, 3, X) for x in X[:5]]
+    assert np.max(np.abs(np.subtract(values, reference))) <= 1e-12
+
+
+@pytest.mark.parametrize("index", [-1, "feature_count", 1.0, True, "0"])
+def test_interaction_feature_index_out_of_range_or_not_an_integer_is_refused(index):
+    model, X = random_tree_model(np.random.default_rng(16), 3, "dt")
+    index = model.feature_count if index == "feature_count" else index
+    value = interaction_pairs(model, X[0], 0, 2, X)
+    assert interaction_pairs(model, X[0], np.int64(0), np.intp(2), X) == value
+    for a, b in ((0, index), (index, 0)):
+        with pytest.raises(ExplainError, match="integer indices"):
+            interaction_pairs(model, X[0], a, b, X)
 
 
 def test_uncovered_background_raises_after_a_cached_success():
