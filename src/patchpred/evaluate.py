@@ -143,8 +143,8 @@ class SingleSetTrainer:
         model = learn.train(self.kind, _feature_rows(rows, self.feature_set), self.config, seed)
 
         def predict(test_rows):
-            X = np.array([r.features for r in _feature_rows(test_rows, self.feature_set)])
-            return model.predict_proba_batch(X)
+            rows = _feature_rows(test_rows, self.feature_set)
+            return model.predict_proba_batch([r.features for r in rows])
 
         predict.model = model
         return predict
@@ -174,9 +174,8 @@ class EnsembleTrainer:
         model_e = learn.train(self.kind, _feature_rows(rows, "engineered"), self.config_engineered, seed)
 
         def predict(test_rows):
-            Xl = np.array([model_l._check(_require(r, "learned")) for r in test_rows])
-            Xe = np.array([model_e._check(_require(r, "engineered")) for r in test_rows])
-            return 0.5 * (model_l.predict_proba_batch(Xl) + model_e.predict_proba_batch(Xe))
+            return 0.5 * (model_l.predict_proba_batch([_require(r, "learned") for r in test_rows])
+                          + model_e.predict_proba_batch([_require(r, "engineered") for r in test_rows]))
 
         predict.members = (model_l, model_e)
         return predict

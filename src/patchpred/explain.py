@@ -5,7 +5,8 @@ node cover counts computed from a background dataset. Attributions and
 pairwise interactions both come from one table of root-to-leaf paths,
 evaluated for many rows at once. Logistic regression gets the closed-form
 linear attribution. Boosted trees are attributed in margin (log-odds)
-space; forests and single trees in probability space. The tests check the
+space; forests and single trees in probability space. Covers and outputs
+come from one walk of the model's packed forest. The tests check the
 table against the per-node TreeSHAP recursion and brute-force subset
 enumeration, kept in tests/shap_reference.py.
 """
@@ -14,17 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import crossing
 from .errors import ExplainError
-from .learn import (DecisionTreeModel, GradientBoostedTreesModel,
-                    LogisticRegressionModel, RandomForestModel, Tree)
-
-TREE_KINDS = ("DecisionTree", "RandomForest", "GradientBoostedTrees")
+from .learn import Forest, LogisticRegressionModel, Tree, TreeModel
 
 
 @dataclass
@@ -45,49 +42,15 @@ class GlobalImportance:
     space: str
 
 
-def _ensemble_parts(model):
-    """Normalize a tree model into (trees, per-tree scales, constant, space)."""
-    if isinstance(model, DecisionTreeModel):
-        return [model.tree], [1.0], 0.0, "probability"
-    if isinstance(model, RandomForestModel):
-        t = len(model.trees)
-        return list(model.trees), [1.0 / t] * t, 0.0, "probability"
-    if isinstance(model, GradientBoostedTreesModel):
-        lr = model.config["learning_rate"]
-        return list(model.trees), [lr] * len(model.trees), model.base_margin, "margin"
-    raise ExplainError(
-        f"exact tree explanation unsupported for kind {getattr(model, 'kind', type(model).__name__)!r}; "
-        "supported: DecisionTree, RandomForest, GradientBoostedTrees (or linear_shap for LogisticRegression)"
-    )
-
-
-def _cover_counts(tree: Tree, background: np.ndarray) -> np.ndarray:
-    covers = np.zeros(len(tree.feature))
-
-    def down(node, idx):
-        covers[node] = len(idx)
-        f = tree.feature[node]
-        if f < 0:
-            return
-        mask = background[idx, f] <= tree.threshold[node]
-        down(tree.left[node], idx[mask])
-        down(tree.right[node], idx[~mask])
-
-    down(0, np.arange(len(background)))
+def _cover_counts(forest: Forest, background: np.ndarray) -> np.ndarray:
+    """How many background rows reach each node of the forest."""
+    covers = forest.covers(background)
     if np.any(covers == 0):
         raise ExplainError(
             "background set leaves some tree nodes uncovered; use a larger background "
             "(the training feature matrix covers every node by construction)"
         )
     return covers
-
-
-def _tree_expectation(tree: Tree, covers: np.ndarray) -> float:
-    total = 0.0
-    for node in range(len(tree.feature)):
-        if tree.feature[node] < 0:
-            total += covers[node] * tree.value[node]
-    return total / covers[0]
 
 
 # --- path table ----------------------------------------------------------------
@@ -134,18 +97,6 @@ class _PathTable:
     space: str
 
 
-@dataclass
-class _TableCache:
-    """The last single-row path table (tree_shap, interaction_pairs) and what
-    it was built from (not persisted)."""
-
-    trees: list[Tree]  # compared by identity
-    scales: list[float]
-    const: float
-    background: bytes  # SHA-256 of the background's shape and values
-    table: _PathTable
-
-
 def _checked_inputs(model, x, background, ndim: int = 1):
     """(x, background) as float arrays, or ExplainError. x is one row
     (ndim 1) or rows (ndim 2), background a matrix with at least one row;
@@ -189,18 +140,19 @@ def _tree_paths(tree: Tree, covers: np.ndarray):
             stack.append((child, branch))
 
 
-def _path_table(model, background: np.ndarray) -> _PathTable:
-    """The path table of a tree model over a checked background: each tree's
-    covers are computed once. Paths become arrays tree by tree, which keeps
-    the Python objects of only one tree's paths alive at a time."""
-    trees, scales, const, space = _ensemble_parts(model)
+def _path_table(model: TreeModel, background: np.ndarray) -> _PathTable:
+    """The path table of a tree model over a checked background. Trees
+    become paths, then arrays, one at a time: one tree's objects live at once."""
+    forest, scale, base = model.forest, model.scale, model.intercept
+    covers = _cover_counts(forest, background)
     by_depth: dict[int, list] = {}  # D -> per tree (features, (lo, hi, zero), values)
-    base = const
-    for tree, scale in zip(trees, scales):
-        covers = _cover_counts(tree, background)
-        base += scale * _tree_expectation(tree, covers)
+    for t in range(len(forest)):
+        tree, tree_covers = forest.tree(t), covers[forest.offsets[t]:forest.offsets[t + 1]]
+        # The tree's mean over the background: its leaves added in preorder.
+        leaves = [c * v for f, c, v in zip(tree.feature, tree_covers, tree.value) if f < 0]
+        base += scale * (np.cumsum(leaves)[-1] / tree_covers[0])
         paths: dict[int, list] = {}
-        for elements, value in _tree_paths(tree, covers):
+        for elements, value in _tree_paths(tree, tree_covers):
             if elements:  # a lone leaf attributes nothing
                 paths.setdefault(len(elements), []).append((elements, scale * value))
         for depth, group in paths.items():
@@ -214,25 +166,25 @@ def _path_table(model, background: np.ndarray) -> _PathTable:
                                   for arrays in zip(*by_depth.pop(depth)))
         nodes, weights = np.polynomial.legendre.leggauss((depth + 1) // 2)
         groups.append(_PathGroup(feature, *bounds, value, (nodes + 1.0) / 2.0, weights / 2.0))
-    return _PathTable(groups, float(base), space)
+    return _PathTable(groups, float(base), model.space)
 
 
 def _cached_table(model, background: np.ndarray) -> _PathTable:
-    """The model's path table for this background, rebuilt unless the last
-    one was built from the same tree objects, scales and background values.
-    A digest stands in for the background: a copy would keep it alive
-    twice."""
-    trees, scales, const, _space = _ensemble_parts(model)
+    """The model's path table, rebuilt unless model.explain_cache (not
+    persisted) holds one of the same forest object, scale, intercept and
+    background, whose shape and values a SHA-256 digest stands in for: a
+    copy would keep the background alive twice."""
+    if not isinstance(model, TreeModel):
+        raise ExplainError(
+            f"exact tree explanation unsupported for kind {getattr(model, 'kind', type(model).__name__)!r}; "
+            "supported: DecisionTree, RandomForest, GradientBoostedTrees (or linear_shap for LogisticRegression)"
+        )
     digest = hashlib.sha256(repr(background.shape).encode())
     digest.update(np.ascontiguousarray(background).data)
-    cache = model.explain_cache
-    if (cache is None or len(cache.trees) != len(trees)
-            or not all(map(operator.is_, cache.trees, trees))
-            or cache.scales != scales or cache.const != const
-            or cache.background != digest.digest()):
-        cache = _TableCache(trees, scales, const, digest.digest(), _path_table(model, background))
-        model.explain_cache = cache
-    return cache.table
+    key = (model.forest, model.scale, model.intercept, digest.digest())  # a Forest equals only itself
+    if model.explain_cache is None or model.explain_cache[0] != key:
+        model.explain_cache = (key, _path_table(model, background))
+    return model.explain_cache[1]
 
 
 def _add_group_phi(group: _PathGroup, X: np.ndarray, phi: np.ndarray) -> None:
@@ -262,30 +214,16 @@ def _add_group_phi(group: _PathGroup, X: np.ndarray, phi: np.ndarray) -> None:
         phi_row += np.bincount(feature, contributions, len(phi_row))
 
 
-def _model_outputs(model, X) -> list[float]:
-    """Each row's explained output, computed from that row alone: the margin
-    for boosted trees, with margin_batch's arithmetic and without its
-    per-tree array overhead on single rows, else the probability."""
-    if not isinstance(model, GradientBoostedTreesModel):
-        return [model.predict_proba(x) for x in X]
-    lr = model.config["learning_rate"]
-    outputs = []
-    for x in X:
-        margin = model.base_margin
-        for tree in model.trees:
-            margin += lr * tree.predict_one(x)
-        outputs.append(margin)
-    return outputs
-
-
 def _explain_table(model, table: _PathTable, X: np.ndarray, patch_ids) -> list[ShapExplanation]:
     phi = np.zeros(X.shape)
     for group in table.groups:
         step = max(1, _BLOCK_BYTES // (8 * group.feature.size))
         for start in range(0, len(X), step):
             _add_group_phi(group, X[start:start + step], phi[start:start + step])
+    # Each row's explained output, the same bits as alone.
+    outputs = model.margin_batch(X) if table.space == "margin" else model.predict_proba_batch(X)
     return [ShapExplanation(pid, table.base, contributions, output, table.space)
-            for pid, contributions, output in zip(patch_ids, phi, _model_outputs(model, X))]
+            for pid, contributions, output in zip(patch_ids, phi, outputs.tolist())]
 
 
 def tree_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
@@ -318,13 +256,15 @@ def explain_instance(model, x, background, patch_id: str = "") -> ShapExplanatio
 
 
 def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
-    """explain_instance for every row of X, bit for bit; a tree's covers are
-    computed once per call."""
+    """explain_instance for every row of X, bit for bit. A tree model's
+    covers and path table are built once per call and left in the model's
+    cache, for tree_shap and interaction_pairs on the same background."""
     X, background = _checked_inputs(model, X, background, ndim=2)
     patch_ids = [""] * len(X) if patch_ids is None else list(patch_ids)
     if isinstance(model, LogisticRegressionModel):
         return [linear_shap(model, x, background, pid) for x, pid in zip(X, patch_ids)]
-    return _explain_table(model, _path_table(model, background), X, patch_ids)
+    model.explain_cache = None  # built afresh, then kept
+    return _explain_table(model, _cached_table(model, background), X, patch_ids)
 
 
 def rank_importance(explanations, names) -> GlobalImportance:

@@ -82,53 +82,118 @@ def _sigmoid(z):
 # CART trees (shared by DecisionTree, RandomForest, GradientBoostedTrees)
 # ---------------------------------------------------------------------------
 
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
 @dataclass
 class Tree:
-    """Flat array representation; feature == -1 marks a leaf."""
+    """Flat lists in preorder; feature == -1 marks a leaf, whose children are -1."""
     feature: list[int]
     threshold: list[float]
     left: list[int]
     right: list[int]
     value: list[float]
 
-    def predict_one(self, x) -> float:
-        node = 0
-        while self.feature[node] >= 0:
-            node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
-        return self.value[node]
-
-    def predict(self, X) -> np.ndarray:
-        return np.array([self.predict_one(row) for row in X])
-
     def to_dict(self) -> dict:
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left, "right": self.right, "value": self.value}
+        return {field: getattr(self, field) for field in _TREE_FIELDS}
+
+
+# Rows walked at a time, per tree: bounds the (rows, trees) arrays of a walk.
+_WALK_CELLS = 1 << 16
+
+
+class Forest:
+    """Tree records packed into one set of node arrays: tree t is nodes
+    offsets[t]:offsets[t + 1], root first. Children are forest indices and
+    a leaf's children are itself, so one gather per level moves every
+    (row, tree) pair down a level, for len(levels) levels (the split nodes
+    of each depth). Not modified after it is made."""
+
+    def __init__(self, trees):
+        sizes = [len(t.feature) for t in trees]
+        self.offsets = np.cumsum([0] + sizes, dtype=np.intp)
+        self.feature, self.threshold, left, right, self.value = (
+            np.array([v for t in trees for v in getattr(t, field)], dtype=dtype)
+            for field, dtype in zip(_TREE_FIELDS, (np.intp, float, np.intp, np.intp, float)))
+        itself, first = np.arange(len(self.feature)), np.repeat(self.offsets[:-1], sizes)
+        self.left, self.right = (np.where(self.feature < 0, itself, side + first) for side in (left, right))
+        # Unique nodes: a saved file may give two splits one child.
+        self.levels, nodes = [], self.offsets[:-1]
+        while len(nodes := nodes[self.feature[nodes] >= 0]):
+            self.levels.append(nodes)
+            nodes = np.unique(np.concatenate([self.left[nodes], self.right[nodes]]))
 
     @classmethod
-    def from_dict(cls, d: dict, feature_count: int) -> "Tree":
-        """The saved tree; ValueError unless its arrays are lists of one
-        length, every split's feature is below feature_count and its
-        children come after it and exist, and thresholds and values are
-        finite numbers."""
-        arrays = [d[key] for key in ("feature", "threshold", "left", "right", "value")]
-        if not all(isinstance(a, list) for a in arrays) or len({len(a) for a in arrays}) != 1 \
-                or not arrays[0]:
+    def load(cls, dicts, feature_count: int) -> "Forest":
+        """The forest of saved trees; ValueError unless each tree's arrays
+        are non-empty lists of one length and, over all trees, features and
+        children are integers, thresholds and values finite numbers, and a
+        split's feature is below feature_count and its children follow it
+        in its tree."""
+        trees = [Tree(*(d[field] for field in _TREE_FIELDS)) for d in dicts]
+        if not all(all(isinstance(a, list) for a in vars(t).values()) and t.feature
+                   and len({len(a) for a in vars(t).values()}) == 1 for t in trees):
             raise ValueError("tree arrays must be non-empty lists of one length")
-        feature, threshold, left, right, value = arrays
-        if not all(type(v) is int for v in feature + left + right):
+        if not all(type(v) is int for t in trees for v in t.feature + t.left + t.right):
             raise ValueError("tree features and children must be integers")
-        if not all(type(v) in (int, float) and math.isfinite(v) for v in threshold + value):
+        if not all(type(v) in (int, float) and math.isfinite(v)
+                   for t in trees for v in t.threshold + t.value):
             raise ValueError("tree thresholds and values must be finite numbers")
-        n = len(feature)
-        for node, f in enumerate(feature):
-            if not -1 <= f < feature_count:
-                raise ValueError(f"tree node {node} splits on feature {f}; "
-                                 f"the model has {feature_count}")
-            if f >= 0 and not (node < left[node] < n and node < right[node] < n):
-                raise ValueError(f"tree node {node} has children {left[node]} and "
-                                 f"{right[node]}; they must lie in ({node}, {n})")
-        return cls(feature=feature, threshold=[float(v) for v in threshold], left=left,
-                   right=right, value=[float(v) for v in value])
+        for t in trees:
+            n = len(t.feature)
+            for node, (f, l, r) in enumerate(zip(t.feature, t.left, t.right)):
+                if not -1 <= f < feature_count:
+                    raise ValueError(f"tree node {node} splits on feature {f}; the model has {feature_count}")
+                if f >= 0 and not (node < l < n and node < r < n):
+                    raise ValueError(f"tree node {node} has children {l} and {r}; "
+                                     f"they must lie in ({node}, {n})")
+            # A leaf's children are never read, whatever integers they are.
+            t.left, t.right = ([c if f >= 0 else -1 for f, c in zip(t.feature, side)]
+                               for side in (t.left, t.right))
+        return cls(trees)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def tree(self, t: int) -> Tree:
+        nodes = slice(self.offsets[t], self.offsets[t + 1])
+        leaf = self.feature[nodes] < 0
+        left, right = (np.where(leaf, -1, side[nodes] - nodes.start).tolist()
+                       for side in (self.left, self.right))
+        return Tree(self.feature[nodes].tolist(), self.threshold[nodes].tolist(), left, right,
+                    self.value[nodes].tolist())
+
+    def _leaves(self, X):
+        """(rows, their leaf in every tree) for blocks of X's rows, which
+        bound the walk's arrays. A leaf reads column -1, to no effect."""
+        step = max(1, _WALK_CELLS // max(1, len(self)))
+        for a in range(0, len(X), step):
+            rows = np.arange(a, min(a + step, len(X)))[:, None]
+            node = np.repeat(self.offsets[None, :-1], len(rows), axis=0)
+            for _level in self.levels:
+                node = np.where(X[rows, self.feature[node]] <= self.threshold[node],
+                                self.left[node], self.right[node])
+            yield rows[:, 0], node
+
+    def sums(self, X, scale: float = 1.0, start: float | None = None) -> np.ndarray:
+        """Per row of X, its leaf values times `scale` added in tree order
+        after `start`, if given: the same bits alone and in any batch."""
+        out = np.empty(len(X))
+        for rows, leaves in self._leaves(X):
+            terms = self.value[leaves] * scale
+            if start is not None:
+                terms = np.column_stack([np.full(len(terms), start), terms])
+            out[rows] = np.cumsum(terms, axis=1)[:, -1]
+        return out
+
+    def covers(self, X) -> np.ndarray:
+        """How many rows of X reach each node: leaf counts summed upward."""
+        counts = np.zeros(len(self.feature))
+        for _rows, leaves in self._leaves(X):
+            counts += np.bincount(leaves.ravel(), minlength=len(counts))
+        for nodes in reversed(self.levels):
+            counts[nodes] = counts[self.left[nodes]] + counts[self.right[nodes]]
+        return counts
 
 
 class _Scratch:
@@ -394,22 +459,17 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
         t = targets[idx]
         return not np.all(t == t[0])
 
-    tree = Tree([], [], [], [], [])
+    nodes = []  # [feature, threshold, left, right, value] per node, as in Tree
     # (rows in ascending order, depth, parent, is_left, whether it is
     # searched, where the sorted lists are)
     root = np.arange(n)
     stack = [(root, 0, -1, True, searched(root, 0), None if sample else (0, 0, scratch.root))]
     while stack:
         idx, depth, parent, is_left, search, where = stack.pop()
-        node = len(tree.feature)
-        value = float(leaf_value_fn(idx))
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.value.append(value)
+        node, value = len(nodes), float(leaf_value_fn(idx))
+        nodes.append([-1, 0.0, -1, -1, value])
         if parent >= 0:
-            (tree.left if is_left else tree.right)[parent] = node
+            nodes[parent][2 if is_left else 3] = node
         split = None
         if search:
             chunks = values = None
@@ -430,8 +490,7 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
             continue
         _score, f, thr = split
         mask = X[idx, f] <= thr
-        tree.feature[node] = int(f)
-        tree.threshold[node] = thr
+        nodes[node][:2] = int(f), thr
         left, right = idx[mask], idx[~mask]
         where_l = where_r = None
         needed = [searched(left, depth + 1), searched(right, depth + 1)]
@@ -439,20 +498,7 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
             where_l, where_r = scratch.partition(where, idx, mask, len(left), needed)
         stack.append((right, depth + 1, node, False, needed[1], where_r))
         stack.append((left, depth + 1, node, True, needed[0], where_l))
-    return tree
-
-
-def _tree_report(trees) -> dict:
-    """Tree count, total node count and the deepest node's depth."""
-    deepest = 0
-    for tree in trees:
-        depth = [0] * len(tree.feature)
-        for node, f in enumerate(tree.feature):
-            if f >= 0:
-                depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
-        deepest = max(deepest, max(depth))
-    return {"trees": len(trees), "nodes": sum(len(t.feature) for t in trees),
-            "max_depth_reached": deepest}
+    return Tree(*map(list, zip(*nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,18 +513,27 @@ class TrainedModel:
         self.config = config
         self.seed = seed
         self.training_report: dict = {}
-        self.explain_cache = None  # explain's last single-row path table; not persisted
+        self.explain_cache = None  # explain's last path table; not persisted
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.feature_count,):
-            raise TrainError(f"expected feature vector of length {self.feature_count}, got {x.shape}")
-        return x
+    def _rows(self, X) -> np.ndarray:
+        """X as a float matrix of rows of the model's width, or TrainError."""
+        try:
+            X = np.asarray(X, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise TrainError(f"feature vectors must be numbers of one length: {exc}") from exc
+        if X.ndim != 2 or X.shape[1] != self.feature_count:
+            raise TrainError(f"expected feature vectors of length {self.feature_count}, "
+                             f"got shape {X.shape}")
+        return X
 
     def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(np.asarray(self._check(x))[None, :])[0])
+        return float(self.predict_proba_batch([x])[0])
 
     def predict_proba_batch(self, X) -> np.ndarray:
+        """The probability of label 1 for every row of X."""
+        return self._proba(self._rows(X))
+
+    def _proba(self, X) -> np.ndarray:
         raise NotImplementedError
 
     def _params_dict(self) -> dict:
@@ -554,10 +609,10 @@ class LogisticRegressionModel(TrainedModel):
         return model
 
     def margin_batch(self, X) -> np.ndarray:
-        Xs = (np.asarray(X, dtype=float) - self.mean) / self.std
+        Xs = (self._rows(X) - self.mean) / self.std
         return Xs @ self.weights + self.bias
 
-    def predict_proba_batch(self, X) -> np.ndarray:
+    def _proba(self, X) -> np.ndarray:
         return _sigmoid(self.margin_batch(X))
 
     def _params_dict(self) -> dict:
@@ -577,11 +632,9 @@ class NaiveBayesModel(TrainedModel):
 
     kind = "NaiveBayes"
 
-    def __init__(self, feature_count, config, seed, priors=None, means=None, variances=None):
+    def __init__(self, feature_count, config, seed, priors, means, variances):
         super().__init__(feature_count, config, seed)
-        self.priors = np.array([0.5, 0.5]) if priors is None else np.asarray(priors, dtype=float)
-        self.means = means if means is not None else np.zeros((2, feature_count))
-        self.variances = variances if variances is not None else np.ones((2, feature_count))
+        self.priors, self.means, self.variances = priors, means, variances
 
     @classmethod
     def fit(cls, X, y, config, seed):
@@ -601,8 +654,7 @@ class NaiveBayesModel(TrainedModel):
         model = cls(X.shape[1], config, seed, priors, means, variances)
         return model
 
-    def predict_proba_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+    def _proba(self, X) -> np.ndarray:
         log_joint = np.zeros((X.shape[0], 2))
         for c in (0, 1):
             ll = -0.5 * (np.log(2 * np.pi * self.variances[c])
@@ -623,47 +675,73 @@ class NaiveBayesModel(TrainedModel):
                    _array(params["variances"], (2, feature_count), "variances"))
 
 
-class DecisionTreeModel(TrainedModel):
+class TreeModel(TrainedModel):
+    """A tree learner's model: one Forest. Its explained output, in `space`,
+    is `intercept` plus `scale` times each tree's leaf value, summed over
+    the trees; predictions take the same leaf values in tree order."""
+
+    space = "probability"
+    intercept = 0.0
+
+    def __init__(self, feature_count, config, seed, trees):  # a Forest or Tree records
+        super().__init__(feature_count, config, seed)
+        self.forest = trees if isinstance(trees, Forest) else Forest(trees)
+        self.training_report = {"trees": len(self.forest), "nodes": len(self.forest.feature),
+                                "max_depth_reached": len(self.forest.levels)}
+
+    @property
+    def trees(self) -> tuple[Tree, ...]:
+        return tuple(self.forest.tree(t) for t in range(len(self.forest)))
+
+    @property
+    def scale(self) -> float:
+        return 1.0 / len(self.forest)
+
+    def _proba(self, X) -> np.ndarray:
+        # The mean leaf value: one tree's for DT, the trees' for RF.
+        return self.forest.sums(X) / len(self.forest)
+
+    def _params_dict(self) -> dict:
+        return {"trees": [t.to_dict() for t in self.trees]}
+
+
+def _leaf_frequency(y, weights):
+    """The leaf value of DT and RF trees: the weighted frequency of label 1."""
+    def value(idx):
+        w = weights[idx]
+        return float((w * y[idx]).sum() / w.sum())
+    return value
+
+
+class DecisionTreeModel(TreeModel):
     kind = "DecisionTree"
 
-    def __init__(self, feature_count, config, seed, tree: Tree | None = None):
-        super().__init__(feature_count, config, seed)
-        self.tree = tree
+    def __init__(self, feature_count, config, seed, tree):
+        super().__init__(feature_count, config, seed, tree if isinstance(tree, Forest) else [tree])
+
+    @property
+    def tree(self) -> Tree:
+        return self.forest.tree(0)
 
     @classmethod
     def fit(cls, X, y, config, seed):
         sw = _sample_weights(y, config["class_weight"])
-
-        def leaf_value(idx):
-            w = sw[idx]
-            return float((w * y[idx]).sum() / w.sum())
-
-        tree = grow_tree(X, y, sw, leaf_value, config["max_depth"], config["min_leaf"],
-                         criterion="gini")
-        model = cls(X.shape[1], config, seed, tree)
-        model.training_report = _tree_report([tree])
-        return model
-
-    def predict_proba_batch(self, X) -> np.ndarray:
-        return self.tree.predict(np.asarray(X, dtype=float))
+        tree = grow_tree(X, y, sw, _leaf_frequency(y, sw), config["max_depth"], config["min_leaf"])
+        return cls(X.shape[1], config, seed, tree)
 
     def _params_dict(self) -> dict:
         return {"tree": self.tree.to_dict()}
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        return cls(feature_count, config, seed, Tree.from_dict(params["tree"], feature_count))
+        return cls(feature_count, config, seed, Forest.load([params["tree"]], feature_count))
 
 
-class RandomForestModel(TrainedModel):
+class RandomForestModel(TreeModel):
     """Bagged Gini trees with per-split feature subsampling; the forest
     probability is the mean of per-tree leaf frequencies."""
 
     kind = "RandomForest"
-
-    def __init__(self, feature_count, config, seed, trees: list[Tree] | None = None):
-        super().__init__(feature_count, config, seed)
-        self.trees = trees or []
 
     @classmethod
     def fit(cls, X, y, config, seed):
@@ -683,39 +761,20 @@ class RandomForestModel(TrainedModel):
             rng = np.random.default_rng([seed, t])  # per-tree derived seed
             boot = rng.integers(0, n, size=n)
             Xb, yb, wb = X[boot], y[boot], sw[boot]
-
-            def leaf_value(idx, yb=yb, wb=wb):
-                w = wb[idx]
-                return float((w * yb[idx]).sum() / w.sum())
-
-            trees.append(grow_tree(Xb, yb, wb, leaf_value, config["max_depth"],
+            trees.append(grow_tree(Xb, yb, wb, _leaf_frequency(yb, wb), config["max_depth"],
                                    config["min_leaf"], criterion="gini",
                                    max_features=max_features, rng=rng, scratch=scratch))
-        model = cls(p, config, seed, trees)
-        model.training_report = _tree_report(trees)
-        return model
-
-    def predict_proba_batch(self, X) -> np.ndarray:
-        # Summed in tree order, so a row gets the same bits alone as in any
-        # batch (np.mean over one row's trees would sum pairwise).
-        X = np.asarray(X, dtype=float)
-        total = self.trees[0].predict(X)
-        for tree in self.trees[1:]:
-            total += tree.predict(X)
-        return total / len(self.trees)
-
-    def _params_dict(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees]}
+        return cls(p, config, seed, trees)
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        trees = [Tree.from_dict(d, feature_count) for d in params["trees"]]
-        if not trees:
+        forest = Forest.load(params["trees"], feature_count)
+        if not len(forest):
             raise ValueError("a forest needs at least one tree")
-        return cls(feature_count, config, seed, trees)
+        return cls(feature_count, config, seed, forest)
 
 
-class GradientBoostedTreesModel(TrainedModel):
+class GradientBoostedTreesModel(TreeModel):
     """Boosted shallow regression trees on the logistic loss with shrinkage.
 
     Predictions live in margin (log-odds) space; leaf values are damped
@@ -723,11 +782,11 @@ class GradientBoostedTreesModel(TrainedModel):
     """
 
     kind = "GradientBoostedTrees"
+    space = "margin"
 
-    def __init__(self, feature_count, config, seed, base_margin=0.0, trees=None):
-        super().__init__(feature_count, config, seed)
+    def __init__(self, feature_count, config, seed, base_margin, trees):
+        super().__init__(feature_count, config, seed, trees)
         self.base_margin = float(base_margin)
-        self.trees = trees or []
 
     @classmethod
     def fit(cls, X, y, config, seed):
@@ -741,7 +800,7 @@ class GradientBoostedTreesModel(TrainedModel):
         trees: list[Tree] = []
         losses: list[float] = []
         # One presort serves every round; each row's leaf value updates its
-        # margin, which is what tree.predict(X) would return for it.
+        # margin, which is what the tree's walk would return for it.
         scratch = _Scratch(X, sw, X.shape[1], True, presort=True)
         leaf_values = np.empty(len(y))
         for _round in range(config["rounds"]):
@@ -754,10 +813,9 @@ class GradientBoostedTreesModel(TrainedModel):
                 den = float((sw[idx] * hessian[idx]).sum()) + l2
                 return num / den
 
-            tree = grow_tree(X, residual, sw, leaf_value, config["max_depth"],
-                             config["min_leaf"], criterion="mse", scratch=scratch,
-                             leaf_values=leaf_values)
-            trees.append(tree)
+            trees.append(grow_tree(X, residual, sw, leaf_value, config["max_depth"],
+                                   config["min_leaf"], criterion="mse", scratch=scratch,
+                                   leaf_values=leaf_values))
             margin = margin + lr * leaf_values
             p_new = np.clip(_sigmoid(margin), 1e-12, 1 - 1e-12)
             loss = float(-(sw * (y * np.log(p_new) + (1 - y) * np.log(1 - p_new))).sum() / total)
@@ -765,26 +823,30 @@ class GradientBoostedTreesModel(TrainedModel):
                 raise TrainError("non-finite boosting loss; lower the learning rate")
             losses.append(loss)
         model = cls(X.shape[1], config, seed, base, trees)
-        model.training_report = {"round_losses": losses, **_tree_report(trees)}
+        model.training_report = {"round_losses": losses, **model.training_report}
         return model
 
-    def margin_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        margin = np.full(X.shape[0], self.base_margin)
-        for tree in self.trees:
-            margin += self.config["learning_rate"] * tree.predict(X)
-        return margin
+    @property
+    def scale(self) -> float:
+        return self.config["learning_rate"]
 
-    def predict_proba_batch(self, X) -> np.ndarray:
+    @property
+    def intercept(self) -> float:
+        return self.base_margin
+
+    def margin_batch(self, X) -> np.ndarray:
+        return self.forest.sums(self._rows(X), self.scale, self.base_margin)
+
+    def _proba(self, X) -> np.ndarray:
         return _sigmoid(self.margin_batch(X))
 
     def _params_dict(self) -> dict:
-        return {"base_margin": self.base_margin, "trees": [t.to_dict() for t in self.trees]}
+        return {"base_margin": self.base_margin, **super()._params_dict()}
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
         return cls(feature_count, config, seed, _number(params["base_margin"], "base_margin"),
-                   [Tree.from_dict(d, feature_count) for d in params["trees"]])
+                   Forest.load(params["trees"], feature_count))
 
 
 # --- feed-forward network ---------------------------------------------------
@@ -839,11 +901,9 @@ def net_loss_and_grad(params, X, y, l2=0.0, sample_weight=None):
 class FeedForwardNetModel(TrainedModel):
     kind = "FeedForwardNet"
 
-    def __init__(self, feature_count, config, seed, params=None, mean=None, std=None):
+    def __init__(self, feature_count, config, seed, params, mean, std):
         super().__init__(feature_count, config, seed)
-        self.params = params or []
-        self.mean = np.zeros(feature_count) if mean is None else np.asarray(mean, dtype=float)
-        self.std = np.ones(feature_count) if std is None else np.asarray(std, dtype=float)
+        self.params, self.mean, self.std = params, mean, std
 
     @classmethod
     def fit(cls, X, y, config, seed):
@@ -864,9 +924,8 @@ class FeedForwardNetModel(TrainedModel):
         model.training_report = {"final_loss": final_loss}
         return model
 
-    def predict_proba_batch(self, X) -> np.ndarray:
-        Xs = (np.asarray(X, dtype=float) - self.mean) / self.std
-        p, _ = net_forward(self.params, Xs)
+    def _proba(self, X) -> np.ndarray:
+        p, _ = net_forward(self.params, (X - self.mean) / self.std)
         return p
 
     def _params_dict(self) -> dict:
@@ -978,5 +1037,5 @@ def load(path) -> TrainedModel:
         return _MODEL_CLASSES[kind]._from_params(feature_count, config, seed, params)
     except KeyError as exc:
         raise TrainError(f"{path}: not a valid {kind} model: no {exc} entry") from exc
-    except (TypeError, ValueError, TrainError) as exc:
+    except (TypeError, ValueError, OverflowError, TrainError) as exc:
         raise TrainError(f"{path}: not a valid {kind} model: {exc}") from exc

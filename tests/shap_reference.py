@@ -14,9 +14,10 @@ from itertools import combinations
 import numpy as np
 
 from patchpred.errors import ExplainError
-from patchpred.explain import (ShapExplanation, _cover_counts, _ensemble_parts,
-                               _model_outputs)
-from patchpred.learn import GradientBoostedTreesModel, Tree
+from patchpred.explain import ShapExplanation
+from patchpred.learn import Tree
+
+from tree_reference import cover_counts, model_output
 
 # --- exact path recursion ----------------------------------------------------
 # Path entries are [feature, zero_fraction, one_fraction, weight]. The weight
@@ -117,14 +118,14 @@ def _cond_exp(tree: Tree, covers: np.ndarray, x, subset: frozenset, node: int = 
 
 
 def _value_function(model, x, background):
-    trees, scales, const, _space = _ensemble_parts(model)
-    covers = [_cover_counts(t, np.asarray(background, dtype=float)) for t in trees]
+    trees = model.trees
+    covers = [cover_counts(t, background) for t in trees]
     cache: dict[frozenset, float] = {}
 
     def v(subset: frozenset) -> float:
         if subset not in cache:
-            cache[subset] = const + sum(
-                s * _cond_exp(t, c, x, subset) for t, c, s in zip(trees, covers, scales)
+            cache[subset] = model.intercept + sum(
+                model.scale * _cond_exp(t, c, x, subset) for t, c in zip(trees, covers)
             )
         return cache[subset]
 
@@ -146,8 +147,8 @@ def brute_force_shap(model, x, background) -> ShapExplanation:
                 s = frozenset(subset)
                 phi[i] += weight * (v(s | {i}) - v(s))
     base = v(frozenset())
-    return ShapExplanation("", float(base), phi, _model_outputs(model, x[None, :])[0],
-                           "margin" if isinstance(model, GradientBoostedTreesModel) else "probability")
+    return ShapExplanation("", float(base), phi, float(model_output(model, x[None, :])[0]),
+                           model.space)
 
 
 def brute_force_interaction(model, x, feature_a: int, feature_b: int, background) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from patchpred import evaluate
-from patchpred.errors import EvalError
+from patchpred.errors import EvalError, TrainError
 from patchpred.evaluate import (JointRow, SingleSetTrainer, auc, compare_predictions,
                                 confusion_metrics, crossval)
 
@@ -147,6 +147,18 @@ def test_crossval_missing_feature_side_names_patch():
             JointRow("p4", "bugB", 0, learned=np.zeros(2))]
     with pytest.raises(EvalError, match="p2"):
         crossval(rows, SingleSetTrainer("learned", "nb"), k=2, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["lr", "nb", "dt", "rf", "gbt", "dnn"])
+@pytest.mark.parametrize("width", [2, 5])
+def test_single_set_predictor_refuses_rows_of_another_width(kind, width):
+    X = np.random.default_rng(3).normal(size=(30, 3))
+    rows = [JointRow(f"p{i}", f"b{i}", int(x[0] > 0), engineered=x) for i, x in enumerate(X)]
+    config = {"rf": {"n_trees": 3}, "gbt": {"rounds": 3}, "dnn": {"epochs": 3}}.get(kind)
+    predict = SingleSetTrainer("engineered", kind, config).fit(rows, seed=0)
+    assert len(predict(rows[:4])) == 4
+    with pytest.raises(TrainError, match="length 3"):
+        predict([JointRow("q", "b", 0, engineered=np.zeros(width))])
 
 
 def test_predictions_round_trip_and_compare(tmp_path):

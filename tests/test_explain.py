@@ -9,6 +9,7 @@ from patchpred.learn import (DecisionTreeModel, FeatureRow, LogisticRegressionMo
                              RandomForestModel, Tree)
 
 from shap_reference import brute_force_interaction, brute_force_shap, tree_phi
+from tree_reference import cover_counts
 
 
 def leaf_tree(value):
@@ -209,11 +210,10 @@ def test_explain_rows_matches_explain_instance_with_covers_once(kind, monkeypatc
     else:
         model, X = random_tree_model(rng, 3, kind)
     one_by_one = [explain.explain_instance(model, x, X, f"p{i}") for i, x in enumerate(X)]
-    calls = []
-    real_cover_counts = explain._cover_counts
-    monkeypatch.setattr(explain, "_cover_counts", lambda tree, bg: calls.append(1) or real_cover_counts(tree, bg))
+    calls = count_cover_calls(monkeypatch)
     batch = explain.explain_rows(model, X, X, [f"p{i}" for i in range(len(X))])
-    assert len(calls) == (0 if kind == "lr" else len(explain._ensemble_parts(model)[0]))
+    # One walk gives every tree's covers.
+    assert len(calls) == (0 if kind == "lr" else 1)
     for a, b in zip(one_by_one, batch):
         assert (a.patch_id, a.base_value, a.model_output, a.space) == (b.patch_id, b.base_value,
                                                                       b.model_output, b.space)
@@ -226,10 +226,9 @@ def test_explain_rows_matches_explain_instance_with_covers_once(kind, monkeypatc
 
 def recursion_phi(model, x, background):
     """Attributions summed tree by tree from the per-node recursion."""
-    trees, scales, _const, _space = explain._ensemble_parts(model)
     phi = np.zeros(model.feature_count)
-    for tree, scale in zip(trees, scales):
-        phi += scale * tree_phi(tree, explain._cover_counts(tree, background), x, model.feature_count)
+    for tree in model.trees:
+        phi += model.scale * tree_phi(tree, cover_counts(tree, background), x, model.feature_count)
     return phi
 
 
@@ -254,9 +253,8 @@ def tree_models(draw):
     if kind == "gbt":
         config.update(rounds=draw(st.integers(1, 6)))
     model = learn.train(kind, fit_rows(X, y), config, seed=seed)
-    trees = explain._ensemble_parts(model)[0]
     on_thresholds = X[0].copy()
-    for tree in trees:
+    for tree in model.trees:
         for f, t in zip(tree.feature, tree.threshold):
             if f >= 0:
                 on_thresholds[f] = t
@@ -299,31 +297,44 @@ def test_explain_rows_on_a_shuffled_subset_equals_the_full_batch(kind, block_byt
 
 
 def count_cover_calls(monkeypatch):
+    """Records every covers walk, one per path table built."""
     calls = []
     real_cover_counts = explain._cover_counts
-    monkeypatch.setattr(explain, "_cover_counts", lambda tree, bg: calls.append(1) or real_cover_counts(tree, bg))
+    monkeypatch.setattr(explain, "_cover_counts",
+                        lambda forest, bg: calls.append(1) or real_cover_counts(forest, bg))
     return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=tree_models())
+def test_forest_covers_equal_the_per_tree_recursion(case):
+    model, X, rows = case
+    covers = explain._cover_counts(model.forest, X)
+    offsets = model.forest.offsets
+    for t, tree in enumerate(model.trees):
+        assert np.array_equal(covers[offsets[t]:offsets[t + 1]], cover_counts(tree, X))
+    assert np.all(model.forest.covers(rows)[offsets[:-1]] == len(rows))  # every root
 
 
 def test_tree_shap_reuses_its_table_only_for_the_same_background_values(monkeypatch):
     rng = np.random.default_rng(12)
     model, X = random_tree_model(rng, 4, "rf")
-    n_trees = len(model.trees)
     calls = count_cover_calls(monkeypatch)
     first = tree_shap(model, X[0], X)
-    assert len(calls) == n_trees
+    assert len(calls) == 1
     assert np.array_equal(tree_shap(model, X[0], X.copy()).contributions, first.contributions)
-    assert len(calls) == n_trees
+    assert len(calls) == 1
     edited = X.copy()
     edited[3, 1] += 0.25
     again = tree_shap(model, X[0], edited)
-    assert len(calls) == 2 * n_trees
+    assert len(calls) == 2
     fresh = explain.explain_rows(model, X[:1], edited)[0]
     assert np.array_equal(again.contributions, fresh.contributions)
     assert again.base_value == fresh.base_value
-    model.trees[0] = learn.Tree(**{k: list(v) for k, v in vars(model.trees[0]).items()})
+    # Equal trees in a new forest object: the table is built again.
+    model.forest = learn.Forest(model.trees)
     tree_shap(model, X[0], edited)
-    assert len(calls) == 4 * n_trees
+    assert len(calls) == 4
 
 
 def test_interactions_for_many_rows_compute_covers_once_per_tree(monkeypatch):
@@ -331,9 +342,26 @@ def test_interactions_for_many_rows_compute_covers_once_per_tree(monkeypatch):
     model, X = random_tree_model(rng, 4, "rf")
     calls = count_cover_calls(monkeypatch)
     values = [interaction_pairs(model, x, 0, 3, X) for x in X[:5]]
-    assert len(calls) == len(model.trees)
+    assert len(calls) == 1
     reference = [brute_force_interaction(model, x, 0, 3, X) for x in X[:5]]
     assert np.max(np.abs(np.subtract(values, reference))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["dt", "rf", "gbt"])
+def test_interactions_after_explain_rows_reuse_its_table(monkeypatch, kind):
+    model, X = random_tree_model(np.random.default_rng(15), 4, kind)
+    builds = []
+    path_table = explain._path_table
+    monkeypatch.setattr(explain, "_path_table",
+                        lambda *args: builds.append(1) or path_table(*args))
+    explanations = explain.explain_rows(model, X, X)
+    values = [interaction_pairs(model, x, 1, 2, X) for x in X]
+    assert len(builds) == 1
+    assert tree_shap(model, X[0], X).contributions.tolist() == explanations[0].contributions.tolist()
+    assert len(builds) == 1
+    model.explain_cache = None
+    assert [interaction_pairs(model, x, 1, 2, X) for x in X] == values
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("index", [-1, "feature_count", 1.0, True, "0"])

@@ -1,5 +1,6 @@
 import gc
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from patchpred.errors import TrainError
 from patchpred.learn import (FeatureRow, RandomForestModel, LogisticRegressionModel,
                              Tree, logistic_loss_and_grad, net_loss_and_grad,
                              init_net_params)
+
+from tree_reference import model_output, predict
 
 ALL_KINDS = ("lr", "nb", "dt", "rf", "gbt", "dnn")
 
@@ -349,7 +352,7 @@ def _reference_trees(kind, X, y, config, seed):
         tree = _reference_grow_tree(X, residual, sw, leaf_value, config["max_depth"],
                                     config["min_leaf"], criterion="mse")
         trees.append(tree)
-        margin = margin + config["learning_rate"] * tree.predict(X)
+        margin = margin + config["learning_rate"] * predict(tree, X)
     return trees
 
 
@@ -586,13 +589,43 @@ def test_forest_sums_trees_in_order_for_rows_alone_and_in_batches():
     counts = rng.poisson(1.0, size=(500, 30)).astype(float)
     X = np.hstack([counts, rng.normal(size=(500, 20)), rng.integers(0, 2, size=(500, 10))])
     y = ((counts[:, 0] > 0) ^ (X[:, 30] > 0)).astype(float)
-    model = learn.train("rf", rows_from(X[:400], y[:400]), seed=1)
-    holdout = X[400:]
-    batch = model.predict_proba_batch(holdout)
-    # Frozen reference: np.mean over (trees, rows) adds the trees one after
-    # another; over one row's (trees, 1) it would sum pairwise.
-    assert np.array_equal(batch, np.mean([t.predict(holdout) for t in model.trees], axis=0))
-    assert all(model.predict_proba(x) == p for x, p in zip(holdout, batch))
+    for kind in ("dt", "rf", "gbt"):
+        model = learn.train(kind, rows_from(X[:400], y[:400]), seed=1)
+        # The holdout, then rows that sit on split thresholds.
+        splits = [(f, t) for tree in model.trees
+                  for f, t in zip(tree.feature, tree.threshold) if f >= 0][:300]
+        on_thresholds = X[400:][np.arange(len(splits)) % 100]
+        on_thresholds[np.arange(len(splits)), [f for f, _t in splits]] = [t for _f, t in splits]
+        rows = np.vstack([X[400:], on_thresholds])
+        batch = model.predict_proba_batch(rows)
+        # Frozen reference: a per-tree walk and a loop over the trees, which
+        # adds them one after another (a sum over one row's trees could add
+        # them pairwise).
+        if kind == "gbt":
+            assert np.array_equal(model.margin_batch(rows), model_output(model, rows))
+            assert all(model.margin_batch(x[None, :])[0] == m
+                       for x, m in zip(rows, model.margin_batch(rows)))
+        else:
+            assert np.array_equal(batch, model_output(model, rows))
+        assert all(model.predict_proba(x) == p for x, p in zip(rows, batch))
+
+
+# DT, RF and GBT files saved by the per-tree implementation that the packed
+# forest replaced (commit 1096741), with their probabilities on a probe
+# matrix whose last 12 rows sit on split thresholds.
+V1_MODELS = Path(__file__).parent / "data" / "v1_models"
+
+
+@pytest.mark.parametrize("kind", ("dt", "rf", "gbt"))
+def test_saved_format_1_models_load_predict_and_save_unchanged(tmp_path, kind):
+    saved = V1_MODELS / f"{kind}.json"
+    expected = json.loads((V1_MODELS / "probe.json").read_text())
+    probe, probabilities = np.array(expected["probe"]), expected["probabilities"][kind]
+    model = learn.load(saved)
+    assert model.predict_proba_batch(probe).tolist() == probabilities
+    assert [model.predict_proba(x) for x in probe] == probabilities
+    model.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == saved.read_bytes()
 
 
 def _saved_model_doc(tmp_path, kind):
