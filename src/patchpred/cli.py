@@ -146,10 +146,7 @@ def _hyper_overrides(args, cfg, kind: str):
 
 
 def _fragments_by_patch(cor):
-    frags = {}
-    for rec in cor.records:
-        frags[rec.patch_id] = diffparse.fragments_for_diff(rec.diff_text)
-    return frags
+    return {rec.patch_id: diffparse.fragments_for_diff(rec.diff_text) for rec in cor.records}
 
 
 def _scored(args):
@@ -207,10 +204,8 @@ def cmd_fragments(args, cfg):
 def cmd_train_embedder(args, cfg):
     config = _embedder_config(args, cfg)
     cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
-    documents = []
-    for frag in _fragments_by_patch(cor).values():
-        documents.append(list(frag.buggy_tokens))
-        documents.append(list(frag.patched_tokens))
+    documents = [list(tokens) for frag in _fragments_by_patch(cor).values()
+                 for tokens in (frag.buggy_tokens, frag.patched_tokens)]
     model = embed.train_embedder(documents, config)
     _write(args.out, lambda path: embed.save_model(model, path))
     rep = model.training_report
@@ -315,10 +310,9 @@ def cmd_crossval(args, cfg):
     unlabeled = [r.patch_id for r in rows if r.label is None]
     if unlabeled:
         raise PatchPredError(f"cross-validation requires labeled rows; patch {unlabeled[0]!r} is unlabeled")
-    joint = [evaluate.JointRow(r.patch_id, r.bug_id, int(r.label), learned=r.features) for r in rows]
-    trainer = evaluate.SingleSetTrainer("learned", args.learner, _hyper_overrides(args, cfg, args.learner))
-    report = evaluate.crossval(joint, trainer, k=args.k, seed=args.seed, threshold=args.threshold)
-    report["config"]["trainer"]["feature_set"] = "file"  # features come pre-built from the CSV
+    # The features come pre-built from the CSV.
+    trainer = evaluate.SingleSetTrainer("file", args.learner, _hyper_overrides(args, cfg, args.learner))
+    report = evaluate.crossval(rows, trainer, k=args.k, seed=args.seed, threshold=args.threshold)
     _write_report(args, report, ("features", "learner", "k", "seed", "threshold"), f"crossval {args.learner}")
     return 0
 
@@ -349,22 +343,23 @@ def cmd_explain(args, cfg):
         for name in pair:
             if name not in names:
                 raise FeatureError(f"--interaction names {name!r}, which is not a column of {args.features}")
-    brows = rows
+    data = learn.Dataset.of(rows)
+    background = data.X
     if args.background:
         bnames, brows = featureio.read_features(args.background)
         if bnames != names:
             raise FeatureError(f"background {args.background} has other feature columns than {args.features}")
-    background = np.array([r.features for r in brows])
+        background = learn.Dataset.of(brows).X
     if len(background) > args.background_cap:
         idx = np.sort(np.random.default_rng(args.seed).choice(len(background), size=args.background_cap,
                                                               replace=False))
         background = background[idx]
-    targets = [r for r in rows if args.patch_id is None or r.patch_id == args.patch_id]
+    targets = [i for i, pid in enumerate(data.patch_ids) if args.patch_id in (None, pid)]
     if not targets:
         raise PatchPredError(f"patch {args.patch_id!r} not found in the feature file")
+    X = data.X[targets]
     keys = ("model", "features", "background", "background_cap", "seed", "patch_id")
-    explanations = explain.explain_rows(model, np.array([r.features for r in targets]), background,
-                                        [r.patch_id for r in targets])
+    explanations = explain.explain_rows(model, X, background, [data.patch_ids[i] for i in targets])
     space = explanations[0].space
     if args.out:
         _write(args.out, [["patch_id", "feature_name", "contribution"]]
@@ -380,17 +375,17 @@ def cmd_explain(args, cfg):
     if args.interaction:
         ia, ib = names.index(pair[0]), names.index(pair[1])
         values = [{"patch_id": exp.patch_id,
-                   "value": explain.interaction_pairs(model, t.features, ia, ib, background)}
-                  for exp, t in zip(explanations, targets)]
+                   "value": explain.interaction_pairs(model, x, ia, ib, background)}
+                  for exp, x in zip(explanations, X)]
         _write(args.interaction_out, {"pair": pair, "space": space, "values": values}, args, keys)
     if args.plot_data:
         _write(args.plot_data, {
             "space": space,
             "features": names,
             "points": [{"patch_id": exp.patch_id,
-                        "values": [float(v) for v in t.features],
+                        "values": [float(v) for v in x],
                         "contributions": [float(c) for c in exp.contributions]}
-                       for exp, t in zip(explanations, targets)],
+                       for exp, x in zip(explanations, X)],
         }, args, keys)
     print(f"explained {len(explanations)} predictions in {space} space"
           + (f" -> {args.out}" if args.out else ""))

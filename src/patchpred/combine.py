@@ -2,10 +2,11 @@
 
 Three strategies: averaging two classifiers' probabilities
 (evaluate.EnsembleTrainer), concatenating the feature vectors before
-training a single classifier, and a two-tower fusion network. The fusion
-net keeps one hidden layer per tower, then mixes the concatenated tower
-outputs through a joint hidden layer before the sigmoid output; a purely
-additive head cannot model cross-set interactions.
+training a single classifier, and a two-tower fusion network, a
+TrainedModel over the learned then the engineered columns. It keeps one
+hidden layer per tower, then mixes the concatenated tower outputs through
+a joint hidden layer before the sigmoid output; a purely additive head
+cannot model cross-set interactions.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ import numpy as np
 
 from .defaults import resolved_config
 from .errors import TrainError
-from .learn import AdamOptimizer, _sample_weights, _sigmoid, _standardizer
+from .learn import AdamOptimizer, TrainedModel, _sample_weights, _sigmoid, _standardizer
 
 
 def naive_concat(learned_values, engineered_values) -> np.ndarray:
-    learned_values = np.asarray(learned_values, dtype=float)
-    engineered_values = np.asarray(engineered_values, dtype=float)
-    if learned_values.ndim != 1 or engineered_values.ndim != 1:
+    parts = [np.asarray(values, dtype=float) for values in (learned_values, engineered_values)]
+    if any(part.ndim != 1 for part in parts):
         raise TrainError("naive_concat expects two flat feature vectors")
-    return np.concatenate([learned_values, engineered_values])
+    return np.concatenate(parts)
 
 
 def concat_names(learned_names, engineered_names) -> list[str]:
@@ -84,39 +84,28 @@ def init_fusion_params(dl, de, config, seed):
             glorot(hj, 1), np.zeros(1)]
 
 
-class DeepFusionModel:
-    """Two-tower network over the learned and engineered feature sets."""
+class DeepFusionModel(TrainedModel):
+    """Two-tower network over rows of the learned then the engineered
+    features: the first learned_count columns feed the learned tower. One
+    standardizer covers every column. Not saved: it has no model file."""
 
     kind = "DeepFusion"
 
-    def __init__(self, learned_count, engineered_count, config, seed, params,
-                 mean_l, std_l, mean_e, std_e):
+    def __init__(self, learned_count, engineered_count, config, seed, params, mean, std):
+        super().__init__(learned_count + engineered_count, config, seed)
         self.learned_count = learned_count
-        self.engineered_count = engineered_count
-        self.config = config
-        self.seed = seed
-        self.params = params
-        self.mean_l, self.std_l = mean_l, std_l
-        self.mean_e, self.std_e = mean_e, std_e
-        self.training_report: dict = {}
+        self.params, self.mean, self.std = params, mean, std
 
-    def _check(self, Xl, Xe):
-        Xl = np.asarray(Xl, dtype=float)
-        Xe = np.asarray(Xe, dtype=float)
-        if Xl.shape[1] != self.learned_count or Xe.shape[1] != self.engineered_count:
-            raise TrainError(
-                f"fusion expects widths ({self.learned_count}, {self.engineered_count}), "
-                f"got ({Xl.shape[1]}, {Xe.shape[1]})"
-            )
-        return (Xl - self.mean_l) / self.std_l, (Xe - self.mean_e) / self.std_e
+    def _towers(self, X):
+        """X standardized, as contiguous learned and engineered columns (a
+        matmul over a strided one-column view can round differently)."""
+        Xs = (X - self.mean) / self.std
+        return (np.ascontiguousarray(Xs[:, :self.learned_count]),
+                np.ascontiguousarray(Xs[:, self.learned_count:]))
 
-    def predict_proba_batch(self, Xl, Xe) -> np.ndarray:
-        Xl, Xe = self._check(Xl, Xe)
-        p, _ = fusion_forward(self.params, Xl, Xe)
+    def _proba(self, X) -> np.ndarray:
+        p, _ = fusion_forward(self.params, *self._towers(X))
         return p
-
-    def predict_proba(self, xl, xe) -> float:
-        return float(self.predict_proba_batch(np.asarray(xl)[None, :], np.asarray(xe)[None, :])[0])
 
 
 def deep_fusion_train(learned_X, engineered_X, labels, config: dict | None = None,
@@ -130,21 +119,19 @@ def deep_fusion_train(learned_X, engineered_X, labels, config: dict | None = Non
     if len(np.unique(y)) < 2:
         raise TrainError("training data contains a single class; both labels are required")
     resolved = resolved_config("DeepFusion", config)
-    mean_l, std_l = _standardizer(Xl, resolved["standardize"])
-    mean_e, std_e = _standardizer(Xe, resolved["standardize"])
-    Xls = (Xl - mean_l) / std_l
-    Xes = (Xe - mean_e) / std_e
+    X = np.hstack([Xl, Xe])
+    model = DeepFusionModel(Xl.shape[1], Xe.shape[1], resolved, seed,
+                            init_fusion_params(Xl.shape[1], Xe.shape[1], resolved, seed),
+                            *_standardizer(X, resolved["standardize"]))
+    Xls, Xes = model._towers(X)
     sw = _sample_weights(y, None)
-    params = init_fusion_params(Xl.shape[1], Xe.shape[1], resolved, seed)
-    opt = AdamOptimizer(params, resolved["learning_rate"])
+    opt = AdamOptimizer(model.params, resolved["learning_rate"])
     final_loss = 0.0
     for _epoch in range(resolved["epochs"]):
-        loss, grads = fusion_loss_and_grad(params, Xls, Xes, y, resolved["l2"], sw)
+        loss, grads = fusion_loss_and_grad(model.params, Xls, Xes, y, resolved["l2"], sw)
         if not math.isfinite(loss):
             raise TrainError("non-finite fusion loss; lower the learning rate")
-        opt.step(params, grads)
+        opt.step(model.params, grads)
         final_loss = loss
-    model = DeepFusionModel(Xl.shape[1], Xe.shape[1], resolved, seed, params,
-                            mean_l, std_l, mean_e, std_e)
     model.training_report = {"final_loss": final_loss}
     return model

@@ -4,7 +4,8 @@
 -Recall = TN/(TN+FP) is the fraction of truly incorrect patches filtered
 out. AUC is rank-based with ties counting one half. Cross-validation folds
 are bug-disjoint: all patches of a bug stay together, so a model is never
-trained on patches of a bug it is tested on.
+trained on patches of a bug it is tested on. Folds are lists of rows, which
+a trainer turns into a learn.Dataset once per fit and once per prediction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import combine, learn
 from .corpus import split_by_bug
 from .defaults import resolved_config
-from .errors import EvalError
+from .errors import EvalError, TrainError
 
 METRIC_NAMES = ("accuracy", "precision", "plus_recall", "minus_recall", "f1", "auc")
 
@@ -101,30 +102,9 @@ class JointRow:
     engineered: np.ndarray | None = None
 
 
-def _require(row: JointRow, side: str) -> np.ndarray:
-    vec = getattr(row, side)
-    if vec is None:
-        raise EvalError(f"patch {row.patch_id!r} is missing its {side} feature vector")
-    return vec
-
-
-def _feature_rows(rows, feature_set: str) -> list[learn.FeatureRow]:
-    out = []
-    for row in rows:
-        if feature_set == "learned":
-            vec = _require(row, "learned")
-        elif feature_set == "engineered":
-            vec = _require(row, "engineered")
-        elif feature_set == "concat":
-            vec = combine.naive_concat(_require(row, "learned"), _require(row, "engineered"))
-        else:
-            raise EvalError(f"unknown feature set {feature_set!r}")
-        out.append(learn.FeatureRow(row.patch_id, row.bug_id, vec, row.label))
-    return out
-
-
 class SingleSetTrainer:
-    """Train one learner on one feature set (or the naive concatenation)."""
+    """Train one learner on one feature set (or the naive concatenation) of
+    JointRows, or on FeatureRows, whose one set `feature_set` only names."""
 
     def __init__(self, feature_set: str, kind: str, config: dict | None = None):
         self.feature_set = feature_set
@@ -140,11 +120,10 @@ class SingleSetTrainer:
         }
 
     def fit(self, rows, seed: int):
-        model = learn.train(self.kind, _feature_rows(rows, self.feature_set), self.config, seed)
+        model = learn.train(self.kind, learn.Dataset.of(rows, self.feature_set), self.config, seed)
 
         def predict(test_rows):
-            rows = _feature_rows(test_rows, self.feature_set)
-            return model.predict_proba_batch([r.features for r in rows])
+            return model.predict_proba_batch(learn.Dataset.of(test_rows, self.feature_set).X)
 
         predict.model = model
         return predict
@@ -170,14 +149,15 @@ class EnsembleTrainer:
         }
 
     def fit(self, rows, seed: int):
-        model_l = learn.train(self.kind, _feature_rows(rows, "learned"), self.config_learned, seed)
-        model_e = learn.train(self.kind, _feature_rows(rows, "engineered"), self.config_engineered, seed)
+        members = tuple(learn.train(self.kind, learn.Dataset.of(rows, side), config, seed) for side, config
+                        in (("learned", self.config_learned), ("engineered", self.config_engineered)))
 
         def predict(test_rows):
-            return 0.5 * (model_l.predict_proba_batch([_require(r, "learned") for r in test_rows])
-                          + model_e.predict_proba_batch([_require(r, "engineered") for r in test_rows]))
+            data = learn.Dataset.of(test_rows)
+            return 0.5 * (members[0].predict_proba_batch(data.columns("learned"))
+                          + members[1].predict_proba_batch(data.columns("engineered")))
 
-        predict.members = (model_l, model_e)
+        predict.members = members
         return predict
 
 
@@ -193,15 +173,15 @@ class FusionTrainer:
         }
 
     def fit(self, rows, seed: int):
-        Xl = np.array([_require(r, "learned") for r in rows])
-        Xe = np.array([_require(r, "engineered") for r in rows])
-        y = np.array([r.label for r in rows], dtype=float)
-        model = combine.deep_fusion_train(Xl, Xe, y, self.config, seed)
+        data = learn.Dataset.of(rows)
+        model = combine.deep_fusion_train(data.columns("learned"), data.columns("engineered"),
+                                          data.y, self.config, seed)
 
         def predict(test_rows):
-            tl = np.array([_require(r, "learned") for r in test_rows])
-            te = np.array([_require(r, "engineered") for r in test_rows])
-            return model.predict_proba_batch(tl, te)
+            data = learn.Dataset.of(test_rows)
+            if (width := data.blocks["learned"].stop) != model.learned_count:
+                raise TrainError(f"expected learned feature vectors of length {model.learned_count}, got {width}")
+            return model.predict_proba_batch(data.X)
 
         predict.model = model
         return predict
@@ -245,14 +225,12 @@ def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) 
     if len(np.unique(labels)) < 2:
         raise EvalError("cross-validation requires both classes in the corpus")
     plan = split_by_bug([r.bug_id for r in rows], k, seed)
-    per_fold = []
-    predictions = []
+    per_fold, predictions = [], []
     for i, test_bugs in enumerate(plan):
         test_set = set(test_bugs)
         train_rows = [r for r in rows if r.bug_id not in test_set]
         test_rows = [r for r in rows if r.bug_id in test_set]
-        train_labels = {r.label for r in train_rows}
-        if len(train_labels) < 2:
+        if len({r.label for r in train_rows}) < 2:
             raise EvalError(
                 f"fold {i}: training split is single-class; reseed the split or merge groups"
             )

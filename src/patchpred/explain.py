@@ -97,7 +97,7 @@ class _PathTable:
     space: str
 
 
-def _checked_inputs(model, x, background, ndim: int = 1):
+def _valid_inputs(model, x, background, ndim: int = 1):
     """(x, background) as float arrays, or ExplainError. x is one row
     (ndim 1) or rows (ndim 2), background a matrix with at least one row;
     each has one entry per model feature on its last axis, and every value
@@ -232,7 +232,7 @@ def tree_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
     The model keeps the path table of its last call, so repeated calls with
     the same background skip the covers and the table.
     """
-    x, background = _checked_inputs(model, x, background)
+    x, background = _valid_inputs(model, x, background)
     return _explain_table(model, _cached_table(model, background), x[None, :], [patch_id])[0]
 
 
@@ -240,7 +240,7 @@ def linear_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
     """Closed-form attribution for logistic regression, in margin space."""
     if not isinstance(model, LogisticRegressionModel):
         raise ExplainError("linear_shap requires a LogisticRegression model")
-    x, background = _checked_inputs(model, x, background)
+    x, background = _valid_inputs(model, x, background)
     bg_mean = background.mean(axis=0)
     effective_w = model.weights / model.std
     contributions = effective_w * (x - bg_mean)
@@ -259,7 +259,7 @@ def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
     """explain_instance for every row of X, bit for bit. A tree model's
     covers and path table are built once per call and left in the model's
     cache, for tree_shap and interaction_pairs on the same background."""
-    X, background = _checked_inputs(model, X, background, ndim=2)
+    X, background = _valid_inputs(model, X, background, ndim=2)
     patch_ids = [""] * len(X) if patch_ids is None else list(patch_ids)
     if isinstance(model, LogisticRegressionModel):
         return [linear_shap(model, x, background, pid) for x, pid in zip(X, patch_ids)]
@@ -314,7 +314,7 @@ def interaction_pairs(model, x, feature_a: int, feature_b: int, background) -> f
             raise ExplainError(f"interaction features must be integer indices in [0, {m}), got {i!r}")
     if feature_a == feature_b:
         raise ExplainError("interaction requires two distinct features")
-    x, background = _checked_inputs(model, x, background)
+    x, background = _valid_inputs(model, x, background)
     total = 0.0
     for group in _cached_table(model, background).groups:
         pair = (group.feature == feature_a) | (group.feature == feature_b)

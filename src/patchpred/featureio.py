@@ -5,7 +5,6 @@ column per named feature."""
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .learn import FeatureRow
 
 ID_COLUMNS = ("patch_id", "bug_id", "label")
 _LABELS = {Label.CORRECT: 1, Label.INCORRECT: 0}
+_CSV_LABELS = {"": None, "0": 0, "1": 1}
 
 
 def write_features(path, rows, names) -> None:
@@ -49,14 +49,18 @@ def read_features(path) -> tuple[list[str], list[FeatureRow]]:
         for record in reader:
             if not record:
                 continue
-            patch_id, bug_id, label_s = record[0], record[1], record[2]
-            values = np.array([float(v) for v in record[3:]], dtype=float)
-            if len(values) != len(names):
-                raise FeatureError(f"{path}: patch {patch_id!r} has {len(values)} values, expected {len(names)}")
+            where = f"{path} line {reader.line_num}: patch {record[0]!r}"
+            if len(record) != len(header):
+                raise FeatureError(f"{where} has {len(record)} fields, expected {len(header)}")
+            if record[2] not in _CSV_LABELS:
+                raise FeatureError(f"{where} has label {record[2]!r}; expected 0, 1 or empty")
+            try:
+                values = np.array([float(v) for v in record[3:]], dtype=float)
+            except ValueError as exc:
+                raise FeatureError(f"{where} has a value that is not a number: {exc}") from None
             if not np.all(np.isfinite(values)):
-                raise FeatureError(f"{path}: patch {patch_id!r} has non-finite feature values")
-            label = None if label_s == "" else int(label_s)
-            rows.append(FeatureRow(patch_id, bug_id, values, label))
+                raise FeatureError(f"{where} has non-finite feature values")
+            rows.append(FeatureRow(record[0], record[1], values, _CSV_LABELS[record[2]]))
     if not rows:
         raise FeatureError(f"no feature rows in {path}")
     return names, rows
@@ -125,8 +129,8 @@ def join_feature_sets(learned_csv, engineered_csv) -> tuple[list[str], list[str]
     for row, other in align(learned_rows, engineered_rows):
         if other.bug_id != row.bug_id or other.label != row.label:
             raise FeatureError(f"patch {row.patch_id!r}: bug_id/label disagree between feature files")
-        if row.label is None or (isinstance(row.label, float) and math.isnan(row.label)):
+        if row.label is None:
             raise FeatureError(f"patch {row.patch_id!r} is unlabeled")
-        joint.append(JointRow(row.patch_id, row.bug_id, int(row.label),
+        joint.append(JointRow(row.patch_id, row.bug_id, row.label,
                               learned=row.features, engineered=other.features))
     return learned_names, engineered_names, joint

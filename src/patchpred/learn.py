@@ -1,6 +1,7 @@
 """Six from-scratch binary classifiers behind one train/predict interface.
 
-All learners output the probability of label 1 (correct). Training is fully
+All learners output the probability of label 1 (correct). Every fit takes
+one Dataset, the only conversion of rows to a matrix. Training is fully
 deterministic under a fixed seed, and every model serializes to versioned
 JSON that round-trips to an identical predictor.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import resolved_config
-from .errors import TrainError
+from .errors import EvalError, TrainError
 
 MODEL_FORMAT_VERSION = 1
 
@@ -45,21 +46,52 @@ class FeatureRow:
     label: int
 
 
-def rows_to_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
-    if not rows:
-        raise TrainError("no feature rows")
-    width = len(rows[0].features)
-    for row in rows:
-        if len(row.features) != width:
-            raise TrainError(f"patch {row.patch_id!r}: feature length {len(row.features)} != {width}")
-        if row.label is None:
-            raise TrainError(f"patch {row.patch_id!r} is unlabeled")
-    X = np.array([row.features for row in rows], dtype=float)
-    y = np.array([row.label for row in rows], dtype=float)
-    if not np.all(np.isfinite(X)):
-        bad = rows[int(np.where(~np.isfinite(X))[0][0])].patch_id
-        raise TrainError(f"non-finite feature values (first at patch {bad!r})")
-    return X, y
+@dataclass(frozen=True)
+class Dataset:
+    """Rows as one float64 matrix: patch ids, X, labels y (nan: unlabeled)
+    and `blocks`, each feature set's column slice of X. FeatureRows give
+    one block, "features"; JointRows give "learned" then "engineered"."""
+    patch_ids: list
+    X: np.ndarray
+    y: np.ndarray
+    blocks: dict
+
+    @classmethod
+    def of(cls, rows, feature_set: str | None = None) -> "Dataset":
+        """The one place where rows become a matrix. Of JointRows, only the
+        blocks that `feature_set` (learned, engineered or concat) needs are
+        stacked; EvalError names a row without one of them."""
+        if not rows:
+            raise TrainError("no feature rows")
+        sides = ["features"] if hasattr(rows[0], "features") else \
+            [s for s in ("learned", "engineered") if feature_set in (None, "concat", s)]
+        if not sides:
+            raise EvalError(f"unknown feature set {feature_set!r}")
+        vectors = {side: [getattr(row, side) for row in rows] for side in sides}
+        blocks, width = {}, 0
+        for side, vecs in vectors.items():
+            for row, vec in zip(rows, vecs):
+                if vec is None:
+                    raise EvalError(f"patch {row.patch_id!r} is missing its {side} feature vector")
+                if len(vec) != len(vecs[0]):
+                    raise TrainError(f"patch {row.patch_id!r}: {side} length {len(vec)} != {len(vecs[0])}")
+            blocks[side] = slice(width, width + len(vecs[0]))
+            width += len(vecs[0])
+        X = np.empty((len(rows), width))
+        try:
+            for side, vecs in vectors.items():
+                np.stack(vecs, out=X[:, blocks[side]])
+        except (TypeError, ValueError) as exc:
+            raise TrainError(f"feature vectors must be numbers: {exc}") from exc
+        y = np.array([np.nan if row.label is None else row.label for row in rows], dtype=float)
+        return cls([row.patch_id for row in rows], X, y, blocks)
+
+    def columns(self, feature_set: str) -> np.ndarray:
+        """A view of one block's columns; "concat" is the learned and the
+        engineered block, which are adjacent."""
+        if feature_set == "concat":
+            return self.X[:, self.blocks["learned"].start: self.blocks["engineered"].stop]
+        return self.X[:, self.blocks[feature_set]]
 
 
 def _sample_weights(y: np.ndarray, class_weight) -> np.ndarray:
@@ -125,31 +157,30 @@ class Forest:
 
     @classmethod
     def load(cls, dicts, feature_count: int) -> "Forest":
-        """The forest of saved trees; ValueError unless each tree's arrays
-        are non-empty lists of one length and, over all trees, features and
-        children are integers, thresholds and values finite numbers, and a
-        split's feature is below feature_count and its children follow it
-        in its tree."""
+        """The forest of saved trees; ValueError, naming the first bad tree,
+        unless each tree's arrays are non-empty lists of one length, its
+        features and children integers, its thresholds and values finite
+        numbers, and each split's feature below feature_count and its
+        children after it in its tree."""
         trees = [Tree(*(d[field] for field in _TREE_FIELDS)) for d in dicts]
-        if not all(all(isinstance(a, list) for a in vars(t).values()) and t.feature
-                   and len({len(a) for a in vars(t).values()}) == 1 for t in trees):
-            raise ValueError("tree arrays must be non-empty lists of one length")
-        if not all(type(v) is int for t in trees for v in t.feature + t.left + t.right):
-            raise ValueError("tree features and children must be integers")
-        if not all(type(v) in (int, float) and math.isfinite(v)
-                   for t in trees for v in t.threshold + t.value):
-            raise ValueError("tree thresholds and values must be finite numbers")
-        for t in trees:
-            n = len(t.feature)
-            for node, (f, l, r) in enumerate(zip(t.feature, t.left, t.right)):
+        for t, tree in enumerate(trees):
+            arrays = vars(tree).values()
+            if not (tree.feature and all(isinstance(a, list) for a in arrays) and len(set(map(len, arrays))) == 1):
+                raise ValueError(f"tree {t} arrays must be non-empty lists of one length")
+            if not all(type(v) is int for v in tree.feature + tree.left + tree.right):
+                raise ValueError(f"tree {t} features and children must be integers")
+            if not all(type(v) in (int, float) and math.isfinite(v) for v in tree.threshold + tree.value):
+                raise ValueError(f"tree {t} thresholds and values must be finite numbers")
+            n = len(tree.feature)
+            for node, (f, l, r) in enumerate(zip(tree.feature, tree.left, tree.right)):
                 if not -1 <= f < feature_count:
-                    raise ValueError(f"tree node {node} splits on feature {f}; the model has {feature_count}")
+                    raise ValueError(f"tree {t} node {node} splits on feature {f}; the model has {feature_count}")
                 if f >= 0 and not (node < l < n and node < r < n):
-                    raise ValueError(f"tree node {node} has children {l} and {r}; "
+                    raise ValueError(f"tree {t} node {node} has children {l} and {r}; "
                                      f"they must lie in ({node}, {n})")
             # A leaf's children are never read, whatever integers they are.
-            t.left, t.right = ([c if f >= 0 else -1 for f, c in zip(t.feature, side)]
-                               for side in (t.left, t.right))
+            tree.left, tree.right = ([c if f >= 0 else -1 for f, c in zip(tree.feature, side)]
+                                     for side in (tree.left, tree.right))
         return cls(trees)
 
     def __len__(self) -> int:
@@ -651,8 +682,7 @@ class NaiveBayesModel(TrainedModel):
             var = (w[:, None] * (X[mask] - mu) ** 2).sum(axis=0) / w.sum()
             means[c] = mu
             variances[c] = np.maximum(var, floor) + floor
-        model = cls(X.shape[1], config, seed, priors, means, variances)
-        return model
+        return cls(X.shape[1], config, seed, priors, means, variances)
 
     def _proba(self, X) -> np.ndarray:
         log_joint = np.zeros((X.shape[0], 2))
@@ -989,19 +1019,24 @@ _MODEL_CLASSES = {
 
 
 def train(kind: str, rows, config: dict | None = None, seed: int = 0) -> TrainedModel:
-    """Fit one of the six learners on FeatureRows.
+    """Fit one of the six learners on FeatureRows or on every column of a
+    Dataset.
 
     `config` overrides the committed defaults for that kind; the resolved
     values are stored on the model and echoed into reports.
     """
     kind = canonical_kind(kind)
-    X, y = rows_to_matrix(rows)
+    data = rows if isinstance(rows, Dataset) else Dataset.of(rows)
+    X, y = data.X, data.y
+    for bad, what in ((np.isnan(y), "is unlabeled"), (~np.isfinite(X), "has non-finite feature values")):
+        if bad.any():
+            raise TrainError(f"patch {data.patch_ids[int(np.nonzero(bad)[0][0])]!r} {what}")
     classes = np.unique(y)
     if len(classes) < 2:
         raise TrainError("training data contains a single class; both labels are required")
     if not set(classes) <= {0.0, 1.0}:
         raise TrainError(f"labels must be 0/1, got {sorted(classes)}")
-    if len(rows) < 2:
+    if len(y) < 2:
         raise TrainError("need at least 2 rows to train")
     resolved = resolved_config(kind, config)
     return _MODEL_CLASSES[kind].fit(X, y, resolved, seed)

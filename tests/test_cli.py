@@ -472,3 +472,42 @@ def test_invalid_tree_hyperparameters_get_learn_error(pipeline, tmp_path, capsys
     key = next(iter(hyper))
     assert err.startswith("error[learn]: ") and repr(key) in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    ("p1,b1", "line 2: patch 'p1' has 2 fields"),
+    ("p1,b1,yes,0.5", "line 2: patch 'p1' has label 'yes'"),
+    ("p1,b1,1,abc", "line 2: patch 'p1' has a value that is not a number"),
+], ids=["two-fields", "label-yes", "value-abc"])
+def test_malformed_feature_record_is_a_features_error_naming_file_and_line(tmp_path, capsys, record, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"patch_id,bug_id,label,x\n{record}\np2,b2,0,1.0\n")
+    assert run("train", "--features", str(path), "--out", str(tmp_path / "m.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[features]: ") and f"{path} {message}" in err
+
+
+def _unlabel_first_row(src, dst):
+    """Copy a feature CSV with the label of its first row blanked; its patch_id."""
+    lines = src.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    dst.write_text("".join(lines[:1] + [",".join(fields[:2] + [""] + fields[3:])] + lines[2:]))
+    return fields[0]
+
+
+@pytest.mark.parametrize("command, category", [
+    ("train", "learn"), ("crossval", "error"), ("combine", "features"),
+])
+def test_unlabeled_feature_row_names_the_patch(pipeline, tmp_path, capsys, command, category):
+    learned, engineered = tmp_path / "learned.csv", tmp_path / "engineered.csv"
+    patch_id = _unlabel_first_row(pipeline["learned"], learned)
+    assert _unlabel_first_row(pipeline["engineered"], engineered) == patch_id
+    argv = {"train": ["--features", str(learned)],
+            "crossval": ["--features", str(learned), "--k", "3"],
+            "combine": ["--learned-features", str(learned), "--engineered-features", str(engineered),
+                        "--k", "3"]}[command]
+    out = tmp_path / "out.json"
+    assert run(command, *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{category}]: ") and repr(patch_id) in err and "unlabeled" in err
+    assert not out.exists()

@@ -82,7 +82,8 @@ def test_fusion_zero_epochs_is_the_seeded_forward_pass():
     y[:2] = [0, 1]
     m1 = deep_fusion_train(Xl, Xe, y, {"epochs": 0}, seed=9)
     m2 = deep_fusion_train(Xl, Xe, y, {"epochs": 0}, seed=9)
-    assert np.array_equal(m1.predict_proba_batch(Xl, Xe), m2.predict_proba_batch(Xl, Xe))
+    assert np.array_equal(m1.predict_proba_batch(np.hstack([Xl, Xe])),
+                          m2.predict_proba_batch(np.hstack([Xl, Xe])))
     for a, b in zip(m1.params, init_fusion_params(4, 3, m1.config, 9)):
         assert np.array_equal(a, b)
 

@@ -3,7 +3,7 @@ import pytest
 
 from patchpred import evaluate
 from patchpred.errors import EvalError, TrainError
-from patchpred.evaluate import (JointRow, SingleSetTrainer, auc, compare_predictions,
+from patchpred.evaluate import (FusionTrainer, JointRow, SingleSetTrainer, auc, compare_predictions,
                                 confusion_metrics, crossval)
 
 
@@ -149,16 +149,33 @@ def test_crossval_missing_feature_side_names_patch():
         crossval(rows, SingleSetTrainer("learned", "nb"), k=2, seed=0)
 
 
-@pytest.mark.parametrize("kind", ["lr", "nb", "dt", "rf", "gbt", "dnn"])
+@pytest.mark.parametrize("kind", ["lr", "nb", "dt", "rf", "gbt", "dnn", "fusion"])
 @pytest.mark.parametrize("width", [2, 5])
 def test_single_set_predictor_refuses_rows_of_another_width(kind, width):
     X = np.random.default_rng(3).normal(size=(30, 3))
-    rows = [JointRow(f"p{i}", f"b{i}", int(x[0] > 0), engineered=x) for i, x in enumerate(X)]
-    config = {"rf": {"n_trees": 3}, "gbt": {"rounds": 3}, "dnn": {"epochs": 3}}.get(kind)
-    predict = SingleSetTrainer("engineered", kind, config).fit(rows, seed=0)
+    if kind == "fusion":  # 1 learned and 2 engineered columns, 3 in all
+        rows = [JointRow(f"p{i}", f"b{i}", int(x[0] > 0), learned=x[:1], engineered=x[1:])
+                for i, x in enumerate(X)]
+        predict = FusionTrainer({"epochs": 3}).fit(rows, seed=0)
+        bad = JointRow("q", "b", 0, learned=np.zeros(1), engineered=np.zeros(width - 1))
+    else:
+        rows = [JointRow(f"p{i}", f"b{i}", int(x[0] > 0), engineered=x) for i, x in enumerate(X)]
+        config = {"rf": {"n_trees": 3}, "gbt": {"rounds": 3}, "dnn": {"epochs": 3}}.get(kind)
+        predict = SingleSetTrainer("engineered", kind, config).fit(rows, seed=0)
+        bad = JointRow("q", "b", 0, engineered=np.zeros(width))
     assert len(predict(rows[:4])) == 4
     with pytest.raises(TrainError, match="length 3"):
-        predict([JointRow("q", "b", 0, engineered=np.zeros(width))])
+        predict([bad])
+
+
+def test_fusion_predictor_refuses_rows_split_at_another_column():
+    # The right total width, with the towers' boundary one column off.
+    X = np.random.default_rng(3).normal(size=(30, 3))
+    rows = [JointRow(f"p{i}", f"b{i}", int(x[0] > 0), learned=x[:1], engineered=x[1:])
+            for i, x in enumerate(X)]
+    predict = FusionTrainer({"epochs": 3}).fit(rows, seed=0)
+    with pytest.raises(TrainError, match="learned feature vectors of length 1, got 2"):
+        predict([JointRow("q", "b", 0, learned=np.zeros(2), engineered=np.zeros(1))])
 
 
 def test_predictions_round_trip_and_compare(tmp_path):

@@ -669,3 +669,16 @@ def test_load_checks_model_structure(tmp_path, kind, edit, message):
     with pytest.raises(TrainError, match="edited.json") as info:
         learn.load(path)
     assert message in str(info.value)
+
+
+def test_load_names_the_tree_of_a_bad_node(tmp_path):
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    path = tmp_path / "rf.json"
+    learn.train("rf", rows_from(X, (X[:, 0] > 0).astype(float)), {"n_trees": 5}, seed=0).save(path)
+    doc = json.loads(path.read_text())
+    tree = doc["params"]["trees"][3]
+    split = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    tree["left"][split] = 99
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TrainError, match=f"tree 3 node {split} has children 99 and "):
+        learn.load(path)
