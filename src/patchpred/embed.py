@@ -28,6 +28,10 @@ _STACK_BYTES = 1 << 17
 # its own, as uncached inference did.
 _DRAWS_MAX_TOKENS = 1024
 
+# Keys one negative draw searches at a time: bounds its temporaries at
+# ~200 KB. Blocks 8x larger searched the README corpus's epoch draw 3x slower.
+_DRAW_BLOCK = 1 << 13
+
 # Setting -> (test, what a valid value is). The inference draw cache sizes
 # itself as epochs * negative_samples * tokens, so these hold for every
 # config, however it was built.
@@ -161,9 +165,14 @@ def _build_vocab(documents, min_count: int):
 
 
 def _noise_cumulative(freq: np.ndarray) -> np.ndarray:
-    # Unigram^0.75 noise distribution, precomputed as a CDF for sampling.
+    """The unigram^0.75 noise distribution (Mikolov et al. 2013) as a CDF
+    whose last entry is exactly 1.0. The rounded sum can end below 1, where
+    a key in (cdf[-1], 1) would draw the id one past the vocabulary; keys
+    up to cdf[-1] draw the same ids either way."""
     weights = freq**0.75
-    return np.cumsum(weights / weights.sum())
+    cdf = np.minimum(np.cumsum(weights / weights.sum()), 1.0)
+    cdf[-1] = 1.0
+    return cdf
 
 
 def _learning_rate(config: EmbedderConfig, epoch: int) -> float:
@@ -172,8 +181,42 @@ def _learning_rate(config: EmbedderConfig, epoch: int) -> float:
     return config.learning_rate * (1.0 - 0.9 * frac)
 
 
-def _sample_negatives(rng, noise_cdf, shape):
-    return np.searchsorted(noise_cdf, rng.random(shape))
+class _NoiseTable:
+    """The noise CDF of token counts with a guide table (Chen & Asau 1974):
+    the same ids as np.searchsorted over the CDF, about 7x faster.
+
+    The guide has a power of two G >= 4V of buckets, so floor(key * G) is
+    exact, and bucket b holds the first index whose CDF entry is at least
+    b / G, a lower bound for every key of the bucket. A key takes its
+    bucket's index, one step up if that is short, and a binary search if it
+    is still short (a bucket spanning several entries, which few keys hit).
+    """
+
+    def __init__(self, token_counts: np.ndarray):
+        self.cdf = _noise_cumulative(token_counts)
+        buckets = 1 << (4 * len(self.cdf) - 1).bit_length()
+        self.buckets = float(buckets)
+        self.guide = np.searchsorted(self.cdf, np.arange(buckets) / buckets)
+
+    def search(self, keys: np.ndarray, out=None) -> np.ndarray:
+        """np.searchsorted(self.cdf, keys) for 1-D keys in [0, 1)."""
+        ids = self.guide.take((keys * self.buckets).astype(np.intp), out=out)
+        ids += self.cdf.take(ids) < keys
+        short = self.cdf.take(ids) < keys
+        if short.any():
+            ids[short] = np.searchsorted(self.cdf, keys[short])
+        return ids
+
+    def sample(self, rng, shape) -> np.ndarray:
+        """Token ids for the keys rng.random(shape), drawn and searched
+        _DRAW_BLOCK at a time: the same stream as one draw."""
+        ids = np.empty(shape, dtype=np.intp)
+        flat = ids.reshape(-1)
+        keys = np.empty(min(flat.size, _DRAW_BLOCK))
+        for a in range(0, flat.size, _DRAW_BLOCK):
+            block = flat[a:a + _DRAW_BLOCK]
+            self.search(rng.random(out=keys[:len(block)]), out=block)
+        return ids
 
 
 class _Epochs:
@@ -189,7 +232,7 @@ class _Epochs:
     of the matrix. With n even the view is complex128, one element per pair
     of floats: complex addition adds the real and imaginary parts on their
     own, so every float gets the same adds, in the same order, as over a
-    float view. `positions[rows]` gives the flat view's elements of `rows`.
+    float view. Row r of `positions` gives the flat view's elements of row r.
     """
 
     def __init__(self, word_matrix, indexed, k: int):
@@ -228,7 +271,7 @@ class _Epochs:
         for d, start, split, stop in self.spans:
             doc_vec, doc_rows, doc_coef = doc_vectors[d], rows[start:stop], coef[start:stop]
             n_pos = split - start
-            vecs = word_matrix[doc_rows]
+            vecs = word_matrix.take(doc_rows, axis=0)
             pos_vecs, neg_vecs = vecs[:n_pos], vecs[n_pos:]
             pos_coef, neg_coef = doc_coef[:n_pos], doc_coef[n_pos:]
             np.matmul(pos_vecs, doc_vec, out=pos_coef)
@@ -242,7 +285,7 @@ class _Epochs:
             grad_doc = pos_coef @ pos_vecs + neg_coef @ neg_vecs
             update = np.multiply(doc_coef[:, None], doc_vec)
             update *= -lr
-            np.add.at(self.flat, self.positions[doc_rows].reshape(-1),
+            np.add.at(self.flat, self.positions.take(doc_rows, axis=0).reshape(-1),
                       update.view(self.dtype).reshape(-1))
             doc_vec -= lr * grad_doc
         return total
@@ -261,7 +304,7 @@ def train_embedder(documents, config: EmbedderConfig | None = None) -> Paragraph
         raise EmbeddingError(
             f"vocabulary has {len(vocab)} token(s) with count >= {config.min_token_count}; need at least 2"
         )
-    noise_cdf = _noise_cumulative(freq)
+    noise = _NoiseTable(freq)
     indexed = [np.array([vocab[t] for t in doc if t in vocab], dtype=np.intp) for doc in documents]
 
     rng = np.random.default_rng(config.seed)
@@ -276,7 +319,7 @@ def train_embedder(documents, config: EmbedderConfig | None = None) -> Paragraph
         for epoch in range(config.epochs):
             # One draw per epoch, sliced per document in order: the same
             # stream as a (len(doc), k) draw per document.
-            negatives = _sample_negatives(rng, noise_cdf, (plan.n_tokens, config.negative_samples))
+            negatives = noise.sample(rng, (plan.n_tokens, config.negative_samples))
             # The report keeps the first and last epochs' loss; the others skip it.
             with_loss = epoch in (0, last)
             total = plan.run(doc_vectors, negatives, _learning_rate(config, epoch), with_loss)
@@ -320,8 +363,8 @@ def _draws(model: ParagraphVectorModel, length: int) -> _Draws:
         config = model.config
         rng = np.random.default_rng(config.seed)
         initial = rng.uniform(-0.5 / config.n, 0.5 / config.n, size=config.n)
-        negatives = _sample_negatives(rng, _noise_cumulative(model.token_counts),
-                                      config.epochs * config.negative_samples * length)
+        negatives = _NoiseTable(model.token_counts).sample(
+            rng, config.epochs * config.negative_samples * length)
         draws = _Draws(config, model.token_counts, length, initial, negatives)
         if length <= _DRAWS_MAX_TOKENS:
             model.draws = draws
@@ -352,7 +395,7 @@ def _infer(model: ParagraphVectorModel, pos_idx: np.ndarray) -> np.ndarray:
     above, below = np.empty(scores.shape, dtype=bool), np.empty(scores.shape, dtype=bool)
     grad, neg_grad = np.empty_like(vec), np.empty_like(vec)
     for epoch, neg_idx in enumerate(negatives):
-        neg_vecs = word_matrix[neg_idx]
+        neg_vecs = word_matrix.take(neg_idx, axis=0)
         np.matmul(pos_vecs, col, out=pos_scores)
         np.matmul(neg_vecs, col, out=neg_scores)
         _sigmoid_inplace(scores, above, below)

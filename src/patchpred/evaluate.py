@@ -218,6 +218,8 @@ def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) 
     Returns a JSON-serializable report: per-fold metrics, macro and pooled
     aggregates, the fold plan, and every out-of-fold prediction.
     """
+    if k < 2:  # with one fold, the training split would be empty
+        raise EvalError(f"k must be at least 2, got {k}")
     rows = list(rows)
     if not rows:
         raise EvalError("no rows for cross-validation")

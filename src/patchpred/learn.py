@@ -196,13 +196,16 @@ class Forest:
 
     def _leaves(self, X):
         """(rows, their leaf in every tree) for blocks of X's rows, which
-        bound the walk's arrays. A leaf reads column -1, to no effect."""
+        bound the walk's arrays. Split values are gathered from X's flat
+        view; a leaf reads the cell before its row (column -1), to no effect."""
         step = max(1, _WALK_CELLS // max(1, len(self)))
+        cells, width = np.ravel(X), X.shape[1]
         for a in range(0, len(X), step):
             rows = np.arange(a, min(a + step, len(X)))[:, None]
+            starts = rows * width
             node = np.repeat(self.offsets[None, :-1], len(rows), axis=0)
             for _level in self.levels:
-                node = np.where(X[rows, self.feature[node]] <= self.threshold[node],
+                node = np.where(cells.take(starts + self.feature[node]) <= self.threshold[node],
                                 self.left[node], self.right[node])
             yield rows[:, 0], node
 
@@ -446,10 +449,12 @@ def _cut_scores(at, last, m, sums, w_total, criterion):
     holds the sums of wt and wtt as complex numbers. cw None means unit
     weights, whose prefix sum is a cut's left row count."""
     cw, cwt = sums
-    wl = (at - last) + (m + 0.0) if cw is None else cw[at]
+    # take, not indexing: indexing by the root plan's int32 positions goes
+    # through numpy's casting path (4,096 cuts: 14.8 against 6.0 us).
+    wl = (at - last) + (m + 0.0) if cw is None else cw.take(at)
     wr = w_total - wl
-    sl = cwt[at]
-    sr = cwt[last] - sl
+    sl = cwt.take(at)
+    sr = cwt.take(last) - sl
     if criterion == "gini":
         pl = sl / wl
         pr = sr / wr

@@ -511,3 +511,14 @@ def test_unlabeled_feature_row_names_the_patch(pipeline, tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith(f"error[{category}]: ") and repr(patch_id) in err and "unlabeled" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["crossval", "combine"])
+def test_one_fold_is_refused_with_an_eval_error(pipeline, tmp_path, capsys, command):
+    argv = {"crossval": ["--features", str(pipeline["learned"])],
+            "combine": ["--learned-features", str(pipeline["learned"]),
+                        "--engineered-features", str(pipeline["engineered"])]}[command]
+    out = tmp_path / "out.json"
+    assert run(command, *argv, "--k", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error[eval]: k must be at least 2")
+    assert not out.exists()

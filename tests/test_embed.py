@@ -327,6 +327,60 @@ def test_embedder_matches_reference_loops_bit_for_bit(negative_samples, epochs, 
         assert np.array_equal(vec, _ref_infer(model, tokens))
 
 
+# Token counts for the guide table: random; one dominant token whose CDF
+# step spans many buckets, leaving the rest in one bucket near 1; repeated.
+_NOISE_COUNTS = st.one_of(
+    st.lists(st.integers(1, 10**6), min_size=2, max_size=300),
+    st.builds(lambda top, rest: [top] + rest, st.integers(10**6, 10**9),
+              st.lists(st.integers(1, 3), min_size=1, max_size=300)),
+    st.builds(lambda count, size: [count] * size, st.integers(1, 50), st.integers(2, 300)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=_NOISE_COUNTS, keys=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+def test_guide_search_gives_the_searchsorted_index(counts, keys):
+    table = embed._NoiseTable(np.array(counts, dtype=float))
+    cdf = table.cdf
+    buckets = len(table.guide)
+    assert buckets >= 4 * len(cdf) and buckets & (buckets - 1) == 0
+    # Every CDF entry, both its float neighbours, and the extreme keys.
+    probes = np.concatenate([[0.0, 1 - 2**-53], keys, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+    probes = probes[probes < 1.0]
+    assert np.array_equal(table.search(probes), np.searchsorted(cdf, probes))
+    assert table.search(probes[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [0, (7, 0), 11, (3, 5), (embed._DRAW_BLOCK + 5, 2)])
+def test_negative_draw_is_one_searchsorted_stream(shape):
+    table = embed._NoiseTable(np.array([40.0, 9.0, 9.0, 3.0, 1.0, 1.0]))
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    ids = table.sample(rng, shape)
+    expected = np.searchsorted(table.cdf, ref_rng.random(shape))
+    assert ids.dtype == np.intp and ids.shape == expected.shape
+    assert np.array_equal(ids, expected)
+    assert rng.random() == ref_rng.random()  # blocks drew the same stream
+
+
+def test_noise_cdf_ends_at_one_so_no_key_draws_past_the_vocabulary():
+    counts = np.array([31.0, 9.0])
+    weights = counts**0.75
+    unfixed = np.cumsum(weights / weights.sum())
+    top = 1 - 2**-53  # the largest key rng.random gives
+    assert unfixed[-1] < top and np.searchsorted(unfixed, top) == 2  # one past the vocabulary
+    cdf = embed._noise_cumulative(counts)
+    assert cdf[-1] == 1.0 and np.array_equal(cdf[:-1], unfixed[:-1])
+    table = embed._NoiseTable(counts)
+    assert table.search(np.array([top])).tolist() == [1]
+
+    class TopKeys:
+        def random(self, out):
+            out.fill(top)
+            return out
+
+    assert table.sample(TopKeys(), (3, 2)).tolist() == [[1, 1]] * 3
+
+
 @pytest.mark.parametrize("learning_rate", [1e10, 1e20])
 def test_divergence_is_caught_at_the_reference_epoch(learning_rate):
     # Training computes the loss only in the reported epochs; the middle

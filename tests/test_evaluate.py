@@ -135,6 +135,49 @@ def test_crossval_single_class_training_fold_errors():
         crossval(rows, SingleSetTrainer("learned", "nb"), k=3, seed=0)
 
 
+class _NeverFit:
+    def describe(self):
+        return {"learner": "none"}
+
+    def fit(self, rows, seed):
+        raise AssertionError("crossval fit a model")
+
+
+@pytest.mark.parametrize("k", [1, 0])
+def test_crossval_refuses_fewer_than_two_folds_before_any_fit(k):
+    with pytest.raises(EvalError, match="k must be at least 2"):
+        crossval(deterministic_rows(), _NeverFit(), k=k, seed=0)
+
+
+def test_crossval_with_one_bug_per_fold():
+    rows = deterministic_rows()
+    bugs = sorted({r.bug_id for r in rows})
+    report = crossval(rows, SingleSetTrainer("learned", "nb"), k=len(bugs), seed=5)
+    assert sorted(b for fold in report["fold_plan"] for b in fold) == bugs
+    assert all(len(fold["test_bugs"]) == 1 for fold in report["per_fold"])
+    for fold in report["per_fold"]:
+        assert fold["n_test"] == sum(r.bug_id == fold["test_bugs"][0] for r in rows)
+    assert sorted(p["patch_id"] for p in report["predictions"]) == sorted(r.patch_id for r in rows)
+
+
+def test_single_class_test_fold_has_no_auc_but_the_pooled_auc_does():
+    rng = np.random.default_rng(2)
+    labels = {"bugA": (1, 1), "bugB": (0, 1), "bugC": (1, 0), "bugD": (0, 1)}
+    rows = [JointRow(f"{bug}-{i}", bug, label, learned=rng.normal(size=2) + 2.0 * label)
+            for bug, pair in labels.items() for i, label in enumerate(pair)]
+    report = crossval(rows, SingleSetTrainer("learned", "nb"), k=4, seed=1)
+    only_positive = [f for f in report["per_fold"] if f["test_bugs"] == ["bugA"]]
+    assert len(only_positive) == 1
+    fold = only_positive[0]
+    assert fold["metrics"]["auc"] is None
+    assert "auc" in fold["undefined"] and "minus_recall" in fold["undefined"]
+    assert report["macro_excluded"]["auc"] == 1
+    others = [f["metrics"]["auc"] for f in report["per_fold"] if f is not fold]
+    assert report["macro"]["auc"] == pytest.approx(float(np.mean(others)))
+    pooled = [p["probability"] for p in report["predictions"]], [p["label"] for p in report["predictions"]]
+    assert report["pooled"]["auc"] == auc(*pooled)
+
+
 def test_crossval_separable_corpus_scores_high(separable_rows):
     report = crossval(separable_rows, SingleSetTrainer("learned", "gbt"), k=10, seed=42)
     assert report["macro"]["auc"] >= 0.95

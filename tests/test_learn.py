@@ -610,6 +610,18 @@ def test_forest_sums_trees_in_order_for_rows_alone_and_in_batches():
         assert all(model.predict_proba(x) == p for x, p in zip(rows, batch))
 
 
+def test_forest_walks_views_and_copies_of_rows_alike(blob_data):
+    X, y = blob_data
+    wide = np.hstack([X, np.full((len(X), 3), np.nan)])
+    for kind in ("dt", "rf", "gbt"):
+        model = learn.train(kind, rows_from(X, y), seed=2)
+        expected = model.predict_proba_batch(X)
+        # Columns of a wider matrix, Fortran order, and every other row.
+        for view in (wide[:, :X.shape[1]], np.asfortranarray(X)):
+            assert np.array_equal(model.predict_proba_batch(view), expected)
+        assert np.array_equal(model.predict_proba_batch(X[::2]), expected[::2])
+
+
 # DT, RF and GBT files saved by the per-tree implementation that the packed
 # forest replaced (commit 1096741), with their probabilities on a probe
 # matrix whose last 12 rows sit on split thresholds.
