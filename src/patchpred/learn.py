@@ -186,6 +186,16 @@ class Forest:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
+    def records(self) -> tuple[Tree, ...]:
+        """Every tree as a Tree record, from one tolist() per node array."""
+        first = np.repeat(self.offsets[:-1], np.diff(self.offsets))
+        leaf = self.feature < 0
+        left, right = (np.where(leaf, -1, side - first).tolist() for side in (self.left, self.right))
+        feature, threshold, value = self.feature.tolist(), self.threshold.tolist(), self.value.tolist()
+        bounds = self.offsets.tolist()
+        return tuple(Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
+                     for a, b in zip(bounds, bounds[1:]))
+
     def tree(self, t: int) -> Tree:
         nodes = slice(self.offsets[t], self.offsets[t + 1])
         leaf = self.feature[nodes] < 0
@@ -233,44 +243,42 @@ class Forest:
 class _Scratch:
     """Per-fit buffers for split search, filled with out= at every node.
 
-    Made for one X and one set of sample weights (trees grown on bootstrap
-    samples of them may share it when they subsample features).
-    Split search works on (columns x rows) arrays: row c holds one column's
-    values at the node in ascending order and the prefix sums along them.
-    Allocating those at every node costs a page fault per page, so they are
-    allocated once, for the largest node (the root), and a node uses the
-    leading part. With `presort`, the scratch also keeps every non-constant
-    column's rows in ascending value order, ties in row order (one stable
-    argsort per column, made once and reused by every tree grown on the same
-    X), and two more buffers that children's sorted lists are partitioned
-    into. A node's lists are a contiguous (columns, rows) block of one of
-    them, located by `where` = (buffer, offset, columns). For mse, `cwt`
-    is complex (see _pair). `flat` and, for mse, `values` share their
-    memory with `cwt`: they hold a node's indices and values only until its
-    prefix sums are taken. Every tree grown on the presort searches the same
-    root, so the root's cut chunks are made once and kept in `root_plan`.
+    Made for one X and one set of sample weights. Split search works on
+    (columns x rows) arrays: row c holds one column's values at the node in
+    ascending order and the prefix sums along them. Allocating those at
+    every node costs a page fault per page, so they are allocated once, for
+    the largest node (the root), and a node uses the leading part. The
+    scratch also keeps every non-constant column's rows in ascending value
+    order, ties in row order (one stable argsort per column, made once and
+    reused by every tree grown on the same X), and two more buffers that
+    children's sorted lists are partitioned into. A node's lists are a
+    contiguous (columns, rows) block of one of them, located by `where` =
+    (buffer, offset, columns). For mse, `cwt` is complex (see _pair).
+    `flat` and, for mse, `values` share their memory with `cwt`: they hold
+    a node's indices and values only until its prefix sums are taken. Every
+    tree grown on the scratch searches the same root, so the root's cut
+    chunks are made once and kept in `root_plan`.
     """
 
-    def __init__(self, X, weights, cols: int, mse: bool, presort: bool):
+    def __init__(self, X, weights, mse: bool):
         n, p = X.shape
-        size = cols * n
+        size = p * n
         # Unit weights need no prefix sum of weights (see _cut_scores).
         self.unit_weights = bool(np.all(weights == 1.0))
         self.cw = None if self.unit_weights else np.empty(size)
         self.cwt = np.empty(size, dtype=complex if mse else float)
         self.change = np.empty(size, dtype=bool)
-        if presort:
-            self.n = n
-            self.XT = np.ascontiguousarray(X.T).ravel()
-            cells = self.cwt.view(np.intp)
-            self.flat = cells[:size]
-            self.values = cells[size:].view(float) if mse else np.empty(size)
-            self.side = np.empty(n, dtype=bool)
-            self.goes_left = np.empty(size, dtype=bool)
-            self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
-            order = np.argsort(self.XT.reshape(p, n)[self.root], axis=1, kind="stable").ravel()
-            self.lists = (order, np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
-            self.root_plan = None  # ((min_leaf, chunk size), the root's cut chunks)
+        self.n = n
+        self.XT = np.ascontiguousarray(X.T).ravel()
+        cells = self.cwt.view(np.intp)
+        self.flat = cells[:size]
+        self.values = cells[size:].view(float) if mse else np.empty(size)
+        self.side = np.empty(n, dtype=bool)
+        self.goes_left = np.empty(size, dtype=bool)
+        self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
+        order = np.argsort(self.XT.reshape(p, n)[self.root], axis=1, kind="stable").ravel()
+        self.lists = (order, np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
+        self.root_plan = None  # ((min_leaf, chunk size), the root's cut chunks)
 
     def node_rows(self, where, m):
         """The node's rows, (columns, m), each in ascending value order."""
@@ -319,13 +327,6 @@ class _Scratch:
         if needed[1]:
             self.lists[child][split: off + len(src)] = src[np.logical_not(goes_left, out=goes_left)]
         return (child, off, cols), (child, split, cols)
-
-
-def _sort_node(X, idx, feats):
-    """The node's (rows, values) for columns `feats`, each (k, m) and in
-    ascending value order, by one 2-D stable argsort."""
-    unsorted = X.take(feats[:, None] + idx * X.shape[1])
-    return idx[np.argsort(unsorted, axis=1, kind="stable")], np.sort(unsorted, axis=1)
 
 
 def _prefix_sums(per_row, rows, buf):
@@ -447,7 +448,8 @@ def _cut_scores(at, last, m, sums, w_total, criterion):
     """Scores of the cuts at flat positions `at` of the prefix sums (cw,
     cwt) of rows of length m, whose columns end at `last`; for mse, cwt
     holds the sums of wt and wtt as complex numbers. cw None means unit
-    weights, whose prefix sum is a cut's left row count."""
+    weights, whose prefix sum is a cut's left row count. m and the weight
+    total w_total are numbers, or arrays of one per cut."""
     cw, cwt = sums
     # take, not indexing: indexing by the root plan's int32 positions goes
     # through numpy's casting path (4,096 cuts: 14.8 against 6.0 us).
@@ -467,22 +469,20 @@ def _cut_scores(at, last, m, sums, w_total, criterion):
 
 
 def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
-              criterion="gini", max_features=None, rng=None, *,
-              scratch: _Scratch | None = None, leaf_values=None) -> Tree:
-    """Grow one CART tree depth-first; nodes are numbered in preorder.
+              criterion="gini", *, scratch: _Scratch | None = None, leaf_values=None) -> Tree:
+    """Grow one CART tree depth-first on every column; nodes are numbered in
+    preorder.
 
-    Without feature subsampling every column is searched from sorted lists
-    kept by stable partitions (the scratch's presort); with it, each node
-    sorts only its sampled columns. A `scratch` made for this X may be
-    passed to reuse it across trees; their root searches then share one
-    cut plan. `leaf_values`, if given, receives each row's leaf value.
+    Every column is searched from sorted lists kept by stable partitions
+    (the scratch's presort). A `scratch` made for this X may be passed to
+    reuse it across trees; their root searches then share one cut plan.
+    `leaf_values`, if given, receives each row's leaf value. A forest that
+    samples columns per node grows its trees with _ForestGrower instead.
     """
     X = np.ascontiguousarray(X)
-    n, n_features = X.shape
-    sample = max_features is not None and max_features < n_features
+    n = len(X)
     if scratch is None:
-        scratch = _Scratch(X, weights, max_features if sample else n_features,
-                           criterion == "mse", presort=not sample)
+        scratch = _Scratch(X, weights, criterion == "mse")
     wt, wtt = weights * targets, None
     if criterion == "mse":
         wt = _pair(wt, wt * targets)
@@ -499,7 +499,7 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
     # (rows in ascending order, depth, parent, is_left, whether it is
     # searched, where the sorted lists are)
     root = np.arange(n)
-    stack = [(root, 0, -1, True, searched(root, 0), None if sample else (0, 0, scratch.root))]
+    stack = [(root, 0, -1, True, searched(root, 0), (0, 0, scratch.root))]
     while stack:
         idx, depth, parent, is_left, search, where = stack.pop()
         node, value = len(nodes), float(leaf_value_fn(idx))
@@ -508,18 +508,13 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
             nodes[parent][2 if is_left else 3] = node
         split = None
         if search:
-            chunks = values = None
-            if sample:
-                feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
-                rows, values = _sort_node(X, idx, feats)
-            elif parent < 0:
-                feats, rows = where[2], scratch.node_rows(where, n)
+            if parent < 0:
+                rows, values = scratch.node_rows(where, n), None
                 chunks = scratch.root_chunks(min_leaf)
             else:
-                feats = where[2]
-                rows, values = scratch.sorted_lists(where, len(idx))
+                (rows, values), chunks = scratch.sorted_lists(where, len(idx)), None
             split = _best_split(X, values, rows, search_weights, wt, wtt, weights[idx].sum(),
-                                feats, criterion, min_leaf, scratch, chunks)
+                                where[2], criterion, min_leaf, scratch, chunks)
         if split is None:
             if leaf_values is not None:
                 leaf_values[idx] = value
@@ -530,12 +525,185 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
         left, right = idx[mask], idx[~mask]
         where_l = where_r = None
         needed = [searched(left, depth + 1), searched(right, depth + 1)]
-        if not sample and any(needed):
+        if any(needed):
             where_l, where_r = scratch.partition(where, idx, mask, len(left), needed)
         stack.append((right, depth + 1, node, False, needed[1], where_r))
         stack.append((left, depth + 1, node, True, needed[0], where_l))
     return Tree(*map(list, zip(*nodes)))
 
+
+# Cells (nodes x sampled columns x padded rows) that a forest's split search
+# sorts at once: bounds the temporaries of one group of nodes.
+_GROUP_CELLS = 1 << 16
+
+
+def _dense_ranks(X):
+    """Each column's dense value ranks as (columns, rows + 1), and the
+    sentinel, one above every rank, which the last entry of every column
+    holds for padding. Equal values, -0.0 and 0.0 among them, share a rank.
+    int16 when every column has fewer than 32,768 distinct values. Made a
+    column at a time, so that no (rows, columns) temporary is made."""
+    n, p = X.shape
+    ranks = np.empty((p, n + 1), dtype=np.int32)
+    for c, column in enumerate(X.T):
+        order = np.argsort(column)
+        ordered = column.take(order)
+        ranks[c, order[0]] = 0
+        ranks[c, order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    sentinel = int(ranks[:, :n].max()) + 1
+    ranks[:, n] = sentinel
+    return (ranks.astype(np.int16) if sentinel < 1 << 15 else ranks), sentinel
+
+
+class _ForestGrower:
+    """Grows a random forest's bootstrap trees side by side, bit for bit the
+    trees that a per-node search would grow one by one on X[boot], drawing
+    `max_features` columns per searched node.
+
+    A tree keeps its rows as int32 global row ids in bootstrap order, so no
+    X[boot] is made, and the rows of its pending nodes on a stack. Each
+    step takes the next node, in preorder, of every unfinished tree, so
+    every tree still draws its columns in preorder. The step's searched
+    nodes are split in groups of similar row count (see _split_group).
+    """
+
+    def __init__(self, X, y, weights, max_features, max_depth, min_leaf):
+        self.X = np.ascontiguousarray(X)
+        self.n, self.p = self.X.shape
+        self.y, self.weights = y, weights
+        self.k, self.max_depth, self.min_leaf = max_features, max_depth, min_leaf
+        self.ranks, self.sentinel = _dense_ranks(self.X)
+        # Row n pads a node's rows: its weight and weighted target are 0.
+        self.wt = np.append(weights * y, 0.0)
+        self.w = None if np.all(weights == 1.0) else np.append(weights, 0.0)
+
+    def grow(self, seed, n_trees) -> list[Tree]:
+        trees = []  # (rng, its Tree so far, stack of (rows, depth, parent, is_left))
+        for t in range(n_trees):
+            rng = np.random.default_rng([seed, t])  # per-tree derived seed
+            boot = rng.integers(0, self.n, size=self.n).astype(np.int32)
+            trees.append((rng, Tree([], [], [], [], []), [(boot, 0, -1, True)]))
+        live = trees
+        while live:
+            self._step(live)
+            live = [tree for tree in live if tree[2]]
+        return [tree for _rng, tree, _stack in trees]
+
+    def _step(self, live):
+        """Adds the next node of every live tree, and splits those that are
+        searched in groups of at most twice the smallest row count and
+        _GROUP_CELLS cells."""
+        popped = [stack.pop() for _rng, _tree, stack in live]
+        ends = np.cumsum([len(item[0]) for item in popped])
+        # Node statistics are gathered for about _GROUP_CELLS rows at a time.
+        bounds = [0, *(np.flatnonzero(np.diff(ends // _GROUP_CELLS)) + 1).tolist(), len(live)]
+        searched = []
+        for a, b in zip(bounds, bounds[1:]):
+            searched += self._add_nodes(live[a:b], popped[a:b])
+        searched.sort(key=lambda item: item[0])
+        first = 0
+        for i in range(1, len(searched) + 1):
+            if i == len(searched) or searched[i][0] > 2 * searched[first][0] \
+                    or (i - first + 1) * self.k * searched[i][0] > _GROUP_CELLS:
+                self._split_group(searched[first:i])
+                first = i
+
+    def _add_nodes(self, live, popped):
+        """Appends each popped node to its tree with its leaf value; returns
+        (row count, rows, columns, weight total, tree, node, stack, depth)
+        for those to be searched, whose trees draw their columns here."""
+        rows = np.concatenate([item[0] for item in popped], dtype=np.intp)
+        ends = np.cumsum([len(item[0]) for item in popped]).tolist()
+        starts = [0] + ends[:-1]
+        w, wt, y = self.weights.take(rows), self.wt.take(rows), self.y.take(rows)
+        pure = (np.minimum.reduceat(y, starts) == np.maximum.reduceat(y, starts)).tolist()
+        searched = []
+        for (rng, tree, stack), (idx, depth, parent, is_left), a, b, is_pure in zip(
+                live, popped, starts, ends, pure):
+            node, w_total = len(tree.feature), w[a:b].sum()
+            tree.feature.append(-1)
+            tree.threshold.append(0.0)
+            tree.left.append(-1)
+            tree.right.append(-1)
+            tree.value.append(float(wt[a:b].sum() / w_total))
+            if parent >= 0:
+                (tree.left if is_left else tree.right)[parent] = node
+            # Otherwise a leaf, as in grow_tree.
+            if depth < self.max_depth and b - a >= 2 * self.min_leaf and not is_pure:
+                feats = rng.choice(self.p, size=self.k, replace=False)
+                searched.append((b - a, idx, feats, w_total, tree, node, stack, depth))
+        return searched
+
+    def _split_group(self, group):
+        """Finds each node's best split as _best_split would, and pushes
+        the children of those that have one.
+
+        The group's rows are padded to its largest node with row n, whose
+        rank is the sentinel. A key rank << s | position sorts each column's
+        rows by value, ties in row order and padding last, as a stable
+        argsort would, and gives the sorted ranks too; prefix sums along the
+        padded rows keep every real sum's bits.
+        """
+        G, k, n, M = len(group), self.k, self.n, group[-1][0]
+        m = np.array([item[0] for item in group])
+        real = np.arange(M) < m[:, None]
+        rows = np.full((G, M), n)
+        rows[real] = np.concatenate([item[1] for item in group])
+        feats = np.sort(np.array([item[2] for item in group]), axis=1)
+        s = (G * M - 1).bit_length()
+        key = np.left_shift(self.ranks.take((feats * (n + 1))[:, :, None] + rows[:, None, :]), s,
+                            dtype=np.int32 if self.sentinel < 1 << (31 - s) else np.int64)
+        key |= np.arange(G * M, dtype=key.dtype).reshape(G, 1, M)
+        key.sort(axis=2)
+        # (G, k, M): where in `rows` each sorted row is. take is several
+        # times slower with int32 indices.
+        pos = np.bitwise_and(key, (1 << s) - 1, dtype=np.intp)
+        # np.add.accumulate is np.cumsum without its wrapper's overhead.
+        cwt = self.wt.take(rows).take(pos)
+        np.add.accumulate(cwt, axis=2, out=cwt)
+        cw = None if self.w is None else self.w.take(rows).take(pos)
+        if cw is not None:
+            np.add.accumulate(cw, axis=2, out=cw)
+        key >>= s
+        gc, cut = np.divmod(np.flatnonzero(key[:, :, 1:] != key[:, :, :-1]), M - 1)
+        g = gc // k
+        valid = (cut >= self.min_leaf - 1) & (cut < (m - self.min_leaf).take(g))
+        gc, cut, g = gc[valid], cut[valid], g[valid]
+        if not len(gc):
+            return
+        at, m_cut = gc * M + cut, m.take(g)
+        score = _cut_scores(at, at + (m_cut - 1 - cut), m_cut, (cw, cwt),
+                            np.array([item[3] for item in group]).take(g), "gini")
+        starts = [0] + (np.flatnonzero(gc[1:] != gc[:-1]) + 1).tolist()
+        bounds = starts + [len(gc)]
+        # Per node, the first column whose minimum beats the best so far by
+        # more than 1e-15, and the first minimum within that column.
+        best = {}
+        for i, (v, member) in enumerate(zip(np.minimum.reduceat(score, starts).tolist(),
+                                           g.take(starts).tolist())):
+            if member not in best or v < best[member][0] - 1e-15:
+                best[member] = (v, i)
+        split = np.array(list(best))
+        pick = np.array([bounds[i] + int(np.argmin(score[bounds[i]:bounds[i + 1]]))
+                         for _v, i in best.values()])
+        f = feats.take(gc.take(pick))
+        # The values on either side of each chosen cut.
+        lo, hi = self.X[rows.take(pos.take(at.take(pick)[:, None] + (0, 1))), f[:, None]].T
+        thr = lo / 2.0 + hi / 2.0
+        thr = np.where(thr < hi, thr, lo)
+        real, rows = real[split], rows[split]
+        goes_left = (self.X.take(rows * self.p + f[:, None], mode="clip") <= thr[:, None]) & real
+        lefts, rights = rows[goes_left].astype(np.int32), rows[real & ~goes_left].astype(np.int32)
+        a = b = 0
+        for i, f_, t_, m_left in zip(split.tolist(), f.tolist(), thr.tolist(),
+                                     goes_left.sum(axis=1).tolist()):
+            m_, _idx, _feats, _w, tree, node, stack, depth = group[i]
+            tree.feature[node], tree.threshold[node] = f_, t_
+            # A right child may wait on its stack for many steps: a copy, so
+            # that it does not keep the group's arrays alive.
+            stack.append((rights[b:b + m_ - m_left].copy(), depth + 1, node, False))
+            stack.append((lefts[a:a + m_left], depth + 1, node, True))
+            a, b = a + m_left, b + m_ - m_left
 
 # ---------------------------------------------------------------------------
 # Models
@@ -726,7 +894,7 @@ class TreeModel(TrainedModel):
 
     @property
     def trees(self) -> tuple[Tree, ...]:
-        return tuple(self.forest.tree(t) for t in range(len(self.forest)))
+        return self.forest.records()
 
     @property
     def scale(self) -> float:
@@ -780,6 +948,12 @@ class RandomForestModel(TreeModel):
 
     @classmethod
     def fit(cls, X, y, config, seed):
+        """Tree t is grown on the bootstrap sample that default_rng([seed,
+        t]) draws first, and draws its columns from the same generator, per
+        searched node in preorder. Trees that sample columns are grown side
+        by side by _ForestGrower, with no copy of X per tree; trees that
+        search every column presort their own bootstrap sample (grow_tree).
+        Both give, bit for bit, the trees of a per-node search on X[boot]."""
         sw = _sample_weights(y, config["class_weight"])
         n, p = X.shape
         if config["max_features"] == "sqrt":
@@ -788,17 +962,16 @@ class RandomForestModel(TreeModel):
             max_features = p
         else:
             max_features = int(config["max_features"])
-        # Subsampled trees all use scratch of the same size; unsampled ones
-        # presort their own bootstrap sample.
-        scratch = _Scratch(X, sw, max_features, False, presort=False) if max_features < p else None
+        if max_features < p:
+            grower = _ForestGrower(X, y, sw, max_features, config["max_depth"], config["min_leaf"])
+            return cls(p, config, seed, grower.grow(seed, config["n_trees"]))
         trees = []
         for t in range(config["n_trees"]):
             rng = np.random.default_rng([seed, t])  # per-tree derived seed
             boot = rng.integers(0, n, size=n)
             Xb, yb, wb = X[boot], y[boot], sw[boot]
             trees.append(grow_tree(Xb, yb, wb, _leaf_frequency(yb, wb), config["max_depth"],
-                                   config["min_leaf"], criterion="gini",
-                                   max_features=max_features, rng=rng, scratch=scratch))
+                                   config["min_leaf"]))
         return cls(p, config, seed, trees)
 
     @classmethod
@@ -836,7 +1009,7 @@ class GradientBoostedTreesModel(TreeModel):
         losses: list[float] = []
         # One presort serves every round; each row's leaf value updates its
         # margin, which is what the tree's walk would return for it.
-        scratch = _Scratch(X, sw, X.shape[1], True, presort=True)
+        scratch = _Scratch(X, sw, True)
         leaf_values = np.empty(len(y))
         for _round in range(config["rounds"]):
             p = _sigmoid(margin)

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -375,7 +376,7 @@ def _assert_same_trees(kind, X, y, overrides, seed):
 def _tree_problem(draw):
     n = draw(st.integers(2, 40))
     p = draw(st.integers(1, 5))
-    kinds = draw(st.lists(st.sampled_from(["ties", "continuous", "constant", "mirror"]),
+    kinds = draw(st.lists(st.sampled_from(["ties", "continuous", "constant", "mirror", "signed zero"]),
                           min_size=p, max_size=p))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
@@ -388,6 +389,9 @@ def _tree_problem(draw):
             columns.append(np.full(n, 1.5))
         elif k == "continuous":
             columns.append(rng.normal(size=n))
+        elif k == "signed zero":
+            # -0.0 and 0.0 are one value, tied in row order.
+            columns.append(rng.choice([-0.0, 0.0, 0.5, -1.0], size=n))
         else:
             columns.append(rng.integers(0, 3, size=n).astype(float))
     X = np.column_stack(columns)
@@ -403,24 +407,26 @@ def _tree_problem(draw):
 def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed, chunk):
     # The chosen split's score must be the same float, which holds only if
     # the prefix sums add tied rows in the same (stable) order. Small chunks
-    # carry the best cut across chunk boundaries.
+    # carry the best cut across chunk boundaries. The root, then a child
+    # partitioned from its sorted lists.
     X, y = problem
     n, p = X.shape
     rng = np.random.default_rng(seed)
     targets = y - rng.random(n) if criterion == "mse" else y
     weights = rng.choice([0.5, 1.0, 3.0], size=n)
     wt = weights * targets
-    scratch = learn._Scratch(X, weights, p, True, presort=True)
-    subset = np.flatnonzero(rng.random(n) < 0.7)
-    nodes = [(np.arange(n), *scratch.sorted_lists((0, 0, scratch.root), n), scratch.root),
-             (subset, *learn._sort_node(X, subset, np.arange(p)), np.arange(p))]
+    scratch = learn._Scratch(X, weights, True)
+    root = (0, 0, scratch.root)
+    mask = rng.random(n) < 0.7
+    child = scratch.partition(root, np.arange(n), mask, int(mask.sum()), [True, False])[0]
     default_chunk, learn._CUTS_PER_CHUNK = learn._CUTS_PER_CHUNK, chunk
     try:
-        for idx, rows, values, features in nodes:
+        for idx, where in ((np.arange(n), root), (np.flatnonzero(mask), child)):
             if len(idx) < 2 * min_leaf:
                 continue
+            rows, values = scratch.sorted_lists(where, len(idx))
             got = learn._best_split(X, values, rows, None if scratch.unit_weights else weights, wt,
-                                    wt * targets, weights[idx].sum(), features, criterion,
+                                    wt * targets, weights[idx].sum(), scratch.root, criterion,
                                     min_leaf, scratch)
             assert got == _reference_best_split(X, targets, weights, idx, np.arange(p), criterion,
                                                 min_leaf)
@@ -428,16 +434,78 @@ def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed
         learn._CUTS_PER_CHUNK = default_chunk
 
 
+@settings(max_examples=80, deadline=None)
+@given(problem=_tree_problem(), min_leaf=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1),
+       cells=st.sampled_from([1, 40, learn._GROUP_CELLS]), unit=st.booleans(),
+       trees=st.integers(1, 8))
+def test_grouped_split_search_matches_reference(problem, min_leaf, seed, cells, unit, trees):
+    # One step of the forest grower: the roots of several trees, of
+    # different sizes and with repeated rows as in a bootstrap sample, are
+    # searched in groups. A budget of 1 cell searches each node alone and
+    # 40 cells groups only small nodes. Each node's leaf value, split and
+    # children must be the per-node reference's, and each tree draws its
+    # columns from its own generator.
+    X, y = problem
+    n, p = X.shape
+    rng = np.random.default_rng(seed)
+    weights = np.ones(n) if unit else rng.choice([0.5, 1.0, 3.0], size=n)
+    k = int(rng.integers(1, p + 1))
+    roots = [rng.integers(0, n, size=int(rng.integers(1, 3 * n))) for _t in range(trees)]
+    grower = learn._ForestGrower(X, y, weights, k, max_depth=5, min_leaf=min_leaf)
+    live = [(np.random.default_rng([seed, t]), Tree([], [], [], [], []),
+             [(rows.astype(np.int32), 0, -1, True)]) for t, rows in enumerate(roots)]
+    default_cells, learn._GROUP_CELLS = learn._GROUP_CELLS, cells
+    try:
+        grower._step(live)
+    finally:
+        learn._GROUP_CELLS = default_cells
+    for t, (rows, (_rng, tree, stack)) in enumerate(zip(roots, live)):
+        w = weights[rows]
+        assert tree.value == [float((w * y[rows]).sum() / w.sum())]
+        split = None
+        if len(rows) >= 2 * min_leaf and not np.all(y[rows] == y[rows][0]):
+            feats = np.sort(np.random.default_rng([seed, t]).choice(p, size=k, replace=False))
+            split = _reference_best_split(X, y, weights, rows, feats, "gini", min_leaf)
+        if split is None:
+            assert (tree.feature, stack) == ([-1], [])
+            continue
+        _score, f, thr = split
+        # json.dumps tells -0.0 from 0.0, which == does not.
+        assert json.dumps([tree.feature, tree.threshold]) == json.dumps([[int(f)], [thr]])
+        left = X[rows, f] <= thr
+        assert [(r.tolist(), rest) for r, *rest in stack] == [
+            (rows[~left].tolist(), [1, 0, False]), (rows[left].tolist(), [1, 0, True])]
+
+
+def test_dense_ranks_share_signed_zeros_and_widen_past_int16():
+    X = np.column_stack([[0.5, -0.0, 0.0, -1.0, 0.5], [3.0, 2.0, 1.0, 0.0, -1.0]])
+    ranks, sentinel = learn._dense_ranks(X)
+    assert (ranks.dtype, sentinel) == (np.int16, 5)
+    assert ranks.tolist() == [[2, 1, 1, 0, 2, 5], [4, 3, 2, 1, 0, 5]]
+    ranks, sentinel = learn._dense_ranks(np.arange(40000.0)[::-1, None])
+    assert (ranks.dtype, sentinel) == (np.int32, 40000)
+    assert ranks[0].tolist() == list(range(39999, -1, -1)) + [40000]
+
+
+def test_forest_of_many_distinct_values_matches_reference():
+    # 40,000 distinct values: int32 ranks, and sort keys wider than int32.
+    rng = np.random.default_rng(8)
+    X = np.column_stack([rng.permutation(40000) / 7.0, rng.integers(0, 3, size=40000)])
+    y = ((X[:, 0] > 2000) ^ (X[:, 1] == 1) ^ (rng.random(40000) < 0.1)).astype(float)
+    _assert_same_trees("rf", X, y, {"n_trees": 2, "max_depth": 3, "max_features": 1}, seed=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(problem=_tree_problem(), kind=st.sampled_from(["dt", "rf", "gbt"]),
        class_weight=st.sampled_from([None, "balanced"]), min_leaf=st.sampled_from([1, 2, 5]),
-       max_depth=st.integers(1, 6), max_features=st.integers(1, 7), seed=st.integers(0, 3))
+       max_depth=st.integers(1, 6), max_features=st.integers(1, 7), seed=st.integers(0, 3),
+       n_trees=st.integers(1, 8))
 def test_trees_match_per_node_sort_reference(problem, kind, class_weight, min_leaf, max_depth,
-                                             max_features, seed):
+                                             max_features, seed, n_trees):
     X, y = problem
     overrides = {"class_weight": class_weight, "min_leaf": min_leaf, "max_depth": max_depth}
     if kind == "rf":
-        overrides.update(n_trees=3, max_features=max_features)
+        overrides.update(n_trees=n_trees, max_features=max_features)
     if kind == "gbt":
         overrides["rounds"] = 4
     _assert_same_trees(kind, X, y, overrides, seed)
@@ -449,6 +517,8 @@ def test_trees_match_per_node_sort_reference(problem, kind, class_weight, min_le
     ("rf", {"n_trees": 4}),
     ("rf", {"n_trees": 2, "max_features": None, "max_depth": 6}),
     ("dt", {"min_leaf": 5}),
+    # One step holds many nodes of mixed sizes.
+    ("rf", {"n_trees": 24, "class_weight": "balanced", "min_leaf": 2}),
 ])
 def test_trees_match_reference_at_paper_shape(kind, overrides):
     # 400 x 60 like the concat features: hashed token counts with many ties,
@@ -463,6 +533,26 @@ def test_trees_match_reference_at_paper_shape(kind, overrides):
     _assert_same_trees(kind, X, y, overrides, seed=3)
 
 
+def test_forest_fit_memory_peak_at_paper_shape():
+    # 1,600 x 202 like the paper-scale benchmark's forest: hashed counts
+    # with ties, cross terms of a few values each, and flags. The per-tree
+    # implementation this replaced peaked at 5,585,178 bytes on this fit
+    # (numpy 2.4.6): its copy of X per bootstrap sample alone is 2.6 MB.
+    rng = np.random.default_rng(5)
+    counts = rng.poisson(1.0, size=(1600, 100)).astype(float)
+    cross = np.round(rng.normal(size=(1600, 80)), 1)
+    X = np.hstack([counts, cross, rng.integers(0, 2, size=(1600, 22)).astype(float)])
+    y = ((counts[:, 0] > 0) ^ (cross[:, 0] > 0)).astype(float)
+    config = learn.resolved_config("RandomForest", {"n_trees": 5})
+    tracemalloc.start()
+    try:
+        RandomForestModel.fit(X, y, config, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_585_178
+
+
 def test_grow_tree_leaves_no_reference_cycles(blob_data):
     X, y = blob_data[0], blob_data[1].astype(float)
     sw = np.ones_like(y)
@@ -473,6 +563,18 @@ def test_grow_tree_leaves_no_reference_cycles(blob_data):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("kind", ("dt", "rf", "gbt"))
+def test_tree_records_are_each_forest_tree(blob_data, kind):
+    X, y = blob_data
+    model = learn.train(kind, rows_from(X, y), {"n_trees": 7} if kind == "rf" else {}, seed=0)
+    records = model.trees
+    expected = [model.forest.tree(t) for t in range(len(model.forest))]
+    assert json.dumps([t.to_dict() for t in records]) == json.dumps([t.to_dict() for t in expected])
+    # Fresh lists on every access.
+    records[0].feature.append(99)
+    assert model.trees[0] == expected[0]
 
 
 @pytest.mark.parametrize("kind", ("dt", "rf", "gbt"))
@@ -529,7 +631,7 @@ def test_shared_scratch_plans_the_root_per_min_leaf():
     y[np.argmax(X[:, 0])] = 100.0
     w = np.ones(50)
     leaf = lambda idx: float(y[idx].mean())
-    scratch = learn._Scratch(X, w, 3, True, presort=True)
+    scratch = learn._Scratch(X, w, True)
     for min_leaf in (1, 8, 1):
         tree = learn.grow_tree(X, y, w, leaf, 3, min_leaf, criterion="mse", scratch=scratch)
         expected = _reference_grow_tree(X, y, w, leaf, 3, min_leaf, criterion="mse")
@@ -563,7 +665,7 @@ def test_partitioned_lists_hold_each_childs_rows_in_value_order(seed):
     n = int(rng.integers(8, 60))
     X = np.column_stack([rng.integers(0, 4, size=n), rng.normal(size=n), np.full(n, 2.0),
                          rng.integers(0, 2, size=n)]).astype(float)
-    scratch = learn._Scratch(X, np.ones(n), X.shape[1], False, presort=True)
+    scratch = learn._Scratch(X, np.ones(n), False)
     pending = [(np.arange(n), (0, 0, scratch.root))]
     # Three generations, so children are partitioned from every buffer.
     for _generation in range(3):
