@@ -9,6 +9,7 @@ that cannot be decided lexically stay 0.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,13 @@ _OP_CLASS = {
 _STRING_RE = re.compile(r"\"[^\"]*\"|'[^']*'")
 _NUMBER_RE = re.compile(r"\b\d+(?:\.\d+)?\b")
 _CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+_WHITESPACE_RE = re.compile(r"\s+")
+
+_OP_CLASSES = ("arithmetic", "relational", "logical", "assignment")
 
 _COUNTER_NAMES = tuple(
     [f"kw_{k}" for k in KEYWORDS]
-    + ["op_arithmetic", "op_relational", "op_logical", "op_assignment"]
+    + [f"op_{c}" for c in _OP_CLASSES]
     + ["lit_numeric", "lit_string", "lit_boolean", "calls"]
 )
 
@@ -73,12 +77,12 @@ class EngineeredVector:
     names: tuple[str, ...]
 
 
+_FEATURE_NAMES = (*_FLAG_NAMES, *(f"{side}_{c}" for side in ("buggy", "patched", "delta")
+                                   for c in _COUNTER_NAMES))
+
+
 def feature_names() -> list[str]:
-    names = list(_FLAG_NAMES)
-    names += [f"buggy_{c}" for c in _COUNTER_NAMES]
-    names += [f"patched_{c}" for c in _COUNTER_NAMES]
-    names += [f"delta_{c}" for c in _COUNTER_NAMES]
-    return names
+    return list(_FEATURE_NAMES)
 
 
 def registry() -> list[dict]:
@@ -128,13 +132,11 @@ def _squash(text: str) -> str:
     return " ".join(text.split())
 
 
-def _has_if_paren(line: str) -> bool:
-    toks = tokenize(line)
+def _has_if_paren(toks: list[str]) -> bool:
     return any(a == "if" and b == "(" for a, b in zip(toks, toks[1:]))
 
 
-def _opens_conditional_block(line: str) -> bool:
-    toks = tokenize(line)
+def _opens_conditional_block(toks: list[str]) -> bool:
     return "{" in toks and any(t in ("if", "else", "for", "while") for t in toks)
 
 
@@ -152,24 +154,26 @@ def extract_patterns(hunks: HunkSet) -> dict[str, int]:
     added = [c for h in hunks.hunks for t, c in h.lines if t is LineTag.ADDED]
     changed = len(removed) + len(added)
 
-    stripped_removed = {re.sub(r"\s+", "", r) for r in removed if re.sub(r"\s+", "", r)}
-    stripped_added = {re.sub(r"\s+", "", a) for a in added if re.sub(r"\s+", "", a)}
+    stripped_removed = {_WHITESPACE_RE.sub("", r) for r in removed} - {""}
+    stripped_added = {_WHITESPACE_RE.sub("", a) for a in added} - {""}
     code_move = int(bool(stripped_removed & stripped_added))
 
-    added_text = " ".join(added)
-    removed_text = " ".join(removed)
-    added_tokens = tokenize(added_text)
-    removed_tokens = tokenize(removed_text)
+    # Each line once; no token spans a line, so a side's tokens are its
+    # lines' tokens.
+    added_lines = [tokenize(line) for line in added]
+    removed_lines = [tokenize(line) for line in removed]
+    added_tokens = {t for toks in added_lines for t in toks}
+    removed_tokens = {t for toks in removed_lines for t in toks}
 
-    openers_added = sum(1 for line in added if _opens_conditional_block(line))
-    openers_removed = sum(1 for line in removed if _opens_conditional_block(line))
+    openers_added = sum(map(_opens_conditional_block, added_lines))
+    openers_removed = sum(map(_opens_conditional_block, removed_lines))
 
     return {
         "singleLine": int(changed == 1),
         "codeMove": code_move,
-        "wrapsIf": int(code_move and any(_has_if_paren(line) for line in added)),
+        "wrapsIf": int(code_move and any(map(_has_if_paren, added_lines))),
         "wrapsTryCatch": int(code_move and "try" in added_tokens and "catch" in added_tokens),
-        "unwrapsIf": int(code_move and any(_has_if_paren(line) for line in removed)),
+        "unwrapsIf": int(code_move and any(map(_has_if_paren, removed_lines))),
         "unwrapsTryCatch": int(code_move and "try" in removed_tokens and "catch" in removed_tokens),
         "conditionalBlockAdd": int(openers_added > openers_removed),
         "conditionalBlockRemove": int(openers_removed > openers_added),
@@ -180,38 +184,38 @@ def extract_patterns(hunks: HunkSet) -> dict[str, int]:
     }
 
 
-def _count_side(text: str) -> dict[str, float]:
-    tokens = tokenize(text)
-    counts = {f"kw_{k}": float(tokens.count(k)) for k in KEYWORDS}
-    op_counts = {"arithmetic": 0, "relational": 0, "logical": 0, "assignment": 0}
-    for m in _OPS_RE.finditer(text):
-        op_counts[_OP_CLASS[m.group(0)]] += 1
-    for cls, v in op_counts.items():
-        counts[f"op_{cls}"] = float(v)
-    counts["lit_numeric"] = float(len(_NUMBER_RE.findall(_STRING_RE.sub("", text))))
-    counts["lit_string"] = float(len(_STRING_RE.findall(text)))
-    counts["lit_boolean"] = float(sum(1 for t in tokens if t in ("true", "false")))
-    counts["calls"] = float(sum(1 for m in _CALL_RE.finditer(text) if m.group(1) not in _CALL_EXCLUDE))
-    return counts
+def _count_side(text: str, tokens) -> list[float]:
+    """The counters of one fragment, given its text and tokenize(text), in
+    _COUNTER_NAMES order."""
+    tally = Counter(tokens).get
+    ops = Counter(map(_OP_CLASS.__getitem__, _OPS_RE.findall(text))).get
+    return [*(float(tally(k, 0)) for k in KEYWORDS),
+            *(float(ops(c, 0)) for c in _OP_CLASSES),
+            float(len(_NUMBER_RE.findall(_STRING_RE.sub("", text)))),
+            float(len(_STRING_RE.findall(text))),
+            float(tally("true", 0) + tally("false", 0)),
+            float(sum(name not in _CALL_EXCLUDE for name in _CALL_RE.findall(text)))]
+
+
+def _side_counts(fragments: FragmentPair) -> tuple[list[float], list[float]]:
+    return (_count_side(fragments.buggy_text, fragments.buggy_tokens),
+            _count_side(fragments.patched_text, fragments.patched_tokens))
 
 
 def extract_code_description(fragments: FragmentPair) -> dict[str, float]:
-    buggy = _count_side(fragments.buggy_text)
-    patched = _count_side(fragments.patched_text)
     out: dict[str, float] = {}
-    for c in _COUNTER_NAMES:
-        out[f"buggy_{c}"] = buggy[c]
-        out[f"patched_{c}"] = patched[c]
-        out[f"delta_{c}"] = patched[c] - buggy[c]
+    for c, b, p in zip(_COUNTER_NAMES, *_side_counts(fragments)):
+        out[f"buggy_{c}"] = b
+        out[f"patched_{c}"] = p
+        out[f"delta_{c}"] = p - b
     return out
 
 
 def extract_all(record: PatchRecord) -> EngineeredVector:
     """Full engineered vector for one patch: [flags | counts | deltas]."""
     hunks = parse_diff(record.diff_text)
-    fragments = extract_fragments(hunks)
-    features = dict(extract_patterns(hunks))
-    features.update(extract_code_description(fragments))
-    names = feature_names()
-    values = np.array([float(features[n]) for n in names])
-    return EngineeredVector(patch_id=record.patch_id, values=values, names=tuple(names))
+    flags = extract_patterns(hunks)
+    buggy, patched = _side_counts(extract_fragments(hunks))
+    values = np.array([*(float(flags[n]) for n in _FLAG_NAMES), *buggy, *patched,
+                       *(p - b for b, p in zip(buggy, patched))])
+    return EngineeredVector(patch_id=record.patch_id, values=values, names=_FEATURE_NAMES)

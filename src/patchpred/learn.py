@@ -244,88 +244,103 @@ class _Scratch:
     """Per-fit buffers for split search, filled with out= at every node.
 
     Made for one X and one set of sample weights. Split search works on
-    (columns x rows) arrays: row c holds one column's values at the node in
-    ascending order and the prefix sums along them. Allocating those at
-    every node costs a page fault per page, so they are allocated once, for
-    the largest node (the root), and a node uses the leading part. The
-    scratch also keeps every non-constant column's rows in ascending value
-    order, ties in row order (one stable argsort per column, made once and
-    reused by every tree grown on the same X), and two more buffers that
-    children's sorted lists are partitioned into. A node's lists are a
-    contiguous (columns, rows) block of one of them, located by `where` =
-    (buffer, offset, columns). For mse, `cwt` is complex (see _pair).
-    `flat` and, for mse, `values` share their memory with `cwt`: they hold
-    a node's indices and values only until its prefix sums are taken. Every
-    tree grown on the scratch searches the same root, so the root's cut
-    chunks are made once and kept in `root_plan`.
+    (columns x rows) arrays: row c holds one column's rows at the node in
+    ascending value order and the prefix sums along them. Allocating those
+    at every node costs a page fault per page, so they are allocated once,
+    for the largest node (the root), and a node uses the leading part. The
+    scratch keeps every non-constant column's rows in ascending value order,
+    ties in row order, as packed keys rank << bits | row (see _packed_keys;
+    made and sorted once, and reused by every tree grown on the same X), and
+    two more key buffers that children's lists are partitioned into. A
+    node's lists are a contiguous (columns, rows) block of one of them,
+    located by `where` = (buffer, offset, columns). Its rows are one `&`
+    of its keys and its ranks one `>>`; the ranks share their memory with
+    `cwt` and are read only until its prefix sums are taken. For mse, `cwt`
+    is complex (see _pair). The root's rows are made once, and since every
+    tree grown on the scratch searches the same root, so is the root's cut
+    plan (`root_plan`).
     """
 
     def __init__(self, X, weights, mse: bool):
-        n, p = X.shape
-        size = p * n
-        # Unit weights need no prefix sum of weights (see _cut_scores).
+        n = len(X)
+        self.n = n
+        # Unit weights need no prefix sum of weights (see _cut_weights).
         self.unit_weights = bool(np.all(weights == 1.0))
+        self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
+        # Each column's rows in ascending value order, ties in row order,
+        # and their dense ranks: equal values, -0.0 and 0.0 among them,
+        # share one (as in _dense_ranks, which ranks a column at a time to
+        # spare the forest these temporaries; here they are smaller than
+        # the buffers below).
+        columns = np.ascontiguousarray(X[:, self.root].T)
+        order = np.argsort(columns, axis=1, kind="stable")
+        ordered = np.take_along_axis(columns, order, axis=1)
+        del columns
+        ranks = np.zeros(order.shape, dtype=np.int32)
+        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ranks[:, 1:])
+        del ordered
+        keys, self.bits = _packed_keys(ranks, order, n, int(ranks[:, -1].max(initial=0)) + 1)
+        del ranks, order
+        self.root_rows = np.bitwise_and(keys, (1 << self.bits) - 1, dtype=np.intp)
+        size = keys.size
+        self.lists = (keys.ravel(), np.empty(size, dtype=keys.dtype), np.empty(size, dtype=keys.dtype))
+        self.rows = np.empty(size, dtype=np.intp)
         self.cw = None if self.unit_weights else np.empty(size)
         self.cwt = np.empty(size, dtype=complex if mse else float)
         self.change = np.empty(size, dtype=bool)
-        self.n = n
-        self.XT = np.ascontiguousarray(X.T).ravel()
-        cells = self.cwt.view(np.intp)
-        self.flat = cells[:size]
-        self.values = cells[size:].view(float) if mse else np.empty(size)
         self.side = np.empty(n, dtype=bool)
         self.goes_left = np.empty(size, dtype=bool)
-        self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
-        order = np.argsort(self.XT.reshape(p, n)[self.root], axis=1, kind="stable").ravel()
-        self.lists = (order, np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
         self.root_plan = None  # ((min_leaf, chunk size), the root's cut chunks)
 
-    def node_rows(self, where, m):
-        """The node's rows, (columns, m), each in ascending value order."""
-        level, off, cols = where
-        return self.lists[level][off: off + len(cols) * m].reshape(len(cols), m)
-
     def sorted_lists(self, where, m):
-        """The node's (rows, values), each (columns, m) in ascending value order."""
-        cols = where[2]
+        """The node's (rows, ranks), each (columns, m) in ascending value
+        order: rows as intp, ranks in `cwt`'s memory."""
+        level, off, cols = where
         k = len(cols)
-        rows = self.node_rows(where, m)
-        flat = np.add(rows, (cols * self.n)[:, None], out=self.flat[: k * m].reshape(k, m))
-        values = np.take(self.XT, flat, out=self.values[: k * m].reshape(k, m), mode="clip")
-        return rows, values
+        keys = self.lists[level][off: off + k * m].reshape(k, m)
+        rows = np.bitwise_and(keys, (1 << self.bits) - 1, out=self.rows[: k * m].reshape(k, m))
+        ranks = np.right_shift(keys, self.bits, out=self.cwt.view(keys.dtype)[: k * m].reshape(k, m))
+        return rows, ranks
 
-    def root_chunks(self, min_leaf):
-        """The root's cut chunks (see _cut_chunks), made by the first root
-        search and kept: later trees differ only in the prefix sums. The
-        positions are int32 when they fit, so the plan costs 8 bytes per
+    def root_chunks(self, min_leaf, weights, w_total):
+        """The root's cut chunks (see _cut_chunks), each with its cuts' left
+        and right weights, made by the first root search and kept: later
+        trees differ only in the prefix sums of weighted targets. The
+        positions are int32 when they fit, so the plan costs 24 bytes per
         cut; empty when the root has no valid cut."""
         key = (min_leaf, _CUTS_PER_CHUNK)
         if self.root_plan is None or self.root_plan[0] != key:
             self.root_plan = None  # freed before the new plan is made
-            values = self.sorted_lists((0, 0, self.root), self.n)[1]
-            position = np.int32 if values.size <= np.iinfo(np.int32).max else np.intp
-            self.root_plan = (key, _cut_chunks(values, min_leaf, self, position))
+            ranks = self.sorted_lists((0, 0, self.root), self.n)[1]
+            position = np.int32 if ranks.size <= np.iinfo(np.int32).max else np.intp
+            chunks = _cut_chunks(ranks, min_leaf, self, position)
+            cw = None if self.unit_weights else _prefix_sums(weights, self.root_rows, self.cw)
+            self.root_plan = (key, [(at, last, segments, *_cut_weights(at, last, self.n, cw, w_total))
+                                    for at, last, segments in chunks])
         return self.root_plan[1]
 
-    def partition(self, where, idx, mask, m_left, needed):
+    def partition(self, where, rows, idx, mask, m_left, needed):
         """Stable partition of the node's sorted lists by `mask` (per row of
         `idx`, m_left of them true) into the children that `needed` says are
-        searched. Children
-        go to the other buffer within the parent's range, which no pending
-        node shares. Returns where the children's lists are.
+        searched. `rows` are the node's rows as its search read them (see
+        sorted_lists; root_rows at the root). Each child's keys are one take
+        of the positions that go its way, which keeps every column's order.
+        Children go to the other buffer within the parent's range, which no
+        pending node shares. Returns where the children's lists are.
         """
         level, off, cols = where
-        src = self.lists[level][off: off + len(cols) * len(idx)]
+        src = self.lists[level][off: off + rows.size]
         self.side[idx] = mask
-        goes_left = np.take(self.side, src, out=self.goes_left[: len(src)], mode="clip")
+        goes_left = np.take(self.side, rows.ravel(), out=self.goes_left[: rows.size], mode="clip")
         child = 2 if level == 1 else 1
         split = off + len(cols) * m_left
-        # Boolean indexing keeps the order and, unlike np.compress, makes no
-        # index array of the selected positions.
+        # Gathers by flatnonzero positions: boolean indexing is several
+        # times slower on an unpredictable mask.
         if needed[0]:
-            self.lists[child][off: split] = src[goes_left]
+            np.take(src, np.flatnonzero(goes_left), out=self.lists[child][off: split], mode="clip")
         if needed[1]:
-            self.lists[child][split: off + len(src)] = src[np.logical_not(goes_left, out=goes_left)]
+            np.take(src, np.flatnonzero(np.logical_not(goes_left, out=goes_left)),
+                    out=self.lists[child][split: off + rows.size], mode="clip")
         return (child, off, cols), (child, split, cols)
 
 
@@ -340,16 +355,16 @@ def _prefix_sums(per_row, rows, buf):
 _CUTS_PER_CHUNK = 4096
 
 
-def _cut_positions(values, min_leaf, scratch):
-    """The node's valid cuts: those at a value change of a column's sorted
-    `values` (k, m) that leave min_leaf rows on each side. None when there
+def _cut_positions(ranks, min_leaf, scratch):
+    """The node's valid cuts: those at a rank change of a column's sorted
+    `ranks` (k, m) that leave min_leaf rows on each side. None when there
     is none, else (col, cut, bounds): each cut's column and the position of
     its last left row in that column, and where each column's cuts start,
     then the end."""
-    k, m = values.shape
+    k, m = ranks.shape
     lo_cut, hi_cut = min_leaf - 1, m - min_leaf
     width = hi_cut - lo_cut
-    change = np.less(values[:, lo_cut:hi_cut], values[:, lo_cut + 1:hi_cut + 1],
+    change = np.less(ranks[:, lo_cut:hi_cut], ranks[:, lo_cut + 1:hi_cut + 1],
                      out=scratch.change[: k * width].reshape(k, width))
     col, cut = np.divmod(np.flatnonzero(change), width)
     if len(col) == 0:
@@ -372,16 +387,16 @@ def _chunk_bounds(bounds):
         first = stop
 
 
-def _cut_chunks(values, min_leaf, scratch, position=np.intp):
+def _cut_chunks(ranks, min_leaf, scratch, position=np.intp):
     """The node's valid cuts (see _cut_positions) in chunks (see
     _chunk_bounds): a list of (at, last, segments) with the flat positions,
     of dtype `position`, of each cut and of its column's last row in the
     (k, m) prefix sums; empty when there is no valid cut."""
-    cuts = _cut_positions(values, min_leaf, scratch)
+    cuts = _cut_positions(ranks, min_leaf, scratch)
     if cuts is None:
         return []
     col, cut, bounds = cuts
-    m = values.shape[1]
+    m = ranks.shape[1]
     at = np.multiply(col, m, dtype=position)
     last = at + (m - 1)
     at += cut
@@ -396,13 +411,13 @@ def _pair(re, im):
     return z
 
 
-def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion, min_leaf,
+def _best_split(X, ranks, rows, weights, wt, wtt, w_total, features, criterion, min_leaf,
                 scratch, chunks=None):
     """Exact greedy split search over all columns of a node at once.
 
     `rows` is (k, m): row c holds the node's rows in ascending order of
-    column features[c], ties in row order, and `values` holds those values
-    sorted (only their order matters). `wt` is weights * targets per row and
+    column features[c], ties in row order, and `ranks` holds those values'
+    ranks (only their order matters). `wt` is weights * targets per row and
     `wtt` is wt * targets (mse only); for mse, `wt` may instead hold both,
     paired by _pair, with `wtt` None. `weights` is None when all are 1.
     Prefix sums along each row give every cut's left weight and target
@@ -410,21 +425,25 @@ def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion,
     a value change that leave min_leaf rows on each side are scored. Gini
     uses weighted class sums; mse uses weighted squared error. Ties keep the
     first (lowest feature index, then lowest threshold). `chunks`, if given,
-    are the node's cut chunks made earlier (see _Scratch.root_chunks), and
-    `values` is not read. Returns (score, feature, threshold), or None.
+    are the node's cut chunks with their weights, made earlier (see
+    _Scratch.root_chunks), and neither `ranks` nor `weights` is read.
+    Returns (score, feature, threshold), or None.
     """
     k, m = rows.shape
+    cw = None
     if chunks is None:
-        chunks = _cut_chunks(values, min_leaf, scratch)
+        chunks = _cut_chunks(ranks, min_leaf, scratch)
+        if chunks and weights is not None:
+            cw = _prefix_sums(weights, rows, scratch.cw)
     if not chunks:
         return None
     if criterion == "mse" and wtt is not None:
         wt = _pair(wt, wtt)
-    sums = (None if weights is None else _prefix_sums(weights, rows, scratch.cw),
-            _prefix_sums(wt, rows, scratch.cwt.view(wt.dtype)))
+    cwt = _prefix_sums(wt, rows, scratch.cwt.view(wt.dtype))
     best = None
-    for at, last, segments in chunks:
-        score = _cut_scores(at, last, m, sums, w_total, criterion)
+    for at, last, segments, *planned in chunks:
+        wl, wr = planned or _cut_weights(at, last, m, cw, w_total)
+        score = _cut_scores(at, last, wl, wr, cwt, w_total, criterion)
         minima = np.minimum.reduceat(score, segments[:-1]).tolist()
         # The first minimum within a column; the first column whose minimum
         # beats the best so far by more than 1e-15.
@@ -444,17 +463,21 @@ def _best_split(X, values, rows, weights, wt, wtt, w_total, features, criterion,
     return best_score, f, float(thr if thr < hi else lo)
 
 
-def _cut_scores(at, last, m, sums, w_total, criterion):
-    """Scores of the cuts at flat positions `at` of the prefix sums (cw,
-    cwt) of rows of length m, whose columns end at `last`; for mse, cwt
-    holds the sums of wt and wtt as complex numbers. cw None means unit
-    weights, whose prefix sum is a cut's left row count. m and the weight
-    total w_total are numbers, or arrays of one per cut."""
-    cw, cwt = sums
+def _cut_weights(at, last, m, cw, w_total):
+    """(left, right) weights of the cuts at flat positions `at` of rows of
+    length m whose columns end at `last`: from the prefix sums of weights
+    `cw`, or, when cw is None (unit weights), the left row count. m and the
+    weight total w_total are numbers, or arrays of one per cut."""
     # take, not indexing: indexing by the root plan's int32 positions goes
     # through numpy's casting path (4,096 cuts: 14.8 against 6.0 us).
     wl = (at - last) + (m + 0.0) if cw is None else cw.take(at)
-    wr = w_total - wl
+    return wl, w_total - wl
+
+
+def _cut_scores(at, last, wl, wr, cwt, w_total, criterion):
+    """Scores of the cuts at flat positions `at` of the prefix sums cwt,
+    whose columns end at `last`, with left and right weights wl and wr; for
+    mse, cwt holds the sums of wt and wtt as complex numbers."""
     sl = cwt.take(at)
     sr = cwt.take(last) - sl
     if criterion == "gini":
@@ -473,11 +496,13 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
     """Grow one CART tree depth-first on every column; nodes are numbered in
     preorder.
 
-    Every column is searched from sorted lists kept by stable partitions
-    (the scratch's presort). A `scratch` made for this X may be passed to
-    reuse it across trees; their root searches then share one cut plan.
-    `leaf_values`, if given, receives each row's leaf value. A forest that
-    samples columns per node grows its trees with _ForestGrower instead.
+    Every column is searched from the scratch's presorted rank keys, which
+    children receive by index-gather partitions; a node's search hands its
+    rows to its partition. A `scratch` made for this X may be passed to
+    reuse it across trees; their root searches then share one cut plan and
+    one copy of the root's rows. `leaf_values`, if given, receives each
+    row's leaf value. A forest that samples columns per node grows its trees
+    with _ForestGrower instead.
     """
     X = np.ascontiguousarray(X)
     n = len(X)
@@ -508,12 +533,13 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
             nodes[parent][2 if is_left else 3] = node
         split = None
         if search:
+            w_total = weights[idx].sum()
             if parent < 0:
-                rows, values = scratch.node_rows(where, n), None
-                chunks = scratch.root_chunks(min_leaf)
+                rows, ranks = scratch.root_rows, None
+                chunks = scratch.root_chunks(min_leaf, weights, w_total)
             else:
-                (rows, values), chunks = scratch.sorted_lists(where, len(idx)), None
-            split = _best_split(X, values, rows, search_weights, wt, wtt, weights[idx].sum(),
+                (rows, ranks), chunks = scratch.sorted_lists(where, len(idx)), None
+            split = _best_split(X, ranks, rows, search_weights, wt, wtt, w_total,
                                 where[2], criterion, min_leaf, scratch, chunks)
         if split is None:
             if leaf_values is not None:
@@ -526,7 +552,7 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
         where_l = where_r = None
         needed = [searched(left, depth + 1), searched(right, depth + 1)]
         if any(needed):
-            where_l, where_r = scratch.partition(where, idx, mask, len(left), needed)
+            where_l, where_r = scratch.partition(where, rows, idx, mask, len(left), needed)
         stack.append((right, depth + 1, node, False, needed[1], where_r))
         stack.append((left, depth + 1, node, True, needed[0], where_l))
     return Tree(*map(list, zip(*nodes)))
@@ -553,6 +579,18 @@ def _dense_ranks(X):
     sentinel = int(ranks[:, :n].max()) + 1
     ranks[:, n] = sentinel
     return (ranks.astype(np.int16) if sentinel < 1 << 15 else ranks), sentinel
+
+
+def _packed_keys(ranks, positions, count, sentinel):
+    """Sort keys rank << bits | position for ranks up to `sentinel` and
+    positions below `count`, which broadcast against each other, with bits
+    the fewest that hold every position: int32 when every key fits, else
+    int64. Sorting them orders positions by rank, ties by position.
+    Returns (keys, bits)."""
+    bits = (count - 1).bit_length()
+    keys = np.left_shift(ranks, bits, dtype=np.int32 if sentinel < 1 << (31 - bits) else np.int64)
+    keys |= positions
+    return keys, bits
 
 
 class _ForestGrower:
@@ -650,10 +688,8 @@ class _ForestGrower:
         rows = np.full((G, M), n)
         rows[real] = np.concatenate([item[1] for item in group])
         feats = np.sort(np.array([item[2] for item in group]), axis=1)
-        s = (G * M - 1).bit_length()
-        key = np.left_shift(self.ranks.take((feats * (n + 1))[:, :, None] + rows[:, None, :]), s,
-                            dtype=np.int32 if self.sentinel < 1 << (31 - s) else np.int64)
-        key |= np.arange(G * M, dtype=key.dtype).reshape(G, 1, M)
+        key, s = _packed_keys(self.ranks.take((feats * (n + 1))[:, :, None] + rows[:, None, :]),
+                              np.arange(G * M, dtype=np.int32).reshape(G, 1, M), G * M, self.sentinel)
         key.sort(axis=2)
         # (G, k, M): where in `rows` each sorted row is. take is several
         # times slower with int32 indices.
@@ -672,8 +708,9 @@ class _ForestGrower:
         if not len(gc):
             return
         at, m_cut = gc * M + cut, m.take(g)
-        score = _cut_scores(at, at + (m_cut - 1 - cut), m_cut, (cw, cwt),
-                            np.array([item[3] for item in group]).take(g), "gini")
+        last, w_total = at + (m_cut - 1 - cut), np.array([item[3] for item in group]).take(g)
+        score = _cut_scores(at, last, *_cut_weights(at, last, m_cut, cw, w_total), cwt, w_total,
+                            "gini")
         starts = [0] + (np.flatnonzero(gc[1:] != gc[:-1]) + 1).tolist()
         bounds = starts + [len(gc)]
         # Per node, the first column whose minimum beats the best so far by
@@ -1014,12 +1051,11 @@ class GradientBoostedTreesModel(TreeModel):
         for _round in range(config["rounds"]):
             p = _sigmoid(margin)
             residual = y - p
-            hessian = p * (1 - p)
+            # A node's sums of these products are its gradient and hessian.
+            g, h = sw * residual, sw * (p * (1 - p))
 
-            def leaf_value(idx, residual=residual, hessian=hessian):
-                num = float((sw[idx] * residual[idx]).sum())
-                den = float((sw[idx] * hessian[idx]).sum()) + l2
-                return num / den
+            def leaf_value(idx, g=g, h=h):
+                return float(g.take(idx).sum()) / (float(h.take(idx).sum()) + l2)
 
             trees.append(grow_tree(X, residual, sw, leaf_value, config["max_depth"],
                                    config["min_leaf"], criterion="mse", scratch=scratch,

@@ -1,7 +1,11 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
+import engineered_reference
 from patchpred import diffparse, engineered, synth
 from patchpred.corpus import Label, PatchRecord
+from patchpred.errors import DiffParseError
 
 
 def patterns(diff):
@@ -202,3 +206,40 @@ def test_extract_all_deterministic():
     rec = record("@@ -1,2 +1,2 @@\n-if (a > 1) { f(); }\n+if (a > 2) { f(); }\n ctx();")
     v1, v2 = engineered.extract_all(rec), engineered.extract_all(rec)
     assert np.array_equal(v1.values, v2.values)
+
+
+# Line contents built from the pieces the extractor looks for: keywords
+# and the brackets that follow them, operators, literals and calls, and
+# whitespace runs; each group is drawn as often as the others.
+_PIECES = st.one_of(
+    st.sampled_from([*engineered.KEYWORDS, "true", "false", "switch", "(", ")", "{", "}"]),
+    st.sampled_from(["==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "++", "--", "+", "-", "*",
+                     "/", "%", "<", ">", "=", "!", "1", "2.5", "007", '"s t"', "'c'", '"',
+                     "f(", "g (", "x", "a1", "_b"]),
+    st.sampled_from([" ", "  ", "\t", ";", ".", ","]))
+_LINE = st.lists(_PIECES, max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(" -+"), _LINE), min_size=1, max_size=10),
+       hunks=st.integers(1, 3))
+def test_extraction_matches_the_per_line_reference(lines, hunks):
+    body = [tag + content for tag, content in lines]
+    per_hunk = -(-len(body) // hunks)
+    diff = "\n".join(line for a in range(0, len(body), per_hunk)
+                     for line in ["@@ -1 +1 @@", *body[a:a + per_hunk]])
+    try:
+        expected = engineered_reference.extract_all_values(diff)
+    except DiffParseError:
+        with pytest.raises(DiffParseError):
+            engineered.extract_all(record(diff))
+        return
+    hunks = diffparse.parse_diff(diff)
+    fragments = diffparse.extract_fragments(hunks)
+    assert engineered.extract_patterns(hunks) == engineered_reference.extract_patterns(hunks)
+    assert (engineered.extract_code_description(fragments)
+            == engineered_reference.extract_code_description(fragments))
+    vec = engineered.extract_all(record(diff))
+    assert vec.names == tuple(engineered_reference.feature_names()) == tuple(engineered.feature_names())
+    # The same floats, -0.0 told from 0.0.
+    assert vec.values.tobytes() == expected.tobytes()

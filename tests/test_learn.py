@@ -1,5 +1,6 @@
 import gc
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -418,7 +419,8 @@ def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed
     scratch = learn._Scratch(X, weights, True)
     root = (0, 0, scratch.root)
     mask = rng.random(n) < 0.7
-    child = scratch.partition(root, np.arange(n), mask, int(mask.sum()), [True, False])[0]
+    child = scratch.partition(root, scratch.root_rows, np.arange(n), mask, int(mask.sum()),
+                              [True, False])[0]
     default_chunk, learn._CUTS_PER_CHUNK = learn._CUTS_PER_CHUNK, chunk
     try:
         for idx, where in ((np.arange(n), root), (np.flatnonzero(mask), child)):
@@ -495,6 +497,17 @@ def test_forest_of_many_distinct_values_matches_reference():
     _assert_same_trees("rf", X, y, {"n_trees": 2, "max_depth": 3, "max_features": 1}, seed=0)
 
 
+@pytest.mark.parametrize("kind, overrides", [("dt", {"max_depth": 4}), ("gbt", {"rounds": 3})])
+def test_presorted_trees_of_many_distinct_values_match_reference(kind, overrides):
+    # 40,000 distinct values: 16 bits of row ids leave too few for the
+    # ranks in int32, so the presorted keys are int64.
+    rng = np.random.default_rng(8)
+    X = np.column_stack([rng.permutation(40000) / 7.0, rng.integers(0, 3, size=40000)])
+    y = ((X[:, 0] > 2000) ^ (X[:, 1] == 1) ^ (rng.random(40000) < 0.1)).astype(float)
+    assert learn._Scratch(X, np.ones(40000), kind == "gbt").lists[0].dtype == np.int64
+    _assert_same_trees(kind, X, y, overrides, seed=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(problem=_tree_problem(), kind=st.sampled_from(["dt", "rf", "gbt"]),
        class_weight=st.sampled_from([None, "balanced"]), min_leaf=st.sampled_from([1, 2, 5]),
@@ -533,24 +546,43 @@ def test_trees_match_reference_at_paper_shape(kind, overrides):
     _assert_same_trees(kind, X, y, overrides, seed=3)
 
 
-def test_forest_fit_memory_peak_at_paper_shape():
-    # 1,600 x 202 like the paper-scale benchmark's forest: hashed counts
-    # with ties, cross terms of a few values each, and flags. The per-tree
-    # implementation this replaced peaked at 5,585,178 bytes on this fit
-    # (numpy 2.4.6): its copy of X per bootstrap sample alone is 2.6 MB.
+def _paper_shaped_matrix():
+    # 1,600 x 202 like a paper-scale fold: hashed counts with ties, cross
+    # terms of a few values each, and flags.
     rng = np.random.default_rng(5)
     counts = rng.poisson(1.0, size=(1600, 100)).astype(float)
     cross = np.round(rng.normal(size=(1600, 80)), 1)
     X = np.hstack([counts, cross, rng.integers(0, 2, size=(1600, 22)).astype(float)])
     y = ((counts[:, 0] > 0) ^ (cross[:, 0] > 0)).astype(float)
-    config = learn.resolved_config("RandomForest", {"n_trees": 5})
+    return X, y
+
+
+def _fit_peak(model_class, X, y, config):
+    """The tracemalloc peak of one fit, in bytes."""
     tracemalloc.start()
     try:
-        RandomForestModel.fit(X, y, config, 1)
-        peak = tracemalloc.get_traced_memory()[1]
+        model_class.fit(X, y, config, 1)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5_585_178
+
+
+def test_forest_fit_memory_peak_at_paper_shape():
+    # The per-tree implementation this replaced peaked at 5,585,178 bytes
+    # on this fit (numpy 2.4.6): its copy of X per bootstrap sample alone
+    # is 2.6 MB.
+    X, y = _paper_shaped_matrix()
+    config = learn.resolved_config("RandomForest", {"n_trees": 5})
+    assert _fit_peak(RandomForestModel, X, y, config) < 5_585_178
+
+
+def test_boosting_fit_memory_peak_at_paper_shape():
+    # The search that rank keys replaced (intp row lists, a transposed float
+    # copy of X and a per-node value gather) peaked at 17,718,317 bytes on
+    # this fit (numpy 2.4.6).
+    X, y = _paper_shaped_matrix()
+    config = learn.resolved_config("GradientBoostedTrees", {"rounds": 10})
+    assert _fit_peak(learn.GradientBoostedTreesModel, X, y, config) < 17_718_317
 
 
 def test_grow_tree_leaves_no_reference_cycles(blob_data):
@@ -675,14 +707,36 @@ def test_partitioned_lists_hold_each_childs_rows_in_value_order(seed):
                 continue
             mask = rng.random(len(idx)) < 0.5
             mask[:2] = [True, False]
-            children = scratch.partition(where, idx, mask, int(mask.sum()), [True, True])
+            rows = scratch.sorted_lists(where, len(idx))[0]
+            children = scratch.partition(where, rows, idx, mask, int(mask.sum()), [True, True])
             grown += zip((idx[mask], idx[~mask]), children)
         for rows, where in grown:
-            lists = scratch.node_rows(where, len(rows))
+            lists = scratch.sorted_lists(where, len(rows))[0]
             for c, f in enumerate(scratch.root):
                 expected = rows[np.argsort(X[rows, f], kind="stable")]
                 assert np.array_equal(lists[c], expected)
         pending = grown
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partitions_with_one_row_on_a_side_keep_each_childs_value_order(seed):
+    # Each node sends one row, or all but one, to its left child; the big
+    # child is partitioned again, from the other buffer.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    X = np.column_stack([rng.integers(0, 3, size=n), rng.normal(size=n), np.full(n, 1.0)]).astype(float)
+    scratch = learn._Scratch(X, np.ones(n), True)
+    idx, where = np.arange(n), (0, 0, scratch.root)
+    while len(idx) > 1:
+        mask = np.full(len(idx), rng.random() < 0.5)
+        mask[rng.integers(len(idx))] ^= True
+        rows = scratch.sorted_lists(where, len(idx))[0] if where[0] else scratch.root_rows
+        children = scratch.partition(where, rows, idx, mask, int(mask.sum()), [True, True])
+        for child_rows, child in zip((idx[mask], idx[~mask]), children):
+            lists = scratch.sorted_lists(child, len(child_rows))[0]
+            for c, f in enumerate(scratch.root):
+                assert np.array_equal(lists[c], child_rows[np.argsort(X[child_rows, f], kind="stable")])
+        idx, where = max(zip((idx[mask], idx[~mask]), children), key=lambda item: len(item[0]))
 
 
 def test_forest_sums_trees_in_order_for_rows_alone_and_in_batches():
@@ -796,3 +850,70 @@ def test_load_names_the_tree_of_a_bad_node(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(TrainError, match=f"tree 3 node {split} has children 99 and "):
         learn.load(path)
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _packed_forest(draw):
+    """A learner kind, a feature count and random trees (one for dt), each
+    a preorder node list of random depth, features, thresholds and values."""
+    kind = draw(st.sampled_from(["dt", "rf", "gbt"]))
+    p = draw(st.integers(1, 6))
+    trees = []
+    for _t in range(1 if kind == "dt" else draw(st.integers(1, 5))):
+        tree = Tree([], [], [], [], [])
+
+        def grow(depth, tree=tree):
+            node = len(tree.feature)
+            for field, leaf in zip(learn._TREE_FIELDS, (-1, 0.0, -1, -1, draw(_FINITE))):
+                getattr(tree, field).append(leaf)
+            if depth < 4 and draw(st.booleans()):
+                tree.feature[node], tree.threshold[node] = draw(st.integers(0, p - 1)), draw(_FINITE)
+                tree.left[node] = grow(depth + 1)
+                tree.right[node] = grow(depth + 1)
+            return node
+
+        grow(0)
+        trees.append(tree)
+    return kind, p, trees
+
+
+@settings(max_examples=60, deadline=None)
+@given(forest=_packed_forest(), base=_FINITE, seed=st.integers(0, 2**32 - 1),
+       bad_child=st.sampled_from(["itself", "past the end", "negative"]))
+def test_random_forests_round_trip_through_files(forest, base, seed, bad_child):
+    kind, p, trees = forest
+    cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
+    config = learn.resolved_config(cls.kind, {"n_trees": len(trees)} if kind == "rf" else None)
+    if kind == "gbt":
+        model = cls(p, config, 0, base, trees)
+    else:
+        model = cls(p, config, 0, trees[0] if kind == "dt" else trees)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(scale=1e6, size=(50, p))
+    # Rows on split thresholds, which go left.
+    splits = [(f, t) for tree in trees for f, t in zip(tree.feature, tree.threshold) if f >= 0][:25]
+    X[np.arange(len(splits)), [f for f, _t in splits]] = [t for _f, t in splits]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        model.save(path)
+        loaded = learn.load(path)
+        for field in ("offsets", *learn._TREE_FIELDS):
+            assert getattr(loaded.forest, field).tobytes() == getattr(model.forest, field).tobytes()
+        assert (json.dumps(loaded.to_dict(), sort_keys=True)
+                == json.dumps(model.to_dict(), sort_keys=True))
+        assert loaded.predict_proba_batch(X).tobytes() == model.predict_proba_batch(X).tobytes()
+
+        t = next((t for t, tree in enumerate(trees) if tree.feature[0] >= 0), None)
+        if t is None:
+            return
+        doc = json.loads(path.read_text())
+        saved = doc["params"]["tree"] if kind == "dt" else doc["params"]["trees"][t]
+        node = int(rng.choice([i for i, f in enumerate(saved["feature"]) if f >= 0]))
+        saved["left"][node] = {"itself": node, "past the end": len(saved["feature"]),
+                               "negative": -1}[bad_child]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrainError, match=f"model.json: .* tree {t} node {node} has children"):
+            learn.load(path)
