@@ -8,7 +8,6 @@ JSON that round-trips to an identical predictor.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -187,14 +186,7 @@ class Forest:
         return len(self.offsets) - 1
 
     def records(self) -> tuple[Tree, ...]:
-        """Every tree as a Tree record, from one tolist() per node array."""
-        first = np.repeat(self.offsets[:-1], np.diff(self.offsets))
-        leaf = self.feature < 0
-        left, right = (np.where(leaf, -1, side - first).tolist() for side in (self.left, self.right))
-        feature, threshold, value = self.feature.tolist(), self.threshold.tolist(), self.value.tolist()
-        bounds = self.offsets.tolist()
-        return tuple(Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
-                     for a, b in zip(bounds, bounds[1:]))
+        return tuple(self.tree(t) for t in range(len(self)))
 
     def tree(self, t: int) -> Tree:
         nodes = slice(self.offsets[t], self.offsets[t + 1])
@@ -240,47 +232,187 @@ class Forest:
         return counts
 
 
-class _Scratch:
-    """Per-fit buffers for split search, filled with out= at every node.
+# Cells (nodes x sampled columns x padded rows) that a forest's split search
+# sorts at once: bounds the temporaries of one group of nodes.
+_GROUP_CELLS = 1 << 16
 
-    Made for one X and one set of sample weights. Split search works on
-    (columns x rows) arrays: row c holds one column's rows at the node in
-    ascending value order and the prefix sums along them. Allocating those
-    at every node costs a page fault per page, so they are allocated once,
-    for the largest node (the root), and a node uses the leading part. The
-    scratch keeps every non-constant column's rows in ascending value order,
-    ties in row order, as packed keys rank << bits | row (see _packed_keys;
-    made and sorted once, and reused by every tree grown on the same X), and
-    two more key buffers that children's lists are partitioned into. A
-    node's lists are a contiguous (columns, rows) block of one of them,
-    located by `where` = (buffer, offset, columns). Its rows are one `&`
-    of its keys and its ranks one `>>`; the ranks share their memory with
-    `cwt` and are read only until its prefix sums are taken. For mse, `cwt`
-    is complex (see _pair). The root's rows are made once, and since every
-    tree grown on the scratch searches the same root, so is the root's cut
-    plan (`root_plan`).
+# Cuts scored at a time: bounds the temporaries of scoring a node whose
+# columns are continuous, where nearly every position is a valid cut.
+_CUTS_PER_CHUNK = 4096
+
+
+def _dense_ranks(X):
+    """Each column's dense value ranks as (columns, rows + 1), and the
+    sentinel, one above every rank, which the last entry of every column
+    holds for padding. Equal values, -0.0 and 0.0 among them, share a rank.
+    int16 when every column has fewer than 32,768 distinct values. Made a
+    block of columns at a time, of about _GROUP_CELLS / 4 cells, so that the
+    temporaries stay near 350 KB, with no (rows, columns) one."""
+    n, p = X.shape
+    ranks = np.empty((p, n + 1), dtype=np.int32)
+    step = max(1, (_GROUP_CELLS >> 2) // n)
+    for a in range(0, p, step):
+        columns = X[:, a:a + step].T
+        order = np.argsort(columns, axis=1)
+        ordered = np.take_along_axis(columns, order, axis=1)
+        dense = np.zeros(order.shape, dtype=np.int32)
+        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
+        np.put_along_axis(ranks[a:a + step], order, dense, axis=1)
+    sentinel = int(ranks[:, :n].max(initial=0)) + 1
+    ranks[:, n] = sentinel
+    return (ranks.astype(np.int16) if sentinel < 1 << 15 else ranks), sentinel
+
+
+def _packed_keys(ranks, positions, count, sentinel):
+    """Sort keys rank << bits | position for ranks up to `sentinel` and
+    positions below `count`, which broadcast against each other, with bits
+    the fewest that hold every position: int32 when every key fits, else
+    int64. Sorting them orders positions by rank, ties by position.
+    Returns (keys, bits)."""
+    bits = (count - 1).bit_length()
+    keys = np.left_shift(ranks, bits, dtype=np.int32 if sentinel < 1 << (31 - bits) else np.int64)
+    keys |= positions
+    return keys, bits
+
+
+# --- split search, shared by both tree engines --------------------------------
+# A search block holds G nodes' k columns as G·k segments of M entries: each
+# segment is its node's rows in ascending order of one column, ties in row
+# order, followed by padding when the node has fewer than M rows.
+
+def _cut_positions(ranks, m, min_leaf, change, position=np.intp):
+    """The valid cuts of a block's sorted ranks (G·k, M), where node g has
+    m[g] rows and its padding ranks above them: the rank changes that leave
+    min_leaf rows on each side. Only the window [min_leaf - 1, M - min_leaf)
+    is compared, into the bool buffer `change` if given; with several
+    nodes, cuts past a shorter node's own window are dropped. None when
+    there is no valid cut, else (at, last, node, count, bounds): the flat
+    positions, of dtype `position`, of each cut's last left row and of its
+    segment's last row; each cut's node and its node's row count (None and
+    M when G is 1); and where each segment's cuts start, then the end."""
+    gk, M = ranks.shape
+    lo, hi = min_leaf - 1, M - min_leaf
+    width = hi - lo
+    out = None if change is None else change[: gk * width].reshape(gk, width)
+    seg, cut = np.divmod(np.flatnonzero(np.less(ranks[:, lo:hi], ranks[:, lo + 1:hi + 1], out=out)),
+                         width)
+    cut += lo
+    node, count = None, M
+    if len(m) > 1:
+        node = seg // (gk // len(m))
+        keep = cut < (m - min_leaf).take(node)
+        seg, cut, node = seg[keep], cut[keep], node[keep]
+        count = m.take(node)
+    if not len(seg):
+        return None
+    bounds = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
+    at = np.multiply(seg, M, dtype=position)
+    last = at + (count - 1)
+    at += cut
+    return at, last, node, count, bounds
+
+
+def _cut_weights(at, last, m, cw, w_total):
+    """(left, right) weights of the cuts at flat positions `at` of rows of
+    length m whose columns end at `last`: from the prefix sums of weights
+    `cw`, or, when cw is None (unit weights), the left row count. m and the
+    weight total w_total are numbers, or arrays of one per cut."""
+    # take, not indexing: indexing by the root plan's int32 positions goes
+    # through numpy's casting path (4,096 cuts: 14.8 against 6.0 us).
+    wl = (at - last) + (m + 0.0) if cw is None else cw.take(at)
+    return wl, w_total - wl
+
+
+def _best_cuts(cuts, cwt, cw, w_total, criterion, planned=None):
+    """Each node's best cut of `cuts` (see _cut_positions) as (score, at),
+    or None when it has none, for nodes of weight totals w_total (one per
+    node). cwt and cw are the prefix sums along the block's segments of
+    weighted targets (for mse, paired with their squares by _pair) and of
+    weights (None when all are 1); `planned`, if given, holds every cut's
+    left and right weights instead. Gini uses weighted class sums and mse
+    weighted squared error. Cuts are scored _CUTS_PER_CHUNK at a time into
+    one score per cut. A node keeps the first column whose minimum beats its
+    best so far by more than 1e-15, and that column's first minimum: ties
+    keep the lowest feature index, then the lowest threshold."""
+    at, last, node, count, ends = cuts
+    score = np.empty(len(at))
+    for a in range(0, len(at), _CUTS_PER_CHUNK):
+        c = slice(a, a + _CUTS_PER_CHUNK)
+        at_c, last_c = at[c], last[c]
+        counts, totals = (count, w_total[0]) if node is None else (count[c], w_total.take(node[c]))
+        wl, wr = _cut_weights(at_c, last_c, counts, cw, totals) if planned is None else \
+            (planned[0][c], planned[1][c])
+        sl = cwt.take(at_c)
+        sr = cwt.take(last_c) - sl
+        if criterion == "gini":
+            pl, pr = sl / wl, sr / wr
+            np.divide(wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr), totals, out=score[c])
+        else:  # the sums of squares decomposition
+            sl, sl2, sr, sr2 = sl.real, sl.imag, sr.real, sr.imag
+            np.divide((sl2 - sl * sl / wl) + (sr2 - sr * sr / wr), totals, out=score[c])
+    owners = [0] * (len(ends) - 1) if node is None else node.take(ends[:-1]).tolist()
+    # Scores are finite, so a node's first column always beats inf.
+    best, pick = [math.inf] * len(w_total), [None] * len(w_total)
+    for s, (v, g) in enumerate(zip(np.minimum.reduceat(score, ends[:-1]).tolist(), owners)):
+        if v < best[g] - 1e-15:
+            best[g], pick[g] = v, s
+    return [None if s is None else (v, int(at[ends[s] + np.argmin(score[ends[s]:ends[s + 1]])]))
+            for v, s in zip(best, pick)]
+
+
+def _midpoint(lo, hi):
+    """Thresholds between values lo < hi: their midpoint, from halves so as
+    not to overflow, or lo, as sklearn does, where that rounds up to hi
+    (adjacent floats), which would send every row left."""
+    thr = lo / 2.0 + hi / 2.0
+    return np.where(thr < hi, thr, lo)
+
+
+def _pair(re, im):
+    """re and im as the parts of one complex array, whose prefix sum adds
+    each part on its own: both sums in one pass, with the same bits."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _prefix_sums(per_row, rows, buf):
+    k, m = rows.shape
+    out = np.take(per_row, rows, out=buf[: k * m].reshape(k, m), mode="clip")
+    return np.cumsum(out, axis=1, out=out).ravel()
+
+
+# --- one tree at a time: presorted keys and partitions ------------------------
+
+class _Scratch:
+    """Per-fit buffers for growing one tree at a time on one X and one set
+    of sample weights, filled with out= at every node.
+
+    A node's search block (see _cut_positions) is (columns x rows): row c
+    holds one column's rows at the node in ascending value order and the
+    prefix sums along them. Allocating those at every node costs a page
+    fault per page, so they are allocated once, for the largest node (the
+    root), and a node uses the leading part. Every non-constant column's
+    rows are kept in value order, ties in row order, as packed keys rank <<
+    bits | row (_dense_ranks, then one integer sort, reused by every tree
+    grown on the same X), and children's lists are partitioned into two
+    more key buffers. A node's lists are a contiguous (columns, rows) block
+    of one of them, located by `where` = (buffer, offset, columns). Its rows
+    are one `&` of its keys and its ranks one `>>`; the ranks share their
+    memory with `cwt` and are read only until its prefix sums are taken.
+    For mse, `cwt` is complex (see _pair). Every tree grown on the scratch
+    searches the same root, so the root's rows, cuts and weights are made
+    once (`root_plan`).
     """
 
     def __init__(self, X, weights, mse: bool):
-        n = len(X)
-        self.n = n
+        self.n = n = len(X)
         # Unit weights need no prefix sum of weights (see _cut_weights).
         self.unit_weights = bool(np.all(weights == 1.0))
         self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
-        # Each column's rows in ascending value order, ties in row order,
-        # and their dense ranks: equal values, -0.0 and 0.0 among them,
-        # share one (as in _dense_ranks, which ranks a column at a time to
-        # spare the forest these temporaries; here they are smaller than
-        # the buffers below).
-        columns = np.ascontiguousarray(X[:, self.root].T)
-        order = np.argsort(columns, axis=1, kind="stable")
-        ordered = np.take_along_axis(columns, order, axis=1)
-        del columns
-        ranks = np.zeros(order.shape, dtype=np.int32)
-        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ranks[:, 1:])
-        del ordered
-        keys, self.bits = _packed_keys(ranks, order, n, int(ranks[:, -1].max(initial=0)) + 1)
-        del ranks, order
+        ranks, sentinel = _dense_ranks(X)
+        keys, self.bits = _packed_keys(ranks[self.root, :n], np.arange(n, dtype=np.int32), n, sentinel)
+        keys.sort(axis=1)
         self.root_rows = np.bitwise_and(keys, (1 << self.bits) - 1, dtype=np.intp)
         size = keys.size
         self.lists = (keys.ravel(), np.empty(size, dtype=keys.dtype), np.empty(size, dtype=keys.dtype))
@@ -290,7 +422,7 @@ class _Scratch:
         self.change = np.empty(size, dtype=bool)
         self.side = np.empty(n, dtype=bool)
         self.goes_left = np.empty(size, dtype=bool)
-        self.root_plan = None  # ((min_leaf, chunk size), the root's cut chunks)
+        self.root_plan = None  # (min_leaf, the root's cuts, their weights)
 
     def sorted_lists(self, where, m):
         """The node's (rows, ranks), each (columns, m) in ascending value
@@ -302,31 +434,50 @@ class _Scratch:
         ranks = np.right_shift(keys, self.bits, out=self.cwt.view(keys.dtype)[: k * m].reshape(k, m))
         return rows, ranks
 
-    def root_chunks(self, min_leaf, weights, w_total):
-        """The root's cut chunks (see _cut_chunks), each with its cuts' left
-        and right weights, made by the first root search and kept: later
-        trees differ only in the prefix sums of weighted targets. The
-        positions are int32 when they fit, so the plan costs 24 bytes per
-        cut; empty when the root has no valid cut."""
-        key = (min_leaf, _CUTS_PER_CHUNK)
-        if self.root_plan is None or self.root_plan[0] != key:
+    def root_cuts(self, min_leaf, weights, w_total):
+        """The root's cuts (see _cut_positions) and their left and right
+        weights, both None when it has no valid cut: made by the first root
+        search with this min_leaf and kept, since later trees differ only in
+        the prefix sums of weighted targets. The positions are int32 when
+        they fit, so the plan costs 24 bytes per cut."""
+        if self.root_plan is None or self.root_plan[0] != min_leaf:
             self.root_plan = None  # freed before the new plan is made
             ranks = self.sorted_lists((0, 0, self.root), self.n)[1]
             position = np.int32 if ranks.size <= np.iinfo(np.int32).max else np.intp
-            chunks = _cut_chunks(ranks, min_leaf, self, position)
-            cw = None if self.unit_weights else _prefix_sums(weights, self.root_rows, self.cw)
-            self.root_plan = (key, [(at, last, segments, *_cut_weights(at, last, self.n, cw, w_total))
-                                    for at, last, segments in chunks])
-        return self.root_plan[1]
+            cuts = _cut_positions(ranks, [self.n], min_leaf, self.change, position)
+            cw = None if cuts is None or self.unit_weights else \
+                _prefix_sums(weights, self.root_rows, self.cw)
+            self.root_plan = (min_leaf, cuts, cuts and _cut_weights(*cuts[:2], self.n, cw, w_total))
+        return self.root_plan[1:]
+
+    def search(self, X, where, m, wt, weights, w_total, criterion, min_leaf):
+        """The best split of the node of m rows whose lists are at `where`,
+        as (score, feature, threshold), or None when it has no valid cut;
+        and the node's rows as its search read them (see partition). `wt`
+        is weights * targets per row, paired with wt * targets for mse (see
+        _pair). The root's cuts and weights come from its plan."""
+        if where[0]:
+            (rows, ranks), planned = self.sorted_lists(where, m), None
+            cuts = _cut_positions(ranks, [m], min_leaf, self.change)
+            cw = None if cuts is None or self.unit_weights else _prefix_sums(weights, rows, self.cw)
+        else:
+            rows, cw, (cuts, planned) = self.root_rows, None, self.root_cuts(min_leaf, weights, w_total)
+        if cuts is None:
+            return None, rows
+        cwt = _prefix_sums(wt, rows, self.cwt.view(wt.dtype))
+        score, at = _best_cuts(cuts, cwt, cw, [w_total], criterion, planned)[0]
+        c, cut = divmod(at, m)
+        f = where[2][c]
+        return (score, f, float(_midpoint(X[rows[c, cut], f], X[rows[c, cut + 1], f]))), rows
 
     def partition(self, where, rows, idx, mask, m_left, needed):
         """Stable partition of the node's sorted lists by `mask` (per row of
         `idx`, m_left of them true) into the children that `needed` says are
         searched. `rows` are the node's rows as its search read them (see
-        sorted_lists; root_rows at the root). Each child's keys are one take
-        of the positions that go its way, which keeps every column's order.
-        Children go to the other buffer within the parent's range, which no
-        pending node shares. Returns where the children's lists are.
+        search). Each child's keys are one take of the positions that go its
+        way, which keeps every column's order. Children go to the other
+        buffer within the parent's range, which no pending node shares.
+        Returns where the children's lists are.
         """
         level, off, cols = where
         src = self.lists[level][off: off + rows.size]
@@ -344,174 +495,25 @@ class _Scratch:
         return (child, off, cols), (child, split, cols)
 
 
-def _prefix_sums(per_row, rows, buf):
-    k, m = rows.shape
-    out = np.take(per_row, rows, out=buf[: k * m].reshape(k, m), mode="clip")
-    return np.cumsum(out, axis=1, out=out).ravel()
-
-
-# Cuts scored at a time: bounds the temporaries of scoring a node whose
-# columns are continuous, where nearly every position is a valid cut.
-_CUTS_PER_CHUNK = 4096
-
-
-def _cut_positions(ranks, min_leaf, scratch):
-    """The node's valid cuts: those at a rank change of a column's sorted
-    `ranks` (k, m) that leave min_leaf rows on each side. None when there
-    is none, else (col, cut, bounds): each cut's column and the position of
-    its last left row in that column, and where each column's cuts start,
-    then the end."""
-    k, m = ranks.shape
-    lo_cut, hi_cut = min_leaf - 1, m - min_leaf
-    width = hi_cut - lo_cut
-    change = np.less(ranks[:, lo_cut:hi_cut], ranks[:, lo_cut + 1:hi_cut + 1],
-                     out=scratch.change[: k * width].reshape(k, width))
-    col, cut = np.divmod(np.flatnonzero(change), width)
-    if len(col) == 0:
-        return None
-    cut += lo_cut
-    bounds = [0] + (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist() + [len(col)]
-    return col, cut, bounds
-
-
-def _chunk_bounds(bounds):
-    """Chunks of whole columns, up to _CUTS_PER_CHUNK cuts each (a longer
-    column is a chunk of its own): (a, b, segments) for the cuts a:b, with
-    where each column starts in the chunk, then its end."""
-    first = 0
-    while first < len(bounds) - 1:
-        stop = max(first + 1, bisect.bisect_left(bounds, bounds[first] + _CUTS_PER_CHUNK,
-                                                 first, len(bounds) - 1))
-        a, b = bounds[first], bounds[stop]
-        yield a, b, [x - a for x in bounds[first:stop + 1]]
-        first = stop
-
-
-def _cut_chunks(ranks, min_leaf, scratch, position=np.intp):
-    """The node's valid cuts (see _cut_positions) in chunks (see
-    _chunk_bounds): a list of (at, last, segments) with the flat positions,
-    of dtype `position`, of each cut and of its column's last row in the
-    (k, m) prefix sums; empty when there is no valid cut."""
-    cuts = _cut_positions(ranks, min_leaf, scratch)
-    if cuts is None:
-        return []
-    col, cut, bounds = cuts
-    m = ranks.shape[1]
-    at = np.multiply(col, m, dtype=position)
-    last = at + (m - 1)
-    at += cut
-    return [(at[a:b], last[a:b], segments) for a, b, segments in _chunk_bounds(bounds)]
-
-
-def _pair(re, im):
-    """re and im as the parts of one complex array, whose prefix sum adds
-    each part on its own: both sums in one pass, with the same bits."""
-    z = np.empty(len(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
-def _best_split(X, ranks, rows, weights, wt, wtt, w_total, features, criterion, min_leaf,
-                scratch, chunks=None):
-    """Exact greedy split search over all columns of a node at once.
-
-    `rows` is (k, m): row c holds the node's rows in ascending order of
-    column features[c], ties in row order, and `ranks` holds those values'
-    ranks (only their order matters). `wt` is weights * targets per row and
-    `wtt` is wt * targets (mse only); for mse, `wt` may instead hold both,
-    paired by _pair, with `wtt` None. `weights` is None when all are 1.
-    Prefix sums along each row give every cut's left weight and target
-    sums, in the same order as a per-node sort would add them; only cuts at
-    a value change that leave min_leaf rows on each side are scored. Gini
-    uses weighted class sums; mse uses weighted squared error. Ties keep the
-    first (lowest feature index, then lowest threshold). `chunks`, if given,
-    are the node's cut chunks with their weights, made earlier (see
-    _Scratch.root_chunks), and neither `ranks` nor `weights` is read.
-    Returns (score, feature, threshold), or None.
-    """
-    k, m = rows.shape
-    cw = None
-    if chunks is None:
-        chunks = _cut_chunks(ranks, min_leaf, scratch)
-        if chunks and weights is not None:
-            cw = _prefix_sums(weights, rows, scratch.cw)
-    if not chunks:
-        return None
-    if criterion == "mse" and wtt is not None:
-        wt = _pair(wt, wtt)
-    cwt = _prefix_sums(wt, rows, scratch.cwt.view(wt.dtype))
-    best = None
-    for at, last, segments, *planned in chunks:
-        wl, wr = planned or _cut_weights(at, last, m, cw, w_total)
-        score = _cut_scores(at, last, wl, wr, cwt, w_total, criterion)
-        minima = np.minimum.reduceat(score, segments[:-1]).tolist()
-        # The first minimum within a column; the first column whose minimum
-        # beats the best so far by more than 1e-15.
-        for s, v in enumerate(minima):
-            if best is None or v < best[0] - 1e-15:
-                j = segments[s] + int(np.argmin(score[segments[s]:segments[s + 1]]))
-                best = (v, int(at[j]))
-    best_score, at = best
-    c, cut = divmod(at, m)
-    f = features[c]
-    lo, hi = X[rows[c, cut], f], X[rows[c, cut + 1], f]
-    # The midpoint of adjacent floats can round up to hi, which would send
-    # every row left; fall back to lo then, as sklearn does. Summing halves
-    # gives the same midpoint as halving the sum (barring subnormals)
-    # without overflowing.
-    thr = lo / 2.0 + hi / 2.0
-    return best_score, f, float(thr if thr < hi else lo)
-
-
-def _cut_weights(at, last, m, cw, w_total):
-    """(left, right) weights of the cuts at flat positions `at` of rows of
-    length m whose columns end at `last`: from the prefix sums of weights
-    `cw`, or, when cw is None (unit weights), the left row count. m and the
-    weight total w_total are numbers, or arrays of one per cut."""
-    # take, not indexing: indexing by the root plan's int32 positions goes
-    # through numpy's casting path (4,096 cuts: 14.8 against 6.0 us).
-    wl = (at - last) + (m + 0.0) if cw is None else cw.take(at)
-    return wl, w_total - wl
-
-
-def _cut_scores(at, last, wl, wr, cwt, w_total, criterion):
-    """Scores of the cuts at flat positions `at` of the prefix sums cwt,
-    whose columns end at `last`, with left and right weights wl and wr; for
-    mse, cwt holds the sums of wt and wtt as complex numbers."""
-    sl = cwt.take(at)
-    sr = cwt.take(last) - sl
-    if criterion == "gini":
-        pl = sl / wl
-        pr = sr / wr
-        return (wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr)) / w_total
-    # weighted mse via sum of squares decomposition
-    sl, sl2, sr, sr2 = sl.real, sl.imag, sr.real, sr.imag
-    sse_l = sl2 - sl * sl / wl
-    sse_r = sr2 - sr * sr / wr
-    return (sse_l + sse_r) / w_total
-
-
 def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
               criterion="gini", *, scratch: _Scratch | None = None, leaf_values=None) -> Tree:
-    """Grow one CART tree depth-first on every column; nodes are numbered in
-    preorder.
+    """Grow one CART tree depth-first on every column, one node at a time;
+    nodes are numbered in preorder.
 
-    Every column is searched from the scratch's presorted rank keys, which
-    children receive by index-gather partitions; a node's search hands its
-    rows to its partition. A `scratch` made for this X may be passed to
-    reuse it across trees; their root searches then share one cut plan and
-    one copy of the root's rows. `leaf_values`, if given, receives each
-    row's leaf value. A forest that samples columns per node grows its trees
-    with _ForestGrower instead.
+    Every node is searched from the scratch's presorted rank keys
+    (_Scratch.search), which children receive by index-gather partitions; a
+    node's search hands its rows to its partition. A `scratch` made for
+    this X may be passed to reuse it across trees; their root searches then
+    share one plan of cuts and one copy of the root's rows. `leaf_values`,
+    if given, receives each row's leaf value. Forests grow their trees side
+    by side with _ForestGrower instead.
     """
     X = np.ascontiguousarray(X)
-    n = len(X)
     if scratch is None:
         scratch = _Scratch(X, weights, criterion == "mse")
-    wt, wtt = weights * targets, None
+    wt = weights * targets
     if criterion == "mse":
         wt = _pair(wt, wt * targets)
-    search_weights = None if scratch.unit_weights else weights
 
     def searched(idx, depth):
         # Otherwise the node is a leaf, as it is when no valid cut exists.
@@ -523,7 +525,7 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
     nodes = []  # [feature, threshold, left, right, value] per node, as in Tree
     # (rows in ascending order, depth, parent, is_left, whether it is
     # searched, where the sorted lists are)
-    root = np.arange(n)
+    root = np.arange(len(X))
     stack = [(root, 0, -1, True, searched(root, 0), (0, 0, scratch.root))]
     while stack:
         idx, depth, parent, is_left, search, where = stack.pop()
@@ -533,14 +535,8 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
             nodes[parent][2 if is_left else 3] = node
         split = None
         if search:
-            w_total = weights[idx].sum()
-            if parent < 0:
-                rows, ranks = scratch.root_rows, None
-                chunks = scratch.root_chunks(min_leaf, weights, w_total)
-            else:
-                (rows, ranks), chunks = scratch.sorted_lists(where, len(idx)), None
-            split = _best_split(X, ranks, rows, search_weights, wt, wtt, w_total,
-                                where[2], criterion, min_leaf, scratch, chunks)
+            split, rows = scratch.search(X, where, len(idx), wt, weights, weights[idx].sum(),
+                                         criterion, min_leaf)
         if split is None:
             if leaf_values is not None:
                 leaf_values[idx] = value
@@ -558,58 +554,28 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
     return Tree(*map(list, zip(*nodes)))
 
 
-# Cells (nodes x sampled columns x padded rows) that a forest's split search
-# sorts at once: bounds the temporaries of one group of nodes.
-_GROUP_CELLS = 1 << 16
-
-
-def _dense_ranks(X):
-    """Each column's dense value ranks as (columns, rows + 1), and the
-    sentinel, one above every rank, which the last entry of every column
-    holds for padding. Equal values, -0.0 and 0.0 among them, share a rank.
-    int16 when every column has fewer than 32,768 distinct values. Made a
-    column at a time, so that no (rows, columns) temporary is made."""
-    n, p = X.shape
-    ranks = np.empty((p, n + 1), dtype=np.int32)
-    for c, column in enumerate(X.T):
-        order = np.argsort(column)
-        ordered = column.take(order)
-        ranks[c, order[0]] = 0
-        ranks[c, order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
-    sentinel = int(ranks[:, :n].max()) + 1
-    ranks[:, n] = sentinel
-    return (ranks.astype(np.int16) if sentinel < 1 << 15 else ranks), sentinel
-
-
-def _packed_keys(ranks, positions, count, sentinel):
-    """Sort keys rank << bits | position for ranks up to `sentinel` and
-    positions below `count`, which broadcast against each other, with bits
-    the fewest that hold every position: int32 when every key fits, else
-    int64. Sorting them orders positions by rank, ties by position.
-    Returns (keys, bits)."""
-    bits = (count - 1).bit_length()
-    keys = np.left_shift(ranks, bits, dtype=np.int32 if sentinel < 1 << (31 - bits) else np.int64)
-    keys |= positions
-    return keys, bits
-
+# --- trees side by side: every random forest ---------------------------------
 
 class _ForestGrower:
     """Grows a random forest's bootstrap trees side by side, bit for bit the
     trees that a per-node search would grow one by one on X[boot], drawing
-    `max_features` columns per searched node.
+    `max_features` columns per searched node; at max_features >= the column
+    count, every node searches every column and draws nothing.
 
     A tree keeps its rows as int32 global row ids in bootstrap order, so no
     X[boot] is made, and the rows of its pending nodes on a stack. Each
     step takes the next node, in preorder, of every unfinished tree, so
     every tree still draws its columns in preorder. The step's searched
-    nodes are split in groups of similar row count (see _split_group).
+    nodes are split in groups of similar row count, each searched as one
+    block (see _split_group).
     """
 
     def __init__(self, X, y, weights, max_features, max_depth, min_leaf):
         self.X = np.ascontiguousarray(X)
         self.n, self.p = self.X.shape
         self.y, self.weights = y, weights
-        self.k, self.max_depth, self.min_leaf = max_features, max_depth, min_leaf
+        self.k, self.max_depth, self.min_leaf = min(max_features, self.p), max_depth, min_leaf
+        self.columns = np.arange(self.p)
         self.ranks, self.sentinel = _dense_ranks(self.X)
         # Row n pads a node's rows: its weight and weighted target are 0.
         self.wt = np.append(weights * y, 0.0)
@@ -668,12 +634,13 @@ class _ForestGrower:
                 (tree.left if is_left else tree.right)[parent] = node
             # Otherwise a leaf, as in grow_tree.
             if depth < self.max_depth and b - a >= 2 * self.min_leaf and not is_pure:
-                feats = rng.choice(self.p, size=self.k, replace=False)
+                feats = self.columns if self.k == self.p else \
+                    rng.choice(self.p, size=self.k, replace=False)
                 searched.append((b - a, idx, feats, w_total, tree, node, stack, depth))
         return searched
 
     def _split_group(self, group):
-        """Finds each node's best split as _best_split would, and pushes
+        """Finds each node's best split with the shared search and pushes
         the children of those that have one.
 
         The group's rows are padded to its largest node with row n, whose
@@ -701,39 +668,21 @@ class _ForestGrower:
         if cw is not None:
             np.add.accumulate(cw, axis=2, out=cw)
         key >>= s
-        gc, cut = np.divmod(np.flatnonzero(key[:, :, 1:] != key[:, :, :-1]), M - 1)
-        g = gc // k
-        valid = (cut >= self.min_leaf - 1) & (cut < (m - self.min_leaf).take(g))
-        gc, cut, g = gc[valid], cut[valid], g[valid]
-        if not len(gc):
+        cuts = _cut_positions(key.reshape(G * k, M), m, self.min_leaf, None)
+        if cuts is None:
             return
-        at, m_cut = gc * M + cut, m.take(g)
-        last, w_total = at + (m_cut - 1 - cut), np.array([item[3] for item in group]).take(g)
-        score = _cut_scores(at, last, *_cut_weights(at, last, m_cut, cw, w_total), cwt, w_total,
-                            "gini")
-        starts = [0] + (np.flatnonzero(gc[1:] != gc[:-1]) + 1).tolist()
-        bounds = starts + [len(gc)]
-        # Per node, the first column whose minimum beats the best so far by
-        # more than 1e-15, and the first minimum within that column.
-        best = {}
-        for i, (v, member) in enumerate(zip(np.minimum.reduceat(score, starts).tolist(),
-                                           g.take(starts).tolist())):
-            if member not in best or v < best[member][0] - 1e-15:
-                best[member] = (v, i)
-        split = np.array(list(best))
-        pick = np.array([bounds[i] + int(np.argmin(score[bounds[i]:bounds[i + 1]]))
-                         for _v, i in best.values()])
-        f = feats.take(gc.take(pick))
+        best = _best_cuts(cuts, cwt, cw, np.array([item[3] for item in group]), "gini")
+        split = [g for g, found in enumerate(best) if found is not None]
+        at = np.array([best[g][1] for g in split])
+        f = feats.take(at // M)
         # The values on either side of each chosen cut.
-        lo, hi = self.X[rows.take(pos.take(at.take(pick)[:, None] + (0, 1))), f[:, None]].T
-        thr = lo / 2.0 + hi / 2.0
-        thr = np.where(thr < hi, thr, lo)
+        lo, hi = self.X[rows.take(pos.take(at[:, None] + (0, 1))), f[:, None]].T
+        thr = _midpoint(lo, hi)
         real, rows = real[split], rows[split]
         goes_left = (self.X.take(rows * self.p + f[:, None], mode="clip") <= thr[:, None]) & real
         lefts, rights = rows[goes_left].astype(np.int32), rows[real & ~goes_left].astype(np.int32)
         a = b = 0
-        for i, f_, t_, m_left in zip(split.tolist(), f.tolist(), thr.tolist(),
-                                     goes_left.sum(axis=1).tolist()):
+        for i, f_, t_, m_left in zip(split, f.tolist(), thr.tolist(), goes_left.sum(axis=1).tolist()):
             m_, _idx, _feats, _w, tree, node, stack, depth = group[i]
             tree.feature[node], tree.threshold[node] = f_, t_
             # A right child may wait on its stack for many steps: a copy, so
@@ -741,6 +690,7 @@ class _ForestGrower:
             stack.append((rights[b:b + m_ - m_left].copy(), depth + 1, node, False))
             stack.append((lefts[a:a + m_left], depth + 1, node, True))
             a, b = a + m_left, b + m_ - m_left
+
 
 # ---------------------------------------------------------------------------
 # Models
@@ -987,29 +937,16 @@ class RandomForestModel(TreeModel):
     def fit(cls, X, y, config, seed):
         """Tree t is grown on the bootstrap sample that default_rng([seed,
         t]) draws first, and draws its columns from the same generator, per
-        searched node in preorder. Trees that sample columns are grown side
-        by side by _ForestGrower, with no copy of X per tree; trees that
-        search every column presort their own bootstrap sample (grow_tree).
-        Both give, bit for bit, the trees of a per-node search on X[boot]."""
+        searched node in preorder, unless it searches every column: with
+        `max_features` None or at least the column count. All trees are
+        grown side by side by _ForestGrower, with no copy of X per tree, and
+        are bit for bit the trees of a per-node search on X[boot]."""
         sw = _sample_weights(y, config["class_weight"])
-        n, p = X.shape
-        if config["max_features"] == "sqrt":
-            max_features = max(1, int(math.sqrt(p)))
-        elif config["max_features"] is None:
-            max_features = p
-        else:
-            max_features = int(config["max_features"])
-        if max_features < p:
-            grower = _ForestGrower(X, y, sw, max_features, config["max_depth"], config["min_leaf"])
-            return cls(p, config, seed, grower.grow(seed, config["n_trees"]))
-        trees = []
-        for t in range(config["n_trees"]):
-            rng = np.random.default_rng([seed, t])  # per-tree derived seed
-            boot = rng.integers(0, n, size=n)
-            Xb, yb, wb = X[boot], y[boot], sw[boot]
-            trees.append(grow_tree(Xb, yb, wb, _leaf_frequency(yb, wb), config["max_depth"],
-                                   config["min_leaf"]))
-        return cls(p, config, seed, trees)
+        p = X.shape[1]
+        k = config["max_features"]
+        k = p if k is None else max(1, int(math.sqrt(p))) if k == "sqrt" else int(k)
+        grower = _ForestGrower(X, y, sw, k, config["max_depth"], config["min_leaf"])
+        return cls(p, config, seed, grower.grow(seed, config["n_trees"]))
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):

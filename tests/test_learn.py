@@ -426,10 +426,9 @@ def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed
         for idx, where in ((np.arange(n), root), (np.flatnonzero(mask), child)):
             if len(idx) < 2 * min_leaf:
                 continue
-            rows, values = scratch.sorted_lists(where, len(idx))
-            got = learn._best_split(X, values, rows, None if scratch.unit_weights else weights, wt,
-                                    wt * targets, weights[idx].sum(), scratch.root, criterion,
-                                    min_leaf, scratch)
+            paired = learn._pair(wt, wt * targets) if criterion == "mse" else wt
+            got = scratch.search(X, where, len(idx), paired, weights, weights[idx].sum(), criterion,
+                                 min_leaf)[0]
             assert got == _reference_best_split(X, targets, weights, idx, np.arange(p), criterion,
                                                 min_leaf)
     finally:
@@ -439,14 +438,15 @@ def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed
 @settings(max_examples=80, deadline=None)
 @given(problem=_tree_problem(), min_leaf=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1),
        cells=st.sampled_from([1, 40, learn._GROUP_CELLS]), unit=st.booleans(),
-       trees=st.integers(1, 8))
-def test_grouped_split_search_matches_reference(problem, min_leaf, seed, cells, unit, trees):
+       trees=st.integers(1, 8), chunk=st.sampled_from([1, 3, 4096]))
+def test_grouped_split_search_matches_reference(problem, min_leaf, seed, cells, unit, trees, chunk):
     # One step of the forest grower: the roots of several trees, of
     # different sizes and with repeated rows as in a bootstrap sample, are
     # searched in groups. A budget of 1 cell searches each node alone and
-    # 40 cells groups only small nodes. Each node's leaf value, split and
-    # children must be the per-node reference's, and each tree draws its
-    # columns from its own generator.
+    # 40 cells groups only small nodes; small chunks carry a node's best cut
+    # across chunk boundaries. Each node's leaf value, split and children
+    # must be the per-node reference's, and each tree draws its columns
+    # from its own generator.
     X, y = problem
     n, p = X.shape
     rng = np.random.default_rng(seed)
@@ -456,11 +456,12 @@ def test_grouped_split_search_matches_reference(problem, min_leaf, seed, cells, 
     grower = learn._ForestGrower(X, y, weights, k, max_depth=5, min_leaf=min_leaf)
     live = [(np.random.default_rng([seed, t]), Tree([], [], [], [], []),
              [(rows.astype(np.int32), 0, -1, True)]) for t, rows in enumerate(roots)]
-    default_cells, learn._GROUP_CELLS = learn._GROUP_CELLS, cells
+    defaults = learn._GROUP_CELLS, learn._CUTS_PER_CHUNK
+    learn._GROUP_CELLS, learn._CUTS_PER_CHUNK = cells, chunk
     try:
         grower._step(live)
     finally:
-        learn._GROUP_CELLS = default_cells
+        learn._GROUP_CELLS, learn._CUTS_PER_CHUNK = defaults
     for t, (rows, (_rng, tree, stack)) in enumerate(zip(roots, live)):
         w = weights[rows]
         assert tree.value == [float((w * y[rows]).sum() / w.sum())]
@@ -532,6 +533,8 @@ def test_trees_match_per_node_sort_reference(problem, kind, class_weight, min_le
     ("dt", {"min_leaf": 5}),
     # One step holds many nodes of mixed sizes.
     ("rf", {"n_trees": 24, "class_weight": "balanced", "min_leaf": 2}),
+    # More columns than the matrix has: every column, with no draw.
+    ("rf", {"n_trees": 2, "max_features": 75, "max_depth": 6}),
 ])
 def test_trees_match_reference_at_paper_shape(kind, overrides):
     # 400 x 60 like the concat features: hashed token counts with many ties,
@@ -574,6 +577,15 @@ def test_forest_fit_memory_peak_at_paper_shape():
     X, y = _paper_shaped_matrix()
     config = learn.resolved_config("RandomForest", {"n_trees": 5})
     assert _fit_peak(RandomForestModel, X, y, config) < 5_585_178
+
+
+def test_unsampled_forest_fit_memory_peak_at_paper_shape():
+    # Growing each tree alone on its own copy of X[boot], with a presort of
+    # that copy, peaked at about 16.5 MB on this fit (numpy 2.4.6); side by
+    # side it peaks at about 7.7 MB. A copy of X per tree is 2.6 MB.
+    X, y = _paper_shaped_matrix()
+    config = learn.resolved_config("RandomForest", {"n_trees": 5, "max_features": None})
+    assert _fit_peak(RandomForestModel, X, y, config) < 10_000_000
 
 
 def test_boosting_fit_memory_peak_at_paper_shape():
