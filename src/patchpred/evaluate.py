@@ -23,17 +23,29 @@ from .errors import EvalError, TrainError
 METRIC_NAMES = ("accuracy", "precision", "plus_recall", "minus_recall", "f1", "auc")
 
 
+def _scored(probabilities, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and labels as float arrays; EvalError unless there are
+    as many of each, at least one, the probabilities finite and the labels
+    0 or 1."""
+    probs = np.asarray(list(probabilities), dtype=float)
+    y = np.asarray(list(labels), dtype=float)
+    if probs.shape != y.shape or probs.ndim != 1:
+        raise EvalError(f"{probs.size} probabilities for {y.size} labels")
+    if probs.size == 0:
+        raise EvalError("no predictions to score")
+    if not np.all(np.isfinite(probs)):
+        raise EvalError("probabilities must be finite numbers")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise EvalError("labels must be 0/1")
+    return probs, y
+
+
 def confusion_metrics(probabilities, labels, threshold: float = 0.5) -> dict:
     """Threshold predictions and compute the confusion-based metric set.
 
     Division-by-zero cases return 0.0 and are listed in zero_division_flags.
     """
-    probs = np.asarray(list(probabilities), dtype=float)
-    y = np.asarray(list(labels), dtype=float)
-    if probs.size == 0:
-        raise EvalError("no predictions to score")
-    if not set(np.unique(y)) <= {0.0, 1.0}:
-        raise EvalError("labels must be 0/1")
+    probs, y = _scored(probabilities, labels)
     pred = probs >= threshold
     tp = int(np.sum(pred & (y == 1)))
     fp = int(np.sum(pred & (y == 0)))
@@ -63,22 +75,20 @@ def confusion_metrics(probabilities, labels, threshold: float = 0.5) -> dict:
 
 
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks from 1 in ascending order; a run of equal values at sorted
+    positions i..j shares (i + j) / 2 + 1."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ordered = values[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], len(values)] - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 
 def auc(probabilities, labels) -> float:
     """Rank-based (Mann-Whitney) AUC; ties contribute one half."""
-    probs = np.asarray(list(probabilities), dtype=float)
-    y = np.asarray(list(labels), dtype=float)
+    probs, y = _scored(probabilities, labels)
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import worker
 from .defaults import resolved_config
 from .errors import EvalError, TrainError
 
@@ -129,6 +130,12 @@ class Tree:
         return {field: getattr(self, field) for field in _TREE_FIELDS}
 
 
+def _records(offsets, fields) -> list[Tree]:
+    """Tree records from flat lists of the node fields, in _TREE_FIELDS
+    order, where tree t is nodes offsets[t]:offsets[t + 1]."""
+    return [Tree(*(field[a:b] for field in fields)) for a, b in zip(offsets, offsets[1:])]
+
+
 # Rows walked at a time, per tree: bounds the (rows, trees) arrays of a walk.
 _WALK_CELLS = 1 << 16
 
@@ -186,7 +193,12 @@ class Forest:
         return len(self.offsets) - 1
 
     def records(self) -> tuple[Tree, ...]:
-        return tuple(self.tree(t) for t in range(len(self)))
+        """Every tree's record, from one conversion of each node array."""
+        first = np.repeat(self.offsets[:-1], np.diff(self.offsets))
+        leaf = self.feature < 0
+        left, right = (np.where(leaf, -1, side - first) for side in (self.left, self.right))
+        return tuple(_records(self.offsets.tolist(), [a.tolist() for a in (
+            self.feature, self.threshold, left, right, self.value)]))
 
     def tree(self, t: int) -> Tree:
         nodes = slice(self.offsets[t], self.offsets[t + 1])
@@ -323,18 +335,15 @@ def _cut_weights(at, last, m, cw, w_total):
     return wl, w_total - wl
 
 
-def _best_cuts(cuts, cwt, cw, w_total, criterion, planned=None):
-    """Each node's best cut of `cuts` (see _cut_positions) as (score, at),
-    or None when it has none, for nodes of weight totals w_total (one per
-    node). cwt and cw are the prefix sums along the block's segments of
-    weighted targets (for mse, paired with their squares by _pair) and of
-    weights (None when all are 1); `planned`, if given, holds every cut's
-    left and right weights instead. Gini uses weighted class sums and mse
-    weighted squared error. Cuts are scored _CUTS_PER_CHUNK at a time into
-    one score per cut. A node keeps the first column whose minimum beats its
-    best so far by more than 1e-15, and that column's first minimum: ties
-    keep the lowest feature index, then the lowest threshold."""
-    at, last, node, count, ends = cuts
+def _scores(cuts, cwt, cw, w_total, criterion, planned=None):
+    """One score per cut of `cuts` (see _cut_positions) of nodes of weight
+    totals w_total (one per node). cwt and cw are the prefix sums along the
+    block's segments of weighted targets (for mse, paired with their squares
+    by _pair) and of weights (None when all are 1); `planned`, if given,
+    holds every cut's left and right weights instead. Gini uses weighted
+    class sums and mse weighted squared error. Cuts are scored
+    _CUTS_PER_CHUNK at a time."""
+    at, last, node, count, _ends = cuts
     score = np.empty(len(at))
     for a in range(0, len(at), _CUTS_PER_CHUNK):
         c = slice(a, a + _CUTS_PER_CHUNK)
@@ -350,21 +359,56 @@ def _best_cuts(cuts, cwt, cw, w_total, criterion, planned=None):
         else:  # the sums of squares decomposition
             sl, sl2, sr, sr2 = sl.real, sl.imag, sr.real, sr.imag
             np.divide((sl2 - sl * sl / wl) + (sr2 - sr * sr / wr), totals, out=score[c])
+    return score
+
+
+def _candidates(score, cuts, nodes):
+    """Per node of the block, in column order, its segments whose minimum
+    score is below every earlier one of the node, as (minimum, segment):
+    the only ones _pick can choose."""
+    node, ends = cuts[2], cuts[4]
     owners = [0] * (len(ends) - 1) if node is None else node.take(ends[:-1]).tolist()
-    # Scores are finite, so a node's first column always beats inf.
-    best, pick = [math.inf] * len(w_total), [None] * len(w_total)
+    low, candidates = [math.inf] * nodes, [[] for _g in range(nodes)]
     for s, (v, g) in enumerate(zip(np.minimum.reduceat(score, ends[:-1]).tolist(), owners)):
-        if v < best[g] - 1e-15:
-            best[g], pick[g] = v, s
-    return [None if s is None else (v, int(at[ends[s] + np.argmin(score[ends[s]:ends[s + 1]])]))
-            for v, s in zip(best, pick)]
+        if v < low[g]:
+            low[g] = v
+            candidates[g].append((v, s))
+    return candidates
+
+
+def _first_minimum(score, cuts, s):
+    """The flat position (see _cut_positions) of segment s's first minimum,
+    its lowest threshold among equal scores."""
+    at, ends = cuts[0], cuts[4]
+    return int(at[ends[s] + np.argmin(score[ends[s]:ends[s + 1]])])
+
+
+def _pick(candidates):
+    """The split rule over (minimum, ...) in column order: the first whose
+    minimum beats the best so far by more than 1e-15, so ties keep the
+    lowest feature index; None when there are none.
+
+    A column whose minimum u is not below an earlier column's v is never
+    picked: the best b before it has fl(b - 1e-15) <= v <= u, since v was
+    either picked (b <= v) or passed over (v >= fl(b' - 1e-15) for the
+    best b' >= b then). Such columns never change the best, so each side
+    of a split column set may keep only its candidates (see _candidates),
+    and the rule picks the same from the merged lists in column order as
+    from all columns."""
+    best = None
+    for candidate in candidates:
+        if best is None or candidate[0] < best[0] - 1e-15:
+            best = candidate
+    return best
 
 
 def _midpoint(lo, hi):
-    """Thresholds between values lo < hi: their midpoint, from halves so as
-    not to overflow, or lo, as sklearn does, where that rounds up to hi
-    (adjacent floats), which would send every row left."""
+    """Thresholds between values lo < hi, floats or arrays: their midpoint,
+    from halves so as not to overflow, or lo, as sklearn does, where that
+    rounds up to hi (adjacent floats), which would send every row left."""
     thr = lo / 2.0 + hi / 2.0
+    if isinstance(thr, float):  # np.where on two floats takes ~4 us
+        return thr if thr < hi else lo
     return np.where(thr < hi, thr, lo)
 
 
@@ -403,13 +447,21 @@ class _Scratch:
     For mse, `cwt` is complex (see _pair). Every tree grown on the scratch
     searches the same root, so the root's rows, cuts and weights are made
     once (`root_plan`).
+
+    With a `peer` (a worker.Worker), this process and the worker each own
+    every other non-constant column, by their `side`, and every search
+    merges both sides' candidates (see _pick) through the peer's exchange,
+    so that both grow the same tree in lockstep.
     """
 
-    def __init__(self, X, weights, mse: bool):
+    def __init__(self, X, weights, mse: bool, peer=None):
         self.n = n = len(X)
+        self.peer = peer
         # Unit weights need no prefix sum of weights (see _cut_weights).
         self.unit_weights = bool(np.all(weights == 1.0))
         self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
+        if peer is not None:
+            self.root = self.root[peer.side::2]
         ranks, sentinel = _dense_ranks(X)
         keys, self.bits = _packed_keys(ranks[self.root, :n], np.arange(n, dtype=np.int32), n, sentinel)
         keys.sort(axis=1)
@@ -462,13 +514,22 @@ class _Scratch:
             cw = None if cuts is None or self.unit_weights else _prefix_sums(weights, rows, self.cw)
         else:
             rows, cw, (cuts, planned) = self.root_rows, None, self.root_cuts(min_leaf, weights, w_total)
-        if cuts is None:
-            return None, rows
-        cwt = _prefix_sums(wt, rows, self.cwt.view(wt.dtype))
-        score, at = _best_cuts(cuts, cwt, cw, [w_total], criterion, planned)[0]
-        c, cut = divmod(at, m)
-        f = where[2][c]
-        return (score, f, float(_midpoint(X[rows[c, cut], f], X[rows[c, cut + 1], f]))), rows
+        found = []
+        if cuts is not None:
+            cwt = _prefix_sums(wt, rows, self.cwt.view(wt.dtype))
+            score = _scores(cuts, cwt, cw, [w_total], criterion, planned)
+            (segments,) = _candidates(score, cuts, 1)
+            if self.peer is None:  # alone, only the pick needs a threshold
+                segments = [_pick(segments)]
+            for v, s in segments:
+                c, cut = divmod(_first_minimum(score, cuts, s), m)
+                f = int(where[2][c])
+                found.append((v, f, _midpoint(X.item(rows[c, cut], f), X.item(rows[c, cut + 1], f))))
+        if self.peer is not None:
+            theirs = self.peer.exchange([x for candidate in found for x in candidate])
+            found = sorted(found + list(zip(theirs[::3], map(int, theirs[1::3]), theirs[2::3])),
+                           key=lambda candidate: candidate[1])
+        return _pick(found), rows
 
     def partition(self, where, rows, idx, mask, m_left, needed):
         """Stable partition of the node's sorted lists by `mask` (per row of
@@ -581,9 +642,10 @@ class _ForestGrower:
         self.wt = np.append(weights * y, 0.0)
         self.w = None if np.all(weights == 1.0) else np.append(weights, 0.0)
 
-    def grow(self, seed, n_trees) -> list[Tree]:
+    def grow(self, seed, indices) -> list[Tree]:
+        """The trees of these indices: tree t draws from default_rng([seed, t])."""
         trees = []  # (rng, its Tree so far, stack of (rows, depth, parent, is_left))
-        for t in range(n_trees):
+        for t in indices:
             rng = np.random.default_rng([seed, t])  # per-tree derived seed
             boot = rng.integers(0, self.n, size=self.n).astype(np.int32)
             trees.append((rng, Tree([], [], [], [], []), [(boot, 0, -1, True)]))
@@ -671,9 +733,10 @@ class _ForestGrower:
         cuts = _cut_positions(key.reshape(G * k, M), m, self.min_leaf, None)
         if cuts is None:
             return
-        best = _best_cuts(cuts, cwt, cw, np.array([item[3] for item in group]), "gini")
-        split = [g for g, found in enumerate(best) if found is not None]
-        at = np.array([best[g][1] for g in split])
+        score = _scores(cuts, cwt, cw, np.array([item[3] for item in group]), "gini")
+        picks = [_pick(found) for found in _candidates(score, cuts, G)]
+        split = [g for g, found in enumerate(picks) if found is not None]
+        at = np.array([_first_minimum(score, cuts, picks[g][1]) for g in split])
         f = feats.take(at // M)
         # The values on either side of each chosen cut.
         lo, hi = self.X[rows.take(pos.take(at[:, None] + (0, 1))), f[:, None]].T
@@ -690,6 +753,29 @@ class _ForestGrower:
             stack.append((rights[b:b + m_ - m_left].copy(), depth + 1, node, False))
             stack.append((lefts[a:a + m_left], depth + 1, node, True))
             a, b = a + m_left, b + m_ - m_left
+
+
+# --- a forest's trees sent from a worker ------------------------------------
+
+def _packed(trees) -> bytes:
+    """Tree records as float64s: their sizes, then each field of every node."""
+    return np.array([len(t.feature) for t in trees]
+                    + [v for field in _TREE_FIELDS for t in trees for v in getattr(t, field)],
+                    dtype=float).tobytes()
+
+
+def _unpacked(data: bytes, count: int) -> list[Tree]:
+    """The `count` tree records that _packed made into data; WorkerLost
+    unless data holds all of them."""
+    values = np.frombuffer(data, dtype=float, count=len(data) // 8)
+    sizes = values[:count].astype(np.intp)
+    nodes = int(sizes.sum())
+    if len(sizes) < count or len(data) != 8 * (count + 5 * nodes):
+        raise worker.WorkerLost
+    fields = values[count:].reshape(len(_TREE_FIELDS), nodes)
+    return _records(np.cumsum([0, *sizes.tolist()]).tolist(),
+                    [row.tolist() if field in ("threshold", "value") else row.astype(np.intp).tolist()
+                     for field, row in zip(_TREE_FIELDS, fields)])
 
 
 # ---------------------------------------------------------------------------
@@ -940,13 +1026,26 @@ class RandomForestModel(TreeModel):
         searched node in preorder, unless it searches every column: with
         `max_features` None or at least the column count. All trees are
         grown side by side by _ForestGrower, with no copy of X per tree, and
-        are bit for bit the trees of a per-node search on X[boot]."""
+        are bit for bit the trees of a per-node search on X[boot]. From
+        worker.FOREST_ROW_TREES rows x trees up, a worker.Worker grows the
+        second half of the trees and sends them back; if it dies, they are
+        grown here."""
         sw = _sample_weights(y, config["class_weight"])
         p = X.shape[1]
         k = config["max_features"]
         k = p if k is None else max(1, int(math.sqrt(p))) if k == "sqrt" else int(k)
         grower = _ForestGrower(X, y, sw, k, config["max_depth"], config["min_leaf"])
-        return cls(p, config, seed, grower.grow(seed, config["n_trees"]))
+        n = config["n_trees"]
+        trees, split = [], n - n // 2
+        if n > 1 and worker.forks(len(X) * n, worker.FOREST_ROW_TREES):
+            try:
+                with worker.Worker(lambda peer: peer.send(_packed(grower.grow(seed, range(split, n))))) \
+                        as peer:
+                    trees = grower.grow(seed, range(split))
+                    trees += _unpacked(peer.received(), n - split)
+            except worker.WorkerLost:  # the rest are grown here
+                pass
+        return cls(p, config, seed, trees + grower.grow(seed, range(len(trees), n)))
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
@@ -972,6 +1071,22 @@ class GradientBoostedTreesModel(TreeModel):
 
     @classmethod
     def fit(cls, X, y, config, seed):
+        """From worker.BOOST_CELLS cells up, a worker.Worker runs the same
+        rounds in lockstep, each side searching every other column of each
+        node (see _Scratch); if it dies, the fit starts again alone. The
+        trees are the same either way."""
+        if worker.forks(X.size, worker.BOOST_CELLS):
+            # A side's candidates are 3 floats per column it owns.
+            slot = 2 + 3 * ((X.shape[1] + 1) // 2)
+            try:
+                with worker.Worker(lambda peer: cls._boost(X, y, config, seed, peer), slot) as peer:
+                    return cls._boost(X, y, config, seed, peer)
+            except worker.WorkerLost:
+                pass
+        return cls._boost(X, y, config, seed)
+
+    @classmethod
+    def _boost(cls, X, y, config, seed, peer=None):
         sw = _sample_weights(y, config["class_weight"])
         total = sw.sum()
         p_bar = float(np.clip((sw * y).sum() / total, 1e-6, 1 - 1e-6))
@@ -983,7 +1098,7 @@ class GradientBoostedTreesModel(TreeModel):
         losses: list[float] = []
         # One presort serves every round; each row's leaf value updates its
         # margin, which is what the tree's walk would return for it.
-        scratch = _Scratch(X, sw, True)
+        scratch = _Scratch(X, sw, True, peer)
         leaf_values = np.empty(len(y))
         for _round in range(config["rounds"]):
             p = _sigmoid(margin)

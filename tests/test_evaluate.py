@@ -251,3 +251,42 @@ def test_compare_requires_same_patch_set():
     b = [{"patch_id": "p2", "bug_id": "b", "label": 1, "probability": 0.9, "fold": 0}]
     with pytest.raises(EvalError):
         compare_predictions(a, b)
+
+
+def _loop_tied_ranks(values):
+    # The per-run Python loop that the vectorized ranks replaced, verbatim.
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=float)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tied_ranks_equal_the_loop_on_heavy_ties(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    # A coarse grid, signed zeros and one long run of equal values.
+    values = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=n) if seed % 2 else rng.integers(0, 4, size=n) / 3
+    values[: n // 3] = values[0]
+    assert evaluate._tied_ranks(values).tolist() == _loop_tied_ranks(values).tolist()
+
+
+@pytest.mark.parametrize("score", [auc, confusion_metrics])
+@pytest.mark.parametrize("probs, labels, message", [
+    ([0.1, 0.2, 0.3], [0, 1, 2], "labels must be 0/1"),
+    ([0.1, 0.2, 0.3], [0, 1, np.nan], "labels must be 0/1"),
+    ([0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0], "must be finite"),
+    ([0.1, np.inf, 0.3, 0.2], [0, 1, 1, 0], "must be finite"),
+    ([0.1, 0.2, 0.3], [0, 1], "3 probabilities for 2 labels"),
+    ([0.1, 0.2], [0, 1, 1], "2 probabilities for 3 labels"),
+    ([], [], "no predictions"),
+])
+def test_scores_check_their_inputs(score, probs, labels, message):
+    with pytest.raises(EvalError, match=message):
+        score(probs, labels)

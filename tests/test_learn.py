@@ -1,17 +1,21 @@
 import gc
+import itertools
 import json
+import os
+import signal
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchpred import learn
+from patchpred import learn, worker
 from patchpred.errors import TrainError
 from patchpred.learn import (FeatureRow, RandomForestModel, LogisticRegressionModel,
-                             Tree, logistic_loss_and_grad, net_loss_and_grad,
+                             Tree, _pick, logistic_loss_and_grad, net_loss_and_grad,
                              init_net_params)
 
 from tree_reference import model_output, predict
@@ -525,7 +529,7 @@ def test_trees_match_per_node_sort_reference(problem, kind, class_weight, min_le
     _assert_same_trees(kind, X, y, overrides, seed)
 
 
-@pytest.mark.parametrize("kind, overrides", [
+PAPER_SHAPE_CASES = [
     ("gbt", {"rounds": 20}),
     ("gbt", {"rounds": 5, "class_weight": "balanced", "max_depth": 5, "min_leaf": 2}),
     ("rf", {"n_trees": 4}),
@@ -535,7 +539,10 @@ def test_trees_match_per_node_sort_reference(problem, kind, class_weight, min_le
     ("rf", {"n_trees": 24, "class_weight": "balanced", "min_leaf": 2}),
     # More columns than the matrix has: every column, with no draw.
     ("rf", {"n_trees": 2, "max_features": 75, "max_depth": 6}),
-])
+]
+
+
+@pytest.mark.parametrize("kind, overrides", PAPER_SHAPE_CASES)
 def test_trees_match_reference_at_paper_shape(kind, overrides):
     # 400 x 60 like the concat features: hashed token counts with many ties,
     # continuous cross terms and constant engineered flags.
@@ -929,3 +936,182 @@ def test_random_forests_round_trip_through_files(forest, base, seed, bad_child):
         path.write_text(json.dumps(doc))
         with pytest.raises(TrainError, match=f"model.json: .* tree {t} node {node} has children"):
             learn.load(path)
+
+
+# --- fits with a worker on the other CPU -----------------------------------------
+# With the size rule's constants at 0 every boosting and forest fit forks a
+# worker where it can (Linux x86-64, two usable CPUs); elsewhere the same
+# tests run the serial path. Either way the trees are the reference's, and
+# no test leaves a child process behind.
+
+@contextmanager
+def _workers_always():
+    defaults = worker.BOOST_CELLS, worker.FOREST_ROW_TREES
+    worker.BOOST_CELLS = worker.FOREST_ROW_TREES = 0
+    try:
+        yield
+    finally:
+        worker.BOOST_CELLS, worker.FOREST_ROW_TREES = defaults
+        _assert_no_children()
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+WORKERS = int(worker.forks(1, 0))  # forks per fit from the size rule's 0 up
+
+
+@pytest.mark.parametrize("kind, overrides", [case for case in PAPER_SHAPE_CASES if case[0] != "dt"])
+def test_trees_grown_with_a_worker_match_reference_at_paper_shape(kind, overrides, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    with _workers_always():
+        test_trees_match_reference_at_paper_shape(kind, overrides)
+    assert len(forks) == WORKERS
+
+
+def test_decision_trees_never_fork(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    with _workers_always():
+        test_trees_match_reference_at_paper_shape("dt", {"min_leaf": 5})
+    assert forks == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_tree_problem(), kind=st.sampled_from(["rf", "gbt"]),
+       class_weight=st.sampled_from([None, "balanced"]), min_leaf=st.sampled_from([1, 2, 5]),
+       max_depth=st.integers(1, 6), max_features=st.sampled_from([1, 3, 7, None]),
+       seed=st.integers(0, 3), n_trees=st.integers(1, 8), rounds=st.integers(1, 12),
+       chunk=st.sampled_from([1, 3, 4096]))
+def test_trees_grown_with_a_worker_match_per_node_sort_reference(
+        problem, kind, class_weight, min_leaf, max_depth, max_features, seed, n_trees, rounds, chunk):
+    # Few columns: a side may own one column or none, and most nodes'
+    # candidates come from one side.
+    X, y = problem
+    overrides = {"class_weight": class_weight, "min_leaf": min_leaf, "max_depth": max_depth}
+    if kind == "rf":
+        overrides.update(n_trees=n_trees, max_features=max_features)
+    else:
+        overrides["rounds"] = rounds
+    default_chunk, learn._CUTS_PER_CHUNK = learn._CUTS_PER_CHUNK, chunk
+    try:
+        with _workers_always():
+            _assert_same_trees(kind, X, y, overrides, seed)
+    finally:
+        learn._CUTS_PER_CHUNK = default_chunk
+
+
+def test_candidates_merged_from_two_column_sets_pick_as_all_columns_do():
+    # Every list of up to 4 column minima within a few 1e-15 of each other,
+    # where the rule's tolerance decides, split between two sides in every
+    # way. Each side keeps its candidates; the merged lists in column order
+    # give the pick of every column. A column is a segment of two cuts
+    # whose lower score is its minimum.
+    def candidates(minima, columns):
+        if not columns:
+            return []
+        score = [x for c in columns for x in ((minima[c], minima[c] + 0.5) if c % 2 else
+                                                (minima[c] + 0.5, minima[c]))]
+        cuts = (None, None, None, 2, list(range(0, len(score) + 1, 2)))
+        (found,) = learn._candidates(np.array(score), cuts, 1)
+        return [(v, columns[s]) for v, s in found]
+
+    values = [0.5, 0.5 + 4e-16, 0.5 + 8e-16, 0.5 + 1.2e-15, 0.5 - 6e-16, 0.25]
+    for size in range(1, 5):
+        for minima in itertools.product(values, repeat=size):
+            everything = _pick([(v, c) for c, v in enumerate(minima)])
+            assert _pick(candidates(minima, list(range(size)))) == everything
+            for sides in itertools.product((0, 1), repeat=size):
+                halves = [[c for c in range(size) if sides[c] == side] for side in (0, 1)]
+                merged = sorted(candidates(minima, halves[0]) + candidates(minima, halves[1]),
+                                key=lambda candidate: candidate[1])
+                assert _pick(merged) == everything, (minima, sides)
+
+
+def test_packed_trees_arrive_whole_or_not_at_all():
+    trees = [Tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, -0.0, 1.0]),
+             Tree([-1], [0.0], [-1], [-1], [0.25])]
+    data = learn._packed(trees)
+    assert json.dumps([t.to_dict() for t in learn._unpacked(data, 2)]) == json.dumps([t.to_dict() for t in trees])
+    for cut in (0, 3, 8, 8 * 2, len(data) - 8, len(data) - 1):
+        with pytest.raises(worker.WorkerLost):
+            learn._unpacked(data[:cut], 2)
+
+
+def _boosting_problem():
+    rng = np.random.default_rng(6)
+    X = np.round(rng.normal(size=(300, 24)), 1)
+    y = ((X[:, 0] > 0) ^ (X[:, 1] > 0) ^ (rng.random(300) < 0.1)).astype(float)
+    return X, y
+
+
+def _dies_in_the_worker(method, after):
+    """`method` of learn, wrapped so that the worker kills itself on its
+    call number `after`."""
+    parent, calls = os.getpid(), []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if os.getpid() != parent and len(calls) == after:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return method(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("kind", ["gbt", "rf"])
+def test_a_fit_whose_worker_dies_returns_the_serial_model(kind, monkeypatch):
+    X, y = _boosting_problem()
+    cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
+    config = learn.resolved_config(cls.kind, {"n_trees": 8} if kind == "rf" else {"rounds": 12})
+    serial = json.dumps(cls.fit(X, y, config, 3).to_dict())
+    forks = _count_forks(monkeypatch)
+    if kind == "gbt":
+        monkeypatch.setattr(learn._Scratch, "search", _dies_in_the_worker(learn._Scratch.search, 40))
+    else:
+        monkeypatch.setattr(learn._ForestGrower, "_step", _dies_in_the_worker(learn._ForestGrower._step, 3))
+    with _workers_always():
+        assert json.dumps(cls.fit(X, y, config, 3).to_dict()) == serial
+    assert len(forks) == WORKERS
+
+
+@pytest.mark.parametrize("kind", ["gbt", "rf"])
+def test_fits_reap_their_worker_on_every_way_out(kind, monkeypatch):
+    X, y = _boosting_problem()
+    cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
+    config = learn.resolved_config(cls.kind, {"n_trees": 4} if kind == "rf" else {"rounds": 6})
+    forks = _count_forks(monkeypatch)
+    with _workers_always():
+        cls.fit(X, y, config, 0)
+    # An interrupt in the parent, mid-fit.
+    parent, calls = os.getpid(), []
+
+    def interrupted(*args):
+        calls.append(1)
+        if os.getpid() == parent and len(calls) == 3:
+            raise KeyboardInterrupt
+        return grow(*args)
+
+    owner, name = (learn._Scratch, "search") if kind == "gbt" else (learn._ForestGrower, "_step")
+    grow = getattr(owner, name)
+    monkeypatch.setattr(owner, name, interrupted)
+    with _workers_always(), pytest.raises(KeyboardInterrupt):
+        cls.fit(X, y, config, 0)
+    assert len(forks) == 2 * WORKERS
+
+
+def test_a_boosting_fit_that_raises_reaps_its_worker(monkeypatch):
+    X, y = _boosting_problem()
+    config = learn.resolved_config("GradientBoostedTrees", {"learning_rate": 1e308})
+    forks = _count_forks(monkeypatch)
+    with _workers_always(), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainError, match="non-finite boosting loss"):
+            learn.GradientBoostedTreesModel.fit(X, y, config, 0)
+    assert len(forks) == WORKERS
