@@ -394,7 +394,7 @@ def cmd_explain(args, cfg):
 
 def cmd_compare(args, cfg):
     preds_a = evaluate.read_predictions(args.a)
-    preds_b = evaluate.read_predictions(args.b)
+    preds_b = evaluate.read_predictions(args.b, {p["patch_id"]: p["label"] for p in preds_a})
     report = evaluate.compare_predictions(preds_a, preds_b, args.threshold)
     _write(args.out, {"overlap": report}, args, ("a", "b"))
     cp = report["correct_patches"]

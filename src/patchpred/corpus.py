@@ -105,14 +105,12 @@ def _parse_record(obj: dict, allow_unlabeled: bool) -> PatchRecord:
     )
 
 
-def ingest(path, fmt: str = "jsonl", allow_unlabeled: bool = False) -> tuple[Corpus, IngestReport]:
+def ingest(path, allow_unlabeled: bool = False) -> tuple[Corpus, IngestReport]:
     """Read a JSONL corpus, dropping (bug_id, normalized diff) duplicates.
 
     Returns the deduplicated corpus plus a report of what was kept, dropped,
     and rejected. Raises CorpusError when no valid record survives.
     """
-    if fmt != "jsonl":
-        raise CorpusError(f"unsupported corpus format {fmt!r}; only 'jsonl' is supported")
     records: list[PatchRecord] = []
     rejected: list[tuple[int, str]] = []
     duplicates = 0

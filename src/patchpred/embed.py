@@ -557,7 +557,7 @@ def export_embeddings(pairs, path) -> None:
             )
 
 
-def embed_corpus(model: ParagraphVectorModel, fragments_by_patch, provider: str = "builtin"):
+def embed_corpus(model: ParagraphVectorModel, fragments_by_patch):
     """Embed {patch_id: FragmentPair} into EmbeddingPairs, in input order.
 
     Returns (pairs, flagged_patch_ids) where flagged ids had an empty or
@@ -566,7 +566,7 @@ def embed_corpus(model: ParagraphVectorModel, fragments_by_patch, provider: str 
     frags = fragments_by_patch.values()
     vectors, oov = _infer_vectors(model, [tokens for frag in frags
                                           for tokens in (frag.buggy_tokens, frag.patched_tokens)])
-    pairs = [EmbeddingPair(patch_id, vectors[2 * i], vectors[2 * i + 1], provider=provider, n=model.config.n)
+    pairs = [EmbeddingPair(patch_id, vectors[2 * i], vectors[2 * i + 1], provider="builtin", n=model.config.n)
              for i, patch_id in enumerate(fragments_by_patch)]
     flagged = [patch_id for i, patch_id in enumerate(fragments_by_patch) if oov[2 * i] or oov[2 * i + 1]]
     return pairs, flagged

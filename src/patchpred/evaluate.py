@@ -309,17 +309,39 @@ def write_predictions(path, predictions) -> None:
             writer.writerow({k: row[k] for k in PREDICTION_FIELDS})
 
 
-def read_predictions(path) -> list[dict]:
-    out = []
+def read_predictions(path, labels: dict | None = None) -> list[dict]:
+    """The rows of a prediction file; EvalError, naming the file and line,
+    unless each row fills every PREDICTION_FIELDS column, with a 0/1 label,
+    a probability in [0, 1], an integer fold and a patch id of its own. With
+    `labels` (patch id -> label, from another run on the same corpus), a
+    patch there must carry the same label here."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append({
-                "patch_id": row["patch_id"],
-                "bug_id": row["bug_id"],
-                "label": int(row["label"]),
-                "probability": float(row["probability"]),
-                "fold": int(row["fold"]),
-            })
+        reader = csv.DictReader(fh)
+        try:
+            header = reader.fieldnames or ()
+            rows = [(reader.line_num, row) for row in reader]
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise EvalError(f"{path} is not a prediction CSV: {exc}") from exc
+    if missing := [f for f in PREDICTION_FIELDS if f not in header]:
+        raise EvalError(f"{path} line 1: no {', '.join(missing)} column")
+    out, lines = [], {}
+    for line, row in rows:
+        where, pid = f"{path} line {line}", row["patch_id"]
+        try:
+            if None in row.values():
+                raise ValueError(f"fewer fields than the header's {len(header)}")
+            label, probability, fold = int(row["label"]), float(row["probability"]), int(row["fold"])
+            if label not in (0, 1) or not 0.0 <= probability <= 1.0:
+                raise ValueError(f"label {label}, probability {probability}: want 0 or 1, and [0, 1]")
+        except ValueError as exc:
+            raise EvalError(f"{where}: {exc}") from exc
+        if pid in lines:
+            raise EvalError(f"{where}: patch {pid!r} is already on line {lines[pid]}")
+        if labels is not None and labels.get(pid, label) != label:
+            raise EvalError(f"{where}: patch {pid!r} is labeled {label} here and {labels[pid]} in the other run")
+        lines[pid] = line
+        out.append({"patch_id": pid, "bug_id": row["bug_id"], "label": label,
+                    "probability": probability, "fold": fold})
     if not out:
         raise EvalError(f"no prediction rows in {path}")
     return out
@@ -327,10 +349,13 @@ def read_predictions(path) -> list[dict]:
 
 def compare_predictions(preds_a, preds_b, threshold: float = 0.5) -> dict:
     """Set-overlap counts of correctly identified patches between two runs."""
+    if not 0.0 <= threshold <= 1.0:
+        raise EvalError(f"threshold {threshold} is not in [0, 1]")
     by_id_a = {p["patch_id"]: p for p in preds_a}
     by_id_b = {p["patch_id"]: p for p in preds_b}
-    if set(by_id_a) != set(by_id_b):
-        raise EvalError("prediction files cover different patch sets; compare runs on one corpus")
+    if {pid: p["label"] for pid, p in by_id_a.items()} != {pid: p["label"] for pid, p in by_id_b.items()}:
+        raise EvalError("prediction files cover different patches or label them differently; "
+                        "compare runs on one corpus")
 
     def identified(p):
         if p["label"] == 1:

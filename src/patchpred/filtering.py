@@ -8,6 +8,7 @@ inclusive).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,14 +71,16 @@ def stats(scores) -> SimilarityStats:
 
 def resolve_policy(statistic: ThresholdStatistic | str, sim_stats: SimilarityStats | None = None,
                    fixed_value: float | None = None) -> ThresholdPolicy:
+    """The policy's threshold; EvalError unless it is a finite number."""
     statistic = ThresholdStatistic(statistic)
     if statistic is ThresholdStatistic.FIXED:
-        if fixed_value is None:
-            raise EvalError("fixed threshold policy requires a value")
-        return ThresholdPolicy(statistic, float(fixed_value))
-    if sim_stats is None:
+        value = fixed_value
+    elif sim_stats is None:
         raise EvalError(f"{statistic.value} threshold policy requires similarity statistics")
-    value = {"q1": sim_stats.q1, "mean": sim_stats.mean, "median": sim_stats.median}[statistic.value]
+    else:
+        value = getattr(sim_stats, statistic.value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise EvalError(f"{statistic.value} threshold must be a finite number, got {value!r}")
     return ThresholdPolicy(statistic, float(value))
 
 

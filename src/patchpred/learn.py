@@ -130,12 +130,6 @@ class Tree:
         return {field: getattr(self, field) for field in _TREE_FIELDS}
 
 
-def _records(offsets, fields) -> list[Tree]:
-    """Tree records from flat lists of the node fields, in _TREE_FIELDS
-    order, where tree t is nodes offsets[t]:offsets[t + 1]."""
-    return [Tree(*(field[a:b] for field in fields)) for a, b in zip(offsets, offsets[1:])]
-
-
 # Rows walked at a time, per tree: bounds the (rows, trees) arrays of a walk.
 _WALK_CELLS = 1 << 16
 
@@ -197,8 +191,9 @@ class Forest:
         first = np.repeat(self.offsets[:-1], np.diff(self.offsets))
         leaf = self.feature < 0
         left, right = (np.where(leaf, -1, side - first) for side in (self.left, self.right))
-        return tuple(_records(self.offsets.tolist(), [a.tolist() for a in (
-            self.feature, self.threshold, left, right, self.value)]))
+        fields = [a.tolist() for a in (self.feature, self.threshold, left, right, self.value)]
+        bounds = self.offsets.tolist()
+        return tuple(Tree(*(field[a:b] for field in fields)) for a, b in zip(bounds, bounds[1:]))
 
     def tree(self, t: int) -> Tree:
         nodes = slice(self.offsets[t], self.offsets[t + 1])
@@ -755,29 +750,6 @@ class _ForestGrower:
             a, b = a + m_left, b + m_ - m_left
 
 
-# --- a forest's trees sent from a worker ------------------------------------
-
-def _packed(trees) -> bytes:
-    """Tree records as float64s: their sizes, then each field of every node."""
-    return np.array([len(t.feature) for t in trees]
-                    + [v for field in _TREE_FIELDS for t in trees for v in getattr(t, field)],
-                    dtype=float).tobytes()
-
-
-def _unpacked(data: bytes, count: int) -> list[Tree]:
-    """The `count` tree records that _packed made into data; WorkerLost
-    unless data holds all of them."""
-    values = np.frombuffer(data, dtype=float, count=len(data) // 8)
-    sizes = values[:count].astype(np.intp)
-    nodes = int(sizes.sum())
-    if len(sizes) < count or len(data) != 8 * (count + 5 * nodes):
-        raise worker.WorkerLost
-    fields = values[count:].reshape(len(_TREE_FIELDS), nodes)
-    return _records(np.cumsum([0, *sizes.tolist()]).tolist(),
-                    [row.tolist() if field in ("threshold", "value") else row.astype(np.intp).tolist()
-                     for field, row in zip(_TREE_FIELDS, fields)])
-
-
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------
@@ -959,9 +931,9 @@ class TreeModel(TrainedModel):
     space = "probability"
     intercept = 0.0
 
-    def __init__(self, feature_count, config, seed, trees):  # a Forest or Tree records
+    def __init__(self, feature_count, config, seed, forest: Forest):
         super().__init__(feature_count, config, seed)
-        self.forest = trees if isinstance(trees, Forest) else Forest(trees)
+        self.forest = forest
         self.training_report = {"trees": len(self.forest), "nodes": len(self.forest.feature),
                                 "max_depth_reached": len(self.forest.levels)}
 
@@ -992,9 +964,6 @@ def _leaf_frequency(y, weights):
 class DecisionTreeModel(TreeModel):
     kind = "DecisionTree"
 
-    def __init__(self, feature_count, config, seed, tree):
-        super().__init__(feature_count, config, seed, tree if isinstance(tree, Forest) else [tree])
-
     @property
     def tree(self) -> Tree:
         return self.forest.tree(0)
@@ -1003,7 +972,7 @@ class DecisionTreeModel(TreeModel):
     def fit(cls, X, y, config, seed):
         sw = _sample_weights(y, config["class_weight"])
         tree = grow_tree(X, y, sw, _leaf_frequency(y, sw), config["max_depth"], config["min_leaf"])
-        return cls(X.shape[1], config, seed, tree)
+        return cls(X.shape[1], config, seed, Forest([tree]))
 
     def _params_dict(self) -> dict:
         return {"tree": self.tree.to_dict()}
@@ -1028,7 +997,7 @@ class RandomForestModel(TreeModel):
         grown side by side by _ForestGrower, with no copy of X per tree, and
         are bit for bit the trees of a per-node search on X[boot]. From
         worker.FOREST_ROW_TREES rows x trees up, a worker.Worker grows the
-        second half of the trees and sends them back; if it dies, they are
+        second half of the trees and returns them; if it dies, they are
         grown here."""
         sw = _sample_weights(y, config["class_weight"])
         p = X.shape[1]
@@ -1039,13 +1008,12 @@ class RandomForestModel(TreeModel):
         trees, split = [], n - n // 2
         if n > 1 and worker.forks(len(X) * n, worker.FOREST_ROW_TREES):
             try:
-                with worker.Worker(lambda peer: peer.send(_packed(grower.grow(seed, range(split, n))))) \
-                        as peer:
+                with worker.Worker(lambda peer: grower.grow(seed, range(split, n))) as peer:
                     trees = grower.grow(seed, range(split))
-                    trees += _unpacked(peer.received(), n - split)
+                    trees += peer.result()
             except worker.WorkerLost:  # the rest are grown here
                 pass
-        return cls(p, config, seed, trees + grower.grow(seed, range(len(trees), n)))
+        return cls(p, config, seed, Forest(trees + grower.grow(seed, range(len(trees), n))))
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
@@ -1065,8 +1033,8 @@ class GradientBoostedTreesModel(TreeModel):
     kind = "GradientBoostedTrees"
     space = "margin"
 
-    def __init__(self, feature_count, config, seed, base_margin, trees):
-        super().__init__(feature_count, config, seed, trees)
+    def __init__(self, feature_count, config, seed, base_margin, forest: Forest):
+        super().__init__(feature_count, config, seed, forest)
         self.base_margin = float(base_margin)
 
     @classmethod
@@ -1078,8 +1046,11 @@ class GradientBoostedTreesModel(TreeModel):
         if worker.forks(X.size, worker.BOOST_CELLS):
             # A side's candidates are 3 floats per column it owns.
             slot = 2 + 3 * ((X.shape[1] + 1) // 2)
+
+            def work(peer):  # the worker's model is the parent's: it returns nothing
+                cls._boost(X, y, config, seed, peer)
             try:
-                with worker.Worker(lambda peer: cls._boost(X, y, config, seed, peer), slot) as peer:
+                with worker.Worker(work, slot) as peer:
                     return cls._boost(X, y, config, seed, peer)
             except worker.WorkerLost:
                 pass
@@ -1118,7 +1089,7 @@ class GradientBoostedTreesModel(TreeModel):
             if not math.isfinite(loss):
                 raise TrainError("non-finite boosting loss; lower the learning rate")
             losses.append(loss)
-        model = cls(X.shape[1], config, seed, base, trees)
+        model = cls(X.shape[1], config, seed, base, Forest(trees))
         model.training_report = {"round_losses": losses, **model.training_report}
         return model
 

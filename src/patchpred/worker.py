@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import mmap
 import os
+import pickle
 import platform
 import signal
 import sys
@@ -43,15 +44,15 @@ class WorkerLost(Exception):
 
 class Worker:
     """A forked copy of this process that runs work(self) beside the code
-    that made it and then leaves by os._exit, touching no file or stream of
-    the parent's; its cyclic GC is off, so that it runs no finalizer of an
-    object it inherited.
+    that made it, writes what work returned, pickled, to a pipe, and then
+    leaves by os._exit, touching no file or stream of the parent's; its
+    cyclic GC is off, so that it runs no finalizer of an object it inherited.
 
     The two sides, 0 (the parent) and 1 (the worker), swap short lists of
     floats through `exchange`, a spin barrier on a shared anonymous mmap,
-    and the worker can send one message through a pipe (`send`,
-    `received`). Used as a context manager in the parent, it kills the
-    worker if it still runs and reaps it on every way out of the block.
+    and the parent reads what work returned with `result`. Used as a
+    context manager in the parent, it kills the worker if it still runs and
+    reaps it on every way out of the block.
     """
 
     def __init__(self, work, slot: int = 0):
@@ -82,8 +83,10 @@ class Worker:
         try:
             gc.disable()
             os.close(self.reader)
-            self.side, self.pipe = 1, writer
-            work(self)
+            self.side = 1
+            data = memoryview(pickle.dumps(work(self)))
+            while data:
+                data = data[os.write(writer, data):]
             code = 0
         finally:
             os._exit(code)
@@ -138,16 +141,15 @@ class Worker:
         count = int(self.words[theirs + 1])
         return self.words[theirs + 2: theirs + 2 + count].tolist()
 
-    def send(self, data: bytes):
-        """The worker's message to the parent; send once."""
-        view = memoryview(data)
-        while view:
-            view = view[os.write(self.pipe, view):]
-
-    def received(self) -> bytes:
-        """The worker's message, read until its end of the pipe closes,
-        which it does by exiting."""
+    def result(self):
+        """What work returned in the worker, read until its end of the pipe
+        closes, which it does by exiting; WorkerLost if it died before it
+        wrote all of it. The bytes unpickled are only ever this process's
+        own fork's."""
         chunks = []
         while chunk := os.read(self.reader, 1 << 16):
             chunks.append(chunk)
-        return b"".join(chunks)
+        try:
+            return pickle.loads(b"".join(chunks))
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise WorkerLost from exc

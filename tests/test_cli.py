@@ -167,6 +167,44 @@ def test_compare_command(pipeline, tmp_path):
     assert overlap["correct_patches"]["only_a"] == 0
 
 
+def _bad_prediction_rows(case, rows):
+    """rows (a prediction CSV's, header first) with one fault, and the line
+    that shows it."""
+    header, first, *rest = rows
+    if case == "no-fold-column":
+        return [row[:-1] for row in rows], 1
+    if case == "patch-id-repeated":
+        return [header, first, [first[0]] + rest[0][1:], *rest[1:]], 3
+    column, value = {"label-not-a-number": (2, "x"), "label-not-0/1": (2, "2"),
+                     "label-differs": (2, str(1 - int(first[2]))),
+                     "probability-nan": (3, "nan"), "probability-above-1": (3, "1.5")}[case]
+    return [header, first[:column] + [value] + first[column + 1:], *rest], 2
+
+
+@pytest.mark.parametrize("case", ["no-fold-column", "label-not-a-number", "label-not-0/1", "patch-id-repeated",
+                                  "label-differs", "probability-nan", "probability-above-1"])
+def test_compare_names_the_file_and_line_of_a_bad_prediction(case, pipeline, tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    assert run("crossval", "--features", str(pipeline["learned"]), "--learner", "nb", "--k", "4",
+               "--out", str(tmp_path / "r.json"), "--out-predictions", str(good)) == 0
+    rows, line = _bad_prediction_rows(case, [line.split(",") for line in good.read_text().splitlines()])
+    bad.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert run("compare", "--a", str(good), "--b", str(bad), "--out", str(tmp_path / "o.json")) == 1
+    assert capsys.readouterr().err.startswith(f"error[eval]: {bad} line {line}: ")
+
+
+@pytest.mark.parametrize("stats, policy", [({"q1": "abc"}, "q1"), ({"mean": float("nan")}, "mean"),
+                                           ({}, "fixed")], ids=["text-statistic", "nan-statistic", "fixed-nan"])
+def test_filter_refuses_a_threshold_that_is_not_a_finite_number(stats, policy, pipeline, tmp_path, capsys):
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps({"stats": {**dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), 0.5),
+                                          **stats}}))
+    assert run("filter", "--corpus", str(pipeline["corpus"]), "--embeddings", str(pipeline["embeddings"]),
+               "--stats", str(path), "--policy", policy, "--value", "nan", "--out", str(tmp_path / "f.json")) == 1
+    assert capsys.readouterr().err.startswith(f"error[eval]: {policy} threshold must be a finite number, got ")
+
+
 def test_config_file_supplies_defaults_and_flags_override(pipeline, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"features": str(pipeline["learned"]), "learner": "nb",

@@ -253,6 +253,20 @@ def test_compare_requires_same_patch_set():
         compare_predictions(a, b)
 
 
+def test_compare_requires_same_labels():
+    a = [{"patch_id": "p1", "bug_id": "b", "label": 0, "probability": 0.9, "fold": 0}]
+    b = [{"patch_id": "p1", "bug_id": "b", "label": 1, "probability": 0.9, "fold": 0}]
+    with pytest.raises(EvalError, match="label them differently"):
+        compare_predictions(a, b)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.1])
+def test_compare_requires_a_threshold_in_the_unit_interval(threshold):
+    a = [{"patch_id": "p1", "bug_id": "b", "label": 1, "probability": 0.9, "fold": 0}]
+    with pytest.raises(EvalError, match="is not in"):
+        compare_predictions(a, a, threshold)
+
+
 def _loop_tied_ranks(values):
     # The per-run Python loop that the vectorized ranks replaced, verbatim.
     order = np.argsort(values, kind="stable")

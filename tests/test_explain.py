@@ -26,7 +26,7 @@ def fit_rows(X, y):
 
 
 def test_single_leaf_tree_contributes_nothing():
-    model = DecisionTreeModel(4, {}, 0, tree=leaf_tree(0.7))
+    model = DecisionTreeModel(4, {}, 0, learn.Forest([leaf_tree(0.7)]))
     background = np.random.default_rng(0).normal(size=(10, 4))
     exp = tree_shap(model, np.zeros(4), background)
     assert np.all(exp.contributions == 0)
@@ -35,7 +35,7 @@ def test_single_leaf_tree_contributes_nothing():
 
 
 def test_depth_one_tree_touches_only_its_split_feature():
-    model = DecisionTreeModel(5, {}, 0, tree=stump(3, 0.0, 0.2, 0.9))
+    model = DecisionTreeModel(5, {}, 0, learn.Forest([stump(3, 0.0, 0.2, 0.9)]))
     rng = np.random.default_rng(1)
     background = rng.normal(size=(40, 5))
     exp = tree_shap(model, np.array([0.0, 0.0, 0.0, -1.0, 0.0]), background)
@@ -89,7 +89,7 @@ def test_additivity_on_every_instance(separable_rows):
 
 def test_dummy_feature_gets_zero_contribution():
     # feature 2 never splits anywhere
-    model = DecisionTreeModel(3, {}, 0, tree=stump(0, 0.0, 0.1, 0.8))
+    model = DecisionTreeModel(3, {}, 0, learn.Forest([stump(0, 0.0, 0.1, 0.8)]))
     background = np.random.default_rng(2).normal(size=(30, 3))
     for x in background[:5]:
         exp = tree_shap(model, x, background)
@@ -100,7 +100,7 @@ def test_symmetric_features_receive_equal_credit():
     # two stumps, one per feature, identical structure; symmetric input
     t1 = stump(0, 0.0, 0.0, 1.0)
     t2 = stump(1, 0.0, 0.0, 1.0)
-    model = RandomForestModel(2, {"n_trees": 2}, 0, trees=[t1, t2])
+    model = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest([t1, t2]))
     background = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
     exp = tree_shap(model, np.array([0.5, 0.5]), background)
     assert exp.contributions[0] == pytest.approx(exp.contributions[1], abs=1e-12)
@@ -117,7 +117,7 @@ def test_gbt_attribution_in_margin_space(separable_rows):
 
 
 def test_zero_cover_background_raises():
-    model = DecisionTreeModel(1, {}, 0, tree=stump(0, 0.0, 0.1, 0.9))
+    model = DecisionTreeModel(1, {}, 0, learn.Forest([stump(0, 0.0, 0.1, 0.9)]))
     background = np.full((5, 1), -1.0)  # nothing ever goes right
     with pytest.raises(ExplainError, match="background"):
         tree_shap(model, np.array([1.0]), background)
@@ -150,14 +150,14 @@ def test_linear_shap_with_standardization_stays_additive(blob_data):
 
 
 def test_global_importance_constant_model_is_all_zero():
-    model = DecisionTreeModel(3, {}, 0, tree=leaf_tree(0.4))
+    model = DecisionTreeModel(3, {}, 0, learn.Forest([leaf_tree(0.4)]))
     X = np.random.default_rng(3).normal(size=(20, 3))
     gi = global_importance(model, X, ["a", "b", "c"], X)
     assert all(v == 0.0 for _n, v in gi.ranking)
 
 
 def test_global_importance_ranks_the_split_feature_first():
-    model = DecisionTreeModel(3, {}, 0, tree=stump(1, 0.0, 0.1, 0.9))
+    model = DecisionTreeModel(3, {}, 0, learn.Forest([stump(1, 0.0, 0.1, 0.9)]))
     X = np.random.default_rng(4).normal(size=(30, 3))
     gi = global_importance(model, X, ["left", "singleLine", "right"], X)
     assert gi.ranking[0][0] == "singleLine"
@@ -168,7 +168,7 @@ def test_global_importance_ranks_the_split_feature_first():
 def test_interaction_zero_for_additive_model():
     t1 = stump(0, 0.0, 0.0, 1.0)
     t2 = stump(1, 0.0, 0.0, 1.0)
-    model = RandomForestModel(2, {"n_trees": 2}, 0, trees=[t1, t2])
+    model = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest([t1, t2]))
     background = np.random.default_rng(5).normal(size=(30, 2))
     value = interaction_pairs(model, np.array([0.3, -0.7]), 0, 1, background)
     assert value == pytest.approx(0.0, abs=1e-12)
@@ -192,7 +192,7 @@ def test_depth_two_tree_has_nonzero_interaction():
                 left=[1, 3, -1, -1, -1],
                 right=[2, 4, -1, -1, -1],
                 value=[0.0, 0.0, 0.2, 0.1, 0.9])
-    model = DecisionTreeModel(2, {}, 0, tree=tree)
+    model = DecisionTreeModel(2, {}, 0, learn.Forest([tree]))
     background = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     x = np.array([-0.5, 0.5])
     fast = interaction_pairs(model, x, 0, 1, background)
@@ -376,7 +376,7 @@ def test_interaction_feature_index_out_of_range_or_not_an_integer_is_refused(ind
 
 
 def test_uncovered_background_raises_after_a_cached_success():
-    model = DecisionTreeModel(1, {}, 0, tree=stump(0, 0.0, 0.1, 0.9))
+    model = DecisionTreeModel(1, {}, 0, learn.Forest([stump(0, 0.0, 0.1, 0.9)]))
     background = np.array([[-1.0], [1.0]])
     assert tree_shap(model, np.array([1.0]), background).additivity_gap() <= 1e-12
     with pytest.raises(ExplainError, match="uncovered"):
@@ -387,8 +387,8 @@ def test_uncovered_background_raises_after_a_cached_success():
 
 def test_two_models_never_share_a_table():
     background = np.random.default_rng(13).normal(size=(30, 2))
-    a = DecisionTreeModel(2, {}, 0, tree=stump(0, 0.0, 0.1, 0.9))
-    b = DecisionTreeModel(2, {}, 0, tree=stump(1, 0.0, 0.3, 0.6))
+    a = DecisionTreeModel(2, {}, 0, learn.Forest([stump(0, 0.0, 0.1, 0.9)]))
+    b = DecisionTreeModel(2, {}, 0, learn.Forest([stump(1, 0.0, 0.3, 0.6)]))
     x = np.array([0.5, -0.5])
     exp_a, exp_b = tree_shap(a, x, background), tree_shap(b, x, background)
     assert a.explain_cache is not b.explain_cache

@@ -63,6 +63,14 @@ def test_resolve_policy_matches_stats_fields():
         filtering.resolve_policy("fixed", s)
 
 
+@pytest.mark.parametrize("statistic, value", [("q1", "abc"), ("median", float("nan")), ("mean", float("inf")),
+                                              ("fixed", float("nan")), ("fixed", True)])
+def test_resolve_policy_refuses_a_threshold_that_is_not_a_finite_number(statistic, value):
+    s = filtering.SimilarityStats(*[value] * 6)
+    with pytest.raises(EvalError, match=f"{statistic} threshold must be a finite number"):
+        filtering.resolve_policy(statistic, s, value)
+
+
 def test_filter_recall_reporting_on_skewed_corpus():
     # 7 correct patches of which 4 score at or above the threshold, and
     # 1,461 incorrect of which 1,387 score below it.

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import os
+import pickle
 import signal
 import tempfile
 import tracemalloc
@@ -100,7 +101,7 @@ def test_trees_split_adjacent_floats(kind, lo, hi):
 
 def test_forest_averages_member_probabilities():
     leaf = lambda v: Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[v])
-    forest = RandomForestModel(2, {"n_trees": 2}, 0, trees=[leaf(0.2), leaf(0.6)])
+    forest = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest([leaf(0.2), leaf(0.6)]))
     assert forest.predict_proba(np.array([0.0, 0.0])) == pytest.approx(0.4)
 
 
@@ -373,7 +374,8 @@ def _assert_same_trees(kind, X, y, overrides, seed):
     assert model.training_report["nodes"] == sum(len(t.feature) for t in expected)
     if kind == "gbt":
         margin = model.margin_batch(X)
-        reference = learn.GradientBoostedTreesModel(X.shape[1], config, seed, model.base_margin, expected)
+        reference = learn.GradientBoostedTreesModel(X.shape[1], config, seed, model.base_margin,
+                                                     learn.Forest(expected))
         assert np.array_equal(margin, reference.margin_batch(X))
 
 
@@ -906,10 +908,7 @@ def test_random_forests_round_trip_through_files(forest, base, seed, bad_child):
     kind, p, trees = forest
     cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
     config = learn.resolved_config(cls.kind, {"n_trees": len(trees)} if kind == "rf" else None)
-    if kind == "gbt":
-        model = cls(p, config, 0, base, trees)
-    else:
-        model = cls(p, config, 0, trees[0] if kind == "dt" else trees)
+    model = cls(p, config, 0, *([base] if kind == "gbt" else []), learn.Forest(trees))
     rng = np.random.default_rng(seed)
     X = rng.normal(scale=1e6, size=(50, p))
     # Rows on split thresholds, which go left.
@@ -1036,14 +1035,17 @@ def test_candidates_merged_from_two_column_sets_pick_as_all_columns_do():
                 assert _pick(merged) == everything, (minima, sides)
 
 
-def test_packed_trees_arrive_whole_or_not_at_all():
+def test_a_worker_result_arrives_whole_or_not_at_all(monkeypatch):
     trees = [Tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, -0.0, 1.0]),
              Tree([-1], [0.0], [-1], [-1], [0.25])]
-    data = learn._packed(trees)
-    assert json.dumps([t.to_dict() for t in learn._unpacked(data, 2)]) == json.dumps([t.to_dict() for t in trees])
-    for cut in (0, 3, 8, 8 * 2, len(data) - 8, len(data) - 1):
-        with pytest.raises(worker.WorkerLost):
-            learn._unpacked(data[:cut], 2)
+    with worker.Worker(lambda peer: trees) as peer:
+        assert json.dumps([t.to_dict() for t in peer.result()]) == json.dumps([t.to_dict() for t in trees])
+    data = pickle.dumps(trees)
+    for cut in (0, 3, 8, 16, len(data) - 8, len(data) - 1):
+        # The parent reads what a worker that died after `cut` bytes wrote.
+        monkeypatch.setattr(pickle, "dumps", lambda _obj, cut=cut: data[:cut])
+        with worker.Worker(lambda peer: trees) as peer, pytest.raises(worker.WorkerLost):
+            peer.result()
 
 
 def _boosting_problem():
