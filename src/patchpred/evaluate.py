@@ -11,11 +11,12 @@ a trainer turns into a learn.Dataset once per fit and once per prediction.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import combine, learn
+from . import combine, learn, worker
 from .corpus import split_by_bug
 from .defaults import resolved_config
 from .errors import EvalError, TrainError
@@ -40,11 +41,18 @@ def _scored(probabilities, labels) -> tuple[np.ndarray, np.ndarray]:
     return probs, y
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # NaN included
+        raise EvalError(f"threshold {threshold} is not in [0, 1]")
+
+
 def confusion_metrics(probabilities, labels, threshold: float = 0.5) -> dict:
     """Threshold predictions and compute the confusion-based metric set.
 
     Division-by-zero cases return 0.0 and are listed in zero_division_flags.
+    EvalError unless the threshold is in [0, 1].
     """
+    _check_threshold(threshold)
     probs, y = _scored(probabilities, labels)
     pred = probs >= threshold
     tp = int(np.sum(pred & (y == 1)))
@@ -222,14 +230,51 @@ def _fold_metrics(probs, labels, threshold):
     return metrics, sorted(set(undefined))
 
 
+def _on_two_cpus(run, k: int, cells: int) -> list:
+    """run(range(k)), the list of what each fold gave, in fold order. From
+    worker.FOLD_CELLS rows x columns up, a worker.Worker runs folds
+    m .. 2m - 1 (m = k // 2) while this process runs folds 0 .. m - 1, each
+    pinned to its own half of the CPUs, so that no fit inside sees a second
+    CPU. This process runs an odd last fold on all of its CPUs again, and
+    the folds of a worker that died: a fold that raised there raises here."""
+    m = k // 2
+    if not worker.forks(cells, worker.FOLD_CELLS):
+        return run(range(k))
+    cpus = os.sched_getaffinity(0)
+    ordered = sorted(cpus)
+    mine, theirs = set(ordered[:len(ordered) // 2]), set(ordered[len(ordered) // 2:])
+
+    def work(_peer):
+        os.sched_setaffinity(0, theirs)
+        return run(range(m, 2 * m))
+
+    done = []
+    try:
+        with worker.Worker(work) as peer:
+            try:
+                os.sched_setaffinity(0, mine)
+                done += run(range(m))
+            finally:
+                os.sched_setaffinity(0, cpus)
+            done += peer.result()
+    except worker.WorkerLost:
+        pass
+    return done + run(range(len(done), k))
+
+
 def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) -> dict:
     """k-group bug-disjoint cross-validation with macro-averaged metrics.
 
     Returns a JSON-serializable report: per-fold metrics, macro and pooled
-    aggregates, the fold plan, and every out-of-fold prediction.
+    aggregates, the fold plan, and every out-of-fold prediction. Every fold
+    is split and checked before the first fit. `trainer.fit(rows, seed)`
+    returns a predictor, rows -> probabilities. A fit and its predictor may
+    run in a forked copy of this process (see _on_two_cpus), and their side
+    effects on Python objects stay there; the report is the same either way.
     """
     if k < 2:  # with one fold, the training split would be empty
         raise EvalError(f"k must be at least 2, got {k}")
+    _check_threshold(threshold)
     rows = list(rows)
     if not rows:
         raise EvalError("no rows for cross-validation")
@@ -237,7 +282,7 @@ def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) 
     if len(np.unique(labels)) < 2:
         raise EvalError("cross-validation requires both classes in the corpus")
     plan = split_by_bug([r.bug_id for r in rows], k, seed)
-    per_fold, predictions = [], []
+    folds = []
     for i, test_bugs in enumerate(plan):
         test_set = set(test_bugs)
         train_rows = [r for r in rows if r.bug_id not in test_set]
@@ -246,13 +291,25 @@ def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) 
             raise EvalError(
                 f"fold {i}: training split is single-class; reseed the split or merge groups"
             )
-        predictor = trainer.fit(train_rows, fold_seed(seed, i))
-        probs = np.asarray(predictor(test_rows), dtype=float)
-        fold_labels = [r.label for r in test_rows]
-        metrics, undefined = _fold_metrics(probs, fold_labels, threshold)
+        folds.append((train_rows, test_rows))
+
+    def run(fold_numbers):
+        out = []
+        for i in fold_numbers:
+            train_rows, test_rows = folds[i]
+            predictor = trainer.fit(train_rows, fold_seed(seed, i))
+            probs = np.asarray(predictor(test_rows), dtype=float)
+            out.append((probs, *_fold_metrics(probs, [r.label for r in test_rows], threshold)))
+        return out
+
+    width = sum(len(vec) for vec in (getattr(rows[0], side, None) for side in ("features", "learned", "engineered"))
+                if vec is not None)
+    per_fold, predictions = [], []
+    for i, (probs, metrics, undefined) in enumerate(_on_two_cpus(run, k, len(rows) * width)):
+        test_rows = folds[i][1]
         per_fold.append({
             "fold": i,
-            "test_bugs": list(test_bugs),
+            "test_bugs": list(plan[i]),
             "n_test": len(test_rows),
             "metrics": metrics,
             "undefined": undefined,
@@ -349,8 +406,7 @@ def read_predictions(path, labels: dict | None = None) -> list[dict]:
 
 def compare_predictions(preds_a, preds_b, threshold: float = 0.5) -> dict:
     """Set-overlap counts of correctly identified patches between two runs."""
-    if not 0.0 <= threshold <= 1.0:
-        raise EvalError(f"threshold {threshold} is not in [0, 1]")
+    _check_threshold(threshold)
     by_id_a = {p["patch_id"]: p for p in preds_a}
     by_id_b = {p["patch_id"]: p for p in preds_b}
     if {pid: p["label"] for pid, p in by_id_a.items()} != {pid: p["label"] for pid, p in by_id_b.items()}:

@@ -1,8 +1,11 @@
-"""A forked worker process, for tree fits that split their work over two CPUs.
+"""A forked worker process, for work split over two CPUs.
 
 A boosting fit runs its rounds in lockstep with a worker, each process
 searching half of every node's columns, and a random forest leaves half of
 its trees to a worker (see learn.py). Both give the trees a fit alone gives.
+A cross-validation leaves half of its folds to a worker, each process pinned
+to its own half of the CPUs, so that the fits inside run serially (see
+evaluate.py); the report is the one a run on one CPU gives.
 """
 
 from __future__ import annotations
@@ -27,10 +30,18 @@ import numpy as np
 # 38; 100 trees on 1,600 x 202, 1,538 and 1,021.
 BOOST_CELLS = 80_000  # rows x columns of a boosting fit
 FOREST_ROW_TREES = 4_000  # rows x trees of a forest fit
+# A cross-validation forks for its folds from FOLD_CELLS up (10 folds, default
+# configs, normal random rows; medians of 7 alternating runs, in ms alone and
+# with a worker): boosting at 20 x 20, 277 and 191; 40 x 72, 834 and 594; a
+# forest at 20 x 20, 196 and 180; logistic regression at 40 x 72, 197 and 161;
+# a decision tree at 40 x 72, 17 and 21; 200 x 130, 135 and 76; naive Bayes
+# at 20 x 20, 6 and 13; 200 x 130, 9 and 14; 1,000 x 130, 40 and 37. The
+# fork costs a few ms, which only the cheapest learners do not win back.
+FOLD_CELLS = 2_000  # rows x columns of a cross-validation
 
 
 def forks(size: int, least: int) -> bool:
-    """Whether a fit of this size runs half its work in a Worker: from
+    """Whether work of this size runs half of itself in a Worker: from
     `least` up, on Linux x86-64 (fork, and stores that other CPUs see in
     program order, which Worker.exchange relies on), with at least two CPUs
     this process may run on."""

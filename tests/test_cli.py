@@ -353,6 +353,11 @@ def test_subcommand_options_and_choices():
                   "--out", "TMP/x.csv"], id="model-feature-out-of-range"),
     pytest.param(["train-embedder", "--corpus", "CORPUS", "--lr", "1e10", "--epochs", "20", "--out", "TMP/e.json"],
                  id="embedder-diverges"),
+    *[pytest.param([*command, "--threshold", value, "--out", "TMP/r.json"], id=f"{command[0]}-threshold-{value}")
+      for command in (["crossval", "--features", "LEARNED"],
+                      ["combine", "--strategy", "concat", "--learned-features", "LEARNED",
+                       "--engineered-features", "ENGINEERED"])
+      for value in ("nan", "-0.1", "1.5")],
 ])
 def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"k": 3,')
@@ -364,7 +369,8 @@ def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, 
     (tmp_path / "hyper_not_object.json").write_text('{"hyperparameters": 5}')
     (tmp_path / "hyper_entry_not_object.json").write_text('{"hyperparameters": {"GradientBoostedTrees": 3}}')
     _write_broken_models(tree_model, tmp_path)
-    fill = {"LEARNED": pipeline["learned"], "MODEL": tree_model, "CORPUS": pipeline["corpus"],
+    fill = {"LEARNED": pipeline["learned"], "ENGINEERED": pipeline["engineered"], "MODEL": tree_model,
+            "CORPUS": pipeline["corpus"],
             "EMBEDDINGS": pipeline["embeddings"], "TMP": tmp_path}
     for key, value in fill.items():
         argv = [a.replace(key, str(value)) for a in argv]
@@ -373,6 +379,8 @@ def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, 
     assert "error[" in err
     if "--lr" in argv:  # a diverging embedder, not a RuntimeWarning
         assert "error[embed]" in err
+    if "--threshold" in argv:
+        assert "error[eval]" in err and "is not in [0, 1]" in err
 
 
 def _write_broken_models(tree_model, tmp_path):

@@ -1,7 +1,15 @@
+import dataclasses
+import json
+import mmap
+import os
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from patchpred import evaluate
+from patchpred import evaluate, worker
+from patchpred.corpus import split_by_bug
 from patchpred.errors import EvalError, TrainError
 from patchpred.evaluate import (FusionTrainer, JointRow, SingleSetTrainer, auc, compare_predictions,
                                 confusion_metrics, crossval)
@@ -45,6 +53,12 @@ def test_zero_division_flags():
     m = confusion_metrics([0.1, 0.2], [1, 1])
     assert m["precision"] == 0.0
     assert "precision" in m["zero_division_flags"]
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, float("inf")])
+def test_confusion_metrics_refuse_a_threshold_outside_the_unit_interval(threshold):
+    with pytest.raises(EvalError, match="is not in"):
+        confusion_metrics([0.2, 0.8], [0, 1], threshold)
 
 
 def test_auc_perfect_ordering():
@@ -147,6 +161,24 @@ class _NeverFit:
 def test_crossval_refuses_fewer_than_two_folds_before_any_fit(k):
     with pytest.raises(EvalError, match="k must be at least 2"):
         crossval(deterministic_rows(), _NeverFit(), k=k, seed=0)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5])
+def test_crossval_refuses_a_threshold_outside_the_unit_interval_before_any_fit(threshold):
+    with pytest.raises(EvalError, match="is not in"):
+        crossval(deterministic_rows(), _NeverFit(), k=4, seed=0, threshold=threshold)
+
+
+def test_crossval_refuses_a_single_class_training_split_before_any_fit():
+    # bugC holds the only incorrect patch, so the fold that tests it trains
+    # on correct patches alone; the seed makes that fold the last one.
+    rows = [JointRow("p1", "bugA", 1, learned=np.zeros(1)),
+            JointRow("p2", "bugB", 1, learned=np.zeros(1)),
+            JointRow("p3", "bugC", 0, learned=np.zeros(1)),
+            JointRow("p4", "bugD", 1, learned=np.zeros(1))]
+    seed = next(s for s in range(100) if split_by_bug([r.bug_id for r in rows], 4, s)[-1] == ["bugC"])
+    with pytest.raises(EvalError, match="fold 3: training split is single-class; reseed the split or merge groups"):
+        crossval(rows, _NeverFit(), k=4, seed=seed)
 
 
 def test_crossval_with_one_bug_per_fold():
@@ -304,3 +336,176 @@ def test_tied_ranks_equal_the_loop_on_heavy_ties(seed):
 def test_scores_check_their_inputs(score, probs, labels, message):
     with pytest.raises(EvalError, match=message):
         score(probs, labels)
+
+
+# --- folds on two CPUs -------------------------------------------------------------
+# With worker.FOLD_CELLS at 0 every crossval forks a fold worker where it can
+# (Linux x86-64, two usable CPUs). Each test compares the report, or the
+# error, with a run pinned to one CPU, where nothing forks, and checks that
+# no child process is left and the CPU set is as it was.
+
+needs_two_cpus = pytest.mark.skipif(not worker.forks(1, 0), reason="fold workers need Linux x86-64 and two CPUs")
+
+
+@contextmanager
+def _pinned(cpus):
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+@contextmanager
+def _fold_workers():
+    before, cells = os.sched_getaffinity(0), worker.FOLD_CELLS
+    worker.FOLD_CELLS = 0
+    try:
+        yield
+    finally:
+        worker.FOLD_CELLS = cells
+        assert os.sched_getaffinity(0) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _one_cpu():
+    return _pinned({min(os.sched_getaffinity(0))})
+
+
+def _two_cpus():
+    return _pinned(set(sorted(os.sched_getaffinity(0))[:2]))
+
+
+def _joint_rows(n_bugs=12, per_bug=4):
+    rng = np.random.default_rng(8)
+    rows = []
+    for b in range(n_bugs):
+        for p in range(per_bug):
+            x = rng.normal(size=7)
+            label = int((x[0] > 0) ^ (x[4] > 0))
+            rows.append(JointRow(f"p{b}-{p}", f"bug{b}", label, learned=x[:4], engineered=x[4:]))
+    return rows
+
+
+TRAINERS = {
+    "nb": lambda: SingleSetTrainer("learned", "nb"),
+    "gbt": lambda: SingleSetTrainer("concat", "gbt", {"rounds": 8}),
+    "rf": lambda: SingleSetTrainer("engineered", "rf", {"n_trees": 6}),
+    "ensemble": lambda: evaluate.EnsembleTrainer("gbt", {"rounds": 4}, {"rounds": 5}),
+    "fusion": lambda: FusionTrainer({"epochs": 3}),
+}
+
+
+def _report(trainer, k):
+    return json.dumps(crossval(_joint_rows(), trainer, k=k, seed=4), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(TRAINERS))
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def test_folds_run_with_a_worker_give_the_one_cpu_report(name, k):
+    with _one_cpu():
+        alone = _report(TRAINERS[name](), k)
+    with _fold_workers():
+        assert _report(TRAINERS[name](), k) == alone
+
+
+class _Recording:
+    """Delegates to a trainer and records, in an anonymous shared mapping
+    that both processes see, how many CPUs each fold's fit could use and how
+    many processes it forked."""
+
+    def __init__(self, inner, k, seed, forked):
+        self.inner, self.forked = inner, forked
+        self.fold = {evaluate.fold_seed(seed, i): i for i in range(k)}
+        self.seen = np.frombuffer(mmap.mmap(-1, 16 * k), dtype=np.int64).reshape(k, 2)
+
+    def describe(self):
+        return self.inner.describe()
+
+    def fit(self, rows, seed):
+        forks = len(self.forked)
+        cpus = len(os.sched_getaffinity(0))
+        predictor = self.inner.fit(rows, seed)
+        self.seen[self.fold[seed]] = cpus, len(self.forked) - forks
+        return predictor
+
+
+@needs_two_cpus
+def test_paired_folds_fit_on_one_cpu_and_an_odd_last_fold_on_both(monkeypatch):
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(os.getpid()) or fork())
+    monkeypatch.setattr(worker, "BOOST_CELLS", 0)
+    trainer = _Recording(TRAINERS["gbt"](), 5, 4, forked)
+    with _two_cpus(), _fold_workers():
+        crossval(_joint_rows(), trainer, k=5, seed=4)
+    # Folds 0, 1 here and 2, 3 in the worker on one CPU each, fold 4 here
+    # on both with a boosting worker; this process forked twice.
+    assert trainer.seen.tolist() == [[1, 0], [1, 0], [1, 0], [1, 0], [2, 1]]
+    assert len(forked) == 2
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("k", [2, 5])
+def test_a_fold_worker_that_dies_gives_the_same_report(k, monkeypatch):
+    trainer = TRAINERS["gbt"]()
+    with _one_cpu():
+        alone = _report(trainer, k)
+    parent, fit = os.getpid(), trainer.fit
+
+    def dies_in_the_worker(rows, seed):
+        if os.getpid() != parent and seed == evaluate.fold_seed(4, k // 2):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit(rows, seed)
+
+    monkeypatch.setattr(trainer, "fit", dies_in_the_worker)
+    with _fold_workers():
+        assert _report(trainer, k) == alone
+
+
+class _FailsOnFolds:
+    """A naive Bayes trainer that, on the given folds, fits on rows whose
+    first one has lost its learned vector."""
+
+    def __init__(self, folds):
+        self.inner, self.seeds = SingleSetTrainer("learned", "nb"), {evaluate.fold_seed(4, i) for i in folds}
+
+    def describe(self):
+        return self.inner.describe()
+
+    def fit(self, rows, seed):
+        if seed in self.seeds:
+            rows = [dataclasses.replace(rows[0], learned=None), *rows[1:]]
+        return self.inner.fit(rows, seed)
+
+
+def _error(trainer, k):
+    with pytest.raises(EvalError) as caught:
+        crossval(_joint_rows(), trainer, k=k, seed=4)
+    return type(caught.value), str(caught.value)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("folds", [[2], [3], [2, 3], [4], [0, 3]])
+def test_an_error_in_a_worker_fold_is_the_serial_error(folds):
+    with _one_cpu():
+        alone = _error(_FailsOnFolds(folds), 5)
+    assert "is missing its learned feature vector" in alone[1]
+    with _fold_workers():
+        assert _error(_FailsOnFolds(folds), 5) == alone
+
+
+@needs_two_cpus
+def test_an_interrupt_in_a_parent_fold_restores_the_cpus_and_reaps_the_worker(monkeypatch):
+    trainer = TRAINERS["nb"]()
+    parent, fit = os.getpid(), trainer.fit
+
+    def interrupted(rows, seed):
+        if os.getpid() == parent and seed == evaluate.fold_seed(4, 1):
+            raise KeyboardInterrupt
+        return fit(rows, seed)
+
+    monkeypatch.setattr(trainer, "fit", interrupted)
+    with _fold_workers(), pytest.raises(KeyboardInterrupt):
+        crossval(_joint_rows(), trainer, k=4, seed=4)
