@@ -334,6 +334,8 @@ def cmd_combine(args, cfg):
 
 
 def cmd_explain(args, cfg):
+    if args.background_cap < 1:
+        raise ExplainError(f"--background-cap must be at least 1, got {args.background_cap}")
     model = learn.load(args.model)
     names, rows = featureio.read_features(args.features)
     if args.interaction:

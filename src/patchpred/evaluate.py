@@ -234,18 +234,23 @@ def _on_two_cpus(run, k: int, cells: int) -> list:
     """run(range(k)), the list of what each fold gave, in fold order. From
     worker.FOLD_CELLS rows x columns up, a worker.Worker runs folds
     m .. 2m - 1 (m = k // 2) while this process runs folds 0 .. m - 1, each
-    pinned to its own half of the CPUs, so that no fit inside sees a second
-    CPU. This process runs an odd last fold on all of its CPUs again, and
-    the folds of a worker that died: a fold that raised there raises here."""
+    pinned to its own half of the CPUs with BLAS on one thread, so that no
+    fit inside sees a second CPU: a BLAS thread pool restarted after the
+    fork would start inside the pin and wait on its one CPU. This process
+    then restores its CPU set and thread count, and runs an odd last fold
+    on all of its CPUs, and the folds of a worker that died: a fold that
+    raised there raises here. Where worker.blas_threads finds no OpenBLAS
+    to cap, every fold runs here, as on one CPU."""
     m = k // 2
-    if not worker.forks(cells, worker.FOLD_CELLS):
+    if not worker.forks(cells, worker.FOLD_CELLS) or (blas := worker.blas_threads()) is None:
         return run(range(k))
-    cpus = os.sched_getaffinity(0)
-    ordered = sorted(cpus)
+    (get_threads, set_threads), cpus = blas, os.sched_getaffinity(0)
+    ordered, threads = sorted(cpus), get_threads()
     mine, theirs = set(ordered[:len(ordered) // 2]), set(ordered[len(ordered) // 2:])
 
     def work(_peer):
         os.sched_setaffinity(0, theirs)
+        set_threads(1)
         return run(range(m, 2 * m))
 
     done = []
@@ -253,9 +258,11 @@ def _on_two_cpus(run, k: int, cells: int) -> list:
         with worker.Worker(work) as peer:
             try:
                 os.sched_setaffinity(0, mine)
+                set_threads(1)
                 done += run(range(m))
             finally:
                 os.sched_setaffinity(0, cpus)
+                set_threads(threads)
             done += peer.result()
     except worker.WorkerLost:
         pass

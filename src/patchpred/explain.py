@@ -3,12 +3,12 @@
 Tree ensembles get exact TreeSHAP, with feature subsets marginalized by
 node cover counts computed from a background dataset. Attributions and
 pairwise interactions both come from one table of root-to-leaf paths,
-evaluated for many rows at once. Logistic regression gets the closed-form
-linear attribution. Boosted trees are attributed in margin (log-odds)
-space; forests and single trees in probability space. Covers and outputs
-come from one walk of the model's packed forest. The tests check the
-table against the per-node TreeSHAP recursion and brute-force subset
-enumeration, kept in tests/shap_reference.py.
+read level by level from the model's packed forest arrays and evaluated
+for many rows at once; covers and outputs come from one walk of the same
+forest. Logistic regression gets the closed-form linear attribution.
+Boosted trees are attributed in margin (log-odds) space; forests and
+single trees in probability space. The tests check the table against the
+per-node TreeSHAP recursion and brute force, in tests/shap_reference.py.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import crossing
 from .errors import ExplainError
-from .learn import Forest, LogisticRegressionModel, Tree, TreeModel
+from .learn import LogisticRegressionModel, TreeModel
 
 
 @dataclass
@@ -40,17 +40,6 @@ class ShapExplanation:
 class GlobalImportance:
     ranking: list[tuple[str, float]]  # descending mean |contribution|
     space: str
-
-
-def _cover_counts(forest: Forest, background: np.ndarray) -> np.ndarray:
-    """How many background rows reach each node of the forest."""
-    covers = forest.covers(background)
-    if np.any(covers == 0):
-        raise ExplainError(
-            "background set leaves some tree nodes uncovered; use a larger background "
-            "(the training feature matrix covers every node by construction)"
-        )
-    return covers
 
 
 # --- path table ----------------------------------------------------------------
@@ -76,10 +65,7 @@ _BLOCK_BYTES = 1 << 18
 @dataclass
 class _PathGroup:
     """Every root-to-leaf path with D distinct split features, P of them.
-
-    Row x follows path p on its j-th feature iff
-    lo[j, p] < x[feature[j, p]] <= hi[j, p].
-    """
+    Row x follows path p on its j-th feature iff lo[j, p] < x[feature[j, p]] <= hi[j, p]."""
 
     feature: np.ndarray  # (D, P) feature indices
     lo: np.ndarray  # (D, P)
@@ -88,13 +74,6 @@ class _PathGroup:
     value: np.ndarray  # (P,) leaf value times the tree's scale
     nodes: np.ndarray  # (ceil(D/2),) Gauss-Legendre nodes on [0, 1]
     weights: np.ndarray  # their weights, summing to 1
-
-
-@dataclass
-class _PathTable:
-    groups: list[_PathGroup]
-    base: float
-    space: str
 
 
 def _valid_inputs(model, x, background, ndim: int = 1):
@@ -120,56 +99,64 @@ def _valid_inputs(model, x, background, ndim: int = 1):
     return checked
 
 
-def _tree_paths(tree: Tree, covers: np.ndarray):
-    """(elements, leaf value) for each root-to-leaf path. elements maps each
-    feature split on the path, in order of its first split, to
-    (lo, hi, zero fraction)."""
-    stack = [(0, {})]
-    while stack:
-        node, elements = stack.pop()
-        f = tree.feature[node]
-        if f < 0:
-            yield elements, tree.value[node]
-            continue
-        lo, hi, zero = elements.get(f, (-math.inf, math.inf, 1.0))
-        threshold, cover = tree.threshold[node], covers[node]
-        for child, bounds in ((tree.right[node], (max(lo, threshold), hi)),
-                              (tree.left[node], (lo, min(hi, threshold)))):
-            branch = dict(elements)
-            branch[f] = bounds + (zero * covers[child] / cover,)
-            stack.append((child, branch))
-
-
-def _path_table(model: TreeModel, background: np.ndarray) -> _PathTable:
-    """The path table of a tree model over a checked background. Trees
-    become paths, then arrays, one at a time: one tree's objects live at once."""
-    forest, scale, base = model.forest, model.scale, model.intercept
-    covers = _cover_counts(forest, background)
-    by_depth: dict[int, list] = {}  # D -> per tree (features, (lo, hi, zero), values)
-    for t in range(len(forest)):
-        tree, tree_covers = forest.tree(t), covers[forest.offsets[t]:forest.offsets[t + 1]]
-        # The tree's mean over the background: its leaves added in preorder.
-        leaves = [c * v for f, c, v in zip(tree.feature, tree_covers, tree.value) if f < 0]
-        base += scale * (np.cumsum(leaves)[-1] / tree_covers[0])
-        paths: dict[int, list] = {}
-        for elements, value in _tree_paths(tree, tree_covers):
-            if elements:  # a lone leaf attributes nothing
-                paths.setdefault(len(elements), []).append((elements, scale * value))
-        for depth, group in paths.items():
-            by_depth.setdefault(depth, []).append((
-                np.array([list(e) for e, _v in group], dtype=np.intp).T,
-                np.array([list(e.values()) for e, _v in group]).transpose(2, 1, 0),
-                np.array([v for _e, v in group])))
+def _path_table(model: TreeModel, background: np.ndarray) -> tuple[list[_PathGroup], float]:
+    """The path groups and base value of a tree model over a checked
+    background, from the packed forest a level at a time. A route from a
+    root holds a slot (feature, lo, hi, zero fraction) per feature split on
+    it, in order of first split, and a child's is its parent's with one slot
+    updated or appended. Paths, the routes that reach a leaf, keep the order
+    of a left-first walk of each tree in turn: `rank` counts those before."""
+    forest, scale, leaf, value = model.forest, model.scale, model.forest.feature < 0, model.forest.value
+    covers = forest.covers(background)
+    if np.any(covers == 0):
+        raise ExplainError("background set leaves some tree nodes uncovered; use a larger background "
+                           "(the training feature matrix covers every node by construction)")
+    # Each tree's mean over the background: its leaves' cover times value added in node
+    # order (-0.0 pads, adding nothing), over its root's cover.
+    leaves = np.flatnonzero(leaf)
+    tree = np.searchsorted(forest.offsets, leaves, side="right") - 1
+    terms = np.full((len(forest), np.bincount(tree, minlength=len(forest)).max(initial=1)), -0.0)
+    terms[tree, np.arange(len(leaves)) - np.searchsorted(tree, tree)] = covers[leaves] * value[leaves]
+    means = np.cumsum(terms, axis=1)[:, -1] / covers[forest.offsets[:-1]]
+    base = np.cumsum(np.append(model.intercept, scale * means))[-1]
+    below = leaf.astype(np.intp)  # paths below each node
+    for nodes in reversed(forest.levels):
+        below[nodes] = below[forest.left[nodes]] + below[forest.right[nodes]]
+    node = forest.offsets[:-1]
+    rank = np.cumsum(below[node]) - below[node]
+    # feature, lo, hi, zero: a route has at most one slot per split level.
+    slots = [np.full((len(node), len(forest.levels)), v) for v in (-1, -math.inf, math.inf, 1.0)]
+    ends = []  # per level, (rank, *slots, leaf value) of the routes that reach a leaf there
+    while True:
+        at = leaf[node]
+        ends.append(tuple(a[at] for a in (rank, *slots, value[node])))
+        node, rank, *slots = (a[~at] for a in (node, rank, *slots))
+        if not len(node):
+            break
+        f, thr, children = forest.feature[node], forest.threshold[node], (forest.left[node], forest.right[node])
+        # The slot of f, else the first free one: slots fill from the left.
+        i = ((slots[0] == f[:, None]) | (slots[0] < 0)).argmax(axis=1)
+        lo, hi, zero = (a[np.arange(len(node)), i] for a in slots[1:])
+        # Left children, then right; Python's min(hi, thr) and max(lo, thr).
+        updated = (np.tile(f, 2), np.concatenate([lo, np.where(thr > lo, thr, lo)]),
+                   np.concatenate([np.where(thr < hi, thr, hi), hi]),
+                   np.tile(zero, 2) * covers[np.concatenate(children)] / np.tile(covers[node], 2))
+        slots = [np.tile(a, (2, 1)) for a in slots]
+        for a, b in zip(slots, updated):
+            a[np.arange(2 * len(node)), np.tile(i, 2)] = b
+        node, rank = np.concatenate(children), np.append(rank, rank + below[children[0]])
+    rank, *slots, values = map(np.concatenate, zip(*ends))
+    order, count = np.argsort(rank), np.count_nonzero(slots[0] >= 0, axis=1)
     groups = []
-    for depth in sorted(by_depth):
-        feature, bounds, value = (np.ascontiguousarray(np.concatenate(arrays, axis=-1))
-                                  for arrays in zip(*by_depth.pop(depth)))
+    for depth in np.unique(count[count > 0]).tolist():  # a lone leaf attributes nothing
+        at = order[count[order] == depth]
         nodes, weights = np.polynomial.legendre.leggauss((depth + 1) // 2)
-        groups.append(_PathGroup(feature, *bounds, value, (nodes + 1.0) / 2.0, weights / 2.0))
-    return _PathTable(groups, float(base), model.space)
+        groups.append(_PathGroup(*(np.ascontiguousarray(a[at, :depth].T) for a in slots), scale * values[at],
+                                 (nodes + 1.0) / 2.0, weights / 2.0))
+    return groups, float(base)
 
 
-def _cached_table(model, background: np.ndarray) -> _PathTable:
+def _cached_table(model, background: np.ndarray) -> tuple[list[_PathGroup], float]:
     """The model's path table, rebuilt unless model.explain_cache (not
     persisted) holds one of the same forest object, scale, intercept and
     background, whose shape and values a SHA-256 digest stands in for: a
@@ -214,15 +201,15 @@ def _add_group_phi(group: _PathGroup, X: np.ndarray, phi: np.ndarray) -> None:
         phi_row += np.bincount(feature, contributions, len(phi_row))
 
 
-def _explain_table(model, table: _PathTable, X: np.ndarray, patch_ids) -> list[ShapExplanation]:
-    phi = np.zeros(X.shape)
-    for group in table.groups:
+def _explain_table(model, table, X: np.ndarray, patch_ids) -> list[ShapExplanation]:
+    (groups, base), phi = table, np.zeros(X.shape)
+    for group in groups:
         step = max(1, _BLOCK_BYTES // (8 * group.feature.size))
         for start in range(0, len(X), step):
             _add_group_phi(group, X[start:start + step], phi[start:start + step])
     # Each row's explained output, the same bits as alone.
-    outputs = model.margin_batch(X) if table.space == "margin" else model.predict_proba_batch(X)
-    return [ShapExplanation(pid, table.base, contributions, output, table.space)
+    outputs = model.margin_batch(X) if model.space == "margin" else model.predict_proba_batch(X)
+    return [ShapExplanation(pid, base, contributions, output, model.space)
             for pid, contributions, output in zip(patch_ids, phi, outputs.tolist())]
 
 
@@ -269,15 +256,15 @@ def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
 
 def rank_importance(explanations, names) -> GlobalImportance:
     """Mean absolute contribution per feature over explanations, ranked."""
-    names = list(names)
+    names, explanations = list(names), list(explanations)
+    if not explanations:
+        raise ExplainError("no explanations to rank")
     total = np.zeros(len(names))
-    space = "margin"
     for exp in explanations:
         total += np.abs(exp.contributions)
-        space = exp.space
     mean_abs = total / len(explanations)
     order = sorted(range(len(names)), key=lambda i: (-mean_abs[i], names[i]))
-    return GlobalImportance([(names[i], float(mean_abs[i])) for i in order], space)
+    return GlobalImportance([(names[i], float(mean_abs[i])) for i in order], explanations[-1].space)
 
 
 def block_totals(importance: GlobalImportance) -> dict:
@@ -316,7 +303,7 @@ def interaction_pairs(model, x, feature_a: int, feature_b: int, background) -> f
         raise ExplainError("interaction requires two distinct features")
     x, background = _valid_inputs(model, x, background)
     total = 0.0
-    for group in _cached_table(model, background).groups:
+    for group in _cached_table(model, background)[0]:
         pair = (group.feature == feature_a) | (group.feature == feature_b)
         both = np.count_nonzero(pair, axis=0) == 2
         if not both.any():

@@ -115,11 +115,12 @@ def _sigmoid(z):
 # ---------------------------------------------------------------------------
 
 _TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+_FIELD_TYPES = (np.intp, float, np.intp, np.intp, float)
 
 
 @dataclass
 class Tree:
-    """Flat lists in preorder; feature == -1 marks a leaf, whose children are -1."""
+    """A tree as v1 files save it: flat lists, root first; a leaf's feature and children are -1."""
     feature: list[int]
     threshold: list[float]
     left: list[int]
@@ -135,18 +136,19 @@ _WALK_CELLS = 1 << 16
 
 
 class Forest:
-    """Tree records packed into one set of node arrays: tree t is nodes
+    """Trees packed into one set of node arrays: tree t is nodes
     offsets[t]:offsets[t + 1], root first. Children are forest indices and
     a leaf's children are itself, so one gather per level moves every
     (row, tree) pair down a level, for len(levels) levels (the split nodes
-    of each depth). Not modified after it is made."""
+    of each depth). The one tree representation: growers (_Nodes) and load
+    fill it, prediction and TreeSHAP read it. Not modified after it is made."""
 
-    def __init__(self, trees):
-        sizes = [len(t.feature) for t in trees]
-        self.offsets = np.cumsum([0] + sizes, dtype=np.intp)
+    def __init__(self, sizes, feature, threshold, left, right, value):
+        """Trees of `sizes` nodes: fields over all nodes, tree after tree,
+        children numbered within their tree; a leaf's are not read."""
+        self.offsets = np.cumsum(np.append(0, sizes), dtype=np.intp)
         self.feature, self.threshold, left, right, self.value = (
-            np.array([v for t in trees for v in getattr(t, field)], dtype=dtype)
-            for field, dtype in zip(_TREE_FIELDS, (np.intp, float, np.intp, np.intp, float)))
+            np.asarray(a, dtype=dtype) for a, dtype in zip((feature, threshold, left, right, value), _FIELD_TYPES))
         itself, first = np.arange(len(self.feature)), np.repeat(self.offsets[:-1], sizes)
         self.left, self.right = (np.where(self.feature < 0, itself, side + first) for side in (left, right))
         # Unique nodes: a saved file may give two splits one child.
@@ -162,26 +164,28 @@ class Forest:
         features and children integers, its thresholds and values finite
         numbers, and each split's feature below feature_count and its
         children after it in its tree."""
-        trees = [Tree(*(d[field] for field in _TREE_FIELDS)) for d in dicts]
-        for t, tree in enumerate(trees):
-            arrays = vars(tree).values()
-            if not (tree.feature and all(isinstance(a, list) for a in arrays) and len(set(map(len, arrays))) == 1):
+        sizes, fields = [], tuple([] for _field in _TREE_FIELDS)
+        for t, tree in enumerate([[d[field] for field in _TREE_FIELDS] for d in dicts]):
+            feature, threshold, left, right, value = tree
+            if not (feature and all(isinstance(a, list) for a in tree) and len(set(map(len, tree))) == 1):
                 raise ValueError(f"tree {t} arrays must be non-empty lists of one length")
-            if not all(type(v) is int for v in tree.feature + tree.left + tree.right):
+            if not all(type(v) is int for v in feature + left + right):
                 raise ValueError(f"tree {t} features and children must be integers")
-            if not all(type(v) in (int, float) and math.isfinite(v) for v in tree.threshold + tree.value):
+            if not all(type(v) in (int, float) and math.isfinite(v) for v in threshold + value):
                 raise ValueError(f"tree {t} thresholds and values must be finite numbers")
-            n = len(tree.feature)
-            for node, (f, l, r) in enumerate(zip(tree.feature, tree.left, tree.right)):
+            n = len(feature)
+            for node, (f, l, r) in enumerate(zip(feature, left, right)):
                 if not -1 <= f < feature_count:
                     raise ValueError(f"tree {t} node {node} splits on feature {f}; the model has {feature_count}")
                 if f >= 0 and not (node < l < n and node < r < n):
                     raise ValueError(f"tree {t} node {node} has children {l} and {r}; "
                                      f"they must lie in ({node}, {n})")
             # A leaf's children are never read, whatever integers they are.
-            tree.left, tree.right = ([c if f >= 0 else -1 for f, c in zip(tree.feature, side)]
-                                     for side in (tree.left, tree.right))
-        return cls(trees)
+            tree[2:4] = ([c if f >= 0 else -1 for f, c in zip(feature, side)] for side in (left, right))
+            sizes.append(n)
+            for field, values in zip(fields, tree):
+                field.extend(values)
+        return cls(sizes, *fields)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -194,14 +198,6 @@ class Forest:
         fields = [a.tolist() for a in (self.feature, self.threshold, left, right, self.value)]
         bounds = self.offsets.tolist()
         return tuple(Tree(*(field[a:b] for field in fields)) for a, b in zip(bounds, bounds[1:]))
-
-    def tree(self, t: int) -> Tree:
-        nodes = slice(self.offsets[t], self.offsets[t + 1])
-        leaf = self.feature[nodes] < 0
-        left, right = (np.where(leaf, -1, side[nodes] - nodes.start).tolist()
-                       for side in (self.left, self.right))
-        return Tree(self.feature[nodes].tolist(), self.threshold[nodes].tolist(), left, right,
-                    self.value[nodes].tolist())
 
     def _leaves(self, X):
         """(rows, their leaf in every tree) for blocks of X's rows, which
@@ -421,6 +417,37 @@ def _prefix_sums(per_row, rows, buf):
     return np.cumsum(out, axis=1, out=out).ravel()
 
 
+class _Nodes:
+    """Growing trees: a list per field (_TREE_FIELDS) and of each node's tree, children as list
+    indices (-1 until set). Each tree's nodes come in preorder; several trees' may interleave."""
+
+    def __init__(self):
+        self.tree, self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], [], []
+
+    def add(self, tree: int, value: float, parent: int, is_left: bool) -> int:
+        """A leaf in tree `tree`, the child of `parent` unless -1; its index."""
+        node = len(self.tree)
+        self.tree.append(tree)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(value)
+        if parent >= 0:
+            (self.left if is_left else self.right)[parent] = node
+        return node
+
+    def packed(self) -> tuple:
+        """Forest's arguments, as arrays: trees in the order of their numbers."""
+        order = np.argsort(self.tree, kind="stable")
+        sizes = np.bincount(self.tree)
+        number = np.empty_like(order)  # each node's number in its tree
+        number[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        fields = [np.array(getattr(self, name), dtype)[order] for name, dtype in zip(_TREE_FIELDS, _FIELD_TYPES)]
+        fields[2:4] = number[fields[2]], number[fields[3]]  # a leaf's -1 turns into a number Forest never reads
+        return sizes, *fields
+
+
 # --- one tree at a time: presorted keys and partitions ------------------------
 
 class _Scratch:
@@ -551,10 +578,10 @@ class _Scratch:
         return (child, off, cols), (child, split, cols)
 
 
-def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
-              criterion="gini", *, scratch: _Scratch | None = None, leaf_values=None) -> Tree:
-    """Grow one CART tree depth-first on every column, one node at a time;
-    nodes are numbered in preorder.
+def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf, criterion="gini", *,
+              nodes: _Nodes | None = None, scratch: _Scratch | None = None, leaf_values=None) -> _Nodes:
+    """Grow one CART tree depth-first on every column, one node at a time,
+    into `nodes` (new if None) as its next tree; returns the nodes.
 
     Every node is searched from the scratch's presorted rank keys
     (_Scratch.search), which children receive by index-gather partitions; a
@@ -578,17 +605,16 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
         t = targets[idx]
         return not np.all(t == t[0])
 
-    nodes = []  # [feature, threshold, left, right, value] per node, as in Tree
+    nodes = _Nodes() if nodes is None else nodes
+    tree = nodes.tree[-1] + 1 if nodes.tree else 0
     # (rows in ascending order, depth, parent, is_left, whether it is
     # searched, where the sorted lists are)
     root = np.arange(len(X))
     stack = [(root, 0, -1, True, searched(root, 0), (0, 0, scratch.root))]
     while stack:
         idx, depth, parent, is_left, search, where = stack.pop()
-        node, value = len(nodes), float(leaf_value_fn(idx))
-        nodes.append([-1, 0.0, -1, -1, value])
-        if parent >= 0:
-            nodes[parent][2 if is_left else 3] = node
+        value = float(leaf_value_fn(idx))
+        node = nodes.add(tree, value, parent, is_left)
         split = None
         if search:
             split, rows = scratch.search(X, where, len(idx), wt, weights, weights[idx].sum(),
@@ -599,7 +625,7 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
             continue
         _score, f, thr = split
         mask = X[idx, f] <= thr
-        nodes[node][:2] = int(f), thr
+        nodes.feature[node], nodes.threshold[node] = int(f), thr
         left, right = idx[mask], idx[~mask]
         where_l = where_r = None
         needed = [searched(left, depth + 1), searched(right, depth + 1)]
@@ -607,7 +633,7 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf,
             where_l, where_r = scratch.partition(where, rows, idx, mask, len(left), needed)
         stack.append((right, depth + 1, node, False, needed[1], where_r))
         stack.append((left, depth + 1, node, True, needed[0], where_l))
-    return Tree(*map(list, zip(*nodes)))
+    return nodes
 
 
 # --- trees side by side: every random forest ---------------------------------
@@ -620,10 +646,10 @@ class _ForestGrower:
 
     A tree keeps its rows as int32 global row ids in bootstrap order, so no
     X[boot] is made, and the rows of its pending nodes on a stack. Each
-    step takes the next node, in preorder, of every unfinished tree, so
-    every tree still draws its columns in preorder. The step's searched
-    nodes are split in groups of similar row count, each searched as one
-    block (see _split_group).
+    step adds the next node, in preorder, of every unfinished tree to one
+    _Nodes, so every tree still draws its columns in preorder. The step's
+    searched nodes are split in groups of similar row count, each searched
+    as one block (see _split_group).
     """
 
     def __init__(self, X, y, weights, max_features, max_depth, min_leaf):
@@ -637,66 +663,60 @@ class _ForestGrower:
         self.wt = np.append(weights * y, 0.0)
         self.w = None if np.all(weights == 1.0) else np.append(weights, 0.0)
 
-    def grow(self, seed, indices) -> list[Tree]:
-        """The trees of these indices: tree t draws from default_rng([seed, t])."""
-        trees = []  # (rng, its Tree so far, stack of (rows, depth, parent, is_left))
-        for t in indices:
+    def grow(self, seed, indices) -> tuple:
+        """The trees of these indices, packed (see _Nodes.packed): tree t
+        draws from default_rng([seed, t])."""
+        nodes, live = _Nodes(), []  # (tree number, rng, stack of (rows, depth, parent, is_left))
+        for i, t in enumerate(indices):
             rng = np.random.default_rng([seed, t])  # per-tree derived seed
             boot = rng.integers(0, self.n, size=self.n).astype(np.int32)
-            trees.append((rng, Tree([], [], [], [], []), [(boot, 0, -1, True)]))
-        live = trees
+            live.append((i, rng, [(boot, 0, -1, True)]))
         while live:
-            self._step(live)
+            self._step(nodes, live)
             live = [tree for tree in live if tree[2]]
-        return [tree for _rng, tree, _stack in trees]
+        return nodes.packed()
 
-    def _step(self, live):
-        """Adds the next node of every live tree, and splits those that are
-        searched in groups of at most twice the smallest row count and
-        _GROUP_CELLS cells."""
-        popped = [stack.pop() for _rng, _tree, stack in live]
+    def _step(self, nodes, live):
+        """Adds the next node of every live tree to `nodes`, and splits those
+        that are searched in groups of at most twice the smallest row count
+        and _GROUP_CELLS cells."""
+        popped = [stack.pop() for _i, _rng, stack in live]
         ends = np.cumsum([len(item[0]) for item in popped])
         # Node statistics are gathered for about _GROUP_CELLS rows at a time.
         bounds = [0, *(np.flatnonzero(np.diff(ends // _GROUP_CELLS)) + 1).tolist(), len(live)]
         searched = []
         for a, b in zip(bounds, bounds[1:]):
-            searched += self._add_nodes(live[a:b], popped[a:b])
+            searched += self._add_nodes(nodes, live[a:b], popped[a:b])
         searched.sort(key=lambda item: item[0])
         first = 0
         for i in range(1, len(searched) + 1):
             if i == len(searched) or searched[i][0] > 2 * searched[first][0] \
                     or (i - first + 1) * self.k * searched[i][0] > _GROUP_CELLS:
-                self._split_group(searched[first:i])
+                self._split_group(nodes, searched[first:i])
                 first = i
 
-    def _add_nodes(self, live, popped):
-        """Appends each popped node to its tree with its leaf value; returns
-        (row count, rows, columns, weight total, tree, node, stack, depth)
-        for those to be searched, whose trees draw their columns here."""
+    def _add_nodes(self, nodes, live, popped):
+        """Adds each popped node to `nodes` with its leaf value; returns
+        (row count, rows, columns, weight total, node, stack, depth) for
+        those to be searched, whose trees draw their columns here."""
         rows = np.concatenate([item[0] for item in popped], dtype=np.intp)
         ends = np.cumsum([len(item[0]) for item in popped]).tolist()
         starts = [0] + ends[:-1]
         w, wt, y = self.weights.take(rows), self.wt.take(rows), self.y.take(rows)
         pure = (np.minimum.reduceat(y, starts) == np.maximum.reduceat(y, starts)).tolist()
         searched = []
-        for (rng, tree, stack), (idx, depth, parent, is_left), a, b, is_pure in zip(
+        for (tree, rng, stack), (idx, depth, parent, is_left), a, b, is_pure in zip(
                 live, popped, starts, ends, pure):
-            node, w_total = len(tree.feature), w[a:b].sum()
-            tree.feature.append(-1)
-            tree.threshold.append(0.0)
-            tree.left.append(-1)
-            tree.right.append(-1)
-            tree.value.append(float(wt[a:b].sum() / w_total))
-            if parent >= 0:
-                (tree.left if is_left else tree.right)[parent] = node
+            w_total = w[a:b].sum()
+            node = nodes.add(tree, float(wt[a:b].sum() / w_total), parent, is_left)
             # Otherwise a leaf, as in grow_tree.
             if depth < self.max_depth and b - a >= 2 * self.min_leaf and not is_pure:
                 feats = self.columns if self.k == self.p else \
                     rng.choice(self.p, size=self.k, replace=False)
-                searched.append((b - a, idx, feats, w_total, tree, node, stack, depth))
+                searched.append((b - a, idx, feats, w_total, node, stack, depth))
         return searched
 
-    def _split_group(self, group):
+    def _split_group(self, nodes, group):
         """Finds each node's best split with the shared search and pushes
         the children of those that have one.
 
@@ -741,8 +761,8 @@ class _ForestGrower:
         lefts, rights = rows[goes_left].astype(np.int32), rows[real & ~goes_left].astype(np.int32)
         a = b = 0
         for i, f_, t_, m_left in zip(split, f.tolist(), thr.tolist(), goes_left.sum(axis=1).tolist()):
-            m_, _idx, _feats, _w, tree, node, stack, depth = group[i]
-            tree.feature[node], tree.threshold[node] = f_, t_
+            m_, _idx, _feats, _w, node, stack, depth = group[i]
+            nodes.feature[node], nodes.threshold[node] = f_, t_
             # A right child may wait on its stack for many steps: a copy, so
             # that it does not keep the group's arrays alive.
             stack.append((rights[b:b + m_ - m_left].copy(), depth + 1, node, False))
@@ -938,7 +958,7 @@ class TreeModel(TrainedModel):
                                 "max_depth_reached": len(self.forest.levels)}
 
     @property
-    def trees(self) -> tuple[Tree, ...]:
+    def trees(self) -> tuple[Tree, ...]:  # the one per-tree export
         return self.forest.records()
 
     @property
@@ -953,29 +973,21 @@ class TreeModel(TrainedModel):
         return {"trees": [t.to_dict() for t in self.trees]}
 
 
-def _leaf_frequency(y, weights):
-    """The leaf value of DT and RF trees: the weighted frequency of label 1."""
-    def value(idx):
-        w = weights[idx]
-        return float((w * y[idx]).sum() / w.sum())
-    return value
-
-
 class DecisionTreeModel(TreeModel):
     kind = "DecisionTree"
-
-    @property
-    def tree(self) -> Tree:
-        return self.forest.tree(0)
 
     @classmethod
     def fit(cls, X, y, config, seed):
         sw = _sample_weights(y, config["class_weight"])
-        tree = grow_tree(X, y, sw, _leaf_frequency(y, sw), config["max_depth"], config["min_leaf"])
-        return cls(X.shape[1], config, seed, Forest([tree]))
+
+        def leaf_value(idx):  # the weighted frequency of label 1
+            w = sw[idx]
+            return float((w * y[idx]).sum() / w.sum())
+        nodes = grow_tree(X, y, sw, leaf_value, config["max_depth"], config["min_leaf"])
+        return cls(X.shape[1], config, seed, Forest(*nodes.packed()))
 
     def _params_dict(self) -> dict:
-        return {"tree": self.tree.to_dict()}
+        return {"tree": self.trees[0].to_dict()}
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
@@ -997,23 +1009,24 @@ class RandomForestModel(TreeModel):
         grown side by side by _ForestGrower, with no copy of X per tree, and
         are bit for bit the trees of a per-node search on X[boot]. From
         worker.FOREST_ROW_TREES rows x trees up, a worker.Worker grows the
-        second half of the trees and returns them; if it dies, they are
-        grown here."""
+        second half of the trees and returns their packed arrays; if it
+        dies, they are grown here."""
         sw = _sample_weights(y, config["class_weight"])
         p = X.shape[1]
         k = config["max_features"]
         k = p if k is None else max(1, int(math.sqrt(p))) if k == "sqrt" else int(k)
         grower = _ForestGrower(X, y, sw, k, config["max_depth"], config["min_leaf"])
         n = config["n_trees"]
-        trees, split = [], n - n // 2
+        parts, split = [], n - n // 2  # packed trees (_Nodes.packed), in tree order
         if n > 1 and worker.forks(len(X) * n, worker.FOREST_ROW_TREES):
             try:
                 with worker.Worker(lambda peer: grower.grow(seed, range(split, n))) as peer:
-                    trees = grower.grow(seed, range(split))
-                    trees += peer.result()
+                    parts.append(grower.grow(seed, range(split)))
+                    parts.append(peer.result())
             except worker.WorkerLost:  # the rest are grown here
                 pass
-        return cls(p, config, seed, Forest(trees + grower.grow(seed, range(len(trees), n))))
+        parts.append(grower.grow(seed, range(sum(len(part[0]) for part in parts), n)))
+        return cls(p, config, seed, Forest(*map(np.concatenate, zip(*parts))))
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
@@ -1065,7 +1078,7 @@ class GradientBoostedTreesModel(TreeModel):
         margin = np.full(len(y), base)
         lr = config["learning_rate"]
         l2 = config["l2"]
-        trees: list[Tree] = []
+        nodes = _Nodes()
         losses: list[float] = []
         # One presort serves every round; each row's leaf value updates its
         # margin, which is what the tree's walk would return for it.
@@ -1080,16 +1093,15 @@ class GradientBoostedTreesModel(TreeModel):
             def leaf_value(idx, g=g, h=h):
                 return float(g.take(idx).sum()) / (float(h.take(idx).sum()) + l2)
 
-            trees.append(grow_tree(X, residual, sw, leaf_value, config["max_depth"],
-                                   config["min_leaf"], criterion="mse", scratch=scratch,
-                                   leaf_values=leaf_values))
+            grow_tree(X, residual, sw, leaf_value, config["max_depth"], config["min_leaf"],
+                      criterion="mse", nodes=nodes, scratch=scratch, leaf_values=leaf_values)
             margin = margin + lr * leaf_values
             p_new = np.clip(_sigmoid(margin), 1e-12, 1 - 1e-12)
             loss = float(-(sw * (y * np.log(p_new) + (1 - y) * np.log(1 - p_new))).sum() / total)
             if not math.isfinite(loss):
                 raise TrainError("non-finite boosting loss; lower the learning rate")
             losses.append(loss)
-        model = cls(X.shape[1], config, seed, base, Forest(trees))
+        model = cls(X.shape[1], config, seed, base, Forest(*nodes.packed()))
         model.training_report = {"round_losses": losses, **model.training_report}
         return model
 

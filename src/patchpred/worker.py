@@ -4,13 +4,16 @@ A boosting fit runs its rounds in lockstep with a worker, each process
 searching half of every node's columns, and a random forest leaves half of
 its trees to a worker (see learn.py). Both give the trees a fit alone gives.
 A cross-validation leaves half of its folds to a worker, each process pinned
-to its own half of the CPUs, so that the fits inside run serially (see
-evaluate.py); the report is the one a run on one CPU gives.
+to its own half of the CPUs with BLAS on one thread, so that the fits inside
+run serially (see evaluate.py); the report is the one a run on one CPU gives.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import gc
+import glob
 import mmap
 import os
 import pickle
@@ -47,6 +50,22 @@ def forks(size: int, least: int) -> bool:
     this process may run on."""
     return size >= least and sys.platform == "linux" and platform.machine() == "x86_64" \
         and len(os.sched_getaffinity(0)) >= 2
+
+
+@functools.cache
+def blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
+    found through ctypes once per process; None where there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            try:
+                get, put = (getattr(ctypes.CDLL(path), name.format(verb)) for verb in ("get", "set"))
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
 
 
 class WorkerLost(Exception):

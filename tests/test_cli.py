@@ -327,6 +327,8 @@ def test_subcommand_options_and_choices():
                  id="interaction-one-name"),
     pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--interaction", "B-0,nope"],
                  id="interaction-unknown-name"),
+    *[pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--background-cap", cap],
+                   id=f"background-cap-{cap}") for cap in ("0", "-1")],
     pytest.param(["train", "--features", "LEARNED", "--learner", "nb", "--out", "TMP"],
                  id="out-is-a-directory"),
     pytest.param(["--config", "TMP/wrong_type.json", "train", "--features", "LEARNED", "--out", "TMP/m.json"],
@@ -381,6 +383,8 @@ def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, 
         assert "error[embed]" in err
     if "--threshold" in argv:
         assert "error[eval]" in err and "is not in [0, 1]" in err
+    if "--background-cap" in argv:
+        assert "error[explain]" in err and "--background-cap must be at least 1" in err
 
 
 def _write_broken_models(tree_model, tmp_path):

@@ -5,7 +5,7 @@ from patchpred import combine
 from patchpred.combine import deep_fusion_train, fusion_loss_and_grad, init_fusion_params, naive_concat
 from patchpred.errors import TrainError
 from patchpred.evaluate import EnsembleTrainer, FusionTrainer, JointRow, SingleSetTrainer, crossval
-from patchpred.learn import Forest, Tree
+from patchpred.learn import Forest
 
 
 def ensemble_predictor(kind, X, y):
@@ -20,10 +20,9 @@ def test_average_probability_examples(blob_data):
     predict, rows = ensemble_predictor("dt", *blob_data)
     learned, engineered = predict.members
     for p_learned, p_engineered, mean in ((0.9, 0.5, 0.7), (0.8, 0.8, 0.8), (0.6, 0.3, 0.45)):
-        learned.forest = Forest([Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                                           value=[p_learned])])
-        engineered.forest = Forest([Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                                              value=[p_engineered])])
+        for member, p in ((learned, p_learned), (engineered, p_engineered)):
+            member.forest = Forest.load([{"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                                          "value": [p]}], member.feature_count)
         assert predict(rows[:3]) == pytest.approx([mean] * 3)
     assert predict(rows[:1])[0] < 0.5  # predicted incorrect at the 0.5 cut
 

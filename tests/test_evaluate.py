@@ -340,11 +340,12 @@ def test_scores_check_their_inputs(score, probs, labels, message):
 
 # --- folds on two CPUs -------------------------------------------------------------
 # With worker.FOLD_CELLS at 0 every crossval forks a fold worker where it can
-# (Linux x86-64, two usable CPUs). Each test compares the report, or the
-# error, with a run pinned to one CPU, where nothing forks, and checks that
-# no child process is left and the CPU set is as it was.
+# (Linux x86-64, two usable CPUs, numpy's OpenBLAS). Each test compares the
+# report, or the error, with a run pinned to one CPU, where nothing forks, and
+# checks that no child process is left and the CPU set is as it was.
 
-needs_two_cpus = pytest.mark.skipif(not worker.forks(1, 0), reason="fold workers need Linux x86-64 and two CPUs")
+needs_two_cpus = pytest.mark.skipif(not worker.forks(1, 0) or worker.blas_threads() is None,
+                                    reason="fold workers need Linux x86-64, two CPUs and numpy's OpenBLAS")
 
 
 @contextmanager
@@ -414,12 +415,14 @@ def test_folds_run_with_a_worker_give_the_one_cpu_report(name, k):
 class _Recording:
     """Delegates to a trainer and records, in an anonymous shared mapping
     that both processes see, how many CPUs each fold's fit could use and how
-    many processes it forked."""
+    many processes it forked; and in `threads`, how many BLAS threads it
+    could use."""
 
     def __init__(self, inner, k, seed, forked):
         self.inner, self.forked = inner, forked
         self.fold = {evaluate.fold_seed(seed, i): i for i in range(k)}
         self.seen = np.frombuffer(mmap.mmap(-1, 16 * k), dtype=np.int64).reshape(k, 2)
+        self.threads = np.frombuffer(mmap.mmap(-1, 8 * k), dtype=np.int64)
 
     def describe(self):
         return self.inner.describe()
@@ -429,6 +432,7 @@ class _Recording:
         cpus = len(os.sched_getaffinity(0))
         predictor = self.inner.fit(rows, seed)
         self.seen[self.fold[seed]] = cpus, len(self.forked) - forks
+        self.threads[self.fold[seed]] = worker.blas_threads()[0]()
         return predictor
 
 
@@ -494,6 +498,29 @@ def test_an_error_in_a_worker_fold_is_the_serial_error(folds):
     assert "is missing its learned feature vector" in alone[1]
     with _fold_workers():
         assert _error(_FailsOnFolds(folds), 5) == alone
+
+
+@needs_two_cpus
+def test_paired_folds_run_blas_on_one_thread_and_restore_its_count():
+    # A BLAS pool restarted after the fork inside the one-CPU pin would run
+    # its threads on one CPU. Folds 0, 1 here and 2, 3 in the worker run on
+    # one BLAS thread, fold 4 here on the count the caller set, which is
+    # back after crossval returns or raises, wherever the fold raised.
+    get_threads, set_threads = worker.blas_threads()
+    before = get_threads()
+    set_threads(2)
+    try:
+        trainer = _Recording(TRAINERS["nb"](), 5, 4, [])
+        with _two_cpus(), _fold_workers():
+            crossval(_joint_rows(), trainer, k=5, seed=4)
+        assert trainer.threads.tolist() == [1, 1, 1, 1, 2]
+        assert get_threads() == 2
+        for folds in ([1], [3]):
+            with _two_cpus(), _fold_workers():
+                _error(_FailsOnFolds(folds), 5)
+            assert get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 @needs_two_cpus

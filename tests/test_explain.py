@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,20 +8,19 @@ from hypothesis import given, settings, strategies as st
 from patchpred import explain, learn
 from patchpred.errors import ExplainError
 from patchpred.explain import global_importance, interaction_pairs, linear_shap, tree_shap
-from patchpred.learn import (DecisionTreeModel, FeatureRow, LogisticRegressionModel,
-                             RandomForestModel, Tree)
+from patchpred.learn import DecisionTreeModel, FeatureRow, LogisticRegressionModel, RandomForestModel
 
 from shap_reference import brute_force_interaction, brute_force_shap, tree_phi
 from tree_reference import cover_counts
 
 
 def leaf_tree(value):
-    return Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[value])
+    return {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [value]}
 
 
 def stump(feature, threshold, left_value, right_value):
-    return Tree(feature=[feature, -1, -1], threshold=[threshold, 0.0, 0.0],
-                left=[1, -1, -1], right=[2, -1, -1], value=[0.0, left_value, right_value])
+    return {"feature": [feature, -1, -1], "threshold": [threshold, 0.0, 0.0],
+            "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, left_value, right_value]}
 
 
 def fit_rows(X, y):
@@ -26,7 +28,7 @@ def fit_rows(X, y):
 
 
 def test_single_leaf_tree_contributes_nothing():
-    model = DecisionTreeModel(4, {}, 0, learn.Forest([leaf_tree(0.7)]))
+    model = DecisionTreeModel(4, {}, 0, learn.Forest.load([leaf_tree(0.7)], 4))
     background = np.random.default_rng(0).normal(size=(10, 4))
     exp = tree_shap(model, np.zeros(4), background)
     assert np.all(exp.contributions == 0)
@@ -35,7 +37,7 @@ def test_single_leaf_tree_contributes_nothing():
 
 
 def test_depth_one_tree_touches_only_its_split_feature():
-    model = DecisionTreeModel(5, {}, 0, learn.Forest([stump(3, 0.0, 0.2, 0.9)]))
+    model = DecisionTreeModel(5, {}, 0, learn.Forest.load([stump(3, 0.0, 0.2, 0.9)], 5))
     rng = np.random.default_rng(1)
     background = rng.normal(size=(40, 5))
     exp = tree_shap(model, np.array([0.0, 0.0, 0.0, -1.0, 0.0]), background)
@@ -89,7 +91,7 @@ def test_additivity_on_every_instance(separable_rows):
 
 def test_dummy_feature_gets_zero_contribution():
     # feature 2 never splits anywhere
-    model = DecisionTreeModel(3, {}, 0, learn.Forest([stump(0, 0.0, 0.1, 0.8)]))
+    model = DecisionTreeModel(3, {}, 0, learn.Forest.load([stump(0, 0.0, 0.1, 0.8)], 3))
     background = np.random.default_rng(2).normal(size=(30, 3))
     for x in background[:5]:
         exp = tree_shap(model, x, background)
@@ -100,7 +102,7 @@ def test_symmetric_features_receive_equal_credit():
     # two stumps, one per feature, identical structure; symmetric input
     t1 = stump(0, 0.0, 0.0, 1.0)
     t2 = stump(1, 0.0, 0.0, 1.0)
-    model = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest([t1, t2]))
+    model = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest.load([t1, t2], 2))
     background = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
     exp = tree_shap(model, np.array([0.5, 0.5]), background)
     assert exp.contributions[0] == pytest.approx(exp.contributions[1], abs=1e-12)
@@ -117,7 +119,7 @@ def test_gbt_attribution_in_margin_space(separable_rows):
 
 
 def test_zero_cover_background_raises():
-    model = DecisionTreeModel(1, {}, 0, learn.Forest([stump(0, 0.0, 0.1, 0.9)]))
+    model = DecisionTreeModel(1, {}, 0, learn.Forest.load([stump(0, 0.0, 0.1, 0.9)], 1))
     background = np.full((5, 1), -1.0)  # nothing ever goes right
     with pytest.raises(ExplainError, match="background"):
         tree_shap(model, np.array([1.0]), background)
@@ -150,14 +152,14 @@ def test_linear_shap_with_standardization_stays_additive(blob_data):
 
 
 def test_global_importance_constant_model_is_all_zero():
-    model = DecisionTreeModel(3, {}, 0, learn.Forest([leaf_tree(0.4)]))
+    model = DecisionTreeModel(3, {}, 0, learn.Forest.load([leaf_tree(0.4)], 3))
     X = np.random.default_rng(3).normal(size=(20, 3))
     gi = global_importance(model, X, ["a", "b", "c"], X)
     assert all(v == 0.0 for _n, v in gi.ranking)
 
 
 def test_global_importance_ranks_the_split_feature_first():
-    model = DecisionTreeModel(3, {}, 0, learn.Forest([stump(1, 0.0, 0.1, 0.9)]))
+    model = DecisionTreeModel(3, {}, 0, learn.Forest.load([stump(1, 0.0, 0.1, 0.9)], 3))
     X = np.random.default_rng(4).normal(size=(30, 3))
     gi = global_importance(model, X, ["left", "singleLine", "right"], X)
     assert gi.ranking[0][0] == "singleLine"
@@ -168,7 +170,7 @@ def test_global_importance_ranks_the_split_feature_first():
 def test_interaction_zero_for_additive_model():
     t1 = stump(0, 0.0, 0.0, 1.0)
     t2 = stump(1, 0.0, 0.0, 1.0)
-    model = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest([t1, t2]))
+    model = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest.load([t1, t2], 2))
     background = np.random.default_rng(5).normal(size=(30, 2))
     value = interaction_pairs(model, np.array([0.3, -0.7]), 0, 1, background)
     assert value == pytest.approx(0.0, abs=1e-12)
@@ -187,12 +189,12 @@ def test_interaction_matches_brute_force_and_is_symmetric():
 
 def test_depth_two_tree_has_nonzero_interaction():
     # split on 0 then on 1 in one branch: genuinely interacting
-    tree = Tree(feature=[0, 1, -1, -1, -1],
-                threshold=[0.0, 0.0, 0.0, 0.0, 0.0],
-                left=[1, 3, -1, -1, -1],
-                right=[2, 4, -1, -1, -1],
-                value=[0.0, 0.0, 0.2, 0.1, 0.9])
-    model = DecisionTreeModel(2, {}, 0, learn.Forest([tree]))
+    tree = {"feature": [0, 1, -1, -1, -1],
+            "threshold": [0.0, 0.0, 0.0, 0.0, 0.0],
+            "left": [1, 3, -1, -1, -1],
+            "right": [2, 4, -1, -1, -1],
+            "value": [0.0, 0.0, 0.2, 0.1, 0.9]}
+    model = DecisionTreeModel(2, {}, 0, learn.Forest.load([tree], 2))
     background = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     x = np.array([-0.5, 0.5])
     fast = interaction_pairs(model, x, 0, 1, background)
@@ -299,9 +301,8 @@ def test_explain_rows_on_a_shuffled_subset_equals_the_full_batch(kind, block_byt
 def count_cover_calls(monkeypatch):
     """Records every covers walk, one per path table built."""
     calls = []
-    real_cover_counts = explain._cover_counts
-    monkeypatch.setattr(explain, "_cover_counts",
-                        lambda forest, bg: calls.append(1) or real_cover_counts(forest, bg))
+    covers = learn.Forest.covers
+    monkeypatch.setattr(learn.Forest, "covers", lambda forest, bg: calls.append(1) or covers(forest, bg))
     return calls
 
 
@@ -309,7 +310,7 @@ def count_cover_calls(monkeypatch):
 @given(case=tree_models())
 def test_forest_covers_equal_the_per_tree_recursion(case):
     model, X, rows = case
-    covers = explain._cover_counts(model.forest, X)
+    covers = model.forest.covers(X)
     offsets = model.forest.offsets
     for t, tree in enumerate(model.trees):
         assert np.array_equal(covers[offsets[t]:offsets[t + 1]], cover_counts(tree, X))
@@ -332,7 +333,7 @@ def test_tree_shap_reuses_its_table_only_for_the_same_background_values(monkeypa
     assert np.array_equal(again.contributions, fresh.contributions)
     assert again.base_value == fresh.base_value
     # Equal trees in a new forest object: the table is built again.
-    model.forest = learn.Forest(model.trees)
+    model.forest = learn.Forest.load([tree.to_dict() for tree in model.trees], model.feature_count)
     tree_shap(model, X[0], edited)
     assert len(calls) == 4
 
@@ -376,7 +377,7 @@ def test_interaction_feature_index_out_of_range_or_not_an_integer_is_refused(ind
 
 
 def test_uncovered_background_raises_after_a_cached_success():
-    model = DecisionTreeModel(1, {}, 0, learn.Forest([stump(0, 0.0, 0.1, 0.9)]))
+    model = DecisionTreeModel(1, {}, 0, learn.Forest.load([stump(0, 0.0, 0.1, 0.9)], 1))
     background = np.array([[-1.0], [1.0]])
     assert tree_shap(model, np.array([1.0]), background).additivity_gap() <= 1e-12
     with pytest.raises(ExplainError, match="uncovered"):
@@ -387,8 +388,8 @@ def test_uncovered_background_raises_after_a_cached_success():
 
 def test_two_models_never_share_a_table():
     background = np.random.default_rng(13).normal(size=(30, 2))
-    a = DecisionTreeModel(2, {}, 0, learn.Forest([stump(0, 0.0, 0.1, 0.9)]))
-    b = DecisionTreeModel(2, {}, 0, learn.Forest([stump(1, 0.0, 0.3, 0.6)]))
+    a = DecisionTreeModel(2, {}, 0, learn.Forest.load([stump(0, 0.0, 0.1, 0.9)], 2))
+    b = DecisionTreeModel(2, {}, 0, learn.Forest.load([stump(1, 0.0, 0.3, 0.6)], 2))
     x = np.array([0.5, -0.5])
     exp_a, exp_b = tree_shap(a, x, background), tree_shap(b, x, background)
     assert a.explain_cache is not b.explain_cache
@@ -436,3 +437,42 @@ def test_bad_explain_inputs_raise_explain_error(kind, what):
     for call in calls:
         with pytest.raises(ExplainError, match="x |X |background "):
             call()
+
+
+@pytest.mark.parametrize("kind", ["dt", "gbt", "lr"])
+def test_ranking_no_explanations_is_refused(kind):
+    # Not a ranking of NaNs in a space no model gave.
+    rng = np.random.default_rng(17)
+    if kind == "lr":
+        X = rng.normal(size=(30, 3))
+        model = learn.train("lr", fit_rows(X, (X[:, 0] > 0).astype(int)), seed=0)
+    else:
+        model, X = random_tree_model(rng, 3, kind)
+    names = ["a", "b", "c"]
+    for call in (lambda: explain.rank_importance([], names), lambda: global_importance(model, X[:0], names, X)):
+        with pytest.raises(ExplainError, match="no explanations to rank"):
+            call()
+
+
+# Explanations of the saved v1 models of tests/data/v1_models, as repr
+# floats: every row of the probe matrix of probe.json over a background of
+# the probe and one row per leaf that reaches it (the probe alone leaves
+# nodes uncovered), with one interaction value per model. Recorded by the
+# per-tree path walk that the level-wise path table replaced, so any change
+# of path order or of a product's order shows. dt_not_preorder.json numbers
+# each right subtree before its left one, so its leaves are not in walk order.
+V1_MODELS = Path(__file__).parent / "data" / "v1_models"
+
+
+@pytest.mark.parametrize("name", ["dt", "rf", "gbt", "dt_not_preorder"])
+def test_saved_v1_models_explain_to_the_recorded_bits(name):
+    recorded = json.loads((V1_MODELS / "explain.json").read_text())
+    probe = np.array(json.loads((V1_MODELS / "probe.json").read_text())["probe"])
+    background, expected = np.array(recorded["background"]), recorded["models"][name]
+    model = learn.load(V1_MODELS / f"{name}.json")
+    explanations = explain.explain_rows(model, probe, background)
+    assert [[repr(v) for v in e.contributions.tolist()] for e in explanations] == expected["contributions"]
+    assert [repr(e.base_value) for e in explanations] == [expected["base_value"]] * len(probe)
+    pair = expected["interaction"]
+    value = interaction_pairs(model, probe[pair["row"]], *pair["features"], background)
+    assert repr(value) == pair["value"]

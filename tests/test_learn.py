@@ -92,7 +92,7 @@ def test_trees_split_adjacent_floats(kind, lo, hi):
     X = np.array([[lo]] * 6 + [[hi]] * 6)
     y = np.array([0] * 6 + [1] * 6)
     model = learn.train(kind, rows_from(X, y), {"n_trees": 10} if kind == "rf" else {}, seed=0)
-    trees = [model.tree] if kind == "dt" else model.trees
+    trees = model.trees
     assert all(np.all(np.isfinite(t.value)) for t in trees)
     assert all(lo <= t.threshold[0] < hi for t in trees if t.feature[0] == 0)
     p = model.predict_proba_batch(X)
@@ -100,8 +100,8 @@ def test_trees_split_adjacent_floats(kind, lo, hi):
 
 
 def test_forest_averages_member_probabilities():
-    leaf = lambda v: Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[v])
-    forest = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest([leaf(0.2), leaf(0.6)]))
+    leaf = lambda v: {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [v]}
+    forest = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest.load([leaf(0.2), leaf(0.6)], 2))
     assert forest.predict_proba(np.array([0.0, 0.0])) == pytest.approx(0.4)
 
 
@@ -366,7 +366,7 @@ def _reference_trees(kind, X, y, config, seed):
 def _assert_same_trees(kind, X, y, overrides, seed):
     config = learn.resolved_config(learn.canonical_kind(kind), overrides)
     model = learn._MODEL_CLASSES[learn.canonical_kind(kind)].fit(X, y, config, seed)
-    trees = [model.tree] if kind == "dt" else model.trees
+    trees = model.trees
     expected = _reference_trees(kind, X, y, config, seed)
     # json.dumps tells -0.0 from 0.0, which == does not.
     assert json.dumps([t.to_dict() for t in trees]) == json.dumps([t.to_dict() for t in expected])
@@ -374,8 +374,8 @@ def _assert_same_trees(kind, X, y, overrides, seed):
     assert model.training_report["nodes"] == sum(len(t.feature) for t in expected)
     if kind == "gbt":
         margin = model.margin_batch(X)
-        reference = learn.GradientBoostedTreesModel(X.shape[1], config, seed, model.base_margin,
-                                                     learn.Forest(expected))
+        forest = learn.Forest.load([t.to_dict() for t in expected], X.shape[1])
+        reference = learn.GradientBoostedTreesModel(X.shape[1], config, seed, model.base_margin, forest)
         assert np.array_equal(margin, reference.margin_batch(X))
 
 
@@ -460,30 +460,33 @@ def test_grouped_split_search_matches_reference(problem, min_leaf, seed, cells, 
     k = int(rng.integers(1, p + 1))
     roots = [rng.integers(0, n, size=int(rng.integers(1, 3 * n))) for _t in range(trees)]
     grower = learn._ForestGrower(X, y, weights, k, max_depth=5, min_leaf=min_leaf)
-    live = [(np.random.default_rng([seed, t]), Tree([], [], [], [], []),
-             [(rows.astype(np.int32), 0, -1, True)]) for t, rows in enumerate(roots)]
+    nodes = learn._Nodes()
+    live = [(t, np.random.default_rng([seed, t]), [(rows.astype(np.int32), 0, -1, True)])
+            for t, rows in enumerate(roots)]
     defaults = learn._GROUP_CELLS, learn._CUTS_PER_CHUNK
     learn._GROUP_CELLS, learn._CUTS_PER_CHUNK = cells, chunk
     try:
-        grower._step(live)
+        grower._step(nodes, live)
     finally:
         learn._GROUP_CELLS, learn._CUTS_PER_CHUNK = defaults
-    for t, (rows, (_rng, tree, stack)) in enumerate(zip(roots, live)):
+    # Each tree's root, node t.
+    assert nodes.tree == list(range(trees))
+    for t, (rows, (_t, _rng, stack)) in enumerate(zip(roots, live)):
         w = weights[rows]
-        assert tree.value == [float((w * y[rows]).sum() / w.sum())]
+        assert nodes.value[t] == float((w * y[rows]).sum() / w.sum())
         split = None
         if len(rows) >= 2 * min_leaf and not np.all(y[rows] == y[rows][0]):
             feats = np.sort(np.random.default_rng([seed, t]).choice(p, size=k, replace=False))
             split = _reference_best_split(X, y, weights, rows, feats, "gini", min_leaf)
         if split is None:
-            assert (tree.feature, stack) == ([-1], [])
+            assert (nodes.feature[t], stack) == (-1, [])
             continue
         _score, f, thr = split
         # json.dumps tells -0.0 from 0.0, which == does not.
-        assert json.dumps([tree.feature, tree.threshold]) == json.dumps([[int(f)], [thr]])
+        assert json.dumps([nodes.feature[t], nodes.threshold[t]]) == json.dumps([int(f), thr])
         left = X[rows, f] <= thr
         assert [(r.tolist(), rest) for r, *rest in stack] == [
-            (rows[~left].tolist(), [1, 0, False]), (rows[left].tolist(), [1, 0, True])]
+            (rows[~left].tolist(), [1, t, False]), (rows[left].tolist(), [1, t, True])]
 
 
 def test_dense_ranks_share_signed_zeros_and_widen_past_int16():
@@ -623,18 +626,22 @@ def test_tree_records_are_each_forest_tree(blob_data, kind):
     X, y = blob_data
     model = learn.train(kind, rows_from(X, y), {"n_trees": 7} if kind == "rf" else {}, seed=0)
     records = model.trees
-    expected = [model.forest.tree(t) for t in range(len(model.forest))]
-    assert json.dumps([t.to_dict() for t in records]) == json.dumps([t.to_dict() for t in expected])
+    assert len(records) == len(model.forest)
+    # Packed again, the records are the forest's arrays.
+    again = learn.Forest.load([t.to_dict() for t in records], model.feature_count)
+    for field in ("offsets", *learn._TREE_FIELDS):
+        assert getattr(again, field).tobytes() == getattr(model.forest, field).tobytes()
     # Fresh lists on every access.
+    expected = json.dumps(records[0].to_dict())
     records[0].feature.append(99)
-    assert model.trees[0] == expected[0]
+    assert json.dumps(model.trees[0].to_dict()) == expected
 
 
 @pytest.mark.parametrize("kind", ("dt", "rf", "gbt"))
 def test_tree_statistics_in_training_report(blob_data, kind):
     X, y = blob_data
     model = learn.train(kind, rows_from(X, y), {"n_trees": 5} if kind == "rf" else {}, seed=0)
-    trees = [model.tree] if kind == "dt" else model.trees
+    trees = model.trees
     report = model.training_report
     assert report["trees"] == len(trees)
     assert report["nodes"] == sum(len(t.feature) for t in trees)
@@ -686,7 +693,8 @@ def test_shared_scratch_plans_the_root_per_min_leaf():
     leaf = lambda idx: float(y[idx].mean())
     scratch = learn._Scratch(X, w, True)
     for min_leaf in (1, 8, 1):
-        tree = learn.grow_tree(X, y, w, leaf, 3, min_leaf, criterion="mse", scratch=scratch)
+        nodes = learn.grow_tree(X, y, w, leaf, 3, min_leaf, criterion="mse", scratch=scratch)
+        (tree,) = learn.Forest(*nodes.packed()).records()
         expected = _reference_grow_tree(X, y, w, leaf, 3, min_leaf, criterion="mse")
         assert json.dumps(tree.to_dict()) == json.dumps(expected.to_dict())
 
@@ -706,8 +714,7 @@ def test_pure_children_are_never_partitioned(monkeypatch, kind):
     overrides = {"rounds": 10} if kind == "gbt" else {}
     config = learn.resolved_config(learn.canonical_kind(kind), overrides)
     model = learn._MODEL_CLASSES[learn.canonical_kind(kind)].fit(X, y, config, 0)
-    trees = [model.tree] if kind == "dt" else model.trees
-    assert all(t.feature == [0, -1, -1] for t in trees)
+    assert all(t.feature == [0, -1, -1] for t in model.trees)
     monkeypatch.undo()
     _assert_same_trees(kind, X, y, overrides, 0)
 
@@ -884,16 +891,16 @@ def _packed_forest(draw):
     p = draw(st.integers(1, 6))
     trees = []
     for _t in range(1 if kind == "dt" else draw(st.integers(1, 5))):
-        tree = Tree([], [], [], [], [])
+        tree = {field: [] for field in learn._TREE_FIELDS}
 
         def grow(depth, tree=tree):
-            node = len(tree.feature)
+            node = len(tree["feature"])
             for field, leaf in zip(learn._TREE_FIELDS, (-1, 0.0, -1, -1, draw(_FINITE))):
-                getattr(tree, field).append(leaf)
+                tree[field].append(leaf)
             if depth < 4 and draw(st.booleans()):
-                tree.feature[node], tree.threshold[node] = draw(st.integers(0, p - 1)), draw(_FINITE)
-                tree.left[node] = grow(depth + 1)
-                tree.right[node] = grow(depth + 1)
+                tree["feature"][node], tree["threshold"][node] = draw(st.integers(0, p - 1)), draw(_FINITE)
+                tree["left"][node] = grow(depth + 1)
+                tree["right"][node] = grow(depth + 1)
             return node
 
         grow(0)
@@ -908,11 +915,11 @@ def test_random_forests_round_trip_through_files(forest, base, seed, bad_child):
     kind, p, trees = forest
     cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
     config = learn.resolved_config(cls.kind, {"n_trees": len(trees)} if kind == "rf" else None)
-    model = cls(p, config, 0, *([base] if kind == "gbt" else []), learn.Forest(trees))
+    model = cls(p, config, 0, *([base] if kind == "gbt" else []), learn.Forest.load(trees, p))
     rng = np.random.default_rng(seed)
     X = rng.normal(scale=1e6, size=(50, p))
     # Rows on split thresholds, which go left.
-    splits = [(f, t) for tree in trees for f, t in zip(tree.feature, tree.threshold) if f >= 0][:25]
+    splits = [(f, t) for tree in trees for f, t in zip(tree["feature"], tree["threshold"]) if f >= 0][:25]
     X[np.arange(len(splits)), [f for f, _t in splits]] = [t for _f, t in splits]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -924,7 +931,7 @@ def test_random_forests_round_trip_through_files(forest, base, seed, bad_child):
                 == json.dumps(model.to_dict(), sort_keys=True))
         assert loaded.predict_proba_batch(X).tobytes() == model.predict_proba_batch(X).tobytes()
 
-        t = next((t for t, tree in enumerate(trees) if tree.feature[0] >= 0), None)
+        t = next((t for t, tree in enumerate(trees) if tree["feature"][0] >= 0), None)
         if t is None:
             return
         doc = json.loads(path.read_text())
@@ -1036,10 +1043,11 @@ def test_candidates_merged_from_two_column_sets_pick_as_all_columns_do():
 
 
 def test_a_worker_result_arrives_whole_or_not_at_all(monkeypatch):
-    trees = [Tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, -0.0, 1.0]),
-             Tree([-1], [0.0], [-1], [-1], [0.25])]
+    # Two trees packed, as a forest worker returns them.
+    trees = tuple(np.array(a) for a in ([3, 1], [0, -1, -1, -1], [0.5, 0.0, 0.0, 0.0], [1, -1, -1, -1],
+                                        [2, -1, -1, -1], [0.5, -0.0, 1.0, 0.25]))
     with worker.Worker(lambda peer: trees) as peer:
-        assert json.dumps([t.to_dict() for t in peer.result()]) == json.dumps([t.to_dict() for t in trees])
+        assert json.dumps([a.tolist() for a in peer.result()]) == json.dumps([a.tolist() for a in trees])
     data = pickle.dumps(trees)
     for cut in (0, 3, 8, 16, len(data) - 8, len(data) - 1):
         # The parent reads what a worker that died after `cut` bytes wrote.
