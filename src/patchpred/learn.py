@@ -1033,7 +1033,7 @@ class RandomForestModel(TreeModel):
         forest = Forest.load(params["trees"], feature_count)
         if not len(forest):
             raise ValueError("a forest needs at least one tree")
-        return cls(feature_count, config, seed, forest)
+        return cls(feature_count, config, seed, _counted(forest, config, "n_trees"))
 
 
 class GradientBoostedTreesModel(TreeModel):
@@ -1057,13 +1057,10 @@ class GradientBoostedTreesModel(TreeModel):
         node (see _Scratch); if it dies, the fit starts again alone. The
         trees are the same either way."""
         if worker.forks(X.size, worker.BOOST_CELLS):
-            # A side's candidates are 3 floats per column it owns.
-            slot = 2 + 3 * ((X.shape[1] + 1) // 2)
-
             def work(peer):  # the worker's model is the parent's: it returns nothing
                 cls._boost(X, y, config, seed, peer)
             try:
-                with worker.Worker(work, slot) as peer:
+                with worker.Worker(work) as peer:
                     return cls._boost(X, y, config, seed, peer)
             except worker.WorkerLost:
                 pass
@@ -1125,7 +1122,7 @@ class GradientBoostedTreesModel(TreeModel):
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
         return cls(feature_count, config, seed, _number(params["base_margin"], "base_margin"),
-                   Forest.load(params["trees"], feature_count))
+                   _counted(Forest.load(params["trees"], feature_count), config, "rounds"))
 
 
 # --- feed-forward network ---------------------------------------------------
@@ -1258,6 +1255,13 @@ def _number(value, what) -> float:
     if type(value) not in (int, float) or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, not {value!r}")
     return float(value)
+
+
+def _counted(forest: Forest, config: dict, what: str) -> Forest:
+    """`forest`, if it has as many trees as config[what] says a fit grows."""
+    if len(forest) != config[what]:
+        raise ValueError(f"{what} is {config[what]}, but {len(forest)} trees are saved")
+    return forest
 
 
 _MODEL_CLASSES = {

@@ -14,10 +14,8 @@ import ctypes
 import functools
 import gc
 import glob
-import mmap
 import os
 import pickle
-import platform
 import signal
 import sys
 
@@ -45,11 +43,9 @@ FOLD_CELLS = 2_000  # rows x columns of a cross-validation
 
 def forks(size: int, least: int) -> bool:
     """Whether work of this size runs half of itself in a Worker: from
-    `least` up, on Linux x86-64 (fork, and stores that other CPUs see in
-    program order, which Worker.exchange relies on), with at least two CPUs
-    this process may run on."""
-    return size >= least and sys.platform == "linux" and platform.machine() == "x86_64" \
-        and len(os.sched_getaffinity(0)) >= 2
+    `least` up, on Linux (for fork), with at least two CPUs this process may
+    run on."""
+    return size >= least and sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
 
 
 @functools.cache
@@ -74,49 +70,52 @@ class WorkerLost(Exception):
 
 class Worker:
     """A forked copy of this process that runs work(self) beside the code
-    that made it, writes what work returned, pickled, to a pipe, and then
+    that made it, sends what work returned, pickled, to the parent, and then
     leaves by os._exit, touching no file or stream of the parent's; its
     cyclic GC is off, so that it runs no finalizer of an object it inherited.
 
-    The two sides, 0 (the parent) and 1 (the worker), swap short lists of
-    floats through `exchange`, a spin barrier on a shared anonymous mmap,
-    and the parent reads what work returned with `result`. Used as a
-    context manager in the parent, it kills the worker if it still runs and
-    reaps it on every way out of the block.
+    The two sides, 0 (the parent) and 1 (the worker), talk through one pipe
+    in each direction, in messages of an 8-byte length and then that many
+    bytes. They swap short lists of floats through `exchange`, and the
+    parent reads what work returned with `result`. Each side holds only its
+    own ends of the pipes, so the other side's death is an end of file:
+    WorkerLost. Used as a context manager in the parent, it kills the
+    worker if it still runs and reaps it on every way out of the block.
     """
 
-    def __init__(self, work, slot: int = 0):
-        """`slot` is how many floats an exchange may carry, plus 2."""
-        self.parent, self.slot, self.exchanges, self.side = os.getpid(), slot, 0, 0
-        if slot:
-            # Two slots per side, by the exchange's parity: a side may
-            # publish the next exchange before the other has read this one.
-            shared = mmap.mmap(-1, 4 * 8 * slot)
-            self.words, self.seq = np.frombuffer(shared, dtype=float), memoryview(shared).cast("q")
-        self.reader, writer = os.pipe()
+    def __init__(self, work):
+        self.parent, self.side, self.inbox = os.getpid(), 0, bytearray()
+        # (read end, write end) of the pipes to the parent and to the worker
+        up, down = os.pipe2(os.O_NONBLOCK), os.pipe2(os.O_NONBLOCK)
         try:
             self.pid = os.fork()
             if not self.pid:
-                self._run(work, writer)
+                self._run(work, down[0], up[1], (up[0], down[1]))
         except BaseException as exc:
             if os.getpid() != self.parent:  # a signal before the worker's own handler
                 os._exit(1)
-            os.close(self.reader)
-            os.close(writer)
+            for fd in (*up, *down):
+                os.close(fd)
             if isinstance(exc, OSError):
                 raise WorkerLost from exc
             raise
-        os.close(writer)
+        self._hold(up[0], down[1], (up[1], down[0]))
 
-    def _run(self, work, writer):
+    def _hold(self, reader, writer, others):
+        """Keeps this side's pipe ends and closes the other side's."""
+        self.reader, self.writer = reader, writer
+        for fd in others:
+            os.close(fd)
+
+    def _run(self, work, *ends):
         code = 1
         try:
             gc.disable()
-            os.close(self.reader)
             self.side = 1
-            data = memoryview(pickle.dumps(work(self)))
-            while data:
-                data = data[os.write(writer, data):]
+            self._hold(*ends)
+            data = pickle.dumps(work(self))
+            os.set_blocking(self.writer, True)  # nothing more comes in to take
+            self._send(data)
             code = 0
         finally:
             os._exit(code)
@@ -126,6 +125,7 @@ class Worker:
 
     def __exit__(self, *exc_info):
         os.close(self.reader)
+        os.close(self.writer)
         try:
             os.kill(self.pid, signal.SIGKILL)
         except ProcessLookupError:
@@ -142,44 +142,49 @@ class Worker:
         if interrupted is not None:
             raise interrupted
 
-    def _other_alive(self) -> bool:
-        if self.side:
-            return os.getppid() == self.parent
-        return os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+    def _send(self, data):
+        """Writes one message: the length of `data`, then `data`."""
+        data = memoryview(len(data).to_bytes(8, "little") + data)
+        while data:
+            try:
+                data = data[os.write(self.writer, data):]
+            except BlockingIOError:  # the pipe is full: the other side may be sending too
+                self._take()
+            except BrokenPipeError as exc:
+                raise WorkerLost from exc
+
+    def _take(self):
+        """Appends what the pipe holds to the inbox; WorkerLost at its end."""
+        try:
+            chunk = os.read(self.reader, 1 << 16)
+        except BlockingIOError:
+            return
+        if not chunk:
+            raise WorkerLost
+        self.inbox += chunk
+
+    def _receive(self) -> bytearray:
+        """The next message, polled for while the reader is non-blocking."""
+        while (len(self.inbox) < 8
+               or len(self.inbox) < (end := 8 + int.from_bytes(self.inbox[:8], "little"))):
+            self._take()
+        message, self.inbox = self.inbox[8:end], self.inbox[end:]
+        return message
 
     def exchange(self, values: list) -> list:
-        """Publishes `values` and returns what the other side published in
-        its exchange of the same number; WorkerLost if it dies first.
-
-        A side writes its payload into its slot of this exchange's parity,
-        then the exchange number into the slot's first word: x86 makes
-        stores visible in program order, so the other side, which spins
-        until it reads that number, then reads the whole payload. A side
-        cannot reach the next exchange of this parity before the other has
-        read this one, because it waits for the other's next exchange in
-        between."""
-        i = self.exchanges = self.exchanges + 1
-        mine, theirs = ((2 * side + i % 2) * self.slot for side in (self.side, 1 - self.side))
-        self.words[mine + 1] = len(values)
-        self.words[mine + 2: mine + 2 + len(values)] = values
-        self.seq[mine] = i
-        spins = 0
-        while self.seq[theirs] != i:
-            spins += 1
-            if not spins % 16384 and not self._other_alive():
-                raise WorkerLost
-        count = int(self.words[theirs + 1])
-        return self.words[theirs + 2: theirs + 2 + count].tolist()
+        """Sends `values` as float64 and returns the list the other side
+        sent in its exchange of the same number; WorkerLost if it dies
+        first. Both sides send before they read, and the read polls: the
+        other side is about as far into the same work."""
+        self._send(np.array(values, dtype=float).tobytes())
+        return np.frombuffer(self._receive()).tolist()
 
     def result(self):
-        """What work returned in the worker, read until its end of the pipe
-        closes, which it does by exiting; WorkerLost if it died before it
-        wrote all of it. The bytes unpickled are only ever this process's
-        own fork's."""
-        chunks = []
-        while chunk := os.read(self.reader, 1 << 16):
-            chunks.append(chunk)
+        """What work returned in the worker, waited for in blocking reads;
+        WorkerLost if it died before it sent all of it. The bytes unpickled
+        are only ever this process's own fork's."""
+        os.set_blocking(self.reader, True)
         try:
-            return pickle.loads(b"".join(chunks))
+            return pickle.loads(self._receive())
         except (EOFError, pickle.UnpicklingError) as exc:
             raise WorkerLost from exc

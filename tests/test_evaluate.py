@@ -340,12 +340,12 @@ def test_scores_check_their_inputs(score, probs, labels, message):
 
 # --- folds on two CPUs -------------------------------------------------------------
 # With worker.FOLD_CELLS at 0 every crossval forks a fold worker where it can
-# (Linux x86-64, two usable CPUs, numpy's OpenBLAS). Each test compares the
+# (Linux, two usable CPUs, numpy's OpenBLAS). Each test compares the
 # report, or the error, with a run pinned to one CPU, where nothing forks, and
 # checks that no child process is left and the CPU set is as it was.
 
 needs_two_cpus = pytest.mark.skipif(not worker.forks(1, 0) or worker.blas_threads() is None,
-                                    reason="fold workers need Linux x86-64, two CPUs and numpy's OpenBLAS")
+                                    reason="fold workers need Linux, two CPUs and numpy's OpenBLAS")
 
 
 @contextmanager
@@ -448,6 +448,18 @@ def test_paired_folds_fit_on_one_cpu_and_an_odd_last_fold_on_both(monkeypatch):
     # on both with a boosting worker; this process forked twice.
     assert trainer.seen.tolist() == [[1, 0], [1, 0], [1, 0], [1, 0], [2, 1]]
     assert len(forked) == 2
+
+
+@needs_two_cpus
+def test_a_crossval_with_workers_leaves_no_file_open(monkeypatch):
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(os.getpid()) or fork())
+    monkeypatch.setattr(worker, "BOOST_CELLS", 0)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with _two_cpus(), _fold_workers():
+        crossval(_joint_rows(), TRAINERS["gbt"](), k=5, seed=4)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forked) == 2  # the fold worker, and the last fold's boosting worker
 
 
 @needs_two_cpus

@@ -3,7 +3,10 @@ import itertools
 import json
 import os
 import pickle
+import platform
+import select
 import signal
+import sys
 import tempfile
 import tracemalloc
 from contextlib import contextmanager
@@ -125,6 +128,14 @@ def test_save_load_round_trip_every_kind(tmp_path, blob_data, kind):
     loaded = learn.load(path)
     probe = np.random.default_rng(1).normal(size=(20, 2))
     assert np.array_equal(model.predict_proba_batch(probe), loaded.predict_proba_batch(probe))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_saved_files_are_the_sorted_json_of_the_model_dict(tmp_path, blob_data, kind):
+    X, y = blob_data
+    model = learn.train(kind, rows_from(X, y), seed=3)
+    model.save(tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_text(encoding="utf-8") == json.dumps(model.to_dict(), sort_keys=True)
 
 
 def test_load_unknown_kind_errors(tmp_path):
@@ -824,6 +835,21 @@ def test_saved_format_1_models_load_predict_and_save_unchanged(tmp_path, kind):
     assert (tmp_path / "again.json").read_bytes() == saved.read_bytes()
 
 
+@pytest.mark.parametrize("kind, edit, message", [
+    ("gbt", lambda trees: [], "rounds is 6, but 0 trees are saved"),
+    ("gbt", lambda trees: trees + trees[:1], "rounds is 6, but 7 trees are saved"),
+    ("rf", lambda trees: trees[:1], "n_trees is 4, but 1 trees are saved"),
+    ("rf", lambda trees: trees[:3], "n_trees is 4, but 3 trees are saved"),
+])
+def test_load_refuses_a_forest_of_other_than_its_configured_size(tmp_path, kind, edit, message):
+    doc = json.loads((V1_MODELS / f"{kind}.json").read_text())
+    doc["params"]["trees"] = edit(doc["params"]["trees"])
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TrainError, match=f"{kind}.json: not a valid .*: {message}$"):
+        learn.load(path)
+
+
 def _saved_model_doc(tmp_path, kind):
     X = np.random.default_rng(0).normal(size=(40, 3))
     y = (X[:, 0] > 0).astype(float)
@@ -914,7 +940,9 @@ def _packed_forest(draw):
 def test_random_forests_round_trip_through_files(forest, base, seed, bad_child):
     kind, p, trees = forest
     cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
-    config = learn.resolved_config(cls.kind, {"n_trees": len(trees)} if kind == "rf" else None)
+    # A saved forest has as many trees as its config grows.
+    counts = {"rf": {"n_trees": len(trees)}, "gbt": {"rounds": len(trees)}}
+    config = learn.resolved_config(cls.kind, counts.get(kind))
     model = cls(p, config, 0, *([base] if kind == "gbt" else []), learn.Forest.load(trees, p))
     rng = np.random.default_rng(seed)
     X = rng.normal(scale=1e6, size=(50, p))
@@ -946,8 +974,8 @@ def test_random_forests_round_trip_through_files(forest, base, seed, bad_child):
 
 # --- fits with a worker on the other CPU -----------------------------------------
 # With the size rule's constants at 0 every boosting and forest fit forks a
-# worker where it can (Linux x86-64, two usable CPUs); elsewhere the same
-# tests run the serial path. Either way the trees are the reference's, and
+# worker where it can (Linux, two usable CPUs); elsewhere the same tests run
+# the serial path. Either way the trees are the reference's, and
 # no test leaves a child process behind.
 
 @contextmanager
@@ -1056,6 +1084,47 @@ def test_a_worker_result_arrives_whole_or_not_at_all(monkeypatch):
             peer.result()
 
 
+def test_exchanges_larger_than_a_pipe_buffer_pass_both_ways():
+    # Both sides send 400 kB before either reads: each takes in what the
+    # other sends while its own message waits for room in the pipe. A
+    # deadlock ends in the alarm's TimeoutError.
+    def timeout(*_args):
+        raise TimeoutError
+    mine, theirs = [float(i) for i in range(50_000)], [-0.5 * i for i in range(50_000)]
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        with worker.Worker(lambda peer: [peer.exchange(theirs) == mine for _ in range(3)]) as peer:
+            assert [peer.exchange(mine) == theirs for _ in range(3)] == [True] * 3
+            assert peer.result() == [True] * 3
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def test_a_worker_whose_parent_hangs_up_loses_its_exchange():
+    # The parent's write end is the only one left to the worker's pipe, so
+    # closing it, as the parent's death would, ends the worker's read.
+    def work(peer):
+        try:
+            peer.exchange([1.0])
+        except worker.WorkerLost:
+            return "lost"
+    with worker.Worker(work) as peer:
+        os.close(peer.writer)
+        peer.writer = os.open(os.devnull, os.O_WRONLY)  # what the parent sends goes nowhere
+        assert peer.exchange([2.0]) == [1.0]
+        assert select.select([peer.reader], [], [], 30)[0], "the worker still waits"
+        assert peer.result() == "lost"
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="workers need Linux and two usable CPUs")
+def test_workers_fork_whatever_the_machine(monkeypatch):
+    monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+    assert worker.forks(1, 0)
+
+
 def _boosting_problem():
     rng = np.random.default_rng(6)
     X = np.round(rng.normal(size=(300, 24)), 1)
@@ -1115,6 +1184,20 @@ def test_fits_reap_their_worker_on_every_way_out(kind, monkeypatch):
     with _workers_always(), pytest.raises(KeyboardInterrupt):
         cls.fit(X, y, config, 0)
     assert len(forks) == 2 * WORKERS
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files through /proc")
+@pytest.mark.parametrize("kind", ["gbt", "rf"])
+def test_fits_with_a_worker_leave_no_file_open(kind, monkeypatch):
+    X, y = _boosting_problem()
+    cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
+    config = learn.resolved_config(cls.kind, {"n_trees": 8} if kind == "rf" else {"rounds": 12})
+    forks = _count_forks(monkeypatch)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with _workers_always():
+        cls.fit(X, y, config, 3)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == WORKERS
 
 
 def test_a_boosting_fit_that_raises_reaps_its_worker(monkeypatch):
