@@ -75,18 +75,33 @@ def _number(v) -> bool:
     return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# Hyperparameter -> (test, what a valid value is). max_depth 0 is allowed:
-# it grows a single leaf.
+# Hyperparameter -> (test, what a valid value is), for every key above.
+# max_depth 0 is allowed: it grows a single leaf. var_smoothing 0 is not: a
+# column constant within a class would get a zero variance to divide by.
 HYPERPARAMETER_CHECKS = {
     "n_trees": (_int_at_least(1), "an integer >= 1"),
     "rounds": (_int_at_least(1), "an integer >= 1"),
+    "epochs": (_int_at_least(1), "an integer >= 1"),
+    "max_epochs": (_int_at_least(1), "an integer >= 1"),
+    "learned_width": (_int_at_least(1), "an integer >= 1"),
+    "engineered_width": (_int_at_least(1), "an integer >= 1"),
+    "joint_width": (_int_at_least(1), "an integer >= 1"),
+    "hidden": (lambda v: isinstance(v, (list, tuple)) and all(map(_int_at_least(1), v)),
+               "a list of integers >= 1"),
     "max_depth": (_int_at_least(0), "an integer >= 0"),
     "min_leaf": (_int_at_least(1), "an integer >= 1"),
     "max_features": (lambda v: v is None or v == "sqrt" or _int_at_least(1)(v),
                      '"sqrt", null or an integer >= 1'),
     "learning_rate": (lambda v: _number(v) and v > 0, "a number > 0"),
     "l2": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "tol": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "var_smoothing": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "standardize": (lambda v: isinstance(v, bool), "true or false"),
+    "class_weight": (lambda v: v is None or v == "balanced", 'null or "balanced"'),
 }
+# (kind, hyperparameter) -> a check that replaces the one above. A fusion net
+# of 0 epochs is its seeded forward pass.
+KIND_CHECKS = {("DeepFusion", "epochs"): (_int_at_least(0), "an integer >= 0")}
 
 
 def resolved_config(kind: str, overrides: dict | None) -> dict:
@@ -94,8 +109,8 @@ def resolved_config(kind: str, overrides: dict | None) -> dict:
     for key, value in (overrides or {}).items():
         if key not in base:
             raise TrainError(f"unknown {kind} hyperparameter {key!r}; known: {sorted(base)}")
-        valid, what = HYPERPARAMETER_CHECKS.get(key, (None, None))
-        if valid is not None and not valid(value):
+        valid, what = KIND_CHECKS.get((kind, key)) or HYPERPARAMETER_CHECKS[key]
+        if not valid(value):
             raise TrainError(f"{kind} hyperparameter {key!r} must be {what}, got {value!r}")
         base[key] = value
     return base

@@ -137,11 +137,15 @@ def _sigmoid_inplace(x, above=None, below=None):
     Saturated pairs contribute a zero gradient, which keeps vector norms
     bounded over long training runs (the word2vec MAX_EXP convention).
     `above` and `below` are optional boolean buffers of x's shape.
+
+    The bits are those of the sigmoid of x clipped to [-8, 8], without the
+    clip: inside it the clip is the identity (-0.0 and NaN included), and
+    the masks overwrite every value outside it. Call it under
+    np.errstate(over="ignore"): below x = -709 the exp overflows, before
+    `below` overwrites the result.
     """
     above = np.greater(x, 8.0, out=above)
     below = np.less(x, -8.0, out=below)
-    np.maximum(x, -8.0, out=x)
-    np.minimum(x, 8.0, out=x)
     np.negative(x, out=x)
     np.exp(x, out=x)
     x += 1.0
@@ -274,15 +278,15 @@ class _Epochs:
             vecs = word_matrix.take(doc_rows, axis=0)
             pos_vecs, neg_vecs = vecs[:n_pos], vecs[n_pos:]
             pos_coef, neg_coef = doc_coef[:n_pos], doc_coef[n_pos:]
-            np.matmul(pos_vecs, doc_vec, out=pos_coef)
-            np.matmul(neg_vecs, doc_vec, out=neg_coef)
+            np.dot(pos_vecs, doc_vec, out=pos_coef)
+            np.dot(neg_vecs, doc_vec, out=neg_coef)
             _sigmoid_inplace(doc_coef, self.above[start:stop], self.below[start:stop])
             if with_loss:
                 # loss = -log sigma(pos) - sum log sigma(-neg)
                 total += float(-np.log(np.maximum(pos_coef, 1e-12)).sum()
                                - np.log(np.maximum(1.0 - neg_coef, 1e-12)).sum())
             pos_coef -= 1.0
-            grad_doc = pos_coef @ pos_vecs + neg_coef @ neg_vecs
+            grad_doc = np.dot(pos_coef, pos_vecs) + np.dot(neg_coef, neg_vecs)
             update = np.multiply(doc_coef[:, None], doc_vec)
             update *= -lr
             np.add.at(self.flat, self.positions.take(doc_rows, axis=0).reshape(-1),
@@ -315,6 +319,7 @@ def train_embedder(documents, config: EmbedderConfig | None = None) -> Paragraph
     last = config.epochs - 1
     epoch_losses: list[float] = []
     # Divergence overflows the products; the checks below catch it instead.
+    # _sigmoid_inplace needs over="ignore" for scores below -709.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             # One draw per epoch, sliced per document in order: the same
@@ -375,39 +380,47 @@ def _infer(model: ParagraphVectorModel, pos_idx: np.ndarray) -> np.ndarray:
     """The inference epochs for one fragment's token ids (L,), giving its
     vector (n,), or for a stack of same-length fragments (B, L), giving (B, n).
 
-    np.matmul makes one matrix-vector product per stacked fragment, with the
-    operand layout of the single fragment, so each vector has the same bits
-    as when inferred alone. The stack shares each epoch's negative rows.
-    Zero-padding ragged fragments into one stack would change the bits.
+    One fragment's products are np.dot on 1-D vectors. A stack's are
+    np.matmul on (1, n) row and (n, 1) column views, one matrix-vector
+    product per fragment. Both end in the same BLAS gemv, so each vector has
+    the same bits as when inferred alone; np.dot only dispatches faster. The
+    stack shares each epoch's negative rows. Zero-padding ragged fragments
+    into one stack would change the bits.
     """
     config, word_matrix = model.config, model.word_matrix
-    length, n = pos_idx.shape[-1], config.n
+    length = pos_idx.shape[-1]
     draws = _draws(model, length)
     negatives = draws.negatives_for(length)
     pos_vecs = word_matrix[pos_idx]  # ([B,] L, n)
-    stack = pos_idx.shape[:-1]
-    vec = np.empty(stack + (1, n))  # row vectors; col is their (n, 1) view
-    vec[...] = draws.initial
-    col = vec.swapaxes(-1, -2)
-    scores = np.empty(stack + (length + negatives.shape[1], 1))
-    pos_scores, neg_scores = scores[..., :length, :], scores[..., length:, :]
-    pos_coef, neg_coef = pos_scores.swapaxes(-1, -2), neg_scores.swapaxes(-1, -2)
+    rows = length + negatives.shape[1]
+    if pos_idx.ndim == 1:
+        product, vec = np.dot, draws.initial.copy()
+        col, scores = vec, np.empty(rows)
+        pos_scores = pos_coef = scores[:length]
+        neg_scores = neg_coef = scores[length:]
+    else:
+        product, vec = np.matmul, np.empty(pos_idx.shape[:-1] + (1, config.n))
+        vec[...] = draws.initial
+        col, scores = vec.swapaxes(-1, -2), np.empty(pos_idx.shape[:-1] + (rows, 1))
+        pos_scores, neg_scores = scores[..., :length, :], scores[..., length:, :]
+        pos_coef, neg_coef = pos_scores.swapaxes(-1, -2), neg_scores.swapaxes(-1, -2)
     above, below = np.empty(scores.shape, dtype=bool), np.empty(scores.shape, dtype=bool)
     grad, neg_grad = np.empty_like(vec), np.empty_like(vec)
-    for epoch, neg_idx in enumerate(negatives):
+    rates = [_learning_rate(config, epoch) for epoch in range(config.epochs)]
+    for neg_idx, rate in zip(negatives, rates):
         neg_vecs = word_matrix.take(neg_idx, axis=0)
-        np.matmul(pos_vecs, col, out=pos_scores)
-        np.matmul(neg_vecs, col, out=neg_scores)
+        product(pos_vecs, col, out=pos_scores)
+        product(neg_vecs, col, out=neg_scores)
         _sigmoid_inplace(scores, above, below)
         pos_scores -= 1.0
         # Two vector-matrix products: one over positives and negatives
         # together would sum in another order.
-        np.matmul(pos_coef, pos_vecs, out=grad)
-        np.matmul(neg_coef, neg_vecs, out=neg_grad)
+        product(pos_coef, pos_vecs, out=grad)
+        product(neg_coef, neg_vecs, out=neg_grad)
         grad += neg_grad
-        grad *= _learning_rate(config, epoch)
+        grad *= rate
         vec -= grad
-    return vec[..., 0, :]
+    return vec if pos_idx.ndim == 1 else vec[..., 0, :]
 
 
 def _infer_vectors(model: ParagraphVectorModel, token_lists) -> tuple[np.ndarray, list[bool]]:
@@ -425,6 +438,7 @@ def _infer_vectors(model: ParagraphVectorModel, token_lists) -> tuple[np.ndarray
     if cached:
         _draws(model, max(cached))  # grow the cache once, to the longest it holds
     # A diverging vector overflows the products; the check below catches it.
+    # _sigmoid_inplace needs over="ignore" for scores below -709.
     with np.errstate(over="ignore", invalid="ignore"):
         for length, members in by_length.items():
             per_stack = max(1, _STACK_BYTES // (8 * length * (config.n + config.negative_samples + 1)))

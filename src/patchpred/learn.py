@@ -1088,7 +1088,11 @@ class GradientBoostedTreesModel(TreeModel):
             g, h = sw * residual, sw * (p * (1 - p))
 
             def leaf_value(idx, g=g, h=h):
-                return float(g.take(idx).sum()) / (float(h.take(idx).sum()) + l2)
+                hessian = float(h.take(idx).sum()) + l2
+                if hessian == 0.0:  # every probability in the leaf rounded to 0 or 1
+                    raise TrainError(f"boosting saturated: a leaf has a zero hessian with l2 {l2!r} and "
+                                     f"learning_rate {lr!r}; raise l2 above 0 or lower the learning rate")
+                return float(g.take(idx).sum()) / hessian
 
             grow_tree(X, residual, sw, leaf_value, config["max_depth"], config["min_leaf"],
                       criterion="mse", nodes=nodes, scratch=scratch, leaf_values=leaf_values)

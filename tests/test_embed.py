@@ -235,6 +235,15 @@ def _ref_sigmoid(x):
     return out
 
 
+def test_sigmoid_without_a_clip_has_the_bits_of_the_clipped_reference():
+    edges = [0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 708.0, 710.0, np.inf]
+    x = np.array(edges + [-v for v in edges] + [np.nan])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = embed._sigmoid_inplace(x.copy())
+    # tobytes compares the sign of zero and the NaN too, which == would not.
+    assert got.tobytes() == _ref_sigmoid(x).tobytes()
+
+
 def _ref_doc_step(doc_vec, word_matrix, pos_idx, neg_idx, lr, freeze_words=False):
     pos_vecs = word_matrix[pos_idx]
     neg_flat = neg_idx.reshape(-1)
@@ -320,7 +329,7 @@ def test_embedder_matches_reference_loops_bit_for_bit(negative_samples, epochs, 
     assert np.array_equal(model.word_matrix, word_matrix)
     assert np.array_equal(model.doc_vectors, doc_vectors)
     assert model.training_report == report
-    probes = docs[:3] + [docs[-2], ["alpha3", "never-seen", "beta5", "alpha3", "also-new"]]
+    probes = docs[:3] + [docs[-2], ["alpha3", "never-seen", "beta5", "alpha3", "also-new"], ["alpha0"]]
     for tokens in probes:
         vec, flag = embed.infer_vector(model, tokens)
         assert not flag

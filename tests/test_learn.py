@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchpred import learn, worker
+from patchpred.combine import deep_fusion_train
 from patchpred.errors import TrainError
 from patchpred.learn import (FeatureRow, RandomForestModel, LogisticRegressionModel,
                              Tree, _pick, logistic_loss_and_grad, net_loss_and_grad,
@@ -72,6 +73,48 @@ def test_single_class_input_errors():
 def test_unknown_kind_errors():
     with pytest.raises(TrainError):
         learn.canonical_kind("svm")
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("dnn", "epochs", 0),
+    ("dnn", "epochs", -3),
+    ("lr", "max_epochs", 0),
+    ("lr", "tol", -1e-6),
+    ("lr", "tol", float("nan")),
+    ("nb", "var_smoothing", float("nan")),
+    ("nb", "var_smoothing", -1.0),
+    ("nb", "var_smoothing", 0.0),
+    ("dnn", "hidden", "abc"),
+    ("dnn", "hidden", [0]),
+    ("dnn", "hidden", [8, 2.5]),
+    ("lr", "standardize", "no"),
+    ("dnn", "standardize", 1),
+    ("dt", "class_weight", "auto"),
+    ("nb", "class_weight", {"0": 1}),
+    ("DeepFusion", "epochs", -1),
+    ("DeepFusion", "learned_width", 0),
+    ("DeepFusion", "engineered_width", 0),
+    ("DeepFusion", "joint_width", 0),
+    ("DeepFusion", "joint_width", True),
+])
+def test_bad_hyperparameters_are_refused_before_training(kind, key, value):
+    X, y = np.random.default_rng(0).normal(size=(12, 3)), np.arange(12) % 2
+    name = kind if kind == "DeepFusion" else learn.canonical_kind(kind)
+    with pytest.raises(TrainError, match=f"{name} hyperparameter '{key}' must be"):
+        if kind == "DeepFusion":
+            deep_fusion_train(X[:, :2], X[:, 2:], y, {key: value})
+        else:
+            learn.train(kind, rows_from(X, y), {key: value})
+
+
+@pytest.mark.parametrize("learning_rate", [1.0, 10.0])
+def test_boosting_that_saturates_a_leaf_without_l2_is_a_train_error(learning_rate):
+    # The first column is the label, so a few rounds drive every probability
+    # of each leaf to exactly 0 or 1, and with l2 0 its hessian sums to 0.
+    y = np.arange(40) % 2
+    X = np.column_stack([y, np.random.default_rng(0).normal(size=40)])
+    with pytest.raises(TrainError, match=f"l2 0.0 and learning_rate {learning_rate!r}"):
+        learn.train("gbt", rows_from(X, y), {"l2": 0.0, "learning_rate": learning_rate}, 0)
 
 
 def test_zero_weight_logistic_outputs_half():
