@@ -99,9 +99,6 @@ HYPERPARAMETER_CHECKS = {
     "standardize": (lambda v: isinstance(v, bool), "true or false"),
     "class_weight": (lambda v: v is None or v == "balanced", 'null or "balanced"'),
 }
-# (kind, hyperparameter) -> a check that replaces the one above. A fusion net
-# of 0 epochs is its seeded forward pass.
-KIND_CHECKS = {("DeepFusion", "epochs"): (_int_at_least(0), "an integer >= 0")}
 
 
 def resolved_config(kind: str, overrides: dict | None) -> dict:
@@ -109,7 +106,7 @@ def resolved_config(kind: str, overrides: dict | None) -> dict:
     for key, value in (overrides or {}).items():
         if key not in base:
             raise TrainError(f"unknown {kind} hyperparameter {key!r}; known: {sorted(base)}")
-        valid, what = KIND_CHECKS.get((kind, key)) or HYPERPARAMETER_CHECKS[key]
+        valid, what = HYPERPARAMETER_CHECKS[key]
         if not valid(value):
             raise TrainError(f"{kind} hyperparameter {key!r} must be {what}, got {value!r}")
         base[key] = value

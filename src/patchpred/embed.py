@@ -230,7 +230,8 @@ class _Epochs:
     token ids, then its T*k negative ids, in document order. Positives are
     written once; each epoch writes its negative draw into the other slots.
     `coef`, `above` and `below` hold the scores and saturation masks of a
-    whole epoch in the same layout.
+    whole epoch in the same layout; `update` holds one document's word-row
+    updates, as many rows as the longest document's slice.
 
     The word-matrix update is one scatter-add per document over a flat view
     of the matrix. With n even the view is complex128, one element per pair
@@ -256,6 +257,7 @@ class _Epochs:
         self.coef = np.empty(size)
         self.above, self.below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         vocab_size, n = word_matrix.shape
+        self.update = np.empty((max((stop - start for _, start, _, stop in self.spans), default=0), n))
         self.dtype, width = (np.complex128, n // 2) if n % 2 == 0 else (np.float64, n)
         self.flat = word_matrix.reshape(-1).view(self.dtype)
         self.positions = np.arange(vocab_size * width).reshape(vocab_size, width)
@@ -287,7 +289,9 @@ class _Epochs:
                                - np.log(np.maximum(1.0 - neg_coef, 1e-12)).sum())
             pos_coef -= 1.0
             grad_doc = np.dot(pos_coef, pos_vecs) + np.dot(neg_coef, neg_vecs)
-            update = np.multiply(doc_coef[:, None], doc_vec)
+            update = self.update[:stop - start]
+            update[...] = doc_coef[:, None]
+            update *= doc_vec
             update *= -lr
             np.add.at(self.flat, self.positions.take(doc_rows, axis=0).reshape(-1),
                       update.view(self.dtype).reshape(-1))

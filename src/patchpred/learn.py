@@ -1131,16 +1131,20 @@ class GradientBoostedTreesModel(TreeModel):
 
 # --- feed-forward network ---------------------------------------------------
 
-def init_net_params(layer_sizes, seed) -> list[np.ndarray]:
-    """Glorot-uniform weight matrices and zero biases, flattened as
-    [W0, b0, W1, b1, ...]."""
+def glorot_params(layers, seed) -> list[np.ndarray]:
+    """Glorot-uniform weight matrices and zero biases for (fan_in, fan_out)
+    layers, flattened as [W0, b0, W1, b1, ...]; one generator draws the
+    matrices in layer order."""
     rng = np.random.default_rng(seed)
     params = []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+    for fan_in, fan_out in layers:
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        params.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        params.append(np.zeros(fan_out))
+        params += [rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)]
     return params
+
+
+def init_net_params(layer_sizes, seed) -> list[np.ndarray]:
+    return glorot_params(zip(layer_sizes[:-1], layer_sizes[1:]), seed)
 
 
 def net_forward(params, X):
@@ -1156,26 +1160,51 @@ def net_forward(params, X):
     return acts[-1][:, 0], acts
 
 
-def net_loss_and_grad(params, X, y, l2=0.0, sample_weight=None):
-    """Mean cross-entropy loss and backprop gradients per parameter array."""
+def net_backward(params, acts, y, l2, sample_weight):
+    """Backprop from net_forward's activations: (mean cross-entropy without
+    any L2 term, gradients per parameter array, the first layer's dL/dz).
+    The gradients carry their l2 * W terms; each caller adds its L2 loss."""
     sw = np.ones_like(y) if sample_weight is None else sample_weight
     total = sw.sum()
-    p, acts = net_forward(params, X)
+    p = acts[-1][:, 0]
     eps = 1e-12
     loss = float(-(sw * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))).sum() / total)
-    grads = [np.zeros_like(q) for q in params]
-    n_layers = len(params) // 2
+    grads = [None] * len(params)
     # dL/dz for the sigmoid output under cross-entropy collapses to (p - y).
     delta = ((p - y) * sw / total)[:, None]
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(params) // 2 - 1, -1, -1):
         W = params[2 * i]
-        a_prev = acts[i]
-        grads[2 * i] = a_prev.T @ delta + l2 * W
+        grads[2 * i] = acts[i].T @ delta + l2 * W
         grads[2 * i + 1] = delta.sum(axis=0)
-        loss += 0.5 * l2 * float((W * W).sum())
         if i > 0:
             delta = (delta @ W.T) * (acts[i] > 0.0)
+    return loss, grads, delta
+
+
+def net_loss_and_grad(params, X, y, l2=0.0, sample_weight=None):
+    """Mean cross-entropy loss and backprop gradients per parameter array."""
+    loss, grads, _delta = net_backward(params, net_forward(params, X)[1], y, l2, sample_weight)
+    for W in params[-2::-2]:
+        loss += 0.5 * l2 * float((W * W).sum())
     return loss, grads
+
+
+def adam_epochs(params, loss_and_grad, config, what: str) -> dict:
+    """Full-batch Adam on `params`, in place, for config["epochs"] (>= 1)
+    epochs at config["learning_rate"]; loss_and_grad(params) gives (loss,
+    grads). Returns the training report."""
+    lr, beta1, beta2, eps = config["learning_rate"], 0.9, 0.999, 1e-8
+    m = [np.zeros_like(q) for q in params]
+    v = [np.zeros_like(q) for q in params]
+    for t in range(1, config["epochs"] + 1):
+        loss, grads = loss_and_grad(params)
+        if not math.isfinite(loss):
+            raise TrainError(f"non-finite {what} loss; lower the learning rate")
+        for i, (q, g) in enumerate(zip(params, grads)):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g * g
+            q -= lr * (m[i] / (1 - beta1**t)) / (np.sqrt(v[i] / (1 - beta2**t)) + eps)
+    return {"final_loss": loss}
 
 
 class FeedForwardNetModel(TrainedModel):
@@ -1190,18 +1219,11 @@ class FeedForwardNetModel(TrainedModel):
         mean, std = _standardizer(X, config["standardize"])
         Xs = (X - mean) / std
         sw = _sample_weights(y, config["class_weight"])
-        sizes = [X.shape[1]] + list(config["hidden"]) + [1]
-        params = init_net_params(sizes, seed)
-        opt = AdamOptimizer(params, config["learning_rate"])
-        final_loss = 0.0
-        for _epoch in range(config["epochs"]):
-            loss, grads = net_loss_and_grad(params, Xs, y, config["l2"], sw)
-            if not math.isfinite(loss):
-                raise TrainError("non-finite network loss; lower the learning rate")
-            opt.step(params, grads)
-            final_loss = loss
+        params = init_net_params([X.shape[1]] + list(config["hidden"]) + [1], seed)
+        report = adam_epochs(params, lambda q: net_loss_and_grad(q, Xs, y, config["l2"], sw),
+                             config, "network")
         model = cls(X.shape[1], config, seed, params, mean, std)
-        model.training_report = {"final_loss": final_loss}
+        model.training_report = report
         return model
 
     def _proba(self, X) -> np.ndarray:
@@ -1225,26 +1247,6 @@ class FeedForwardNetModel(TrainedModel):
         vector = (feature_count,)
         return cls(feature_count, config, seed, layers, _array(params["mean"], vector, "mean"),
                    _array(params["std"], vector, "std"))
-
-
-class AdamOptimizer:
-    """Adaptive-moment updates over a list of parameter arrays."""
-
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(q) for q in params]
-        self.v = [np.zeros_like(q) for q in params]
-        self.t = 0
-
-    def step(self, params, grads):
-        self.t += 1
-        for i, (q, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            q -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _array(values, shape, what) -> np.ndarray:

@@ -74,20 +74,8 @@ def test_naive_concat_is_lossless_projection():
     assert np.array_equal(merged[5:], engineered)
 
 
-def test_fusion_zero_epochs_is_the_seeded_forward_pass():
-    rng = np.random.default_rng(1)
-    Xl, Xe = rng.normal(size=(30, 4)), rng.normal(size=(30, 3))
-    y = (rng.random(30) < 0.5).astype(float)
-    y[:2] = [0, 1]
-    m1 = deep_fusion_train(Xl, Xe, y, {"epochs": 0}, seed=9)
-    m2 = deep_fusion_train(Xl, Xe, y, {"epochs": 0}, seed=9)
-    assert np.array_equal(m1.predict_proba_batch(np.hstack([Xl, Xe])),
-                          m2.predict_proba_batch(np.hstack([Xl, Xe])))
-    for a, b in zip(m1.params, init_fusion_params(4, 3, m1.config, 9)):
-        assert np.array_equal(a, b)
-
-
-def test_fusion_gradient_matches_finite_differences_small_towers():
+@pytest.mark.parametrize("l2", [0.0, 0.3])
+def test_fusion_gradient_matches_finite_differences_small_towers(l2):
     rng = np.random.default_rng(2)
     Xl, Xe = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
     y = (rng.random(8) < 0.5).astype(float)
@@ -107,11 +95,11 @@ def test_fusion_gradient_matches_finite_differences_small_towers():
         return out
 
     flat0 = np.concatenate([p.ravel() for p in params])
-    _loss, grads = fusion_loss_and_grad(unflatten(flat0), Xl, Xe, y)
+    _loss, grads = fusion_loss_and_grad(unflatten(flat0), Xl, Xe, y, l2)
     grad_flat = np.concatenate([g.ravel() for g in grads])
 
     def loss_of(flat):
-        return fusion_loss_and_grad(unflatten(flat), Xl, Xe, y)[0]
+        return fusion_loss_and_grad(unflatten(flat), Xl, Xe, y, l2)[0]
 
     numeric = np.zeros_like(flat0)
     for i in range(len(flat0)):

@@ -92,6 +92,7 @@ def test_unknown_kind_errors():
     ("dt", "class_weight", "auto"),
     ("nb", "class_weight", {"0": 1}),
     ("DeepFusion", "epochs", -1),
+    ("DeepFusion", "epochs", 0),
     ("DeepFusion", "learned_width", 0),
     ("DeepFusion", "engineered_width", 0),
     ("DeepFusion", "joint_width", 0),
@@ -230,10 +231,12 @@ def test_logistic_gradient_matches_finite_differences():
         assert np.max(np.abs(grad - numeric) / denom) < 1e-5
 
 
-def test_network_gradient_matches_finite_differences_five_param_toy():
+@pytest.mark.parametrize("l2", [0.0, 0.3])
+def test_network_gradient_matches_finite_differences_five_param_toy(l2):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(10, 2))
     y = (X[:, 0] > 0).astype(float)
+    sw = rng.uniform(0.5, 2.0, size=10)  # non-unit sample weights
     params = init_net_params([2, 1, 1], seed=4)  # 2 + 1 + 1 + 1 = 5 parameters
     shapes = [p.shape for p in params]
 
@@ -247,9 +250,9 @@ def test_network_gradient_matches_finite_differences_five_param_toy():
 
     flat0 = np.concatenate([p.ravel() for p in params])
     assert flat0.size == 5
-    _loss, grads = net_loss_and_grad(unflatten(flat0), X, y)
+    _loss, grads = net_loss_and_grad(unflatten(flat0), X, y, l2, sw)
     grad_flat = np.concatenate([g.ravel() for g in grads])
-    numeric = numeric_grad(lambda f: net_loss_and_grad(unflatten(f), X, y)[0], flat0)
+    numeric = numeric_grad(lambda f: net_loss_and_grad(unflatten(f), X, y, l2, sw)[0], flat0)
     denom = np.maximum(np.abs(numeric), 1e-8)
     assert np.max(np.abs(grad_flat - numeric) / denom) < 1e-4
 
