@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import diffparse, embed, engineered, evaluate, explain, featureio, filtering, learn, synth
-from .defaults import DEFAULT_EMBEDDER
 from .errors import EmbeddingError, EvalError, ExplainError, FeatureError, PatchPredError, TrainError
 
 
@@ -113,10 +113,11 @@ def _embedder_config(args, cfg) -> embed.EmbedderConfig:
     given = cfg.get("embedder", {})
     if not isinstance(given, dict):
         raise EmbeddingError(f'config "embedder" must be a JSON object, got {given!r}')
-    unknown = sorted(set(given) - set(DEFAULT_EMBEDDER))
+    known = sorted(field.name for field in dataclasses.fields(embed.EmbedderConfig))
+    unknown = sorted(set(given) - set(known))
     if unknown:
-        raise EmbeddingError(f"unknown embedder setting(s) {unknown}; known: {sorted(DEFAULT_EMBEDDER)}")
-    section = {**DEFAULT_EMBEDDER, **given}
+        raise EmbeddingError(f"unknown embedder setting(s) {unknown}; known: {known}")
+    section = dict(given)
     for flag, key in (("dim", "n"), ("epochs", "epochs"), ("negative", "negative_samples"),
                       ("lr", "learning_rate"), ("min_count", "min_token_count"),
                       ("embedder_seed", "seed")):

@@ -57,16 +57,6 @@ DEFAULT_HYPERPARAMETERS = {
     },
 }
 
-DEFAULT_EMBEDDER = {
-    "n": 64,
-    "epochs": 100,
-    "negative_samples": 5,
-    "learning_rate": 0.025,
-    "min_token_count": 1,
-    "seed": 0,
-}
-
-
 def _int_at_least(low):
     return lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= low
 

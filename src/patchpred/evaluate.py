@@ -11,7 +11,6 @@ a trainer turns into a learn.Dataset once per fit and once per prediction.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,45 +229,6 @@ def _fold_metrics(probs, labels, threshold):
     return metrics, sorted(set(undefined))
 
 
-def _on_two_cpus(run, k: int, cells: int) -> list:
-    """run(range(k)), the list of what each fold gave, in fold order. From
-    worker.FOLD_CELLS rows x columns up, a worker.Worker runs folds
-    m .. 2m - 1 (m = k // 2) while this process runs folds 0 .. m - 1, each
-    pinned to its own half of the CPUs with BLAS on one thread, so that no
-    fit inside sees a second CPU: a BLAS thread pool restarted after the
-    fork would start inside the pin and wait on its one CPU. This process
-    then restores its CPU set and thread count, and runs an odd last fold
-    on all of its CPUs, and the folds of a worker that died: a fold that
-    raised there raises here. Where worker.blas_threads finds no OpenBLAS
-    to cap, every fold runs here, as on one CPU."""
-    m = k // 2
-    if not worker.forks(cells, worker.FOLD_CELLS) or (blas := worker.blas_threads()) is None:
-        return run(range(k))
-    (get_threads, set_threads), cpus = blas, os.sched_getaffinity(0)
-    ordered, threads = sorted(cpus), get_threads()
-    mine, theirs = set(ordered[:len(ordered) // 2]), set(ordered[len(ordered) // 2:])
-
-    def work(_peer):
-        os.sched_setaffinity(0, theirs)
-        set_threads(1)
-        return run(range(m, 2 * m))
-
-    done = []
-    try:
-        with worker.Worker(work) as peer:
-            try:
-                os.sched_setaffinity(0, mine)
-                set_threads(1)
-                done += run(range(m))
-            finally:
-                os.sched_setaffinity(0, cpus)
-                set_threads(threads)
-            done += peer.result()
-    except worker.WorkerLost:
-        pass
-    return done + run(range(len(done), k))
-
-
 def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) -> dict:
     """k-group bug-disjoint cross-validation with macro-averaged metrics.
 
@@ -276,7 +236,7 @@ def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) 
     aggregates, the fold plan, and every out-of-fold prediction. Every fold
     is split and checked before the first fit. `trainer.fit(rows, seed)`
     returns a predictor, rows -> probabilities. A fit and its predictor may
-    run in a forked copy of this process (see _on_two_cpus), and their side
+    run in a forked copy of this process (see worker.halves), and their side
     effects on Python objects stay there; the report is the same either way.
     """
     if k < 2:  # with one fold, the training split would be empty
@@ -312,7 +272,8 @@ def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) 
     width = sum(len(vec) for vec in (getattr(rows[0], side, None) for side in ("features", "learned", "engineered"))
                 if vec is not None)
     per_fold, predictions = [], []
-    for i, (probs, metrics, undefined) in enumerate(_on_two_cpus(run, k, len(rows) * width)):
+    parts = worker.halves(run, k, len(rows) * width, worker.FOLD_CELLS)
+    for i, (probs, metrics, undefined) in enumerate(fold for part in parts for fold in part):
         test_rows = folds[i][1]
         per_fold.append({
             "fold": i,

@@ -838,12 +838,12 @@ def logistic_loss_and_grad(wb: np.ndarray, X: np.ndarray, y: np.ndarray,
     w, b = wb[:-1], wb[-1]
     sw = np.ones_like(y) if sample_weight is None else sample_weight
     total = sw.sum()
-    p = _sigmoid(X @ w + b)
+    p = _sigmoid(np.dot(X, w) + b)
     eps = 1e-12
     loss = float(-(sw * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))).sum() / total
-                 + 0.5 * l2 * float(w @ w))
+                 + 0.5 * l2 * float(np.dot(w, w)))
     err = sw * (p - y) / total
-    grad = np.concatenate([X.T @ err + l2 * w, [err.sum()]])
+    grad = np.concatenate([np.dot(X.T, err) + l2 * w, [err.sum()]])
     return loss, grad
 
 
@@ -864,17 +864,15 @@ class LogisticRegressionModel(TrainedModel):
         sw = _sample_weights(y, config["class_weight"])
         wb = np.zeros(X.shape[1] + 1)
         lr = config["learning_rate"]
-        losses = []
-        for _epoch in range(config["max_epochs"]):
+        for epoch in range(config["max_epochs"] + 1):  # the last loss is the returned weights'
             loss, grad = logistic_loss_and_grad(wb, Xs, y, config["l2"], sw)
             if not math.isfinite(loss):
                 raise TrainError("non-finite logistic loss; lower the learning rate")
-            losses.append(loss)
-            if float(np.linalg.norm(grad)) <= config["tol"]:
+            if epoch == config["max_epochs"] or float(np.linalg.norm(grad)) <= config["tol"]:
                 break
             wb -= lr * grad
         model = cls(X.shape[1], config, seed, wb[:-1], wb[-1], mean, std)
-        model.training_report = {"epochs_run": len(losses), "final_loss": losses[-1] if losses else 0.0}
+        model.training_report = {"epochs_run": epoch, "final_loss": loss}
         return model
 
     def margin_batch(self, X) -> np.ndarray:
@@ -1008,24 +1006,17 @@ class RandomForestModel(TreeModel):
         `max_features` None or at least the column count. All trees are
         grown side by side by _ForestGrower, with no copy of X per tree, and
         are bit for bit the trees of a per-node search on X[boot]. From
-        worker.FOREST_ROW_TREES rows x trees up, a worker.Worker grows the
-        second half of the trees and returns their packed arrays; if it
-        dies, they are grown here."""
+        worker.FOREST_ROW_TREES rows x trees up, worker.halves grows half of
+        the trees in a worker and half here, each on its own CPU; the
+        packed arrays (_Nodes.packed) of its parts are joined in tree
+        order."""
         sw = _sample_weights(y, config["class_weight"])
         p = X.shape[1]
         k = config["max_features"]
         k = p if k is None else max(1, int(math.sqrt(p))) if k == "sqrt" else int(k)
         grower = _ForestGrower(X, y, sw, k, config["max_depth"], config["min_leaf"])
         n = config["n_trees"]
-        parts, split = [], n - n // 2  # packed trees (_Nodes.packed), in tree order
-        if n > 1 and worker.forks(len(X) * n, worker.FOREST_ROW_TREES):
-            try:
-                with worker.Worker(lambda peer: grower.grow(seed, range(split, n))) as peer:
-                    parts.append(grower.grow(seed, range(split)))
-                    parts.append(peer.result())
-            except worker.WorkerLost:  # the rest are grown here
-                pass
-        parts.append(grower.grow(seed, range(sum(len(part[0]) for part in parts), n)))
+        parts = worker.halves(lambda trees: grower.grow(seed, trees), n, len(X) * n, worker.FOREST_ROW_TREES)
         return cls(p, config, seed, Forest(*map(np.concatenate, zip(*parts))))
 
     @classmethod
@@ -1192,14 +1183,17 @@ def net_loss_and_grad(params, X, y, l2=0.0, sample_weight=None):
 def adam_epochs(params, loss_and_grad, config, what: str) -> dict:
     """Full-batch Adam on `params`, in place, for config["epochs"] (>= 1)
     epochs at config["learning_rate"]; loss_and_grad(params) gives (loss,
-    grads). Returns the training report."""
+    grads). Returns the training report, whose final_loss is the loss of
+    the returned parameters; TrainError if a loss is not finite."""
     lr, beta1, beta2, eps = config["learning_rate"], 0.9, 0.999, 1e-8
     m = [np.zeros_like(q) for q in params]
     v = [np.zeros_like(q) for q in params]
-    for t in range(1, config["epochs"] + 1):
+    for t in range(1, config["epochs"] + 2):  # the last loss is the returned parameters'
         loss, grads = loss_and_grad(params)
         if not math.isfinite(loss):
             raise TrainError(f"non-finite {what} loss; lower the learning rate")
+        if t > config["epochs"]:
+            break
         for i, (q, g) in enumerate(zip(params, grads)):
             m[i] = beta1 * m[i] + (1 - beta1) * g
             v[i] = beta2 * v[i] + (1 - beta2) * g * g

@@ -1,11 +1,11 @@
 """A forked worker process, for work split over two CPUs.
 
 A boosting fit runs its rounds in lockstep with a worker, each process
-searching half of every node's columns, and a random forest leaves half of
-its trees to a worker (see learn.py). Both give the trees a fit alone gives.
-A cross-validation leaves half of its folds to a worker, each process pinned
-to its own half of the CPUs with BLAS on one thread, so that the fits inside
-run serially (see evaluate.py); the report is the one a run on one CPU gives.
+searching half of every node's columns (see learn.py). A cross-validation's
+folds and a random forest's trees are split by `halves`: a worker runs half
+of the items while this process runs the other half, each pinned to its own
+half of the CPUs with BLAS on one thread. Either way the result is the one
+a run on one CPU gives.
 """
 
 from __future__ import annotations
@@ -188,3 +188,39 @@ class Worker:
             return pickle.loads(self._receive())
         except (EOFError, pickle.UnpicklingError) as exc:
             raise WorkerLost from exc
+
+
+def halves(run, n: int, size: int, least: int) -> list:
+    """What run(range(a, b)) gives over consecutive ranges that cover
+    range(n), in order. Where forks(size, least) holds and blas_threads
+    finds numpy's OpenBLAS, a Worker runs items m .. 2m - 1 (m = n // 2)
+    while this process runs items 0 .. m - 1, each pinned to its own half
+    of the CPUs with BLAS on one thread, so that no work inside sees a
+    second CPU: a BLAS thread pool restarted after the fork would start
+    inside the pin and wait on its one CPU. This process then restores its
+    CPU set and thread count, on every way out, before it reads the
+    worker's result, and runs the rest on all of its CPUs: an odd last
+    item, and the worker's items if the worker was lost. An item that
+    raised in the worker raises here."""
+    m, parts = n // 2, []
+    if m and forks(size, least) and (blas := blas_threads()) is not None:
+        (get_threads, set_threads), cpus = blas, os.sched_getaffinity(0)
+        ordered, threads = sorted(cpus), get_threads()
+        half = len(ordered) // 2
+
+        def pinned(to, items):
+            os.sched_setaffinity(0, to)
+            set_threads(1)
+            return run(items)
+
+        try:
+            with Worker(lambda _peer: pinned(ordered[half:], range(m, 2 * m))) as peer:
+                try:
+                    parts.append(pinned(ordered[:half], range(m)))
+                finally:
+                    os.sched_setaffinity(0, cpus)
+                    set_threads(threads)
+                parts.append(peer.result())
+        except WorkerLost:
+            pass
+    return parts + [run(range(m * len(parts), n))]

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import mmap
 import os
 import pickle
 import platform
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchpred import learn, worker
-from patchpred.combine import deep_fusion_train
+from patchpred.combine import deep_fusion_train, fusion_loss_and_grad
 from patchpred.errors import TrainError
 from patchpred.learn import (FeatureRow, RandomForestModel, LogisticRegressionModel,
                              Tree, _pick, logistic_loss_and_grad, net_loss_and_grad,
@@ -215,6 +216,41 @@ def test_gbt_training_loss_nonincreasing(blob_data):
     model = learn.train("gbt", rows_from(X, y), {"rounds": 40}, seed=0)
     losses = model.training_report["round_losses"]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def _final_losses(kind, epochs, learning_rate):
+    """(reported final loss, the loss of the returned parameters) of a fit
+    of `epochs` epochs on 80 random rows: "lr", "dnn" or "fusion"."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(80, 6))
+    y = (rng.random(80) < 0.5).astype(float)
+    sw = learn._sample_weights(y, None)
+    if kind == "fusion":
+        model = deep_fusion_train(X[:, :3], X[:, 3:], y, {"epochs": epochs, "learning_rate": learning_rate}, 0)
+        return model.training_report["final_loss"], fusion_loss_and_grad(model.params, *model._towers(X), y, 0.0, sw)[0]
+    cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
+    epochs_key = "max_epochs" if kind == "lr" else "epochs"
+    model = cls.fit(X, y, learn.resolved_config(cls.kind, {epochs_key: epochs, "learning_rate": learning_rate}), 0)
+    Xs = (X - model.mean) / model.std
+    if kind == "lr":
+        loss = logistic_loss_and_grad(np.r_[model.weights, model.bias], Xs, y, model.config["l2"], sw)[0]
+    else:
+        loss = net_loss_and_grad(model.params, Xs, y, model.config["l2"], sw)[0]
+    return model.training_report["final_loss"], loss
+
+
+@pytest.mark.parametrize("kind", ["lr", "dnn", "fusion"])
+def test_the_final_loss_reported_is_the_returned_parameters(kind):
+    # 5 epochs: a logistic regression runs out of epochs before its tol.
+    reported, returned = _final_losses(kind, 5, 0.01)
+    assert reported == returned
+
+
+@pytest.mark.parametrize("kind", ["lr", "dnn", "fusion"])
+def test_a_last_step_to_a_non_finite_loss_raises(kind):
+    # The one step of a one-epoch fit at this rate leaves weights near 1e308.
+    with np.errstate(all="ignore"), pytest.raises(TrainError, match="non-finite .* loss; lower the learning rate"):
+        _final_losses(kind, 1, 1e308)
 
 
 def test_logistic_gradient_matches_finite_differences():
@@ -1019,9 +1055,10 @@ def test_random_forests_round_trip_through_files(forest, base, seed, bad_child):
 
 
 # --- fits with a worker on the other CPU -----------------------------------------
-# With the size rule's constants at 0 every boosting and forest fit forks a
-# worker where it can (Linux, two usable CPUs); elsewhere the same tests run
-# the serial path. Either way the trees are the reference's, and
+# With the size rule's constants at 0 every boosting fit forks a worker where
+# it can (Linux, two usable CPUs), and every forest fit of two trees or more
+# where numpy's OpenBLAS is found as well (worker.halves); elsewhere the same
+# tests run the serial path. Either way the trees are the reference's, and
 # no test leaves a child process behind.
 
 @contextmanager
@@ -1047,7 +1084,9 @@ def _count_forks(monkeypatch):
     return forks
 
 
-WORKERS = int(worker.forks(1, 0))  # forks per fit from the size rule's 0 up
+# Forks per fit from the size rule's 0 up, by kind.
+WORKERS = {"gbt": int(worker.forks(1, 0)), "rf": int(worker.forks(1, 0) and worker.blas_threads() is not None)}
+needs_halves = pytest.mark.skipif(not WORKERS["rf"], reason="worker.halves needs Linux, two CPUs and numpy's OpenBLAS")
 
 
 @pytest.mark.parametrize("kind, overrides", [case for case in PAPER_SHAPE_CASES if case[0] != "dt"])
@@ -1055,7 +1094,7 @@ def test_trees_grown_with_a_worker_match_reference_at_paper_shape(kind, override
     forks = _count_forks(monkeypatch)
     with _workers_always():
         test_trees_match_reference_at_paper_shape(kind, overrides)
-    assert len(forks) == WORKERS
+    assert len(forks) == WORKERS[kind]
 
 
 def test_decision_trees_never_fork(monkeypatch):
@@ -1171,6 +1210,67 @@ def test_workers_fork_whatever_the_machine(monkeypatch):
     assert worker.forks(1, 0)
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_halves_run_consecutive_ranges_that_cover_the_items(n, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    parts = worker.halves(lambda items: items, n, 1, 0)
+    _assert_no_children()
+    assert [i for part in parts for i in part] == list(range(n))
+    m = n // 2
+    if m and WORKERS["rf"]:  # this process's half, the worker's, the rest
+        assert parts == [range(m), range(m, 2 * m), range(2 * m, n)]
+    else:
+        assert parts == [range(n)]
+    assert len(forks) == (WORKERS["rf"] if m else 0)
+
+
+@contextmanager
+def _two_cpus():
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, set(sorted(before)[:2]))
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+@needs_halves
+def test_forest_halves_grow_on_one_cpu_and_one_blas_thread_and_restore_both(monkeypatch):
+    # Each call of grow records, in an anonymous shared mapping that the
+    # worker writes too, the CPUs and BLAS threads it could use, by its
+    # first tree. Trees 0, 1 grow here and 2, 3 in the worker on one CPU
+    # and one thread each, tree 4 here on both CPUs and the caller's count,
+    # which is back after the fit returns or raises.
+    X, y = _boosting_problem()
+    config = learn.resolved_config("RandomForest", {"n_trees": 5})
+    seen = np.frombuffer(mmap.mmap(-1, 16 * 5), dtype=np.int64).reshape(5, 2)
+    get_threads, set_threads = worker.blas_threads()
+    parent, grow = os.getpid(), learn._ForestGrower.grow
+
+    def recorded(self, seed, trees, raises=False):
+        seen[trees.start] = len(os.sched_getaffinity(0)), get_threads()
+        if raises and os.getpid() == parent and trees.start == 0:
+            raise KeyboardInterrupt
+        return grow(self, seed, trees)
+
+    before = get_threads()
+    set_threads(2)
+    try:
+        with _two_cpus():
+            cpus = os.sched_getaffinity(0)
+            monkeypatch.setattr(learn._ForestGrower, "grow", recorded)
+            with _workers_always():
+                RandomForestModel.fit(X, y, config, 0)
+            assert seen[[0, 2, 4]].tolist() == [[1, 1], [1, 1], [2, 2]]
+            assert (os.sched_getaffinity(0), get_threads()) == (cpus, 2)
+            monkeypatch.setattr(learn._ForestGrower, "grow", lambda *args: recorded(*args, raises=True))
+            with _workers_always(), pytest.raises(KeyboardInterrupt):
+                RandomForestModel.fit(X, y, config, 0)
+            assert (os.sched_getaffinity(0), get_threads()) == (cpus, 2)
+    finally:
+        set_threads(before)
+
+
 def _boosting_problem():
     rng = np.random.default_rng(6)
     X = np.round(rng.normal(size=(300, 24)), 1)
@@ -1204,7 +1304,7 @@ def test_a_fit_whose_worker_dies_returns_the_serial_model(kind, monkeypatch):
         monkeypatch.setattr(learn._ForestGrower, "_step", _dies_in_the_worker(learn._ForestGrower._step, 3))
     with _workers_always():
         assert json.dumps(cls.fit(X, y, config, 3).to_dict()) == serial
-    assert len(forks) == WORKERS
+    assert len(forks) == WORKERS[kind]
 
 
 @pytest.mark.parametrize("kind", ["gbt", "rf"])
@@ -1229,7 +1329,7 @@ def test_fits_reap_their_worker_on_every_way_out(kind, monkeypatch):
     monkeypatch.setattr(owner, name, interrupted)
     with _workers_always(), pytest.raises(KeyboardInterrupt):
         cls.fit(X, y, config, 0)
-    assert len(forks) == 2 * WORKERS
+    assert len(forks) == 2 * WORKERS[kind]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files through /proc")
@@ -1243,7 +1343,7 @@ def test_fits_with_a_worker_leave_no_file_open(kind, monkeypatch):
     with _workers_always():
         cls.fit(X, y, config, 3)
     assert sorted(os.listdir("/proc/self/fd")) == before
-    assert len(forks) == WORKERS
+    assert len(forks) == WORKERS[kind]
 
 
 def test_a_boosting_fit_that_raises_reaps_its_worker(monkeypatch):
@@ -1253,4 +1353,4 @@ def test_a_boosting_fit_that_raises_reaps_its_worker(monkeypatch):
     with _workers_always(), np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainError, match="non-finite boosting loss"):
             learn.GradientBoostedTreesModel.fit(X, y, config, 0)
-    assert len(forks) == WORKERS
+    assert len(forks) == WORKERS["gbt"]
