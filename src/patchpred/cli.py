@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import diffparse, embed, engineered, evaluate, explain, featureio, filtering, learn, synth
+from . import diffparse, embed, engineered, evaluate, explain, featureio, filtering, jsonfile, learn, synth
 from .errors import EmbeddingError, EvalError, ExplainError, FeatureError, PatchPredError, TrainError
 
 
@@ -37,19 +37,6 @@ class Flag(NamedTuple):
     output: bool = False
     help: str | None = None
     metavar: str | None = None
-
-
-def _load_config(path):
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PatchPredError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise PatchPredError("config file must hold a JSON object")
-    return cfg
 
 
 # The JSON types a config entry may have for each flag type; true/false is
@@ -92,10 +79,7 @@ def _write(path, content, args=None, keys=()) -> None:
     if args is not None:
         provenance = {"command": args.command, "config": {k: getattr(args, k) for k in keys}}
     if isinstance(content, dict):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"provenance": provenance, **content} if provenance else content, fh,
-                      sort_keys=True, indent=1)
-            fh.write("\n")
+        jsonfile.write(path, {"provenance": provenance, **content} if provenance else content, indent=1)
         return
     if callable(content):
         content(path)
@@ -267,11 +251,10 @@ def cmd_filter(args, cfg):
     scored = _scored(args)
     sim = None
     if args.stats:
-        with open(args.stats, "r", encoding="utf-8") as fh:
-            try:
-                sim = filtering.SimilarityStats(**json.load(fh)["stats"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise EvalError(f"{args.stats} is not a stats report: {exc!r}") from exc
+        try:
+            sim = filtering.SimilarityStats(**jsonfile.read_object(args.stats, EvalError, "stats report")["stats"])
+        except (KeyError, TypeError) as exc:
+            raise EvalError(f"{args.stats} is not a stats report: {exc!r}") from exc
     policy = filtering.resolve_policy(args.policy, sim, args.value)
     report = filtering.filter_by_threshold([(pid, score, label) for pid, _b, score, label, _f in scored], policy)
     keys = ("corpus", "embeddings", "policy", "stats")
@@ -528,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = jsonfile.read_object(args.config, PatchPredError, "config file") if args.config else {}
         resolve(args, cfg)
         return COMMANDS[args.command][0](args, cfg)
     except PatchPredError as exc:

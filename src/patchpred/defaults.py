@@ -1,4 +1,5 @@
-"""Committed default hyperparameters, echoed verbatim into every report."""
+"""Committed default hyperparameters, echoed verbatim into every report, and
+the checks every learner hyperparameter and embedder setting passes."""
 
 import math
 from numbers import Integral, Real
@@ -62,13 +63,19 @@ def _int_at_least(low):
 
 
 def _number(v) -> bool:
+    """A finite int or float; true and false are not numbers."""
     return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# Hyperparameter -> (test, what a valid value is), for every key above.
-# max_depth 0 is allowed: it grows a single leaf. var_smoothing 0 is not: a
-# column constant within a class would get a zero variance to divide by.
+# Setting -> (test, what a valid value is), for every key above and every
+# field of embed.EmbedderConfig. max_depth 0 is allowed: it grows a single
+# leaf. var_smoothing 0 is not: a column constant within a class would get a
+# zero variance to divide by.
 HYPERPARAMETER_CHECKS = {
+    "n": (_int_at_least(2), "an integer >= 2"),
+    "negative_samples": (_int_at_least(0), "an integer >= 0"),
+    "min_token_count": (_int_at_least(1), "an integer >= 1"),
+    "seed": (_int_at_least(0), "an integer >= 0"),
     "n_trees": (_int_at_least(1), "an integer >= 1"),
     "rounds": (_int_at_least(1), "an integer >= 1"),
     "epochs": (_int_at_least(1), "an integer >= 1"),

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .defaults import _int_at_least, _number
+from . import jsonfile
+from .defaults import HYPERPARAMETER_CHECKS
 from .errors import EmbeddingError
 
 MODEL_FORMAT_VERSION = 1
@@ -31,19 +32,6 @@ _DRAWS_MAX_TOKENS = 1024
 # Keys one negative draw searches at a time: bounds its temporaries at
 # ~200 KB. Blocks 8x larger searched the README corpus's epoch draw 3x slower.
 _DRAW_BLOCK = 1 << 13
-
-# Setting -> (test, what a valid value is). The inference draw cache sizes
-# itself as epochs * negative_samples * tokens, so these hold for every
-# config, however it was built.
-_CONFIG_CHECKS = {
-    "n": (_int_at_least(2), "an integer >= 2"),
-    "epochs": (_int_at_least(1), "an integer >= 1"),
-    "negative_samples": (_int_at_least(0), "an integer >= 0"),
-    "learning_rate": (lambda v: _number(v) and v > 0, "a finite number > 0"),
-    "min_token_count": (_int_at_least(1), "an integer >= 1"),
-    "seed": (_int_at_least(0), "an integer >= 0"),
-}
-
 
 @dataclass(frozen=True)
 class EmbeddingPair:
@@ -64,8 +52,10 @@ class EmbedderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key, (valid, what) in _CONFIG_CHECKS.items():
-            value = getattr(self, key)
+        """Checks every setting, however the config was built: the inference
+        draw cache sizes itself as epochs * negative_samples * tokens."""
+        for key, value in asdict(self).items():
+            valid, what = HYPERPARAMETER_CHECKS[key]
             if not valid(value):
                 raise EmbeddingError(f"embedder {key} must be {what}, got {value!r}")
 
@@ -467,7 +457,7 @@ def infer_vector(model: ParagraphVectorModel, tokens) -> tuple[np.ndarray, bool]
 
 
 def save_model(model: ParagraphVectorModel, path) -> None:
-    doc = {
+    jsonfile.write(path, {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "ParagraphVectorModel",
         "vocabulary": model.vocabulary,
@@ -475,24 +465,15 @@ def save_model(model: ParagraphVectorModel, path) -> None:
         "token_counts": model.token_counts.tolist(),
         "config": asdict(model.config),
         "training_report": model.training_report,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    })
 
 
 def load_model(path) -> ParagraphVectorModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise EmbeddingError(f"{path}: not a valid paragraph-vector model file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "ParagraphVectorModel":
-        raise EmbeddingError(f"{path} is not a paragraph-vector model file")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise EmbeddingError(f"{path}: unsupported model format version {doc.get('format_version')!r}")
+    doc = jsonfile.read_object(path, EmbeddingError, "paragraph-vector model file")
+    jsonfile.model_kind(doc, path, EmbeddingError, ("ParagraphVectorModel",), MODEL_FORMAT_VERSION)
     try:
         model = ParagraphVectorModel(
-            vocabulary={str(k): int(v) for k, v in doc["vocabulary"].items()},
+            vocabulary={str(k): v for k, v in doc["vocabulary"].items()},
             word_matrix=np.array(doc["word_matrix"], dtype=float),
             token_counts=np.array(doc["token_counts"], dtype=float),
             config=EmbedderConfig(**doc["config"]),
@@ -503,7 +484,8 @@ def load_model(path) -> ParagraphVectorModel:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise EmbeddingError(f"{path}: malformed paragraph-vector model: {exc!r}") from exc
     size, n = len(model.vocabulary), model.config.n
-    if sorted(model.vocabulary.values()) != list(range(size)):
+    if not all(type(i) is int for i in model.vocabulary.values()) \
+            or sorted(model.vocabulary.values()) != list(range(size)):
         problem = f"vocabulary ids are not exactly 0..{size - 1}"
     elif model.word_matrix.shape != (size, n):
         problem = f"word_matrix is {model.word_matrix.shape}, expected ({size}, {n})"

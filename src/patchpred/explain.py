@@ -21,7 +21,7 @@ import numpy as np
 
 from . import crossing
 from .errors import ExplainError
-from .learn import LogisticRegressionModel, TreeModel
+from .learn import LogisticRegressionModel, TreeModel, checked_arithmetic
 
 
 @dataclass
@@ -228,11 +228,12 @@ def linear_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
     if not isinstance(model, LogisticRegressionModel):
         raise ExplainError("linear_shap requires a LogisticRegression model")
     x, background = _valid_inputs(model, x, background)
-    bg_mean = background.mean(axis=0)
-    effective_w = model.weights / model.std
-    contributions = effective_w * (x - bg_mean)
-    base = float(model.margin_batch(bg_mean[None, :])[0])
-    output = float(model.margin_batch(x[None, :])[0])
+    with checked_arithmetic(ExplainError, "logistic regression attributions"):
+        bg_mean = background.mean(axis=0)
+        effective_w = model.weights / model.std
+        contributions = effective_w * (x - bg_mean)
+        base = float(model.margin_batch(bg_mean[None, :])[0])
+        output = float(model.margin_batch(x[None, :])[0])
     return ShapExplanation(patch_id, base, contributions, output, "margin")
 
 

@@ -8,14 +8,14 @@ JSON that round-trips to an identical predictor.
 
 from __future__ import annotations
 
-import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import worker
-from .defaults import resolved_config
+from . import jsonfile, worker
+from .defaults import _number, resolved_config
 from .errors import EvalError, TrainError
 
 MODEL_FORMAT_VERSION = 1
@@ -95,10 +95,9 @@ class Dataset:
 
 
 def _sample_weights(y: np.ndarray, class_weight) -> np.ndarray:
+    # class_weight is None or "balanced": the settings checks pass no other value.
     if class_weight is None:
         return np.ones_like(y)
-    if class_weight != "balanced":
-        raise TrainError(f"unsupported class_weight {class_weight!r}; use None or 'balanced'")
     n = len(y)
     pos = float(y.sum())
     neg = n - pos
@@ -108,6 +107,17 @@ def _sample_weights(y: np.ndarray, class_weight) -> np.ndarray:
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
+@contextmanager
+def checked_arithmetic(error, what: str):
+    """Raise `error` where numpy arithmetic in the block overflows, divides by
+    zero or turns invalid, as out-of-range saved values can make it do."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise error(f"{what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +168,12 @@ class Forest:
             nodes = np.unique(np.concatenate([self.left[nodes], self.right[nodes]]))
 
     @classmethod
-    def load(cls, dicts, feature_count: int) -> "Forest":
+    def load(cls, dicts, feature_count: int, probabilities: bool = False) -> "Forest":
         """The forest of saved trees; ValueError, naming the first bad tree,
         unless each tree's arrays are non-empty lists of one length, its
         features and children integers, its thresholds and values finite
-        numbers, and each split's feature below feature_count and its
-        children after it in its tree."""
+        numbers (values in [0, 1] with `probabilities`), and each split's
+        feature below feature_count and its children after it in its tree."""
         sizes, fields = [], tuple([] for _field in _TREE_FIELDS)
         for t, tree in enumerate([[d[field] for field in _TREE_FIELDS] for d in dicts]):
             feature, threshold, left, right, value = tree
@@ -173,6 +183,8 @@ class Forest:
                 raise ValueError(f"tree {t} features and children must be integers")
             if not all(type(v) in (int, float) and math.isfinite(v) for v in threshold + value):
                 raise ValueError(f"tree {t} thresholds and values must be finite numbers")
+            if probabilities and not all(0 <= v <= 1 for v in value):
+                raise ValueError(f"tree {t} values must be probabilities, in [0, 1]")
             n = len(feature)
             for node, (f, l, r) in enumerate(zip(feature, left, right)):
                 if not -1 <= f < feature_count:
@@ -800,7 +812,9 @@ class TrainedModel:
 
     def predict_proba_batch(self, X) -> np.ndarray:
         """The probability of label 1 for every row of X."""
-        return self._proba(self._rows(X))
+        X = self._rows(X)
+        with checked_arithmetic(TrainError, f"{self.kind} probabilities of these rows"):
+            return self._proba(X)
 
     def _proba(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -819,8 +833,7 @@ class TrainedModel:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
+        jsonfile.write(path, self.to_dict())
 
 
 def _standardizer(X, enabled):
@@ -890,8 +903,8 @@ class LogisticRegressionModel(TrainedModel):
     def _from_params(cls, feature_count, config, seed, params):
         vector = (feature_count,)
         return cls(feature_count, config, seed, _array(params["weights"], vector, "weights"),
-                   _number(params["bias"], "bias"), _array(params["mean"], vector, "mean"),
-                   _array(params["std"], vector, "std"))
+                   _array(params["bias"], (), "bias"), _array(params["mean"], vector, "mean"),
+                   _array(params["std"], vector, "std", *_POSITIVE))
 
 
 class NaiveBayesModel(TrainedModel):
@@ -936,9 +949,9 @@ class NaiveBayesModel(TrainedModel):
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        return cls(feature_count, config, seed, _array(params["priors"], (2,), "priors"),
+        return cls(feature_count, config, seed, _array(params["priors"], (2,), "priors", *_UNIT),
                    _array(params["means"], (2, feature_count), "means"),
-                   _array(params["variances"], (2, feature_count), "variances"))
+                   _array(params["variances"], (2, feature_count), "variances", *_POSITIVE))
 
 
 class TreeModel(TrainedModel):
@@ -989,7 +1002,7 @@ class DecisionTreeModel(TreeModel):
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        return cls(feature_count, config, seed, Forest.load([params["tree"]], feature_count))
+        return cls(feature_count, config, seed, Forest.load([params["tree"]], feature_count, probabilities=True))
 
 
 class RandomForestModel(TreeModel):
@@ -1021,7 +1034,7 @@ class RandomForestModel(TreeModel):
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        forest = Forest.load(params["trees"], feature_count)
+        forest = Forest.load(params["trees"], feature_count, probabilities=True)
         if not len(forest):
             raise ValueError("a forest needs at least one tree")
         return cls(feature_count, config, seed, _counted(forest, config, "n_trees"))
@@ -1116,8 +1129,13 @@ class GradientBoostedTreesModel(TreeModel):
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        return cls(feature_count, config, seed, _number(params["base_margin"], "base_margin"),
-                   _counted(Forest.load(params["trees"], feature_count), config, "rounds"))
+        base = float(_array(params["base_margin"], (), "base_margin"))
+        forest = _counted(Forest.load(params["trees"], feature_count), config, "rounds")
+        # A bound on every margin, in Python floats, which overflow to inf without a warning.
+        reach = abs(base) + config["learning_rate"] * len(forest) * float(np.abs(forest.value).max())
+        if not math.isfinite(reach):
+            raise ValueError("|base_margin| + learning_rate x trees x the largest |leaf value| overflows")
+        return cls(feature_count, config, seed, base, forest)
 
 
 # --- feed-forward network ---------------------------------------------------
@@ -1240,21 +1258,21 @@ class FeedForwardNetModel(TrainedModel):
                              "chain from the features to one output")
         vector = (feature_count,)
         return cls(feature_count, config, seed, layers, _array(params["mean"], vector, "mean"),
-                   _array(params["std"], vector, "std"))
+                   _array(params["std"], vector, "std", *_POSITIVE))
 
 
-def _array(values, shape, what) -> np.ndarray:
-    """A saved array of finite numbers; ValueError unless it has `shape`."""
+# (test, what passes) for _array: divisors, and probabilities.
+_POSITIVE = (lambda a: np.isfinite(a) & (a > 0), "finite numbers > 0")
+_UNIT = (lambda a: (a >= 0) & (a <= 1), "numbers in [0, 1]")
+
+
+def _array(values, shape, what, valid=np.isfinite, rule="finite numbers") -> np.ndarray:
+    """A saved array of `shape` whose entries pass `valid`, or ValueError; a
+    single number (shape ()) must be an int or a float, not true or false."""
     a = np.array(values, dtype=float)
-    if a.shape != shape or not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} must be finite numbers of shape {shape}")
+    if a.shape != shape or not np.all(valid(a)) or not (shape or _number(values)):
+        raise ValueError(f"{what} must be {rule} of shape {shape}")
     return a
-
-
-def _number(value, what) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, not {value!r}")
-    return float(value)
 
 
 def _counted(forest: Forest, config: dict, what: str) -> Forest:
@@ -1296,18 +1314,8 @@ def train(kind: str, rows, config: dict | None = None, seed: int = 0) -> Trained
 
 
 def load(path) -> TrainedModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TrainError(f"{path}: not a valid model file: {exc}") from exc
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise TrainError(f"{path}: not a model file")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise TrainError(f"{path}: unsupported model format version {doc.get('format_version')!r}")
-    kind = doc["kind"]
-    if kind not in _MODEL_CLASSES:
-        raise TrainError(f"{path}: unknown model kind {kind!r}")
+    doc = jsonfile.read_object(path, TrainError, "model file")
+    kind = jsonfile.model_kind(doc, path, TrainError, _MODEL_CLASSES, MODEL_FORMAT_VERSION)
     try:
         feature_count, seed = doc["feature_count"], doc["seed"]
         config, params = doc["config"], doc["params"]

@@ -339,6 +339,13 @@ def test_subcommand_options_and_choices():
                  id="config-bool-for-a-count"),
     pytest.param(["filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--stats", "TMP/wrong_type.json",
                   "--out", "TMP/f.json"], id="stats-file-without-stats"),
+    pytest.param(["--config", "TMP/list.json", "gen-synthetic", "--out", "TMP/c.jsonl"], id="config-not-an-object"),
+    pytest.param(["filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--stats", "TMP/list.json",
+                  "--out", "TMP/f.json"], id="stats-file-not-an-object"),
+    pytest.param(["explain", "--model", "TMP/list.json", "--features", "LEARNED", "--out", "TMP/x.csv"],
+                 id="model-not-an-object"),
+    pytest.param(["embed", "--corpus", "CORPUS", "--model", "TMP/list.json", "--out", "TMP/e.jsonl"],
+                 id="embedder-not-an-object"),
     pytest.param(["--config", "TMP/unknown_embedder.json", "train-embedder", "--corpus", "CORPUS",
                   "--out", "TMP/e.json"], id="config-unknown-embedder-setting"),
     pytest.param(["--config", "TMP/embedder_not_object.json", "train-embedder", "--corpus", "CORPUS",
@@ -363,6 +370,7 @@ def test_subcommand_options_and_choices():
 ])
 def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"k": 3,')
+    (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "wrong_type.json").write_text('{"seed": "3"}')
     (tmp_path / "no_choice.json").write_text('{"signal": "loud"}')
     (tmp_path / "bool_count.json").write_text('{"bugs": true}')
@@ -385,6 +393,8 @@ def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, 
         assert "error[eval]" in err and "is not in [0, 1]" in err
     if "--background-cap" in argv:
         assert "error[explain]" in err and "--background-cap must be at least 1" in err
+    if any(a.endswith("list.json") for a in argv):
+        assert "list.json: not a" in err and "it holds no JSON object" in err
 
 
 def _write_broken_models(tree_model, tmp_path):

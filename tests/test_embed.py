@@ -159,6 +159,8 @@ def test_model_save_load_round_trip(tmp_path):
     v1, _ = embed.infer_vector(model, docs[3])
     v2, _ = embed.infer_vector(loaded, docs[3])
     assert np.array_equal(v1, v2)
+    embed.save_model(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_load_model_rejects_unknown_format_version(tmp_path):
@@ -594,6 +596,26 @@ def _unknown_config_key(doc):
     doc["config"]["window"] = 5
 
 
+def _version_true(doc):
+    doc["format_version"] = True
+
+
+def _kind_list(doc):
+    doc["kind"] = []
+
+
+def _kind_of_a_learner(doc):
+    doc["kind"] = "DecisionTree"
+
+
+def _infinite_id(doc):
+    doc["vocabulary"][next(iter(doc["vocabulary"]))] = math.inf
+
+
+def _float_id(doc):
+    doc["vocabulary"][next(iter(doc["vocabulary"]))] = 0.0
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_cut_columns, r"word_matrix is \(24, 32\), expected \(24, 64\)"),
     (_cut_rows, r"word_matrix is \(10, 64\), expected \(24, 64\)"),
@@ -602,6 +624,11 @@ def _unknown_config_key(doc):
     (_shift_ids, "vocabulary ids are not exactly 0..23"),
     (_infinite_weight, "non-finite"),
     (_unknown_config_key, "malformed"),
+    (_version_true, "unsupported model format version True"),
+    (_kind_list, r"unknown model kind \[\]"),
+    (_kind_of_a_learner, "unknown model kind 'DecisionTree'; known: ParagraphVectorModel"),
+    (_infinite_id, "vocabulary ids are not exactly 0..23"),
+    (_float_id, "vocabulary ids are not exactly 0..23"),
 ])
 def test_load_model_rejects_inconsistent_files(tmp_path, corrupt, message):
     path, doc = _saved_model_doc(tmp_path)

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchpred import learn, worker
+from patchpred import explain, learn, worker
 from patchpred.combine import deep_fusion_train, fusion_loss_and_grad
-from patchpred.errors import TrainError
+from patchpred.errors import ExplainError, TrainError
 from patchpred.learn import (FeatureRow, RandomForestModel, LogisticRegressionModel,
                              Tree, _pick, logistic_loss_and_grad, net_loss_and_grad,
                              init_net_params)
@@ -173,6 +173,8 @@ def test_save_load_round_trip_every_kind(tmp_path, blob_data, kind):
     loaded = learn.load(path)
     probe = np.random.default_rng(1).normal(size=(20, 2))
     assert np.array_equal(model.predict_proba_batch(probe), loaded.predict_proba_batch(probe))
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -948,6 +950,17 @@ def _set(tree_field, value):
     return edit
 
 
+def _put(*path_and_value):
+    """Sets the entry at a path of keys and indices of a saved model."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
 @pytest.mark.parametrize("kind, edit, message", [
     ("gbt", lambda d: d.update(params={}), "no 'base_margin' entry"),
     ("gbt", lambda d: d["params"].update(trees=5), "not iterable"),
@@ -964,6 +977,21 @@ def _set(tree_field, value):
     ("lr", lambda d: d["params"]["weights"].pop(), "weights must be finite numbers of shape (3,)"),
     ("nb", lambda d: d["params"].update(means=[[0.0], [1.0]]), "means must be"),
     ("dnn", lambda d: d["params"]["layers"].pop(), "chain from the features"),
+    ("dt", _put("format_version", True), "unsupported model format version True"),
+    ("dt", _put("format_version", 1.0), "unsupported model format version 1.0"),
+    ("dt", _put("kind", []), "unknown model kind []"),
+    ("dt", _put("kind", "ParagraphVectorModel"), "unknown model kind 'ParagraphVectorModel'; known: DecisionTree"),
+    ("dt", _put("params", "tree", "value", 0, -1.0), "tree 0 values must be probabilities, in [0, 1]"),
+    ("rf", _put("params", "trees", 1, "value", 0, 1.5), "tree 1 values must be probabilities, in [0, 1]"),
+    ("lr", _put("params", "std", 0, 0.0), "std must be finite numbers > 0 of shape (3,)"),
+    ("lr", _put("params", "bias", True), "bias must be finite numbers of shape ()"),
+    ("nb", _put("params", "priors", 0, -0.5), "priors must be numbers in [0, 1] of shape (2,)"),
+    ("nb", _put("params", "variances", 1, 2, 0.0), "variances must be finite numbers > 0 of shape (2, 3)"),
+    ("dnn", _put("params", "std", 1, -1.0), "std must be finite numbers > 0 of shape (3,)"),
+    ("gbt", _put("config", "learning_rate", 1e308), "learning_rate x trees x the largest |leaf value| overflows"),
+    ("gbt", _put("params", "trees", 0, "value", 0, 1e308),
+     "learning_rate x trees x the largest |leaf value| overflows"),
+    ("gbt", _put("params", "base_margin", False), "base_margin must be finite numbers of shape ()"),
 ])
 def test_load_checks_model_structure(tmp_path, kind, edit, message):
     doc = _saved_model_doc(tmp_path, kind)
@@ -973,6 +1001,31 @@ def test_load_checks_model_structure(tmp_path, kind, edit, message):
     with pytest.raises(TrainError, match="edited.json") as info:
         learn.load(path)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"\xff\xfe{}", "not a valid model file", id="not-utf-8"),
+    pytest.param(b"[" * 100_000, "not a valid model file", id="nested-too-deep"),
+    pytest.param(b"[1, 2]", "not a model file: it holds no JSON object", id="a-list"),
+])
+def test_load_refuses_a_file_that_holds_no_json_object(tmp_path, content, message):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(TrainError, match=f"model.json: {message}"):
+        learn.load(path)
+
+
+def test_a_model_whose_arithmetic_overflows_on_rows_refuses_them(tmp_path):
+    doc = _saved_model_doc(tmp_path, "lr")
+    doc["params"]["weights"] = [1e308] * 3
+    path = tmp_path / "lr.json"
+    path.write_text(json.dumps(doc))
+    model = learn.load(path)  # every saved number is finite and in range
+    rows = np.full((2, 3), 5.0)
+    with pytest.raises(TrainError, match="LogisticRegression probabilities of these rows: overflow"):
+        model.predict_proba_batch(rows)
+    with pytest.raises(ExplainError, match="logistic regression attributions: overflow"):
+        explain.linear_shap(model, rows[0], rows)
 
 
 def test_load_names_the_tree_of_a_bad_node(tmp_path):
@@ -994,16 +1047,18 @@ _FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 @st.composite
 def _packed_forest(draw):
     """A learner kind, a feature count and random trees (one for dt), each
-    a preorder node list of random depth, features, thresholds and values."""
+    a preorder node list of random depth, features, thresholds and values
+    (probabilities for dt and rf, whose files hold no other values)."""
     kind = draw(st.sampled_from(["dt", "rf", "gbt"]))
     p = draw(st.integers(1, 6))
+    values = _FINITE if kind == "gbt" else st.floats(0, 1)
     trees = []
     for _t in range(1 if kind == "dt" else draw(st.integers(1, 5))):
         tree = {field: [] for field in learn._TREE_FIELDS}
 
         def grow(depth, tree=tree):
             node = len(tree["feature"])
-            for field, leaf in zip(learn._TREE_FIELDS, (-1, 0.0, -1, -1, draw(_FINITE))):
+            for field, leaf in zip(learn._TREE_FIELDS, (-1, 0.0, -1, -1, draw(values))):
                 tree[field].append(leaf)
             if depth < 4 and draw(st.booleans()):
                 tree["feature"][node], tree["threshold"][node] = draw(st.integers(0, p - 1)), draw(_FINITE)
