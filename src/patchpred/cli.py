@@ -10,7 +10,6 @@ seed; CSV artifacts get a .meta.json sidecar with the same provenance.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -21,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import diffparse, embed, engineered, evaluate, explain, featureio, filtering, jsonfile, learn, synth
+from . import diffparse, embed, engineered, evaluate, explain, featureio, fileio, filtering, learn, synth
 from .errors import EmbeddingError, EvalError, ExplainError, FeatureError, PatchPredError, TrainError
 
 
@@ -69,7 +68,7 @@ def resolve(args, cfg) -> None:
 
 def _write(path, content, args=None, keys=()) -> None:
     """Write one artifact, creating its directory. `content` is a JSON object,
-    a string, a list of CSV rows, or a function that writes the file itself.
+    or a function that writes the file itself.
 
     With `args`, the provenance (the command and the values of `keys`) is
     embedded in a JSON object, or written to a .meta.json sidecar otherwise.
@@ -79,16 +78,9 @@ def _write(path, content, args=None, keys=()) -> None:
     if args is not None:
         provenance = {"command": args.command, "config": {k: getattr(args, k) for k in keys}}
     if isinstance(content, dict):
-        jsonfile.write(path, {"provenance": provenance, **content} if provenance else content, indent=1)
+        fileio.write(path, {"provenance": provenance, **content} if provenance else content, indent=1)
         return
-    if callable(content):
-        content(path)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if isinstance(content, str):
-                fh.write(content)
-            else:
-                csv.writer(fh, lineterminator="\n").writerows(content)
+    content(path)
     if provenance:
         _write(str(path) + ".meta.json", {"provenance": provenance})
 
@@ -176,12 +168,10 @@ def cmd_gen_synthetic(args, cfg):
 
 def cmd_fragments(args, cfg):
     cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
-    lines = []
-    for rec in cor.records:
-        frag = diffparse.fragments_for_diff(rec.diff_text)
-        lines.append(json.dumps({"patch_id": rec.patch_id, "buggy_text": frag.buggy_text,
-                                 "patched_text": frag.patched_text}, sort_keys=True) + "\n")
-    _write(args.out, "".join(lines))
+    fragments = _fragments_by_patch(cor)
+    _write(args.out, lambda path: fileio.write_lines(path, (
+        {"patch_id": pid, "buggy_text": frag.buggy_text, "patched_text": frag.patched_text}
+        for pid, frag in fragments.items())))
     print(f"wrote fragments for {len(cor)} patches -> {args.out}")
     return 0
 
@@ -252,7 +242,7 @@ def cmd_filter(args, cfg):
     sim = None
     if args.stats:
         try:
-            sim = filtering.SimilarityStats(**jsonfile.read_object(args.stats, EvalError, "stats report")["stats"])
+            sim = filtering.SimilarityStats(**fileio.read_object(args.stats, EvalError, "stats report")["stats"])
         except (KeyError, TypeError) as exc:
             raise EvalError(f"{args.stats} is not a stats report: {exc!r}") from exc
     policy = filtering.resolve_policy(args.policy, sim, args.value)
@@ -260,8 +250,9 @@ def cmd_filter(args, cfg):
     keys = ("corpus", "embeddings", "policy", "stats")
     _write(args.out, {"stats": sim.to_json_dict() if sim else None, "result": report.to_json_dict()}, args, keys)
     if args.out_verdicts:
-        _write(args.out_verdicts, [["patch_id", "predicted_correct"]]
-               + [[pid, int(predicted)] for pid, predicted in report.verdicts], args, keys)
+        _write(args.out_verdicts, lambda path: fileio.write_csv(
+            path, ["patch_id", "predicted_correct"], ([pid, int(predicted)] for pid, predicted in report.verdicts)),
+            args, keys)
     print(f"threshold {policy.value:.4f} ({policy.statistic.value}): "
           f"+Recall {report.plus_recall:.1%}, -Recall {report.minus_recall:.1%} -> {args.out}")
     return 0
@@ -348,9 +339,10 @@ def cmd_explain(args, cfg):
     explanations = explain.explain_rows(model, X, background, [data.patch_ids[i] for i in targets])
     space = explanations[0].space
     if args.out:
-        _write(args.out, [["patch_id", "feature_name", "contribution"]]
-               + [[exp.patch_id, name, repr(float(value))]
-                  for exp in explanations for name, value in zip(names, exp.contributions)], args, keys)
+        _write(args.out, lambda path: fileio.write_csv(
+            path, ["patch_id", "feature_name", "contribution"],
+            ([exp.patch_id, name, repr(float(value))]
+             for exp in explanations for name, value in zip(names, exp.contributions))), args, keys)
     if args.global_out:
         gi = explain.rank_importance(explanations, names)
         _write(args.global_out, {
@@ -511,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = jsonfile.read_object(args.config, PatchPredError, "config file") if args.config else {}
+        cfg = fileio.read_object(args.config, PatchPredError, "config file") if args.config else {}
         resolve(args, cfg)
         return COMMANDS[args.command][0](args, cfg)
     except PatchPredError as exc:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import fileio
 from .errors import CorpusError
 
 JSONL_FIELDS = ("patch_id", "bug_id", "project", "tool", "label", "diff_text")
@@ -28,14 +28,7 @@ class PatchRecord:
     diff_text: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "patch_id": self.patch_id,
-            "bug_id": self.bug_id,
-            "project": self.project,
-            "tool": self.tool,
-            "label": self.label.value,
-            "diff_text": self.diff_text,
-        }
+        return {**{name: getattr(self, name) for name in JSONL_FIELDS}, "label": self.label.value}
 
 
 @dataclass
@@ -77,12 +70,15 @@ def normalize_diff(diff_text: str) -> str:
     return "\n".join(line.rstrip() for line in lines)
 
 
-def _parse_record(obj: dict, allow_unlabeled: bool) -> PatchRecord:
+def _parse_record(obj, allow_unlabeled: bool) -> PatchRecord:
+    if not isinstance(obj, dict):  # a ValueError is a line that is not UTF-8 JSON
+        raise obj if isinstance(obj, ValueError) else ValueError("line is not a JSON object")
     for name in JSONL_FIELDS:
         if name not in obj:
             raise ValueError(f"missing field {name!r}")
         if not isinstance(obj[name], str):
             raise ValueError(f"field {name!r} must be a string")
+        obj[name].encode("utf-8")  # a lone surrogate escape such as \ud800 is not UTF-8 text
     try:
         label = Label(obj["label"])
     except ValueError:
@@ -95,14 +91,7 @@ def _parse_record(obj: dict, allow_unlabeled: bool) -> PatchRecord:
         raise ValueError("empty bug_id")
     if not any(line.startswith("@@") for line in obj["diff_text"].splitlines()):
         raise ValueError("diff_text has no hunk header (no line starting with '@@')")
-    return PatchRecord(
-        patch_id=obj["patch_id"],
-        bug_id=obj["bug_id"],
-        project=obj["project"],
-        tool=obj["tool"],
-        label=label,
-        diff_text=obj["diff_text"],
-    )
+    return PatchRecord(**{name: obj[name] for name in JSONL_FIELDS if name != "label"}, label=label)
 
 
 def ingest(path, allow_unlabeled: bool = False) -> tuple[Corpus, IngestReport]:
@@ -116,28 +105,22 @@ def ingest(path, allow_unlabeled: bool = False) -> tuple[Corpus, IngestReport]:
     duplicates = 0
     seen_keys: set[tuple[str, str]] = set()
     seen_patch_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("line is not a JSON object")
-                rec = _parse_record(obj, allow_unlabeled)
-            except ValueError as exc:
-                rejected.append((lineno, str(exc)))
-                continue
-            key = (rec.bug_id, normalize_diff(rec.diff_text))
-            if key in seen_keys:
-                duplicates += 1
-                continue
-            if rec.patch_id in seen_patch_ids:
-                rejected.append((lineno, f"duplicate patch_id {rec.patch_id!r} with different content"))
-                continue
-            seen_keys.add(key)
-            seen_patch_ids.add(rec.patch_id)
-            records.append(rec)
+    for lineno, obj in fileio.read_lines(path):
+        try:
+            rec = _parse_record(obj, allow_unlabeled)
+        except ValueError as exc:
+            rejected.append((lineno, str(exc)))
+            continue
+        key = (rec.bug_id, normalize_diff(rec.diff_text))
+        if key in seen_keys:
+            duplicates += 1
+            continue
+        if rec.patch_id in seen_patch_ids:
+            rejected.append((lineno, f"duplicate patch_id {rec.patch_id!r} with different content"))
+            continue
+        seen_keys.add(key)
+        seen_patch_ids.add(rec.patch_id)
+        records.append(rec)
     if not records:
         detail = "; ".join(f"line {n}: {r}" for n, r in rejected[:5]) or "file is empty"
         raise CorpusError(f"no valid records in {path} ({detail})")
@@ -146,9 +129,7 @@ def ingest(path, allow_unlabeled: bool = False) -> tuple[Corpus, IngestReport]:
 
 
 def persist(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in corpus.records:
-            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
+    fileio.write_lines(path, (rec.to_json_dict() for rec in corpus.records))
 
 
 def split_by_bug(corpus_or_bugs, k: int, seed: int) -> list[list[str]]:

@@ -8,12 +8,11 @@ tokens above noise-sampled tokens against a shared output word matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import jsonfile
+from . import fileio
 from .defaults import HYPERPARAMETER_CHECKS
 from .errors import EmbeddingError
 
@@ -457,7 +456,7 @@ def infer_vector(model: ParagraphVectorModel, tokens) -> tuple[np.ndarray, bool]
 
 
 def save_model(model: ParagraphVectorModel, path) -> None:
-    jsonfile.write(path, {
+    fileio.write(path, {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "ParagraphVectorModel",
         "vocabulary": model.vocabulary,
@@ -469,8 +468,8 @@ def save_model(model: ParagraphVectorModel, path) -> None:
 
 
 def load_model(path) -> ParagraphVectorModel:
-    doc = jsonfile.read_object(path, EmbeddingError, "paragraph-vector model file")
-    jsonfile.model_kind(doc, path, EmbeddingError, ("ParagraphVectorModel",), MODEL_FORMAT_VERSION)
+    doc = fileio.read_object(path, EmbeddingError, "paragraph-vector model file")
+    fileio.model_kind(doc, path, EmbeddingError, ("ParagraphVectorModel",), MODEL_FORMAT_VERSION)
     try:
         model = ParagraphVectorModel(
             vocabulary={str(k): v for k, v in doc["vocabulary"].items()},
@@ -503,58 +502,45 @@ def load_model(path) -> ParagraphVectorModel:
 def import_embeddings(path) -> list[EmbeddingPair]:
     """Read externally produced vectors: JSONL of patch_id/buggy_vec/patched_vec.
 
-    All vectors must share one dimension (taken from the first record) and be
-    finite. Vectors are used as-is, without re-normalization.
+    Every patch_id must be a non-empty string, and all vectors must share one
+    dimension (taken from the first record) and be finite. Vectors are used
+    as-is, without re-normalization.
     """
     pairs: list[EmbeddingPair] = []
     n: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EmbeddingError(f"{path} line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                patch_id = obj["patch_id"]
-                buggy = np.array(obj["buggy_vec"], dtype=float)
-                patched = np.array(obj["patched_vec"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise EmbeddingError(f"{path} line {lineno}: malformed record: {exc}") from exc
-            if buggy.ndim != 1 or patched.ndim != 1:
-                raise EmbeddingError(f"{path} line {lineno}: vectors must be flat lists")
-            if n is None:
-                n = len(buggy)
-                if n == 0:
-                    raise EmbeddingError(f"{path} line {lineno}: empty vector")
-            if len(buggy) != n or len(patched) != n:
-                raise EmbeddingError(
-                    f"{path} line {lineno}: patch {patch_id!r} has vector length "
-                    f"{len(buggy)}/{len(patched)}, expected {n}"
-                )
-            if not (np.all(np.isfinite(buggy)) and np.all(np.isfinite(patched))):
-                raise EmbeddingError(f"{path} line {lineno}: patch {patch_id!r} has non-finite values")
-            pairs.append(EmbeddingPair(patch_id, buggy, patched, provider="imported", n=n))
+    for lineno, obj in fileio.read_lines(path):
+        where = f"{path} line {lineno}"
+        if isinstance(obj, ValueError):
+            raise EmbeddingError(f"{where}: invalid JSON: {obj}")
+        try:
+            patch_id, vectors = obj["patch_id"], (obj["buggy_vec"], obj["patched_vec"])
+            if not (isinstance(patch_id, str) and patch_id):
+                raise ValueError(f"patch_id must be a non-empty string, not {patch_id!r}")
+            patch_id.encode("utf-8")  # a lone surrogate escape such as \ud800 is not UTF-8 text
+            if not all(isinstance(v, list) and {*map(type, v)} <= {int, float} for v in vectors):
+                raise ValueError("buggy_vec and patched_vec must be lists of numbers (not true or false)")
+            buggy, patched = (np.array(v, dtype=float) for v in vectors)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise EmbeddingError(f"{where}: malformed record: {exc}") from exc
+        if n is None:
+            n = len(buggy)
+            if n == 0:
+                raise EmbeddingError(f"{where}: empty vector")
+        if len(buggy) != n or len(patched) != n:
+            raise EmbeddingError(
+                f"{where}: patch {patch_id!r} has vector length {len(buggy)}/{len(patched)}, expected {n}")
+        if not (np.all(np.isfinite(buggy)) and np.all(np.isfinite(patched))):
+            raise EmbeddingError(f"{where}: patch {patch_id!r} has non-finite values")
+        pairs.append(EmbeddingPair(patch_id, buggy, patched, provider="imported", n=n))
     if not pairs:
         raise EmbeddingError(f"no embedding records in {path}")
     return pairs
 
 
 def export_embeddings(pairs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "patch_id": pair.patch_id,
-                        "buggy_vec": [float(x) for x in pair.buggy_vec],
-                        "patched_vec": [float(x) for x in pair.patched_vec],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    fileio.write_lines(path, ({"patch_id": pair.patch_id,
+                               "buggy_vec": [float(x) for x in pair.buggy_vec],
+                               "patched_vec": [float(x) for x in pair.patched_vec]} for pair in pairs))
 
 
 def embed_corpus(model: ParagraphVectorModel, fragments_by_patch):

@@ -10,12 +10,11 @@ a trainer turns into a learn.Dataset once per fit and once per prediction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import combine, learn, worker
+from . import combine, fileio, learn, worker
 from .corpus import split_by_bug
 from .defaults import resolved_config
 from .errors import EvalError, TrainError
@@ -327,35 +326,22 @@ PREDICTION_FIELDS = ("patch_id", "bug_id", "label", "probability", "fold")
 
 
 def write_predictions(path, predictions) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=PREDICTION_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for row in predictions:
-            writer.writerow({k: row[k] for k in PREDICTION_FIELDS})
+    fileio.write_csv(path, PREDICTION_FIELDS, ([row[k] for k in PREDICTION_FIELDS] for row in predictions))
 
 
 def read_predictions(path, labels: dict | None = None) -> list[dict]:
     """The rows of a prediction file; EvalError, naming the file and line,
-    unless each row fills every PREDICTION_FIELDS column, with a 0/1 label,
-    a probability in [0, 1], an integer fold and a patch id of its own. With
-    `labels` (patch id -> label, from another run on the same corpus), a
-    patch there must carry the same label here."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            header = reader.fieldnames or ()
-            rows = [(reader.line_num, row) for row in reader]
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise EvalError(f"{path} is not a prediction CSV: {exc}") from exc
-    if missing := [f for f in PREDICTION_FIELDS if f not in header]:
-        raise EvalError(f"{path} line 1: no {', '.join(missing)} column")
+    unless its header starts with PREDICTION_FIELDS and each row fills every
+    column, with a 0/1 label, a probability in [0, 1], an integer fold and a
+    patch id of its own. With `labels` (patch id -> label, from another run
+    on the same corpus), a patch there must carry the same label here."""
+    records = fileio.read_csv(path, EvalError, PREDICTION_FIELDS)
+    next(records)
     out, lines = [], {}
-    for line, row in rows:
-        where, pid = f"{path} line {line}", row["patch_id"]
+    for line, (pid, bug_id, label, probability, fold, *_rest) in records:
+        where = f"{path} line {line}"
         try:
-            if None in row.values():
-                raise ValueError(f"fewer fields than the header's {len(header)}")
-            label, probability, fold = int(row["label"]), float(row["probability"]), int(row["fold"])
+            label, probability, fold = int(label), float(probability), int(fold)
             if label not in (0, 1) or not 0.0 <= probability <= 1.0:
                 raise ValueError(f"label {label}, probability {probability}: want 0 or 1, and [0, 1]")
         except ValueError as exc:
@@ -365,8 +351,7 @@ def read_predictions(path, labels: dict | None = None) -> list[dict]:
         if labels is not None and labels.get(pid, label) != label:
             raise EvalError(f"{where}: patch {pid!r} is labeled {label} here and {labels[pid]} in the other run")
         lines[pid] = line
-        out.append({"patch_id": pid, "bug_id": row["bug_id"], "label": label,
-                    "probability": probability, "fold": fold})
+        out.append({"patch_id": pid, "bug_id": bug_id, "label": label, "probability": probability, "fold": fold})
     if not out:
         raise EvalError(f"no prediction rows in {path}")
     return out

@@ -4,11 +4,9 @@ column per named feature."""
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from . import combine, crossing, engineered
+from . import combine, crossing, engineered, fileio
 from .corpus import Label
 from .errors import FeatureError
 from .evaluate import JointRow
@@ -20,47 +18,32 @@ _CSV_LABELS = {"": None, "0": 0, "1": 1}
 
 
 def write_features(path, rows, names) -> None:
-    names = list(names)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(ID_COLUMNS) + names)
-        for row in rows:
-            if len(row.features) != len(names):
-                raise FeatureError(
-                    f"patch {row.patch_id!r}: {len(row.features)} values for {len(names)} names"
-                )
-            label = "" if row.label is None else int(row.label)
-            writer.writerow([row.patch_id, row.bug_id, label] + [repr(float(v)) for v in row.features])
+    names, rows = list(names), list(rows)
+    for row in rows:
+        if len(row.features) != len(names):
+            raise FeatureError(f"patch {row.patch_id!r}: {len(row.features)} values for {len(names)} names")
+    fileio.write_csv(path, list(ID_COLUMNS) + names, (
+        [row.patch_id, row.bug_id, "" if row.label is None else int(row.label)]
+        + [repr(float(v)) for v in row.features] for row in rows))
 
 
 def read_features(path) -> tuple[list[str], list[FeatureRow]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    records = fileio.read_csv(path, FeatureError, ID_COLUMNS)
+    names = next(records)[3:]
+    if not names:
+        raise FeatureError(f"{path}: no feature columns")
+    rows = []
+    for line, record in records:
+        where = f"{path} line {line}: patch {record[0]!r}"
+        if record[2] not in _CSV_LABELS:
+            raise FeatureError(f"{where} has label {record[2]!r}; expected 0, 1 or empty")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FeatureError(f"{path} is empty") from None
-        if tuple(header[:3]) != ID_COLUMNS:
-            raise FeatureError(f"{path}: header must start with {ID_COLUMNS}")
-        names = header[3:]
-        if not names:
-            raise FeatureError(f"{path}: no feature columns")
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            where = f"{path} line {reader.line_num}: patch {record[0]!r}"
-            if len(record) != len(header):
-                raise FeatureError(f"{where} has {len(record)} fields, expected {len(header)}")
-            if record[2] not in _CSV_LABELS:
-                raise FeatureError(f"{where} has label {record[2]!r}; expected 0, 1 or empty")
-            try:
-                values = np.array([float(v) for v in record[3:]], dtype=float)
-            except ValueError as exc:
-                raise FeatureError(f"{where} has a value that is not a number: {exc}") from None
-            if not np.all(np.isfinite(values)):
-                raise FeatureError(f"{where} has non-finite feature values")
-            rows.append(FeatureRow(record[0], record[1], values, _CSV_LABELS[record[2]]))
+            values = np.array([float(v) for v in record[3:]], dtype=float)
+        except ValueError as exc:
+            raise FeatureError(f"{where} has a value that is not a number: {exc}") from None
+        if not np.all(np.isfinite(values)):
+            raise FeatureError(f"{where} has non-finite feature values")
+        rows.append(FeatureRow(record[0], record[1], values, _CSV_LABELS[record[2]]))
     if not rows:
         raise FeatureError(f"no feature rows in {path}")
     return names, rows

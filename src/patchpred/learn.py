@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonfile, worker
+from . import fileio, worker
 from .defaults import _number, resolved_config
 from .errors import EvalError, TrainError
 
@@ -797,7 +797,7 @@ class TrainedModel:
         self.explain_cache = None  # explain's last path table; not persisted
 
     def _rows(self, X) -> np.ndarray:
-        """X as a float matrix of rows of the model's width, or TrainError."""
+        """X as a float matrix of finite rows of the model's width, or TrainError."""
         try:
             X = np.asarray(X, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -805,6 +805,8 @@ class TrainedModel:
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise TrainError(f"expected feature vectors of length {self.feature_count}, "
                              f"got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise TrainError(f"row {int(np.nonzero(~np.isfinite(X))[0][0])} has non-finite feature values")
         return X
 
     def predict_proba(self, x) -> float:
@@ -833,7 +835,7 @@ class TrainedModel:
         }
 
     def save(self, path) -> None:
-        jsonfile.write(path, self.to_dict())
+        fileio.write(path, self.to_dict())
 
 
 def _standardizer(X, enabled):
@@ -1314,8 +1316,8 @@ def train(kind: str, rows, config: dict | None = None, seed: int = 0) -> Trained
 
 
 def load(path) -> TrainedModel:
-    doc = jsonfile.read_object(path, TrainError, "model file")
-    kind = jsonfile.model_kind(doc, path, TrainError, _MODEL_CLASSES, MODEL_FORMAT_VERSION)
+    doc = fileio.read_object(path, TrainError, "model file")
+    kind = fileio.model_kind(doc, path, TrainError, _MODEL_CLASSES, MODEL_FORMAT_VERSION)
     try:
         feature_count, seed = doc["feature_count"], doc["seed"]
         config, params = doc["config"], doc["params"]

@@ -175,6 +175,8 @@ def _bad_prediction_rows(case, rows):
         return [row[:-1] for row in rows], 1
     if case == "patch-id-repeated":
         return [header, first, [first[0]] + rest[0][1:], *rest[1:]], 3
+    if case in ("short-row", "long-row"):
+        return [header, first[:-1] if case == "short-row" else first + ["0"], *rest], 2
     column, value = {"label-not-a-number": (2, "x"), "label-not-0/1": (2, "2"),
                      "label-differs": (2, str(1 - int(first[2]))),
                      "probability-nan": (3, "nan"), "probability-above-1": (3, "1.5")}[case]
@@ -182,7 +184,8 @@ def _bad_prediction_rows(case, rows):
 
 
 @pytest.mark.parametrize("case", ["no-fold-column", "label-not-a-number", "label-not-0/1", "patch-id-repeated",
-                                  "label-differs", "probability-nan", "probability-above-1"])
+                                  "label-differs", "probability-nan", "probability-above-1", "short-row",
+                                  "long-row"])
 def test_compare_names_the_file_and_line_of_a_bad_prediction(case, pipeline, tmp_path, capsys):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     assert run("crossval", "--features", str(pipeline["learned"]), "--learner", "nb", "--k", "4",

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -214,6 +215,25 @@ def test_import_embeddings_non_finite_errors(tmp_path):
     path.write_text('{"patch_id": "p1", "buggy_vec": [1, NaN], "patched_vec": [1, 2]}\n')
     with pytest.raises(EmbeddingError, match="non-finite|Expecting"):
         embed.import_embeddings(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"patch_id": None}, "patch_id must be a non-empty string, not None"),
+    ({"patch_id": ""}, "patch_id must be a non-empty string, not ''"),
+    ({"patch_id": 7}, "patch_id must be a non-empty string, not 7"),
+    ({"buggy_vec": [1.0, True]}, "buggy_vec and patched_vec must be lists of numbers"),
+    ({"patched_vec": [False, 0.0]}, "buggy_vec and patched_vec must be lists of numbers"),
+    ({"buggy_vec": [1.0, 10**400]}, "malformed record: int too large to convert to float"),
+], ids=["id-null", "id-empty", "id-number", "entry-true", "entry-false", "entry-huge-int"])
+def test_import_embeddings_refuses_a_bad_patch_id_or_entry_naming_file_and_line(tmp_path, capsys, edit, message):
+    path = tmp_path / "e.jsonl"
+    good = {"patch_id": "p1", "buggy_vec": [1.0, 2.0], "patched_vec": [0.5, 0.0]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "patch_id": "p2", **edit}) + "\n")
+    assert cli.main(["import-embeddings", "--embeddings", str(path), "--out", str(tmp_path / "out.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith(f"error[embed]: {path} line 2: ")
+    with pytest.raises(EmbeddingError, match=f"line 2: .*{re.escape(message)}"):
+        embed.import_embeddings(path)
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_export_import_round_trip(tmp_path):

@@ -317,6 +317,22 @@ def test_non_finite_features_rejected():
         learn.train("dt", rows_from(X, np.array([0, 1])), seed=0)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS + ("DeepFusion",))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scoring_refuses_a_non_finite_row(kind, value):
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(40, 3)), np.arange(40) % 2
+    if kind == "DeepFusion":
+        model = deep_fusion_train(X[:, :1], X[:, 1:], y, {"epochs": 3}, 0)
+    else:
+        model = learn.train(kind, rows_from(X, y), seed=0)
+    rows = np.zeros((2, 3))
+    rows[1, 0] = value
+    with pytest.raises(TrainError, match="row 1 has non-finite feature values"):
+        model.predict_proba_batch(rows)
+    assert np.all(np.isfinite(model.predict_proba_batch(rows[:1])))
+
+
 def test_balanced_class_weight_changes_imbalanced_fit():
     rng = np.random.default_rng(0)
     X = np.vstack([rng.normal(0, 1, size=(50, 2)), rng.normal(1.0, 1, size=(5, 2))])
