@@ -298,8 +298,7 @@ def cmd_combine(args, cfg):
     if args.strategy == "fusion":
         trainer = evaluate.FusionTrainer(_hyper_overrides(args, cfg, "DeepFusion"))
     elif args.strategy == "ensemble":
-        hyper = _hyper_overrides(args, cfg, kind)
-        trainer = evaluate.EnsembleTrainer(kind, hyper, hyper)
+        trainer = evaluate.EnsembleTrainer(kind, _hyper_overrides(args, cfg, kind))
     else:
         trainer = evaluate.SingleSetTrainer("concat", kind, _hyper_overrides(args, cfg, kind))
     report = evaluate.crossval(joint, trainer, k=args.k, seed=args.seed, threshold=args.threshold)

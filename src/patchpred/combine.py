@@ -15,7 +15,7 @@ import numpy as np
 
 from .defaults import resolved_config
 from .errors import TrainError
-from .learn import (TrainedModel, _sample_weights, _standardizer, adam_epochs, glorot_params,
+from .learn import (Dataset, TrainedModel, _sample_weights, _standardizer, adam_epochs, glorot_params,
                     net_backward, net_forward)
 
 
@@ -24,10 +24,6 @@ def naive_concat(learned_values, engineered_values) -> np.ndarray:
     if any(part.ndim != 1 for part in parts):
         raise TrainError("naive_concat expects two flat feature vectors")
     return np.concatenate(parts)
-
-
-def concat_names(learned_names, engineered_names) -> list[str]:
-    return list(learned_names) + list(engineered_names)
 
 
 # --- deep fusion -------------------------------------------------------------
@@ -86,20 +82,15 @@ class DeepFusionModel(TrainedModel):
         return p
 
 
-def deep_fusion_train(learned_X, engineered_X, labels, config: dict | None = None,
-                      seed: int = 0) -> DeepFusionModel:
-    """Jointly train the fusion net on aligned rows of both feature sets."""
-    Xl = np.asarray(learned_X, dtype=float)
-    Xe = np.asarray(engineered_X, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if len(Xl) != len(Xe) or len(Xl) != len(y):
-        raise TrainError(f"misaligned fusion inputs: {len(Xl)}/{len(Xe)} rows, {len(y)} labels")
-    if len(np.unique(y)) < 2:
-        raise TrainError("training data contains a single class; both labels are required")
+def deep_fusion_train(data: Dataset, config: dict | None = None, seed: int = 0) -> DeepFusionModel:
+    """Jointly train the fusion net on a Dataset of JointRows, whose learned
+    block comes first; its rows pass Dataset.labeled, as every fit's do."""
+    X, y = data.labeled()
     resolved = resolved_config("DeepFusion", config)
-    X = np.hstack([Xl, Xe])
-    model = DeepFusionModel(Xl.shape[1], Xe.shape[1], resolved, seed,
-                            init_fusion_params(Xl.shape[1], Xe.shape[1], resolved, seed),
+    learned = data.blocks["learned"].stop
+    engineered = X.shape[1] - learned
+    model = DeepFusionModel(learned, engineered, resolved, seed,
+                            init_fusion_params(learned, engineered, resolved, seed),
                             *_standardizer(X, resolved["standardize"]))
     Xls, Xes = model._towers(X)
     sw = _sample_weights(y, None)

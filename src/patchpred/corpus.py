@@ -41,10 +41,7 @@ class Corpus:
 
     def bug_ids(self) -> list[str]:
         """Distinct bug ids in first-seen order."""
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.bug_id, None)
-        return list(seen)
+        return list(dict.fromkeys(rec.bug_id for rec in self.records))
 
     def by_patch_id(self) -> dict[str, PatchRecord]:
         return {rec.patch_id: rec for rec in self.records}
@@ -139,18 +136,11 @@ def split_by_bug(corpus_or_bugs, k: int, seed: int) -> list[list[str]]:
     together because grouping happens at the bug level. Group sizes differ by
     at most one.
     """
-    if isinstance(corpus_or_bugs, Corpus):
-        bugs = corpus_or_bugs.bug_ids()
-    else:
-        seen: dict[str, None] = {}
-        for b in corpus_or_bugs:
-            seen.setdefault(b, None)
-        bugs = list(seen)
+    bugs = sorted(set(corpus_or_bugs.bug_ids() if isinstance(corpus_or_bugs, Corpus) else corpus_or_bugs))
     if k < 1:
         raise CorpusError(f"k must be positive, got {k}")
     if len(bugs) < k:
         raise CorpusError(f"cannot split {len(bugs)} distinct bugs into {k} groups")
-    bugs = sorted(bugs)
     random.Random(seed).shuffle(bugs)
     base, extra = divmod(len(bugs), k)
     groups: list[list[str]] = []

@@ -148,25 +148,20 @@ class SingleSetTrainer:
 class EnsembleTrainer:
     """One learner per feature set; prediction is the mean probability."""
 
-    def __init__(self, kind: str, config_learned: dict | None = None,
-                 config_engineered: dict | None = None):
+    def __init__(self, kind: str, config: dict | None = None):
         self.kind = learn.canonical_kind(kind)
-        self.config_learned = config_learned
-        self.config_engineered = config_engineered
+        self.config = config
 
     def describe(self) -> dict:
         return {
             "strategy": "ensemble",
             "learner": self.kind,
-            "hyperparameters": {
-                "learned": resolved_config(self.kind, self.config_learned),
-                "engineered": resolved_config(self.kind, self.config_engineered),
-            },
+            "hyperparameters": {side: resolved_config(self.kind, self.config) for side in ("learned", "engineered")},
         }
 
     def fit(self, rows, seed: int):
-        members = tuple(learn.train(self.kind, learn.Dataset.of(rows, side), config, seed) for side, config
-                        in (("learned", self.config_learned), ("engineered", self.config_engineered)))
+        members = tuple(learn.train(self.kind, learn.Dataset.of(rows, side), self.config, seed)
+                        for side in ("learned", "engineered"))
 
         def predict(test_rows):
             data = learn.Dataset.of(test_rows)
@@ -190,8 +185,7 @@ class FusionTrainer:
 
     def fit(self, rows, seed: int):
         data = learn.Dataset.of(rows)
-        model = combine.deep_fusion_train(data.columns("learned"), data.columns("engineered"),
-                                          data.y, self.config, seed)
+        model = combine.deep_fusion_train(data, self.config, seed)
 
         def predict(test_rows):
             data = learn.Dataset.of(test_rows)

@@ -76,27 +76,15 @@ class _PathGroup:
     weights: np.ndarray  # their weights, summing to 1
 
 
-def _valid_inputs(model, x, background, ndim: int = 1):
-    """(x, background) as float arrays, or ExplainError. x is one row
-    (ndim 1) or rows (ndim 2), background a matrix with at least one row;
-    each has one entry per model feature on its last axis, and every value
-    is finite."""
-    m = model.feature_count
-    checked = []
-    for name, a, want in (("x" if ndim == 1 else "X", x, ndim), ("background", background, 2)):
-        try:
-            a = np.asarray(a, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ExplainError(f"{name} is not a numeric array: {exc}") from exc
-        if a.ndim != want or a.shape[-1] != m:
-            what = "a vector of" if want == 1 else "a matrix with columns for"
-            raise ExplainError(f"{name} must be {what} the model's {m} features, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ExplainError(f"{name} has non-finite values")
-        checked.append(a)
-    if len(checked[1]) == 0:
+def _valid_inputs(model, X, name: str, background):
+    """(X, background) as the model's row check passes them, or ExplainError
+    naming X as `name`: X the rows to explain ([x] for one row x), and
+    background rows, at least one of them."""
+    X = model._rows(X, ExplainError, name)
+    background = model._rows(background, ExplainError, "background")
+    if len(background) == 0:
         raise ExplainError("background must have at least one row")
-    return checked
+    return X, background
 
 
 def _path_table(model: TreeModel, background: np.ndarray) -> tuple[list[_PathGroup], float]:
@@ -219,21 +207,21 @@ def tree_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
     The model keeps the path table of its last call, so repeated calls with
     the same background skip the covers and the table.
     """
-    x, background = _valid_inputs(model, x, background)
-    return _explain_table(model, _cached_table(model, background), x[None, :], [patch_id])[0]
+    X, background = _valid_inputs(model, [x], "x", background)
+    return _explain_table(model, _cached_table(model, background), X, [patch_id])[0]
 
 
 def linear_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
     """Closed-form attribution for logistic regression, in margin space."""
     if not isinstance(model, LogisticRegressionModel):
         raise ExplainError("linear_shap requires a LogisticRegression model")
-    x, background = _valid_inputs(model, x, background)
+    X, background = _valid_inputs(model, [x], "x", background)
     with checked_arithmetic(ExplainError, "logistic regression attributions"):
         bg_mean = background.mean(axis=0)
         effective_w = model.weights / model.std
-        contributions = effective_w * (x - bg_mean)
+        contributions = effective_w * (X[0] - bg_mean)
         base = float(model.margin_batch(bg_mean[None, :])[0])
-        output = float(model.margin_batch(x[None, :])[0])
+        output = float(model.margin_batch(X)[0])
     return ShapExplanation(patch_id, base, contributions, output, "margin")
 
 
@@ -247,7 +235,7 @@ def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
     """explain_instance for every row of X, bit for bit. A tree model's
     covers and path table are built once per call and left in the model's
     cache, for tree_shap and interaction_pairs on the same background."""
-    X, background = _valid_inputs(model, X, background, ndim=2)
+    X, background = _valid_inputs(model, X, "X", background)
     patch_ids = [""] * len(X) if patch_ids is None else list(patch_ids)
     if isinstance(model, LogisticRegressionModel):
         return [linear_shap(model, x, background, pid) for x, pid in zip(X, patch_ids)]
@@ -302,8 +290,8 @@ def interaction_pairs(model, x, feature_a: int, feature_b: int, background) -> f
             raise ExplainError(f"interaction features must be integer indices in [0, {m}), got {i!r}")
     if feature_a == feature_b:
         raise ExplainError("interaction requires two distinct features")
-    x, background = _valid_inputs(model, x, background)
-    total = 0.0
+    X, background = _valid_inputs(model, [x], "x", background)
+    x, total = X[0], 0.0
     for group in _cached_table(model, background)[0]:
         pair = (group.feature == feature_a) | (group.feature == feature_b)
         both = np.count_nonzero(pair, axis=0) == 2

@@ -97,7 +97,7 @@ def corpus_features(cor, feature_set, pairs=None) -> tuple[list[str], list[Featu
         rows.append(FeatureRow(pair.patch_id, rec.bug_id, values, _LABELS.get(rec.label)))
     names = crossing.feature_names(pairs[0].n)
     if feature_set == "concat":
-        names = combine.concat_names(names, engineered.feature_names())
+        names += engineered.feature_names()
     return names, rows
 
 

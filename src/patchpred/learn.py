@@ -93,6 +93,19 @@ class Dataset:
             return self.X[:, self.blocks["learned"].start: self.blocks["engineered"].stop]
         return self.X[:, self.blocks[feature_set]]
 
+    def labeled(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X, y) to fit on: the one check of every fit's rows. TrainError
+        names the first patch that is unlabeled, has a non-finite feature
+        value or a label other than 0/1, or says that one class is missing."""
+        X, y = self.X, self.y
+        for bad, what in ((np.isnan(y), "is unlabeled"), (~np.isfinite(X), "has non-finite feature values"),
+                          ((y != 0.0) & (y != 1.0), "has a label other than 0/1")):
+            if bad.any():
+                raise TrainError(f"patch {self.patch_ids[int(np.nonzero(bad)[0][0])]!r} {what}")
+        if len(np.unique(y)) < 2:
+            raise TrainError("training data contains a single class; both labels are required")
+        return X, y
+
 
 def _sample_weights(y: np.ndarray, class_weight) -> np.ndarray:
     # class_weight is None or "balanced": the settings checks pass no other value.
@@ -796,17 +809,19 @@ class TrainedModel:
         self.training_report: dict = {}
         self.explain_cache = None  # explain's last path table; not persisted
 
-    def _rows(self, X) -> np.ndarray:
-        """X as a float matrix of finite rows of the model's width, or TrainError."""
+    def _rows(self, X, error=TrainError, name: str = "") -> np.ndarray:
+        """X as a float matrix of finite rows of the model's width: the one
+        check of the rows a model scores or explains. Otherwise `error`,
+        whose message names the matrix as `name`, if one is given."""
+        at = f"{name} " if name else ""
         try:
             X = np.asarray(X, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise TrainError(f"feature vectors must be numbers of one length: {exc}") from exc
+            raise error(f"{at}feature vectors must be numbers of one length: {exc}") from exc
         if X.ndim != 2 or X.shape[1] != self.feature_count:
-            raise TrainError(f"expected feature vectors of length {self.feature_count}, "
-                             f"got shape {X.shape}")
+            raise error(f"expected {at}feature vectors of length {self.feature_count}, got shape {X.shape}")
         if not np.isfinite(X).all():
-            raise TrainError(f"row {int(np.nonzero(~np.isfinite(X))[0][0])} has non-finite feature values")
+            raise error(f"{at}row {int(np.nonzero(~np.isfinite(X))[0][0])} has non-finite feature values")
         return X
 
     def predict_proba(self, x) -> float:
@@ -847,16 +862,22 @@ def _standardizer(X, enabled):
     return mean, std
 
 
+def _cross_entropy(p, y, sample_weight):
+    """(the weighted mean cross-entropy of probabilities p for labels y, the
+    weights, their total); no sample_weight weighs every row 1."""
+    sw = np.ones_like(y) if sample_weight is None else sample_weight
+    total = sw.sum()
+    eps = 1e-12
+    return -(sw * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))).sum() / total, sw, total
+
+
 def logistic_loss_and_grad(wb: np.ndarray, X: np.ndarray, y: np.ndarray,
                            l2: float, sample_weight=None):
     """Mean cross-entropy with L2 on weights (not bias); wb = [w..., b]."""
     w, b = wb[:-1], wb[-1]
-    sw = np.ones_like(y) if sample_weight is None else sample_weight
-    total = sw.sum()
     p = _sigmoid(np.dot(X, w) + b)
-    eps = 1e-12
-    loss = float(-(sw * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))).sum() / total
-                 + 0.5 * l2 * float(np.dot(w, w)))
+    cross_entropy, sw, total = _cross_entropy(p, y, sample_weight)
+    loss = float(cross_entropy + 0.5 * l2 * float(np.dot(w, w)))
     err = sw * (p - y) / total
     grad = np.concatenate([np.dot(X.T, err) + l2 * w, [err.sum()]])
     return loss, grad
@@ -1175,11 +1196,9 @@ def net_backward(params, acts, y, l2, sample_weight):
     """Backprop from net_forward's activations: (mean cross-entropy without
     any L2 term, gradients per parameter array, the first layer's dL/dz).
     The gradients carry their l2 * W terms; each caller adds its L2 loss."""
-    sw = np.ones_like(y) if sample_weight is None else sample_weight
-    total = sw.sum()
     p = acts[-1][:, 0]
-    eps = 1e-12
-    loss = float(-(sw * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))).sum() / total)
+    cross_entropy, sw, total = _cross_entropy(p, y, sample_weight)
+    loss = float(cross_entropy)
     grads = [None] * len(params)
     # dL/dz for the sigmoid output under cross-entropy collapses to (p - y).
     delta = ((p - y) * sw / total)[:, None]
@@ -1299,20 +1318,8 @@ def train(kind: str, rows, config: dict | None = None, seed: int = 0) -> Trained
     values are stored on the model and echoed into reports.
     """
     kind = canonical_kind(kind)
-    data = rows if isinstance(rows, Dataset) else Dataset.of(rows)
-    X, y = data.X, data.y
-    for bad, what in ((np.isnan(y), "is unlabeled"), (~np.isfinite(X), "has non-finite feature values")):
-        if bad.any():
-            raise TrainError(f"patch {data.patch_ids[int(np.nonzero(bad)[0][0])]!r} {what}")
-    classes = np.unique(y)
-    if len(classes) < 2:
-        raise TrainError("training data contains a single class; both labels are required")
-    if not set(classes) <= {0.0, 1.0}:
-        raise TrainError(f"labels must be 0/1, got {sorted(classes)}")
-    if len(y) < 2:
-        raise TrainError("need at least 2 rows to train")
-    resolved = resolved_config(kind, config)
-    return _MODEL_CLASSES[kind].fit(X, y, resolved, seed)
+    X, y = (rows if isinstance(rows, Dataset) else Dataset.of(rows)).labeled()
+    return _MODEL_CLASSES[kind].fit(X, y, resolved_config(kind, config), seed)
 
 
 def load(path) -> TrainedModel:

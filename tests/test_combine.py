@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from patchpred import combine
-from patchpred.combine import deep_fusion_train, fusion_loss_and_grad, init_fusion_params, naive_concat
+from patchpred.combine import fusion_loss_and_grad, init_fusion_params, naive_concat
+from patchpred.corpus import split_by_bug
 from patchpred.errors import TrainError
 from patchpred.evaluate import EnsembleTrainer, FusionTrainer, JointRow, SingleSetTrainer, crossval
 from patchpred.learn import Forest
@@ -62,8 +64,6 @@ def test_naive_concat_length_and_order():
     merged = naive_concat(learned, engineered)
     assert len(merged) == 16
     assert merged[6] == 100.0  # first engineered value right after the learned block
-    names = combine.concat_names([f"B-{i}" for i in range(6)], [f"e{i}" for i in range(10)])
-    assert names[6] == "e0"
 
 
 def test_naive_concat_is_lossless_projection():
@@ -111,11 +111,6 @@ def test_fusion_gradient_matches_finite_differences_small_towers(l2):
     assert np.max(np.abs(grad_flat - numeric) / denom) < 1e-4
 
 
-def test_fusion_misaligned_inputs_error():
-    with pytest.raises(TrainError, match="misaligned"):
-        deep_fusion_train(np.zeros((4, 2)), np.zeros((3, 2)), np.array([0, 1, 0, 1]))
-
-
 def test_xor_of_sets_needs_combination(xor_rows):
     # Neither feature set alone can beat chance by much; combining them can.
     concat_auc = crossval(xor_rows, SingleSetTrainer("concat", "gbt"), k=10, seed=42)["macro"]["auc"]
@@ -138,3 +133,29 @@ def test_strategies_share_identical_fold_memberships(xor_rows):
     assert plans[0] == plans[1] == plans[2]
     fold_of = [{p["patch_id"]: p["fold"] for p in rep["predictions"]} for rep in reports]
     assert fold_of[0] == fold_of[1] == fold_of[2]
+
+
+BAD_ROWS = {"label-2": "has a label other than 0/1", "unlabeled": "is unlabeled",
+            "nan-feature": "has non-finite feature values"}
+CHECKED_TRAINERS = {"learned-lr": lambda: SingleSetTrainer("learned", "lr"),
+                    "concat-gbt": lambda: SingleSetTrainer("concat", "gbt", {"rounds": 3}),
+                    "ensemble-lr": lambda: EnsembleTrainer("lr"),
+                    "fusion": lambda: FusionTrainer({"epochs": 3})}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+@pytest.mark.parametrize("trainer", sorted(CHECKED_TRAINERS))
+def test_every_trainer_refuses_a_bad_row_with_one_message(trainer, case):
+    # 40 rows of 10 bugs; the bad row's bug is not tested in fold 0, so fold 0 fits on it first.
+    rng = np.random.default_rng(3)
+    rows = [JointRow(f"p{i}", f"b{i // 4}", i % 2, learned=rng.normal(size=3), engineered=rng.normal(size=2))
+            for i in range(40)]
+    first_tested = split_by_bug([row.bug_id for row in rows], 5, 0)[0]
+    bad = next(i for i, row in enumerate(rows) if row.bug_id not in first_tested)
+    row = rows[bad]
+    if case == "nan-feature":
+        row.learned[1] = np.nan
+    else:
+        rows[bad] = JointRow(row.patch_id, row.bug_id, 2 if case == "label-2" else None, row.learned, row.engineered)
+    with pytest.raises(TrainError, match="^" + re.escape(f"patch {row.patch_id!r} {BAD_ROWS[case]}") + "$"):
+        crossval(rows, CHECKED_TRAINERS[trainer](), k=5, seed=0)

@@ -394,7 +394,7 @@ TRAINERS = {
     "nb": lambda: SingleSetTrainer("learned", "nb"),
     "gbt": lambda: SingleSetTrainer("concat", "gbt", {"rounds": 8}),
     "rf": lambda: SingleSetTrainer("engineered", "rf", {"n_trees": 6}),
-    "ensemble": lambda: evaluate.EnsembleTrainer("gbt", {"rounds": 4}, {"rounds": 5}),
+    "ensemble": lambda: evaluate.EnsembleTrainer("gbt", {"rounds": 4}),
     "fusion": lambda: FusionTrainer({"epochs": 3}),
 }
 

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from patchpred import explain, learn, worker
 from patchpred.combine import deep_fusion_train, fusion_loss_and_grad
 from patchpred.errors import ExplainError, TrainError
+from patchpred.evaluate import JointRow
 from patchpred.learn import (FeatureRow, RandomForestModel, LogisticRegressionModel,
                              Tree, _pick, logistic_loss_and_grad, net_loss_and_grad,
                              init_net_params)
@@ -31,6 +32,13 @@ ALL_KINDS = ("lr", "nb", "dt", "rf", "gbt", "dnn")
 
 def rows_from(X, y):
     return [FeatureRow(f"p{i}", f"bug{i}", X[i], int(y[i])) for i in range(len(y))]
+
+
+def fusion_data(X, y, learned):
+    """The Dataset of JointRows whose learned vectors are the first
+    `learned` columns of X and whose engineered vectors are the rest."""
+    return learn.Dataset.of([JointRow(f"p{i}", f"bug{i}", int(y[i]), learned=X[i, :learned],
+                                      engineered=X[i, learned:]) for i in range(len(y))])
 
 
 def numeric_grad(fn, x0, eps=1e-6):
@@ -104,7 +112,7 @@ def test_bad_hyperparameters_are_refused_before_training(kind, key, value):
     name = kind if kind == "DeepFusion" else learn.canonical_kind(kind)
     with pytest.raises(TrainError, match=f"{name} hyperparameter '{key}' must be"):
         if kind == "DeepFusion":
-            deep_fusion_train(X[:, :2], X[:, 2:], y, {key: value})
+            deep_fusion_train(fusion_data(X, y, 2), {key: value})
         else:
             learn.train(kind, rows_from(X, y), {key: value})
 
@@ -228,7 +236,7 @@ def _final_losses(kind, epochs, learning_rate):
     y = (rng.random(80) < 0.5).astype(float)
     sw = learn._sample_weights(y, None)
     if kind == "fusion":
-        model = deep_fusion_train(X[:, :3], X[:, 3:], y, {"epochs": epochs, "learning_rate": learning_rate}, 0)
+        model = deep_fusion_train(fusion_data(X, y, 3), {"epochs": epochs, "learning_rate": learning_rate}, 0)
         return model.training_report["final_loss"], fusion_loss_and_grad(model.params, *model._towers(X), y, 0.0, sw)[0]
     cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
     epochs_key = "max_epochs" if kind == "lr" else "epochs"
@@ -323,7 +331,7 @@ def test_scoring_refuses_a_non_finite_row(kind, value):
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(40, 3)), np.arange(40) % 2
     if kind == "DeepFusion":
-        model = deep_fusion_train(X[:, :1], X[:, 1:], y, {"epochs": 3}, 0)
+        model = deep_fusion_train(fusion_data(X, y, 1), {"epochs": 3}, 0)
     else:
         model = learn.train(kind, rows_from(X, y), seed=0)
     rows = np.zeros((2, 3))
