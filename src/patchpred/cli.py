@@ -337,6 +337,11 @@ def cmd_explain(args, cfg):
     keys = ("model", "features", "background", "background_cap", "seed", "patch_id")
     explanations = explain.explain_rows(model, X, background, [data.patch_ids[i] for i in targets])
     space = explanations[0].space
+    if args.interaction:  # before any file is written: an lr model refuses it
+        ia, ib = names.index(pair[0]), names.index(pair[1])
+        values = [{"patch_id": exp.patch_id,
+                   "value": explain.interaction_pairs(model, x, ia, ib, background)}
+                  for exp, x in zip(explanations, X)]
     if args.out:
         _write(args.out, lambda path: fileio.write_csv(
             path, ["patch_id", "feature_name", "contribution"],
@@ -350,10 +355,6 @@ def cmd_explain(args, cfg):
             "blocks": explain.block_totals(gi),
         }, args, keys)
     if args.interaction:
-        ia, ib = names.index(pair[0]), names.index(pair[1])
-        values = [{"patch_id": exp.patch_id,
-                   "value": explain.interaction_pairs(model, x, ia, ib, background)}
-                  for exp, x in zip(explanations, X)]
         _write(args.interaction_out, {"pair": pair, "space": space, "values": values}, args, keys)
     if args.plot_data:
         _write(args.plot_data, {

@@ -239,6 +239,8 @@ def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) 
     if not rows:
         raise EvalError("no rows for cross-validation")
     labels = np.array([r.label for r in rows], dtype=float)
+    # Before any fold: a bad label in a test split would reach only the metrics.
+    learn.refuse_bad_rows([r.patch_id for r in rows], labels)
     if len(np.unique(labels)) < 2:
         raise EvalError("cross-validation requires both classes in the corpus")
     plan = split_by_bug([r.bug_id for r in rows], k, seed)

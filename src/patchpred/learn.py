@@ -95,16 +95,25 @@ class Dataset:
 
     def labeled(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, y) to fit on: the one check of every fit's rows. TrainError
-        names the first patch that is unlabeled, has a non-finite feature
-        value or a label other than 0/1, or says that one class is missing."""
+        names the first bad patch (see refuse_bad_rows), or says that one
+        class is missing."""
         X, y = self.X, self.y
-        for bad, what in ((np.isnan(y), "is unlabeled"), (~np.isfinite(X), "has non-finite feature values"),
-                          ((y != 0.0) & (y != 1.0), "has a label other than 0/1")):
-            if bad.any():
-                raise TrainError(f"patch {self.patch_ids[int(np.nonzero(bad)[0][0])]!r} {what}")
+        refuse_bad_rows(self.patch_ids, y, X)
         if len(np.unique(y)) < 2:
             raise TrainError("training data contains a single class; both labels are required")
         return X, y
+
+
+def refuse_bad_rows(patch_ids, y: np.ndarray, X: np.ndarray | None = None) -> None:
+    """TrainError naming the first patch that is unlabeled (a NaN in y), has
+    a non-finite feature value in X, if X is given, or a label other than
+    0/1."""
+    checks = [(np.isnan(y), "is unlabeled"), ((y != 0.0) & (y != 1.0), "has a label other than 0/1")]
+    if X is not None:
+        checks.insert(1, (~np.isfinite(X), "has non-finite feature values"))
+    for bad, what in checks:
+        if bad.any():
+            raise TrainError(f"patch {patch_ids[int(np.nonzero(bad)[0][0])]!r} {what}")
 
 
 def _sample_weights(y: np.ndarray, class_weight) -> np.ndarray:
@@ -912,11 +921,13 @@ class LogisticRegressionModel(TrainedModel):
         return model
 
     def margin_batch(self, X) -> np.ndarray:
-        Xs = (self._rows(X) - self.mean) / self.std
-        return Xs @ self.weights + self.bias
+        return self._margin(self._rows(X))
+
+    def _margin(self, X) -> np.ndarray:
+        return ((X - self.mean) / self.std) @ self.weights + self.bias
 
     def _proba(self, X) -> np.ndarray:
-        return _sigmoid(self.margin_batch(X))
+        return _sigmoid(self._margin(X))
 
     def _params_dict(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias,
@@ -1081,13 +1092,17 @@ class GradientBoostedTreesModel(TreeModel):
     def fit(cls, X, y, config, seed):
         """From worker.BOOST_CELLS cells up, a worker.Worker runs the same
         rounds in lockstep, each side searching every other column of each
-        node (see _Scratch); if it dies, the fit starts again alone. The
-        trees are the same either way."""
+        node (see _Scratch) pinned to its own half of the CPUs, as each side
+        polls for the other's candidates; if it dies, the fit starts again
+        alone. The trees are the same either way."""
         if worker.forks(X.size, worker.BOOST_CELLS):
+            mine, theirs = worker.cpu_halves()
+
             def work(peer):  # the worker's model is the parent's: it returns nothing
-                cls._boost(X, y, config, seed, peer)
+                with worker.pinned(theirs):
+                    cls._boost(X, y, config, seed, peer)
             try:
-                with worker.Worker(work) as peer:
+                with worker.Worker(work) as peer, worker.pinned(mine):
                     return cls._boost(X, y, config, seed, peer)
             except worker.WorkerLost:
                 pass
@@ -1142,10 +1157,13 @@ class GradientBoostedTreesModel(TreeModel):
         return self.base_margin
 
     def margin_batch(self, X) -> np.ndarray:
-        return self.forest.sums(self._rows(X), self.scale, self.base_margin)
+        return self._margin(self._rows(X))
+
+    def _margin(self, X) -> np.ndarray:
+        return self.forest.sums(X, self.scale, self.base_margin)
 
     def _proba(self, X) -> np.ndarray:
-        return _sigmoid(self.margin_batch(X))
+        return _sigmoid(self._margin(X))
 
     def _params_dict(self) -> dict:
         return {"base_margin": self.base_margin, **super()._params_dict()}

@@ -3,13 +3,14 @@
 A boosting fit runs its rounds in lockstep with a worker, each process
 searching half of every node's columns (see learn.py). A cross-validation's
 folds and a random forest's trees are split by `halves`: a worker runs half
-of the items while this process runs the other half, each pinned to its own
-half of the CPUs with BLAS on one thread. Either way the result is the one
-a run on one CPU gives.
+of the items while this process runs the other half. Either way each
+process is pinned to its own half of the CPUs with BLAS on one thread
+(`pinned`), and the result is the one a run on one CPU gives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import gc
@@ -190,6 +191,32 @@ class Worker:
             raise WorkerLost from exc
 
 
+def cpu_halves() -> tuple[list, list]:
+    """This process's CPUs in two halves, the first for this process and the
+    second for a worker it is about to fork."""
+    ordered = sorted(os.sched_getaffinity(0))
+    return ordered[:len(ordered) // 2], ordered[len(ordered) // 2:]
+
+
+@contextlib.contextmanager
+def pinned(cpus):
+    """Runs the block on `cpus` only, with numpy's OpenBLAS (where
+    blas_threads finds it) on one thread, and restores this process's CPU
+    set and thread count on every way out. Two processes that work side by
+    side, each in its own half (see cpu_halves), never share a CPU."""
+    blas, before = blas_threads(), os.sched_getaffinity(0)
+    threads = blas[0]() if blas else None
+    os.sched_setaffinity(0, cpus)
+    try:
+        if blas:
+            blas[1](1)
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+        if blas:
+            blas[1](threads)
+
+
 def halves(run, n: int, size: int, least: int) -> list:
     """What run(range(a, b)) gives over consecutive ranges that cover
     range(n), in order. Where forks(size, least) holds and blas_threads
@@ -203,23 +230,16 @@ def halves(run, n: int, size: int, least: int) -> list:
     item, and the worker's items if the worker was lost. An item that
     raised in the worker raises here."""
     m, parts = n // 2, []
-    if m and forks(size, least) and (blas := blas_threads()) is not None:
-        (get_threads, set_threads), cpus = blas, os.sched_getaffinity(0)
-        ordered, threads = sorted(cpus), get_threads()
-        half = len(ordered) // 2
+    if m and forks(size, least) and blas_threads() is not None:
+        mine, theirs = cpu_halves()
 
-        def pinned(to, items):
-            os.sched_setaffinity(0, to)
-            set_threads(1)
-            return run(items)
+        def run_on(cpus, items):
+            with pinned(cpus):
+                return run(items)
 
         try:
-            with Worker(lambda _peer: pinned(ordered[half:], range(m, 2 * m))) as peer:
-                try:
-                    parts.append(pinned(ordered[:half], range(m)))
-                finally:
-                    os.sched_setaffinity(0, cpus)
-                    set_threads(threads)
+            with Worker(lambda _peer: run_on(theirs, range(m, 2 * m))) as peer:
+                parts.append(run_on(mine, range(m)))
                 parts.append(peer.result())
         except WorkerLost:
             pass

@@ -454,6 +454,18 @@ def test_interactions_json_holds_interaction_pairs_of_every_row(pipeline, tmp_pa
     assert any(v["value"] != 0.0 for v in expected)
 
 
+def test_explain_that_refuses_an_interaction_writes_no_file(pipeline, tmp_path, capsys):
+    model_path = tmp_path / "lr.json"
+    assert run("train", "--features", str(pipeline["learned"]), "--learner", "lr", "--seed", "1",
+               "--out", str(model_path)) == 0
+    outs = {flag: tmp_path / name for flag, name in (("--out", "c.csv"), ("--global-out", "g.json"),
+                                                     ("--interaction-out", "i.json"), ("--plot-data", "p.json"))}
+    assert run("explain", "--model", str(model_path), "--features", str(pipeline["learned"]),
+               "--interaction", "B-0,B-1", *(a for flag, path in outs.items() for a in (flag, str(path)))) == 1
+    assert "error[explain]" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["lr.json"]
+
+
 def test_explain_refuses_background_with_other_columns(pipeline, tree_model, tmp_path, capsys):
     names, rows = featureio.read_features(pipeline["learned"])
     order = [1, 0] + list(range(2, len(names)))

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,19 +144,37 @@ CHECKED_TRAINERS = {"learned-lr": lambda: SingleSetTrainer("learned", "lr"),
                     "fusion": lambda: FusionTrainer({"epochs": 3})}
 
 
-@pytest.mark.parametrize("case", sorted(BAD_ROWS))
-@pytest.mark.parametrize("trainer", sorted(CHECKED_TRAINERS))
-def test_every_trainer_refuses_a_bad_row_with_one_message(trainer, case):
-    # 40 rows of 10 bugs; the bad row's bug is not tested in fold 0, so fold 0 fits on it first.
+def _rows_with_a_bad_one(case, tested_first):
+    """40 rows of 10 bugs and the patch id of the one made bad by `case`:
+    a row whose bug fold 0 tests if `tested_first`, else one it fits on."""
     rng = np.random.default_rng(3)
     rows = [JointRow(f"p{i}", f"b{i // 4}", i % 2, learned=rng.normal(size=3), engineered=rng.normal(size=2))
             for i in range(40)]
     first_tested = split_by_bug([row.bug_id for row in rows], 5, 0)[0]
-    bad = next(i for i, row in enumerate(rows) if row.bug_id not in first_tested)
+    bad = next(i for i, row in enumerate(rows) if (row.bug_id in first_tested) == tested_first)
     row = rows[bad]
     if case == "nan-feature":
         row.learned[1] = np.nan
     else:
         rows[bad] = JointRow(row.patch_id, row.bug_id, 2 if case == "label-2" else None, row.learned, row.engineered)
-    with pytest.raises(TrainError, match="^" + re.escape(f"patch {row.patch_id!r} {BAD_ROWS[case]}") + "$"):
+    return rows, row.patch_id
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+@pytest.mark.parametrize("trainer", sorted(CHECKED_TRAINERS))
+def test_every_trainer_refuses_a_bad_row_with_one_message(trainer, case):
+    # The bad row's bug is not tested in fold 0, so fold 0 fits on it first.
+    rows, patch_id = _rows_with_a_bad_one(case, tested_first=False)
+    with pytest.raises(TrainError, match="^" + re.escape(f"patch {patch_id!r} {BAD_ROWS[case]}") + "$"):
         crossval(rows, CHECKED_TRAINERS[trainer](), k=5, seed=0)
+
+
+@pytest.mark.parametrize("case", ["label-2", "unlabeled"])
+@pytest.mark.parametrize("trainer", sorted(CHECKED_TRAINERS))
+def test_crossval_refuses_a_bad_label_in_a_test_split_before_any_fold(trainer, case):
+    # Fold 0 tests the bad row: only its metrics would see the label.
+    rows, patch_id = _rows_with_a_bad_one(case, tested_first=True)
+    trainer = CHECKED_TRAINERS[trainer]()
+    with mock.patch.object(trainer, "fit", side_effect=AssertionError("a fold was fitted")):
+        with pytest.raises(TrainError, match="^" + re.escape(f"patch {patch_id!r} {BAD_ROWS[case]}") + "$"):
+            crossval(rows, trainer, k=5, seed=0)

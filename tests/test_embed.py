@@ -128,7 +128,7 @@ def test_infer_is_deterministic_for_same_seed():
     model = embed.train_embedder(docs, EmbedderConfig(n=8, epochs=20, seed=3))
     v1, _ = embed.infer_vector(model, docs[0])
     v2, _ = embed.infer_vector(model, docs[0])
-    assert np.array_equal(v1, v2)
+    assert _same_bits(v1, v2)
 
 
 def test_inferring_training_document_lands_near_its_trained_vector():
@@ -147,8 +147,8 @@ def test_training_deterministic_under_seed():
     docs, _ = _cluster_docs(20)
     m1 = embed.train_embedder(docs, EmbedderConfig(n=8, epochs=15, seed=9))
     m2 = embed.train_embedder(docs, EmbedderConfig(n=8, epochs=15, seed=9))
-    assert np.array_equal(m1.word_matrix, m2.word_matrix)
-    assert np.array_equal(m1.doc_vectors, m2.doc_vectors)
+    assert _same_bits(m1.word_matrix, m2.word_matrix)
+    assert _same_bits(m1.doc_vectors, m2.doc_vectors)
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -159,7 +159,7 @@ def test_model_save_load_round_trip(tmp_path):
     loaded = embed.load_model(path)
     v1, _ = embed.infer_vector(model, docs[3])
     v2, _ = embed.infer_vector(loaded, docs[3])
-    assert np.array_equal(v1, v2)
+    assert _same_bits(v1, v2)
     embed.save_model(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -250,6 +250,12 @@ def test_export_import_round_trip(tmp_path):
 # per-epoch inference loop: two row-wise scatter-adds and one negative draw
 # per document per epoch. The optimized loops must reproduce it bit for bit.
 
+def _same_bits(a, b) -> bool:
+    """Equal arrays, told apart by the sign of zero and the NaN too, which
+    np.array_equal would not."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _ref_sigmoid(x):
     out = 1.0 / (1.0 + np.exp(-np.clip(x, -8.0, 8.0)))
     out[x > 8.0] = 1.0
@@ -261,9 +267,8 @@ def test_sigmoid_without_a_clip_has_the_bits_of_the_clipped_reference():
     edges = [0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 708.0, 710.0, np.inf]
     x = np.array(edges + [-v for v in edges] + [np.nan])
     with np.errstate(over="ignore", invalid="ignore"):
-        got = embed._sigmoid_inplace(x.copy())
-    # tobytes compares the sign of zero and the NaN too, which == would not.
-    assert got.tobytes() == _ref_sigmoid(x).tobytes()
+        got = embed._sigmoid_inplace(np.negative(x))
+    assert _same_bits(got, _ref_sigmoid(x))
 
 
 def _ref_doc_step(doc_vec, word_matrix, pos_idx, neg_idx, lr, freeze_words=False):
@@ -348,14 +353,14 @@ def test_embedder_matches_reference_loops_bit_for_bit(negative_samples, epochs, 
                             min_token_count=min_token_count, seed=3)
     model = embed.train_embedder(docs, config)
     word_matrix, doc_vectors, report = _ref_train(docs, config)
-    assert np.array_equal(model.word_matrix, word_matrix)
-    assert np.array_equal(model.doc_vectors, doc_vectors)
+    assert _same_bits(model.word_matrix, word_matrix)
+    assert _same_bits(model.doc_vectors, doc_vectors)
     assert model.training_report == report
     probes = docs[:3] + [docs[-2], ["alpha3", "never-seen", "beta5", "alpha3", "also-new"], ["alpha0"]]
     for tokens in probes:
         vec, flag = embed.infer_vector(model, tokens)
         assert not flag
-        assert np.array_equal(vec, _ref_infer(model, tokens))
+        assert _same_bits(vec, _ref_infer(model, tokens))
 
 
 # Token counts for the guide table: random; one dominant token whose CDF
@@ -470,16 +475,40 @@ def test_stacked_inference_matches_single_and_reference(negative_samples, token_
         shuffled, shuffled_oov = embed._infer_vectors(model, [token_lists[i] for i in order])
     assert vectors.shape == (len(token_lists), 64)
     for position, i in enumerate(order):
-        assert np.array_equal(shuffled[position], vectors[i])
+        assert _same_bits(shuffled[position], vectors[i])
         assert shuffled_oov[position] == oov[i]
     for tokens, vec, flag in zip(token_lists, vectors, oov):
         alone, alone_flag = embed.infer_vector(model, tokens)
         assert flag == alone_flag == (not any(t in model.vocabulary for t in tokens))
-        assert np.array_equal(vec, alone)
+        assert _same_bits(vec, alone)
         if flag:
-            assert not vec.any()
+            assert _same_bits(vec, np.zeros(64))
         else:
-            assert np.array_equal(vec, _ref_infer(model, tokens))
+            assert _same_bits(vec, _ref_infer(model, tokens))
+
+
+@pytest.mark.parametrize("negative_samples", [0, 5])
+def test_one_token_fragments_match_the_reference_alone_and_stacked(negative_samples):
+    model = _random_model(negative_samples)
+    token_lists = [["w3"], ["w7"], ["w3"], ["never-seen", "w11"]]
+    vectors, _ = embed._infer_vectors(model, token_lists)
+    for tokens, vec in zip(token_lists, vectors):
+        assert _same_bits(vec, embed.infer_vector(model, tokens)[0])
+        assert _same_bits(vec, _ref_infer(model, tokens))
+
+
+def test_an_exact_zero_in_an_inferred_vector_is_positive_zero():
+    # One epoch at rate 1 with no negatives gives v0 - c * w, and c * w[0]
+    # rounds to v0[0] for this w (found by a search), so the reference ends
+    # at v0[0] - v0[0] = +0.0. Inference, which holds -v, ends at
+    # -v0[0] + v0[0] = +0.0 too, where a plain negation would give -0.0.
+    config = EmbedderConfig(n=2, epochs=1, negative_samples=0, learning_rate=1.0, seed=0)
+    model = embed.ParagraphVectorModel({"a": 0, "b": 1}, np.array([[-0.16412499645029593, -3.0], [1.0, 1.0]]),
+                                       np.ones(2), config)
+    reference = _ref_infer(model, ["a"])
+    assert reference[0] == 0.0 and not np.signbit(reference[0])
+    assert _same_bits(embed.infer_vector(model, ["a"])[0], reference)
+    assert _same_bits(embed._infer_vectors(model, [["a"], ["b"], ["a"]])[0][0], reference)
 
 
 def test_embed_corpus_matches_infer_vector_in_input_order():
@@ -495,7 +524,7 @@ def test_embed_corpus_matches_infer_vector_in_input_order():
     for p in pairs:
         for vec, tokens in ((p.buggy_vec, frags[p.patch_id].buggy_tokens),
                             (p.patched_vec, frags[p.patch_id].patched_tokens)):
-            assert np.array_equal(vec, embed.infer_vector(model, tokens)[0])
+            assert _same_bits(vec, embed.infer_vector(model, tokens)[0])
 
 
 def test_draw_cache_holds_the_longest_fragment_and_survives_reload(tmp_path):
@@ -510,23 +539,29 @@ def test_draw_cache_holds_the_longest_fragment_and_survives_reload(tmp_path):
     cache = model.draws.negatives
     short_vec, _ = embed.infer_vector(model, short_doc)
     assert model.draws.negatives is cache
-    assert np.array_equal(short_vec, _ref_infer(model, short_doc))
-    assert np.array_equal(long_vec, _ref_infer(model, long_doc))
+    assert _same_bits(short_vec, _ref_infer(model, short_doc))
+    assert _same_bits(long_vec, _ref_infer(model, long_doc))
 
     path = tmp_path / "model.json"
     embed.save_model(model, path)
     assert "draws" not in json.loads(path.read_text())
     loaded = embed.load_model(path)
     assert loaded.draws is None
-    assert np.array_equal(embed.infer_vector(loaded, short_doc)[0], short_vec)
-    assert np.array_equal(embed.infer_vector(loaded, long_doc)[0], long_vec)
+    assert _same_bits(embed.infer_vector(loaded, short_doc)[0], short_vec)
+    assert _same_bits(embed.infer_vector(loaded, long_doc)[0], long_vec)
 
     # A replaced config (here a new seed) rebuilds the cache.
     model.config = dataclasses.replace(config, seed=9)
     reseeded, _ = embed.infer_vector(model, short_doc)
     assert model.draws.config is model.config and model.draws.length == len(short_doc)
-    assert np.array_equal(reseeded, _ref_infer(model, short_doc))
+    assert _same_bits(reseeded, _ref_infer(model, short_doc))
     assert not np.array_equal(reseeded, short_vec)
+    # So does a new learning rate, which the cache's per-epoch rates follow.
+    model.config = dataclasses.replace(config, learning_rate=0.05)
+    faster, _ = embed.infer_vector(model, short_doc)
+    assert model.draws.rates[0] == 0.05 and model.draws.rates[0].ndim == 0
+    assert _same_bits(faster, _ref_infer(model, short_doc))
+    assert not np.array_equal(faster, short_vec)
 
 
 def test_non_finite_inferred_vector_raises_from_both_paths():
@@ -666,13 +701,13 @@ def test_draw_cache_keeps_no_fragment_longer_than_its_cap():
     long_doc = [vocab[i % len(vocab)] for i in range(embed._DRAWS_MAX_TOKENS + 7)]
     long_vec, _ = embed.infer_vector(model, long_doc)
     assert model.draws is None
-    assert np.array_equal(long_vec, _ref_infer(model, long_doc))
+    assert _same_bits(long_vec, _ref_infer(model, long_doc))
     embed.infer_vector(model, docs[1])
     cache = model.draws
-    assert np.array_equal(embed.infer_vector(model, long_doc)[0], long_vec)
+    assert _same_bits(embed.infer_vector(model, long_doc)[0], long_vec)
     assert model.draws is cache and cache.length == len(docs[1])
     token_lists = [long_doc, docs[0] + docs[2], docs[1], long_doc[:-6], long_doc[:-7]]
     vectors, _ = embed._infer_vectors(model, token_lists)
     assert model.draws.length == embed._DRAWS_MAX_TOKENS
     for vec, tokens in zip(vectors, token_lists):
-        assert np.array_equal(vec, _ref_infer(model, tokens))
+        assert _same_bits(vec, _ref_infer(model, tokens))

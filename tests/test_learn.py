@@ -341,6 +341,17 @@ def test_scoring_refuses_a_non_finite_row(kind, value):
     assert np.all(np.isfinite(model.predict_proba_batch(rows[:1])))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_scoring_checks_each_matrix_once(blob_data, kind, monkeypatch):
+    X, y = blob_data
+    model = learn.train(kind, rows_from(X, y), seed=0)
+    calls = []
+    checked = learn.TrainedModel._rows
+    monkeypatch.setattr(learn.TrainedModel, "_rows", lambda self, *a, **kw: calls.append(1) or checked(self, *a, **kw))
+    probs = model.predict_proba_batch(X)
+    assert len(calls) == 1 and probs.shape == (len(X),)
+
+
 def test_balanced_class_weight_changes_imbalanced_fit():
     rng = np.random.default_rng(0)
     X = np.vstack([rng.normal(0, 1, size=(50, 2)), rng.normal(1.0, 1, size=(5, 2))])
@@ -1345,6 +1356,44 @@ def test_forest_halves_grow_on_one_cpu_and_one_blas_thread_and_restore_both(monk
             monkeypatch.setattr(learn._ForestGrower, "grow", lambda *args: recorded(*args, raises=True))
             with _workers_always(), pytest.raises(KeyboardInterrupt):
                 RandomForestModel.fit(X, y, config, 0)
+            assert (os.sched_getaffinity(0), get_threads()) == (cpus, 2)
+    finally:
+        set_threads(before)
+
+
+@needs_halves
+def test_lockstep_boosting_sides_run_on_their_own_cpu_and_one_blas_thread_and_restore_both(monkeypatch):
+    # Each side records, in an anonymous shared mapping, the CPUs and BLAS
+    # threads it could use as its rounds start: one CPU each, not the same
+    # one, and one thread. The caller's CPUs and count are back after the
+    # fit returns or raises.
+    X, y = _boosting_problem()
+    config = learn.resolved_config("GradientBoostedTrees", {"rounds": 2})
+    seen = np.frombuffer(mmap.mmap(-1, 8 * 3 * 2), dtype=np.int64).reshape(2, 3)
+    get_threads, set_threads = worker.blas_threads()
+    boost = learn.GradientBoostedTreesModel._boost.__func__
+
+    def recorded(cls, X, y, config, seed, peer=None, raises=False):
+        cpus = os.sched_getaffinity(0)
+        seen[peer.side] = len(cpus), min(cpus), get_threads()
+        if raises and peer.side == 0:
+            raise KeyboardInterrupt
+        return boost(cls, X, y, config, seed, peer)
+
+    before = get_threads()
+    set_threads(2)
+    try:
+        with _two_cpus():
+            cpus = os.sched_getaffinity(0)
+            monkeypatch.setattr(learn.GradientBoostedTreesModel, "_boost", classmethod(recorded))
+            with _workers_always():
+                learn.GradientBoostedTreesModel.fit(X, y, config, 0)
+            assert seen[:, [0, 2]].tolist() == [[1, 1], [1, 1]] and seen[0, 1] != seen[1, 1]
+            assert (os.sched_getaffinity(0), get_threads()) == (cpus, 2)
+            monkeypatch.setattr(learn.GradientBoostedTreesModel, "_boost",
+                                classmethod(lambda *args: recorded(*args, raises=True)))
+            with _workers_always(), pytest.raises(KeyboardInterrupt):
+                learn.GradientBoostedTreesModel.fit(X, y, config, 0)
             assert (os.sched_getaffinity(0), get_threads()) == (cpus, 2)
     finally:
         set_threads(before)
