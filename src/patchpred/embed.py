@@ -32,6 +32,11 @@ _DRAWS_MAX_TOKENS = 1024
 # ~200 KB. Blocks 8x larger searched the README corpus's epoch draw 3x slower.
 _DRAW_BLOCK = 1 << 13
 
+# The scalar operands of the epoch loops as 0-d arrays: numpy converts a
+# Python float operand on every call, 0.1-0.25 us each, and the values, so
+# the bits, are the same.
+_ZERO, _ONE, _LOW, _HIGH = np.array(0.0), np.array(1.0), np.array(-8.0), np.array(8.0)
+
 @dataclass(frozen=True)
 class EmbeddingPair:
     patch_id: str
@@ -135,16 +140,17 @@ def _sigmoid_inplace(y, above=None, below=None):
     the masks overwrite every value outside it. The embedder keeps its
     document vectors negated, so its products give y and no np.negative is
     needed. Call it under np.errstate(over="ignore"): above y = 709 the exp
-    overflows, before `below` overwrites the result. Inference (_infer)
-    runs the same steps written out in its loop.
+    overflows, before `below` overwrites the result. Training and inference
+    call it once per document and epoch, so its operands are 0-d arrays and
+    its outputs go by position.
     """
-    above = np.less(y, -8.0, out=above)
-    below = np.greater(y, 8.0, out=below)
-    np.exp(y, out=y)
-    y += 1.0
-    np.divide(1.0, y, out=y)
-    y[above] = 1.0
-    y[below] = 0.0
+    above = np.less(y, _LOW, above)
+    below = np.greater(y, _HIGH, below)
+    np.exp(y, y)
+    y += _ONE
+    np.divide(_ONE, y, y)
+    y[above] = _ONE
+    y[below] = _ZERO
     return y
 
 
@@ -255,10 +261,11 @@ class _Epochs:
         self.flat = word_matrix.reshape(-1).view(self.dtype)
         self.positions = np.arange(vocab_size * width).reshape(vocab_size, width)
 
-    def run(self, negated, negatives, lr: float, with_loss: bool) -> float:
+    def run(self, negated, negatives, lr: np.ndarray, with_loss: bool) -> float:
         """One epoch, document by document, on the document vectors negated
         (`negated` is -doc_vectors), with `negatives` (T_total, k) as its
-        draw. Returns the summed pair loss if `with_loss`, else 0.0.
+        draw and the 0-d learning rate `lr`. Returns the summed pair loss if
+        `with_loss`, else 0.0.
 
         Each document's gradients are computed against the current
         parameters and applied once; repeated rows of its scatter-add are
@@ -284,7 +291,7 @@ class _Epochs:
                 # loss = -log sigma(pos) - sum log sigma(-neg)
                 total += float(-np.log(np.maximum(pos_coef, 1e-12)).sum()
                                - np.log(np.maximum(1.0 - neg_coef, 1e-12)).sum())
-            pos_coef -= 1.0
+            pos_coef -= _ONE
             grad_doc = np.dot(pos_coef, pos_vecs) + np.dot(neg_coef, neg_vecs)
             update = self.update[:stop - start]
             update[...] = doc_coef[:, None]
@@ -328,7 +335,7 @@ def train_embedder(documents, config: EmbedderConfig | None = None) -> Paragraph
             negatives = noise.sample(rng, (plan.n_tokens, config.negative_samples))
             # The report keeps the first and last epochs' loss; the others skip it.
             with_loss = epoch in (0, last)
-            total = plan.run(negated, negatives, _learning_rate(config, epoch), with_loss)
+            total = plan.run(negated, negatives, np.array(_learning_rate(config, epoch)), with_loss)
             # Scores are clipped to [0, 1] by the sigmoid, so an epoch's loss
             # is non-finite exactly when one of its scores is NaN.
             if np.isnan(plan.coef).any():
@@ -412,15 +419,10 @@ def _infer(model: ParagraphVectorModel, pos_idx: np.ndarray) -> np.ndarray:
         pos_coef, neg_coef = pos_scores.swapaxes(-1, -2), neg_scores.swapaxes(-1, -2)
     above, below = np.empty(scores.shape, dtype=bool), np.empty(scores.shape, dtype=bool)
     grad, neg_grad = np.empty_like(vec), np.empty_like(vec)
-    # Every call in the loop costs about as much as its arithmetic, so its
-    # functions are bound once, outputs are passed by position, the steps of
-    # _sigmoid_inplace are written out, and every scalar operand is a 0-d
-    # array, which numpy does not convert on every call as it does a Python
-    # float (0.1-0.25 us a call). Together they took a sixth off the time of
-    # a default-config fragment (2-vCPU x86-64 VM, one BLAS thread), with
-    # the same values and so the same bits.
-    take, less, greater, exp, divide = word_matrix.take, np.less, np.greater, np.exp, np.divide
-    zero, one, low, high = np.array(0.0), np.array(1.0), np.array(-8.0), np.array(8.0)
+    # Every call in the loop costs about as much as its arithmetic, so the
+    # gather is bound once, outputs go by position and the learning rates
+    # are 0-d arrays (see _ZERO).
+    take = word_matrix.take
     # A diverging vector overflows the products; the check below catches it.
     # The sigmoid needs over="ignore" for negated scores above 709.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -428,14 +430,8 @@ def _infer(model: ParagraphVectorModel, pos_idx: np.ndarray) -> np.ndarray:
             neg_vecs = take(neg_idx, 0)
             product(pos_vecs, col, pos_scores)
             product(neg_vecs, col, neg_scores)
-            less(scores, low, above)  # _sigmoid_inplace(scores, above, below)
-            greater(scores, high, below)
-            exp(scores, scores)
-            scores += one
-            divide(one, scores, scores)
-            scores[above] = one
-            scores[below] = zero
-            pos_scores -= one
+            _sigmoid_inplace(scores, above, below)
+            pos_scores -= _ONE
             # Two vector-matrix products: one over positives and negatives
             # together would sum in another order.
             product(pos_coef, pos_vecs, grad)

@@ -862,6 +862,17 @@ class TrainedModel:
         fileio.write(path, self.to_dict())
 
 
+class _MarginModel:
+    """A model whose probability is the sigmoid of a margin (log-odds), which
+    the model's _margin gives for rows already checked."""
+
+    def margin_batch(self, X) -> np.ndarray:
+        return self._margin(self._rows(X))
+
+    def _proba(self, X) -> np.ndarray:
+        return _sigmoid(self._margin(X))
+
+
 def _standardizer(X, enabled):
     if not enabled:
         return np.zeros(X.shape[1]), np.ones(X.shape[1])
@@ -892,7 +903,7 @@ def logistic_loss_and_grad(wb: np.ndarray, X: np.ndarray, y: np.ndarray,
     return loss, grad
 
 
-class LogisticRegressionModel(TrainedModel):
+class LogisticRegressionModel(_MarginModel, TrainedModel):
     kind = "LogisticRegression"
 
     def __init__(self, feature_count, config, seed, weights=None, bias=0.0, mean=None, std=None):
@@ -920,14 +931,8 @@ class LogisticRegressionModel(TrainedModel):
         model.training_report = {"epochs_run": epoch, "final_loss": loss}
         return model
 
-    def margin_batch(self, X) -> np.ndarray:
-        return self._margin(self._rows(X))
-
     def _margin(self, X) -> np.ndarray:
         return ((X - self.mean) / self.std) @ self.weights + self.bias
-
-    def _proba(self, X) -> np.ndarray:
-        return _sigmoid(self._margin(X))
 
     def _params_dict(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias,
@@ -1074,7 +1079,7 @@ class RandomForestModel(TreeModel):
         return cls(feature_count, config, seed, _counted(forest, config, "n_trees"))
 
 
-class GradientBoostedTreesModel(TreeModel):
+class GradientBoostedTreesModel(_MarginModel, TreeModel):
     """Boosted shallow regression trees on the logistic loss with shrinkage.
 
     Predictions live in margin (log-odds) space; leaf values are damped
@@ -1156,14 +1161,8 @@ class GradientBoostedTreesModel(TreeModel):
     def intercept(self) -> float:
         return self.base_margin
 
-    def margin_batch(self, X) -> np.ndarray:
-        return self._margin(self._rows(X))
-
     def _margin(self, X) -> np.ndarray:
         return self.forest.sums(X, self.scale, self.base_margin)
-
-    def _proba(self, X) -> np.ndarray:
-        return _sigmoid(self._margin(X))
 
     def _params_dict(self) -> dict:
         return {"base_margin": self.base_margin, **super()._params_dict()}
