@@ -38,9 +38,11 @@ class Flag(NamedTuple):
     metavar: str | None = None
 
 
-# The JSON types a config entry may have for each flag type; true/false is
-# only a bool, although Python counts it as an int.
-_CONFIG_TYPES = {str: str, int: int, float: (int, float), bool: bool}
+# What a config entry may be for each flag type: a float flag takes a number
+# and an int flag an integer, as fileio.is_number has them (true and false
+# are neither).
+_CONFIG_TYPES = {str: lambda v: isinstance(v, str), int: lambda v: fileio.is_number(v, integer=True),
+                 float: fileio.is_number, bool: lambda v: isinstance(v, bool)}
 
 
 def resolve(args, cfg) -> None:
@@ -53,7 +55,7 @@ def resolve(args, cfg) -> None:
         value = getattr(args, dest)
         if value is None and cfg.get(flag.name) is not None:
             value = cfg[flag.name]
-            if isinstance(value, bool) != (flag.type is bool) or not isinstance(value, _CONFIG_TYPES[flag.type]):
+            if not _CONFIG_TYPES[flag.type](value):
                 raise PatchPredError(f"config entry {flag.name!r} must be a {flag.type.__name__}, got {value!r}")
         if value is None:
             value = flag.default
@@ -240,11 +242,12 @@ def cmd_stats(args, cfg):
 def cmd_filter(args, cfg):
     scored = _scored(args)
     sim = None
-    if args.stats:
+    if args.stats:  # the six numbers of a stats report
+        stats = fileio.read_object(args.stats, EvalError, "stats report").get("stats")
         try:
-            sim = filtering.SimilarityStats(**fileio.read_object(args.stats, EvalError, "stats report")["stats"])
-        except (KeyError, TypeError) as exc:
-            raise EvalError(f"{args.stats} is not a stats report: {exc!r}") from exc
+            sim = filtering.SimilarityStats(**{k: float(fileio.numbers(v, k, ())) for k, v in stats.items()})
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise EvalError(f"{args.stats}: not a valid stats report: {exc}") from exc
     policy = filtering.resolve_policy(args.policy, sim, args.value)
     report = filtering.filter_by_threshold([(pid, score, label) for pid, _b, score, label, _f in scored], policy)
     keys = ("corpus", "embeddings", "policy", "stats")
@@ -282,9 +285,6 @@ def cmd_train(args, cfg):
 def cmd_crossval(args, cfg):
     _names, rows = featureio.read_features(args.features)
     args.learner = learn.canonical_kind(args.learner)
-    unlabeled = [r.patch_id for r in rows if r.label is None]
-    if unlabeled:
-        raise PatchPredError(f"cross-validation requires labeled rows; patch {unlabeled[0]!r} is unlabeled")
     # The features come pre-built from the CSV.
     trainer = evaluate.SingleSetTrainer("file", args.learner, _hyper_overrides(args, cfg, args.learner))
     report = evaluate.crossval(rows, trainer, k=args.k, seed=args.seed, threshold=args.threshold)

@@ -1,10 +1,8 @@
 """Committed default hyperparameters, echoed verbatim into every report, and
 the checks every learner hyperparameter and embedder setting passes."""
 
-import math
-from numbers import Integral, Real
-
 from .errors import TrainError
+from .fileio import is_number
 
 DEFAULT_HYPERPARAMETERS = {
     "LogisticRegression": {
@@ -58,41 +56,24 @@ DEFAULT_HYPERPARAMETERS = {
     },
 }
 
-def _int_at_least(low):
-    return lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= low
-
-
-def _number(v) -> bool:
-    """A finite int or float; true and false are not numbers."""
-    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+def _integer(low):
+    """(test, what passes) for an integer >= low."""
+    return lambda v: is_number(v, integer=True) and v >= low, f"an integer >= {low}"
 
 
 # Setting -> (test, what a valid value is), for every key above and every
-# field of embed.EmbedderConfig. max_depth 0 is allowed: it grows a single
-# leaf. var_smoothing 0 is not: a column constant within a class would get a
-# zero variance to divide by.
+# field of embed.EmbedderConfig; numbers as fileio.is_number has them.
+# max_depth 0 is allowed: it grows a single leaf. var_smoothing 0 is not: a
+# column constant within a class would get a zero variance to divide by.
 HYPERPARAMETER_CHECKS = {
-    "n": (_int_at_least(2), "an integer >= 2"),
-    "negative_samples": (_int_at_least(0), "an integer >= 0"),
-    "min_token_count": (_int_at_least(1), "an integer >= 1"),
-    "seed": (_int_at_least(0), "an integer >= 0"),
-    "n_trees": (_int_at_least(1), "an integer >= 1"),
-    "rounds": (_int_at_least(1), "an integer >= 1"),
-    "epochs": (_int_at_least(1), "an integer >= 1"),
-    "max_epochs": (_int_at_least(1), "an integer >= 1"),
-    "learned_width": (_int_at_least(1), "an integer >= 1"),
-    "engineered_width": (_int_at_least(1), "an integer >= 1"),
-    "joint_width": (_int_at_least(1), "an integer >= 1"),
-    "hidden": (lambda v: isinstance(v, (list, tuple)) and all(map(_int_at_least(1), v)),
-               "a list of integers >= 1"),
-    "max_depth": (_int_at_least(0), "an integer >= 0"),
-    "min_leaf": (_int_at_least(1), "an integer >= 1"),
-    "max_features": (lambda v: v is None or v == "sqrt" or _int_at_least(1)(v),
-                     '"sqrt", null or an integer >= 1'),
-    "learning_rate": (lambda v: _number(v) and v > 0, "a number > 0"),
-    "l2": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-    "tol": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-    "var_smoothing": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "n": _integer(2),
+    **dict.fromkeys(("negative_samples", "seed", "max_depth"), _integer(0)),
+    **dict.fromkeys(("min_token_count", "n_trees", "rounds", "epochs", "max_epochs", "learned_width",
+                     "engineered_width", "joint_width", "min_leaf"), _integer(1)),
+    "hidden": (lambda v: isinstance(v, (list, tuple)) and all(map(_integer(1)[0], v)), "a list of integers >= 1"),
+    "max_features": (lambda v: v is None or v == "sqrt" or _integer(1)[0](v), '"sqrt", null or an integer >= 1'),
+    **dict.fromkeys(("learning_rate", "var_smoothing"), (lambda v: is_number(v) and v > 0, "a number > 0")),
+    **dict.fromkeys(("l2", "tol"), (lambda v: is_number(v) and v >= 0, "a number >= 0")),
     "standardize": (lambda v: isinstance(v, bool), "true or false"),
     "class_weight": (lambda v: v is None or v == "balanced", 'null or "balanced"'),
 }

@@ -8,7 +8,7 @@ tokens above noise-sampled tokens against a shared output word matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class EmbedderConfig:
     def __post_init__(self):
         """Checks every setting, however the config was built: the inference
         draw cache sizes itself as epochs * negative_samples * tokens."""
-        for key, value in asdict(self).items():
+        for key, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
             valid, what = HYPERPARAMETER_CHECKS[key]
             if not valid(value):
                 raise EmbeddingError(f"embedder {key} must be {what}, got {value!r}")
@@ -504,9 +504,9 @@ def load_model(path) -> ParagraphVectorModel:
     fileio.model_kind(doc, path, EmbeddingError, ("ParagraphVectorModel",), MODEL_FORMAT_VERSION)
     try:
         model = ParagraphVectorModel(
-            vocabulary={str(k): v for k, v in doc["vocabulary"].items()},
-            word_matrix=np.array(doc["word_matrix"], dtype=float),
-            token_counts=np.array(doc["token_counts"], dtype=float),
+            vocabulary={**doc["vocabulary"]},
+            word_matrix=fileio.numbers(doc["word_matrix"], "word_matrix"),
+            token_counts=fileio.numbers(doc["token_counts"], "token_counts"),
             config=EmbedderConfig(**doc["config"]),
             training_report=doc.get("training_report", {}),
         )
@@ -515,17 +515,18 @@ def load_model(path) -> ParagraphVectorModel:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise EmbeddingError(f"{path}: malformed paragraph-vector model: {exc!r}") from exc
     size, n = len(model.vocabulary), model.config.n
-    if not all(type(i) is int for i in model.vocabulary.values()) \
-            or sorted(model.vocabulary.values()) != list(range(size)):
+    try:
+        ids = np.sort(fileio.numbers(list(model.vocabulary.values()), "vocabulary ids", integer=True))
+    except ValueError:  # not integers, so not 0..size - 1 either
+        ids = None
+    if ids is None or not np.array_equal(ids, np.arange(size)):
         problem = f"vocabulary ids are not exactly 0..{size - 1}"
     elif model.word_matrix.shape != (size, n):
         problem = f"word_matrix is {model.word_matrix.shape}, expected ({size}, {n})"
     elif model.token_counts.shape != (size,):
         problem = f"token_counts has shape {model.token_counts.shape}, expected ({size},)"
-    elif not np.all(np.isfinite(model.word_matrix)):
-        problem = "word_matrix has non-finite values"
-    elif not (np.all(np.isfinite(model.token_counts)) and np.all(model.token_counts > 0)):
-        problem = "token_counts must be positive and finite"
+    elif not np.all(model.token_counts > 0):
+        problem = "token_counts must be positive"
     else:
         return model
     raise EmbeddingError(f"{path}: inconsistent paragraph-vector model: {problem}")
@@ -534,9 +535,9 @@ def load_model(path) -> ParagraphVectorModel:
 def import_embeddings(path) -> list[EmbeddingPair]:
     """Read externally produced vectors: JSONL of patch_id/buggy_vec/patched_vec.
 
-    Every patch_id must be a non-empty string, and all vectors must share one
-    dimension (taken from the first record) and be finite. Vectors are used
-    as-is, without re-normalization.
+    Every patch_id must be a non-empty string, and every vector a list of
+    numbers (fileio.numbers) of one dimension, taken from the first record.
+    Vectors are used as-is, without re-normalization.
     """
     pairs: list[EmbeddingPair] = []
     n: int | None = None
@@ -545,14 +546,12 @@ def import_embeddings(path) -> list[EmbeddingPair]:
         if isinstance(obj, ValueError):
             raise EmbeddingError(f"{where}: invalid JSON: {obj}")
         try:
-            patch_id, vectors = obj["patch_id"], (obj["buggy_vec"], obj["patched_vec"])
+            patch_id, vectors = obj["patch_id"], {key: obj[key] for key in ("buggy_vec", "patched_vec")}
             if not (isinstance(patch_id, str) and patch_id):
                 raise ValueError(f"patch_id must be a non-empty string, not {patch_id!r}")
             patch_id.encode("utf-8")  # a lone surrogate escape such as \ud800 is not UTF-8 text
-            if not all(isinstance(v, list) and {*map(type, v)} <= {int, float} for v in vectors):
-                raise ValueError("buggy_vec and patched_vec must be lists of numbers (not true or false)")
-            buggy, patched = (np.array(v, dtype=float) for v in vectors)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            buggy, patched = (fileio.numbers(v, key, (len(v),)) for key, v in vectors.items())
+        except (KeyError, TypeError, ValueError) as exc:
             raise EmbeddingError(f"{where}: malformed record: {exc}") from exc
         if n is None:
             n = len(buggy)
@@ -561,8 +560,6 @@ def import_embeddings(path) -> list[EmbeddingPair]:
         if len(buggy) != n or len(patched) != n:
             raise EmbeddingError(
                 f"{where}: patch {patch_id!r} has vector length {len(buggy)}/{len(patched)}, expected {n}")
-        if not (np.all(np.isfinite(buggy)) and np.all(np.isfinite(patched))):
-            raise EmbeddingError(f"{where}: patch {patch_id!r} has non-finite values")
         pairs.append(EmbeddingPair(patch_id, buggy, patched, provider="imported", n=n))
     if not pairs:
         raise EmbeddingError(f"no embedding records in {path}")

@@ -117,6 +117,10 @@ class JointRow:
     learned: np.ndarray | None = None
     engineered: np.ndarray | None = None
 
+    def vectors(self) -> dict:
+        """Each feature set's vector, None where it is not available."""
+        return {"learned": self.learned, "engineered": self.engineered}
+
 
 class SingleSetTrainer:
     """Train one learner on one feature set (or the naive concatenation) of
@@ -239,8 +243,10 @@ def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) 
     if not rows:
         raise EvalError("no rows for cross-validation")
     labels = np.array([r.label for r in rows], dtype=float)
-    # Before any fold: a bad label in a test split would reach only the metrics.
-    learn.refuse_bad_rows([r.patch_id for r in rows], labels)
+    # Before any fold, row by row (no matrix of every row): a test split's bad
+    # label would reach only the metrics, and its NaN would be named by row.
+    finite = np.array([all(vec is None or np.isfinite(vec).all() for vec in r.vectors().values()) for r in rows])
+    learn.refuse_bad_rows([r.patch_id for r in rows], labels, finite)
     if len(np.unique(labels)) < 2:
         raise EvalError("cross-validation requires both classes in the corpus")
     plan = split_by_bug([r.bug_id for r in rows], k, seed)
@@ -264,8 +270,7 @@ def crossval(rows, trainer, k: int = 10, seed: int = 0, threshold: float = 0.5) 
             out.append((probs, *_fold_metrics(probs, [r.label for r in test_rows], threshold)))
         return out
 
-    width = sum(len(vec) for vec in (getattr(rows[0], side, None) for side in ("features", "learned", "engineered"))
-                if vec is not None)
+    width = sum(len(vec) for vec in rows[0].vectors().values() if vec is not None)
     per_fold, predictions = [], []
     parts = worker.halves(run, k, len(rows) * width, worker.FOLD_CELLS)
     for i, (probs, metrics, undefined) in enumerate(fold for part in parts for fold in part):

@@ -112,8 +112,6 @@ def join_feature_sets(learned_csv, engineered_csv) -> tuple[list[str], list[str]
     for row, other in align(learned_rows, engineered_rows):
         if other.bug_id != row.bug_id or other.label != row.label:
             raise FeatureError(f"patch {row.patch_id!r}: bug_id/label disagree between feature files")
-        if row.label is None:
-            raise FeatureError(f"patch {row.patch_id!r} is unlabeled")
         joint.append(JointRow(row.patch_id, row.bug_id, row.label,
                               learned=row.features, engineered=other.features))
     return learned_names, engineered_names, joint

@@ -2,10 +2,19 @@
 model files) go through read_object, model_kind and write; row files, UTF-8
 with one record per line and blank lines skipped, through read_lines and
 write_lines (corpus, fragments and embeddings JSONL) or read_csv and write_csv
-(feature, prediction and other CSVs). The readers stream and name the line."""
+(feature, prediction and other CSVs). The readers stream and name the line.
+The one rule for what a number in a file or a setting is: is_number for one
+value, numbers for the arrays of a JSON document."""
 
 import csv
+import functools
 import json
+import math
+import operator
+import struct
+from numbers import Integral, Real
+
+import numpy as np
 
 
 def read_object(path, error, what: str) -> dict:
@@ -30,6 +39,56 @@ def model_kind(doc: dict, path, error, kinds, version: int) -> str:
     if type(found) is not int or found != version:
         raise error(f"{path}: unsupported model format version {found!r}")
     return kind
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """Whether `value` is a number (an integer, with `integer`): a real but
+    not a bool, as JSON numbers and numpy floats are, whose float is finite."""
+    try:
+        return _numeric(type(value), integer) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _numeric(kind: type, integer: bool) -> bool:
+    return kind is not bool and issubclass(kind, Integral if integer else Real)
+
+
+def numbers(values, what: str, shape: tuple | None = None, integer: bool = False) -> np.ndarray:
+    """JSON-decoded numbers, or rectangular nested lists of them, as float64
+    (intp, with `integer`) of `shape`, if given; else ValueError naming
+    `what`. struct reads each entry once and refuses all but numbers and
+    bools, which it reads as 1 and 0; so only where a value is 0 or 1, or
+    struct refused an entry, are the entries' types looked at."""
+    rule = f"{what} must be {'integers' if integer else 'finite numbers'}" + (
+        "" if shape is None else f" of shape {shape}")
+    rows, dims = [[values]], ()  # lists of the entries, once those are no lists
+    while rows[0] and type(rows[0][0]) is list:  # one level of nesting down
+        rows = functools.reduce(operator.iadd, rows, [])
+        if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
+            raise ValueError(f"{rule}: got nested lists that are not rectangular")
+        dims += (len(rows[0]),)
+    cells = rows[0] if len(rows) == 1 else functools.reduce(operator.iadd, rows, [])
+    a = np.empty(len(cells), np.int64 if integer else np.float64)
+    try:
+        struct.pack_into(f"{len(cells)}{'q' if integer else 'd'}", a, 0, *cells)
+        a = a.reshape(dims)
+    except struct.error:  # an entry of another type, or too large for this one
+        a = None
+    except ValueError as exc:  # nested past numpy's dimensions
+        raise ValueError(f"{rule}: {exc}") from None
+    if a is None or (suspect := (a == 0) | (a == 1)).any():
+        at = range(len(cells)) if a is None else np.flatnonzero(suspect).tolist()
+        if not all(_numeric(kind, integer) for kind in set(map(type, map(cells.__getitem__, at)))):
+            found = next(cells[i] for i in at if not _numeric(type(cells[i]), integer))
+            raise ValueError(f"{rule}: got {json.dumps(found, default=repr)}")
+        if a is None:
+            raise ValueError(f"{rule}: got an integer too large for {'64 bits' if integer else 'a float'}")
+    if not (integer or np.isfinite(a).all()):
+        raise ValueError(f"{rule}: got a non-finite value")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{rule}: got shape {a.shape}")
+    return a.astype(np.intp, copy=False) if integer else a
 
 
 def write(path, doc: dict, indent: int | None = None) -> None:

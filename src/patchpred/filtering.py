@@ -8,12 +8,12 @@ inclusive).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import fileio
 from .corpus import Label
 from .embed import cosine, is_zero_norm
 from .errors import EvalError
@@ -79,7 +79,7 @@ def resolve_policy(statistic: ThresholdStatistic | str, sim_stats: SimilaritySta
         raise EvalError(f"{statistic.value} threshold policy requires similarity statistics")
     else:
         value = getattr(sim_stats, statistic.value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not fileio.is_number(value):
         raise EvalError(f"{statistic.value} threshold must be a finite number, got {value!r}")
     return ThresholdPolicy(statistic, float(value))
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import fileio, worker
-from .defaults import _number, resolved_config
+from .defaults import resolved_config
 from .errors import EvalError, TrainError
 
 MODEL_FORMAT_VERSION = 1
@@ -45,6 +46,10 @@ class FeatureRow:
     features: np.ndarray
     label: int
 
+    def vectors(self) -> dict:
+        """Each feature set's vector, as JointRow.vectors gives them: one, "features"."""
+        return {"features": self.features}
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -63,11 +68,11 @@ class Dataset:
         stacked; EvalError names a row without one of them."""
         if not rows:
             raise TrainError("no feature rows")
-        sides = ["features"] if hasattr(rows[0], "features") else \
-            [s for s in ("learned", "engineered") if feature_set in (None, "concat", s)]
+        given = [row.vectors() for row in rows]
+        sides = [s for s in given[0] if s == "features" or feature_set in (None, "concat", s)]
         if not sides:
             raise EvalError(f"unknown feature set {feature_set!r}")
-        vectors = {side: [getattr(row, side) for row in rows] for side in sides}
+        vectors = {side: [vecs[side] for vecs in given] for side in sides}
         blocks, width = {}, 0
         for side, vecs in vectors.items():
             for row, vec in zip(rows, vecs):
@@ -98,19 +103,19 @@ class Dataset:
         names the first bad patch (see refuse_bad_rows), or says that one
         class is missing."""
         X, y = self.X, self.y
-        refuse_bad_rows(self.patch_ids, y, X)
+        refuse_bad_rows(self.patch_ids, y, np.isfinite(X).all(axis=1))
         if len(np.unique(y)) < 2:
             raise TrainError("training data contains a single class; both labels are required")
         return X, y
 
 
-def refuse_bad_rows(patch_ids, y: np.ndarray, X: np.ndarray | None = None) -> None:
+def refuse_bad_rows(patch_ids, y: np.ndarray, finite: np.ndarray | None = None) -> None:
     """TrainError naming the first patch that is unlabeled (a NaN in y), has
-    a non-finite feature value in X, if X is given, or a label other than
-    0/1."""
+    a non-finite feature value (False in `finite`, one flag per row, if it
+    is given), or has a label other than 0/1."""
     checks = [(np.isnan(y), "is unlabeled"), ((y != 0.0) & (y != 1.0), "has a label other than 0/1")]
-    if X is not None:
-        checks.insert(1, (~np.isfinite(X), "has non-finite feature values"))
+    if finite is not None:
+        checks.insert(1, (~finite, "has non-finite feature values"))
     for bad, what in checks:
         if bad.any():
             raise TrainError(f"patch {patch_ids[int(np.nonzero(bad)[0][0])]!r} {what}")
@@ -191,35 +196,42 @@ class Forest:
 
     @classmethod
     def load(cls, dicts, feature_count: int, probabilities: bool = False) -> "Forest":
-        """The forest of saved trees; ValueError, naming the first bad tree,
-        unless each tree's arrays are non-empty lists of one length, its
-        features and children integers, its thresholds and values finite
-        numbers (values in [0, 1] with `probabilities`), and each split's
-        feature below feature_count and its children after it in its tree."""
-        sizes, fields = [], tuple([] for _field in _TREE_FIELDS)
-        for t, tree in enumerate([[d[field] for field in _TREE_FIELDS] for d in dicts]):
-            feature, threshold, left, right, value = tree
-            if not (feature and all(isinstance(a, list) for a in tree) and len(set(map(len, tree))) == 1):
+        """The forest of saved trees; ValueError unless each tree's arrays
+        are non-empty lists of one length, its features and children
+        integers and its thresholds and values numbers (fileio.numbers;
+        values in [0, 1] with `probabilities`), and each split's feature
+        below feature_count and its children after it in its tree. Each
+        field is read once for the whole forest, and the rules are checked
+        in that order, each naming the tree (and node) of its first break."""
+        trees = [[d[field] for field in _TREE_FIELDS] for d in dicts]
+        for t, tree in enumerate(trees):
+            if not (tree[0] and all(isinstance(a, list) for a in tree) and len(set(map(len, tree))) == 1):
                 raise ValueError(f"tree {t} arrays must be non-empty lists of one length")
-            if not all(type(v) is int for v in feature + left + right):
-                raise ValueError(f"tree {t} features and children must be integers")
-            if not all(type(v) in (int, float) and math.isfinite(v) for v in threshold + value):
-                raise ValueError(f"tree {t} thresholds and values must be finite numbers")
-            if probabilities and not all(0 <= v <= 1 for v in value):
-                raise ValueError(f"tree {t} values must be probabilities, in [0, 1]")
-            n = len(feature)
-            for node, (f, l, r) in enumerate(zip(feature, left, right)):
-                if not -1 <= f < feature_count:
-                    raise ValueError(f"tree {t} node {node} splits on feature {f}; the model has {feature_count}")
-                if f >= 0 and not (node < l < n and node < r < n):
-                    raise ValueError(f"tree {t} node {node} has children {l} and {r}; "
-                                     f"they must lie in ({node}, {n})")
-            # A leaf's children are never read, whatever integers they are.
-            tree[2:4] = ([c if f >= 0 else -1 for f, c in zip(feature, side)] for side in (left, right))
-            sizes.append(n)
-            for field, values in zip(fields, tree):
-                field.extend(values)
-        return cls(sizes, *fields)
+        sizes = np.array([len(tree[0]) for tree in trees], dtype=np.intp)
+
+        def read(fields, what, integer=False):  # at once; on a bad entry, again tree by tree to name it
+            try:
+                return [fileio.numbers(list(chain.from_iterable(tree[i] for tree in trees)), what,
+                                       (int(sizes.sum()),), integer) for i in fields]
+            except ValueError:
+                for t, tree in enumerate(trees):
+                    for i in fields:
+                        fileio.numbers(tree[i], f"tree {t} {what}", (len(tree[i]),), integer)
+                raise
+        feature, left, right = read((0, 2, 3), "features and children", integer=True)
+        threshold, value = read((1, 4), "thresholds and values")
+        tree_of = np.repeat(np.arange(len(sizes)), sizes)
+        node, n = np.arange(len(feature)) - (np.cumsum(sizes) - sizes)[tree_of], sizes[tree_of]
+        for bad, rule in (  # a leaf's children are never read, whatever integers they are
+                (probabilities and (value < 0) | (value > 1), "values must be probabilities, in [0, 1]"),
+                ((feature < -1) | (feature >= feature_count), "node {at} splits on feature {f}; the model has {m}"),
+                ((feature >= 0) & ~((node < left) & (left < n) & (node < right) & (right < n)),
+                 "node {at} has children {l} and {r}; they must lie in ({at}, {n})")):
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise ValueError(f"tree {tree_of[i]} " + rule.format(
+                    at=node[i], f=feature[i], m=feature_count, l=left[i], r=right[i], n=n[i]))
+        return cls(sizes, feature, threshold, left, right, value)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -1095,23 +1107,12 @@ class GradientBoostedTreesModel(_MarginModel, TreeModel):
 
     @classmethod
     def fit(cls, X, y, config, seed):
-        """From worker.BOOST_CELLS cells up, a worker.Worker runs the same
-        rounds in lockstep, each side searching every other column of each
-        node (see _Scratch) pinned to its own half of the CPUs, as each side
-        polls for the other's candidates; if it dies, the fit starts again
-        alone. The trees are the same either way."""
-        if worker.forks(X.size, worker.BOOST_CELLS):
-            mine, theirs = worker.cpu_halves()
-
-            def work(peer):  # the worker's model is the parent's: it returns nothing
-                with worker.pinned(theirs):
-                    cls._boost(X, y, config, seed, peer)
-            try:
-                with worker.Worker(work) as peer, worker.pinned(mine):
-                    return cls._boost(X, y, config, seed, peer)
-            except worker.WorkerLost:
-                pass
-        return cls._boost(X, y, config, seed)
+        """From worker.BOOST_CELLS cells up, a worker runs the same rounds in
+        lockstep (worker.lockstep), each side searching every other column
+        of each node (see _Scratch) pinned to its own half of the CPUs, as
+        each side polls for the other's candidates; if it dies, the fit
+        starts again alone. The trees are the same either way."""
+        return worker.lockstep(lambda peer: cls._boost(X, y, config, seed, peer), X.size, worker.BOOST_CELLS)
 
     @classmethod
     def _boost(cls, X, y, config, seed, peer=None):
@@ -1286,13 +1287,12 @@ class FeedForwardNetModel(TrainedModel):
 
     @classmethod
     def _from_params(cls, feature_count, config, seed, params):
-        layers = [np.array(q, dtype=float) for q in params["layers"]]
+        layers = [fileio.numbers(q, f"layer {i}") for i, q in enumerate(params["layers"])]
         # Weight matrix i maps sizes[i] inputs to the sizes[i + 1] of bias i.
         sizes = [feature_count] + [b.shape[0] if b.ndim == 1 else -1 for b in layers[1::2]]
         if not layers or len(layers) % 2 or sizes[-1] != 1 \
-                or any(W.shape != (a, b) for W, a, b in zip(layers[::2], sizes, sizes[1:])) \
-                or not all(np.all(np.isfinite(q)) for q in layers):
-            raise ValueError("layers must be finite weight matrices and bias vectors that "
+                or any(W.shape != (a, b) for W, a, b in zip(layers[::2], sizes, sizes[1:])):
+            raise ValueError("layers must be weight matrices and bias vectors that "
                              "chain from the features to one output")
         vector = (feature_count,)
         return cls(feature_count, config, seed, layers, _array(params["mean"], vector, "mean"),
@@ -1300,15 +1300,15 @@ class FeedForwardNetModel(TrainedModel):
 
 
 # (test, what passes) for _array: divisors, and probabilities.
-_POSITIVE = (lambda a: np.isfinite(a) & (a > 0), "finite numbers > 0")
+_POSITIVE = (lambda a: a > 0, "finite numbers > 0")
 _UNIT = (lambda a: (a >= 0) & (a <= 1), "numbers in [0, 1]")
 
 
-def _array(values, shape, what, valid=np.isfinite, rule="finite numbers") -> np.ndarray:
-    """A saved array of `shape` whose entries pass `valid`, or ValueError; a
-    single number (shape ()) must be an int or a float, not true or false."""
-    a = np.array(values, dtype=float)
-    if a.shape != shape or not np.all(valid(a)) or not (shape or _number(values)):
+def _array(values, shape, what, valid=None, rule="") -> np.ndarray:
+    """A saved array of `shape` (fileio.numbers) whose entries pass `valid`,
+    if given, or ValueError."""
+    a = fileio.numbers(values, what, shape)
+    if valid is not None and not valid(a).all():
         raise ValueError(f"{what} must be {rule} of shape {shape}")
     return a
 
@@ -1345,9 +1345,9 @@ def load(path) -> TrainedModel:
     try:
         feature_count, seed = doc["feature_count"], doc["seed"]
         config, params = doc["config"], doc["params"]
-        if type(feature_count) is not int or feature_count < 1:
+        if not (fileio.is_number(feature_count, integer=True) and feature_count >= 1):
             raise ValueError(f"feature_count must be a positive integer, not {feature_count!r}")
-        if type(seed) is not int:
+        if not fileio.is_number(seed, integer=True):
             raise ValueError(f"seed must be an integer, not {seed!r}")
         if not isinstance(config, dict) or not isinstance(params, dict):
             raise ValueError("config and params must be objects")
@@ -1359,5 +1359,5 @@ def load(path) -> TrainedModel:
         return _MODEL_CLASSES[kind]._from_params(feature_count, config, seed, params)
     except KeyError as exc:
         raise TrainError(f"{path}: not a valid {kind} model: no {exc} entry") from exc
-    except (TypeError, ValueError, OverflowError, TrainError) as exc:
+    except (TypeError, ValueError, TrainError) as exc:
         raise TrainError(f"{path}: not a valid {kind} model: {exc}") from exc

@@ -1,6 +1,6 @@
 """A forked worker process, for work split over two CPUs.
 
-A boosting fit runs its rounds in lockstep with a worker, each process
+A boosting fit runs its rounds in `lockstep` with a worker, each process
 searching half of every node's columns (see learn.py). A cross-validation's
 folds and a random forest's trees are split by `halves`: a worker runs half
 of the items while this process runs the other half. Either way each
@@ -191,19 +191,12 @@ class Worker:
             raise WorkerLost from exc
 
 
-def cpu_halves() -> tuple[list, list]:
-    """This process's CPUs in two halves, the first for this process and the
-    second for a worker it is about to fork."""
-    ordered = sorted(os.sched_getaffinity(0))
-    return ordered[:len(ordered) // 2], ordered[len(ordered) // 2:]
-
-
 @contextlib.contextmanager
 def pinned(cpus):
     """Runs the block on `cpus` only, with numpy's OpenBLAS (where
     blas_threads finds it) on one thread, and restores this process's CPU
     set and thread count on every way out. Two processes that work side by
-    side, each in its own half (see cpu_halves), never share a CPU."""
+    side, each in its own half (see _beside), never share a CPU."""
     blas, before = blas_threads(), os.sched_getaffinity(0)
     threads = blas[0]() if blas else None
     os.sched_setaffinity(0, cpus)
@@ -215,6 +208,35 @@ def pinned(cpus):
         os.sched_setaffinity(0, before)
         if blas:
             blas[1](threads)
+
+
+@contextlib.contextmanager
+def _beside(there):
+    """A Worker that runs there(peer) pinned to the second half of this
+    process's CPUs; the block gets (peer, the first half) to pin itself to."""
+    cpus = sorted(os.sched_getaffinity(0))
+    mine, theirs = cpus[:len(cpus) // 2], cpus[len(cpus) // 2:]
+
+    def run_there(peer):
+        with pinned(theirs):
+            return there(peer)
+    with Worker(run_there) as peer:
+        yield peer, mine
+
+
+def lockstep(work, size: int, least: int):
+    """What work(peer) returns, while from `least` up (forks) a Worker runs
+    work(peer) too, beside this process (_beside); work(None) alone, on all
+    the CPUs, where no worker forks or it is lost."""
+    if forks(size, least):
+        def there(peer):  # sends nothing: this process returns the same value
+            work(peer)
+        try:
+            with _beside(there) as (peer, mine), pinned(mine):
+                return work(peer)
+        except WorkerLost:
+            pass
+    return work(None)
 
 
 def halves(run, n: int, size: int, least: int) -> list:
@@ -231,15 +253,10 @@ def halves(run, n: int, size: int, least: int) -> list:
     raised in the worker raises here."""
     m, parts = n // 2, []
     if m and forks(size, least) and blas_threads() is not None:
-        mine, theirs = cpu_halves()
-
-        def run_on(cpus, items):
-            with pinned(cpus):
-                return run(items)
-
         try:
-            with Worker(lambda _peer: run_on(theirs, range(m, 2 * m))) as peer:
-                parts.append(run_on(mine, range(m)))
+            with _beside(lambda _peer: run(range(m, 2 * m))) as (peer, mine):
+                with pinned(mine):
+                    parts.append(run(range(m)))
                 parts.append(peer.result())
         except WorkerLost:
             pass

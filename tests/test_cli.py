@@ -197,15 +197,60 @@ def test_compare_names_the_file_and_line_of_a_bad_prediction(case, pipeline, tmp
     assert capsys.readouterr().err.startswith(f"error[eval]: {bad} line {line}: ")
 
 
-@pytest.mark.parametrize("stats, policy", [({"q1": "abc"}, "q1"), ({"mean": float("nan")}, "mean"),
-                                           ({}, "fixed")], ids=["text-statistic", "nan-statistic", "fixed-nan"])
-def test_filter_refuses_a_threshold_that_is_not_a_finite_number(stats, policy, pipeline, tmp_path, capsys):
+# A stats report's six numbers are read as numbers (fileio.numbers) before
+# any policy picks one; a fixed --value is checked by the policy.
+@pytest.mark.parametrize("stats, policy, message", [
+    ({"q1": "abc"}, "q1", 'not a valid stats report: q1 must be finite numbers of shape (): got "abc"'),
+    ({"mean": float("nan")}, "mean", "not a valid stats report: mean must be finite numbers of shape (): got a non"),
+    ({}, "fixed", "fixed threshold must be a finite number, got nan"),
+], ids=["text-statistic", "nan-statistic", "fixed-nan"])
+def test_filter_refuses_a_threshold_that_is_not_a_finite_number(stats, policy, message, pipeline, tmp_path, capsys):
     path = tmp_path / "stats.json"
     path.write_text(json.dumps({"stats": {**dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), 0.5),
                                           **stats}}))
     assert run("filter", "--corpus", str(pipeline["corpus"]), "--embeddings", str(pipeline["embeddings"]),
                "--stats", str(path), "--policy", policy, "--value", "nan", "--out", str(tmp_path / "f.json")) == 1
-    assert capsys.readouterr().err.startswith(f"error[eval]: {policy} threshold must be a finite number, got ")
+    err = capsys.readouterr().err
+    assert err.startswith("error[eval]: ") and message in err and "Traceback" not in err
+
+
+_SIX = ("min", "q1", "median", "q3", "max", "mean")
+
+
+@pytest.mark.parametrize("files, argv, category", [
+    pytest.param({}, ["train", "--features", "LEARNED", "--hyper", '{"l2": 1%s}' % ("0" * 400)], "learn",
+                 id="hyper-l2-overflows"),
+    pytest.param({}, ["train", "--features", "LEARNED", "--learner", "rf",
+                      "--hyper", '{"n_trees": 1%s}' % ("0" * 400)], "learn", id="hyper-n-trees-overflows"),
+    pytest.param({"c.json": '{"embedder": {"learning_rate": 1%s}}' % ("0" * 400)},
+                 ["--config", "TMP/c.json", "train-embedder", "--corpus", "CORPUS"], "embed",
+                 id="config-embedder-learning-rate-overflows"),
+    pytest.param({"c.json": '{"value": 1%s}' % ("0" * 400)},
+                 ["--config", "TMP/c.json", "filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS",
+                  "--policy", "fixed"], "error", id="config-fixed-value-overflows"),
+    pytest.param({"c.json": '{"threshold": true}'}, ["--config", "TMP/c.json", "crossval", "--features", "LEARNED"],
+                 "error", id="config-threshold-true"),
+    *[pytest.param({"s.json": json.dumps({"stats": {**dict.fromkeys(_SIX, 0.5), name: value}})
+                    .replace('"HUGE"', "1" + "0" * 400)},
+                   ["filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--stats", "TMP/s.json"], "eval",
+                   id=f"stats-{name}-{case}")
+      for name, value, case in (("q1", True, "true"), ("q1", "HUGE", "overflows"), ("min", "x", "text"),
+                                ("mean", True, "true"), ("max", None, "null"))],
+])
+def test_a_value_that_is_not_a_number_gets_a_categorized_error(files, argv, category, pipeline, tmp_path, capsys):
+    # true, false, a string and an integer too large for a float are not
+    # numbers, wherever a setting or a report holds one (fileio).
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    fill = {"LEARNED": pipeline["learned"], "CORPUS": pipeline["corpus"], "EMBEDDINGS": pipeline["embeddings"],
+            "TMP": tmp_path}
+    for key, value in fill.items():
+        argv = [a.replace(key, str(value)) for a in argv]
+    out = tmp_path / "out.json"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{category}]: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_file_supplies_defaults_and_flags_override(pipeline, tmp_path):
@@ -570,8 +615,10 @@ def _unlabel_first_row(src, dst):
     return fields[0]
 
 
+# One check refuses the row for all three: Dataset.labeled for train, and
+# crossval's before any fold for crossval and combine.
 @pytest.mark.parametrize("command, category", [
-    ("train", "learn"), ("crossval", "error"), ("combine", "features"),
+    ("train", "learn"), ("crossval", "learn"), ("combine", "learn"),
 ])
 def test_unlabeled_feature_row_names_the_patch(pipeline, tmp_path, capsys, command, category):
     learned, engineered = tmp_path / "learned.csv", tmp_path / "engineered.csv"

@@ -169,10 +169,11 @@ def test_every_trainer_refuses_a_bad_row_with_one_message(trainer, case):
         crossval(rows, CHECKED_TRAINERS[trainer](), k=5, seed=0)
 
 
-@pytest.mark.parametrize("case", ["label-2", "unlabeled"])
+@pytest.mark.parametrize("case", ["label-2", "nan-feature", "unlabeled"])
 @pytest.mark.parametrize("trainer", sorted(CHECKED_TRAINERS))
 def test_crossval_refuses_a_bad_label_in_a_test_split_before_any_fold(trainer, case):
-    # Fold 0 tests the bad row: only its metrics would see the label.
+    # Fold 0 tests the bad row: only its metrics would see the label, and
+    # its scoring would name a NaN by its row number in the split.
     rows, patch_id = _rows_with_a_bad_one(case, tested_first=True)
     trainer = CHECKED_TRAINERS[trainer]()
     with mock.patch.object(trainer, "fit", side_effect=AssertionError("a fold was fitted")):

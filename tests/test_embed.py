@@ -221,9 +221,10 @@ def test_import_embeddings_non_finite_errors(tmp_path):
     ({"patch_id": None}, "patch_id must be a non-empty string, not None"),
     ({"patch_id": ""}, "patch_id must be a non-empty string, not ''"),
     ({"patch_id": 7}, "patch_id must be a non-empty string, not 7"),
-    ({"buggy_vec": [1.0, True]}, "buggy_vec and patched_vec must be lists of numbers"),
-    ({"patched_vec": [False, 0.0]}, "buggy_vec and patched_vec must be lists of numbers"),
-    ({"buggy_vec": [1.0, 10**400]}, "malformed record: int too large to convert to float"),
+    ({"buggy_vec": [1.0, True]}, "malformed record: buggy_vec must be finite numbers of shape (2,): got true"),
+    ({"patched_vec": [False, 0.0]}, "malformed record: patched_vec must be finite numbers of shape (2,): got false"),
+    ({"buggy_vec": [1.0, 10**400]},
+     "malformed record: buggy_vec must be finite numbers of shape (2,): got an integer too large for a float"),
 ], ids=["id-null", "id-empty", "id-number", "entry-true", "entry-false", "entry-huge-int"])
 def test_import_embeddings_refuses_a_bad_patch_id_or_entry_naming_file_and_line(tmp_path, capsys, edit, message):
     path = tmp_path / "e.jsonl"
@@ -671,6 +672,30 @@ def _float_id(doc):
     doc["vocabulary"][next(iter(doc["vocabulary"]))] = 0.0
 
 
+def _true_id(doc):
+    doc["vocabulary"][next(tok for tok, i in doc["vocabulary"].items() if i == 1)] = True
+
+
+def _true_weight(doc):
+    doc["word_matrix"][0][0] = True
+
+
+def _text_count(doc):
+    doc["token_counts"][0] = "0.5"
+
+
+def _huge_weight(doc):
+    doc["word_matrix"][3][1] = 10**400
+
+
+def _huge_count(doc):
+    doc["token_counts"][0] = 10**400
+
+
+def _huge_learning_rate(doc):
+    doc["config"]["learning_rate"] = 10**400
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_cut_columns, r"word_matrix is \(24, 32\), expected \(24, 64\)"),
     (_cut_rows, r"word_matrix is \(10, 64\), expected \(24, 64\)"),
@@ -684,6 +709,13 @@ def _float_id(doc):
     (_kind_of_a_learner, "unknown model kind 'DecisionTree'; known: ParagraphVectorModel"),
     (_infinite_id, "vocabulary ids are not exactly 0..23"),
     (_float_id, "vocabulary ids are not exactly 0..23"),
+    # true, a string or an integer too large for a float is not a number (fileio.numbers).
+    (_true_id, "vocabulary ids are not exactly 0..23"),
+    (_true_weight, "word_matrix must be finite numbers: got true"),
+    (_text_count, 'token_counts must be finite numbers: got "0.5"'),
+    (_huge_weight, "word_matrix must be finite numbers: got an integer too large for a float"),
+    (_huge_count, "token_counts must be finite numbers: got an integer too large for a float"),
+    (_huge_learning_rate, "embedder learning_rate must be a number > 0, got 1000"),
 ])
 def test_load_model_rejects_inconsistent_files(tmp_path, corrupt, message):
     path, doc = _saved_model_doc(tmp_path)

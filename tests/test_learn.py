@@ -1027,6 +1027,18 @@ def _put(*path_and_value):
     ("gbt", _put("params", "trees", 0, "value", 0, 1e308),
      "learning_rate x trees x the largest |leaf value| overflows"),
     ("gbt", _put("params", "base_margin", False), "base_margin must be finite numbers of shape ()"),
+    # true, a string or an integer too large for a float is not a number, in any array.
+    ("lr", _put("params", "weights", 0, True), "weights must be finite numbers of shape (3,): got true"),
+    ("lr", _put("params", "bias", 10**400), "bias must be finite numbers of shape (): got an integer too large"),
+    ("nb", _put("params", "means", 0, 1, "1e3"), 'means must be finite numbers of shape (2, 3): got "1e3"'),
+    ("dnn", _put("params", "layers", 0, 0, 0, True), "layer 0 must be finite numbers: got true"),
+    ("dnn", _put("params", "layers", 1, 0, "0.5"), 'layer 1 must be finite numbers: got "0.5"'),
+    ("rf", _put("params", "trees", 2, "threshold", 0, 10**400),
+     "tree 2 thresholds and values must be finite numbers of shape"),
+    ("rf", _put("params", "trees", 1, "left", 0, 10**400), "tree 1 features and children must be integers"),
+    ("dt", _put("params", "tree", "value", 0, True), "tree 0 thresholds and values must be finite numbers"),
+    ("gbt", _put("config", "learning_rate", 10**400), "'learning_rate' must be a number > 0"),
+    ("rf", _put("seed", 10**400), "seed must be an integer"),
 ])
 def test_load_checks_model_structure(tmp_path, kind, edit, message):
     doc = _saved_model_doc(tmp_path, kind)

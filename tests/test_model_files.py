@@ -4,7 +4,9 @@ RuntimeWarnings raised as errors (pyproject.toml's pytest filterwarnings,
 and the CI step's -W error::RuntimeWarning). A run passes if it exits 1 with
 error[<category>], or exits 0 with finite outputs. A learner file that does
 not end in error[learn] must also load and predict finite probabilities in
-[0, 1] on the feature rows."""
+[0, 1] on the feature rows. Where true, false or a string replaces a number,
+only error[<category>] passes: numpy would read them as 1, 0 or 0.5 and
+give a finite answer from a file that holds no number there."""
 
 import copy
 import csv
@@ -20,13 +22,18 @@ from patchpred.errors import PatchPredError
 KINDS = ("lr", "nb", "dt", "rf", "gbt", "dnn")
 
 # What an edit sets a field to. 10**6 is an integer, so a count reads it as
-# a legal but large value.
-VALUES = (math.nan, math.inf, -math.inf, -1, 10**6, 1e308, "x", None, [], True)
+# a legal but large value; 10**400 is an integer too large for a float.
+VALUES = (math.nan, math.inf, -math.inf, -1, 10**6, 10**400, 1e308, "x", "0.5", None, [], True)
 
 # Valid but huge sizes are not bad input, and these two embedder settings at
 # 10**6 would run for hours: inference draws epochs x negative_samples ids
-# per token.
+# per token. The same holds for 10**400.
 HUGE = {("config", "epochs"), ("config", "negative_samples")}
+HUGE_VALUES = (10**6, 10**400)
+
+# The embedder's training_report is a record of its fit that nothing reads
+# back, so a value there is not a number that a run uses.
+UNREAD = ("training_report",)
 
 
 def run(*argv):
@@ -85,21 +92,28 @@ def _fill(value, fill):
     return [_fill(v, fill) for v in value] if isinstance(value, list) else fill
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _edits(doc, huge=()):
-    """(name, edited document) for every field and every value: the entry
-    replaced, and each list of numbers with every number replaced; 10**6 is
-    left out for the paths in `huge`."""
+    """(name, edited document, whether a bool or a string replaced a number)
+    for every field and every value: the entry replaced, and each list of
+    numbers with every number replaced; HUGE_VALUES are left out for the
+    paths in `huge`."""
     for mode, paths in (("set", list(_fields(doc))), ("fill", list(_numbers(doc)))):
         for path in paths:
             for value in VALUES:
-                if path in huge and value == 10**6:
+                if path in huge and value in HUGE_VALUES:
                     continue
                 edited = copy.deepcopy(doc)
                 parent = edited
                 for key in path[:-1]:
                     parent = parent[key]
+                was_number = mode == "fill" or _is_number(parent[path[-1]])
                 parent[path[-1]] = value if mode == "set" else _fill(parent[path[-1]], value)
-                yield f"{mode} {'.'.join(map(str, path))} = {value!r}", edited
+                refused = was_number and isinstance(value, (bool, str)) and path[0] not in UNREAD
+                yield f"{mode} {'.'.join(map(str, path))} = {value!r}", edited, refused
 
 
 def _finite_csv(path):
@@ -119,7 +133,7 @@ def test_one_field_edits_of_a_model_file_end_in_an_error_or_a_finite_answer(save
     edited_path, out = tmp_path / source.name, tmp_path / "out"
     X = learn.Dataset.of(featureio.read_features(saved["learned.csv"])[1]).X
     failures = []
-    for what, edited in _edits(doc, HUGE if name == "embedder" else ()):
+    for what, edited, refused in _edits(doc, HUGE if name == "embedder" else ()):
         edited_path.write_text(json.dumps(edited), encoding="utf-8")
         out.unlink(missing_ok=True)
         try:
@@ -129,8 +143,12 @@ def test_one_field_edits_of_a_model_file_end_in_an_error_or_a_finite_answer(save
                 status = run("explain", "--model", edited_path, "--features", saved["learned.csv"], "--out", out)
             err = capsys.readouterr().err
             categorized = status == 1 and err.startswith("error[")
-            if categorized and (name == "embedder" or err.startswith("error[learn]")):
+            at_entry = err.startswith("error[embed]" if name == "embedder" else "error[learn]")
+            if categorized and at_entry:
                 continue  # refused where the file enters
+            if refused:
+                failures.append(f"{what}: exit {status}, not refused where the file enters: {err.strip()}")
+                continue
             if not (categorized or status == 0 and (_finite_jsonl if name == "embedder" else _finite_csv)(out)):
                 failures.append(f"{what}: exit {status}: {err.strip() or 'non-finite outputs'}")
                 continue
