@@ -21,6 +21,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import diffparse, embed, engineered, evaluate, explain, featureio, fileio, filtering, learn, synth
+from .defaults import check_seed
 from .errors import EmbeddingError, EvalError, ExplainError, FeatureError, PatchPredError, TrainError
 
 
@@ -310,6 +311,7 @@ def cmd_combine(args, cfg):
 def cmd_explain(args, cfg):
     if args.background_cap < 1:
         raise ExplainError(f"--background-cap must be at least 1, got {args.background_cap}")
+    check_seed(args.seed, ExplainError, "--seed")  # the background subsample's
     model = learn.load(args.model)
     names, rows = featureio.read_features(args.features)
     if args.interaction:

@@ -79,6 +79,14 @@ HYPERPARAMETER_CHECKS = {
 }
 
 
+def check_seed(seed, error=TrainError, what: str = "seed") -> None:
+    """numpy's rule for a seed, which the embedder's `seed` setting follows
+    too: an integer >= 0; else `error`."""
+    valid, rule = HYPERPARAMETER_CHECKS["seed"]
+    if not valid(seed):
+        raise error(f"{what} must be {rule}, got {seed!r}")
+
+
 def resolved_config(kind: str, overrides: dict | None) -> dict:
     base = dict(DEFAULT_HYPERPARAMETERS[kind])
     for key, value in (overrides or {}).items():

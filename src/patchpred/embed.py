@@ -550,7 +550,12 @@ def import_embeddings(path) -> list[EmbeddingPair]:
             if not (isinstance(patch_id, str) and patch_id):
                 raise ValueError(f"patch_id must be a non-empty string, not {patch_id!r}")
             patch_id.encode("utf-8")  # a lone surrogate escape such as \ud800 is not UTF-8 text
-            buggy, patched = (fileio.numbers(v, key, (len(v),)) for key, v in vectors.items())
+            try:  # both vectors in one call; if that fails, one at a time, to name the bad one
+                both = vectors["buggy_vec"] + vectors["patched_vec"]
+                both = fileio.numbers(both, "vectors", (len(both),))
+                buggy, patched = both[:len(vectors["buggy_vec"])], both[len(vectors["buggy_vec"]):]
+            except (TypeError, ValueError):
+                buggy, patched = (fileio.numbers(v, key, (len(v),)) for key, v in vectors.items())
         except (KeyError, TypeError, ValueError) as exc:
             raise EmbeddingError(f"{where}: malformed record: {exc}") from exc
         if n is None:

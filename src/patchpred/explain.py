@@ -87,13 +87,41 @@ def _valid_inputs(model, X, name: str, background):
     return X, background
 
 
+# A free slot: no feature, the interval (-inf, inf], zero fraction 1.
+_FREE = (-1, -math.inf, math.inf, 1.0)
+
+
+def _children(forest, covers, below, node, rank, *slots):
+    """The routes one level down from split nodes `node`: left children,
+    then right, with their ranks (see _path_table) and slots, each of them
+    one wider than the parents', the last one free before the split. Its
+    own function, so that a level's temporaries are freed as it returns."""
+    routes, width = len(node), slots[0].shape[1]
+    f, thr, children = forest.feature[node], forest.threshold[node], (forest.left[node], forest.right[node])
+    wider = [np.empty((2 * routes, width + 1), dtype=a.dtype) for a in slots]
+    for a, b, v in zip(wider, slots, _FREE):
+        a[:routes, :width] = a[routes:, :width] = b
+        a[:, width] = v
+    # The slot of f, else the first free one: slots fill from the left.
+    i = ((wider[0][:routes] == f[:, None]) | (wider[0][:routes] < 0)).argmax(axis=1)
+    lo, hi, zero = (a[np.arange(routes), i] for a in wider[1:])
+    # Python's min(hi, thr) and max(lo, thr).
+    updated = (np.tile(f, 2), np.concatenate([lo, np.where(thr > lo, thr, lo)]),
+               np.concatenate([np.where(thr < hi, thr, hi), hi]),
+               np.tile(zero, 2) * covers[np.concatenate(children)] / np.tile(covers[node], 2))
+    for a, b in zip(wider, updated):
+        a[np.arange(2 * routes), np.tile(i, 2)] = b
+    return np.concatenate(children), np.append(rank, rank + below[children[0]]), wider
+
+
 def _path_table(model: TreeModel, background: np.ndarray) -> tuple[list[_PathGroup], float]:
     """The path groups and base value of a tree model over a checked
     background, from the packed forest a level at a time. A route from a
     root holds a slot (feature, lo, hi, zero fraction) per feature split on
     it, in order of first split, and a child's is its parent's with one slot
-    updated or appended. Paths, the routes that reach a leaf, keep the order
-    of a left-first walk of each tree in turn: `rank` counts those before."""
+    updated or appended (see _children). Paths, the routes that reach a
+    leaf, are filed into their group as they end, and keep the order of a
+    left-first walk of each tree in turn: `rank` counts those before."""
     forest, scale, leaf, value = model.forest, model.scale, model.forest.feature < 0, model.forest.value
     covers = forest.covers(background)
     if np.any(covers == 0):
@@ -112,34 +140,23 @@ def _path_table(model: TreeModel, background: np.ndarray) -> tuple[list[_PathGro
         below[nodes] = below[forest.left[nodes]] + below[forest.right[nodes]]
     node = forest.offsets[:-1]
     rank = np.cumsum(below[node]) - below[node]
-    # feature, lo, hi, zero: a route has at most one slot per split level.
-    slots = [np.full((len(node), len(forest.levels)), v) for v in (-1, -math.inf, math.inf, 1.0)]
-    ends = []  # per level, (rank, *slots, leaf value) of the routes that reach a leaf there
-    while True:
+    # feature, lo, hi, zero: a route at depth d has d slots, one per split level.
+    slots = [np.full((len(node), 0), v) for v in _FREE]
+    ends = {}  # per D, chunks (rank, *slots' first D columns, leaf value) of the routes that end there
+    while len(node):
         at = leaf[node]
-        ends.append(tuple(a[at] for a in (rank, *slots, value[node])))
-        node, rank, *slots = (a[~at] for a in (node, rank, *slots))
-        if not len(node):
-            break
-        f, thr, children = forest.feature[node], forest.threshold[node], (forest.left[node], forest.right[node])
-        # The slot of f, else the first free one: slots fill from the left.
-        i = ((slots[0] == f[:, None]) | (slots[0] < 0)).argmax(axis=1)
-        lo, hi, zero = (a[np.arange(len(node)), i] for a in slots[1:])
-        # Left children, then right; Python's min(hi, thr) and max(lo, thr).
-        updated = (np.tile(f, 2), np.concatenate([lo, np.where(thr > lo, thr, lo)]),
-                   np.concatenate([np.where(thr < hi, thr, hi), hi]),
-                   np.tile(zero, 2) * covers[np.concatenate(children)] / np.tile(covers[node], 2))
-        slots = [np.tile(a, (2, 1)) for a in slots]
-        for a, b in zip(slots, updated):
-            a[np.arange(2 * len(node)), np.tile(i, 2)] = b
-        node, rank = np.concatenate(children), np.append(rank, rank + below[children[0]])
-    rank, *slots, values = map(np.concatenate, zip(*ends))
-    order, count = np.argsort(rank), np.count_nonzero(slots[0] >= 0, axis=1)
+        ended = np.flatnonzero(at)
+        count = np.count_nonzero(slots[0][ended] >= 0, axis=1)
+        for depth in np.unique(count[count > 0]).tolist():  # a lone leaf attributes nothing
+            end = ended[count == depth]
+            ends.setdefault(depth, []).append((rank[end], *(a[end, :depth] for a in slots), value[node[end]]))
+        node, rank, slots = _children(forest, covers, below, *(a[~at] for a in (node, rank, *slots)))
     groups = []
-    for depth in np.unique(count[count > 0]).tolist():  # a lone leaf attributes nothing
-        at = order[count[order] == depth]
+    for depth in sorted(ends):
+        rank, *fields, values = map(np.concatenate, zip(*ends.pop(depth)))
+        order = np.argsort(rank)
         nodes, weights = np.polynomial.legendre.leggauss((depth + 1) // 2)
-        groups.append(_PathGroup(*(np.ascontiguousarray(a[at, :depth].T) for a in slots), scale * values[at],
+        groups.append(_PathGroup(*(a.T.take(order, axis=1) for a in fields), scale * values[order],
                                  (nodes + 1.0) / 2.0, weights / 2.0))
     return groups, float(base)
 

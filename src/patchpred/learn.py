@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from . import fileio, worker
-from .defaults import resolved_config
+from .defaults import check_seed, resolved_config
 from .errors import EvalError, TrainError
 
 MODEL_FORMAT_VERSION = 1
@@ -290,26 +290,28 @@ _GROUP_CELLS = 1 << 16
 _CUTS_PER_CHUNK = 4096
 
 
-def _dense_ranks(X):
-    """Each column's dense value ranks as (columns, rows + 1), and the
-    sentinel, one above every rank, which the last entry of every column
-    holds for padding. Equal values, -0.0 and 0.0 among them, share a rank.
-    int16 when every column has fewer than 32,768 distinct values. Made a
-    block of columns at a time, of about _GROUP_CELLS / 4 cells, so that the
-    temporaries stay near 350 KB, with no (rows, columns) one."""
-    n, p = X.shape
-    ranks = np.empty((p, n + 1), dtype=np.int32)
+def _dense_ranks(X, columns=None):
+    """The dense value ranks of X's `columns` (every column if None) as
+    (columns, rows + 1), and the sentinel, one above every rank, which the
+    last entry of every column holds for padding. Equal values, -0.0 and
+    0.0 among them, share a rank. int16 when every column has fewer than
+    32,768 distinct values, and made as int16 when X has fewer rows than
+    that. Made a block of columns at a time, of about _GROUP_CELLS / 4
+    cells, so that the temporaries stay near 350 KB, with no (rows,
+    columns) one."""
+    n, p = len(X), X.shape[1] if columns is None else len(columns)
+    ranks = np.empty((p, n + 1), dtype=np.int16 if n < 1 << 15 else np.int32)
     step = max(1, (_GROUP_CELLS >> 2) // n)
     for a in range(0, p, step):
-        columns = X[:, a:a + step].T
-        order = np.argsort(columns, axis=1)
-        ordered = np.take_along_axis(columns, order, axis=1)
+        columns_a = X[:, a:a + step].T if columns is None else X[:, columns[a:a + step]].T
+        order = np.argsort(columns_a, axis=1)
+        ordered = np.take_along_axis(columns_a, order, axis=1)
         dense = np.zeros(order.shape, dtype=np.int32)
         np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
         np.put_along_axis(ranks[a:a + step], order, dense, axis=1)
     sentinel = int(ranks[:, :n].max(initial=0)) + 1
     ranks[:, n] = sentinel
-    return (ranks.astype(np.int16) if sentinel < 1 << 15 else ranks), sentinel
+    return (ranks.astype(np.int16, copy=False) if sentinel < 1 << 15 else ranks), sentinel
 
 
 def _packed_keys(ranks, positions, count, sentinel):
@@ -343,8 +345,7 @@ def _cut_positions(ranks, m, min_leaf, change, position=np.intp):
     lo, hi = min_leaf - 1, M - min_leaf
     width = hi - lo
     out = None if change is None else change[: gk * width].reshape(gk, width)
-    seg, cut = np.divmod(np.flatnonzero(np.less(ranks[:, lo:hi], ranks[:, lo + 1:hi + 1], out=out)),
-                         width)
+    seg, cut = np.divmod(np.less(ranks[:, lo:hi], ranks[:, lo + 1:hi + 1], out=out).ravel().nonzero()[0], width)
     cut += lo
     node, count = None, M
     if len(m) > 1:
@@ -354,7 +355,7 @@ def _cut_positions(ranks, m, min_leaf, change, position=np.intp):
         count = m.take(node)
     if not len(seg):
         return None
-    bounds = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
+    bounds = [0, *((seg[1:] != seg[:-1]).nonzero()[0] + 1).tolist(), len(seg)]
     at = np.multiply(seg, M, dtype=position)
     last = at + (count - 1)
     at += cut
@@ -460,7 +461,7 @@ def _pair(re, im):
 def _prefix_sums(per_row, rows, buf):
     k, m = rows.shape
     out = np.take(per_row, rows, out=buf[: k * m].reshape(k, m), mode="clip")
-    return np.cumsum(out, axis=1, out=out).ravel()
+    return np.add.accumulate(out, axis=1, out=out).ravel()
 
 
 class _Nodes:
@@ -500,21 +501,20 @@ class _Scratch:
     """Per-fit buffers for growing one tree at a time on one X and one set
     of sample weights, filled with out= at every node.
 
-    A node's search block (see _cut_positions) is (columns x rows): row c
-    holds one column's rows at the node in ascending value order and the
-    prefix sums along them. Allocating those at every node costs a page
-    fault per page, so they are allocated once, for the largest node (the
-    root), and a node uses the leading part. Every non-constant column's
-    rows are kept in value order, ties in row order, as packed keys rank <<
-    bits | row (_dense_ranks, then one integer sort, reused by every tree
-    grown on the same X), and children's lists are partitioned into two
-    more key buffers. A node's lists are a contiguous (columns, rows) block
-    of one of them, located by `where` = (buffer, offset, columns). Its rows
-    are one `&` of its keys and its ranks one `>>`; the ranks share their
-    memory with `cwt` and are read only until its prefix sums are taken.
-    For mse, `cwt` is complex (see _pair). Every tree grown on the scratch
-    searches the same root, so the root's rows, cuts and weights are made
-    once (`root_plan`).
+    Every non-constant column's rows are kept in value order, ties in row
+    order, as packed keys rank << bits | row (_dense_ranks, then one integer
+    sort, reused by every tree grown on the same X), and children's lists
+    are partitioned into two more key buffers. A node's lists are a
+    contiguous (columns, rows) block of one of them, located by `where` =
+    (buffer, offset, columns). A node is searched and partitioned a block of
+    columns at a time (see blocks), each block's rows one `&` of its keys and
+    its ranks one `>>`, into per-block buffers (see _cut_positions) sized
+    once for the largest block, as the forest grower bounds a group by
+    _GROUP_CELLS; allocating them at every node would cost a page fault per
+    page. The ranks share their memory with `cwt` and are read only until
+    its prefix sums are taken. For mse, `cwt` is complex (see _pair). Every
+    tree grown on the scratch searches the same root, so each root block's
+    cuts and weights are made once (`root_plan`).
 
     With a `peer` (a worker.Worker), this process and the worker each own
     every other non-constant column, by their `side`, and every search
@@ -530,68 +530,86 @@ class _Scratch:
         self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
         if peer is not None:
             self.root = self.root[peer.side::2]
-        ranks, sentinel = _dense_ranks(X)
-        keys, self.bits = _packed_keys(ranks[self.root, :n], np.arange(n, dtype=np.int32), n, sentinel)
+        ranks, sentinel = _dense_ranks(X, self.root)
+        keys, self.bits = _packed_keys(ranks[:, :n], np.arange(n, dtype=np.int32), n, sentinel)
         keys.sort(axis=1)
-        self.root_rows = np.bitwise_and(keys, (1 << self.bits) - 1, dtype=np.intp)
         size = keys.size
         self.lists = (keys.ravel(), np.empty(size, dtype=keys.dtype), np.empty(size, dtype=keys.dtype))
-        self.rows = np.empty(size, dtype=np.intp)
-        self.cw = None if self.unit_weights else np.empty(size)
-        self.cwt = np.empty(size, dtype=complex if mse else float)
-        self.change = np.empty(size, dtype=bool)
+        # A block holds at most _GROUP_CELLS cells, or one column of the root.
+        block = min(size, max(_GROUP_CELLS, n))
+        self.rows = np.empty(block, dtype=np.intp)
+        self.cw = None if self.unit_weights else np.empty(block)
+        self.cwt = np.empty(block, dtype=complex if mse else float)
+        self.change = np.empty(block, dtype=bool)
         self.side = np.empty(n, dtype=bool)
-        self.goes_left = np.empty(size, dtype=bool)
-        self.root_plan = None  # (min_leaf, the root's cuts, their weights)
+        self.goes_left = np.empty(block, dtype=bool)
+        self.root_plan = None  # (min_leaf, per root block: its cuts, their weights)
 
-    def sorted_lists(self, where, m):
-        """The node's (rows, ranks), each (columns, m) in ascending value
-        order: rows as intp, ranks in `cwt`'s memory."""
+    def blocks(self, where, m):
+        """(first column, keys as (columns, m)) for each block of the node
+        of m rows at `where`, in column order: as many columns as the block
+        buffers hold, at least one."""
         level, off, cols = where
-        k = len(cols)
-        keys = self.lists[level][off: off + k * m].reshape(k, m)
-        rows = np.bitwise_and(keys, (1 << self.bits) - 1, out=self.rows[: k * m].reshape(k, m))
-        ranks = np.right_shift(keys, self.bits, out=self.cwt.view(keys.dtype)[: k * m].reshape(k, m))
-        return rows, ranks
+        step = max(1, len(self.rows) // m)
+        for c in range(0, len(cols), step):
+            yield c, self.lists[level][off + c * m: off + min(c + step, len(cols)) * m].reshape(-1, m)
+
+    def block_rows(self, keys):
+        """A block's rows, as intp in `rows`."""
+        return np.bitwise_and(keys, (1 << self.bits) - 1, out=self.rows[: keys.size].reshape(keys.shape))
+
+    def block_ranks(self, keys):
+        """A block's ranks, in `cwt`'s memory."""
+        return np.right_shift(keys, self.bits, out=self.cwt.view(keys.dtype)[: keys.size].reshape(keys.shape))
 
     def root_cuts(self, min_leaf, weights, w_total):
-        """The root's cuts (see _cut_positions) and their left and right
-        weights, both None when it has no valid cut: made by the first root
-        search with this min_leaf and kept, since later trees differ only in
-        the prefix sums of weighted targets. The positions are int32 when
-        they fit, so the plan costs 24 bytes per cut."""
+        """Per block of the root (see blocks), its cuts (see _cut_positions)
+        and their left and right weights, both None when it has no valid
+        cut: made by the first root search with this min_leaf and kept,
+        since later trees differ only in the prefix sums of weighted
+        targets. The positions are int32 when they fit, so the plan costs
+        24 bytes per cut."""
         if self.root_plan is None or self.root_plan[0] != min_leaf:
-            self.root_plan = None  # freed before the new plan is made
-            ranks = self.sorted_lists((0, 0, self.root), self.n)[1]
-            position = np.int32 if ranks.size <= np.iinfo(np.int32).max else np.intp
-            cuts = _cut_positions(ranks, [self.n], min_leaf, self.change, position)
-            cw = None if cuts is None or self.unit_weights else \
-                _prefix_sums(weights, self.root_rows, self.cw)
-            self.root_plan = (min_leaf, cuts, cuts and _cut_weights(*cuts[:2], self.n, cw, w_total))
-        return self.root_plan[1:]
+            self.root_plan, plans = None, []  # freed before the new plan is made
+            for _c, keys in self.blocks((0, 0, self.root), self.n):
+                position = np.int32 if keys.size <= np.iinfo(np.int32).max else np.intp
+                cuts = _cut_positions(self.block_ranks(keys), [self.n], min_leaf, self.change, position)
+                cw = None if cuts is None or self.unit_weights else \
+                    _prefix_sums(weights, self.block_rows(keys), self.cw)
+                plans.append((cuts, cuts and _cut_weights(*cuts[:2], self.n, cw, w_total)))
+            self.root_plan = (min_leaf, plans)
+        return self.root_plan[1]
 
     def search(self, X, where, m, wt, weights, w_total, criterion, min_leaf):
         """The best split of the node of m rows whose lists are at `where`,
         as (score, feature, threshold), or None when it has no valid cut;
-        and the node's rows as its search read them (see partition). `wt`
-        is weights * targets per row, paired with wt * targets for mse (see
-        _pair). The root's cuts and weights come from its plan."""
-        if where[0]:
-            (rows, ranks), planned = self.sorted_lists(where, m), None
-            cuts = _cut_positions(ranks, [m], min_leaf, self.change)
-            cw = None if cuts is None or self.unit_weights else _prefix_sums(weights, rows, self.cw)
-        else:
-            rows, cw, (cuts, planned) = self.root_rows, None, self.root_cuts(min_leaf, weights, w_total)
-        found = []
-        if cuts is not None:
+        and its last block's rows as the search read them (see partition).
+        `wt` is weights * targets per row, paired with wt * targets for mse
+        (see _pair). The blocks are searched in column order, each keeping
+        only its candidates below every earlier block's minimum, so that
+        the merged lists are the node's candidates (see _pick); the root's
+        cuts and weights come from its plan."""
+        plans = None if where[0] else self.root_cuts(min_leaf, weights, w_total)
+        found, low, rows = [], math.inf, None  # (score, feature, threshold) in column order; the least score
+        for b, (first, keys) in enumerate(self.blocks(where, m)):
+            rows = self.block_rows(keys)
+            if plans is None:
+                cuts, planned = _cut_positions(self.block_ranks(keys), [m], min_leaf, self.change), None
+                cw = None if cuts is None or self.unit_weights else _prefix_sums(weights, rows, self.cw)
+            else:
+                (cuts, planned), cw = plans[b], None
+            if cuts is None:
+                continue
             cwt = _prefix_sums(wt, rows, self.cwt.view(wt.dtype))
             score = _scores(cuts, cwt, cw, [w_total], criterion, planned)
             (segments,) = _candidates(score, cuts, 1)
-            if self.peer is None:  # alone, only the pick needs a threshold
-                segments = [_pick(segments)]
+            segments, low = [s for s in segments if s[0] < low], min(low, segments[-1][0])
+            if self.peer is None and segments:  # alone, only the pick so far needs a threshold
+                best = _pick(found + segments)
+                found, segments = (found, []) if found and best is found[0] else ([], [best])
             for v, s in segments:
                 c, cut = divmod(_first_minimum(score, cuts, s), m)
-                f = int(where[2][c])
+                f = int(where[2][first + c])
                 found.append((v, f, _midpoint(X.item(rows[c, cut], f), X.item(rows[c, cut + 1], f))))
         if self.peer is not None:
             theirs = self.peer.exchange([x for candidate in found for x in candidate])
@@ -599,28 +617,33 @@ class _Scratch:
                            key=lambda candidate: candidate[1])
         return _pick(found), rows
 
-    def partition(self, where, rows, idx, mask, m_left, needed):
+    def partition(self, where, idx, mask, m_left, needed, rows=None):
         """Stable partition of the node's sorted lists by `mask` (per row of
         `idx`, m_left of them true) into the children that `needed` says are
-        searched. `rows` are the node's rows as its search read them (see
-        search). Each child's keys are one take of the positions that go its
-        way, which keeps every column's order. Children go to the other
-        buffer within the parent's range, which no pending node shares.
-        Returns where the children's lists are.
+        searched, a block of columns at a time, the last block first: its
+        rows are `rows` if its search gives them (see search). Each child's
+        keys are one take per block of the positions that go its way, which
+        keeps every column's order. Children go to the other buffer within
+        the parent's range, which no pending node shares. Returns where the
+        children's lists are.
         """
         level, off, cols = where
-        src = self.lists[level][off: off + rows.size]
+        m, m_right = len(idx), len(idx) - m_left
         self.side[idx] = mask
-        goes_left = np.take(self.side, rows.ravel(), out=self.goes_left[: rows.size], mode="clip")
-        child = 2 if level == 1 else 1
-        split = off + len(cols) * m_left
-        # Gathers by flatnonzero positions: boolean indexing is several
-        # times slower on an unpredictable mask.
-        if needed[0]:
-            np.take(src, np.flatnonzero(goes_left), out=self.lists[child][off: split], mode="clip")
-        if needed[1]:
-            np.take(src, np.flatnonzero(np.logical_not(goes_left, out=goes_left)),
-                    out=self.lists[child][split: off + rows.size], mode="clip")
+        child, split = 2 if level == 1 else 1, off + len(cols) * m_left
+        for c, keys in reversed(list(self.blocks(where, m))):
+            src, c_end = keys.ravel(), c + len(keys)
+            rows = self.block_rows(keys) if rows is None else rows
+            goes_left = np.take(self.side, rows.ravel(), out=self.goes_left[: keys.size], mode="clip")
+            rows = None
+            # Gathers by nonzero positions: boolean indexing is several
+            # times slower on an unpredictable mask.
+            if needed[0]:
+                np.take(src, goes_left.nonzero()[0],
+                        out=self.lists[child][off + c * m_left: off + c_end * m_left], mode="clip")
+            if needed[1]:
+                np.take(src, np.logical_not(goes_left, out=goes_left).nonzero()[0],
+                        out=self.lists[child][split + c * m_right: split + c_end * m_right], mode="clip")
         return (child, off, cols), (child, split, cols)
 
 
@@ -630,10 +653,9 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf, criterion
     into `nodes` (new if None) as its next tree; returns the nodes.
 
     Every node is searched from the scratch's presorted rank keys
-    (_Scratch.search), which children receive by index-gather partitions; a
-    node's search hands its rows to its partition. A `scratch` made for
-    this X may be passed to reuse it across trees; their root searches then
-    share one plan of cuts and one copy of the root's rows. `leaf_values`,
+    (_Scratch.search), which children receive by index-gather partitions. A
+    `scratch` made for this X may be passed to reuse it across trees; their
+    root searches then share one plan of cuts. `leaf_values`,
     if given, receives each row's leaf value. Forests grow their trees side
     by side with _ForestGrower instead.
     """
@@ -676,7 +698,7 @@ def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf, criterion
         where_l = where_r = None
         needed = [searched(left, depth + 1), searched(right, depth + 1)]
         if any(needed):
-            where_l, where_r = scratch.partition(where, rows, idx, mask, len(left), needed)
+            where_l, where_r = scratch.partition(where, idx, mask, len(left), needed, rows)
         stack.append((right, depth + 1, node, False, needed[1], where_r))
         stack.append((left, depth + 1, node, True, needed[0], where_l))
     return nodes
@@ -1332,8 +1354,10 @@ def train(kind: str, rows, config: dict | None = None, seed: int = 0) -> Trained
     Dataset.
 
     `config` overrides the committed defaults for that kind; the resolved
-    values are stored on the model and echoed into reports.
+    values are stored on the model and echoed into reports. The seed must
+    be an integer >= 0 (check_seed), for every kind.
     """
+    check_seed(seed)
     kind = canonical_kind(kind)
     X, y = (rows if isinstance(rows, Dataset) else Dataset.of(rows)).labeled()
     return _MODEL_CLASSES[kind].fit(X, y, resolved_config(kind, config), seed)

@@ -52,3 +52,14 @@ def blob_data():
                    rng.normal(loc=(2.0, 2.0), scale=0.6, size=(n, 2))])
     y = np.array([0] * n + [1] * n)
     return X, y
+
+
+def paper_shaped_matrix():
+    """1,600 x 202 like a paper-scale fold: hashed counts with ties, cross
+    terms of a few values each, and flags."""
+    rng = np.random.default_rng(5)
+    counts = rng.poisson(1.0, size=(1600, 100)).astype(float)
+    cross = np.round(rng.normal(size=(1600, 80)), 1)
+    X = np.hstack([counts, cross, rng.integers(0, 2, size=(1600, 22)).astype(float)])
+    y = ((counts[:, 0] > 0) ^ (cross[:, 0] > 0)).astype(float)
+    return X, y

@@ -594,6 +594,23 @@ def test_invalid_tree_hyperparameters_get_learn_error(pipeline, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, category", [
+    *[pytest.param(["train", "--features", "LEARNED", "--learner", learner], "learn", id=f"train-{learner}")
+      for learner in ("lr", "nb", "dt", "rf", "gbt", "dnn")],
+    pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--background-cap", "5"], "explain",
+                 id="explain"),
+])
+def test_a_negative_seed_gets_a_categorized_error(argv, category, pipeline, tree_model, tmp_path, capsys):
+    # numpy's rule for a seed, an integer >= 0, for every learner (dt, lr
+    # and gbt never draw from it) and for explain's background subsample.
+    out = tmp_path / "out"
+    fill = {"LEARNED": str(pipeline["learned"]), "MODEL": str(tree_model)}
+    assert run(*[fill.get(a, a) for a in argv], "--seed", "-1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{category}]: ") and "seed must be an integer >= 0, got -1" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("record, message", [
     ("p1,b1", "line 2: patch 'p1' has 2 fields"),
     ("p1,b1,yes,0.5", "line 2: patch 'p1' has label 'yes'"),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from patchpred.errors import ExplainError
 from patchpred.explain import global_importance, interaction_pairs, linear_shap, tree_shap
 from patchpred.learn import DecisionTreeModel, FeatureRow, LogisticRegressionModel, RandomForestModel
 
+from conftest import paper_shaped_matrix
 from shap_reference import brute_force_interaction, brute_force_shap, tree_phi
 from tree_reference import cover_counts
 
@@ -476,3 +478,22 @@ def test_saved_v1_models_explain_to_the_recorded_bits(name):
     pair = expected["interaction"]
     value = interaction_pairs(model, probe[pair["row"]], *pair["features"], background)
     assert repr(value) == pair["value"]
+
+
+def test_path_table_memory_peak_at_paper_shape():
+    # The default forest (100 trees, 12 levels) over its 1,600 training
+    # rows as background: a table of about 4.7 MB. When every route held a
+    # slot per level and the ending routes were gathered into (paths x
+    # levels) arrays, the build peaked at 19,905,975 bytes (numpy 2.4.6);
+    # routes of depth d now hold d slots and end straight in their group,
+    # about 8.5 MB.
+    X, y = paper_shaped_matrix()
+    model = RandomForestModel.fit(X, y, learn.resolved_config("RandomForest", {}), 1)
+    tracemalloc.start()
+    try:
+        groups, _base = explain._path_table(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(group.value) for group in groups) == np.count_nonzero(model.forest.feature < 0)
+    assert peak < 10_500_000

@@ -10,7 +10,7 @@ import signal
 import sys
 import tempfile
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from patchpred.learn import (FeatureRow, RandomForestModel, LogisticRegressionMo
                              Tree, _pick, logistic_loss_and_grad, net_loss_and_grad,
                              init_net_params)
 
+from conftest import paper_shaped_matrix
 from tree_reference import model_output, predict
 
 ALL_KINDS = ("lr", "nb", "dt", "rf", "gbt", "dnn")
@@ -540,25 +541,26 @@ def _tree_problem(draw):
 @settings(max_examples=60, deadline=None)
 @given(problem=_tree_problem(), criterion=st.sampled_from(["gini", "mse"]),
        min_leaf=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1),
-       chunk=st.sampled_from([1, 3, 4096]))
-def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed, chunk):
+       chunk=st.sampled_from([1, 3, 4096]), cells=st.sampled_from([1, 50, learn._GROUP_CELLS]))
+def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed, chunk, cells):
     # The chosen split's score must be the same float, which holds only if
     # the prefix sums add tied rows in the same (stable) order. Small chunks
-    # carry the best cut across chunk boundaries. The root, then a child
-    # partitioned from its sorted lists.
+    # carry the best cut across chunk boundaries, and small blocks (1 cell:
+    # a column at a time) carry it across blocks of columns. The root, then
+    # a child partitioned from its sorted lists.
     X, y = problem
     n, p = X.shape
     rng = np.random.default_rng(seed)
     targets = y - rng.random(n) if criterion == "mse" else y
     weights = rng.choice([0.5, 1.0, 3.0], size=n)
     wt = weights * targets
-    scratch = learn._Scratch(X, weights, True)
-    root = (0, 0, scratch.root)
-    mask = rng.random(n) < 0.7
-    child = scratch.partition(root, scratch.root_rows, np.arange(n), mask, int(mask.sum()),
-                              [True, False])[0]
-    default_chunk, learn._CUTS_PER_CHUNK = learn._CUTS_PER_CHUNK, chunk
+    defaults = learn._GROUP_CELLS, learn._CUTS_PER_CHUNK
+    learn._GROUP_CELLS, learn._CUTS_PER_CHUNK = cells, chunk
     try:
+        scratch = learn._Scratch(X, weights, True)
+        root = (0, 0, scratch.root)
+        mask = rng.random(n) < 0.7
+        child = scratch.partition(root, np.arange(n), mask, int(mask.sum()), [True, False])[0]
         for idx, where in ((np.arange(n), root), (np.flatnonzero(mask), child)):
             if len(idx) < 2 * min_leaf:
                 continue
@@ -568,7 +570,7 @@ def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed
             assert got == _reference_best_split(X, targets, weights, idx, np.arange(p), criterion,
                                                 min_leaf)
     finally:
-        learn._CUTS_PER_CHUNK = default_chunk
+        learn._GROUP_CELLS, learn._CUTS_PER_CHUNK = defaults
 
 
 @settings(max_examples=80, deadline=None)
@@ -691,22 +693,11 @@ def test_trees_match_reference_at_paper_shape(kind, overrides):
     _assert_same_trees(kind, X, y, overrides, seed=3)
 
 
-def _paper_shaped_matrix():
-    # 1,600 x 202 like a paper-scale fold: hashed counts with ties, cross
-    # terms of a few values each, and flags.
-    rng = np.random.default_rng(5)
-    counts = rng.poisson(1.0, size=(1600, 100)).astype(float)
-    cross = np.round(rng.normal(size=(1600, 80)), 1)
-    X = np.hstack([counts, cross, rng.integers(0, 2, size=(1600, 22)).astype(float)])
-    y = ((counts[:, 0] > 0) ^ (cross[:, 0] > 0)).astype(float)
-    return X, y
-
-
-def _fit_peak(model_class, X, y, config):
-    """The tracemalloc peak of one fit, in bytes."""
+def _fit_peak(fit, X, y, config):
+    """The tracemalloc peak of one fit(X, y, config, 1), in bytes."""
     tracemalloc.start()
     try:
-        model_class.fit(X, y, config, 1)
+        fit(X, y, config, 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -716,27 +707,57 @@ def test_forest_fit_memory_peak_at_paper_shape():
     # The per-tree implementation this replaced peaked at 5,585,178 bytes
     # on this fit (numpy 2.4.6): its copy of X per bootstrap sample alone
     # is 2.6 MB.
-    X, y = _paper_shaped_matrix()
+    X, y = paper_shaped_matrix()
     config = learn.resolved_config("RandomForest", {"n_trees": 5})
-    assert _fit_peak(RandomForestModel, X, y, config) < 5_585_178
+    assert _fit_peak(RandomForestModel.fit, X, y, config) < 5_585_178
 
 
 def test_unsampled_forest_fit_memory_peak_at_paper_shape():
     # Growing each tree alone on its own copy of X[boot], with a presort of
     # that copy, peaked at about 16.5 MB on this fit (numpy 2.4.6); side by
     # side it peaks at about 7.7 MB. A copy of X per tree is 2.6 MB.
-    X, y = _paper_shaped_matrix()
+    X, y = paper_shaped_matrix()
     config = learn.resolved_config("RandomForest", {"n_trees": 5, "max_features": None})
-    assert _fit_peak(RandomForestModel, X, y, config) < 10_000_000
+    assert _fit_peak(RandomForestModel.fit, X, y, config) < 10_000_000
 
 
 def test_boosting_fit_memory_peak_at_paper_shape():
     # The search that rank keys replaced (intp row lists, a transposed float
     # copy of X and a per-node value gather) peaked at 17,718,317 bytes on
-    # this fit (numpy 2.4.6).
-    X, y = _paper_shaped_matrix()
+    # this fit (numpy 2.4.6), and buffers sized for every column of the root
+    # at 16,523,359 alone and 8,352,227 with the lockstep worker. Searched a
+    # block of columns at a time, it peaks at about 6.3 MB alone and 4.1 MB
+    # with the worker.
+    X, y = paper_shaped_matrix()
     config = learn.resolved_config("GradientBoostedTrees", {"rounds": 10})
-    assert _fit_peak(learn.GradientBoostedTreesModel, X, y, config) < 17_718_317
+    assert _fit_peak(learn.GradientBoostedTreesModel.fit, X, y, config) < 8_500_000
+
+
+def test_serial_boosting_fit_memory_peak_at_paper_shape():
+    # Alone (no worker, peer None), buffers sized for every column of the
+    # root peaked at 16,523,359 bytes on this fit (numpy 2.4.6): 46 bytes
+    # per cell of the 202 non-constant columns, and the root's row ids.
+    X, y = paper_shaped_matrix()
+    config = learn.resolved_config("GradientBoostedTrees", {"rounds": 10})
+    assert _fit_peak(learn.GradientBoostedTreesModel._boost, X, y, config) < 8_500_000
+
+
+@pytest.mark.parametrize("kind, lockstep", [("dt", False), ("gbt", False), ("gbt", True)])
+def test_blocks_of_columns_keep_the_trees_bits(kind, lockstep, monkeypatch):
+    # 300 cells per block: one column at a time at the root, more columns
+    # in smaller nodes, every node's candidates merged across blocks. The
+    # model must be the default's, alone and with the lockstep worker.
+    X, y = paper_shaped_matrix()
+    cls = learn._MODEL_CLASSES[learn.canonical_kind(kind)]
+    config = learn.resolved_config(cls.kind, {"rounds": 10} if kind == "gbt" else {})
+    fit = (lambda: cls._boost(X, y, config, 1)) if kind == "gbt" and not lockstep else \
+        (lambda: cls.fit(X, y, config, 1))
+    expected = json.dumps(fit().to_dict())
+    monkeypatch.setattr(learn, "_GROUP_CELLS", 300)
+    forks = _count_forks(monkeypatch)
+    with _workers_always() if lockstep else nullcontext():
+        assert json.dumps(fit().to_dict()) == expected
+    assert len(forks) == (WORKERS["gbt"] if lockstep else 0)
 
 
 def test_grow_tree_leaves_no_reference_cycles(blob_data):
@@ -849,6 +870,12 @@ def test_pure_children_are_never_partitioned(monkeypatch, kind):
     _assert_same_trees(kind, X, y, overrides, 0)
 
 
+def _node_rows(scratch, where, m):
+    """The rows of the node of m rows at `where`, as (columns, m): its keys' low bits."""
+    level, off, cols = where
+    return scratch.lists[level][off: off + len(cols) * m].reshape(-1, m) & ((1 << scratch.bits) - 1)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_partitioned_lists_hold_each_childs_rows_in_value_order(seed):
     rng = np.random.default_rng(seed)
@@ -865,11 +892,10 @@ def test_partitioned_lists_hold_each_childs_rows_in_value_order(seed):
                 continue
             mask = rng.random(len(idx)) < 0.5
             mask[:2] = [True, False]
-            rows = scratch.sorted_lists(where, len(idx))[0]
-            children = scratch.partition(where, rows, idx, mask, int(mask.sum()), [True, True])
+            children = scratch.partition(where, idx, mask, int(mask.sum()), [True, True])
             grown += zip((idx[mask], idx[~mask]), children)
         for rows, where in grown:
-            lists = scratch.sorted_lists(where, len(rows))[0]
+            lists = _node_rows(scratch, where, len(rows))
             for c, f in enumerate(scratch.root):
                 expected = rows[np.argsort(X[rows, f], kind="stable")]
                 assert np.array_equal(lists[c], expected)
@@ -888,10 +914,9 @@ def test_partitions_with_one_row_on_a_side_keep_each_childs_value_order(seed):
     while len(idx) > 1:
         mask = np.full(len(idx), rng.random() < 0.5)
         mask[rng.integers(len(idx))] ^= True
-        rows = scratch.sorted_lists(where, len(idx))[0] if where[0] else scratch.root_rows
-        children = scratch.partition(where, rows, idx, mask, int(mask.sum()), [True, True])
+        children = scratch.partition(where, idx, mask, int(mask.sum()), [True, True])
         for child_rows, child in zip((idx[mask], idx[~mask]), children):
-            lists = scratch.sorted_lists(child, len(child_rows))[0]
+            lists = _node_rows(scratch, child, len(child_rows))
             for c, f in enumerate(scratch.root):
                 assert np.array_equal(lists[c], child_rows[np.argsort(X[child_rows, f], kind="stable")])
         idx, where = max(zip((idx[mask], idx[~mask]), children), key=lambda item: len(item[0]))
