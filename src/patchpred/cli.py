@@ -10,6 +10,7 @@ seed; CSV artifacts get a .meta.json sidecar with the same provenance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import diffparse, embed, engineered, evaluate, explain, featureio, fileio, filtering, learn, synth
-from .defaults import check_seed
-from .errors import EmbeddingError, EvalError, ExplainError, FeatureError, PatchPredError, TrainError
+from .defaults import HYPERPARAMETER_CHECKS, integer
+from .errors import EmbeddingError, EvalError, FeatureError, PatchPredError, TrainError, UsageError
 
 
 class Flag(NamedTuple):
@@ -37,35 +38,46 @@ class Flag(NamedTuple):
     output: bool = False
     help: str | None = None
     metavar: str | None = None
+    rule: tuple | None = None
 
 
-# What a config entry may be for each flag type: a float flag takes a number
-# and an int flag an integer, as fileio.is_number has them (true and false
-# are neither).
-_CONFIG_TYPES = {str: lambda v: isinstance(v, str), int: lambda v: fileio.is_number(v, integer=True),
-                 float: fileio.is_number, bool: lambda v: isinstance(v, bool)}
+# (test, what passes) for a value of each flag type, from the command line or
+# --config alike: numbers as fileio.is_number has them (true, NaN and inf are none).
+_TYPE_RULES = {str: (lambda v: isinstance(v, str), "a string"), bool: (lambda v: isinstance(v, bool), "true or false"),
+               int: (lambda v: fileio.is_number(v, integer=True), "an integer"), float: (fileio.is_number, "a number")}
+
+
+def _rule(flag: Flag) -> tuple:
+    """The (test, what passes) of `flag`: its rule, else its choices', else its type's."""
+    if flag.rule or not flag.choices:
+        return flag.rule or _TYPE_RULES[flag.type]
+    return (lambda v: v in flag.choices), f"one of {'|'.join(flag.choices)}"
 
 
 def resolve(args, cfg) -> None:
     """Set each flag of the subcommand to the flag's value if given, else its
-    config entry, else its default; then place relative output paths under
-    $PATCHPRED_OUTDIR (or the config's "outdir")."""
+    config entry, else its default, and check it by its one rule (UsageError);
+    then place relative output paths under $PATCHPRED_OUTDIR (or the config's
+    "outdir")."""
     base = os.environ.get("PATCHPRED_OUTDIR") or cfg.get("outdir")
     for flag in COMMANDS[args.command][2]:
         dest = flag.name.replace("-", "_")
-        value = getattr(args, dest)
-        if value is None and cfg.get(flag.name) is not None:
-            value = cfg[flag.name]
-            if not _CONFIG_TYPES[flag.type](value):
-                raise PatchPredError(f"config entry {flag.name!r} must be a {flag.type.__name__}, got {value!r}")
-        if value is None:
-            value = flag.default
+        value = text = getattr(args, dest)
+        if isinstance(text, str) and flag.type in (int, float):
+            # As JSON reads a number: an int if the text spells one, else a float (NaN and inf too), else text.
+            with contextlib.suppress(ValueError):
+                value = float(text)
+                value = int(text)
+        value = next((v for v in (value, cfg.get(flag.name), flag.default) if v is not None), None)
         if value is None and flag.required:
-            raise PatchPredError(f"missing required --{flag.name} (flag or config file entry)")
-        if value is not None and flag.choices and value not in flag.choices:
-            raise PatchPredError(f"--{flag.name} must be one of {'|'.join(flag.choices)}, got {value!r}")
-        if value is not None and flag.output and base and not Path(value).is_absolute():
-            value = str(Path(base) / value)
+            raise UsageError(f"missing required --{flag.name} (flag or config file entry)")
+        if value is not None:
+            valid, what = _rule(flag)
+            if not valid(value):
+                raise UsageError(f"--{flag.name} must be {what}, got {value!r}")
+            value = float(value) if flag.type is float else value  # 1 is 1.0 for a float flag, from either source
+            if flag.output and base and not Path(value).is_absolute():
+                value = str(Path(base) / value)
         setattr(args, dest, value)
 
 
@@ -96,14 +108,9 @@ def _embedder_config(args, cfg) -> embed.EmbedderConfig:
     unknown = sorted(set(given) - set(known))
     if unknown:
         raise EmbeddingError(f"unknown embedder setting(s) {unknown}; known: {known}")
-    section = dict(given)
-    for flag, key in (("dim", "n"), ("epochs", "epochs"), ("negative", "negative_samples"),
-                      ("lr", "learning_rate"), ("min_count", "min_token_count"),
-                      ("embedder_seed", "seed")):
-        value = getattr(args, flag)
-        if value is not None:
-            section[key] = value
-    return embed.EmbedderConfig(**section)
+    flags = {"n": args.dim, "epochs": args.epochs, "negative_samples": args.negative, "learning_rate": args.lr,
+             "min_token_count": args.min_count, "seed": args.embedder_seed}
+    return embed.EmbedderConfig(**{**given, **{key: value for key, value in flags.items() if value is not None}})
 
 
 def _hyper_overrides(args, cfg, kind: str):
@@ -216,7 +223,7 @@ def cmd_features(args, cfg):
     pairs = None
     if args.set != "engineered":
         if args.embeddings is None:
-            raise PatchPredError(f"missing required --embeddings for --set {args.set} (flag or config file entry)")
+            raise UsageError(f"missing required --embeddings for --set {args.set} (flag or config file entry)")
         pairs = embed.import_embeddings(args.embeddings)
         keys += ("embeddings",)
     names, rows = featureio.corpus_features(cor, args.set, pairs)
@@ -309,15 +316,10 @@ def cmd_combine(args, cfg):
 
 
 def cmd_explain(args, cfg):
-    if args.background_cap < 1:
-        raise ExplainError(f"--background-cap must be at least 1, got {args.background_cap}")
-    check_seed(args.seed, ExplainError, "--seed")  # the background subsample's
     model = learn.load(args.model)
     names, rows = featureio.read_features(args.features)
     if args.interaction:
         pair = args.interaction.split(",")
-        if len(pair) != 2:
-            raise ExplainError(f"--interaction takes two feature names A,B, got {args.interaction!r}")
         for name in pair:
             if name not in names:
                 raise FeatureError(f"--interaction names {name!r}, which is not a column of {args.features}")
@@ -334,7 +336,7 @@ def cmd_explain(args, cfg):
         background = background[idx]
     targets = [i for i, pid in enumerate(data.patch_ids) if args.patch_id in (None, pid)]
     if not targets:
-        raise PatchPredError(f"patch {args.patch_id!r} not found in the feature file")
+        raise FeatureError(f"--patch-id names {args.patch_id!r}, which is not a patch of {args.features}")
     X = data.X[targets]
     keys = ("model", "features", "background", "background_cap", "seed", "patch_id")
     explanations = explain.explain_rows(model, X, background, [data.patch_ids[i] for i in targets])
@@ -390,7 +392,7 @@ CORPUS = Flag("corpus", required=True)
 EMBEDDINGS = Flag("embeddings", required=True)
 FEATURES = Flag("features", required=True)
 LEARNER = Flag("learner", default="gbt")
-SEED = Flag("seed", int, 0)
+SEED = Flag("seed", int, 0, rule=HYPERPARAMETER_CHECKS["seed"])  # numpy's rule, for every command
 K = Flag("k", int, 10)
 THRESHOLD = Flag("threshold", float, 0.5)
 HYPER = Flag("hyper", help="inline JSON hyperparameter overrides")
@@ -468,12 +470,13 @@ COMMANDS = {
         Flag("model", required=True),
         FEATURES,
         Flag("background", help="background feature CSV (default: --features)"),
-        Flag("background-cap", int, 512),
+        Flag("background-cap", int, 512, rule=integer(1)),
         SEED,
         Flag("patch-id", help="explain a single patch"),
         Flag("out", output=True, help="per-instance contribution CSV"),
         Flag("global-out", output=True, help="ranked global importance JSON"),
-        Flag("interaction", metavar="A,B", help="feature pair for interaction values"),
+        Flag("interaction", metavar="A,B", help="feature pair for interaction values",
+             rule=(lambda v: isinstance(v, str) and v.count(",") == 1, "two feature names A,B")),
         Flag("interaction-out", default="interactions.json", output=True),
         Flag("plot-data", output=True, help="per-instance value/contribution JSON for plotting"),
     ]),
@@ -494,25 +497,23 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for flag in flags:
             # Every parsed default is None, so resolve() can tell an absent flag from a given one.
+            # Values are parsed as text, which resolve() reads and checks; choices show as argparse shows them.
             if flag.type is bool:
                 p.add_argument(f"--{flag.name}", action="store_true", default=None, help=flag.help)
             else:
-                p.add_argument(f"--{flag.name}", type=flag.type, choices=flag.choices,
-                               help=flag.help, metavar=flag.metavar)
+                p.add_argument(f"--{flag.name}", help=flag.help, metavar=flag.metavar or (
+                    f"{{{','.join(flag.choices)}}}" if flag.choices else None))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = fileio.read_object(args.config, PatchPredError, "config file") if args.config else {}
+        cfg = fileio.read_object(args.config, UsageError, "config file") if args.config else {}
         resolve(args, cfg)
         return COMMANDS[args.command][0](args, cfg)
-    except PatchPredError as exc:
-        print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
+    except (PatchPredError, OSError) as exc:
+        print(f"error[{getattr(exc, 'category', 'io')}]: {exc}", file=sys.stderr)
         return 1
 
 

@@ -56,7 +56,7 @@ DEFAULT_HYPERPARAMETERS = {
     },
 }
 
-def _integer(low):
+def integer(low):
     """(test, what passes) for an integer >= low."""
     return lambda v: is_number(v, integer=True) and v >= low, f"an integer >= {low}"
 
@@ -66,25 +66,17 @@ def _integer(low):
 # max_depth 0 is allowed: it grows a single leaf. var_smoothing 0 is not: a
 # column constant within a class would get a zero variance to divide by.
 HYPERPARAMETER_CHECKS = {
-    "n": _integer(2),
-    **dict.fromkeys(("negative_samples", "seed", "max_depth"), _integer(0)),
+    "n": integer(2),
+    **dict.fromkeys(("negative_samples", "seed", "max_depth"), integer(0)),
     **dict.fromkeys(("min_token_count", "n_trees", "rounds", "epochs", "max_epochs", "learned_width",
-                     "engineered_width", "joint_width", "min_leaf"), _integer(1)),
-    "hidden": (lambda v: isinstance(v, (list, tuple)) and all(map(_integer(1)[0], v)), "a list of integers >= 1"),
-    "max_features": (lambda v: v is None or v == "sqrt" or _integer(1)[0](v), '"sqrt", null or an integer >= 1'),
+                     "engineered_width", "joint_width", "min_leaf"), integer(1)),
+    "hidden": (lambda v: isinstance(v, (list, tuple)) and all(map(integer(1)[0], v)), "a list of integers >= 1"),
+    "max_features": (lambda v: v is None or v == "sqrt" or integer(1)[0](v), '"sqrt", null or an integer >= 1'),
     **dict.fromkeys(("learning_rate", "var_smoothing"), (lambda v: is_number(v) and v > 0, "a number > 0")),
     **dict.fromkeys(("l2", "tol"), (lambda v: is_number(v) and v >= 0, "a number >= 0")),
     "standardize": (lambda v: isinstance(v, bool), "true or false"),
     "class_weight": (lambda v: v is None or v == "balanced", 'null or "balanced"'),
 }
-
-
-def check_seed(seed, error=TrainError, what: str = "seed") -> None:
-    """numpy's rule for a seed, which the embedder's `seed` setting follows
-    too: an integer >= 0; else `error`."""
-    valid, rule = HYPERPARAMETER_CHECKS["seed"]
-    if not valid(seed):
-        raise error(f"{what} must be {rule}, got {seed!r}")
 
 
 def resolved_config(kind: str, overrides: dict | None) -> dict:

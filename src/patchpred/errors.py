@@ -33,3 +33,7 @@ class EvalError(PatchPredError):
 
 class ExplainError(PatchPredError):
     category = "explain"
+
+
+class UsageError(PatchPredError):
+    category = "usage"

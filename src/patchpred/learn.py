@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from . import fileio, worker
-from .defaults import check_seed, resolved_config
+from .defaults import HYPERPARAMETER_CHECKS, resolved_config
 from .errors import EvalError, TrainError
 
 MODEL_FORMAT_VERSION = 1
@@ -1356,9 +1356,11 @@ def train(kind: str, rows, config: dict | None = None, seed: int = 0) -> Trained
 
     `config` overrides the committed defaults for that kind; the resolved
     values are stored on the model and echoed into reports. The seed must
-    be an integer >= 0 (check_seed), for every kind.
+    follow numpy's rule, for every kind: an integer >= 0.
     """
-    check_seed(seed)
+    valid, rule = HYPERPARAMETER_CHECKS["seed"]
+    if not valid(seed):
+        raise TrainError(f"seed must be {rule}, got {seed!r}")
     kind = canonical_kind(kind)
     X, y = (rows if isinstance(rows, Dataset) else Dataset.of(rows)).labeled()
     return _MODEL_CLASSES[kind].fit(X, y, resolved_config(kind, config), seed)

@@ -198,20 +198,25 @@ def test_compare_names_the_file_and_line_of_a_bad_prediction(case, pipeline, tmp
 
 
 # A stats report's six numbers are read as numbers (fileio.numbers) before
-# any policy picks one; a fixed --value is checked by the policy.
-@pytest.mark.parametrize("stats, policy, message", [
-    ({"q1": "abc"}, "q1", 'not a valid stats report: q1 must be finite numbers of shape (): got "abc"'),
-    ({"mean": float("nan")}, "mean", "not a valid stats report: mean must be finite numbers of shape (): got a non"),
-    ({}, "fixed", "fixed threshold must be a finite number, got nan"),
+# any policy picks one; a fixed --value is checked as its flag enters.
+@pytest.mark.parametrize("stats, policy, value, message", [
+    ({"q1": "abc"}, "q1", [], 'error[eval]: STATS: not a valid stats report: q1 must be finite numbers of shape (): '
+                             'got "abc"'),
+    ({"mean": float("nan")}, "mean", [], "error[eval]: STATS: not a valid stats report: mean must be finite numbers "
+                                         "of shape (): got a non"),
+    ({}, "fixed", ["--value", "nan"], "error[usage]: --value must be a number, got nan"),
 ], ids=["text-statistic", "nan-statistic", "fixed-nan"])
-def test_filter_refuses_a_threshold_that_is_not_a_finite_number(stats, policy, message, pipeline, tmp_path, capsys):
+def test_filter_refuses_a_threshold_that_is_not_a_finite_number(stats, policy, value, message, pipeline, tmp_path,
+                                                               capsys):
     path = tmp_path / "stats.json"
     path.write_text(json.dumps({"stats": {**dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), 0.5),
                                           **stats}}))
+    out = tmp_path / "f.json"
     assert run("filter", "--corpus", str(pipeline["corpus"]), "--embeddings", str(pipeline["embeddings"]),
-               "--stats", str(path), "--policy", policy, "--value", "nan", "--out", str(tmp_path / "f.json")) == 1
+               "--stats", str(path), "--policy", policy, *value, "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error[eval]: ") and message in err and "Traceback" not in err
+    assert err.startswith(message.replace("STATS", str(path))) and "Traceback" not in err
+    assert not out.exists()
 
 
 _SIX = ("min", "q1", "median", "q3", "max", "mean")
@@ -227,9 +232,9 @@ _SIX = ("min", "q1", "median", "q3", "max", "mean")
                  id="config-embedder-learning-rate-overflows"),
     pytest.param({"c.json": '{"value": 1%s}' % ("0" * 400)},
                  ["--config", "TMP/c.json", "filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS",
-                  "--policy", "fixed"], "error", id="config-fixed-value-overflows"),
+                  "--policy", "fixed"], "usage", id="config-fixed-value-overflows"),
     pytest.param({"c.json": '{"threshold": true}'}, ["--config", "TMP/c.json", "crossval", "--features", "LEARNED"],
-                 "error", id="config-threshold-true"),
+                 "usage", id="config-threshold-true"),
     *[pytest.param({"s.json": json.dumps({"stats": {**dict.fromkeys(_SIX, 0.5), name: value}})
                     .replace('"HUGE"', "1" + "0" * 400)},
                    ["filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--stats", "TMP/s.json"], "eval",
@@ -315,7 +320,8 @@ def test_flag_beats_config_beats_default():
     assert (args.k, args.seed, args.threshold, args.features) == (3, 9, 0.5, "f.csv")
 
 
-# Every subcommand's option strings (in --help order) and choices.
+# Every subcommand's option strings (in --help order) and choices, which
+# --help shows as the metavar {a,b,c}, as argparse shows choices.
 EXPECTED_OPTIONS = {
     "ingest": [("--input", None), ("--out", None), ("--report", None), ("--allow-unlabeled", None)],
     "gen-synthetic": [("--bugs", None), ("--patches-per-bug", None),
@@ -357,7 +363,7 @@ def test_subcommand_options_and_choices():
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     found = {
-        name: [(a.option_strings[-1], tuple(a.choices) if a.choices else None)
+        name: [(a.option_strings[-1], tuple(a.metavar[1:-1].split(",")) if (a.metavar or "").startswith("{") else None)
                for a in sub._actions if a.option_strings and a.dest != "help"]
         for name, sub in subparsers.choices.items()
     }
@@ -437,10 +443,11 @@ def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, 
     assert "error[" in err
     if "--lr" in argv:  # a diverging embedder, not a RuntimeWarning
         assert "error[embed]" in err
-    if "--threshold" in argv:
-        assert "error[eval]" in err and "is not in [0, 1]" in err
+    if "--threshold" in argv:  # NaN is no number; a number outside [0, 1] is crossval's to refuse
+        assert ("error[usage]: --threshold must be a number, got nan" in err if "nan" in argv
+                else "error[eval]" in err and "is not in [0, 1]" in err)
     if "--background-cap" in argv:
-        assert "error[explain]" in err and "--background-cap must be at least 1" in err
+        assert "error[usage]" in err and "--background-cap must be an integer >= 1" in err
     if any(a.endswith("list.json") for a in argv):
         assert "list.json: not a" in err and "it holds no JSON object" in err
 
@@ -595,14 +602,15 @@ def test_invalid_tree_hyperparameters_get_learn_error(pipeline, tmp_path, capsys
 
 
 @pytest.mark.parametrize("argv, category", [
-    *[pytest.param(["train", "--features", "LEARNED", "--learner", learner], "learn", id=f"train-{learner}")
+    *[pytest.param(["train", "--features", "LEARNED", "--learner", learner], "usage", id=f"train-{learner}")
       for learner in ("lr", "nb", "dt", "rf", "gbt", "dnn")],
-    pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--background-cap", "5"], "explain",
+    pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--background-cap", "5"], "usage",
                  id="explain"),
 ])
 def test_a_negative_seed_gets_a_categorized_error(argv, category, pipeline, tree_model, tmp_path, capsys):
-    # numpy's rule for a seed, an integer >= 0, for every learner (dt, lr
-    # and gbt never draw from it) and for explain's background subsample.
+    # numpy's rule for a seed, an integer >= 0, is the --seed flag's, for
+    # every learner (dt, lr and gbt never draw from it) and for explain's
+    # background subsample.
     out = tmp_path / "out"
     fill = {"LEARNED": str(pipeline["learned"]), "MODEL": str(tree_model)}
     assert run(*[fill.get(a, a) for a in argv], "--seed", "-1", "--out", str(out)) == 1

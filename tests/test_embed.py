@@ -605,7 +605,9 @@ def test_invalid_embedder_settings_are_rejected(tmp_path, capsys, key, value, fl
     else:
         argv = ["train-embedder", flag, str(value)]
     assert cli.main(argv + ["--corpus", str(corpus_path), "--out", str(out)]) == 1
-    assert f"error[embed]: {message}" in capsys.readouterr().err
+    # inf is no number, so the --lr flag refuses it before the embedder sees it.
+    refusal = f"error[usage]: {flag} must be a number, got inf" if value == math.inf else f"error[embed]: {message}"
+    assert refusal in capsys.readouterr().err
     assert not out.exists()
 
     path, doc = _saved_model_doc(tmp_path)

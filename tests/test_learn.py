@@ -118,6 +118,16 @@ def test_bad_hyperparameters_are_refused_before_training(kind, key, value):
             learn.train(kind, rows_from(X, y), {key: value})
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("seed", [-1, 10**400, 1.5, True])
+def test_a_seed_that_breaks_numpys_rule_is_refused_before_training(kind, seed):
+    # An integer >= 0, for every kind, also those that never draw from it
+    # (an integer too large for a float is none, as fileio has numbers).
+    X, y = np.random.default_rng(0).normal(size=(12, 3)), np.arange(12) % 2
+    with pytest.raises(TrainError, match=r"^seed must be an integer >= 0, got "):
+        learn.train(kind, rows_from(X, y), seed=seed)
+
+
 @pytest.mark.parametrize("learning_rate", [1.0, 10.0])
 def test_boosting_that_saturates_a_leaf_without_l2_is_a_train_error(learning_rate):
     # The first column is the label, so a few rounds drive every probability
