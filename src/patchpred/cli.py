@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import diffparse, embed, engineered, evaluate, explain, featureio, fileio, filtering, learn, synth
-from .defaults import HYPERPARAMETER_CHECKS, integer
-from .errors import EmbeddingError, EvalError, FeatureError, PatchPredError, TrainError, UsageError
+from .defaults import HYPERPARAMETER_CHECKS, integer, resolved_config
+from .errors import EvalError, FeatureError, PatchPredError, UsageError
 
 
 class Flag(NamedTuple):
@@ -54,17 +54,54 @@ def _rule(flag: Flag) -> tuple:
     return (lambda v: v in flag.choices), f"one of {'|'.join(flag.choices)}"
 
 
+# Each name --learner takes -> its learner's canonical name; "hyperparameters" keys take DeepFusion too.
+_LEARNERS = {**learn.KIND_ALIASES, **{kind: kind for kind in learn.KIND_ALIASES.values()}}
+
+
+def _json_object(value) -> bool:
+    """Whether `value` is text holding a JSON object."""
+    with contextlib.suppress(ValueError, RecursionError):
+        return isinstance(value, str) and isinstance(json.loads(value), dict)
+    return False
+
+
+def _hyperparameters(table) -> dict:
+    """The config's "hyperparameters" by canonical learner name, each entry
+    checked by its learner's rules (TrainError) whichever learner runs."""
+    names = {**_LEARNERS, "DeepFusion": "DeepFusion"}
+    if not isinstance(table, dict) or not all(isinstance(entry, dict) for entry in table.values()):
+        raise UsageError(f'config entry "hyperparameters" must map learner names to JSON objects, got {table!r}')
+    for key in table:
+        if key not in names:
+            raise UsageError(f'"hyperparameters" key {key!r} names no learner: one of {"|".join(names)}')
+        if [names.get(k) for k in table].count(names[key]) > 1:
+            raise UsageError(f'"hyperparameters" keys {[k for k in table if names.get(k) == names[key]]} '
+                             f"name one learner, {names[key]}")
+        resolved_config(names[key], table[key])
+    return {names[key]: entry for key, entry in table.items()}
+
+
 def resolve(args, cfg) -> None:
-    """Set each flag of the subcommand to the flag's value if given, else its
-    config entry, else its default, and check it by its one rule (UsageError);
-    then place relative output paths under $PATCHPRED_OUTDIR (or the config's
-    "outdir")."""
+    """The one reader of the config object `cfg`: set each flag of the
+    subcommand to the flag's value if given, else its config entry, else its
+    default, and check it by its one rule (UsageError); place relative output
+    paths under $PATCHPRED_OUTDIR (or the config's "outdir"). A learner's
+    command gets its canonical name and, as a dict, its "hyperparameters"
+    entry (DeepFusion's for --strategy fusion) updated by --hyper."""
+    unknown = sorted(set(cfg) - {"outdir", "hyperparameters", *(f.name for c in COMMANDS.values() for f in c[2])})
+    if unknown:
+        raise UsageError(f"unknown config entries {unknown}: an entry is a flag's name, outdir or hyperparameters"
+                         + ("; the embedder's settings are the entries dim, epochs, negative, lr, min-count and "
+                            "embedder-seed" if "embedder" in unknown else ""))
+    if not isinstance(cfg.get("outdir"), (str, type(None))):
+        raise UsageError(f'config entry "outdir" must be a string, got {cfg["outdir"]!r}')
     base = os.environ.get("PATCHPRED_OUTDIR") or cfg.get("outdir")
     for flag in COMMANDS[args.command][2]:
         dest = flag.name.replace("-", "_")
         value = text = getattr(args, dest)
-        if isinstance(text, str) and flag.type in (int, float):
-            # As JSON reads a number: an int if the text spells one, else a float (NaN and inf too), else text.
+        # As JSON reads a number: an int if the text spells one, else a float (NaN and inf too), else text.
+        # Text with "_", whitespace or a non-ASCII character stays text, though float() and int() take it.
+        if isinstance(text, str) and flag.type in (int, float) and re.fullmatch(r"[-+.0-9A-Za-z]+", text):
             with contextlib.suppress(ValueError):
                 value = float(text)
                 value = int(text)
@@ -79,6 +116,11 @@ def resolve(args, cfg) -> None:
             if flag.output and base and not Path(value).is_absolute():
                 value = str(Path(base) / value)
         setattr(args, dest, value)
+    hyperparameters = _hyperparameters(cfg.get("hyperparameters", {}))
+    if hasattr(args, "learner"):
+        args.learner = _LEARNERS[args.learner]
+        learner = "DeepFusion" if getattr(args, "strategy", None) == "fusion" else args.learner
+        args.hyper = {**hyperparameters.get(learner, {}), **json.loads(args.hyper or "{}")}
 
 
 def _write(path, content, args=None, keys=()) -> None:
@@ -100,36 +142,10 @@ def _write(path, content, args=None, keys=()) -> None:
         _write(str(path) + ".meta.json", {"provenance": provenance})
 
 
-def _embedder_config(args, cfg) -> embed.EmbedderConfig:
-    given = cfg.get("embedder", {})
-    if not isinstance(given, dict):
-        raise EmbeddingError(f'config "embedder" must be a JSON object, got {given!r}')
-    known = sorted(field.name for field in dataclasses.fields(embed.EmbedderConfig))
-    unknown = sorted(set(given) - set(known))
-    if unknown:
-        raise EmbeddingError(f"unknown embedder setting(s) {unknown}; known: {known}")
+def _embedder_config(args) -> embed.EmbedderConfig:
     flags = {"n": args.dim, "epochs": args.epochs, "negative_samples": args.negative, "learning_rate": args.lr,
              "min_token_count": args.min_count, "seed": args.embedder_seed}
-    return embed.EmbedderConfig(**{**given, **{key: value for key, value in flags.items() if value is not None}})
-
-
-def _hyper_overrides(args, cfg, kind: str):
-    table = cfg.get("hyperparameters", {})
-    if not isinstance(table, dict):
-        raise TrainError(f'config "hyperparameters" must be a JSON object, got {table!r}')
-    overrides = table.get(kind, {})
-    if not isinstance(overrides, dict):
-        raise TrainError(f'config "hyperparameters" entry {kind!r} must be a JSON object, got {overrides!r}')
-    overrides = dict(overrides)
-    if args.hyper:
-        try:
-            inline = json.loads(args.hyper)
-        except (TypeError, ValueError) as exc:
-            raise TrainError(f"--hyper is not valid JSON: {exc}") from exc
-        if not isinstance(inline, dict):
-            raise TrainError("--hyper must be a JSON object")
-        overrides.update(inline)
-    return overrides or None
+    return embed.EmbedderConfig(**{key: value for key, value in flags.items() if value is not None})
 
 
 def _fragments_by_patch(cor):
@@ -158,36 +174,33 @@ def _write_report(args, report, keys, title) -> None:
 
 # --- subcommand implementations ----------------------------------------------
 
-def cmd_ingest(args, cfg):
+def cmd_ingest(args):
     cor, report = corpus_mod.ingest(args.input, allow_unlabeled=bool(args.allow_unlabeled))
     _write(args.out, lambda path: corpus_mod.persist(cor, path))
     if args.report:
         _write(args.report, {"report": report.to_json_dict()}, args, ("input", "out"))
     print(f"ingested {report.ingested} records "
           f"({report.duplicates_dropped} duplicates dropped, {len(report.rejected)} rejected) -> {args.out}")
-    return 0
 
 
-def cmd_gen_synthetic(args, cfg):
+def cmd_gen_synthetic(args):
     cor = synth.generate_corpus(args.bugs, args.patches_per_bug, args.signal, args.seed)
     _write(args.out, lambda path: corpus_mod.persist(cor, path))
     print(f"generated {len(cor)} patches over {args.bugs} bugs "
           f"(signal={args.signal}, seed={args.seed}) -> {args.out}")
-    return 0
 
 
-def cmd_fragments(args, cfg):
+def cmd_fragments(args):
     cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
     fragments = _fragments_by_patch(cor)
     _write(args.out, lambda path: fileio.write_lines(path, (
         {"patch_id": pid, "buggy_text": frag.buggy_text, "patched_text": frag.patched_text}
         for pid, frag in fragments.items())))
     print(f"wrote fragments for {len(cor)} patches -> {args.out}")
-    return 0
 
 
-def cmd_train_embedder(args, cfg):
-    config = _embedder_config(args, cfg)
+def cmd_train_embedder(args):
+    config = _embedder_config(args)
     cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
     documents = [list(tokens) for frag in _fragments_by_patch(cor).values()
                  for tokens in (frag.buggy_tokens, frag.patched_tokens)]
@@ -196,28 +209,25 @@ def cmd_train_embedder(args, cfg):
     rep = model.training_report
     print(f"trained embedder on {rep['documents']} fragments "
           f"(vocab {rep['vocabulary_size']}, loss {rep['initial_loss']:.4f} -> {rep['final_loss']:.4f}) -> {args.out}")
-    return 0
 
 
-def cmd_embed(args, cfg):
+def cmd_embed(args):
     cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
     model = embed.load_model(args.model)
     pairs, flagged = embed.embed_corpus(model, _fragments_by_patch(cor))
     _write(args.out, lambda path: embed.export_embeddings(pairs, path))
     note = f", {len(flagged)} flagged all-OOV" if flagged else ""
     print(f"embedded {len(pairs)} patches (n={model.config.n}{note}) -> {args.out}")
-    return 0
 
 
-def cmd_import_embeddings(args, cfg):
+def cmd_import_embeddings(args):
     pairs = embed.import_embeddings(args.embeddings)
     if args.out:
         _write(args.out, lambda path: embed.export_embeddings(pairs, path))
     print(f"validated {len(pairs)} embedding pairs (n={pairs[0].n})")
-    return 0
 
 
-def cmd_features(args, cfg):
+def cmd_features(args):
     cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
     keys = ("corpus", "set", "out")
     pairs = None
@@ -231,10 +241,9 @@ def cmd_features(args, cfg):
     if args.registry_out and args.set != "learned":
         _write(args.registry_out, {"version": engineered.REGISTRY_VERSION, "features": engineered.registry()})
     print(f"wrote {len(rows)} x {len(names)} {args.set} feature matrix -> {args.out}")
-    return 0
 
 
-def cmd_stats(args, cfg):
+def cmd_stats(args):
     scored = _scored(args)
     scores = [s for _pid, _bug, s, label, _f in scored if args.label_filter in ("all", label.value)]
     sim = filtering.stats(scores)
@@ -244,10 +253,9 @@ def cmd_stats(args, cfg):
         "stats": sim.to_json_dict(),
     }, args, ("corpus", "embeddings", "label_filter"))
     print(f"stats over {len(scores)} {args.label_filter} scores: q1={sim.q1:.4f} mean={sim.mean:.4f} -> {args.out}")
-    return 0
 
 
-def cmd_filter(args, cfg):
+def cmd_filter(args):
     scored = _scored(args)
     sim = None
     if args.stats:  # the six numbers of a stats report
@@ -266,10 +274,9 @@ def cmd_filter(args, cfg):
             args, keys)
     print(f"threshold {policy.value:.4f} ({policy.statistic.value}): "
           f"+Recall {report.plus_recall:.1%}, -Recall {report.minus_recall:.1%} -> {args.out}")
-    return 0
 
 
-def cmd_top1(args, cfg):
+def cmd_top1(args):
     report = filtering.top1_per_bug([(pid, bug, score, label) for pid, bug, score, label, _f in _scored(args)])
     _write(args.out, {
         "n_bugs": report.n_bugs,
@@ -278,44 +285,37 @@ def cmd_top1(args, cfg):
         "selected": report.selected,
     }, args, ("corpus", "embeddings"))
     print(f"top-1 pick correct for {report.bugs_with_correct_pick}/{report.n_bugs} bugs -> {args.out}")
-    return 0
 
 
-def cmd_train(args, cfg):
+def cmd_train(args):
     names, rows = featureio.read_features(args.features)
-    kind = learn.canonical_kind(args.learner)
-    model = learn.train(kind, rows, _hyper_overrides(args, cfg, kind), args.seed)
+    model = learn.train(args.learner, rows, args.hyper, args.seed)
     _write(args.out, model.save)
-    print(f"trained {kind} on {len(rows)} rows x {len(names)} features (seed {args.seed}) -> {args.out}")
-    return 0
+    print(f"trained {args.learner} on {len(rows)} rows x {len(names)} features (seed {args.seed}) -> {args.out}")
 
 
-def cmd_crossval(args, cfg):
+def cmd_crossval(args):
     _names, rows = featureio.read_features(args.features)
-    args.learner = learn.canonical_kind(args.learner)
     # The features come pre-built from the CSV.
-    trainer = evaluate.SingleSetTrainer("file", args.learner, _hyper_overrides(args, cfg, args.learner))
+    trainer = evaluate.SingleSetTrainer("file", args.learner, args.hyper)
     report = evaluate.crossval(rows, trainer, k=args.k, seed=args.seed, threshold=args.threshold)
     _write_report(args, report, ("features", "learner", "k", "seed", "threshold"), f"crossval {args.learner}")
-    return 0
 
 
-def cmd_combine(args, cfg):
-    args.learner = kind = learn.canonical_kind(args.learner)
+def cmd_combine(args):
     _lnames, _enames, joint = featureio.join_feature_sets(args.learned_features, args.engineered_features)
     if args.strategy == "fusion":
-        trainer = evaluate.FusionTrainer(_hyper_overrides(args, cfg, "DeepFusion"))
+        trainer = evaluate.FusionTrainer(args.hyper)
     elif args.strategy == "ensemble":
-        trainer = evaluate.EnsembleTrainer(kind, _hyper_overrides(args, cfg, kind))
+        trainer = evaluate.EnsembleTrainer(args.learner, args.hyper)
     else:
-        trainer = evaluate.SingleSetTrainer("concat", kind, _hyper_overrides(args, cfg, kind))
+        trainer = evaluate.SingleSetTrainer("concat", args.learner, args.hyper)
     report = evaluate.crossval(joint, trainer, k=args.k, seed=args.seed, threshold=args.threshold)
     _write_report(args, report, ("strategy", "learner", "k", "seed", "threshold",
                                  "learned_features", "engineered_features"), f"combine {args.strategy}")
-    return 0
 
 
-def cmd_explain(args, cfg):
+def cmd_explain(args):
     model = learn.load(args.model)
     names, rows = featureio.read_features(args.features)
     if args.interaction:
@@ -371,10 +371,9 @@ def cmd_explain(args, cfg):
         }, args, keys)
     print(f"explained {len(explanations)} predictions in {space} space"
           + (f" -> {args.out}" if args.out else ""))
-    return 0
 
 
-def cmd_compare(args, cfg):
+def cmd_compare(args):
     preds_a = evaluate.read_predictions(args.a)
     preds_b = evaluate.read_predictions(args.b, {p["patch_id"]: p["label"] for p in preds_a})
     report = evaluate.compare_predictions(preds_a, preds_b, args.threshold)
@@ -382,7 +381,6 @@ def cmd_compare(args, cfg):
     cp = report["correct_patches"]
     print(f"correct patches: both {cp['both']}, only-a {cp['only_a']}, only-b {cp['only_b']}, "
           f"neither {cp['neither']} -> {args.out}")
-    return 0
 
 
 # --- argument wiring ----------------------------------------------------------
@@ -391,11 +389,12 @@ OUT = Flag("out", required=True, output=True)
 CORPUS = Flag("corpus", required=True)
 EMBEDDINGS = Flag("embeddings", required=True)
 FEATURES = Flag("features", required=True)
-LEARNER = Flag("learner", default="gbt")
+LEARNER = Flag("learner", default="gbt",
+               rule=(lambda v: isinstance(v, str) and v in _LEARNERS, f"one of {'|'.join(_LEARNERS)}"))
 SEED = Flag("seed", int, 0, rule=HYPERPARAMETER_CHECKS["seed"])  # numpy's rule, for every command
 K = Flag("k", int, 10)
 THRESHOLD = Flag("threshold", float, 0.5)
-HYPER = Flag("hyper", help="inline JSON hyperparameter overrides")
+HYPER = Flag("hyper", help="inline JSON hyperparameter overrides", rule=(_json_object, "text holding a JSON object"))
 
 # subcommand -> (implementation, help, flags in --help order)
 COMMANDS = {
@@ -511,7 +510,8 @@ def main(argv=None) -> int:
     try:
         cfg = fileio.read_object(args.config, UsageError, "config file") if args.config else {}
         resolve(args, cfg)
-        return COMMANDS[args.command][0](args, cfg)
+        COMMANDS[args.command][0](args)
+        return 0
     except (PatchPredError, OSError) as exc:
         print(f"error[{getattr(exc, 'category', 'io')}]: {exc}", file=sys.stderr)
         return 1

@@ -168,9 +168,9 @@ class EnsembleTrainer:
                         for side in ("learned", "engineered"))
 
         def predict(test_rows):
-            data = learn.Dataset.of(test_rows)
-            return 0.5 * (members[0].predict_proba_batch(data.columns("learned"))
-                          + members[1].predict_proba_batch(data.columns("engineered")))
+            learned, engineered = (member.predict_proba_batch(learn.Dataset.of(test_rows, side).X)
+                                   for member, side in zip(members, ("learned", "engineered")))
+            return 0.5 * (learned + engineered)
 
         predict.members = members
         return predict

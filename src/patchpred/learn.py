@@ -91,13 +91,6 @@ class Dataset:
         y = np.array([np.nan if row.label is None else row.label for row in rows], dtype=float)
         return cls([row.patch_id for row in rows], X, y, blocks)
 
-    def columns(self, feature_set: str) -> np.ndarray:
-        """A view of one block's columns; "concat" is the learned and the
-        engineered block, which are adjacent."""
-        if feature_set == "concat":
-            return self.X[:, self.blocks["learned"].start: self.blocks["engineered"].stop]
-        return self.X[:, self.blocks[feature_set]]
-
     def labeled(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, y) to fit on: the one check of every fit's rows. TrainError
         names the first bad patch (see refuse_bad_rows), or says that one

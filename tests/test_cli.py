@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from patchpred import cli, explain, featureio, learn
+from patchpred import cli, evaluate, explain, featureio, learn
 from patchpred.errors import FeatureError
 from patchpred.learn import FeatureRow
 
@@ -227,8 +227,8 @@ _SIX = ("min", "q1", "median", "q3", "max", "mean")
                  id="hyper-l2-overflows"),
     pytest.param({}, ["train", "--features", "LEARNED", "--learner", "rf",
                       "--hyper", '{"n_trees": 1%s}' % ("0" * 400)], "learn", id="hyper-n-trees-overflows"),
-    pytest.param({"c.json": '{"embedder": {"learning_rate": 1%s}}' % ("0" * 400)},
-                 ["--config", "TMP/c.json", "train-embedder", "--corpus", "CORPUS"], "embed",
+    pytest.param({"c.json": '{"lr": 1%s}' % ("0" * 400)},
+                 ["--config", "TMP/c.json", "train-embedder", "--corpus", "CORPUS"], "usage",
                  id="config-embedder-learning-rate-overflows"),
     pytest.param({"c.json": '{"value": 1%s}' % ("0" * 400)},
                  ["--config", "TMP/c.json", "filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS",
@@ -669,3 +669,152 @@ def test_one_fold_is_refused_with_an_eval_error(pipeline, tmp_path, capsys, comm
     assert run(command, *argv, "--k", "1", "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith("error[eval]: k must be at least 2")
     assert not out.exists()
+
+
+# --- the config file: one reader, every entry checked ---------------------------
+
+@pytest.mark.parametrize("config, argv, message", [
+    pytest.param({"tresholds": 0.9, "kk": 3}, ["crossval", "--features", "LEARNED", "--learner", "nb", "--k", "4"],
+                 "error[usage]: unknown config entries ['kk', 'tresholds']: an entry is a flag's name, outdir or "
+                 "hyperparameters\n", id="misspelled-entries"),
+    pytest.param({"epochs": 2, "embedder": {"epochs": 50}}, ["train-embedder", "--corpus", "CORPUS"],
+                 "error[usage]: unknown config entries ['embedder']: an entry is a flag's name, outdir or "
+                 "hyperparameters; the embedder's settings are the entries dim, epochs, negative, lr, min-count and "
+                 "embedder-seed\n", id="embedder-section"),
+    pytest.param({"hyperparameters": {"RandomForrest": {"n_trees": 3}}},
+                 ["crossval", "--features", "LEARNED", "--learner", "rf", "--k", "4"],
+                 "error[usage]: \"hyperparameters\" key 'RandomForrest' names no learner: one of lr|nb|dt|rf|gbt|dnn|"
+                 "LogisticRegression|NaiveBayes|DecisionTree|RandomForest|GradientBoostedTrees|FeedForwardNet|"
+                 "DeepFusion\n", id="unknown-learner-key"),
+    pytest.param({"hyperparameters": {"rf": {"n_trees": 3}, "RandomForest": {"n_trees": 4}}},
+                 ["crossval", "--features", "LEARNED", "--learner", "rf", "--k", "4"],
+                 "error[usage]: \"hyperparameters\" keys ['rf', 'RandomForest'] name one learner, RandomForest\n",
+                 id="doubled-learner-key"),
+    pytest.param({"hyperparameters": {"GradientBoostedTrees": 3}}, ["train", "--features", "LEARNED"],
+                 "error[usage]: config entry \"hyperparameters\" must map learner names to JSON objects, got "
+                 "{'GradientBoostedTrees': 3}\n",
+                 id="entry-not-an-object"),
+    pytest.param({"hyperparameters": {"rf": {"n_trees": 0}}},
+                 ["crossval", "--features", "LEARNED", "--learner", "nb", "--k", "4"],
+                 "error[learn]: RandomForest hyperparameter 'n_trees' must be an integer >= 1, got 0\n",
+                 id="bad-value-of-another-learner"),
+    pytest.param({"hyperparameters": {"DeepFusion": {"widht": 3}}}, ["gen-synthetic", "--bugs", "3"],
+                 "error[learn]: unknown DeepFusion hyperparameter 'widht'; known: ['engineered_width', 'epochs', "
+                 "'joint_width', 'l2', 'learned_width', 'learning_rate', 'standardize']\n",
+                 id="bad-key-for-a-command-without-a-learner"),
+    pytest.param({"learner": "abc"}, ["train", "--features", "LEARNED"],
+                 "error[usage]: --learner must be one of lr|nb|dt|rf|gbt|dnn|LogisticRegression|NaiveBayes|"
+                 "DecisionTree|RandomForest|GradientBoostedTrees|FeedForwardNet, got 'abc'\n", id="config-learner-abc"),
+    pytest.param({}, ["train", "--features", "LEARNED", "--learner", "abc"],
+                 "error[usage]: --learner must be one of lr|nb|dt|rf|gbt|dnn|LogisticRegression|NaiveBayes|"
+                 "DecisionTree|RandomForest|GradientBoostedTrees|FeedForwardNet, got 'abc'\n", id="learner-abc"),
+    pytest.param({}, ["train", "--features", "LEARNED", "--learner", "DeepFusion"],
+                 "error[usage]: --learner must be one of ", id="learner-deep-fusion"),
+    pytest.param({}, ["crossval", "--features", "LEARNED", "--hyper", "abc"],
+                 "error[usage]: --hyper must be text holding a JSON object, got 'abc'\n", id="hyper-abc"),
+    pytest.param({"hyper": "[1]"}, ["crossval", "--features", "LEARNED"],
+                 "error[usage]: --hyper must be text holding a JSON object, got '[1]'\n", id="config-hyper-a-list"),
+    pytest.param({"outdir": 5}, ["gen-synthetic", "--bugs", "3"],
+                 "error[usage]: config entry \"outdir\" must be a string, got 5\n", id="outdir-a-number"),
+])
+def test_a_config_or_flag_that_breaks_a_rule_is_refused_with_one_line(config, argv, message, pipeline, tmp_path,
+                                                                      capsys):
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config))
+    fill = {"LEARNED": str(pipeline["learned"]), "CORPUS": str(pipeline["corpus"])}
+    assert run("--config", str(path), *[fill.get(a, a) for a in argv], "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alias, name, hyperparameters", [
+    ("nb", "NaiveBayes", {"var_smoothing": 1e-3}),
+    ("rf", "RandomForest", {"n_trees": 3}),
+])
+def test_a_hyperparameters_key_may_be_a_learners_alias(alias, name, hyperparameters, pipeline, tmp_path):
+    reports = []
+    for key in (alias, name):
+        config, out = tmp_path / f"{key}.json", tmp_path / f"cv_{key}.json"
+        config.write_text(json.dumps({"hyperparameters": {key: hyperparameters}}))
+        assert run("--config", str(config), "crossval", "--features", str(pipeline["learned"]),
+                   "--learner", alias, "--k", "4", "--out", str(out)) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    echoed = json.loads(reports[0])["config"]["trainer"]["hyperparameters"]
+    assert echoed == {**learn.resolved_config(name, None), **hyperparameters}
+
+
+def test_hyper_updates_the_config_entry_key_by_key(pipeline, tmp_path):
+    config, out = tmp_path / "config.json", tmp_path / "cv.json"
+    config.write_text(json.dumps({"hyperparameters": {"gbt": {"rounds": 5, "max_depth": 2}}}))
+    assert run("--config", str(config), "crossval", "--features", str(pipeline["learned"]), "--k", "4",
+               "--hyper", '{"rounds": 7}', "--out", str(out)) == 0
+    echoed = json.loads(out.read_text())["config"]["trainer"]["hyperparameters"]
+    assert (echoed["rounds"], echoed["max_depth"]) == (7, 2)
+
+
+@pytest.mark.parametrize("strategy", ["ensemble", "fusion"])
+def test_combine_through_the_cli_is_the_in_process_crossval(strategy, pipeline, tmp_path):
+    # The learner's entry goes to the ensemble, DeepFusion's to fusion,
+    # which ignores --learner.
+    config, out, predictions = tmp_path / "config.json", tmp_path / "combine.json", tmp_path / "combine.csv"
+    config.write_text(json.dumps({"hyperparameters": {"dt": {"max_depth": 2}, "DeepFusion": {"epochs": 5}}}))
+    assert run("--config", str(config), "combine", "--strategy", strategy, "--learner", "dt",
+               "--learned-features", str(pipeline["learned"]), "--engineered-features", str(pipeline["engineered"]),
+               "--k", "4", "--seed", "3", "--out", str(out), "--out-predictions", str(predictions)) == 0
+    trainer = (evaluate.EnsembleTrainer("DecisionTree", {"max_depth": 2}) if strategy == "ensemble"
+               else evaluate.FusionTrainer({"epochs": 5}))
+    _lnames, _enames, joint = featureio.join_feature_sets(pipeline["learned"], pipeline["engineered"])
+    expected = evaluate.crossval(joint, trainer, k=4, seed=3)
+    expected_predictions = expected.pop("predictions")
+    report = json.loads(out.read_text())
+    assert report.pop("provenance")["config"]["learner"] == "DecisionTree"
+    assert report == json.loads(json.dumps(expected))
+    assert evaluate.read_predictions(predictions) == json.loads(json.dumps(expected_predictions))
+
+
+def test_a_missing_required_flag_is_a_usage_error_and_writes_nothing(pipeline, tmp_path, capsys):
+    predictions = tmp_path / "p.csv"
+    assert run("crossval", "--features", str(pipeline["learned"]), "--out-predictions", str(predictions)) == 1
+    assert capsys.readouterr().err == "error[usage]: missing required --out (flag or config file entry)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# --- explain: a background file, its seeded subsample and the plot data ----------
+
+@pytest.mark.parametrize("source", ["features", "file"])
+def test_explain_subsamples_a_background_larger_than_the_cap(source, pipeline, tmp_path):
+    # A linear model: any background covers it, where a tree's nodes need rows.
+    model = tmp_path / "lr.json"
+    assert run("train", "--features", str(pipeline["learned"]), "--learner", "lr", "--out", str(model)) == 0
+    names, rows = featureio.read_features(pipeline["learned"])
+    background_rows = rows if source == "features" else rows[5:30]
+    background = ["--background", str(tmp_path / "background.csv")] if source == "file" else []
+    if background:
+        featureio.write_features(tmp_path / "background.csv", background_rows, names)
+    out = tmp_path / "contributions.csv"
+    assert run("explain", "--model", str(model), "--features", str(pipeline["learned"]), *background,
+               "--background-cap", "7", "--seed", "4", "--out", str(out)) == 0
+    B = learn.Dataset.of(background_rows).X
+    idx = np.sort(np.random.default_rng(4).choice(len(B), 7, replace=False))
+    data = learn.Dataset.of(rows)
+    expected = explain.explain_rows(learn.load(model), data.X, B[idx], data.patch_ids)
+    written = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert written == [[exp.patch_id, name, repr(float(value))]
+                       for exp in expected for name, value in zip(names, exp.contributions)]
+    # The subsample is a strict subset: all of the background explains otherwise.
+    whole = explain.explain_rows(learn.load(model), data.X, B, data.patch_ids)
+    assert any(not np.array_equal(a.contributions, b.contributions) for a, b in zip(expected, whole))
+
+
+def test_explain_plot_data_holds_the_rows_and_their_contributions(pipeline, tree_model, tmp_path):
+    out, plot = tmp_path / "contributions.csv", tmp_path / "plot.json"
+    assert run("explain", "--model", str(tree_model), "--features", str(pipeline["learned"]),
+               "--out", str(out), "--plot-data", str(plot)) == 0
+    names, rows = featureio.read_features(pipeline["learned"])
+    doc = json.loads(plot.read_text())
+    assert doc["features"] == names and doc["space"] == "probability"
+    assert [p["patch_id"] for p in doc["points"]] == [r.patch_id for r in rows]
+    assert [p["values"] for p in doc["points"]] == [r.features.tolist() for r in rows]
+    written = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert [c for p in doc["points"] for c in p["contributions"]] == written

@@ -578,6 +578,11 @@ def test_non_finite_inferred_vector_raises_from_both_paths():
 
 # --- embedder settings ---------------------------------------------------------
 
+# Each embedder setting's train-embedder flag, whose name is its config entry.
+_SETTING_FLAGS = {"n": "dim", "epochs": "epochs", "negative_samples": "negative", "learning_rate": "lr",
+                  "min_token_count": "min-count", "seed": "embedder-seed"}
+
+
 @pytest.mark.parametrize("key, value, flag", [
     ("n", 1, "--dim"),
     ("n", True, None),
@@ -599,15 +604,17 @@ def test_invalid_embedder_settings_are_rejected(tmp_path, capsys, key, value, fl
 
     corpus_path, out = tmp_path / "corpus.jsonl", tmp_path / "embedder.json"
     corpus.persist(synth.generate_corpus(4, 2, "learned", seed=1), corpus_path)
-    if flag is None:
-        (tmp_path / "config.json").write_text(json.dumps({"embedder": {key: value}}))
+    if flag is None:  # the setting's value as the config entry of its flag, which is of the flag's type
+        entry = _SETTING_FLAGS[key]
+        (tmp_path / "config.json").write_text(json.dumps({entry: value}))
         argv = ["--config", str(tmp_path / "config.json"), "train-embedder"]
+        refusal = f"error[usage]: --{entry} must be {'a number' if key == 'learning_rate' else 'an integer'}, got "
     else:
         argv = ["train-embedder", flag, str(value)]
+        # inf is no number, so the --lr flag refuses it before the embedder sees it.
+        refusal = f"error[usage]: {flag} must be a number, got inf" if value == math.inf else f"error[embed]: {message}"
     assert cli.main(argv + ["--corpus", str(corpus_path), "--out", str(out)]) == 1
-    # inf is no number, so the --lr flag refuses it before the embedder sees it.
-    refusal = f"error[usage]: {flag} must be a number, got inf" if value == math.inf else f"error[embed]: {message}"
-    assert refusal in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(refusal)
     assert not out.exists()
 
     path, doc = _saved_model_doc(tmp_path)

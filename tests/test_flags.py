@@ -31,8 +31,10 @@ PATHS = {"input", "corpus", "embeddings", "model", "features", "stats", "backgro
          "learned-features", "engineered-features"}
 
 # Each edit as (command-line text, the value that text spells).
+# Text that float() and int() read but a JSON number never spells ("1_0",
+# " 4") stays text, and a number flag refuses it.
 EDITS = (("0", 0), ("-1", -1), (str(10**400), 10**400), ("nan", math.nan), ("inf", math.inf), ("", ""),
-         ("abc", "abc"))
+         ("abc", "abc"), ("1_0", "1_0"), (" 4", " 4"))
 
 # The least value of the flags that have one: numpy's rule for a seed, and a
 # background subsample of at least one row.
