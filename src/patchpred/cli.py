@@ -13,16 +13,13 @@ import argparse
 import contextlib
 import json
 import os
-import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import diffparse, embed, engineered, evaluate, explain, featureio, fileio, filtering, learn, synth
-from .defaults import HYPERPARAMETER_CHECKS, integer, resolved_config
+from .defaults import HYPERPARAMETER_CHECKS, resolved_config
 from .errors import EvalError, FeatureError, PatchPredError, UsageError
 
 
@@ -100,8 +97,7 @@ def resolve(args, cfg) -> None:
         dest = flag.name.replace("-", "_")
         value = text = getattr(args, dest)
         # As JSON reads a number: an int if the text spells one, else a float (NaN and inf too), else text.
-        # Text with "_", whitespace or a non-ASCII character stays text, though float() and int() take it.
-        if isinstance(text, str) and flag.type in (int, float) and re.fullmatch(r"[-+.0-9A-Za-z]+", text):
+        if isinstance(text, str) and flag.type in (int, float) and fileio.number_text(text):
             with contextlib.suppress(ValueError):
                 value = float(text)
                 value = int(text)
@@ -320,9 +316,8 @@ def cmd_explain(args):
     names, rows = featureio.read_features(args.features)
     if args.interaction:
         pair = args.interaction.split(",")
-        for name in pair:
-            if name not in names:
-                raise FeatureError(f"--interaction names {name!r}, which is not a column of {args.features}")
+        if missing := [name for name in pair if name not in names]:
+            raise FeatureError(f"--interaction names {missing[0]!r}, which is not a column of {args.features}")
     data = learn.Dataset.of(rows)
     background = data.X
     if args.background:
@@ -330,22 +325,16 @@ def cmd_explain(args):
         if bnames != names:
             raise FeatureError(f"background {args.background} has other feature columns than {args.features}")
         background = learn.Dataset.of(brows).X
-    if len(background) > args.background_cap:
-        idx = np.sort(np.random.default_rng(args.seed).choice(len(background), size=args.background_cap,
-                                                              replace=False))
-        background = background[idx]
     targets = [i for i, pid in enumerate(data.patch_ids) if args.patch_id in (None, pid)]
     if not targets:
         raise FeatureError(f"--patch-id names {args.patch_id!r}, which is not a patch of {args.features}")
     X = data.X[targets]
-    keys = ("model", "features", "background", "background_cap", "seed", "patch_id")
+    keys = ("model", "features", "background", "patch_id")
     explanations = explain.explain_rows(model, X, background, [data.patch_ids[i] for i in targets])
     space = explanations[0].space
     if args.interaction:  # before any file is written: an lr model refuses it
-        ia, ib = names.index(pair[0]), names.index(pair[1])
-        values = [{"patch_id": exp.patch_id,
-                   "value": explain.interaction_pairs(model, x, ia, ib, background)}
-                  for exp, x in zip(explanations, X)]
+        values = explain.interaction_pairs(model, X, names.index(pair[0]), names.index(pair[1]), background)
+        values = [{"patch_id": exp.patch_id, "value": value} for exp, value in zip(explanations, values)]
     if args.out:
         _write(args.out, lambda path: fileio.write_csv(
             path, ["patch_id", "feature_name", "contribution"],
@@ -361,14 +350,9 @@ def cmd_explain(args):
     if args.interaction:
         _write(args.interaction_out, {"pair": pair, "space": space, "values": values}, args, keys)
     if args.plot_data:
-        _write(args.plot_data, {
-            "space": space,
-            "features": names,
-            "points": [{"patch_id": exp.patch_id,
-                        "values": [float(v) for v in x],
-                        "contributions": [float(c) for c in exp.contributions]}
-                       for exp, x in zip(explanations, X)],
-        }, args, keys)
+        _write(args.plot_data, {"space": space, "features": names, "points": [
+            {"patch_id": exp.patch_id, "values": x.tolist(), "contributions": exp.contributions.tolist()}
+            for exp, x in zip(explanations, X)]}, args, keys)
     print(f"explained {len(explanations)} predictions in {space} space"
           + (f" -> {args.out}" if args.out else ""))
 
@@ -468,9 +452,7 @@ COMMANDS = {
     "explain": (cmd_explain, "Shapley attributions for a trained model", [
         Flag("model", required=True),
         FEATURES,
-        Flag("background", help="background feature CSV (default: --features)"),
-        Flag("background-cap", int, 512, rule=integer(1)),
-        SEED,
+        Flag("background", help="background feature CSV, every row of it (default: --features)"),
         Flag("patch-id", help="explain a single patch"),
         Flag("out", output=True, help="per-instance contribution CSV"),
         Flag("global-out", output=True, help="ranked global importance JSON"),

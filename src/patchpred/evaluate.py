@@ -342,6 +342,8 @@ def read_predictions(path, labels: dict | None = None) -> list[dict]:
     for line, (pid, bug_id, label, probability, fold, *_rest) in records:
         where = f"{path} line {line}"
         try:
+            if not fileio.number_text(label, probability, fold):
+                raise ValueError(f"label {label!r}, probability {probability!r} and fold {fold!r} must be numbers")
             label, probability, fold = int(label), float(probability), int(fold)
             if label not in (0, 1) or not 0.0 <= probability <= 1.0:
                 raise ValueError(f"label {label}, probability {probability}: want 0 or 1, and [0, 1]")

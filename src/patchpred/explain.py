@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import crossing
+from . import crossing, fileio
 from .errors import ExplainError
 from .learn import LogisticRegressionModel, TreeModel, checked_arithmetic
 
@@ -228,24 +228,25 @@ def tree_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
     return _explain_table(model, _cached_table(model, background), X, [patch_id])[0]
 
 
+def _linear_rows(model, X: np.ndarray, background: np.ndarray, patch_ids) -> list[ShapExplanation]:
+    """Closed-form attributions of checked rows, elementwise; a row's output is
+    margin_batch of that row alone, as a batch product may differ in the last bit."""
+    with checked_arithmetic(ExplainError, "logistic regression attributions"):
+        bg_mean = background.mean(axis=0)
+        base = float(model.margin_batch(bg_mean[None, :])[0])
+        return [ShapExplanation(pid, base, contributions, float(model.margin_batch(x[None, :])[0]), "margin")
+                for pid, contributions, x in zip(patch_ids, model.weights / model.std * (X - bg_mean), X)]
+
+
 def linear_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
     """Closed-form attribution for logistic regression, in margin space."""
     if not isinstance(model, LogisticRegressionModel):
         raise ExplainError("linear_shap requires a LogisticRegression model")
-    X, background = _valid_inputs(model, [x], "x", background)
-    with checked_arithmetic(ExplainError, "logistic regression attributions"):
-        bg_mean = background.mean(axis=0)
-        effective_w = model.weights / model.std
-        contributions = effective_w * (X[0] - bg_mean)
-        base = float(model.margin_batch(bg_mean[None, :])[0])
-        output = float(model.margin_batch(X)[0])
-    return ShapExplanation(patch_id, base, contributions, output, "margin")
+    return _linear_rows(model, *_valid_inputs(model, [x], "x", background), [patch_id])[0]
 
 
 def explain_instance(model, x, background, patch_id: str = "") -> ShapExplanation:
-    if isinstance(model, LogisticRegressionModel):
-        return linear_shap(model, x, background, patch_id)
-    return tree_shap(model, x, background, patch_id)
+    return (linear_shap if isinstance(model, LogisticRegressionModel) else tree_shap)(model, x, background, patch_id)
 
 
 def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
@@ -255,7 +256,7 @@ def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
     X, background = _valid_inputs(model, X, "X", background)
     patch_ids = [""] * len(X) if patch_ids is None else list(patch_ids)
     if isinstance(model, LogisticRegressionModel):
-        return [linear_shap(model, x, background, pid) for x, pid in zip(X, patch_ids)]
+        return _linear_rows(model, X, background, patch_ids)
     model.explain_cache = None  # built afresh, then kept
     return _explain_table(model, _cached_table(model, background), X, patch_ids)
 
@@ -291,34 +292,37 @@ def global_importance(model, X, names, background) -> GlobalImportance:
     return rank_importance(explain_rows(model, X, background), names)
 
 
-def interaction_pairs(model, x, feature_a: int, feature_b: int, background) -> float:
-    """SHAP interaction value of two features for row x (half their Shapley
-    interaction index), from the same cached path table as tree_shap.
+def interaction_pairs(model, X, feature_a: int, feature_b: int, background) -> list[float]:
+    """SHAP interaction value of two features for each row of X (half their
+    Shapley interaction index), from the same cached path table as tree_shap;
+    [x] for one row x.
 
     A path that does not split on both features adds nothing. One that
     does adds value * (one_a - zero_a) * (one_b - zero_b) *
     integral_0^1 prod_{k != a, b} (zero_k (1-t) + one_k t) dt, a polynomial
     of degree D-2 that its group's quadrature integrates exactly. Every step
-    treats the two features alike, so swapping them gives the same bits.
+    treats the two features alike and each row apart, so swapping them or
+    batching rows gives the same bits.
     """
-    m = model.feature_count
     for i in (feature_a, feature_b):
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < m:
-            raise ExplainError(f"interaction features must be integer indices in [0, {m}), got {i!r}")
+        if not (fileio.is_number(i, integer=True) and 0 <= i < model.feature_count):
+            raise ExplainError(f"interaction features must be integer indices in [0, {model.feature_count}), got {i!r}")
     if feature_a == feature_b:
         raise ExplainError("interaction requires two distinct features")
-    X, background = _valid_inputs(model, [x], "x", background)
-    x, total = X[0], 0.0
+    X, background = _valid_inputs(model, X, "X", background)
+    total = np.zeros(len(X))
     for group in _cached_table(model, background)[0]:
         pair = (group.feature == feature_a) | (group.feature == feature_b)
         both = np.count_nonzero(pair, axis=0) == 2
         if not both.any():
             continue
-        pair, zero = pair[:, both], group.zero[:, both]
-        one = x[group.feature[:, both]]
-        one = ((one > group.lo[:, both]) & (one <= group.hi[:, both])).astype(float)
-        integral = np.zeros(zero.shape[1])
-        for t, weight in zip(group.nodes, group.weights):
-            integral += weight * np.prod(np.where(pair, one - zero, one * t + zero * (1.0 - t)), axis=0)
-        total += float(np.sum(group.value[both] * integral))
-    return total / 2.0
+        pair, zero, feature, lo, hi = (a[:, both] for a in (pair, group.zero, group.feature, group.lo, group.hi))
+        step = max(1, _BLOCK_BYTES // (8 * feature.size))
+        for start in range(0, len(X), step):
+            one = X[start:start + step, feature]  # (R, D, P)
+            one = ((one > lo) & (one <= hi)).astype(float)
+            integral = sum(weight * np.prod(np.where(pair, one - zero, one * t + zero * (1.0 - t)), axis=1)
+                           for t, weight in zip(group.nodes, group.weights))
+            # Each row summed alone: np.sum(axis=1) may add a short row's terms in another order.
+            total[start:start + step] += [np.sum(terms) for terms in group.value[both] * integral]
+    return (total / 2.0).tolist()

@@ -38,6 +38,8 @@ def read_features(path) -> tuple[list[str], list[FeatureRow]]:
         if record[2] not in _CSV_LABELS:
             raise FeatureError(f"{where} has label {record[2]!r}; expected 0, 1 or empty")
         try:
+            if not fileio.number_text(*record[3:]):
+                raise ValueError(repr(next(v for v in record[3:] if not fileio.number_text(v))))
             values = np.array([float(v) for v in record[3:]], dtype=float)
         except ValueError as exc:
             raise FeatureError(f"{where} has a value that is not a number: {exc}") from None

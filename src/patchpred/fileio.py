@@ -4,13 +4,14 @@ with one record per line and blank lines skipped, through read_lines and
 write_lines (corpus, fragments and embeddings JSONL) or read_csv and write_csv
 (feature, prediction and other CSVs). The readers stream and name the line.
 The one rule for what a number in a file or a setting is: is_number for one
-value, numbers for the arrays of a JSON document."""
+value, numbers for the arrays of a JSON document, number_text for text."""
 
 import csv
 import functools
 import json
 import math
 import operator
+import re
 import struct
 from numbers import Integral, Real
 
@@ -48,6 +49,12 @@ def is_number(value, integer: bool = False) -> bool:
         return _numeric(type(value), integer) and math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
+
+
+def number_text(*texts: str) -> bool:
+    """Whether `texts`, checked joined, hold no "_", whitespace or non-ASCII character: float() and int()
+    read such text ("1_0", " 4", "١"), but no JSON number spells it, so it is no number."""
+    return re.fullmatch(r"[-+.0-9A-Za-z]*", "".join(texts)) is not None
 
 
 def _numeric(kind: type, integer: bool) -> bool:

@@ -178,20 +178,21 @@ def _bad_prediction_rows(case, rows):
     if case in ("short-row", "long-row"):
         return [header, first[:-1] if case == "short-row" else first + ["0"], *rest], 2
     column, value = {"label-not-a-number": (2, "x"), "label-not-0/1": (2, "2"),
-                     "label-differs": (2, str(1 - int(first[2]))),
-                     "probability-nan": (3, "nan"), "probability-above-1": (3, "1.5")}[case]
+                     "label-differs": (2, str(1 - int(first[2]))), "label-space": (2, f" {first[2]}"),
+                     "probability-nan": (3, "nan"), "probability-above-1": (3, "1.5"),
+                     "fold-underscore": (4, f"0_{first[4]}"), "fold-arabic-digit": (4, "\u0661")}[case]
     return [header, first[:column] + [value] + first[column + 1:], *rest], 2
 
 
 @pytest.mark.parametrize("case", ["no-fold-column", "label-not-a-number", "label-not-0/1", "patch-id-repeated",
-                                  "label-differs", "probability-nan", "probability-above-1", "short-row",
-                                  "long-row"])
+                                  "label-differs", "label-space", "probability-nan", "probability-above-1",
+                                  "fold-underscore", "fold-arabic-digit", "short-row", "long-row"])
 def test_compare_names_the_file_and_line_of_a_bad_prediction(case, pipeline, tmp_path, capsys):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     assert run("crossval", "--features", str(pipeline["learned"]), "--learner", "nb", "--k", "4",
                "--out", str(tmp_path / "r.json"), "--out-predictions", str(good)) == 0
     rows, line = _bad_prediction_rows(case, [line.split(",") for line in good.read_text().splitlines()])
-    bad.write_text("".join(",".join(row) + "\n" for row in rows))
+    bad.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     capsys.readouterr()
     assert run("compare", "--a", str(good), "--b", str(bad), "--out", str(tmp_path / "o.json")) == 1
     assert capsys.readouterr().err.startswith(f"error[eval]: {bad} line {line}: ")
@@ -351,9 +352,8 @@ EXPECTED_OPTIONS = {
                 ("--learned-features", None), ("--engineered-features", None), ("--k", None),
                 ("--seed", None), ("--threshold", None), ("--hyper", None), ("--out", None),
                 ("--out-predictions", None)],
-    "explain": [("--model", None), ("--features", None), ("--background", None),
-                ("--background-cap", None), ("--seed", None), ("--patch-id", None), ("--out", None),
-                ("--global-out", None), ("--interaction", None), ("--interaction-out", None),
+    "explain": [("--model", None), ("--features", None), ("--background", None), ("--patch-id", None),
+                ("--out", None), ("--global-out", None), ("--interaction", None), ("--interaction-out", None),
                 ("--plot-data", None)],
     "compare": [("--a", None), ("--b", None), ("--threshold", None), ("--out", None)],
 }
@@ -381,8 +381,6 @@ def test_subcommand_options_and_choices():
                  id="interaction-one-name"),
     pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--interaction", "B-0,nope"],
                  id="interaction-unknown-name"),
-    *[pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--background-cap", cap],
-                   id=f"background-cap-{cap}") for cap in ("0", "-1")],
     pytest.param(["train", "--features", "LEARNED", "--learner", "nb", "--out", "TMP"],
                  id="out-is-a-directory"),
     pytest.param(["--config", "TMP/wrong_type.json", "train", "--features", "LEARNED", "--out", "TMP/m.json"],
@@ -446,8 +444,6 @@ def test_bad_input_gets_categorized_error(argv, pipeline, tree_model, tmp_path, 
     if "--threshold" in argv:  # NaN is no number; a number outside [0, 1] is crossval's to refuse
         assert ("error[usage]: --threshold must be a number, got nan" in err if "nan" in argv
                 else "error[eval]" in err and "is not in [0, 1]" in err)
-    if "--background-cap" in argv:
-        assert "error[usage]" in err and "--background-cap must be an integer >= 1" in err
     if any(a.endswith("list.json") for a in argv):
         assert "list.json: not a" in err and "it holds no JSON object" in err
 
@@ -500,8 +496,8 @@ def test_interactions_json_holds_interaction_pairs_of_every_row(pipeline, tmp_pa
     doc = json.loads(out.read_text())
     assert doc["pair"] == [names[a], names[b]] and doc["space"] == "probability"
     background = np.array([r.features for r in rows])
-    expected = [{"patch_id": r.patch_id, "value": explain.interaction_pairs(model, r.features, a, b, background)}
-                for r in rows]
+    expected = [{"patch_id": r.patch_id, "value": value}  # one call per row: the same bits as the batch
+                for r in rows for value in explain.interaction_pairs(model, [r.features], a, b, background)]
     assert doc["values"] == expected
     assert any(v["value"] != 0.0 for v in expected)
 
@@ -604,29 +600,30 @@ def test_invalid_tree_hyperparameters_get_learn_error(pipeline, tmp_path, capsys
 @pytest.mark.parametrize("argv, category", [
     *[pytest.param(["train", "--features", "LEARNED", "--learner", learner], "usage", id=f"train-{learner}")
       for learner in ("lr", "nb", "dt", "rf", "gbt", "dnn")],
-    pytest.param(["explain", "--model", "MODEL", "--features", "LEARNED", "--background-cap", "5"], "usage",
-                 id="explain"),
 ])
-def test_a_negative_seed_gets_a_categorized_error(argv, category, pipeline, tree_model, tmp_path, capsys):
+def test_a_negative_seed_gets_a_categorized_error(argv, category, pipeline, tmp_path, capsys):
     # numpy's rule for a seed, an integer >= 0, is the --seed flag's, for
-    # every learner (dt, lr and gbt never draw from it) and for explain's
-    # background subsample.
+    # every learner (dt, lr and gbt never draw from it).
     out = tmp_path / "out"
-    fill = {"LEARNED": str(pipeline["learned"]), "MODEL": str(tree_model)}
+    fill = {"LEARNED": str(pipeline["learned"])}
     assert run(*[fill.get(a, a) for a in argv], "--seed", "-1", "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error[{category}]: ") and "seed must be an integer >= 0, got -1" in err
     assert "Traceback" not in err and not out.exists()
 
 
+# float() reads "1_0", "１" (full-width) and " 2 ", but a number in a file
+# is spelled as JSON spells one (fileio.number_text).
 @pytest.mark.parametrize("record, message", [
     ("p1,b1", "line 2: patch 'p1' has 2 fields"),
     ("p1,b1,yes,0.5", "line 2: patch 'p1' has label 'yes'"),
     ("p1,b1,1,abc", "line 2: patch 'p1' has a value that is not a number"),
-], ids=["two-fields", "label-yes", "value-abc"])
+    *[(f"p1,b1,1,{value}", f"line 2: patch 'p1' has a value that is not a number: {value!r}")
+      for value in ("1_0", "\uff11", " 2 ")],
+], ids=["two-fields", "label-yes", "value-abc", "value-underscore", "value-full-width", "value-spaces"])
 def test_malformed_feature_record_is_a_features_error_naming_file_and_line(tmp_path, capsys, record, message):
     path = tmp_path / "bad.csv"
-    path.write_text(f"patch_id,bug_id,label,x\n{record}\np2,b2,0,1.0\n")
+    path.write_text(f"patch_id,bug_id,label,x\n{record}\np2,b2,0,1.0\n", encoding="utf-8")
     assert run("train", "--features", str(path), "--out", str(tmp_path / "m.json")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[features]: ") and f"{path} {message}" in err
@@ -714,14 +711,17 @@ def test_one_fold_is_refused_with_an_eval_error(pipeline, tmp_path, capsys, comm
                  "error[usage]: --hyper must be text holding a JSON object, got 'abc'\n", id="hyper-abc"),
     pytest.param({"hyper": "[1]"}, ["crossval", "--features", "LEARNED"],
                  "error[usage]: --hyper must be text holding a JSON object, got '[1]'\n", id="config-hyper-a-list"),
+    pytest.param({"background-cap": 600}, ["explain", "--model", "MODEL", "--features", "LEARNED"],
+                 "error[usage]: unknown config entries ['background-cap']: an entry is a flag's name, outdir or "
+                 "hyperparameters\n", id="background-cap-is-gone"),
     pytest.param({"outdir": 5}, ["gen-synthetic", "--bugs", "3"],
                  "error[usage]: config entry \"outdir\" must be a string, got 5\n", id="outdir-a-number"),
 ])
-def test_a_config_or_flag_that_breaks_a_rule_is_refused_with_one_line(config, argv, message, pipeline, tmp_path,
-                                                                      capsys):
+def test_a_config_or_flag_that_breaks_a_rule_is_refused_with_one_line(config, argv, message, pipeline, tree_model,
+                                                                      tmp_path, capsys):
     path, out = tmp_path / "config.json", tmp_path / "out.json"
     path.write_text(json.dumps(config))
-    fill = {"LEARNED": str(pipeline["learned"]), "CORPUS": str(pipeline["corpus"])}
+    fill = {"LEARNED": str(pipeline["learned"]), "CORPUS": str(pipeline["corpus"]), "MODEL": str(tree_model)}
     assert run("--config", str(path), *[fill.get(a, a) for a in argv], "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
@@ -780,30 +780,41 @@ def test_a_missing_required_flag_is_a_usage_error_and_writes_nothing(pipeline, t
     assert list(tmp_path.iterdir()) == []
 
 
-# --- explain: a background file, its seeded subsample and the plot data ----------
+# --- explain: the whole background, a background file and the plot data --------
 
-@pytest.mark.parametrize("source", ["features", "file"])
-def test_explain_subsamples_a_background_larger_than_the_cap(source, pipeline, tmp_path):
+def test_explain_uses_every_row_of_the_features_past_512(tmp_path):
+    # A deep tree on 600 rows of continuous values has leaves of one row,
+    # which a subsample of the rows would leave uncovered.
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(600, 4))
+    rows = [FeatureRow(f"p{i}", f"b{i // 3}", x, int(x[0] * x[1] + 0.3 * rng.normal() > 0)) for i, x in enumerate(X)]
+    names, features, model = ["a", "b", "c", "d"], tmp_path / "features.csv", tmp_path / "dt.json"
+    featureio.write_features(features, rows, names)
+    assert run("train", "--features", str(features), "--learner", "dt", "--out", str(model)) == 0
+    out = tmp_path / "contributions.csv"
+    assert run("explain", "--model", str(model), "--features", str(features), "--out", str(out)) == 0
+    data = learn.Dataset.of(featureio.read_features(features)[1])
+    expected = explain.explain_rows(learn.load(model), data.X, data.X, data.patch_ids)
+    assert [line.split(",") for line in out.read_text().splitlines()[1:]] == [
+        [exp.patch_id, name, repr(float(value))] for exp in expected for name, value in zip(names, exp.contributions)]
+
+
+def test_explain_uses_every_row_of_background(pipeline, tmp_path):
     # A linear model: any background covers it, where a tree's nodes need rows.
     model = tmp_path / "lr.json"
     assert run("train", "--features", str(pipeline["learned"]), "--learner", "lr", "--out", str(model)) == 0
     names, rows = featureio.read_features(pipeline["learned"])
-    background_rows = rows if source == "features" else rows[5:30]
-    background = ["--background", str(tmp_path / "background.csv")] if source == "file" else []
-    if background:
-        featureio.write_features(tmp_path / "background.csv", background_rows, names)
+    featureio.write_features(tmp_path / "background.csv", rows[5:30], names)
     out = tmp_path / "contributions.csv"
-    assert run("explain", "--model", str(model), "--features", str(pipeline["learned"]), *background,
-               "--background-cap", "7", "--seed", "4", "--out", str(out)) == 0
-    B = learn.Dataset.of(background_rows).X
-    idx = np.sort(np.random.default_rng(4).choice(len(B), 7, replace=False))
+    assert run("explain", "--model", str(model), "--features", str(pipeline["learned"]),
+               "--background", str(tmp_path / "background.csv"), "--out", str(out)) == 0
     data = learn.Dataset.of(rows)
-    expected = explain.explain_rows(learn.load(model), data.X, B[idx], data.patch_ids)
+    expected = explain.explain_rows(learn.load(model), data.X, learn.Dataset.of(rows[5:30]).X, data.patch_ids)
     written = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert written == [[exp.patch_id, name, repr(float(value))]
                        for exp in expected for name, value in zip(names, exp.contributions)]
-    # The subsample is a strict subset: all of the background explains otherwise.
-    whole = explain.explain_rows(learn.load(model), data.X, B, data.patch_ids)
+    # The file's rows are the background: the features' own rows explain otherwise.
+    whole = explain.explain_rows(learn.load(model), data.X, data.X, data.patch_ids)
     assert any(not np.array_equal(a.contributions, b.contributions) for a, b in zip(expected, whole))
 
 

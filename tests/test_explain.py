@@ -174,7 +174,7 @@ def test_interaction_zero_for_additive_model():
     t2 = stump(1, 0.0, 0.0, 1.0)
     model = RandomForestModel(2, {"n_trees": 2}, 0, learn.Forest.load([t1, t2], 2))
     background = np.random.default_rng(5).normal(size=(30, 2))
-    value = interaction_pairs(model, np.array([0.3, -0.7]), 0, 1, background)
+    value = interaction_pairs(model, [np.array([0.3, -0.7])], 0, 1, background)[0]
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -183,10 +183,10 @@ def test_interaction_matches_brute_force_and_is_symmetric():
     for _ in range(6):
         model, X = random_tree_model(rng, 4, "dt")
         x = X[0]
-        fast = interaction_pairs(model, x, 0, 1, X)
+        fast = interaction_pairs(model, [x], 0, 1, X)[0]
         slow = brute_force_interaction(model, x, 0, 1, X)
         assert fast == pytest.approx(slow, abs=1e-9)
-        assert interaction_pairs(model, x, 1, 0, X) == pytest.approx(fast, abs=1e-12)
+        assert interaction_pairs(model, [x], 1, 0, X)[0] == pytest.approx(fast, abs=1e-12)
 
 
 def test_depth_two_tree_has_nonzero_interaction():
@@ -199,7 +199,7 @@ def test_depth_two_tree_has_nonzero_interaction():
     model = DecisionTreeModel(2, {}, 0, learn.Forest.load([tree], 2))
     background = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     x = np.array([-0.5, 0.5])
-    fast = interaction_pairs(model, x, 0, 1, background)
+    fast = interaction_pairs(model, [x], 0, 1, background)[0]
     slow = brute_force_interaction(model, x, 0, 1, background)
     assert fast == pytest.approx(slow, abs=1e-12)
     assert abs(fast) > 1e-6
@@ -281,9 +281,9 @@ def test_path_table_matches_recursion_and_brute_force(case):
             assert exp.model_output == model.predict_proba(x)
         for a in range(model.feature_count):
             for b in range(a + 1, model.feature_count):
-                value = interaction_pairs(model, x, a, b, X)
+                value = interaction_pairs(model, [x], a, b, X)[0]
                 assert abs(value - brute_force_interaction(model, x, a, b, X)) <= 1e-12
-                assert interaction_pairs(model, x, b, a, X) == value
+                assert interaction_pairs(model, [x], b, a, X)[0] == value
 
 
 @pytest.mark.parametrize("block_bytes", [1, 4096, explain._BLOCK_BYTES])
@@ -344,7 +344,7 @@ def test_interactions_for_many_rows_compute_covers_once_per_tree(monkeypatch):
     rng = np.random.default_rng(14)
     model, X = random_tree_model(rng, 4, "rf")
     calls = count_cover_calls(monkeypatch)
-    values = [interaction_pairs(model, x, 0, 3, X) for x in X[:5]]
+    values = [interaction_pairs(model, [x], 0, 3, X)[0] for x in X[:5]]
     assert len(calls) == 1
     reference = [brute_force_interaction(model, x, 0, 3, X) for x in X[:5]]
     assert np.max(np.abs(np.subtract(values, reference))) <= 1e-12
@@ -358,24 +358,40 @@ def test_interactions_after_explain_rows_reuse_its_table(monkeypatch, kind):
     monkeypatch.setattr(explain, "_path_table",
                         lambda *args: builds.append(1) or path_table(*args))
     explanations = explain.explain_rows(model, X, X)
-    values = [interaction_pairs(model, x, 1, 2, X) for x in X]
+    values = [interaction_pairs(model, [x], 1, 2, X)[0] for x in X]
     assert len(builds) == 1
     assert tree_shap(model, X[0], X).contributions.tolist() == explanations[0].contributions.tolist()
     assert len(builds) == 1
     model.explain_cache = None
-    assert [interaction_pairs(model, x, 1, 2, X) for x in X] == values
+    assert [interaction_pairs(model, [x], 1, 2, X)[0] for x in X] == values
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("block_bytes", [1, 4096, explain._BLOCK_BYTES])
+@pytest.mark.parametrize("kind", ["dt", "rf", "gbt"])
+def test_interactions_of_a_batch_are_the_bits_of_each_row_alone(kind, block_bytes, monkeypatch):
+    # Trees deep enough that groups hold more than eight paths through both
+    # features, where numpy may sum a batch's rows in another order.
+    X = np.random.default_rng(18).normal(size=(300, 5))
+    y = (X[:, 0] * X[:, 1] + X[:, 3] - X[:, 2] * X[:, 4] > 0).astype(int)
+    model = learn.train(kind, fit_rows(X, y), {"max_depth": 6, **({"n_trees": 5} if kind == "rf" else {})}, seed=2)
+    alone = [[interaction_pairs(model, [x], a, b, X)[0] for x in X] for a, b in ((0, 1), (1, 3), (4, 2))]
+    monkeypatch.setattr(explain, "_BLOCK_BYTES", block_bytes)
+    assert [interaction_pairs(model, X, a, b, X) for a, b in ((0, 1), (1, 3), (4, 2))] == alone
+    assert any(value != 0.0 for values in alone for value in values)
+    order = np.random.default_rng(19).permutation(len(X))
+    assert interaction_pairs(model, X[order], 1, 3, X) == [alone[1][i] for i in order]
 
 
 @pytest.mark.parametrize("index", [-1, "feature_count", 1.0, True, "0"])
 def test_interaction_feature_index_out_of_range_or_not_an_integer_is_refused(index):
     model, X = random_tree_model(np.random.default_rng(16), 3, "dt")
     index = model.feature_count if index == "feature_count" else index
-    value = interaction_pairs(model, X[0], 0, 2, X)
-    assert interaction_pairs(model, X[0], np.int64(0), np.intp(2), X) == value
+    value = interaction_pairs(model, X[:1], 0, 2, X)
+    assert interaction_pairs(model, X[:1], np.int64(0), np.intp(2), X) == value
     for a, b in ((0, index), (index, 0)):
         with pytest.raises(ExplainError, match="integer indices"):
-            interaction_pairs(model, X[0], a, b, X)
+            interaction_pairs(model, X[:1], a, b, X)
 
 
 def test_uncovered_background_raises_after_a_cached_success():
@@ -435,7 +451,7 @@ def test_bad_explain_inputs_raise_explain_error(kind, what):
              lambda: explain.explain_rows(model, rows, background),
              lambda: global_importance(model, rows, names, background)]
     if kind != "lr":
-        calls.append(lambda: interaction_pairs(model, x, 0, 1, background))
+        calls.append(lambda: interaction_pairs(model, [x], 0, 1, background))
     for call in calls:
         with pytest.raises(ExplainError, match="x |X |background "):
             call()
@@ -476,7 +492,7 @@ def test_saved_v1_models_explain_to_the_recorded_bits(name):
     assert [[repr(v) for v in e.contributions.tolist()] for e in explanations] == expected["contributions"]
     assert [repr(e.base_value) for e in explanations] == [expected["base_value"]] * len(probe)
     pair = expected["interaction"]
-    value = interaction_pairs(model, probe[pair["row"]], *pair["features"], background)
+    value = interaction_pairs(model, [probe[pair["row"]]], *pair["features"], background)[0]
     assert repr(value) == pair["value"]
 
 

@@ -8,8 +8,8 @@ raised as errors (pyproject.toml's pytest filterwarnings, and the CI step's
 A run passes if it exits 1 with one error[<category>] line and writes no
 file, or exits 0 with finite outputs. A value that breaks its flag's rule
 (a number flag's value that is no number as fileio.is_number has them, a
-value outside a flag's choices, a seed below 0, a background cap below 1, a
-config entry of the wrong type) must end in error[usage] naming the flag.
+value outside a flag's choices, a seed below 0, a config entry of the wrong
+type) must end in error[usage] naming the flag.
 Where the two forms carry the same value, they print the same line and
 write the same files.
 
@@ -36,9 +36,8 @@ PATHS = {"input", "corpus", "embeddings", "model", "features", "stats", "backgro
 EDITS = (("0", 0), ("-1", -1), (str(10**400), 10**400), ("nan", math.nan), ("inf", math.inf), ("", ""),
          ("abc", "abc"), ("1_0", "1_0"), (" 4", " 4"))
 
-# The least value of the flags that have one: numpy's rule for a seed, and a
-# background subsample of at least one row.
-LEAST = {"seed": 0, "background-cap": 1}
+# The least value of the flags that have one: numpy's rule for a seed.
+LEAST = {"seed": 0}
 
 # A run of each command that exits 0; an edit replaces or adds one flag.
 BASE = {
@@ -57,8 +56,7 @@ BASE = {
     "combine": ["--strategy", "concat", "--learner", "nb", "--learned-features", "LEARNED",
                 "--engineered-features", "ENGINEERED", "--k", "4", "--seed", "1", "--threshold", "0.5",
                 "--out", "OUT/cb.json"],
-    "explain": ["--model", "MODEL", "--features", "LEARNED", "--background-cap", "32", "--seed", "1",
-                "--out", "OUT/x.csv"],
+    "explain": ["--model", "MODEL", "--features", "LEARNED", "--out", "OUT/x.csv"],
     "compare": ["--a", "PREDICTIONS", "--b", "PREDICTIONS", "--threshold", "0.5", "--out", "OUT/o.json"],
 }
 
