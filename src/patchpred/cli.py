@@ -316,8 +316,9 @@ def cmd_explain(args):
     names, rows = featureio.read_features(args.features)
     if args.interaction:
         pair = args.interaction.split(",")
-        if missing := [name for name in pair if name not in names]:
-            raise FeatureError(f"--interaction names {missing[0]!r}, which is not a column of {args.features}")
+        for name in pair:
+            if name not in names:
+                raise FeatureError(f"--interaction names {name!r}, which is not a column of {args.features}")
     data = learn.Dataset.of(rows)
     background = data.X
     if args.background:
@@ -350,9 +351,14 @@ def cmd_explain(args):
     if args.interaction:
         _write(args.interaction_out, {"pair": pair, "space": space, "values": values}, args, keys)
     if args.plot_data:
-        _write(args.plot_data, {"space": space, "features": names, "points": [
-            {"patch_id": exp.patch_id, "values": x.tolist(), "contributions": exp.contributions.tolist()}
-            for exp, x in zip(explanations, X)]}, args, keys)
+        _write(args.plot_data, {
+            "space": space,
+            "features": names,
+            "points": [{"patch_id": exp.patch_id,
+                        "values": [float(v) for v in x],
+                        "contributions": [float(c) for c in exp.contributions]}
+                       for exp, x in zip(explanations, X)],
+        }, args, keys)
     print(f"explained {len(explanations)} predictions in {space} space"
           + (f" -> {args.out}" if args.out else ""))
 

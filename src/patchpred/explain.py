@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import crossing, fileio
+from . import crossing
 from .errors import ExplainError
 from .learn import LogisticRegressionModel, TreeModel, checked_arithmetic
 
@@ -246,7 +246,9 @@ def linear_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
 
 
 def explain_instance(model, x, background, patch_id: str = "") -> ShapExplanation:
-    return (linear_shap if isinstance(model, LogisticRegressionModel) else tree_shap)(model, x, background, patch_id)
+    if isinstance(model, LogisticRegressionModel):
+        return linear_shap(model, x, background, patch_id)
+    return tree_shap(model, x, background, patch_id)
 
 
 def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
@@ -304,9 +306,10 @@ def interaction_pairs(model, X, feature_a: int, feature_b: int, background) -> l
     treats the two features alike and each row apart, so swapping them or
     batching rows gives the same bits.
     """
+    m = model.feature_count
     for i in (feature_a, feature_b):
-        if not (fileio.is_number(i, integer=True) and 0 <= i < model.feature_count):
-            raise ExplainError(f"interaction features must be integer indices in [0, {model.feature_count}), got {i!r}")
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < m:
+            raise ExplainError(f"interaction features must be integer indices in [0, {m}), got {i!r}")
     if feature_a == feature_b:
         raise ExplainError("interaction requires two distinct features")
     X, background = _valid_inputs(model, X, "X", background)
