@@ -13,20 +13,6 @@ from enum import Enum
 
 from .errors import DiffParseError
 
-# Lines excluded from hunk bodies. "\" covers the "\ No newline at end of
-# file" marker that git emits inside hunks.
-_FILE_HEADER_PREFIXES = ("--- ", "+++ ", "diff ", "index ")
-_PREAMBLE_PREFIXES = _FILE_HEADER_PREFIXES + (
-    "new file",
-    "deleted file",
-    "old mode",
-    "new mode",
-    "similarity",
-    "rename ",
-    "copy ",
-    "Binary files",
-)
-
 
 class LineTag(Enum):
     CONTEXT = " "
@@ -73,7 +59,8 @@ def parse_diff(diff_text: str) -> HunkSet:
     """Classify every hunk body line as context/removed/added.
 
     File headers and git preamble are excluded. A second file section after
-    hunks have started is rejected: multi-file diffs must be pre-split.
+    hunks have started, a `diff ` line or a `--- ` line followed by a `+++ `
+    line and a hunk header, is rejected: multi-file diffs must be pre-split.
     """
     if not diff_text or not diff_text.strip():
         raise DiffParseError("empty diff text")
@@ -107,6 +94,10 @@ def parse_diff(diff_text: str) -> HunkSet:
         if line == "":
             body.append((LineTag.CONTEXT, ""))
             continue
+        # The next file's section: a `diff ` line, or its `--- ` and `+++ ` headers before a hunk.
+        if line.startswith("diff ") or (line.startswith("--- ") and lineno + 1 < len(lines)
+                                        and lines[lineno].startswith("+++ ") and lines[lineno + 1].startswith("@@")):
+            raise DiffParseError(f"line {lineno}: multi-file diff not supported; split per file upstream")
         first = line[0]
         if first == " ":
             body.append((LineTag.CONTEXT, line[1:]))
@@ -114,8 +105,6 @@ def parse_diff(diff_text: str) -> HunkSet:
             body.append((LineTag.REMOVED, line[1:]))
         elif first == "+":
             body.append((LineTag.ADDED, line[1:]))
-        elif line.startswith("diff "):
-            raise DiffParseError(f"line {lineno}: multi-file diff not supported; split per file upstream")
         else:
             raise DiffParseError(f"line {lineno}: unknown diff line prefix {first!r}: {line!r}")
     flush()

@@ -32,9 +32,12 @@ def read_features(path) -> tuple[list[str], list[FeatureRow]]:
     names = next(records)[3:]
     if not names:
         raise FeatureError(f"{path}: no feature columns")
-    rows = []
+    rows, lines = [], {}  # patch_id: its line
     for line, record in records:
         where = f"{path} line {line}: patch {record[0]!r}"
+        if record[0] in lines:
+            raise FeatureError(f"{where} is already on line {lines[record[0]]}")
+        lines[record[0]] = line
         if record[2] not in _CSV_LABELS:
             raise FeatureError(f"{where} has label {record[2]!r}; expected 0, 1 or empty")
         try:

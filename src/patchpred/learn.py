@@ -182,11 +182,10 @@ class Forest:
             np.asarray(a, dtype=dtype) for a, dtype in zip((feature, threshold, left, right, value), _FIELD_TYPES))
         itself, first = np.arange(len(self.feature)), np.repeat(self.offsets[:-1], sizes)
         self.left, self.right = (np.where(self.feature < 0, itself, side + first) for side in (left, right))
-        # Unique nodes: a saved file may give two splits one child.
         self.levels, nodes = [], self.offsets[:-1]
         while len(nodes := nodes[self.feature[nodes] >= 0]):
             self.levels.append(nodes)
-            nodes = np.unique(np.concatenate([self.left[nodes], self.right[nodes]]))
+            nodes = np.concatenate([self.left[nodes], self.right[nodes]])
 
     @classmethod
     def load(cls, dicts, feature_count: int, probabilities: bool = False) -> "Forest":
@@ -194,9 +193,10 @@ class Forest:
         are non-empty lists of one length, its features and children
         integers and its thresholds and values numbers (fileio.numbers;
         values in [0, 1] with `probabilities`), and each split's feature
-        below feature_count and its children after it in its tree. Each
-        field is read once for the whole forest, and the rules are checked
-        in that order, each naming the tree (and node) of its first break."""
+        below feature_count and its children after it in its tree, and
+        each node but a root the child of exactly one split. Each field is
+        read once for the whole forest, and the rules are checked in that
+        order, each naming the tree (and node) of its first break."""
         trees = [[d[field] for field in _TREE_FIELDS] for d in dicts]
         for t, tree in enumerate(trees):
             if not (tree[0] and all(isinstance(a, list) for a in tree) and len(set(map(len, tree))) == 1):
@@ -215,12 +215,18 @@ class Forest:
         feature, left, right = read((0, 2, 3), "features and children", integer=True)
         threshold, value = read((1, 4), "thresholds and values")
         tree_of = np.repeat(np.arange(len(sizes)), sizes)
-        node, n = np.arange(len(feature)) - (np.cumsum(sizes) - sizes)[tree_of], sizes[tree_of]
+        first = (np.cumsum(sizes) - sizes)[tree_of]
+        node, n, split = np.arange(len(feature)) - first, sizes[tree_of], feature >= 0
+        inside = split & (node < left) & (left < n) & (node < right) & (right < n)
+        # Only children inside their tree are counted: the others break an earlier rule.
+        parents = np.bincount(np.concatenate([left[inside], right[inside]]) + np.tile(first[inside], 2),
+                              minlength=len(feature))
         for bad, rule in (  # a leaf's children are never read, whatever integers they are
                 (probabilities and (value < 0) | (value > 1), "values must be probabilities, in [0, 1]"),
                 ((feature < -1) | (feature >= feature_count), "node {at} splits on feature {f}; the model has {m}"),
-                ((feature >= 0) & ~((node < left) & (left < n) & (node < right) & (right < n)),
-                 "node {at} has children {l} and {r}; they must lie in ({at}, {n})")):
+                (split & ~inside, "node {at} has children {l} and {r}; they must lie in ({at}, {n})"),
+                (parents > 1, "node {at} is the child of more than one split"),
+                ((parents == 0) & (node > 0), "node {at} is not the child of any split")):
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise ValueError(f"tree {tree_of[i]} " + rule.format(
@@ -492,15 +498,16 @@ class _Nodes:
 # --- one tree at a time: presorted keys and partitions ------------------------
 
 class _Scratch:
-    """Per-fit buffers for growing one tree at a time on one X and one set
-    of sample weights, filled with out= at every node.
+    """One fit's presort engine, as _ForestGrower is a forest's: X, sample
+    weights, criterion (mse, else gini), max_depth, min_leaf and buffers
+    filled with out= at every node, on which grow adds one tree at a time.
 
     Every non-constant column's rows are kept in value order, ties in row
     order, as packed keys rank << bits | row (_dense_ranks, then one integer
-    sort, reused by every tree grown on the same X), and children's lists
-    are partitioned into two more key buffers. A node's lists are a
-    contiguous (columns, rows) block of one of them, located by `where` =
-    (buffer, offset, columns). A node is searched and partitioned a block of
+    sort, reused by every tree grown), and children's lists are
+    partitioned into two more key buffers. A node's lists are a contiguous
+    (columns, rows) block of one of them, located by `where` = (buffer,
+    offset, columns). A node is searched and partitioned a block of
     columns at a time (see blocks), each block's rows one `&` of its keys and
     its ranks one `>>`, into per-block buffers (see _cut_positions) sized
     once for the largest block, as the forest grower bounds a group by
@@ -516,9 +523,11 @@ class _Scratch:
     so that both grow the same tree in lockstep.
     """
 
-    def __init__(self, X, weights, mse: bool, peer=None):
+    def __init__(self, X, weights, mse: bool, max_depth, min_leaf, peer=None):
+        self.X = X = np.ascontiguousarray(X)
         self.n = n = len(X)
-        self.peer = peer
+        self.weights, self.criterion = weights, "mse" if mse else "gini"
+        self.max_depth, self.min_leaf, self.peer = max_depth, min_leaf, peer
         # Unit weights need no prefix sum of weights (see _cut_weights).
         self.unit_weights = bool(np.all(weights == 1.0))
         self.root = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
@@ -537,7 +546,54 @@ class _Scratch:
         self.change = np.empty(block, dtype=bool)
         self.side = np.empty(n, dtype=bool)
         self.goes_left = np.empty(block, dtype=bool)
-        self.root_plan = None  # (min_leaf, per root block: its cuts, their weights)
+        self.root_plan = None  # per root block: its cuts, their weights
+
+    def grow(self, targets, leaf_value_fn, nodes: _Nodes, leaf_values=None) -> _Nodes:
+        """Grow one CART tree depth-first on every column, one node at a
+        time, into `nodes` as its next tree; returns the nodes. Every node
+        is searched from the presorted rank keys (search), which children
+        receive by index-gather partitions; every tree of the scratch
+        searches its root from one plan. `leaf_values`, if given, receives
+        each row's leaf value. Forests grow their trees side by side with
+        _ForestGrower instead."""
+        wt = self.weights * targets
+        if self.criterion == "mse":
+            wt = _pair(wt, wt * targets)
+
+        def searched(idx, depth):
+            # Otherwise the node is a leaf, as it is when no valid cut exists.
+            if depth >= self.max_depth or len(idx) < 2 * self.min_leaf:
+                return False
+            t = targets[idx]
+            return not np.all(t == t[0])
+
+        tree = nodes.tree[-1] + 1 if nodes.tree else 0
+        # (rows in ascending order, depth, parent, is_left, whether it is
+        # searched, where the sorted lists are)
+        root = np.arange(self.n)
+        stack = [(root, 0, -1, True, searched(root, 0), (0, 0, self.root))]
+        while stack:
+            idx, depth, parent, is_left, search, where = stack.pop()
+            value = float(leaf_value_fn(idx))
+            node = nodes.add(tree, value, parent, is_left)
+            split = None
+            if search:
+                split, rows = self.search(where, len(idx), wt, self.weights[idx].sum())
+            if split is None:
+                if leaf_values is not None:
+                    leaf_values[idx] = value
+                continue
+            _score, f, thr = split
+            mask = self.X[idx, f] <= thr
+            nodes.feature[node], nodes.threshold[node] = int(f), thr
+            left, right = idx[mask], idx[~mask]
+            where_l = where_r = None
+            needed = [searched(left, depth + 1), searched(right, depth + 1)]
+            if any(needed):
+                where_l, where_r = self.partition(where, idx, mask, len(left), needed, rows)
+            stack.append((right, depth + 1, node, False, needed[1], where_r))
+            stack.append((left, depth + 1, node, True, needed[0], where_l))
+        return nodes
 
     def blocks(self, where, m):
         """(first column, keys as (columns, m)) for each block of the node
@@ -556,25 +612,24 @@ class _Scratch:
         """A block's ranks, in `cwt`'s memory."""
         return np.right_shift(keys, self.bits, out=self.cwt.view(keys.dtype)[: keys.size].reshape(keys.shape))
 
-    def root_cuts(self, min_leaf, weights, w_total):
+    def root_cuts(self, w_total):
         """Per block of the root (see blocks), its cuts (see _cut_positions)
         and their left and right weights, both None when it has no valid
-        cut: made by the first root search with this min_leaf and kept,
-        since later trees differ only in the prefix sums of weighted
-        targets. The positions are int32 when they fit, so the plan costs
-        24 bytes per cut."""
-        if self.root_plan is None or self.root_plan[0] != min_leaf:
-            self.root_plan, plans = None, []  # freed before the new plan is made
+        cut: made by the first root search and kept, since later trees
+        differ only in the prefix sums of weighted targets. The positions
+        are int32 when they fit, so the plan costs 24 bytes per cut."""
+        if self.root_plan is None:
+            plans = []
             for _c, keys in self.blocks((0, 0, self.root), self.n):
                 position = np.int32 if keys.size <= np.iinfo(np.int32).max else np.intp
-                cuts = _cut_positions(self.block_ranks(keys), [self.n], min_leaf, self.change, position)
+                cuts = _cut_positions(self.block_ranks(keys), [self.n], self.min_leaf, self.change, position)
                 cw = None if cuts is None or self.unit_weights else \
-                    _prefix_sums(weights, self.block_rows(keys), self.cw)
+                    _prefix_sums(self.weights, self.block_rows(keys), self.cw)
                 plans.append((cuts, cuts and _cut_weights(*cuts[:2], self.n, cw, w_total)))
-            self.root_plan = (min_leaf, plans)
-        return self.root_plan[1]
+            self.root_plan = plans
+        return self.root_plan
 
-    def search(self, X, where, m, wt, weights, w_total, criterion, min_leaf):
+    def search(self, where, m, wt, w_total):
         """The best split of the node of m rows whose lists are at `where`,
         as (score, feature, threshold), or None when it has no valid cut;
         and its last block's rows as the search read them (see partition).
@@ -583,19 +638,19 @@ class _Scratch:
         only its candidates below every earlier block's minimum, so that
         the merged lists are the node's candidates (see _pick); the root's
         cuts and weights come from its plan."""
-        plans = None if where[0] else self.root_cuts(min_leaf, weights, w_total)
+        plans = None if where[0] else self.root_cuts(w_total)
         found, low, rows = [], math.inf, None  # (score, feature, threshold) in column order; the least score
         for b, (first, keys) in enumerate(self.blocks(where, m)):
             rows = self.block_rows(keys)
             if plans is None:
-                cuts, planned = _cut_positions(self.block_ranks(keys), [m], min_leaf, self.change), None
-                cw = None if cuts is None or self.unit_weights else _prefix_sums(weights, rows, self.cw)
+                cuts, planned = _cut_positions(self.block_ranks(keys), [m], self.min_leaf, self.change), None
+                cw = None if cuts is None or self.unit_weights else _prefix_sums(self.weights, rows, self.cw)
             else:
                 (cuts, planned), cw = plans[b], None
             if cuts is None:
                 continue
             cwt = _prefix_sums(wt, rows, self.cwt.view(wt.dtype))
-            score = _scores(cuts, cwt, cw, [w_total], criterion, planned)
+            score = _scores(cuts, cwt, cw, [w_total], self.criterion, planned)
             (segments,) = _candidates(score, cuts, 1)
             segments, low = [s for s in segments if s[0] < low], min(low, segments[-1][0])
             if self.peer is None and segments:  # alone, only the pick so far needs a threshold
@@ -604,7 +659,7 @@ class _Scratch:
             for v, s in segments:
                 c, cut = divmod(_first_minimum(score, cuts, s), m)
                 f = int(where[2][first + c])
-                found.append((v, f, _midpoint(X.item(rows[c, cut], f), X.item(rows[c, cut + 1], f))))
+                found.append((v, f, _midpoint(self.X.item(rows[c, cut], f), self.X.item(rows[c, cut + 1], f))))
         if self.peer is not None:
             theirs = self.peer.exchange([x for candidate in found for x in candidate])
             found = sorted(found + list(zip(theirs[::3], map(int, theirs[1::3]), theirs[2::3])),
@@ -640,62 +695,6 @@ class _Scratch:
                         out=self.lists[child][split + c * m_right: split + c_end * m_right], mode="clip")
         return (child, off, cols), (child, split, cols)
 
-
-def grow_tree(X, targets, weights, leaf_value_fn, max_depth, min_leaf, criterion="gini", *,
-              nodes: _Nodes | None = None, scratch: _Scratch | None = None, leaf_values=None) -> _Nodes:
-    """Grow one CART tree depth-first on every column, one node at a time,
-    into `nodes` (new if None) as its next tree; returns the nodes.
-
-    Every node is searched from the scratch's presorted rank keys
-    (_Scratch.search), which children receive by index-gather partitions. A
-    `scratch` made for this X may be passed to reuse it across trees; their
-    root searches then share one plan of cuts. `leaf_values`,
-    if given, receives each row's leaf value. Forests grow their trees side
-    by side with _ForestGrower instead.
-    """
-    X = np.ascontiguousarray(X)
-    if scratch is None:
-        scratch = _Scratch(X, weights, criterion == "mse")
-    wt = weights * targets
-    if criterion == "mse":
-        wt = _pair(wt, wt * targets)
-
-    def searched(idx, depth):
-        # Otherwise the node is a leaf, as it is when no valid cut exists.
-        if depth >= max_depth or len(idx) < 2 * min_leaf:
-            return False
-        t = targets[idx]
-        return not np.all(t == t[0])
-
-    nodes = _Nodes() if nodes is None else nodes
-    tree = nodes.tree[-1] + 1 if nodes.tree else 0
-    # (rows in ascending order, depth, parent, is_left, whether it is
-    # searched, where the sorted lists are)
-    root = np.arange(len(X))
-    stack = [(root, 0, -1, True, searched(root, 0), (0, 0, scratch.root))]
-    while stack:
-        idx, depth, parent, is_left, search, where = stack.pop()
-        value = float(leaf_value_fn(idx))
-        node = nodes.add(tree, value, parent, is_left)
-        split = None
-        if search:
-            split, rows = scratch.search(X, where, len(idx), wt, weights, weights[idx].sum(),
-                                         criterion, min_leaf)
-        if split is None:
-            if leaf_values is not None:
-                leaf_values[idx] = value
-            continue
-        _score, f, thr = split
-        mask = X[idx, f] <= thr
-        nodes.feature[node], nodes.threshold[node] = int(f), thr
-        left, right = idx[mask], idx[~mask]
-        where_l = where_r = None
-        needed = [searched(left, depth + 1), searched(right, depth + 1)]
-        if any(needed):
-            where_l, where_r = scratch.partition(where, idx, mask, len(left), needed, rows)
-        stack.append((right, depth + 1, node, False, needed[1], where_r))
-        stack.append((left, depth + 1, node, True, needed[0], where_l))
-    return nodes
 
 
 # --- trees side by side: every random forest ---------------------------------
@@ -771,7 +770,7 @@ class _ForestGrower:
                 live, popped, starts, ends, pure):
             w_total = w[a:b].sum()
             node = nodes.add(tree, float(wt[a:b].sum() / w_total), parent, is_left)
-            # Otherwise a leaf, as in grow_tree.
+            # Otherwise a leaf, as in _Scratch.grow.
             if depth < self.max_depth and b - a >= 2 * self.min_leaf and not is_pure:
                 feats = self.columns if self.k == self.p else \
                     rng.choice(self.p, size=self.k, replace=False)
@@ -1061,7 +1060,7 @@ class DecisionTreeModel(TreeModel):
         def leaf_value(idx):  # the weighted frequency of label 1
             w = sw[idx]
             return float((w * y[idx]).sum() / w.sum())
-        nodes = grow_tree(X, y, sw, leaf_value, config["max_depth"], config["min_leaf"])
+        nodes = _Scratch(X, sw, False, config["max_depth"], config["min_leaf"]).grow(y, leaf_value, _Nodes())
         return cls(X.shape[1], config, seed, Forest(*nodes.packed()))
 
     def _params_dict(self) -> dict:
@@ -1143,7 +1142,7 @@ class GradientBoostedTreesModel(_MarginModel, TreeModel):
         losses: list[float] = []
         # One presort serves every round; each row's leaf value updates its
         # margin, which is what the tree's walk would return for it.
-        scratch = _Scratch(X, sw, True, peer)
+        scratch = _Scratch(X, sw, True, config["max_depth"], config["min_leaf"], peer)
         leaf_values = np.empty(len(y))
         for _round in range(config["rounds"]):
             p = _sigmoid(margin)
@@ -1158,8 +1157,7 @@ class GradientBoostedTreesModel(_MarginModel, TreeModel):
                                      f"learning_rate {lr!r}; raise l2 above 0 or lower the learning rate")
                 return float(g.take(idx).sum()) / hessian
 
-            grow_tree(X, residual, sw, leaf_value, config["max_depth"], config["min_leaf"],
-                      criterion="mse", nodes=nodes, scratch=scratch, leaf_values=leaf_values)
+            scratch.grow(residual, leaf_value, nodes, leaf_values)
             margin = margin + lr * leaf_values
             p_new = np.clip(_sigmoid(margin), 1e-12, 1 - 1e-12)
             loss = float(-(sw * (y * np.log(p_new) + (1 - y) * np.log(1 - p_new))).sum() / total)

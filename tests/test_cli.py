@@ -570,6 +570,17 @@ def test_align_needs_every_patch_once(pipeline):
         featureio.align(rows + rows[:1], rows)
 
 
+def test_join_refuses_a_patch_repeated_in_a_feature_file(pipeline, tmp_path):
+    # The engineered file's first patch again, with other values: no copy wins.
+    lines = pipeline["engineered"].read_text().splitlines(keepends=True)
+    fields = lines[1].rstrip("\n").split(",")
+    repeated = tmp_path / "engineered.csv"
+    repeated.write_text("".join(lines) + ",".join(fields[:3] + ["7.0"] * (len(fields) - 3)) + "\n")
+    with pytest.raises(FeatureError, match=f"{repeated} line {len(lines) + 1}: patch {fields[0]!r} "
+                                           f"is already on line 2$"):
+        featureio.join_feature_sets(pipeline["learned"], repeated)
+
+
 @pytest.mark.parametrize("command, learner, hyper", [
     ("train", "rf", {"max_features": "log2"}),
     ("train", "rf", {"max_features": 0}),
@@ -620,7 +631,11 @@ def test_a_negative_seed_gets_a_categorized_error(argv, category, pipeline, tmp_
     ("p1,b1,1,abc", "line 2: patch 'p1' has a value that is not a number"),
     *[(f"p1,b1,1,{value}", f"line 2: patch 'p1' has a value that is not a number: {value!r}")
       for value in ("1_0", "\uff11", " 2 ")],
-], ids=["two-fields", "label-yes", "value-abc", "value-underscore", "value-full-width", "value-spaces"])
+    # A patch named twice, in a copy of its row or with other values.
+    ("p2,b2,0,1.0", "line 3: patch 'p2' is already on line 2"),
+    ("p2,b2,1,0.0", "line 3: patch 'p2' is already on line 2"),
+], ids=["two-fields", "label-yes", "value-abc", "value-underscore", "value-full-width", "value-spaces",
+        "repeated-row", "repeated-patch"])
 def test_malformed_feature_record_is_a_features_error_naming_file_and_line(tmp_path, capsys, record, message):
     path = tmp_path / "bad.csv"
     path.write_text(f"patch_id,bug_id,label,x\n{record}\np2,b2,0,1.0\n", encoding="utf-8")

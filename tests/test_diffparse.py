@@ -56,10 +56,19 @@ def test_file_headers_excluded_from_bodies():
     assert contents == ["ctx", "old", "new"]
 
 
-def test_second_file_section_rejected():
-    diff = "@@ -1 +1 @@\n-x\n+y\ndiff --git a/G.java b/G.java\n@@ -1 +1 @@\n-p\n+q"
-    with pytest.raises(DiffParseError, match="multi-file"):
+@pytest.mark.parametrize("diff, line", [
+    ("@@ -1 +1 @@\n-x\n+y\ndiff --git a/G.java b/G.java\n@@ -1 +1 @@\n-p\n+q", 4),
+    # Without `diff ` lines, B's headers would read as a removed and an added line.
+    ("--- a/A.java\n+++ b/A.java\n@@ -1 +1 @@\n-x\n+y\n--- a/B.java\n+++ b/B.java\n@@ -1 +1 @@\n-p\n+q", 6),
+], ids=["diff-line", "file-headers"])
+def test_second_file_section_rejected(diff, line):
+    with pytest.raises(DiffParseError, match=f"line {line}: multi-file diff not supported"):
         diffparse.parse_diff(diff)
+
+
+def test_body_lines_like_file_headers_without_a_hunk_after_them_are_code():
+    hs = diffparse.parse_diff("@@ -1 +1 @@\n--- x\n+++ y\n ctx")
+    assert hs.hunks[0].lines == ((LineTag.REMOVED, "-- x"), (LineTag.ADDED, "++ y"), (LineTag.CONTEXT, "ctx"))
 
 
 def test_extract_fragments_keeps_removed_added_and_context():

@@ -567,7 +567,7 @@ def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed
     defaults = learn._GROUP_CELLS, learn._CUTS_PER_CHUNK
     learn._GROUP_CELLS, learn._CUTS_PER_CHUNK = cells, chunk
     try:
-        scratch = learn._Scratch(X, weights, True)
+        scratch = learn._Scratch(X, weights, criterion == "mse", 1, min_leaf)
         root = (0, 0, scratch.root)
         mask = rng.random(n) < 0.7
         child = scratch.partition(root, np.arange(n), mask, int(mask.sum()), [True, False])[0]
@@ -575,8 +575,7 @@ def test_split_search_matches_reference_score(problem, criterion, min_leaf, seed
             if len(idx) < 2 * min_leaf:
                 continue
             paired = learn._pair(wt, wt * targets) if criterion == "mse" else wt
-            got = scratch.search(X, where, len(idx), paired, weights, weights[idx].sum(), criterion,
-                                 min_leaf)[0]
+            got = scratch.search(where, len(idx), paired, weights[idx].sum())[0]
             assert got == _reference_best_split(X, targets, weights, idx, np.arange(p), criterion,
                                                 min_leaf)
     finally:
@@ -656,7 +655,7 @@ def test_presorted_trees_of_many_distinct_values_match_reference(kind, overrides
     rng = np.random.default_rng(8)
     X = np.column_stack([rng.permutation(40000) / 7.0, rng.integers(0, 3, size=40000)])
     y = ((X[:, 0] > 2000) ^ (X[:, 1] == 1) ^ (rng.random(40000) < 0.1)).astype(float)
-    assert learn._Scratch(X, np.ones(40000), kind == "gbt").lists[0].dtype == np.int64
+    assert learn._Scratch(X, np.ones(40000), kind == "gbt", 1, 1).lists[0].dtype == np.int64
     _assert_same_trees(kind, X, y, overrides, seed=0)
 
 
@@ -770,13 +769,13 @@ def test_blocks_of_columns_keep_the_trees_bits(kind, lockstep, monkeypatch):
     assert len(forks) == (WORKERS["gbt"] if lockstep else 0)
 
 
-def test_grow_tree_leaves_no_reference_cycles(blob_data):
+def test_scratch_grow_leaves_no_reference_cycles(blob_data):
     X, y = blob_data[0], blob_data[1].astype(float)
     sw = np.ones_like(y)
     gc.collect()
     gc.disable()
     try:
-        learn.grow_tree(X, y, sw, lambda idx: float(y[idx].mean()), 6, 1)
+        learn._Scratch(X, sw, False, 6, 1).grow(y, lambda idx: float(y[idx].mean()), learn._Nodes())
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -843,21 +842,27 @@ def test_gbt_finds_the_root_cuts_once_per_fit(monkeypatch):
     assert calls == [(4, 60)]
 
 
-def test_shared_scratch_plans_the_root_per_min_leaf():
+def test_scratch_plans_the_root_for_its_min_leaf():
     # One outlying target: with min_leaf 1 the best root cut isolates its
-    # row, which min_leaf 8 forbids.
+    # row, which min_leaf 8 forbids. A scratch per min_leaf grows two trees,
+    # the second from the root plan the first made.
     rng = np.random.default_rng(9)
     X = np.column_stack([rng.normal(size=50), rng.integers(0, 6, size=50), rng.normal(size=50)])
     y = rng.random(50)
     y[np.argmax(X[:, 0])] = 100.0
     w = np.ones(50)
     leaf = lambda idx: float(y[idx].mean())
-    scratch = learn._Scratch(X, w, True)
-    for min_leaf in (1, 8, 1):
-        nodes = learn.grow_tree(X, y, w, leaf, 3, min_leaf, criterion="mse", scratch=scratch)
-        (tree,) = learn.Forest(*nodes.packed()).records()
+    roots = []
+    for min_leaf in (1, 8):
+        scratch = learn._Scratch(X, w, True, 3, min_leaf)
+        nodes = learn._Nodes()
+        for _tree in range(2):
+            scratch.grow(y, leaf, nodes)
         expected = _reference_grow_tree(X, y, w, leaf, 3, min_leaf, criterion="mse")
-        assert json.dumps(tree.to_dict()) == json.dumps(expected.to_dict())
+        for tree in learn.Forest(*nodes.packed()).records():
+            assert json.dumps(tree.to_dict()) == json.dumps(expected.to_dict())
+        roots.append((expected.feature[0], expected.threshold[0]))
+    assert roots[0] != roots[1]
 
 
 @pytest.mark.parametrize("kind", ("dt", "gbt"))
@@ -892,7 +897,7 @@ def test_partitioned_lists_hold_each_childs_rows_in_value_order(seed):
     n = int(rng.integers(8, 60))
     X = np.column_stack([rng.integers(0, 4, size=n), rng.normal(size=n), np.full(n, 2.0),
                          rng.integers(0, 2, size=n)]).astype(float)
-    scratch = learn._Scratch(X, np.ones(n), False)
+    scratch = learn._Scratch(X, np.ones(n), False, 1, 1)
     pending = [(np.arange(n), (0, 0, scratch.root))]
     # Three generations, so children are partitioned from every buffer.
     for _generation in range(3):
@@ -919,7 +924,7 @@ def test_partitions_with_one_row_on_a_side_keep_each_childs_value_order(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 40))
     X = np.column_stack([rng.integers(0, 3, size=n), rng.normal(size=n), np.full(n, 1.0)]).astype(float)
-    scratch = learn._Scratch(X, np.ones(n), True)
+    scratch = learn._Scratch(X, np.ones(n), True, 1, 1)
     idx, where = np.arange(n), (0, 0, scratch.root)
     while len(idx) > 1:
         mask = np.full(len(idx), rng.random() < 0.5)
@@ -1031,6 +1036,12 @@ def _put(*path_and_value):
     return edit
 
 
+def _tree(feature, left, right):
+    """A saved tree of these features and children, with thresholds 0 and values 0.5."""
+    return {"feature": feature, "threshold": [0.0] * len(feature), "left": left, "right": right,
+            "value": [0.5] * len(feature)}
+
+
 @pytest.mark.parametrize("kind, edit, message", [
     ("gbt", lambda d: d.update(params={}), "no 'base_margin' entry"),
     ("gbt", lambda d: d["params"].update(trees=5), "not iterable"),
@@ -1074,6 +1085,11 @@ def _put(*path_and_value):
     ("dt", _put("params", "tree", "value", 0, True), "tree 0 thresholds and values must be finite numbers"),
     ("gbt", _put("config", "learning_rate", 10**400), "'learning_rate' must be a number > 0"),
     ("rf", _put("seed", 10**400), "seed must be an integer"),
+    # Trees, not graphs: node 3 is the left child of nodes 1 and 2, or of no split.
+    ("dt", _put("params", "tree", _tree([0, 1, 2, -1, -1, -1], [1, 3, 3, -1, -1, -1], [2, 4, 5, -1, -1, -1])),
+     "tree 0 node 3 is the child of more than one split"),
+    ("rf", _put("params", "trees", 1, _tree([0, -1, -1, -1], [1, -1, -1, -1], [2, -1, -1, -1])),
+     "tree 1 node 3 is not the child of any split"),
 ])
 def test_load_checks_model_structure(tmp_path, kind, edit, message):
     doc = _saved_model_doc(tmp_path, kind)
