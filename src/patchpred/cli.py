@@ -3,8 +3,9 @@ file formats, so stages can be rerun and resumed independently.
 
 Every flag is declared once, in COMMANDS. A flag given on the command line
 wins over the --config entry of the same (long) name, which wins over the
-flag's default. Every JSON artifact embeds the effective configuration and
-seed; CSV artifacts get a .meta.json sidecar with the same provenance.
+flag's default. A report's provenance is the resolved value of every flag
+its command declares but the output paths, embedded in a JSON report or in
+the .meta.json sidecar of a CSV.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class Flag(NamedTuple):
     help: str | None = None
     metavar: str | None = None
     rule: tuple | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
 
 
 # (test, what passes) for a value of each flag type, from the command line or
@@ -94,8 +99,7 @@ def resolve(args, cfg) -> None:
         raise UsageError(f'config entry "outdir" must be a string, got {cfg["outdir"]!r}')
     base = os.environ.get("PATCHPRED_OUTDIR") or cfg.get("outdir")
     for flag in COMMANDS[args.command][2]:
-        dest = flag.name.replace("-", "_")
-        value = text = getattr(args, dest)
+        value = text = getattr(args, flag.dest)
         # As JSON reads a number: an int if the text spells one, else a float (NaN and inf too), else text.
         if isinstance(text, str) and flag.type in (int, float) and fileio.number_text(text):
             with contextlib.suppress(ValueError):
@@ -111,7 +115,7 @@ def resolve(args, cfg) -> None:
             value = float(value) if flag.type is float else value  # 1 is 1.0 for a float flag, from either source
             if flag.output and base and not Path(value).is_absolute():
                 value = str(Path(base) / value)
-        setattr(args, dest, value)
+        setattr(args, flag.dest, value)
     hyperparameters = _hyperparameters(cfg.get("hyperparameters", {}))
     if hasattr(args, "learner"):
         args.learner = _LEARNERS[args.learner]
@@ -119,17 +123,19 @@ def resolve(args, cfg) -> None:
         args.hyper = {**hyperparameters.get(learner, {}), **json.loads(args.hyper or "{}")}
 
 
-def _write(path, content, args=None, keys=()) -> None:
+def _write(path, content, args=None) -> None:
     """Write one artifact, creating its directory. `content` is a JSON object,
     or a function that writes the file itself.
 
-    With `args`, the provenance (the command and the values of `keys`) is
-    embedded in a JSON object, or written to a .meta.json sidecar otherwise.
+    With `args`, the provenance (the command and the resolved value of every
+    flag it declares but its output paths) is embedded in a JSON object, or
+    written to a .meta.json sidecar otherwise.
     """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     provenance = None
     if args is not None:
-        provenance = {"command": args.command, "config": {k: getattr(args, k) for k in keys}}
+        provenance = {"command": args.command, "config": {
+            flag.dest: getattr(args, flag.dest) for flag in COMMANDS[args.command][2] if not flag.output}}
     if isinstance(content, dict):
         fileio.write(path, {"provenance": provenance, **content} if provenance else content, indent=1)
         return
@@ -157,15 +163,15 @@ def _scored(args):
             for (pid, score, flag), (_pair, rec) in zip(filtering.score_corpus(pairs), matched)]
 
 
-def _write_report(args, report, keys, title) -> None:
-    """Write a cross-validation report and its optional predictions CSV."""
+def _write_report(args, report, title) -> None:
+    """Write a cross-validation report and its optional predictions CSV; an
+    undefined macro metric prints as n/a."""
     predictions = report.pop("predictions")
-    _write(args.out, report, args, keys)
+    _write(args.out, report, args)
     if args.out_predictions:
-        _write(args.out_predictions, lambda path: evaluate.write_predictions(path, predictions), args, keys)
-    macro = report["macro"]
-    print(f"{title} k={args.k} seed={args.seed}: "
-          f"acc {macro['accuracy']:.3f}, F1 {macro['f1']:.3f}, AUC {macro['auc']:.3f} -> {args.out}")
+        _write(args.out_predictions, lambda path: evaluate.write_predictions(path, predictions), args)
+    acc, f1, auc = ("n/a" if v is None else f"{v:.3f}" for v in map(report["macro"].get, ("accuracy", "f1", "auc")))
+    print(f"{title} k={args.k} seed={args.seed}: acc {acc}, F1 {f1}, AUC {auc} -> {args.out}")
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -174,7 +180,7 @@ def cmd_ingest(args):
     cor, report = corpus_mod.ingest(args.input, allow_unlabeled=bool(args.allow_unlabeled))
     _write(args.out, lambda path: corpus_mod.persist(cor, path))
     if args.report:
-        _write(args.report, {"report": report.to_json_dict()}, args, ("input", "out"))
+        _write(args.report, {"report": report.to_json_dict()}, args)
     print(f"ingested {report.ingested} records "
           f"({report.duplicates_dropped} duplicates dropped, {len(report.rejected)} rejected) -> {args.out}")
 
@@ -225,15 +231,13 @@ def cmd_import_embeddings(args):
 
 def cmd_features(args):
     cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
-    keys = ("corpus", "set", "out")
     pairs = None
     if args.set != "engineered":
         if args.embeddings is None:
             raise UsageError(f"missing required --embeddings for --set {args.set} (flag or config file entry)")
         pairs = embed.import_embeddings(args.embeddings)
-        keys += ("embeddings",)
     names, rows = featureio.corpus_features(cor, args.set, pairs)
-    _write(args.out, lambda path: featureio.write_features(path, rows, names), args, keys)
+    _write(args.out, lambda path: featureio.write_features(path, rows, names), args)
     if args.registry_out and args.set != "learned":
         _write(args.registry_out, {"version": engineered.REGISTRY_VERSION, "features": engineered.registry()})
     print(f"wrote {len(rows)} x {len(names)} {args.set} feature matrix -> {args.out}")
@@ -247,7 +251,7 @@ def cmd_stats(args):
         "n_scores": len(scores),
         "flagged_zero_norm": sorted(pid for pid, _b, _s, _l, flag in scored if flag),
         "stats": sim.to_json_dict(),
-    }, args, ("corpus", "embeddings", "label_filter"))
+    }, args)
     print(f"stats over {len(scores)} {args.label_filter} scores: q1={sim.q1:.4f} mean={sim.mean:.4f} -> {args.out}")
 
 
@@ -262,12 +266,11 @@ def cmd_filter(args):
             raise EvalError(f"{args.stats}: not a valid stats report: {exc}") from exc
     policy = filtering.resolve_policy(args.policy, sim, args.value)
     report = filtering.filter_by_threshold([(pid, score, label) for pid, _b, score, label, _f in scored], policy)
-    keys = ("corpus", "embeddings", "policy", "stats")
-    _write(args.out, {"stats": sim.to_json_dict() if sim else None, "result": report.to_json_dict()}, args, keys)
+    _write(args.out, {"stats": sim.to_json_dict() if sim else None, "result": report.to_json_dict()}, args)
     if args.out_verdicts:
         _write(args.out_verdicts, lambda path: fileio.write_csv(
             path, ["patch_id", "predicted_correct"], ([pid, int(predicted)] for pid, predicted in report.verdicts)),
-            args, keys)
+            args)
     print(f"threshold {policy.value:.4f} ({policy.statistic.value}): "
           f"+Recall {report.plus_recall:.1%}, -Recall {report.minus_recall:.1%} -> {args.out}")
 
@@ -279,7 +282,7 @@ def cmd_top1(args):
         "bugs_with_correct_pick": report.bugs_with_correct_pick,
         "fraction_correct": report.fraction_correct,
         "selected": report.selected,
-    }, args, ("corpus", "embeddings"))
+    }, args)
     print(f"top-1 pick correct for {report.bugs_with_correct_pick}/{report.n_bugs} bugs -> {args.out}")
 
 
@@ -295,7 +298,7 @@ def cmd_crossval(args):
     # The features come pre-built from the CSV.
     trainer = evaluate.SingleSetTrainer("file", args.learner, args.hyper)
     report = evaluate.crossval(rows, trainer, k=args.k, seed=args.seed, threshold=args.threshold)
-    _write_report(args, report, ("features", "learner", "k", "seed", "threshold"), f"crossval {args.learner}")
+    _write_report(args, report, f"crossval {args.learner}")
 
 
 def cmd_combine(args):
@@ -307,8 +310,7 @@ def cmd_combine(args):
     else:
         trainer = evaluate.SingleSetTrainer("concat", args.learner, args.hyper)
     report = evaluate.crossval(joint, trainer, k=args.k, seed=args.seed, threshold=args.threshold)
-    _write_report(args, report, ("strategy", "learner", "k", "seed", "threshold",
-                                 "learned_features", "engineered_features"), f"combine {args.strategy}")
+    _write_report(args, report, f"combine {args.strategy}")
 
 
 def cmd_explain(args):
@@ -330,7 +332,6 @@ def cmd_explain(args):
     if not targets:
         raise FeatureError(f"--patch-id names {args.patch_id!r}, which is not a patch of {args.features}")
     X = data.X[targets]
-    keys = ("model", "features", "background", "patch_id")
     explanations = explain.explain_rows(model, X, background, [data.patch_ids[i] for i in targets])
     space = explanations[0].space
     if args.interaction:  # before any file is written: an lr model refuses it
@@ -340,16 +341,16 @@ def cmd_explain(args):
         _write(args.out, lambda path: fileio.write_csv(
             path, ["patch_id", "feature_name", "contribution"],
             ([exp.patch_id, name, repr(float(value))]
-             for exp in explanations for name, value in zip(names, exp.contributions))), args, keys)
+             for exp in explanations for name, value in zip(names, exp.contributions))), args)
     if args.global_out:
         gi = explain.rank_importance(explanations, names)
         _write(args.global_out, {
             "space": gi.space,
             "ranking": [{"feature": n, "mean_abs_contribution": v} for n, v in gi.ranking],
             "blocks": explain.block_totals(gi),
-        }, args, keys)
+        }, args)
     if args.interaction:
-        _write(args.interaction_out, {"pair": pair, "space": space, "values": values}, args, keys)
+        _write(args.interaction_out, {"pair": pair, "space": space, "values": values}, args)
     if args.plot_data:
         _write(args.plot_data, {
             "space": space,
@@ -358,7 +359,7 @@ def cmd_explain(args):
                         "values": [float(v) for v in x],
                         "contributions": [float(c) for c in exp.contributions]}
                        for exp, x in zip(explanations, X)],
-        }, args, keys)
+        }, args)
     print(f"explained {len(explanations)} predictions in {space} space"
           + (f" -> {args.out}" if args.out else ""))
 
@@ -367,7 +368,7 @@ def cmd_compare(args):
     preds_a = evaluate.read_predictions(args.a)
     preds_b = evaluate.read_predictions(args.b, {p["patch_id"]: p["label"] for p in preds_a})
     report = evaluate.compare_predictions(preds_a, preds_b, args.threshold)
-    _write(args.out, {"overlap": report}, args, ("a", "b"))
+    _write(args.out, {"overlap": report}, args)
     cp = report["correct_patches"]
     print(f"correct patches: both {cp['both']}, only-a {cp['only_a']}, only-b {cp['only_b']}, "
           f"neither {cp['neither']} -> {args.out}")

@@ -30,14 +30,6 @@ class Hunk:
 class HunkSet:
     hunks: tuple[Hunk, ...]
 
-    def serialize(self) -> str:
-        out = []
-        for hunk in self.hunks:
-            out.append(hunk.header)
-            for tag, content in hunk.lines:
-                out.append(tag.value + content)
-        return "\n".join(out)
-
 
 @dataclass(frozen=True)
 class FragmentPair:

@@ -165,7 +165,9 @@ def _cached_table(model, background: np.ndarray) -> tuple[list[_PathGroup], floa
     """The model's path table, rebuilt unless model.explain_cache (not
     persisted) holds one of the same forest object, scale, intercept and
     background, whose shape and values a SHA-256 digest stands in for: a
-    copy would keep the background alive twice."""
+    copy would keep the background alive twice. Every explainer takes its
+    table from here; one of another key is dropped before the new one is
+    built, so at most one is held."""
     if not isinstance(model, TreeModel):
         raise ExplainError(
             f"exact tree explanation unsupported for kind {getattr(model, 'kind', type(model).__name__)!r}; "
@@ -175,6 +177,7 @@ def _cached_table(model, background: np.ndarray) -> tuple[list[_PathGroup], floa
     digest.update(np.ascontiguousarray(background).data)
     key = (model.forest, model.scale, model.intercept, digest.digest())  # a Forest equals only itself
     if model.explain_cache is None or model.explain_cache[0] != key:
+        model.explain_cache = None
         model.explain_cache = (key, _path_table(model, background))
     return model.explain_cache[1]
 
@@ -253,13 +256,12 @@ def explain_instance(model, x, background, patch_id: str = "") -> ShapExplanatio
 
 def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
     """explain_instance for every row of X, bit for bit. A tree model's
-    covers and path table are built once per call and left in the model's
-    cache, for tree_shap and interaction_pairs on the same background."""
+    path table is the cached one of tree_shap and interaction_pairs, built
+    only when the background or model differs."""
     X, background = _valid_inputs(model, X, "X", background)
     patch_ids = [""] * len(X) if patch_ids is None else list(patch_ids)
     if isinstance(model, LogisticRegressionModel):
         return _linear_rows(model, X, background, patch_ids)
-    model.explain_cache = None  # built afresh, then kept
     return _explain_table(model, _cached_table(model, background), X, patch_ids)
 
 

@@ -1,5 +1,7 @@
 import argparse
+import collections
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +283,83 @@ def test_provenance_embedded_in_artifacts(pipeline, tmp_path):
     assert report["provenance"]["command"] == "crossval"
     assert report["provenance"]["config"]["seed"] == 2
     assert report["config"]["trainer"]["hyperparameters"]  # full hyperparameter echo
+
+
+@pytest.fixture(scope="module")
+def predictions(pipeline):
+    path = pipeline["root"] / "nb_predictions.csv"
+    assert run("crossval", "--features", str(pipeline["learned"]), "--learner", "nb", "--k", "4",
+               "--out", str(pipeline["root"] / "nb.json"), "--out-predictions", str(path)) == 0
+    return path
+
+
+# command -> (its flags but the output paths, each with the value given, None for none, and the value it
+#             resolves to, if another; its output flags, each with a file name or None; the files of those
+#             that hold provenance, embedded in JSON or in a .meta.json sidecar)
+PROVENANCE_CASES = {
+    "ingest": (lambda p: {"input": p["corpus"], "allow_unlabeled": (None, False)},
+               {"out": "ingested.jsonl", "report": "report.json"}, ["report.json"]),
+    "features": (lambda p: {"corpus": p["corpus"], "embeddings": None, "set": "engineered"},
+                 {"out": "engineered.csv", "registry_out": "registry.json"}, ["engineered.csv"]),
+    "stats": (lambda p: {"corpus": p["corpus"], "embeddings": p["embeddings"], "label_filter": "all"},
+              {"out": "stats.json"}, ["stats.json"]),
+    "filter": (lambda p: {"corpus": p["corpus"], "embeddings": p["embeddings"], "stats": None, "policy": "fixed",
+                          "value": 0.4},
+               {"out": "filter.json", "out_verdicts": "verdicts.csv"}, ["filter.json", "verdicts.csv"]),
+    "top1": (lambda p: {"corpus": p["corpus"], "embeddings": p["embeddings"]}, {"out": "top1.json"}, ["top1.json"]),
+    "crossval": (lambda p: {"features": p["learned"], "learner": ("gbt", "GradientBoostedTrees"), "k": 4,
+                            "seed": 2, "threshold": (None, 0.5), "hyper": ('{"rounds": 5}', {"rounds": 5})},
+                 {"out": "cv.json", "out_predictions": "cv.csv"}, ["cv.json", "cv.csv"]),
+    "combine": (lambda p: {"strategy": "concat", "learner": ("dt", "DecisionTree"),
+                           "learned_features": p["learned"], "engineered_features": p["engineered"], "k": 4,
+                           "seed": (None, 0), "threshold": (".25", 0.25),
+                           "hyper": ('{"max_depth": 2}', {"max_depth": 2})},
+                {"out": "combine.json", "out_predictions": "combine.csv"}, ["combine.json", "combine.csv"]),
+    "explain": (lambda p: {"model": p["root"] / "dt.json", "features": p["learned"], "background": p["learned"],
+                           "patch_id": None, "interaction": "B-0,B-1"},
+                {"out": "contributions.csv", "global_out": "global.json", "interaction_out": "interactions.json",
+                 "plot_data": "plot.json"}, ["contributions.csv", "global.json", "interactions.json", "plot.json"]),
+    "compare": (lambda p: {"a": p["predictions"], "b": p["predictions"], "threshold": 0.3},
+                {"out": "overlap.json"}, ["overlap.json"]),
+}
+
+
+def test_provenance_cases_name_every_flag_of_their_command():
+    for command, (values, outputs, _files) in PROVENANCE_CASES.items():
+        flags = cli.COMMANDS[command][2]
+        assert set(values(collections.defaultdict(Path))) == {f.dest for f in flags if not f.output}
+        assert set(outputs) == {f.dest for f in flags if f.output}
+
+
+@pytest.mark.parametrize("command", PROVENANCE_CASES)
+def test_provenance_records_every_declared_flag_but_output_paths(command, pipeline, tree_model, predictions,
+                                                                 tmp_path):
+    values, outputs, files = PROVENANCE_CASES[command]
+    argv, expected = [command], {}
+    for dest, value in values({**pipeline, "predictions": predictions}).items():
+        given, resolved = value if isinstance(value, tuple) else (value, value)
+        expected[dest] = str(resolved) if isinstance(resolved, Path) else resolved
+        if given is not None:
+            argv += [f"--{dest.replace('_', '-')}", str(given)]
+    for dest, name in outputs.items():
+        argv += [f"--{dest.replace('_', '-')}", str(tmp_path / name)]
+    assert run(*argv) == 0
+    for name in files:
+        path = tmp_path / (name if name.endswith(".json") else name + ".meta.json")
+        assert json.loads(path.read_text())["provenance"] == {"command": command, "config": expected}, name
+    for name in set(outputs.values()) - set(files):  # the corpus, the registry: no provenance
+        assert not (tmp_path / (name + ".meta.json")).exists(), name
+
+
+def test_a_crossval_whose_every_test_fold_holds_one_class_prints_its_auc_as_n_a(tmp_path, capsys):
+    features, out = tmp_path / "one_class_folds.csv", tmp_path / "cv.json"
+    # Two bugs of correct patches, two of incorrect: each of the four test folds is one bug.
+    featureio.write_features(features, [FeatureRow(f"p{bug}{j}", f"b{bug}", np.array([bug + 0.1 * j, j]), int(bug < 2))
+                                        for bug in range(4) for j in range(2)], ["f0", "f1"])
+    assert run("crossval", "--features", str(features), "--learner", "dt", "--k", "4", "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert json.loads(out.read_text())["macro"]["auc"] is None
+    assert ", AUC n/a -> " in captured.out and captured.err == ""
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):

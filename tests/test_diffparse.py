@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from patchpred import diffparse
-from patchpred.diffparse import LineTag
+from patchpred.diffparse import Hunk, HunkSet, LineTag
 from patchpred.errors import DiffParseError
 
 ONE_HUNK = "\n".join([
@@ -109,20 +109,23 @@ def test_fragments_never_contain_metadata():
     assert "No newline" not in frag.patched_text
 
 
-def test_serialize_reparse_round_trip():
-    for diff in (ONE_HUNK, "@@ -1 +1 @@\n-x\n+y\n@@ -3 +3 @@\n ctx\n+z"):
-        hs = diffparse.parse_diff(diff)
-        assert diffparse.parse_diff(hs.serialize()) == hs
+def test_parse_gives_each_hunk_its_header_and_tagged_lines():
+    assert diffparse.parse_diff(ONE_HUNK) == HunkSet((Hunk("@@ -1,3 +1,3 @@", (
+        (LineTag.CONTEXT, "int a = 0;"), (LineTag.REMOVED, "a = a + 1;"),
+        (LineTag.ADDED, "a = a + 2;"), (LineTag.CONTEXT, "return a;"))),))
+    assert diffparse.parse_diff("@@ -1 +1 @@\n-x\n+y\n@@ -3 +3 @@\n ctx\n+z") == HunkSet((
+        Hunk("@@ -1 +1 @@", ((LineTag.REMOVED, "x"), (LineTag.ADDED, "y"))),
+        Hunk("@@ -3 +3 @@", ((LineTag.CONTEXT, "ctx"), (LineTag.ADDED, "z")))))
 
 
 @given(st.lists(
     st.tuples(st.sampled_from(" -+"), st.text(alphabet=st.characters(blacklist_characters="\n\r"), max_size=20)),
     min_size=1, max_size=12,
 ))
-def test_round_trip_property(lines):
+def test_parse_tags_every_body_line_by_its_prefix_property(lines):
     diff = "@@ -1 +1 @@\n" + "\n".join(prefix + body for prefix, body in lines)
-    hs = diffparse.parse_diff(diff)
-    assert diffparse.parse_diff(hs.serialize()) == hs
+    assert diffparse.parse_diff(diff) == HunkSet((
+        Hunk("@@ -1 +1 @@", tuple((LineTag(prefix), body) for prefix, body in lines)),))
 
 
 def test_tokenize_examples():

@@ -215,6 +215,7 @@ def test_explain_rows_matches_explain_instance_with_covers_once(kind, monkeypatc
         model, X = random_tree_model(rng, 3, kind)
     one_by_one = [explain.explain_instance(model, x, X, f"p{i}") for i, x in enumerate(X)]
     calls = count_cover_calls(monkeypatch)
+    model.explain_cache = None  # the batch builds a table of its own
     batch = explain.explain_rows(model, X, X, [f"p{i}" for i in range(len(X))])
     # One walk gives every tree's covers.
     assert len(calls) == (0 if kind == "lr" else 1)
@@ -224,6 +225,7 @@ def test_explain_rows_matches_explain_instance_with_covers_once(kind, monkeypatc
         assert np.array_equal(a.contributions, b.contributions)
     names = ["a", "b", "c"]
     assert explain.rank_importance(batch, names) == global_importance(model, X, names, X)
+    assert len(calls) == (0 if kind == "lr" else 1)
 
 
 # --- the path table against the recursion and the brute-force oracle ---------
@@ -331,6 +333,7 @@ def test_tree_shap_reuses_its_table_only_for_the_same_background_values(monkeypa
     edited[3, 1] += 0.25
     again = tree_shap(model, X[0], edited)
     assert len(calls) == 2
+    model.explain_cache = None
     fresh = explain.explain_rows(model, X[:1], edited)[0]
     assert np.array_equal(again.contributions, fresh.contributions)
     assert again.base_value == fresh.base_value
@@ -351,20 +354,29 @@ def test_interactions_for_many_rows_compute_covers_once_per_tree(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["dt", "rf", "gbt"])
-def test_interactions_after_explain_rows_reuse_its_table(monkeypatch, kind):
+def test_every_explainer_on_one_background_reuses_one_table(monkeypatch, kind):
     model, X = random_tree_model(np.random.default_rng(15), 4, kind)
-    builds = []
+    names = [f"f{i}" for i in range(X.shape[1])]
+    builds = []  # the model's cache as each build starts
     path_table = explain._path_table
     monkeypatch.setattr(explain, "_path_table",
-                        lambda *args: builds.append(1) or path_table(*args))
+                        lambda model, background: builds.append(model.explain_cache) or path_table(model, background))
     explanations = explain.explain_rows(model, X, X)
+    contributions = [exp.contributions.tolist() for exp in explanations]
+    assert [exp.contributions.tolist() for exp in explain.explain_rows(model, X, X.copy())] == contributions
     values = [interaction_pairs(model, [x], 1, 2, X)[0] for x in X]
     assert len(builds) == 1
-    assert tree_shap(model, X[0], X).contributions.tolist() == explanations[0].contributions.tolist()
+    assert tree_shap(model, X[0], X).contributions.tolist() == contributions[0]
+    per_row = [explain.explain_instance(model, x, X) for x in X]
+    assert global_importance(model, X, names, X) == explain.rank_importance(per_row, names)
     assert len(builds) == 1
+    # The same rows in another order are another background: one build, the old table dropped first.
+    assert [exp.contributions.tolist() for exp in explain.explain_rows(model, X, X[::-1])] == contributions
+    assert global_importance(model, X, names, X) == explain.rank_importance(per_row, names)
+    assert builds == [None] * 3
     model.explain_cache = None
     assert [interaction_pairs(model, [x], 1, 2, X)[0] for x in X] == values
-    assert len(builds) == 2
+    assert len(builds) == 4
 
 
 @pytest.mark.parametrize("block_bytes", [1, 4096, explain._BLOCK_BYTES])
