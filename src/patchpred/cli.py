@@ -4,8 +4,9 @@ file formats, so stages can be rerun and resumed independently.
 Every flag is declared once, in COMMANDS. A flag given on the command line
 wins over the --config entry of the same (long) name, which wins over the
 flag's default. A report's provenance is the resolved value of every flag
-its command declares but the output paths, embedded in a JSON report or in
-the .meta.json sidecar of a CSV.
+its command declares but the output paths, as the command ran it (null for a
+flag it left unread), embedded in a JSON report or in the .meta.json sidecar
+of a CSV.
 """
 
 from __future__ import annotations
@@ -112,15 +113,14 @@ def resolve(args, cfg) -> None:
             valid, what = _rule(flag)
             if not valid(value):
                 raise UsageError(f"--{flag.name} must be {what}, got {value!r}")
-            value = float(value) if flag.type is float else value  # 1 is 1.0 for a float flag, from either source
+            value = float(value) if flag.type is float and not isinstance(value, str) else value  # 1 is 1.0; q1 stays
             if flag.output and base and not Path(value).is_absolute():
                 value = str(Path(base) / value)
         setattr(args, flag.dest, value)
     hyperparameters = _hyperparameters(cfg.get("hyperparameters", {}))
-    if hasattr(args, "learner"):
-        args.learner = _LEARNERS[args.learner]
-        learner = "DeepFusion" if getattr(args, "strategy", None) == "fusion" else args.learner
-        args.hyper = {**hyperparameters.get(learner, {}), **json.loads(args.hyper or "{}")}
+    if hasattr(args, "learner"):  # fusion runs DeepFusion, whatever --learner says
+        args.learner = "DeepFusion" if getattr(args, "strategy", None) == "fusion" else _LEARNERS[args.learner]
+        args.hyper = {**hyperparameters.get(args.learner, {}), **json.loads(args.hyper or "{}")}
 
 
 def _write(path, content, args=None) -> None:
@@ -156,7 +156,7 @@ def _fragments_by_patch(cor):
 
 def _scored(args):
     """(patch_id, bug_id, score, label, zero-norm flag) per embedding, in file order."""
-    cor, _ = corpus_mod.ingest(args.corpus)
+    cor = corpus_mod.read(args.corpus)
     pairs = embed.import_embeddings(args.embeddings)
     matched = featureio.align(pairs, cor.records, ("embeddings", "corpus"), complete=False)
     return [(pid, rec.bug_id, score, rec.label, flag)
@@ -193,7 +193,7 @@ def cmd_gen_synthetic(args):
 
 
 def cmd_fragments(args):
-    cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
+    cor = corpus_mod.read(args.corpus, allow_unlabeled=True)
     fragments = _fragments_by_patch(cor)
     _write(args.out, lambda path: fileio.write_lines(path, (
         {"patch_id": pid, "buggy_text": frag.buggy_text, "patched_text": frag.patched_text}
@@ -203,7 +203,7 @@ def cmd_fragments(args):
 
 def cmd_train_embedder(args):
     config = _embedder_config(args)
-    cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
+    cor = corpus_mod.read(args.corpus, allow_unlabeled=True)
     documents = [list(tokens) for frag in _fragments_by_patch(cor).values()
                  for tokens in (frag.buggy_tokens, frag.patched_tokens)]
     model = embed.train_embedder(documents, config)
@@ -214,7 +214,7 @@ def cmd_train_embedder(args):
 
 
 def cmd_embed(args):
-    cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
+    cor = corpus_mod.read(args.corpus, allow_unlabeled=True)
     model = embed.load_model(args.model)
     pairs, flagged = embed.embed_corpus(model, _fragments_by_patch(cor))
     _write(args.out, lambda path: embed.export_embeddings(pairs, path))
@@ -230,15 +230,15 @@ def cmd_import_embeddings(args):
 
 
 def cmd_features(args):
-    cor, _ = corpus_mod.ingest(args.corpus, allow_unlabeled=True)
-    pairs = None
-    if args.set != "engineered":
-        if args.embeddings is None:
-            raise UsageError(f"missing required --embeddings for --set {args.set} (flag or config file entry)")
-        pairs = embed.import_embeddings(args.embeddings)
+    cor = corpus_mod.read(args.corpus, allow_unlabeled=True)
+    if args.set == "engineered":
+        args.embeddings = None  # not read, so not recorded
+    elif args.embeddings is None:
+        raise UsageError(f"missing required --embeddings for --set {args.set} (flag or config file entry)")
+    pairs = None if args.embeddings is None else embed.import_embeddings(args.embeddings)
     names, rows = featureio.corpus_features(cor, args.set, pairs)
     _write(args.out, lambda path: featureio.write_features(path, rows, names), args)
-    if args.registry_out and args.set != "learned":
+    if args.registry_out:
         _write(args.registry_out, {"version": engineered.REGISTRY_VERSION, "features": engineered.registry()})
     print(f"wrote {len(rows)} x {len(names)} {args.set} feature matrix -> {args.out}")
 
@@ -264,14 +264,14 @@ def cmd_filter(args):
             sim = filtering.SimilarityStats(**{k: float(fileio.numbers(v, k, ())) for k, v in stats.items()})
         except (AttributeError, TypeError, ValueError) as exc:
             raise EvalError(f"{args.stats}: not a valid stats report: {exc}") from exc
-    policy = filtering.resolve_policy(args.policy, sim, args.value)
+    policy = filtering.resolve_policy(args.policy, sim)
     report = filtering.filter_by_threshold([(pid, score, label) for pid, _b, score, label, _f in scored], policy)
     _write(args.out, {"stats": sim.to_json_dict() if sim else None, "result": report.to_json_dict()}, args)
     if args.out_verdicts:
         _write(args.out_verdicts, lambda path: fileio.write_csv(
             path, ["patch_id", "predicted_correct"], ([pid, int(predicted)] for pid, predicted in report.verdicts)),
             args)
-    print(f"threshold {policy.value:.4f} ({policy.statistic.value}): "
+    print(f"threshold {policy.value:.4f} ({policy.statistic}): "
           f"+Recall {report.plus_recall:.1%}, -Recall {report.minus_recall:.1%} -> {args.out}")
 
 
@@ -437,8 +437,8 @@ COMMANDS = {
         CORPUS,
         EMBEDDINGS,
         Flag("stats", help="stats JSON from a training corpus"),
-        Flag("policy", default="q1", choices=("q1", "mean", "median", "fixed")),
-        Flag("value", float, help="threshold for --policy fixed"),
+        Flag("policy", float, "q1", help="q1, mean or median of --stats, or a number: a fixed threshold",
+             rule=(lambda v: v in filtering.STATISTICS or fileio.is_number(v), "q1, mean, median or a number")),
         OUT,
         Flag("out-verdicts", output=True, help="per-patch verdict CSV"),
     ]),

@@ -6,8 +6,8 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import fileio
-from .errors import CorpusError
+from . import diffparse, fileio
+from .errors import CorpusError, DiffParseError
 
 JSONL_FIELDS = ("patch_id", "bug_id", "project", "tool", "label", "diff_text")
 
@@ -86,9 +86,37 @@ def _parse_record(obj, allow_unlabeled: bool) -> PatchRecord:
         raise ValueError("empty patch_id")
     if not obj["bug_id"]:
         raise ValueError("empty bug_id")
-    if not any(line.startswith("@@") for line in obj["diff_text"].splitlines()):
-        raise ValueError("diff_text has no hunk header (no line starting with '@@')")
+    try:
+        diffparse.parse_diff(obj["diff_text"])  # the one diff rule: what fragments and features can read
+    except DiffParseError as exc:
+        raise ValueError(f"diff_text: {exc}") from None
     return PatchRecord(**{name: obj[name] for name in JSONL_FIELDS if name != "label"}, label=label)
+
+
+def _scan(path, allow_unlabeled: bool, refuse) -> list[PatchRecord]:
+    """The records of the JSONL corpus at `path` that ingest keeps, in file
+    order. Each other line goes to `refuse(line, its patch_id field or None,
+    reason, duplicate)`: a (bug_id, normalized diff) duplicate is dropped,
+    any other line rejected."""
+    records: list[PatchRecord] = []
+    first: dict[tuple[str, str], str] = {}  # (bug_id, normalized diff) -> the patch_id that has it
+    seen_patch_ids: set[str] = set()
+    for lineno, obj in fileio.read_lines(path):
+        try:
+            rec = _parse_record(obj, allow_unlabeled)
+        except ValueError as exc:
+            refuse(lineno, obj.get("patch_id") if isinstance(obj, dict) else None, str(exc), False)
+            continue
+        key = (rec.bug_id, normalize_diff(rec.diff_text))
+        if key in first:
+            refuse(lineno, rec.patch_id, f"the same bug_id and diff as patch {first[key]!r}", True)
+        elif rec.patch_id in seen_patch_ids:
+            refuse(lineno, rec.patch_id, f"duplicate patch_id {rec.patch_id!r} with different content", False)
+        else:
+            first[key] = rec.patch_id
+            seen_patch_ids.add(rec.patch_id)
+            records.append(rec)
+    return records
 
 
 def ingest(path, allow_unlabeled: bool = False) -> tuple[Corpus, IngestReport]:
@@ -97,46 +125,43 @@ def ingest(path, allow_unlabeled: bool = False) -> tuple[Corpus, IngestReport]:
     Returns the deduplicated corpus plus a report of what was kept, dropped,
     and rejected. Raises CorpusError when no valid record survives.
     """
-    records: list[PatchRecord] = []
     rejected: list[tuple[int, str]] = []
-    duplicates = 0
-    seen_keys: set[tuple[str, str]] = set()
-    seen_patch_ids: set[str] = set()
-    for lineno, obj in fileio.read_lines(path):
-        try:
-            rec = _parse_record(obj, allow_unlabeled)
-        except ValueError as exc:
-            rejected.append((lineno, str(exc)))
-            continue
-        key = (rec.bug_id, normalize_diff(rec.diff_text))
-        if key in seen_keys:
-            duplicates += 1
-            continue
-        if rec.patch_id in seen_patch_ids:
-            rejected.append((lineno, f"duplicate patch_id {rec.patch_id!r} with different content"))
-            continue
-        seen_keys.add(key)
-        seen_patch_ids.add(rec.patch_id)
-        records.append(rec)
+    dropped: list[tuple[int, str]] = []
+
+    def refuse(line, _patch_id, reason, duplicate):
+        (dropped if duplicate else rejected).append((line, reason))
+
+    records = _scan(path, allow_unlabeled, refuse)
     if not records:
         detail = "; ".join(f"line {n}: {r}" for n, r in rejected[:5]) or "file is empty"
         raise CorpusError(f"no valid records in {path} ({detail})")
-    corpus = Corpus(records=records, provenance=str(path))
-    return corpus, IngestReport(len(records), duplicates, rejected)
+    return Corpus(records=records, provenance=str(path)), IngestReport(len(records), len(dropped), rejected)
+
+
+def read(path, allow_unlabeled: bool = False) -> Corpus:
+    """The JSONL corpus at `path` as every command but ingest reads it, whole:
+    the first line that ingest would reject or drop is a CorpusError naming
+    the file, the line and, where the line has one, the patch."""
+    def refuse(line, patch_id, reason, duplicate):
+        patch = f" (patch {patch_id!r})" if isinstance(patch_id, str) and patch_id else ""
+        raise CorpusError(f"{path} line {line}{patch}: {reason}; ingest would {'drop' if duplicate else 'reject'} it")
+
+    records = _scan(path, allow_unlabeled, refuse)
+    if not records:
+        raise CorpusError(f"no valid records in {path} (file is empty)")
+    return Corpus(records=records, provenance=str(path))
 
 
 def persist(corpus: Corpus, path) -> None:
     fileio.write_lines(path, (rec.to_json_dict() for rec in corpus.records))
 
 
-def split_by_bug(corpus_or_bugs, k: int, seed: int) -> list[list[str]]:
-    """Partition bug ids into k disjoint groups by seeded shuffle.
-
-    Accepts a Corpus or an iterable of bug ids. All patches of a bug travel
-    together because grouping happens at the bug level. Group sizes differ by
-    at most one.
+def split_by_bug(bug_ids, k: int, seed: int) -> list[list[str]]:
+    """Partition the distinct ids of `bug_ids` into k disjoint groups by
+    seeded shuffle. All patches of a bug travel together because grouping
+    happens at the bug level. Group sizes differ by at most one.
     """
-    bugs = sorted(set(corpus_or_bugs.bug_ids() if isinstance(corpus_or_bugs, Corpus) else corpus_or_bugs))
+    bugs = sorted(set(bug_ids))
     if k < 1:
         raise CorpusError(f"k must be positive, got {k}")
     if len(bugs) < k:

@@ -9,7 +9,6 @@ inclusive).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,16 +32,12 @@ class SimilarityStats:
                 "q3": self.q3, "max": self.max, "mean": self.mean}
 
 
-class ThresholdStatistic(str, Enum):
-    Q1 = "q1"
-    MEAN = "mean"
-    MEDIAN = "median"
-    FIXED = "fixed"
+STATISTICS = ("q1", "mean", "median")  # the statistics a policy names; a number is a fixed threshold
 
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    statistic: ThresholdStatistic
+    statistic: str  # one of STATISTICS, or "fixed"
     value: float
 
 
@@ -69,18 +64,20 @@ def stats(scores) -> SimilarityStats:
     )
 
 
-def resolve_policy(statistic: ThresholdStatistic | str, sim_stats: SimilarityStats | None = None,
-                   fixed_value: float | None = None) -> ThresholdPolicy:
-    """The policy's threshold; EvalError unless it is a finite number."""
-    statistic = ThresholdStatistic(statistic)
-    if statistic is ThresholdStatistic.FIXED:
-        value = fixed_value
+def resolve_policy(policy: str | float, sim_stats: SimilarityStats | None = None) -> ThresholdPolicy:
+    """The threshold of `policy`: a number is itself, a fixed threshold, and
+    q1, mean or median that statistic of `sim_stats`; EvalError unless it is
+    a finite number."""
+    if not isinstance(policy, str):
+        statistic, value = "fixed", policy
+    elif policy not in STATISTICS:
+        raise EvalError(f"threshold policy must be {', '.join(STATISTICS)} or a number, got {policy!r}")
     elif sim_stats is None:
-        raise EvalError(f"{statistic.value} threshold policy requires similarity statistics")
+        raise EvalError(f"{policy} threshold policy requires similarity statistics")
     else:
-        value = getattr(sim_stats, statistic.value)
+        statistic, value = policy, getattr(sim_stats, policy)
     if not fileio.is_number(value):
-        raise EvalError(f"{statistic.value} threshold must be a finite number, got {value!r}")
+        raise EvalError(f"{statistic} threshold must be a finite number, got {value!r}")
     return ThresholdPolicy(statistic, float(value))
 
 
@@ -97,7 +94,7 @@ class FilterReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "policy": {"statistic": self.policy.statistic.value, "value": self.policy.value},
+            "policy": {"statistic": self.policy.statistic, "value": self.policy.value},
             "+CP": self.plus_cp,
             "-IP": self.minus_ip,
             "+Recall": self.plus_recall,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patchpred import cli, evaluate, explain, featureio, learn
+from patchpred import cli, corpus, embed, evaluate, explain, featureio, fileio, filtering, learn
 from patchpred.errors import FeatureError
 from patchpred.learn import FeatureRow
 
@@ -201,25 +201,80 @@ def test_compare_names_the_file_and_line_of_a_bad_prediction(case, pipeline, tmp
 
 
 # A stats report's six numbers are read as numbers (fileio.numbers) before
-# any policy picks one; a fixed --value is checked as its flag enters.
-@pytest.mark.parametrize("stats, policy, value, message", [
-    ({"q1": "abc"}, "q1", [], 'error[eval]: STATS: not a valid stats report: q1 must be finite numbers of shape (): '
-                             'got "abc"'),
-    ({"mean": float("nan")}, "mean", [], "error[eval]: STATS: not a valid stats report: mean must be finite numbers "
-                                         "of shape (): got a non"),
-    ({}, "fixed", ["--value", "nan"], "error[usage]: --value must be a number, got nan"),
+# any policy picks one; a fixed threshold, a number --policy, is checked as its flag enters.
+@pytest.mark.parametrize("stats, policy, message", [
+    ({"q1": "abc"}, "q1", 'error[eval]: STATS: not a valid stats report: q1 must be finite numbers of shape (): '
+                          'got "abc"'),
+    ({"mean": float("nan")}, "mean", "error[eval]: STATS: not a valid stats report: mean must be finite numbers "
+                                     "of shape (): got a non"),
+    ({}, "nan", "error[usage]: --policy must be q1, mean, median or a number, got nan"),
 ], ids=["text-statistic", "nan-statistic", "fixed-nan"])
-def test_filter_refuses_a_threshold_that_is_not_a_finite_number(stats, policy, value, message, pipeline, tmp_path,
-                                                               capsys):
+def test_filter_refuses_a_threshold_that_is_not_a_finite_number(stats, policy, message, pipeline, tmp_path, capsys):
     path = tmp_path / "stats.json"
     path.write_text(json.dumps({"stats": {**dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), 0.5),
                                           **stats}}))
     out = tmp_path / "f.json"
     assert run("filter", "--corpus", str(pipeline["corpus"]), "--embeddings", str(pipeline["embeddings"]),
-               "--stats", str(path), "--policy", policy, *value, "--out", str(out)) == 1
+               "--stats", str(path), "--policy", policy, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith(message.replace("STATS", str(path))) and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_number_policy_is_the_fixed_threshold(pipeline, tmp_path):
+    # The result and the verdict bytes that --policy fixed --value 0.4 wrote, before the number was the policy.
+    out, verdicts, expected = tmp_path / "f.json", tmp_path / "v.csv", tmp_path / "expected.csv"
+    assert run("filter", "--corpus", str(pipeline["corpus"]), "--embeddings", str(pipeline["embeddings"]),
+               "--policy", "0.4", "--out", str(out), "--out-verdicts", str(verdicts)) == 0
+    labels = {rec.patch_id: rec.label for rec in corpus.read(pipeline["corpus"]).records}
+    scored = [(pid, score, labels[pid])
+              for pid, score, _flag in filtering.score_corpus(embed.import_embeddings(pipeline["embeddings"]))]
+    report = filtering.filter_by_threshold(scored, filtering.ThresholdPolicy("fixed", 0.4))
+    fileio.write_csv(expected, ["patch_id", "predicted_correct"], ([pid, int(p)] for pid, p in report.verdicts))
+    doc = json.loads(out.read_text())
+    assert doc["result"] == report.to_json_dict() and doc["result"]["policy"] == {"statistic": "fixed", "value": 0.4}
+    assert verdicts.read_bytes() == expected.read_bytes()
+    for provenance in (doc["provenance"], json.loads((tmp_path / "v.csv.meta.json").read_text())["provenance"]):
+        assert provenance["config"]["policy"] == 0.4 and "value" not in provenance["config"]
+
+
+@pytest.mark.parametrize("config, policy", [({}, "fixed"), ({}, "nan"), ({}, "abc"), ({"value": 0.4}, "0.4")],
+                         ids=["fixed", "nan", "abc", "config-value"])
+def test_filter_refuses_the_fixed_word_a_policy_that_is_no_number_and_a_value_entry(config, policy, pipeline,
+                                                                                    tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run("--config", str(path), "filter", "--corpus", str(pipeline["corpus"]), "--embeddings",
+               str(pipeline["embeddings"]), "--policy", policy, "--out", str(tmp_path / "f.json"),
+               "--out-verdicts", str(tmp_path / "v.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[usage]: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_features_records_no_embeddings_for_the_engineered_set(pipeline, tmp_path):
+    out = tmp_path / "engineered.csv"
+    assert run("features", "--corpus", str(pipeline["corpus"]), "--embeddings", str(pipeline["embeddings"]),
+               "--set", "engineered", "--out", str(out)) == 0
+    assert json.loads((tmp_path / "engineered.csv.meta.json").read_text())["provenance"]["config"]["embeddings"] is None
+    assert out.read_bytes() == pipeline["engineered"].read_bytes()
+
+
+def test_features_writes_the_registry_for_every_set(pipeline, tmp_path):
+    out, registry = tmp_path / "learned.csv", tmp_path / "registry.json"
+    assert run("features", "--corpus", str(pipeline["corpus"]), "--embeddings", str(pipeline["embeddings"]),
+               "--set", "learned", "--out", str(out), "--registry-out", str(registry)) == 0
+    assert registry.read_bytes() == pipeline["registry"].read_bytes()
+    assert out.read_bytes() == pipeline["learned"].read_bytes()
+
+
+def test_a_fusion_combine_records_the_learner_it_ran(pipeline, tmp_path):
+    out = tmp_path / "fusion.json"
+    assert run("combine", "--strategy", "fusion", "--learner", "rf", "--hyper", '{"epochs": 2}',
+               "--learned-features", str(pipeline["learned"]), "--engineered-features", str(pipeline["engineered"]),
+               "--k", "4", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["provenance"]["config"]["learner"] == report["config"]["trainer"]["learner"] == "DeepFusion"
 
 
 _SIX = ("min", "q1", "median", "q3", "max", "mean")
@@ -233,9 +288,9 @@ _SIX = ("min", "q1", "median", "q3", "max", "mean")
     pytest.param({"c.json": '{"lr": 1%s}' % ("0" * 400)},
                  ["--config", "TMP/c.json", "train-embedder", "--corpus", "CORPUS"], "usage",
                  id="config-embedder-learning-rate-overflows"),
-    pytest.param({"c.json": '{"value": 1%s}' % ("0" * 400)},
-                 ["--config", "TMP/c.json", "filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS",
-                  "--policy", "fixed"], "usage", id="config-fixed-value-overflows"),
+    pytest.param({"c.json": '{"policy": 1%s}' % ("0" * 400)},
+                 ["--config", "TMP/c.json", "filter", "--corpus", "CORPUS", "--embeddings", "EMBEDDINGS"], "usage",
+                 id="config-fixed-value-overflows"),
     pytest.param({"c.json": '{"threshold": true}'}, ["--config", "TMP/c.json", "crossval", "--features", "LEARNED"],
                  "usage", id="config-threshold-true"),
     *[pytest.param({"s.json": json.dumps({"stats": {**dict.fromkeys(_SIX, 0.5), name: value}})
@@ -303,8 +358,7 @@ PROVENANCE_CASES = {
                  {"out": "engineered.csv", "registry_out": "registry.json"}, ["engineered.csv"]),
     "stats": (lambda p: {"corpus": p["corpus"], "embeddings": p["embeddings"], "label_filter": "all"},
               {"out": "stats.json"}, ["stats.json"]),
-    "filter": (lambda p: {"corpus": p["corpus"], "embeddings": p["embeddings"], "stats": None, "policy": "fixed",
-                          "value": 0.4},
+    "filter": (lambda p: {"corpus": p["corpus"], "embeddings": p["embeddings"], "stats": None, "policy": 0.4},
                {"out": "filter.json", "out_verdicts": "verdicts.csv"}, ["filter.json", "verdicts.csv"]),
     "top1": (lambda p: {"corpus": p["corpus"], "embeddings": p["embeddings"]}, {"out": "top1.json"}, ["top1.json"]),
     "crossval": (lambda p: {"features": p["learned"], "learner": ("gbt", "GradientBoostedTrees"), "k": 4,
@@ -360,6 +414,29 @@ def test_a_crossval_whose_every_test_fold_holds_one_class_prints_its_auc_as_n_a(
     captured = capsys.readouterr()
     assert json.loads(out.read_text())["macro"]["auc"] is None
     assert ", AUC n/a -> " in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("fault", ["two-files", "empty-bug-id", "duplicate"])
+def test_a_corpus_line_that_ingest_would_reject_or_drop_is_refused_by_the_other_commands(fault, pipeline, tmp_path,
+                                                                                          capsys):
+    lines = pipeline["corpus"].read_text().splitlines()
+    doc = json.loads(lines[2])
+    edited = {"two-files": {**doc, "diff_text": doc["diff_text"].rstrip("\n")
+                            + "\ndiff --git a/G.java b/G.java\n--- a/G.java\n+++ b/G.java\n@@ -1 +1 @@\n-p\n+q\n"},
+              "empty-bug-id": {**doc, "bug_id": ""},
+              "duplicate": {**json.loads(lines[1]), "patch_id": "copy"}}[fault]
+    corpus_path, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    corpus_path.write_text("\n".join([*lines[:2], json.dumps(edited), *lines[3:]]) + "\n")
+    for argv in (["features", "--set", "engineered"], ["fragments"], ["stats", "--embeddings", pipeline["embeddings"]]):
+        assert run(*map(str, argv), "--corpus", str(corpus_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[corpus]: {corpus_path} line 3 (patch '{edited['patch_id']}'): "), err
+        assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
+    report = tmp_path / "report.json"
+    assert run("ingest", "--input", str(corpus_path), "--out", str(out), "--report", str(report)) == 0
+    ingested = json.loads(report.read_text())["report"]
+    assert (ingested["duplicates_dropped"], [r["line"] for r in ingested["rejected"]]) == (
+        (1, []) if fault == "duplicate" else (0, [3]))
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):
@@ -419,8 +496,7 @@ EXPECTED_OPTIONS = {
     "stats": [("--corpus", None), ("--embeddings", None),
               ("--label-filter", ("correct", "incorrect", "all")), ("--out", None)],
     "filter": [("--corpus", None), ("--embeddings", None), ("--stats", None),
-               ("--policy", ("q1", "mean", "median", "fixed")), ("--value", None), ("--out", None),
-               ("--out-verdicts", None)],
+               ("--policy", None), ("--out", None), ("--out-verdicts", None)],
     "top1": [("--corpus", None), ("--embeddings", None), ("--out", None)],
     "train": [("--features", None), ("--learner", None), ("--seed", None), ("--hyper", None),
               ("--out", None)],
@@ -850,7 +926,7 @@ def test_hyper_updates_the_config_entry_key_by_key(pipeline, tmp_path):
 @pytest.mark.parametrize("strategy", ["ensemble", "fusion"])
 def test_combine_through_the_cli_is_the_in_process_crossval(strategy, pipeline, tmp_path):
     # The learner's entry goes to the ensemble, DeepFusion's to fusion,
-    # which ignores --learner.
+    # which ignores --learner and records DeepFusion, the learner it ran.
     config, out, predictions = tmp_path / "config.json", tmp_path / "combine.json", tmp_path / "combine.csv"
     config.write_text(json.dumps({"hyperparameters": {"dt": {"max_depth": 2}, "DeepFusion": {"epochs": 5}}}))
     assert run("--config", str(config), "combine", "--strategy", strategy, "--learner", "dt",
@@ -862,7 +938,7 @@ def test_combine_through_the_cli_is_the_in_process_crossval(strategy, pipeline, 
     expected = evaluate.crossval(joint, trainer, k=4, seed=3)
     expected_predictions = expected.pop("predictions")
     report = json.loads(out.read_text())
-    assert report.pop("provenance")["config"]["learner"] == "DecisionTree"
+    assert report.pop("provenance")["config"]["learner"] == ("DecisionTree" if strategy == "ensemble" else "DeepFusion")
     assert report == json.loads(json.dumps(expected))
     assert evaluate.read_predictions(predictions) == json.loads(json.dumps(expected_predictions))
 

@@ -62,6 +62,50 @@ def test_ingest_rejects_rows_without_hunk_header(tmp_path):
     assert "@@" in report.rejected[0][1]
 
 
+# DIFF followed by a second file's section, which parse_diff refuses.
+TWO_FILES = DIFF + "diff --git a/G.java b/G.java\n--- a/G.java\n+++ b/G.java\n@@ -1 +1 @@\n-p\n+q\n"
+
+
+def test_ingest_rejects_a_diff_that_parse_diff_refuses(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [record("p1", diff=TWO_FILES), record("p2", "Chart-2")])
+    cor, report = corpus.ingest(path)
+    assert [rec.patch_id for rec in cor.records] == ["p2"]
+    assert report.rejected == [(1, "diff_text: line 5: multi-file diff not supported; split per file upstream")]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([record("p1", diff=TWO_FILES), record("p2", "Chart-2")],
+     "line 1 (patch 'p1'): diff_text: line 5: multi-file diff not supported; split per file upstream; "
+     "ingest would reject it"),
+    ([record("p1"), record("p2", "")], "line 2 (patch 'p2'): empty bug_id; ingest would reject it"),
+    ([record("p1"), record("p2")], "line 2 (patch 'p2'): the same bug_id and diff as patch 'p1'; "
+                                   "ingest would drop it"),
+    ([record("p1"), record("p1", "Chart-2", diff="@@ -1 +1 @@\n-x\n+y")],
+     "line 2 (patch 'p1'): duplicate patch_id 'p1' with different content; ingest would reject it"),
+    ([record("p1"), record("p2", "Chart-2", label="unlabeled")],
+     "line 2 (patch 'p2'): unlabeled record rejected (training corpus); ingest would reject it"),
+    ([record("p1"), {**record("p2", "Chart-2"), "patch_id": 7}],
+     "line 2: field 'patch_id' must be a string; ingest would reject it"),
+    ([], "no valid records in PATH (file is empty)"),
+], ids=["two-files", "empty-bug-id", "duplicate", "duplicate-patch-id", "unlabeled", "patch-id-a-number", "empty"])
+def test_read_refuses_the_first_line_that_ingest_would_reject_or_drop(rows, message, tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, rows)
+    with pytest.raises(CorpusError) as info:
+        corpus.read(path)
+    assert str(info.value) == (message.replace("PATH", str(path)) if "PATH" in message else f"{path} {message}")
+
+
+def test_read_is_ingest_on_a_clean_corpus(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [record("p1"), record("p2", "Chart-2", label="unlabeled")])
+    assert corpus.read(path, allow_unlabeled=True).records == corpus.ingest(path, allow_unlabeled=True)[0].records
+    cor = synth.generate_corpus(5, 3, "xor", seed=9)
+    corpus.persist(cor, path)
+    assert corpus.read(path).records == cor.records
+
+
 def test_training_corpus_rejects_unlabeled(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("p1", label="unlabeled"), record("p2", "Chart-2")])

@@ -5,7 +5,7 @@ from patchpred import filtering
 from patchpred.corpus import Label
 from patchpred.embed import EmbeddingPair
 from patchpred.errors import EvalError
-from patchpred.filtering import ThresholdPolicy, ThresholdStatistic
+from patchpred.filtering import ThresholdPolicy
 
 
 def test_score_corpus_basics():
@@ -57,9 +57,9 @@ def test_resolve_policy_matches_stats_fields():
     assert filtering.resolve_policy("q1", s).value == s.q1
     assert filtering.resolve_policy("mean", s).value == s.mean
     assert filtering.resolve_policy("median", s).value == s.median
-    fixed = filtering.resolve_policy("fixed", None, 0.9)
-    assert fixed.value == 0.9
-    with pytest.raises(EvalError):
+    assert filtering.resolve_policy(0.9) == ThresholdPolicy("fixed", 0.9)
+    assert filtering.resolve_policy(1, s) == ThresholdPolicy("fixed", 1.0)
+    with pytest.raises(EvalError, match="threshold policy must be q1, mean, median or a number, got 'fixed'"):
         filtering.resolve_policy("fixed", s)
 
 
@@ -68,7 +68,7 @@ def test_resolve_policy_matches_stats_fields():
 def test_resolve_policy_refuses_a_threshold_that_is_not_a_finite_number(statistic, value):
     s = filtering.SimilarityStats(*[value] * 6)
     with pytest.raises(EvalError, match=f"{statistic} threshold must be a finite number"):
-        filtering.resolve_policy(statistic, s, value)
+        filtering.resolve_policy(value if statistic == "fixed" else statistic, s)
 
 
 def test_filter_recall_reporting_on_skewed_corpus():
@@ -85,7 +85,7 @@ def test_filter_recall_reporting_on_skewed_corpus():
     for i in range(74):
         scored.append((f"i{1387 + i}", 0.8, Label.INCORRECT))
     report = filtering.filter_by_threshold(
-        scored, ThresholdPolicy(ThresholdStatistic.FIXED, threshold))
+        scored, ThresholdPolicy("fixed", threshold))
     assert report.plus_cp == 4 and report.minus_ip == 1387
     assert report.plus_recall * 100 == pytest.approx(57.1, abs=0.05)
     assert report.minus_recall * 100 == pytest.approx(94.9, abs=0.05)
@@ -94,21 +94,21 @@ def test_filter_recall_reporting_on_skewed_corpus():
 def test_threshold_below_everything():
     scored = [(f"p{i}", 0.5 + i / 100, Label.CORRECT if i % 2 else Label.INCORRECT)
               for i in range(10)]
-    report = filtering.filter_by_threshold(scored, ThresholdPolicy(ThresholdStatistic.FIXED, 0.0))
+    report = filtering.filter_by_threshold(scored, ThresholdPolicy("fixed", 0.0))
     assert report.plus_recall == 1.0
     assert report.minus_recall == 0.0
 
 
 def test_boundary_score_counts_as_retained():
     scored = [("p1", 0.75, Label.CORRECT)]
-    report = filtering.filter_by_threshold(scored, ThresholdPolicy(ThresholdStatistic.FIXED, 0.75))
+    report = filtering.filter_by_threshold(scored, ThresholdPolicy("fixed", 0.75))
     assert report.plus_cp == 1
 
 
 def test_unlabeled_rows_rejected():
     with pytest.raises(EvalError):
         filtering.filter_by_threshold([("p", 0.5, Label.UNLABELED)],
-                                      ThresholdPolicy(ThresholdStatistic.FIXED, 0.1))
+                                      ThresholdPolicy("fixed", 0.1))
 
 
 def q1_retention(scores):
@@ -143,7 +143,7 @@ def test_monotonicity_raising_threshold():
               for i in range(60)]
     prev_plus, prev_minus = None, None
     for threshold in np.linspace(0, 1, 15):
-        rep = filtering.filter_by_threshold(scored, ThresholdPolicy(ThresholdStatistic.FIXED, float(threshold)))
+        rep = filtering.filter_by_threshold(scored, ThresholdPolicy("fixed", float(threshold)))
         if prev_plus is not None:
             assert rep.plus_recall <= prev_plus
             assert rep.minus_recall >= prev_minus

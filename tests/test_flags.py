@@ -48,8 +48,7 @@ BASE = {
                        "--min-count", "1", "--embedder-seed", "1", "--out", "OUT/e.json"],
     "features": ["--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--set", "learned", "--out", "OUT/f.csv"],
     "stats": ["--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--label-filter", "all", "--out", "OUT/s.json"],
-    "filter": ["--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--policy", "fixed", "--value", "0.5",
-               "--out", "OUT/f.json"],
+    "filter": ["--corpus", "CORPUS", "--embeddings", "EMBEDDINGS", "--policy", "0.5", "--out", "OUT/f.json"],
     "train": ["--features", "LEARNED", "--learner", "nb", "--seed", "1", "--out", "OUT/m.json"],
     "crossval": ["--features", "LEARNED", "--learner", "nb", "--k", "4", "--seed", "1", "--threshold", "0.5",
                  "--out", "OUT/cv.json"],

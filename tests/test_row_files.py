@@ -1,10 +1,13 @@
 """Seeded one-line and one-cell edits of every row file the CLI reads: the
-corpus JSONL (through ingest), the embeddings JSONL (import-embeddings), a
-feature CSV (train) and a prediction CSV (compare). Each edited file goes
-through cli.main, with RuntimeWarnings raised as errors (pyproject.toml's
-pytest filterwarnings, and the CI step's -W error::RuntimeWarning). A run
-passes if it exits 1 with error[<category>], or exits 0 with finite outputs;
-for the corpus, a line that ingest rejects is an exit 0."""
+corpus JSONL (through ingest, and through features --set engineered and
+fragments), the embeddings JSONL (import-embeddings), a feature CSV (train)
+and a prediction CSV (compare). Each edited file goes through cli.main, with
+RuntimeWarnings raised as errors (pyproject.toml's pytest filterwarnings, and
+the CI step's -W error::RuntimeWarning). A run passes if it exits 1 with
+error[<category>], or exits 0 with finite outputs; for the corpus, a line
+that ingest rejects is an exit 0 of ingest, and the other commands, which
+read the corpus whole, exit 1 naming the file and the edited line, or exit 0
+with one output row per record."""
 
 import json
 import math
@@ -149,6 +152,31 @@ def test_one_line_or_cell_edits_of_a_row_file_end_in_an_error_or_a_finite_answer
         except Exception as exc:  # a crash, or a RuntimeWarning raised as an error
             failures.append(f"{what}: {type(exc).__name__}: {str(exc)[:200]}")
     assert count > 40
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("command", ["features", "fragments"])
+def test_a_corpus_edit_is_refused_by_file_and_line_or_gives_one_row_per_record(command, saved, tmp_path, capsys):
+    lines = saved["corpus.jsonl"].read_text(encoding="utf-8").splitlines()
+    line = random.Random("corpus.jsonl").randrange(len(lines)) + 1  # the line _jsonl_edits edits
+    edited, out = tmp_path / "corpus.jsonl", tmp_path / ("out.csv" if command == "features" else "out.jsonl")
+    argv = (command, "--corpus", edited, *(["--set", "engineered"] if command == "features" else []), "--out", out)
+    failures, refused = [], 0
+    for what, data in _jsonl_edits(lines, random.Random("corpus.jsonl")):
+        edited.write_bytes(data)
+        out.unlink(missing_ok=True)
+        try:
+            status = run(*argv)
+            err = capsys.readouterr().err
+        except Exception as exc:  # a crash, or a RuntimeWarning raised as an error
+            failures.append(f"{what}: {type(exc).__name__}: {str(exc)[:200]}")
+            continue
+        if status == 1 and err.startswith(f"error[corpus]: {edited} line {line}") and "Traceback" not in err:
+            refused += 1
+            assert not out.exists(), what
+        elif status != 0 or len(out.read_text(encoding="utf-8").splitlines()) != len(lines) + (command == "features"):
+            failures.append(f"{what}: exit {status}: {err.strip()[:200] or 'not one row per record'}")
+    assert refused > 20
     assert not failures, "\n".join(failures)
 
 
