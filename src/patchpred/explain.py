@@ -6,6 +6,8 @@ pairwise interactions both come from one table of root-to-leaf paths,
 read level by level from the model's packed forest arrays and evaluated
 for many rows at once; covers and outputs come from one walk of the same
 forest. Logistic regression gets the closed-form linear attribution.
+explain_rows is the one path to both: explain_instance (also named
+tree_shap and linear_shap) is explain_rows of one row.
 Boosted trees are attributed in margin (log-odds) space; forests and
 single trees in probability space. The tests check the table against the
 per-node TreeSHAP recursion and brute force, in tests/shap_reference.py.
@@ -171,7 +173,7 @@ def _cached_table(model, background: np.ndarray) -> tuple[list[_PathGroup], floa
     if not isinstance(model, TreeModel):
         raise ExplainError(
             f"exact tree explanation unsupported for kind {getattr(model, 'kind', type(model).__name__)!r}; "
-            "supported: DecisionTree, RandomForest, GradientBoostedTrees (or linear_shap for LogisticRegression)"
+            "supported: DecisionTree, RandomForest, GradientBoostedTrees"
         )
     digest = hashlib.sha256(repr(background.shape).encode())
     digest.update(np.ascontiguousarray(background).data)
@@ -209,28 +211,6 @@ def _add_group_phi(group: _PathGroup, X: np.ndarray, phi: np.ndarray) -> None:
         phi_row += np.bincount(feature, contributions, len(phi_row))
 
 
-def _explain_table(model, table, X: np.ndarray, patch_ids) -> list[ShapExplanation]:
-    (groups, base), phi = table, np.zeros(X.shape)
-    for group in groups:
-        step = max(1, _BLOCK_BYTES // (8 * group.feature.size))
-        for start in range(0, len(X), step):
-            _add_group_phi(group, X[start:start + step], phi[start:start + step])
-    # Each row's explained output, the same bits as alone.
-    outputs = model.margin_batch(X) if model.space == "margin" else model.predict_proba_batch(X)
-    return [ShapExplanation(pid, base, contributions, output, model.space)
-            for pid, contributions, output in zip(patch_ids, phi, outputs.tolist())]
-
-
-def tree_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
-    """Exact Shapley attributions for a tree-ensemble prediction.
-
-    The model keeps the path table of its last call, so repeated calls with
-    the same background skip the covers and the table.
-    """
-    X, background = _valid_inputs(model, [x], "x", background)
-    return _explain_table(model, _cached_table(model, background), X, [patch_id])[0]
-
-
 def _linear_rows(model, X: np.ndarray, background: np.ndarray, patch_ids) -> list[ShapExplanation]:
     """Closed-form attributions of checked rows, elementwise; a row's output is
     margin_batch of that row alone, as a batch product may differ in the last bit."""
@@ -241,28 +221,35 @@ def _linear_rows(model, X: np.ndarray, background: np.ndarray, patch_ids) -> lis
                 for pid, contributions, x in zip(patch_ids, model.weights / model.std * (X - bg_mean), X)]
 
 
-def linear_shap(model, x, background, patch_id: str = "") -> ShapExplanation:
-    """Closed-form attribution for logistic regression, in margin space."""
-    if not isinstance(model, LogisticRegressionModel):
-        raise ExplainError("linear_shap requires a LogisticRegression model")
-    return _linear_rows(model, *_valid_inputs(model, [x], "x", background), [patch_id])[0]
+def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
+    """Shapley attributions of every row of X, one patch id per row; a row's
+    are the same bits alone or in a batch. A tree model's path table is the
+    cached one of interaction_pairs, built only when the background or
+    model differs."""
+    X, background = _valid_inputs(model, X, "X", background)
+    patch_ids = [""] * len(X) if patch_ids is None else list(patch_ids)
+    if len(patch_ids) != len(X):
+        raise ExplainError(f"{len(patch_ids)} patch ids for {len(X)} rows of X")
+    if isinstance(model, LogisticRegressionModel):
+        return _linear_rows(model, X, background, patch_ids)
+    (groups, base), phi = _cached_table(model, background), np.zeros(X.shape)
+    for group in groups:
+        step = max(1, _BLOCK_BYTES // (8 * group.feature.size))
+        for start in range(0, len(X), step):
+            _add_group_phi(group, X[start:start + step], phi[start:start + step])
+    # Each row's explained output, the same bits as alone.
+    outputs = model.margin_batch(X) if model.space == "margin" else model.predict_proba_batch(X)
+    return [ShapExplanation(pid, base, contributions, output, model.space)
+            for pid, contributions, output in zip(patch_ids, phi, outputs.tolist())]
 
 
 def explain_instance(model, x, background, patch_id: str = "") -> ShapExplanation:
-    if isinstance(model, LogisticRegressionModel):
-        return linear_shap(model, x, background, patch_id)
-    return tree_shap(model, x, background, patch_id)
+    """explain_rows of the one row x: TreeSHAP for a tree model, the
+    closed-form attribution for logistic regression."""
+    return explain_rows(model, [x], background, [patch_id])[0]
 
 
-def explain_rows(model, X, background, patch_ids=None) -> list[ShapExplanation]:
-    """explain_instance for every row of X, bit for bit. A tree model's
-    path table is the cached one of tree_shap and interaction_pairs, built
-    only when the background or model differs."""
-    X, background = _valid_inputs(model, X, "X", background)
-    patch_ids = [""] * len(X) if patch_ids is None else list(patch_ids)
-    if isinstance(model, LogisticRegressionModel):
-        return _linear_rows(model, X, background, patch_ids)
-    return _explain_table(model, _cached_table(model, background), X, patch_ids)
+tree_shap = linear_shap = explain_instance
 
 
 def rank_importance(explanations, names) -> GlobalImportance:
@@ -272,6 +259,8 @@ def rank_importance(explanations, names) -> GlobalImportance:
         raise ExplainError("no explanations to rank")
     total = np.zeros(len(names))
     for exp in explanations:
+        if len(exp.contributions) != len(names):
+            raise ExplainError(f"{len(names)} names for {len(exp.contributions)} contributions")
         total += np.abs(exp.contributions)
     mean_abs = total / len(explanations)
     order = sorted(range(len(names)), key=lambda i: (-mean_abs[i], names[i]))
@@ -298,7 +287,7 @@ def global_importance(model, X, names, background) -> GlobalImportance:
 
 def interaction_pairs(model, X, feature_a: int, feature_b: int, background) -> list[float]:
     """SHAP interaction value of two features for each row of X (half their
-    Shapley interaction index), from the same cached path table as tree_shap;
+    Shapley interaction index), from the same cached path table as explain_rows;
     [x] for one row x.
 
     A path that does not split on both features adds nothing. One that

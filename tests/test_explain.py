@@ -129,9 +129,19 @@ def test_zero_cover_background_raises():
 
 def test_unsupported_kind_refused(blob_data):
     X, y = blob_data
-    model = learn.train("nb", fit_rows(X, y), seed=0)
+    for model in (learn.train("nb", fit_rows(X, y), seed=0), learn.train("dnn", fit_rows(X, y), {"epochs": 2}, seed=0)):
+        for call in (lambda: explain.explain_instance(model, X[0], X), lambda: explain.explain_rows(model, X, X),
+                     lambda: global_importance(model, X, ["a", "b"], X), lambda: interaction_pairs(model, X, 0, 1, X)):
+            with pytest.raises(ExplainError, match="unsupported"):
+                call()
+
+
+def test_one_explainer_under_three_names(blob_data):
+    # An lr through tree_shap gets linear_shap's bits: see the row-by-row check of every name below.
+    assert explain.tree_shap is explain.linear_shap is explain.explain_instance
+    X, y = blob_data
     with pytest.raises(ExplainError, match="unsupported"):
-        tree_shap(model, X[0], X)
+        interaction_pairs(learn.train("lr", fit_rows(X, y), seed=0), X[:1], 0, 1, X)
 
 
 def test_linear_shap_formula_and_additivity():
@@ -213,16 +223,19 @@ def test_explain_rows_matches_explain_instance_with_covers_once(kind, monkeypatc
         model = learn.train("lr", fit_rows(X, (X[:, 0] > 0).astype(int)), seed=0)
     else:
         model, X = random_tree_model(rng, 3, kind)
-    one_by_one = [explain.explain_instance(model, x, X, f"p{i}") for i, x in enumerate(X)]
+    one_by_one = {explainer: [explainer(model, x, X, f"p{i}") for i, x in enumerate(X)]
+                  for explainer in (explain.explain_instance, tree_shap, linear_shap)}
     calls = count_cover_calls(monkeypatch)
     model.explain_cache = None  # the batch builds a table of its own
     batch = explain.explain_rows(model, X, X, [f"p{i}" for i in range(len(X))])
     # One walk gives every tree's covers.
     assert len(calls) == (0 if kind == "lr" else 1)
-    for a, b in zip(one_by_one, batch):
-        assert (a.patch_id, a.base_value, a.model_output, a.space) == (b.patch_id, b.base_value,
-                                                                      b.model_output, b.space)
-        assert np.array_equal(a.contributions, b.contributions)
+    for rows in one_by_one.values():
+        assert len(rows) == len(batch)
+        for a, b in zip(rows, batch):
+            assert (a.patch_id, a.base_value, a.model_output, a.space) == (b.patch_id, b.base_value,
+                                                                          b.model_output, b.space)
+            assert np.array_equal(a.contributions, b.contributions)
     names = ["a", "b", "c"]
     assert explain.rank_importance(batch, names) == global_importance(model, X, names, X)
     assert len(calls) == (0 if kind == "lr" else 1)
@@ -467,6 +480,37 @@ def test_bad_explain_inputs_raise_explain_error(kind, what):
     for call in calls:
         with pytest.raises(ExplainError, match="x |X |background "):
             call()
+
+
+@pytest.mark.parametrize("kind", ["dt", "rf", "gbt", "lr"])
+def test_patch_ids_not_one_per_row_are_refused(kind):
+    # Not an explanation per id, the other rows dropped without a word.
+    rng = np.random.default_rng(20)
+    if kind == "lr":
+        X = rng.normal(size=(60, 4))
+        model = learn.train("lr", fit_rows(X, (X[:, 0] > 0).astype(int)), seed=0)
+    else:
+        model, X = random_tree_model(rng, 4, kind)
+    assert [e.patch_id for e in explain.explain_rows(model, X[:5], X, "abcde")] == list("abcde")
+    for ids, count in ((["a", "b"], 2), ([f"p{i}" for i in range(7)], 7)):
+        with pytest.raises(ExplainError, match=f"^{count} patch ids for 5 rows of X$"):
+            explain.explain_rows(model, X[:5], X, ids)
+
+
+@pytest.mark.parametrize("kind, features, names", [
+    ("lr", 4, ["only"]), ("dt", 1, ["real", "bogus-1", "bogus-2"]), ("dt", 1, []), ("gbt", 3, ["a", "b"])])
+def test_names_not_one_per_contribution_are_refused(kind, features, names):
+    # Not a numpy error, nor a ranking of columns the model never had.
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(60, features))
+    model = learn.train(kind, fit_rows(X, (X[:, 0] > 0).astype(int)), seed=0)
+    explanations = explain.explain_rows(model, X, X)
+    message = f"^{len(names)} names for {features} contributions$"
+    for call in (lambda: explain.rank_importance(explanations, names), lambda: global_importance(model, X, names, X)):
+        with pytest.raises(ExplainError, match=message):
+            call()
+    right = [f"f{i}" for i in range(features)]
+    assert explain.rank_importance(explanations, right) == global_importance(model, X, right, X)
 
 
 @pytest.mark.parametrize("kind", ["dt", "gbt", "lr"])
