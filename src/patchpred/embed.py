@@ -100,21 +100,25 @@ class ParagraphVectorModel:
 
 
 def cosine(a, b) -> float:
-    """Standard cosine similarity; zero-norm inputs map to 0.0."""
+    """Standard cosine similarity; a zero vector (is_zero_norm) maps to 0.0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise EmbeddingError(f"cosine: length mismatch {a.shape} vs {b.shape}")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
+    if na * nb == 0.0:
+        if is_zero_norm(a) or is_zero_norm(b):
+            return 0.0
+        # Norms that underflow: scaling each vector by its largest |entry| keeps the cosine.
+        return cosine(a / np.abs(a).max(), b / np.abs(b).max())
     # Clamp: rounding (and denormal underflow) can push the ratio past +/-1.
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def is_zero_norm(v) -> bool:
-    return float(np.linalg.norm(np.asarray(v, dtype=float))) == 0.0
+    """Whether v has no nonzero entry; a nonzero v's norm can still underflow to 0."""
+    return not np.asarray(v, dtype=float).any()
 
 
 def euclidean_similarity(a, b) -> float:
@@ -536,7 +540,9 @@ def import_embeddings(path) -> list[EmbeddingPair]:
     """Read externally produced vectors: JSONL of patch_id/buggy_vec/patched_vec.
 
     Every patch_id must be a non-empty string, and every vector a list of
-    numbers (fileio.numbers) of one dimension, taken from the first record.
+    numbers (fileio.numbers) of one dimension, taken from the first record,
+    and the sums of squares of both vectors and of their difference must be
+    finite, so every crossed value, cosine and distance of the pair is.
     Vectors are used as-is, without re-normalization.
     """
     pairs: list[EmbeddingPair] = []
@@ -565,6 +571,10 @@ def import_embeddings(path) -> list[EmbeddingPair]:
         if len(buggy) != n or len(patched) != n:
             raise EmbeddingError(
                 f"{where}: patch {patch_id!r} has vector length {len(buggy)}/{len(patched)}, expected {n}")
+        with np.errstate(over="ignore"):  # a sum of squares that overflows is inf, and refused
+            if not all(np.isfinite(v @ v) for v in (buggy, patched, patched - buggy)):
+                raise EmbeddingError(f"{where}: patch {patch_id!r}: the sums of squares of buggy_vec, "
+                                     f"patched_vec and their difference must be finite")
         pairs.append(EmbeddingPair(patch_id, buggy, patched, provider="imported", n=n))
     if not pairs:
         raise EmbeddingError(f"no embedding records in {path}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import combine, fileio, learn, worker
+from . import fileio, learn, worker
 from .corpus import split_by_bug
 from .defaults import resolved_config
 from .errors import EvalError, TrainError
@@ -189,7 +189,7 @@ class FusionTrainer:
 
     def fit(self, rows, seed: int):
         data = learn.Dataset.of(rows)
-        model = combine.deep_fusion_train(data, self.config, seed)
+        model = learn.deep_fusion_train(data, self.config, seed)
 
         def predict(test_rows):
             data = learn.Dataset.of(test_rows)

@@ -1,9 +1,10 @@
-"""Six from-scratch binary classifiers behind one train/predict interface.
+"""Six from-scratch binary classifiers behind one train/predict interface,
+and the two-tower fusion network (DeepFusionModel) over both feature sets.
 
 All learners output the probability of label 1 (correct). Every fit takes
 one Dataset, the only conversion of rows to a matrix. Training is fully
-deterministic under a fixed seed, and every model serializes to versioned
-JSON that round-trips to an identical predictor.
+deterministic under a fixed seed, and each of the six learners' models
+serializes to versioned JSON that round-trips to an identical predictor.
 """
 
 from __future__ import annotations
@@ -1144,8 +1145,8 @@ class GradientBoostedTreesModel(_MarginModel, TreeModel):
         # margin, which is what the tree's walk would return for it.
         scratch = _Scratch(X, sw, True, config["max_depth"], config["min_leaf"], peer)
         leaf_values = np.empty(len(y))
+        p = _sigmoid(margin)  # a round's probabilities; each round ends by taking the next one's
         for _round in range(config["rounds"]):
-            p = _sigmoid(margin)
             residual = y - p
             # A node's sums of these products are its gradient and hessian.
             g, h = sw * residual, sw * (p * (1 - p))
@@ -1159,8 +1160,9 @@ class GradientBoostedTreesModel(_MarginModel, TreeModel):
 
             scratch.grow(residual, leaf_value, nodes, leaf_values)
             margin = margin + lr * leaf_values
-            p_new = np.clip(_sigmoid(margin), 1e-12, 1 - 1e-12)
-            loss = float(-(sw * (y * np.log(p_new) + (1 - y) * np.log(1 - p_new))).sum() / total)
+            p = _sigmoid(margin)
+            clipped = np.clip(p, 1e-12, 1 - 1e-12)
+            loss = float(-(sw * (y * np.log(clipped) + (1 - y) * np.log(1 - clipped))).sum() / total)
             if not math.isfinite(loss):
                 raise TrainError("non-finite boosting loss; lower the learning rate")
             losses.append(loss)
@@ -1205,10 +1207,6 @@ def glorot_params(layers, seed) -> list[np.ndarray]:
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         params += [rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)]
     return params
-
-
-def init_net_params(layer_sizes, seed) -> list[np.ndarray]:
-    return glorot_params(zip(layer_sizes[:-1], layer_sizes[1:]), seed)
 
 
 def net_forward(params, X):
@@ -1284,7 +1282,8 @@ class FeedForwardNetModel(TrainedModel):
         mean, std = _standardizer(X, config["standardize"])
         Xs = (X - mean) / std
         sw = _sample_weights(y, config["class_weight"])
-        params = init_net_params([X.shape[1]] + list(config["hidden"]) + [1], seed)
+        sizes = [X.shape[1], *config["hidden"], 1]
+        params = glorot_params(zip(sizes, sizes[1:]), seed)
         report = adam_epochs(params, lambda q: net_loss_and_grad(q, Xs, y, config["l2"], sw),
                              config, "network")
         model = cls(X.shape[1], config, seed, params, mean, std)
@@ -1311,6 +1310,74 @@ class FeedForwardNetModel(TrainedModel):
         vector = (feature_count,)
         return cls(feature_count, config, seed, layers, _array(params["mean"], vector, "mean"),
                    _array(params["std"], vector, "std", *_POSITIVE))
+
+
+# --- two-tower fusion network -----------------------------------------------
+
+def fusion_forward(params, Xl, Xe):
+    """Forward pass; returns (probabilities, (the towers' outputs, the
+    head's activations)). params are [Wl, bl, We, be] then the head's."""
+    hl = np.maximum(Xl @ params[0] + params[1], 0.0)
+    he = np.maximum(Xe @ params[2] + params[3], 0.0)
+    p, acts = net_forward(params[4:], np.concatenate([hl, he], axis=1))
+    return p, (hl, he, acts)
+
+
+def fusion_loss_and_grad(params, Xl, Xe, y, l2=0.0, sample_weight=None):
+    """Mean cross-entropy and gradients for the two-tower network: the
+    head's backward pass, then its first layer's delta back through Wj and
+    split over the towers."""
+    Wl, We, Wj = params[0], params[2], params[4]
+    _p, (hl, he, acts) = fusion_forward(params, Xl, Xe)
+    loss, head_grads, d_hj = net_backward(params[4:], acts, y, l2, sample_weight)
+    for W in params[::2]:  # Wl, We, Wj, wo
+        loss += 0.5 * l2 * float((W * W).sum())
+    d_joint = d_hj @ Wj.T
+    d_hl = d_joint[:, : hl.shape[1]] * (hl > 0.0)
+    d_he = d_joint[:, hl.shape[1]:] * (he > 0.0)
+    return loss, [Xl.T @ d_hl + l2 * Wl, d_hl.sum(axis=0),
+                  Xe.T @ d_he + l2 * We, d_he.sum(axis=0), *head_grads]
+
+
+class DeepFusionModel(TrainedModel):
+    """Two-tower network over rows of the learned then the engineered
+    features: the first learned_count columns feed the learned tower. Each
+    tower is one ReLU layer, and a feed-forward head (net_forward) with one
+    joint hidden layer models cross-set interactions over both towers'
+    outputs. One standardizer covers every column. Not saved: no model file."""
+
+    kind = "DeepFusion"
+
+    def __init__(self, learned_count, config, seed, params, mean, std):
+        super().__init__(len(mean), config, seed)
+        self.learned_count = learned_count
+        self.params, self.mean, self.std = params, mean, std
+
+    def _towers(self, X):
+        """X standardized, as contiguous learned and engineered columns (a
+        matmul over a strided one-column view can round differently)."""
+        Xs = (X - self.mean) / self.std
+        return (np.ascontiguousarray(Xs[:, :self.learned_count]),
+                np.ascontiguousarray(Xs[:, self.learned_count:]))
+
+    def _proba(self, X) -> np.ndarray:
+        return fusion_forward(self.params, *self._towers(X))[0]
+
+
+def deep_fusion_train(data: Dataset, config: dict | None = None, seed: int = 0) -> DeepFusionModel:
+    """Jointly train the fusion net on a Dataset of JointRows, whose learned
+    block comes first; its rows pass Dataset.labeled, as every fit's do."""
+    X, y = data.labeled()
+    resolved = resolved_config("DeepFusion", config)
+    learned = data.blocks["learned"].stop
+    hl, he, hj = resolved["learned_width"], resolved["engineered_width"], resolved["joint_width"]
+    layers = [(learned, hl), (X.shape[1] - learned, he), (hl + he, hj), (hj, 1)]
+    model = DeepFusionModel(learned, resolved, seed, glorot_params(layers, seed),
+                            *_standardizer(X, resolved["standardize"]))
+    Xls, Xes = model._towers(X)
+    model.training_report = adam_epochs(
+        model.params, lambda q: fusion_loss_and_grad(q, Xls, Xes, y, resolved["l2"]), resolved, "fusion")
+    return model
 
 
 # (test, what passes) for _array: divisors, and probabilities.

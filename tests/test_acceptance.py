@@ -21,8 +21,7 @@ from patchpred.embed import EmbeddingPair
 from patchpred.evaluate import (EnsembleTrainer, FusionTrainer, JointRow, SingleSetTrainer, auc,
                                 confusion_metrics, crossval)
 from patchpred.explain import tree_shap
-from patchpred.learn import (FeatureRow, init_net_params, logistic_loss_and_grad,
-                             net_loss_and_grad)
+from patchpred.learn import FeatureRow, glorot_params, logistic_loss_and_grad, net_loss_and_grad
 
 from conftest import build_joint_rows
 from shap_reference import brute_force_shap
@@ -228,7 +227,7 @@ def test_c10_gradient_checks():
 
     X = rng.normal(size=(12, 3))
     y = (X[:, 0] > 0).astype(float)
-    params = [p + rng.normal(scale=0.2, size=p.shape) for p in init_net_params([3, 4, 1], seed=2)]
+    params = [p + rng.normal(scale=0.2, size=p.shape) for p in glorot_params([(3, 4), (4, 1)], seed=2)]
     shapes = [p.shape for p in params]
 
     def unflatten(flat):

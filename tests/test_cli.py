@@ -81,6 +81,44 @@ def test_import_embeddings_command(pipeline):
     assert run("import-embeddings", "--embeddings", str(pipeline["embeddings"])) == 0
 
 
+def _first_vectors(tmp_path, first):
+    """A corpus of 8 patches and its embeddings, every record's vectors
+    [1.0, 0.5, 0.25] and [1.0, 0.25, 0.5] but the first's, which are `first`."""
+    paths = tmp_path / "corpus.jsonl", tmp_path / "embeddings.jsonl"
+    assert run("gen-synthetic", "--bugs", "4", "--patches-per-bug", "2", "--seed", "1", "--out", str(paths[0])) == 0
+    ids = [rec.patch_id for rec in corpus.read(paths[0]).records]
+    normal = {"buggy_vec": [1.0, 0.5, 0.25], "patched_vec": [1.0, 0.25, 0.5]}
+    paths[1].write_text("".join(json.dumps({"patch_id": pid, **(first if i == 0 else normal)}) + "\n"
+                                for i, pid in enumerate(ids)))
+    return [str(path) for path in paths]
+
+
+@pytest.mark.parametrize("command", ["features", "stats", "filter", "top1"])
+def test_vectors_whose_squares_overflow_are_refused_by_every_command_that_reads_them(command, tmp_path, capsys):
+    corpus_path, embeddings = _first_vectors(tmp_path, {"buggy_vec": [1e200, 0.5, 0.25],
+                                                         "patched_vec": [1e200, 0.25, 0.5]})
+    out = tmp_path / "out"
+    extra = {"features": ["--set", "learned"], "stats": ["--label-filter", "all"], "filter": ["--policy", "0.5"],
+             "top1": []}[command]
+    assert run(command, "--corpus", corpus_path, "--embeddings", embeddings, *extra, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[embed]: {embeddings} line 1: patch 'synth-0000': ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_pair_of_vectors_whose_norms_underflow_scores_its_cosine(tmp_path):
+    corpus_path, embeddings = _first_vectors(tmp_path, {"buggy_vec": [1e-200, 0.0, 0.0],
+                                                         "patched_vec": [1e-200, 0.0, 0.0]})
+    stats, learned = tmp_path / "stats.json", tmp_path / "learned.csv"
+    assert run("stats", "--corpus", corpus_path, "--embeddings", embeddings, "--label-filter", "all",
+               "--out", str(stats)) == 0
+    assert json.loads(stats.read_text())["flagged_zero_norm"] == []
+    assert run("features", "--corpus", corpus_path, "--embeddings", embeddings, "--set", "learned",
+               "--out", str(learned)) == 0
+    header, row = (line.split(",") for line in learned.read_text().splitlines()[:2])
+    assert row[0] == "synth-0000" and float(row[header.index("B-6")]) == 1.0  # the cosine of n = 3
+
+
 def test_stats_filter_top1_pipeline(pipeline, tmp_path):
     stats_path = tmp_path / "stats.json"
     assert run("stats", "--corpus", str(pipeline["corpus"]), "--embeddings",

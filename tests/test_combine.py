@@ -4,11 +4,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from patchpred.combine import fusion_loss_and_grad, init_fusion_params, naive_concat
+from patchpred.combine import naive_concat
 from patchpred.corpus import split_by_bug
 from patchpred.errors import TrainError
 from patchpred.evaluate import EnsembleTrainer, FusionTrainer, JointRow, SingleSetTrainer, crossval
-from patchpred.learn import Forest
+from patchpred.learn import Forest, fusion_loss_and_grad, glorot_params
 
 
 def ensemble_predictor(kind, X, y):
@@ -81,10 +81,11 @@ def test_fusion_gradient_matches_finite_differences_small_towers(l2):
     Xl, Xe = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
     y = (rng.random(8) < 0.5).astype(float)
     y[:2] = [0, 1]
-    config = {"learned_width": 2, "engineered_width": 2, "joint_width": 2}
+    # Towers of width 2 over 3 columns each, and a joint layer of width 2.
+    layers = [(3, 2), (3, 2), (4, 2), (2, 1)]
     # Evaluate away from zero biases: exact ReLU kinks are nondifferentiable
     # and would make finite differences disagree with any subgradient choice.
-    params = [p + rng.normal(scale=0.2, size=p.shape) for p in init_fusion_params(3, 3, config, seed=3)]
+    params = [p + rng.normal(scale=0.2, size=p.shape) for p in glorot_params(layers, seed=3)]
     shapes = [p.shape for p in params]
 
     def unflatten(flat):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchpred import cli, corpus, diffparse, embed, synth
+from patchpred import cli, corpus, crossing, diffparse, embed, synth
 from patchpred.embed import EmbedderConfig
 from patchpred.errors import EmbeddingError
 
@@ -25,6 +25,26 @@ def test_cosine_zero_norm_maps_to_zero():
     assert embed.cosine([0, 0], [1, 2]) == 0.0
     assert embed.is_zero_norm([0.0, 0.0])
     assert not embed.is_zero_norm([0.0, 1e-12])
+
+
+def test_a_nonzero_vector_whose_norm_underflows_is_not_zero_norm():
+    tiny = [1e-200, 0.0, 0.0]
+    assert float(np.linalg.norm(tiny)) == 0.0
+    assert not embed.is_zero_norm(tiny)
+    assert embed.cosine(tiny, tiny) == 1.0
+    assert embed.cosine(tiny, [-5e-324, 0.0, 0.0]) == -1.0
+    assert embed.cosine(tiny, [0.0, 1e-200, 0.0]) == 0.0
+    # A true zero vector is still zero-norm, and its cosine with anything is 0.
+    assert embed.is_zero_norm([0.0, -0.0, 0.0])
+    assert embed.cosine([0.0, 0.0, 0.0], tiny) == embed.cosine(tiny, [0.0, 0.0, 0.0]) == 0.0
+
+
+def test_a_normal_pair_keeps_its_cosine_bits():
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=64), rng.normal(size=64)
+    assert embed.cosine(a, b).hex() == "0x1.f11a7eb2f2a42p-7"
+    assert embed.cosine([3.0, 4.0], [4.0, 3.0]).hex() == "0x1.eb851eb851eb8p-1"
+    assert embed.cosine(a, a) == 1.0
 
 
 def test_cosine_length_mismatch_errors():
@@ -217,6 +237,9 @@ def test_import_embeddings_non_finite_errors(tmp_path):
         embed.import_embeddings(path)
 
 
+OVERFLOWS = "patch 'p2': the sums of squares of buggy_vec, patched_vec and their difference must be finite"
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"patch_id": None}, "patch_id must be a non-empty string, not None"),
     ({"patch_id": ""}, "patch_id must be a non-empty string, not ''"),
@@ -225,7 +248,12 @@ def test_import_embeddings_non_finite_errors(tmp_path):
     ({"patched_vec": [False, 0.0]}, "malformed record: patched_vec must be finite numbers of shape (2,): got false"),
     ({"buggy_vec": [1.0, 10**400]},
      "malformed record: buggy_vec must be finite numbers of shape (2,): got an integer too large for a float"),
-], ids=["id-null", "id-empty", "id-number", "entry-true", "entry-false", "entry-huge-int"])
+    ({"buggy_vec": [1e200, 2.0], "patched_vec": [1e200, 0.0]}, OVERFLOWS),
+    ({"patched_vec": [-1e200, 0.0]}, OVERFLOWS),
+    # Each vector's sum of squares is finite, their difference's is not.
+    ({"buggy_vec": [1.2e154, 0.0], "patched_vec": [-1.2e154, 0.0]}, OVERFLOWS),
+], ids=["id-null", "id-empty", "id-number", "entry-true", "entry-false", "entry-huge-int", "squares-both",
+        "squares-patched", "squares-difference"])
 def test_import_embeddings_refuses_a_bad_patch_id_or_entry_naming_file_and_line(tmp_path, capsys, edit, message):
     path = tmp_path / "e.jsonl"
     good = {"patch_id": "p1", "buggy_vec": [1.0, 2.0], "patched_vec": [0.5, 0.0]}
@@ -235,6 +263,16 @@ def test_import_embeddings_refuses_a_bad_patch_id_or_entry_naming_file_and_line(
     with pytest.raises(EmbeddingError, match=f"line 2: .*{re.escape(message)}"):
         embed.import_embeddings(path)
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_imported_vectors_inside_the_bound_cross_to_finite_values(tmp_path):
+    path = tmp_path / "e.jsonl"
+    path.write_text(json.dumps({"patch_id": "p1", "buggy_vec": [1.2e154, -1.0], "patched_vec": [1.2e154, 1.0]}) + "\n"
+                    + json.dumps({"patch_id": "p2", "buggy_vec": [1e-200, 0.0], "patched_vec": [1e-200, 0.0]}) + "\n")
+    for pair in embed.import_embeddings(path):
+        values = crossing.cross(pair).values
+        assert np.isfinite(values).all()
+        assert values[-2] == pytest.approx(1.0)  # the cosine
 
 
 def test_export_import_round_trip(tmp_path):

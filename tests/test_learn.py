@@ -18,12 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchpred import explain, learn, worker
-from patchpred.combine import deep_fusion_train, fusion_loss_and_grad
 from patchpred.errors import ExplainError, TrainError
 from patchpred.evaluate import JointRow
 from patchpred.learn import (FeatureRow, RandomForestModel, LogisticRegressionModel,
-                             Tree, _pick, logistic_loss_and_grad, net_loss_and_grad,
-                             init_net_params)
+                             Tree, _pick, deep_fusion_train, fusion_loss_and_grad, glorot_params,
+                             logistic_loss_and_grad, net_loss_and_grad)
 
 from conftest import paper_shaped_matrix
 from tree_reference import model_output, predict
@@ -294,7 +293,7 @@ def test_network_gradient_matches_finite_differences_five_param_toy(l2):
     X = rng.normal(size=(10, 2))
     y = (X[:, 0] > 0).astype(float)
     sw = rng.uniform(0.5, 2.0, size=10)  # non-unit sample weights
-    params = init_net_params([2, 1, 1], seed=4)  # 2 + 1 + 1 + 1 = 5 parameters
+    params = glorot_params([(2, 1), (1, 1)], seed=4)  # 2 + 1 + 1 + 1 = 5 parameters
     shapes = [p.shape for p in params]
 
     def unflatten(flat):

@@ -1,13 +1,14 @@
 """Seeded one-line and one-cell edits of every row file the CLI reads: the
 corpus JSONL (through ingest, and through features --set engineered and
-fragments), the embeddings JSONL (import-embeddings), a feature CSV (train)
-and a prediction CSV (compare). Each edited file goes through cli.main, with
-RuntimeWarnings raised as errors (pyproject.toml's pytest filterwarnings, and
-the CI step's -W error::RuntimeWarning). A run passes if it exits 1 with
-error[<category>], or exits 0 with finite outputs; for the corpus, a line
-that ingest rejects is an exit 0 of ingest, and the other commands, which
-read the corpus whole, exit 1 naming the file and the edited line, or exit 0
-with one output row per record."""
+fragments), the embeddings JSONL (through import-embeddings, and through
+features --set learned and stats, which compute on the vectors), a feature
+CSV (train) and a prediction CSV (compare). Each edited file goes through
+cli.main, with RuntimeWarnings raised as errors (pyproject.toml's pytest
+filterwarnings, and the CI step's -W error::RuntimeWarning). A run passes if
+it exits 1 with error[<category>], or exits 0 with finite outputs, a CSV's
+included; for the corpus, a line that ingest rejects is an exit 0 of ingest,
+and the other commands, which read the corpus whole, exit 1 naming the file
+and the edited line, or exit 0 with one output row per record."""
 
 import json
 import math
@@ -23,7 +24,7 @@ DEEP = "[" * 10**5 + "]" * 10**5  # nested past any recursion limit
 OVERSIZED = "9" * (2**17 + 1)  # one character over csv's default field limit
 
 # What an edit sets a JSON field or a CSV cell to.
-JSON_VALUES = (math.nan, math.inf, -math.inf, True, None, "x", "", OVERSIZED, DEEP)
+JSON_VALUES = (math.nan, math.inf, -math.inf, 1e200, -1e200, True, None, "x", "", OVERSIZED, DEEP)
 CSV_VALUES = ("nan", "inf", "-inf", "true", "null", "x", "", OVERSIZED, DEEP)
 
 
@@ -116,41 +117,52 @@ def _finite(doc):
 
 def _finite_file(path):
     text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":  # a feature CSV: patch_id, bug_id and label, then the values
+        return all(math.isfinite(float(cell)) for row in text.splitlines()[1:] for cell in row.split(",")[3:])
     return _finite([json.loads(line) for line in text.splitlines()] if path.suffix == ".jsonl" else json.loads(text))
 
 
-# file -> (its edits, the command that reads an edited copy and writes out)
+# file -> (its edits, [(the output's name, the command that reads an edited copy and writes it), ...])
 CASES = {
-    "corpus.jsonl": (_jsonl_edits, lambda saved, edited, out: ("ingest", "--input", edited, "--out", out)),
-    "embeddings.jsonl": (_jsonl_edits, lambda saved, edited, out: ("import-embeddings", "--embeddings", edited,
-                                                                   "--out", out)),
-    "features.csv": (_csv_edits, lambda saved, edited, out: ("train", "--features", edited, "--learner", "nb",
-                                                             "--out", out)),
-    "predictions.csv": (_csv_edits, lambda saved, edited, out: ("compare", "--a", saved["predictions.csv"],
-                                                                "--b", edited, "--out", out)),
+    "corpus.jsonl": (_jsonl_edits, [("out.jsonl", lambda saved, edited, out: ("ingest", "--input", edited,
+                                                                              "--out", out))]),
+    "embeddings.jsonl": (_jsonl_edits, [
+        ("out.jsonl", lambda saved, edited, out: ("import-embeddings", "--embeddings", edited, "--out", out)),
+        ("out.csv", lambda saved, edited, out: ("features", "--corpus", saved["corpus.jsonl"], "--embeddings",
+                                                edited, "--set", "learned", "--out", out)),
+        ("out.json", lambda saved, edited, out: ("stats", "--corpus", saved["corpus.jsonl"], "--embeddings",
+                                                 edited, "--label-filter", "all", "--out", out)),
+    ]),
+    "features.csv": (_csv_edits, [("out.json", lambda saved, edited, out: ("train", "--features", edited,
+                                                                           "--learner", "nb", "--out", out))]),
+    "predictions.csv": (_csv_edits, [("out.json", lambda saved, edited, out: ("compare", "--a",
+                                                                              saved["predictions.csv"], "--b",
+                                                                              edited, "--out", out))]),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_one_line_or_cell_edits_of_a_row_file_end_in_an_error_or_a_finite_answer(saved, name, tmp_path, capsys):
-    edits, argv = CASES[name]
+    edits, commands = CASES[name]
     lines = saved[name].read_text(encoding="utf-8").splitlines()
     edited_path = tmp_path / name
-    out = tmp_path / ("out.jsonl" if name.endswith(".jsonl") else "out.json")
     failures, count = [], 0
     for what, data in edits(lines, random.Random(name)):
         count += 1
         edited_path.write_bytes(data)
-        out.unlink(missing_ok=True)
-        try:
-            status = run(*argv(saved, edited_path, out))
-            err = capsys.readouterr().err
-            if status == 1 and err.startswith("error[") and "Traceback" not in err:
-                continue
-            if status != 0 or not _finite_file(out):
-                failures.append(f"{what}: exit {status}: {err.strip() or 'non-finite outputs'}")
-        except Exception as exc:  # a crash, or a RuntimeWarning raised as an error
-            failures.append(f"{what}: {type(exc).__name__}: {str(exc)[:200]}")
+        for out_name, argv in commands:
+            out = tmp_path / out_name
+            out.unlink(missing_ok=True)
+            argv = argv(saved, edited_path, out)
+            try:
+                status = run(*argv)
+                err = capsys.readouterr().err
+                if status == 1 and err.startswith("error[") and "Traceback" not in err:
+                    continue
+                if status != 0 or not _finite_file(out):
+                    failures.append(f"{what} ({argv[0]}): exit {status}: {err.strip() or 'non-finite outputs'}")
+            except Exception as exc:  # a crash, or a RuntimeWarning raised as an error
+                failures.append(f"{what} ({argv[0]}): {type(exc).__name__}: {str(exc)[:200]}")
     assert count > 40
     assert not failures, "\n".join(failures)
 
@@ -203,7 +215,8 @@ def test_a_line_not_utf8_nested_too_deep_or_oversized_is_named_by_file_and_line(
         assert [r["line"] for r in rejected] == [line]
     else:
         category = {"embeddings.jsonl": "embed", "features.csv": "features", "predictions.csv": "eval"}[name]
-        assert run(*CASES[name][1](saved, edited, out)) == 1
+        _edits, [(_name, argv), *_others] = CASES[name]  # the first command that reads the file
+        assert run(*argv(saved, edited, out)) == 1
         assert capsys.readouterr().err.startswith(f"error[{category}]: {edited} line {line}: ")
 
 
