@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import fileio
+from . import fileio, worker
 from .defaults import HYPERPARAMETER_CHECKS
 from .errors import EmbeddingError
 
@@ -214,10 +214,11 @@ class _NoiseTable:
             ids[short] = np.searchsorted(self.cdf, keys[short])
         return ids
 
-    def sample(self, rng, shape) -> np.ndarray:
+    def sample(self, rng, shape, out=None) -> np.ndarray:
         """Token ids for the keys rng.random(shape), drawn and searched
-        _DRAW_BLOCK at a time: the same stream as one draw."""
-        ids = np.empty(shape, dtype=np.intp)
+        _DRAW_BLOCK at a time: the same stream as one draw. They go into
+        `out`, a C-contiguous intp array of that shape, if one is given."""
+        ids = np.empty(shape, dtype=np.intp) if out is None else out
         flat = ids.reshape(-1)
         keys = np.empty(min(flat.size, _DRAW_BLOCK))
         for a in range(0, flat.size, _DRAW_BLOCK):
@@ -232,9 +233,15 @@ class _Epochs:
     Every non-empty document owns one slice of `rows`: its T positive
     token ids, then its T*k negative ids, in document order. Positives are
     written once; each epoch writes its negative draw into the other slots.
-    `coef`, `above` and `below` hold the scores and saturation masks of a
-    whole epoch in the same layout; `update` holds one document's word-row
-    updates, as many rows as the longest document's slice.
+    `coef` holds the scores of a whole epoch in the same layout.
+
+    Each document is bound once, in `docs`, to the views that are its own:
+    its negated vector, its slices of `rows` and `coef`, and the positive
+    and negative parts of its `coef`. The scratch of a step, written before
+    it is read, is shared: the gathered word rows, the update, the scatter
+    positions and the saturation masks are one buffer each, as long as the
+    longest document's slice and viewed once per document length, and the
+    two gradient buffers serve every document.
 
     The word-matrix update is one scatter-add per document over a flat view
     of the matrix. With n even the view is complex128, one element per pair
@@ -243,33 +250,46 @@ class _Epochs:
     float view. Row r of `positions` gives the flat view's elements of row r.
     """
 
-    def __init__(self, word_matrix, indexed, k: int):
+    def __init__(self, word_matrix, negated, indexed, k: int):
         self.word_matrix = word_matrix
-        self.spans, size = [], 0  # (document, start, first negative, stop)
-        for d, pos_idx in enumerate(indexed):
-            if len(pos_idx):
-                stop = size + len(pos_idx) * (1 + k)
-                self.spans.append((d, size, size + len(pos_idx), stop))
-                size = stop
-        self.n_tokens = size // (1 + k)
-        self.rows = np.empty(size, dtype=np.intp)
-        self.negative = np.ones(size, dtype=bool)
-        for d, start, split, _ in self.spans:
-            self.rows[start:split] = indexed[d]
-            self.negative[start:split] = False
-        self.coef = np.empty(size)
-        self.above, self.below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         vocab_size, n = word_matrix.shape
-        self.update = np.empty((max((stop - start for _, start, _, stop in self.spans), default=0), n))
         self.dtype, width = (np.complex128, n // 2) if n % 2 == 0 else (np.float64, n)
         self.flat = word_matrix.reshape(-1).view(self.dtype)
         self.positions = np.arange(vocab_size * width).reshape(vocab_size, width)
+        lengths = [len(pos_idx) for pos_idx in indexed]
+        size = sum(lengths) * (1 + k)
+        self.n_tokens = sum(lengths)
+        self.rows, self.coef = np.empty(size, dtype=np.intp), np.empty(size)
+        self.negative = np.ones(size, dtype=bool)
+        longest = max(lengths, default=0) * (1 + k)
+        vecs, update = np.empty((longest, n)), np.empty((longest, n))
+        at = np.empty((longest, width), dtype=np.intp)
+        above, below = np.empty(longest, dtype=bool), np.empty(longest, dtype=bool)
+        self.grad, self.neg_grad = np.empty(n), np.empty(n)
+        scratch = {}  # T -> the shared buffers' views for a T-token document
+        self.docs = []
+        start = 0
+        for d, length in enumerate(lengths):
+            if not length:
+                continue
+            split, stop = start + length, start + length * (1 + k)
+            self.rows[start:split] = indexed[d]
+            self.negative[start:split] = False
+            if length not in scratch:
+                m = stop - start
+                scratch[length] = (vecs[:m], vecs[:length], vecs[length:m], update[:m],
+                                   update[:m].view(self.dtype).reshape(-1), at[:m], at[:m].reshape(-1),
+                                   above[:m], below[:m])
+            coef = self.coef[start:stop]
+            self.docs.append((negated[d], self.rows[start:stop], coef, coef[:length], coef[length:],
+                              scratch[length]))
+            start = stop
 
-    def run(self, negated, negatives, lr: np.ndarray, with_loss: bool) -> float:
+    def run(self, negatives, lr: np.ndarray, with_loss: bool) -> float:
         """One epoch, document by document, on the document vectors negated
-        (`negated` is -doc_vectors), with `negatives` (T_total, k) as its
-        draw and the 0-d learning rate `lr`. Returns the summed pair loss if
-        `with_loss`, else 0.0.
+        (the views of -doc_vectors bound in `docs`), with `negatives`
+        (T_total, k) as its draw and the 0-d learning rate `lr`. Returns the
+        summed pair loss if `with_loss`, else 0.0.
 
         Each document's gradients are computed against the current
         parameters and applied once; repeated rows of its scatter-add are
@@ -277,33 +297,36 @@ class _Epochs:
         its negative ones, in token order. Negation and rounding are
         symmetric in sign, so (c * -v) * lr is the bits of (c * v) * -lr,
         and -v + step those of -(v - step) but for the sign of an exact zero,
-        which changes no sigmoid output and no word row.
+        which changes no sigmoid output and no word row. The gathers take
+        mode="clip", which writes into `out` directly (the default copies
+        through a buffer); every id is in range, so it clips none.
         """
-        rows, coef, word_matrix = self.rows, self.coef, self.word_matrix
-        rows[self.negative] = negatives.reshape(-1)
+        self.rows[self.negative] = negatives.reshape(-1)
+        gather, place, flat = self.word_matrix.take, self.positions.take, self.flat
+        grad, neg_grad = self.grad, self.neg_grad
         total = 0.0
-        for d, start, split, stop in self.spans:
-            doc_vec, doc_rows, doc_coef = negated[d], rows[start:stop], coef[start:stop]
-            n_pos = split - start
-            vecs = word_matrix.take(doc_rows, axis=0)
-            pos_vecs, neg_vecs = vecs[:n_pos], vecs[n_pos:]
-            pos_coef, neg_coef = doc_coef[:n_pos], doc_coef[n_pos:]
-            np.dot(pos_vecs, doc_vec, out=pos_coef)
-            np.dot(neg_vecs, doc_vec, out=neg_coef)
-            _sigmoid_inplace(doc_coef, self.above[start:stop], self.below[start:stop])
+        for doc_vec, doc_rows, doc_coef, pos_coef, neg_coef, scratch in self.docs:
+            vecs, pos_vecs, neg_vecs, update, update_flat, at, at_flat, above, below = scratch
+            gather(doc_rows, 0, vecs, "clip")
+            np.dot(pos_vecs, doc_vec, pos_coef)
+            np.dot(neg_vecs, doc_vec, neg_coef)
+            _sigmoid_inplace(doc_coef, above, below)
             if with_loss:
                 # loss = -log sigma(pos) - sum log sigma(-neg)
                 total += float(-np.log(np.maximum(pos_coef, 1e-12)).sum()
                                - np.log(np.maximum(1.0 - neg_coef, 1e-12)).sum())
             pos_coef -= _ONE
-            grad_doc = np.dot(pos_coef, pos_vecs) + np.dot(neg_coef, neg_vecs)
-            update = self.update[:stop - start]
+            np.dot(pos_coef, pos_vecs, grad)
+            np.dot(neg_coef, neg_vecs, neg_grad)
             update[...] = doc_coef[:, None]
             update *= doc_vec
             update *= lr
-            np.add.at(self.flat, self.positions.take(doc_rows, axis=0).reshape(-1),
-                      update.view(self.dtype).reshape(-1))
-            doc_vec += lr * grad_doc
+            place(doc_rows, 0, at, "clip")
+            np.add.at(flat, at_flat, update_flat)
+            # doc_vec += lr * (grad + neg_grad), in the same bits
+            grad += neg_grad
+            grad *= lr
+            doc_vec += grad
         return total
 
 
@@ -327,7 +350,9 @@ def train_embedder(documents, config: EmbedderConfig | None = None) -> Paragraph
     negated = -rng.uniform(-0.5 / config.n, 0.5 / config.n, size=(len(documents), config.n))
     word_matrix = np.zeros((len(vocab), config.n), dtype=float)
 
-    plan = _Epochs(word_matrix, indexed, config.negative_samples)
+    plan = _Epochs(word_matrix, negated, indexed, config.negative_samples)
+    # One buffer for every epoch's draw of negative ids.
+    negatives = np.empty((plan.n_tokens, config.negative_samples), dtype=np.intp)
     last = config.epochs - 1
     epoch_losses: list[float] = []
     # Divergence overflows the products; the checks below catch it instead.
@@ -336,10 +361,10 @@ def train_embedder(documents, config: EmbedderConfig | None = None) -> Paragraph
         for epoch in range(config.epochs):
             # One draw per epoch, sliced per document in order: the same
             # stream as a (len(doc), k) draw per document.
-            negatives = noise.sample(rng, (plan.n_tokens, config.negative_samples))
+            noise.sample(rng, negatives.shape, out=negatives)
             # The report keeps the first and last epochs' loss; the others skip it.
             with_loss = epoch in (0, last)
-            total = plan.run(negated, negatives, np.array(_learning_rate(config, epoch)), with_loss)
+            total = plan.run(negatives, np.array(_learning_rate(config, epoch)), with_loss)
             # Scores are clipped to [0, 1] by the sigmoid, so an epoch's loss
             # is non-finite exactly when one of its scores is NaN.
             if np.isnan(plan.coef).any():
@@ -458,7 +483,13 @@ def _ids(model: ParagraphVectorModel, tokens) -> np.ndarray:
 def _infer_vectors(model: ParagraphVectorModel, token_lists) -> tuple[np.ndarray, list[bool]]:
     """infer_vector over many token lists: (vectors, all_oov_flags), one
     row per list in input order. Same-length lists are inferred in stacks,
-    and each gets the bits it gets alone."""
+    and each gets the bits it gets alone.
+
+    The stacks are cut into two parts of about equal tokens, which
+    worker.halves runs side by side from worker.INFER_TOKEN_EPOCHS tokens x
+    epochs up: the worker sends its part's vectors back as one array, in
+    stack order. The draw cache is grown before, so both parts share it.
+    """
     config = model.config
     ids = [_ids(model, tokens) for tokens in token_lists]
     vectors = np.zeros((len(ids), config.n))
@@ -469,12 +500,27 @@ def _infer_vectors(model: ParagraphVectorModel, token_lists) -> tuple[np.ndarray
     cached = [length for length in by_length if length <= _DRAWS_MAX_TOKENS]
     if cached:
         _draws(model, max(cached))  # grow the cache once, to the longest it holds
+    stacks = []
     for length, members in by_length.items():
         per_stack = max(1, _STACK_BYTES // (8 * length * (config.n + config.negative_samples + 1)))
-        for start in range(0, len(members), per_stack):
-            stack = members[start:start + per_stack]
-            rows = ids[stack[0]] if len(stack) == 1 else np.stack([ids[i] for i in stack])
-            vectors[stack] = _infer(model, rows)
+        stacks += (members[start:start + per_stack] for start in range(0, len(members), per_stack))
+    if stacks:
+        tokens = np.cumsum([len(stack) * len(ids[stack[0]]) for stack in stacks])
+        cut = int(np.abs(2 * tokens - tokens[-1]).argmin()) + 1
+        parts = (stacks[:cut], stacks[cut:])
+
+        def run(items):  # the vectors of parts items, one row per fragment in stack order
+            chosen = [stack for part in items for stack in parts[part]]
+            out, row = np.empty((sum(map(len, chosen)), config.n)), 0
+            for stack in chosen:
+                rows = ids[stack[0]] if len(stack) == 1 else np.stack([ids[i] for i in stack])
+                out[row:row + len(stack)] = _infer(model, rows)
+                row += len(stack)
+            return out
+        # One stack is one part, which no worker could share.
+        inferred = worker.halves(run, 1 + (cut < len(stacks)), int(tokens[-1]) * config.epochs,
+                                 worker.INFER_TOKEN_EPOCHS)
+        vectors[[i for stack in stacks for i in stack]] = np.concatenate(inferred)
     return vectors, [len(pos_idx) == 0 for pos_idx in ids]
 
 

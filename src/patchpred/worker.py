@@ -2,10 +2,12 @@
 
 A boosting fit runs its rounds in `lockstep` with a worker, each process
 searching half of every node's columns (see learn.py). A cross-validation's
-folds and a random forest's trees are split by `halves`: a worker runs half
-of the items while this process runs the other half. Either way each
-process is pinned to its own half of the CPUs with BLAS on one thread
-(`pinned`), and the result is the one a run on one CPU gives.
+folds, a random forest's trees and a corpus inference's stacks of fragments
+(see embed._infer_vectors) are split by `halves`: a worker runs half of the
+items while this process runs the other half. Either way each process is
+pinned to its own half of the CPUs with BLAS on one thread (`pinned`), and
+the result is the one a run on one CPU gives. Each kind of work forks from
+a size up, measured below.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ FOREST_ROW_TREES = 4_000  # rows x trees of a forest fit
 # at 20 x 20, 6 and 13; 200 x 130, 9 and 14; 1,000 x 130, 40 and 37. The
 # fork costs a few ms, which only the cheapest learners do not win back.
 FOLD_CELLS = 2_000  # rows x columns of a cross-validation
+# A corpus inference forks for half of its stacks from INFER_TOKEN_EPOCHS up
+# (see embed._infer_vectors; leading fragments of the README corpus, default
+# n and k, a fresh model each call; medians of 7 to 9 alternating runs, in ms
+# alone and with a worker): 22,000 tokens x epochs, 9.1 and 11.8; 44,000 at
+# 5 epochs, 14.1 and 17.7; 66,000, 17.7 and 20.2; 88,000, 27.8 and 21.2;
+# 176,000, 54.6 and 37.8; 880,000 (the whole corpus at 100 epochs), 188
+# and 145.
+INFER_TOKEN_EPOCHS = 100_000  # tokens x epochs of a corpus inference
 
 
 def forks(size: int, least: int) -> bool:
@@ -192,35 +202,55 @@ class Worker:
 
 
 @contextlib.contextmanager
-def pinned(cpus):
-    """Runs the block on `cpus` only, with numpy's OpenBLAS (where
-    blas_threads finds it) on one thread, and restores this process's CPU
-    set and thread count on every way out. Two processes that work side by
-    side, each in its own half (see _beside), never share a CPU."""
-    blas, before = blas_threads(), os.sched_getaffinity(0)
-    threads = blas[0]() if blas else None
-    os.sched_setaffinity(0, cpus)
+def _one_blas_thread():
+    """Runs the block with numpy's OpenBLAS (where blas_threads finds it)
+    on one thread, and restores the thread count on every way out.
+
+    The count is only set where it is not one already. After a fork,
+    OpenBLAS restarts its thread pool in the first call that sets a count,
+    and a restarted pool thread spins for about 0.1 s on the CPUs of the
+    thread that restarted it: inside a pin (pinned), the CPU of the work.
+    So _beside sets one thread before it forks, and neither side sets a
+    count, or starts a pool, until the worker is gone.
+    """
+    blas = blas_threads()
+    threads = blas[0]() if blas else 1
+    if threads != 1:
+        blas[1](1)
     try:
-        if blas:
-            blas[1](1)
         yield
     finally:
-        os.sched_setaffinity(0, before)
-        if blas:
+        if threads != 1:
             blas[1](threads)
+
+
+@contextlib.contextmanager
+def pinned(cpus):
+    """Runs the block on `cpus` only, with numpy's OpenBLAS on one thread
+    (_one_blas_thread), and restores this process's CPU set, and then its
+    thread count, on every way out. Two processes that work side by side,
+    each in its own half (see _beside), never share a CPU."""
+    with _one_blas_thread():
+        before = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus)
+        try:
+            yield
+        finally:
+            os.sched_setaffinity(0, before)
 
 
 @contextlib.contextmanager
 def _beside(there):
     """A Worker that runs there(peer) pinned to the second half of this
-    process's CPUs; the block gets (peer, the first half) to pin itself to."""
+    process's CPUs; the block gets (peer, the first half) to pin itself to.
+    BLAS is on one thread from before the fork until the worker is gone."""
     cpus = sorted(os.sched_getaffinity(0))
     mine, theirs = cpus[:len(cpus) // 2], cpus[len(cpus) // 2:]
 
     def run_there(peer):
         with pinned(theirs):
             return there(peer)
-    with Worker(run_there) as peer:
+    with _one_blas_thread(), Worker(run_there) as peer:
         yield peer, mine
 
 
@@ -245,11 +275,11 @@ def halves(run, n: int, size: int, least: int) -> list:
     finds numpy's OpenBLAS, a Worker runs items m .. 2m - 1 (m = n // 2)
     while this process runs items 0 .. m - 1, each pinned to its own half
     of the CPUs with BLAS on one thread, so that no work inside sees a
-    second CPU: a BLAS thread pool restarted after the fork would start
-    inside the pin and wait on its one CPU. This process then restores its
-    CPU set and thread count, on every way out, before it reads the
-    worker's result, and runs the rest on all of its CPUs: an odd last
-    item, and the worker's items if the worker was lost. An item that
+    second CPU, and no BLAS thread pool restarts inside the pin (see
+    _one_blas_thread). This process then restores its CPU set, on every
+    way out, before it reads the worker's result, and its thread count
+    once the worker is gone, and runs the rest on all of its CPUs: an odd
+    last item, and the worker's items if the worker was lost. An item that
     raised in the worker raises here."""
     m, parts = n // 2, []
     if m and forks(size, least) and blas_threads() is not None:

@@ -1,15 +1,20 @@
+import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
+import mmap
+import os
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchpred import cli, corpus, crossing, diffparse, embed, synth
+from patchpred import cli, corpus, crossing, diffparse, embed, synth, worker
 from patchpred.embed import EmbedderConfig
 from patchpred.errors import EmbeddingError
 
@@ -790,3 +795,171 @@ def test_draw_cache_keeps_no_fragment_longer_than_its_cap():
     assert model.draws.length == embed._DRAWS_MAX_TOKENS
     for vec, tokens in zip(vectors, token_lists):
         assert _same_bits(vec, _ref_infer(model, tokens))
+
+
+# --- corpus inference on two CPUs -----------------------------------------------
+# With worker.INFER_TOKEN_EPOCHS at 0 every corpus inference forks a worker
+# for half of its stacks where it can (Linux, two usable CPUs, numpy's
+# OpenBLAS). Each test compares the vectors, or the error, with inference
+# where nothing forks, and checks that no child process is left and the CPU
+# set is as it was.
+
+needs_two_cpus = pytest.mark.skipif(not worker.forks(1, 0) or worker.blas_threads() is None,
+                                    reason="inference workers need Linux, two CPUs and numpy's OpenBLAS")
+
+
+@contextlib.contextmanager
+def _pinned(cpus):
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+@contextlib.contextmanager
+def _inference_workers(monkeypatch):
+    before = os.sched_getaffinity(0)
+    monkeypatch.setattr(worker, "INFER_TOKEN_EPOCHS", 0)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    yield forks
+    monkeypatch.undo()
+    assert os.sched_getaffinity(0) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _mixed_fragments():
+    """A model, and fragments of mixed lengths: 1 token, an all-OOV side,
+    same-length stacks, and one longer than the draw cache holds."""
+    docs, _ = _cluster_docs(20)
+    model = embed.train_embedder(docs, EmbedderConfig(n=8, epochs=3, negative_samples=2, seed=4))
+    vocab = sorted(model.vocabulary)
+    long_doc = [vocab[i % len(vocab)] for i in range(embed._DRAWS_MAX_TOKENS + 7)]
+    sides = [doc[:1 + i % 8] for i, doc in enumerate(docs)] + [[vocab[0]], ["never-seen"], long_doc, docs[0] * 5]
+    frags = {f"p{i}": diffparse.FragmentPair("", "", tuple(buggy), tuple(patched))
+             for i, (buggy, patched) in enumerate(zip(sides, sides[::-1]))}
+    return model, frags
+
+
+def _embedded(model, frags):
+    """embed_corpus on a copy of the model whose draw cache is empty."""
+    pairs, flagged = embed.embed_corpus(dataclasses.replace(model), frags)
+    return np.array([[p.buggy_vec, p.patched_vec] for p in pairs]), flagged
+
+
+def test_corpus_inference_in_two_halves_gives_the_bits_of_one_cpu_and_of_infer_vector(monkeypatch):
+    model, frags = _mixed_fragments()
+    with _pinned({min(os.sched_getaffinity(0))}):
+        alone, alone_flagged = _embedded(model, frags)
+    with _inference_workers(monkeypatch) as forks:
+        halves, flagged = _embedded(model, frags)
+    assert len(forks) == int(worker.forks(1, 0) and worker.blas_threads() is not None)
+    assert _same_bits(halves, alone)
+    assert flagged == alone_flagged == ["p2", "p21"]
+    for (buggy, patched), frag in zip(halves, frags.values()):
+        for vec, tokens in ((buggy, frag.buggy_tokens), (patched, frag.patched_tokens)):
+            assert _same_bits(vec, embed.infer_vector(model, tokens)[0])
+    assert _same_bits(halves[21, 0], np.zeros(8)) and _same_bits(halves[2, 1], np.zeros(8))
+
+
+@needs_two_cpus
+def test_inference_halves_run_on_one_blas_thread_and_start_no_thread_pool(monkeypatch):
+    # Each process records, in an anonymous shared mapping, its BLAS thread
+    # count and its OS threads as it infers a stack. After a fork, OpenBLAS
+    # restarts its pool in the first call that sets a count, and a pool
+    # started inside the pin spins on the CPU of the work.
+    model, frags = _mixed_fragments()
+    seen = np.frombuffer(mmap.mmap(-1, 32), dtype=np.int64).reshape(2, 2)
+    get_threads, set_threads = worker.blas_threads()
+    parent, infer = os.getpid(), embed._infer
+
+    def recorded(*args):
+        seen[int(os.getpid() != parent)] = get_threads(), len(os.listdir("/proc/self/task"))
+        return infer(*args)
+    before = get_threads()
+    set_threads(2)
+    try:
+        with _inference_workers(monkeypatch) as forks:
+            monkeypatch.setattr(embed, "_infer", recorded)
+            _embedded(model, frags)
+        assert len(forks) == 1 and get_threads() == 2
+    finally:
+        set_threads(before)
+    assert seen[0, 0] == 1
+    assert seen[1].tolist() == [1, 1]
+
+
+def test_corpus_inference_with_inference_workers_on_one_cpu_does_not_fork(monkeypatch):
+    model, frags = _mixed_fragments()
+    alone, _ = _embedded(model, frags)
+    with _inference_workers(monkeypatch) as forks, _pinned({min(os.sched_getaffinity(0))}):
+        pinned, _ = _embedded(model, frags)
+    assert forks == []
+    assert _same_bits(pinned, alone)
+
+
+def test_a_corpus_of_one_stack_does_not_fork(monkeypatch):
+    model, frags = _mixed_fragments()
+    # The side longer than the draw cache, and an all-OOV side
+    one = {"p": dataclasses.replace(frags["p22"], patched_tokens=("never-seen",))}
+    alone, _ = _embedded(model, one)
+    with _inference_workers(monkeypatch) as forks:
+        stacked, _ = _embedded(model, one)
+    assert forks == []
+    assert _same_bits(stacked, alone)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failure", ["fork", "worker"])
+def test_a_lost_inference_worker_gives_the_same_vectors_serially(failure, monkeypatch):
+    # A fork that fails raises OSError (Worker: WorkerLost before anything
+    # ran); a worker that dies leaves its half for this process to infer.
+    model, frags = _mixed_fragments()
+    alone, _ = _embedded(model, frags)
+    with _inference_workers(monkeypatch) as forks:
+        if failure == "fork":
+            def refused():
+                forks.append(os.getpid())
+                raise OSError(errno.EAGAIN, "fork refused")
+            monkeypatch.setattr(os, "fork", refused)
+        else:
+            parent, infer = os.getpid(), embed._infer
+            monkeypatch.setattr(embed, "_infer", lambda *args: infer(*args) if os.getpid() == parent else os._exit(1))
+        lost, _ = _embedded(model, frags)
+    assert len(forks) == 1
+    assert _same_bits(lost, alone)
+
+
+@pytest.mark.parametrize("workers", [False, True])
+def test_a_non_finite_vector_raises_the_same_error_from_two_cpus(workers, monkeypatch):
+    model, frags = _mixed_fragments()
+    model.word_matrix = model.word_matrix * 1e300
+    with pytest.raises(EmbeddingError) as alone:
+        embed.infer_vector(model, frags["p0"].buggy_tokens)
+    with _inference_workers(monkeypatch) if workers else contextlib.nullcontext():
+        with pytest.raises(EmbeddingError) as corpus_error:
+            embed.embed_corpus(model, frags)
+    assert str(corpus_error.value) == str(alone.value) == "non-finite inferred vector; lower the learning rate"
+
+
+def test_training_memory_peak_on_the_readme_corpus():
+    # The README corpus: 400 fragments, 8,800 tokens. Three epochs at the
+    # default n and k peaked at 2,509,651 bytes (numpy 2.4.6, Python
+    # 3.11); the bound leaves 3%. Arrays made at every document's step (a
+    # gather, two gradients, the update's positions, the step) and a fresh
+    # draw each epoch peaked at 2,599,975. Scratch of n floats kept per
+    # document would add 250 KB, and a (T * (1 + k), n) one 27 MB.
+    records = synth.generate_corpus(40, 5, "learned", seed=11).records
+    frags = [diffparse.fragments_for_diff(rec.diff_text) for rec in records]
+    docs = [list(tokens) for frag in frags for tokens in (frag.buggy_tokens, frag.patched_tokens)]
+    tracemalloc.start()
+    try:
+        embed.train_embedder(docs, EmbedderConfig(epochs=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_585_000
